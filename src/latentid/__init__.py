@@ -19,6 +19,7 @@ from .errors import (
     GridExhaustedError,
     IllConditionedError,
     InconsistentOracleError,
+    InputError,
     LatentIdError,
     MismatchedRowsError,
     NegativeWeightsError,

@@ -23,37 +23,9 @@ from . import latent_class as lc
 from . import nonparametric as npx
 from . import random_graph as rg
 from . import recovery, sampling
-from .errors import (
-    BadEdgeError,
-    BadPartitionError,
-    DimensionMismatchError,
-    DuplicateValuesError,
-    EmptyInputError,
-    LatentIdError,
-    MismatchedRowsError,
-    NonFiniteEntriesError,
-    NotThreeVariablesError,
-    TooFewVariablesError,
-    TooLargeError,
-    TooManyRowsError,
-)
+from .errors import DimensionMismatchError, InputError, LatentIdError
 from .modelio import load_model
 from .tensor_core import numerical_rank
-
-#: errors that indicate misuse or malformed input rather than a negative result
-INPUT_ERRORS = (
-    BadEdgeError,
-    BadPartitionError,
-    DimensionMismatchError,
-    DuplicateValuesError,
-    EmptyInputError,
-    MismatchedRowsError,
-    NonFiniteEntriesError,
-    NotThreeVariablesError,
-    TooFewVariablesError,
-    TooLargeError,
-    TooManyRowsError,
-)
 
 
 @dataclass
@@ -90,8 +62,6 @@ def _certificate_dict(cert: lc.Certificate) -> dict:
     ranks = list(cert.kruskal_ranks)
     if cert.holds:
         summary = f"certified: rank sum {sum(ranks)} >= {cert.threshold}"
-    elif cert.status == "unknown":
-        summary = "unknown: heuristic search found no certificate"
     else:
         summary = f"no certificate: best rank sum {sum(ranks)} < {cert.threshold}"
     out = {
@@ -160,9 +130,7 @@ def _cmd_recover_lc(args) -> tuple[int, dict]:
     elif model.p == 3:
         blocks = ((0,), (1,), (2,))
     else:
-        cert = lc.tripartition_search(model.r, model.kappas)
-        order = np.argsort([-d for d in cert.witness.clumped_dims])
-        blocks = tuple(cert.witness.blocks[i] for i in order)
+        blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     T = lc.joint_distribution(model)
     pi_hat, emissions = recovery.recover_latent_class(
         T, model.r, blocks, seed=args.seed, tol=args.tol
@@ -347,9 +315,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
                         rec, (model.pi, list(model.emissions))
                     )
                 else:
-                    cert = lc.tripartition_search(model.r, model.kappas)
-                    order = np.argsort([-d for d in cert.witness.clumped_dims])
-                    blocks = tuple(cert.witness.blocks[i] for i in order)
+                    blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
                     pi_hat, emissions = recovery.recover_latent_class(
                         T, model.r, blocks, seed=rng, tol=args.tol
                     )
@@ -422,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=False, tol=False)
     sp.set_defaults(handler=_cmd_bound)
 
-    sp = sub.add_parser("search-tripartition", help="exhaustive clumping certificate")
+    sp = sub.add_parser("search-tripartition", help="exact clumping certificate search")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappas", required=True, help="comma-separated state counts")
     common(sp, seed=False, tol=False)
@@ -501,7 +467,7 @@ def run(argv=None) -> int:
     try:
         code, result = args.handler(args)
         report.result = result
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatentIdError as exc:

@@ -2,6 +2,8 @@
 
 Every error is a subclass of :class:`LatentIdError`, so callers can catch the
 whole family with one clause or pick out the specific failure they care about.
+Errors that signal misuse or malformed input, rather than a negative result,
+also subclass :class:`InputError`.
 """
 
 
@@ -9,27 +11,31 @@ class LatentIdError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(LatentIdError):
+    """Base class for misuse and malformed input (CLI exit code 2)."""
+
+
 # ---------------------------------------------------------------------------
 # tensor / matrix primitives
 
 
-class MismatchedRowsError(LatentIdError):
+class MismatchedRowsError(InputError):
     """Factor matrices do not share a common row count."""
 
 
-class EmptyInputError(LatentIdError):
+class EmptyInputError(InputError):
     """An operation received an empty factor list."""
 
 
-class NonFiniteEntriesError(LatentIdError):
+class NonFiniteEntriesError(InputError):
     """A matrix or tensor contains NaN or infinite entries."""
 
 
-class TooManyRowsError(LatentIdError):
+class TooManyRowsError(InputError):
     """Kruskal-rank subset enumeration would exceed the configured row cap."""
 
 
-class DimensionMismatchError(LatentIdError):
+class DimensionMismatchError(InputError):
     """Shapes of the provided arrays are inconsistent."""
 
 
@@ -37,11 +43,11 @@ class NotKhatriRaoError(LatentIdError):
     """The matrix is not a row tensor product of stochastic factors."""
 
 
-class BadPartitionError(LatentIdError):
+class BadPartitionError(InputError):
     """Index blocks are not disjoint, nonempty and covering."""
 
 
-class DuplicateValuesError(LatentIdError):
+class DuplicateValuesError(InputError):
     """Vandermonde node values are not pairwise distinct."""
 
 
@@ -49,15 +55,15 @@ class DuplicateValuesError(LatentIdError):
 # model construction
 
 
-class TooLargeError(LatentIdError):
+class TooLargeError(InputError):
     """The requested dense object exceeds the configured entry cap."""
 
 
-class NotThreeVariablesError(LatentIdError):
+class NotThreeVariablesError(InputError):
     """The operation is defined only for three observed variables."""
 
 
-class TooFewVariablesError(LatentIdError):
+class TooFewVariablesError(InputError):
     """At least three observed variables are required."""
 
 
@@ -97,7 +103,7 @@ class IllConditionedError(LatentIdError):
 # random graph mixtures
 
 
-class BadEdgeError(LatentIdError):
+class BadEdgeError(InputError):
     """An edge must join two distinct nodes inside the graph."""
 
 

@@ -21,7 +21,6 @@ marginalization in :func:`recover_hmm` depend on them):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .errors import (
     TooLargeError,
 )
 from .latent_class import Certificate, ENTRY_CAP
-from .recovery import Alignment, decompose3
+from .recovery import Alignment, align_permutation, decompose3
 from .tensor_core import (
     RANK_TOL,
     ROW_SUM_TOL,
@@ -286,27 +285,18 @@ def recover_hmm(
 
 
 def align_hmm(recovered, reference) -> Alignment:
-    """Best simultaneous state relabeling of one (A, B, pi) triple onto another.
+    """State relabeling of one (A, B, pi) triple onto another.
 
-    The transition matrix is permuted on both axes.  Exhaustive for r <= 8.
+    States are matched by :func:`align_permutation` on the rows of
+    ``(pi, B)``, which identify them whenever ``B`` has Kruskal rank at least
+    2, as :func:`recover_hmm` requires.  The reported error covers ``pi``,
+    ``B`` and ``A``, the transition matrix permuted on both axes.
     """
     A_a, B_a, pi_a = (np.asarray(x, dtype=float) for x in recovered)
     A_b, B_b, pi_b = (np.asarray(x, dtype=float) for x in reference)
     if A_a.shape != A_b.shape or B_a.shape != B_b.shape or pi_a.shape != pi_b.shape:
         raise DimensionMismatchError("recovered and reference shapes differ")
-    r = pi_a.size
-    if r > 8:
-        raise DimensionMismatchError("exhaustive HMM alignment supports r <= 8")
-    best_perm = None
-    best_err = np.inf
-    for perm in itertools.permutations(range(r)):
-        p = list(perm)
-        err = max(
-            np.abs(pi_a[p] - pi_b).max(),
-            np.abs(A_a[np.ix_(p, p)] - A_b).max(),
-            np.abs(B_a[p] - B_b).max(),
-        )
-        if err < best_err:
-            best_err = err
-            best_perm = perm
-    return Alignment(permutation=np.array(best_perm, dtype=int), max_abs_error=float(best_err))
+    align = align_permutation((pi_a, (B_a,)), (pi_b, (B_b,)))
+    p = align.permutation
+    error = max(align.max_abs_error, float(np.abs(A_a[np.ix_(p, p)] - A_b).max()))
+    return Alignment(permutation=p, max_abs_error=error)

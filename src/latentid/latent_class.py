@@ -12,7 +12,7 @@ A model mixes r product distributions over p finite variables, the j-th with
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -34,8 +34,6 @@ from .tensor_core import (
 
 #: dense joint distributions are refused above this many entries
 ENTRY_CAP = 2**24
-#: exhaustive tripartition enumeration is used up to this many variables
-EXHAUSTIVE_PARTITION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ class Tripartition:
             raise BadPartitionError(
                 f"blocks {blocks} must disjointly cover range({len(kappas)})"
             )
-        dims = tuple(int(np.prod([kappas[j] for j in b])) for b in sorted_blocks)
+        dims = tuple(math.prod(int(kappas[j]) for j in b) for b in sorted_blocks)
         return cls(blocks=sorted_blocks, clumped_dims=dims)  # type: ignore[arg-type]
 
 
@@ -114,10 +112,9 @@ class Certificate:
     decomposition against ``threshold = 2r + 2``; the exact certifying rule
     is documented at the operation that produced the certificate (window
     embeddings require both blocks at full row rank, slightly more than the
-    bare sum).  ``witness`` carries the certifying tripartition when one was
-    searched for.  When a heuristic (non-exhaustive) search fails to certify,
-    ``exhaustive`` is False and :attr:`status` reports ``"unknown"`` rather
-    than ``"not-certified"``.
+    bare sum).  ``witness`` carries the best tripartition when one was
+    searched for; the search is exact, so a certificate that does not hold
+    means no tripartition reaches the threshold.
     """
 
     holds: bool
@@ -125,13 +122,15 @@ class Certificate:
     threshold: int
     mode: str  # "exact-matrix" or "generic-dimension"
     witness: Tripartition | None = None
-    exhaustive: bool = True
+
+    @property
+    def exhaustive(self) -> bool:
+        """Always True: every certificate comes from an exact computation."""
+        return True
 
     @property
     def status(self) -> str:
-        if self.holds:
-            return "certified"
-        return "not-certified" if self.exhaustive else "unknown"
+        return "certified" if self.holds else "not-certified"
 
 
 # ---------------------------------------------------------------------------
@@ -171,62 +170,19 @@ def kruskal_certificate(model: LatentClassModel, tol: float = RANK_TOL) -> Certi
     )
 
 
-def _partitions_into_three(p: int):
-    """Set partitions of range(p) into exactly three nonempty blocks.
-
-    Enumerated via restricted-growth assignment strings, so each partition
-    appears once, in a deterministic lexicographic order.
-    """
-    for assign in itertools.product(range(3), repeat=p - 1):
-        labels = (0,) + assign
-        if max(labels) != 2:
-            continue
-        # restricted growth: a label may exceed previous labels by at most 1
-        seen = 0
-        ok = True
-        for a in labels:
-            if a > seen:
-                if a != seen + 1:
-                    ok = False
-                    break
-                seen = a
-        if not ok:
-            continue
-        blocks: list[list[int]] = [[], [], []]
-        for j, a in enumerate(labels):
-            blocks[a].append(j)
-        yield blocks
-
-
-def _balanced_heuristic(r: int, kappas: Sequence[int]) -> list[list[int]]:
-    """Greedy tripartition: assign high-arity variables to the smallest block.
-
-    Variables are visited in decreasing state count (ties by index); each goes
-    to the block whose current product is smallest, which tends to push all
-    three clumped dimensions past r as soon as p allows.
-    """
-    order = sorted(range(len(kappas)), key=lambda j: (-kappas[j], j))
-    blocks: list[list[int]] = [[], [], []]
-    products = [1, 1, 1]
-    for j in order:
-        i = int(np.argmin(products))
-        blocks[i].append(j)
-        products[i] *= kappas[j]
-    return [sorted(b) for b in blocks]
-
-
-def tripartition_search(
-    r: int,
-    kappas: Sequence[int],
-    exhaustive_limit: int = EXHAUSTIVE_PARTITION_LIMIT,
-) -> Certificate:
+def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     """Search tripartitions for a generic-dimension certificate.
 
-    Each candidate partition scores ``sum_i min(r, prod of block state
-    counts)``; the certificate holds when some partition reaches ``2r + 2``.
-    For ``p <= exhaustive_limit`` all partitions are enumerated and the first
-    maximizer wins ties; beyond that a balanced-product heuristic is used and
-    a failure to certify is reported as status ``"unknown"``.
+    Each partition scores ``sum_i min(r, prod of block state counts)``; the
+    certificate holds when the best score reaches ``2r + 2``.  The score
+    depends only on the block products capped at ``max(r, 2)``, so a dynamic
+    program over the variables keeps one partition per reachable capped
+    triple, which makes the search exact for every p.  It stops as soon as
+    all three blocks reach the cap, since ``3r`` cannot be beaten.  Among the
+    best scores it prefers the largest capped dimensions, sorted descending,
+    so that the first two blocks reach r whenever possible.  The witness is
+    deterministic, with its blocks ordered by clumped dimension, largest
+    first.  Every state count must be at least 2.
     """
     kappas = [int(k) for k in kappas]
     p = len(kappas)
@@ -234,25 +190,35 @@ def tripartition_search(
         raise TooFewVariablesError(f"need at least 3 variables, got p={p}")
     if r < 1:
         raise ValueError("r must be at least 1")
+    if min(kappas) < 2:
+        raise ValueError(f"every state count must be at least 2, got {kappas}")
     threshold = 2 * r + 2
 
-    exhaustive = p <= exhaustive_limit
-    if exhaustive:
-        best_blocks = None
-        best_score = -1
-        for blocks in _partitions_into_three(p):
-            score = sum(
-                min(r, int(np.prod([kappas[j] for j in b]))) for b in blocks
-            )
-            if score > best_score:
-                best_score = score
-                best_blocks = blocks
-                if best_score == 3 * r:
-                    break  # cannot be beaten
+    # a capped product of 1 marks an empty block; any variable lifts it to >= 2
+    cap = max(r, 2)
+    full = (cap, cap, cap)
+    # capped block products, sorted descending -> blocks in the same order
+    states = {(1, 1, 1): ((), (), ())}
+    for j, kappa in enumerate(kappas):
+        reached = {}
+        for dims, blocks in states.items():
+            for i in range(3):
+                grown = list(zip(dims, blocks))
+                grown[i] = (min(cap, dims[i] * kappa), blocks[i] + (j,))
+                grown.sort(key=lambda item: -item[0])
+                key, ordered = zip(*grown)
+                reached.setdefault(key, ordered)
+        states = reached
+        if full in states:
+            first, second, third = states[full]
+            best = (first, second, third + tuple(range(j + 1, p)))
+            break
     else:
-        best_blocks = _balanced_heuristic(r, kappas)
+        nonempty = [dims for dims in states if dims[2] > 1]
+        best = states[max(nonempty, key=lambda d: (sum(min(r, x) for x in d), d))]
 
-    witness = Tripartition.from_blocks(best_blocks, kappas)
+    blocks = sorted(best, key=lambda block: -math.prod(kappas[j] for j in block))
+    witness = Tripartition.from_blocks(blocks, kappas)
     ranks = tuple(min(r, d) for d in witness.clumped_dims)
     return Certificate(
         holds=sum(ranks) >= threshold,
@@ -260,7 +226,6 @@ def tripartition_search(
         threshold=threshold,
         mode="generic-dimension",
         witness=witness,
-        exhaustive=exhaustive,
     )
 
 

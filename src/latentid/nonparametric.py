@@ -29,6 +29,7 @@ from .tensor_core import (
     RANK_TOL,
     check_probability_vector,
     numerical_rank,
+    rank_from_singular_values,
     triple_product,
 )
 
@@ -230,15 +231,6 @@ class CutPointSet:
         return int(np.prod(self.bins_per_axis))
 
 
-@dataclass
-class CutPointSearchState:
-    """Greedy search state: current value matrix, null vector, candidate pool."""
-
-    matrix: np.ndarray
-    null_vector: np.ndarray | None
-    pool: list
-
-
 def _as_cut_arrays(cuts) -> tuple[np.ndarray, ...]:
     if isinstance(cuts, CutPointSet):
         return cuts.cuts
@@ -336,33 +328,22 @@ def select_cut_points(
     for pt in mandatory_points:
         add_point(pt)
 
-    state = CutPointSearchState(
-        matrix=_value_matrix(components, cut_lists),
-        null_vector=None,
-        pool=candidates,
-    )
     for _ in range(r + 1):
-        A = state.matrix
+        A = _value_matrix(components, cut_lists)
         U, S, _ = np.linalg.svd(A)
-        rank = 0 if S[0] == 0.0 else int(np.sum(S > RANK_TOL * S[0] * max(A.shape)))
-        if rank == r:
+        if rank_from_singular_values(S, A.shape) == r:
             break
-        state.null_vector = U[:, -1]
-        found = False
-        for cand in state.pool:
-            s = sum(
-                a * comp(cand) for a, comp in zip(state.null_vector, components)
-            )
+        null_vector = U[:, -1]
+        for cand in candidates:
+            s = sum(a * comp(cand) for a, comp in zip(null_vector, components))
             if abs(s) > tol:
                 add_point(cand)
-                found = True
                 break
-        if not found:
+        else:
             raise GridExhaustedError(
                 "no grid candidate reduces the nullspace: the component family "
                 "is linearly dependent over the grid's span"
             )
-        state.matrix = _value_matrix(components, cut_lists)
     else:
         raise GridExhaustedError("cut selection failed to reach full rank")
 

@@ -10,9 +10,7 @@ inputs in the gap raise an explicit error rather than being attempted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -63,12 +61,6 @@ class Alignment:
 
     permutation: np.ndarray
     max_abs_error: float
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _clean_rows(M: np.ndarray, tol: float) -> np.ndarray | None:
@@ -144,7 +136,7 @@ def decompose3(
     U2 = np.linalg.svd(T2, full_matrices=False)[0][:, :r]
     T3 = T.transpose(2, 0, 1).reshape(k3, k1 * k2)
 
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     last_reason = "spectrum"
     for attempt in range(max_retries + 1):
         a = rng.standard_normal(k3)
@@ -232,22 +224,43 @@ def decompose3(
     )
 
 
-def _param_error(pi_a, factors_a, pi_b, factors_b, perm: Sequence[int]) -> float:
-    """Max-abs parameter difference after reordering the a-side by perm."""
-    perm = list(perm)
-    err = np.abs(pi_a[perm] - pi_b).max()
-    for Fa, Fb in zip(factors_a, factors_b):
-        err = max(err, np.abs(Fa[perm] - Fb).max())
-    return float(err)
+def _perfect_matching(allowed: np.ndarray) -> np.ndarray | None:
+    """Row-to-column perfect matching inside a boolean matrix, or None.
+
+    Kuhn's augmenting-path algorithm, visiting rows and columns in index
+    order, so the matching found is deterministic.
+    """
+    r = allowed.shape[0]
+    row_of = [-1] * r  # column -> matched row
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in np.flatnonzero(allowed[i]):
+            if not seen[j]:
+                seen[j] = True
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    for i in range(r):
+        if not augment(i, [False] * r):
+            return None
+    perm = np.empty(r, dtype=int)
+    perm[row_of] = np.arange(r)
+    return perm
 
 
 def align_permutation(recovered, reference) -> Alignment:
     """Best class relabeling of ``recovered`` onto ``reference``.
 
     Both arguments are ``(pi, factors)`` pairs (a :class:`RecoveredFactors`
-    is accepted for either).  For r <= 8 all permutations are tried and the
-    max-abs parameter difference is minimized exactly; for larger r a greedy
-    assignment on row correlation of the concatenated factors is used.
+    is accepted for either).  The relabeling minimizes the max-abs parameter
+    difference exactly.  That error is the largest cost ``C[ref, rec]`` (the
+    max-abs difference between the concatenated ``(pi, factors)`` rows) on the
+    matched pairs, so minimizing it is a bottleneck assignment problem
+    (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 6): binary
+    search over the sorted distinct costs for the smallest threshold ``t``
+    at which the pairs with ``C <= t`` contain a perfect matching.
     """
     pi_a, factors_a = _as_params(recovered)
     pi_b, factors_b = _as_params(reference)
@@ -258,39 +271,22 @@ def align_permutation(recovered, reference) -> Alignment:
             raise DimensionMismatchError(
                 f"factor shapes differ: {Fa.shape} vs {Fb.shape}"
             )
-    r = pi_a.size
+    rows_a = np.hstack([pi_a[:, None], *factors_a])
+    rows_b = np.hstack([pi_b[:, None], *factors_b])
+    C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)
 
-    if r <= 8:
-        best_perm = None
-        best_err = np.inf
-        for perm in itertools.permutations(range(r)):
-            err = _param_error(pi_a, factors_a, pi_b, factors_b, perm)
-            if err < best_err:
-                best_err = err
-                best_perm = perm
-        return Alignment(
-            permutation=np.array(best_perm, dtype=int), max_abs_error=best_err
-        )
-
-    # greedy row-correlation matching for large r
-    A = np.hstack([pi_a[:, None]] + list(factors_a))
-    B = np.hstack([pi_b[:, None]] + list(factors_b))
-    An = (A - A.mean(axis=1, keepdims=True))
-    Bn = (B - B.mean(axis=1, keepdims=True))
-    An = An / np.maximum(np.linalg.norm(An, axis=1, keepdims=True), 1e-300)
-    Bn = Bn / np.maximum(np.linalg.norm(Bn, axis=1, keepdims=True), 1e-300)
-    corr = Bn @ An.T  # corr[ref, rec]
-    perm = np.full(r, -1, dtype=int)
-    taken = np.zeros(r, dtype=bool)
-    for ref in np.argsort(-np.abs(corr).max(axis=1)):
-        order = np.argsort(-corr[ref])
-        for rec in order:
-            if not taken[rec]:
-                perm[ref] = rec
-                taken[rec] = True
-                break
-    err = _param_error(pi_a, factors_a, pi_b, factors_b, perm)
-    return Alignment(permutation=perm, max_abs_error=err)
+    costs = np.unique(C)
+    lo, hi = 0, costs.size - 1
+    perm = np.arange(pi_a.size)  # every pair is allowed at the largest cost
+    while lo < hi:
+        mid = (lo + hi) // 2
+        match = _perfect_matching(C <= costs[mid])
+        if match is None:
+            lo = mid + 1
+        else:
+            hi, perm = mid, match
+    error = float(C[np.arange(perm.size), perm].max())
+    return Alignment(permutation=perm, max_abs_error=error)
 
 
 def _as_params(obj) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -17,12 +17,6 @@ from .random_graph import GraphMixtureModel
 from .errors import NonUniqueStationaryError
 
 
-def rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator from a master seed and trial counter."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(trial)]))
@@ -39,7 +33,7 @@ def random_probability(rng, n: int) -> np.ndarray:
 
 
 def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     return LatentClassModel(
         pi=random_probability(rng, r),
         emissions=tuple(random_stochastic(rng, r, int(k)) for k in kappas),
@@ -56,7 +50,7 @@ def random_hmm(
     and samples next to the degenerate set are identifiable in theory but
     carry no recoverable precision in floating point.
     """
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     for _ in range(max_attempts):
         A = random_stochastic(rng, r, r)
         B = random_stochastic(rng, r, kappa)
@@ -78,7 +72,7 @@ def random_graph_mixture(
     rng, equal_mixing: bool = False, min_gap: float = 0.05, max_attempts: int = 100
 ) -> GraphMixtureModel:
     """Two-state graph mixture with pairwise well-separated connection values."""
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     if equal_mixing:
         pi = np.array([0.5, 0.5])
     else:
@@ -95,7 +89,7 @@ def random_graph_mixture(
 
 def random_piecewise_cdf(rng, n_knots: int = 5, lo: float = 0.0, hi: float = 1.0) -> CdfComponent:
     """Random strictly increasing piecewise-linear CDF on [lo, hi]."""
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     inner = np.sort(rng.uniform(lo, hi, size=max(n_knots - 2, 0)))
     knots = np.unique(np.concatenate([[lo], inner, [hi]]))
     steps = rng.uniform(0.2, 1.0, size=knots.size - 1)
@@ -112,7 +106,7 @@ def random_nonparametric_mixture(
     Per-variate families are generically linearly independent; blocks of
     dimension b > 1 are products of independent random marginals.
     """
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     if block_dims is None:
         block_dims = [1] * p
     rows = []

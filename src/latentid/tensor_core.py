@@ -152,6 +152,18 @@ def triple_product(M1, M2, M3) -> np.ndarray:
 # rank
 
 
+def rank_from_singular_values(s: np.ndarray, shape, tol: float = RANK_TOL) -> int:
+    """Rank decision on the singular values ``s`` (descending) of a matrix.
+
+    Counts the values above ``tol * s[0] * max(shape)``; 0 when ``s[0]`` is 0.
+    This is the one rank rule: :func:`numerical_rank` applies it to a fresh
+    SVD, and callers that also need the singular vectors apply it to theirs.
+    """
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0] * max(shape)))
+
+
 def numerical_rank(M, tol: float = RANK_TOL) -> int:
     """Number of singular values above ``tol * sigma_1 * max(rows, cols)``.
 
@@ -160,10 +172,7 @@ def numerical_rank(M, tol: float = RANK_TOL) -> int:
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = as_matrix(M)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(M.shape)))
+    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
 def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> int:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from latentid import cli
 from latentid.cli import run
+from latentid.errors import InputError, LatentIdError
 from latentid.modelio import save_model
 from latentid.sampling import (
     random_graph_mixture,
@@ -75,6 +77,10 @@ class TestCertificates:
         )
         assert code == 0
         assert report["result"]["holds"] is True
+
+    def test_search_rejects_state_counts_below_two(self, capsys):
+        assert run(["search-tripartition", "--r", "2", "--kappas", "1,2,2,2"]) == 2
+        assert run(["search-tripartition", "--r", "2", "--kappas", "0,2,2"]) == 2
 
     def test_certify_lc(self, capsys, lc3_file):
         code, report = run_json(capsys, ["certify-lc", "--model", lc3_file])
@@ -191,6 +197,22 @@ class TestReportContract:
 
     def test_wrong_model_type_exits_2(self, capsys, hmm_file):
         assert run(["certify-lc", "--model", hmm_file]) == 2
+
+    def test_error_classes_map_to_exit_codes(self, capsys, monkeypatch):
+        classes, pending = [], [LatentIdError]
+        while pending:
+            cls = pending.pop()
+            classes.append(cls)
+            pending.extend(cls.__subclasses__())
+        assert len(classes) > 20
+        for cls in classes:
+
+            def handler(args, cls=cls):
+                raise cls("stubbed")
+
+            monkeypatch.setattr(cli, "_cmd_bound", handler)
+            code = run(["bound", "--r", "2", "--kappa", "2"])
+            assert code == (2 if issubclass(cls, InputError) else 1), cls.__name__
 
     def test_honest_negative_exits_1(self, capsys, tmp_path):
         # a latent-class model whose third variable cannot separate classes

@@ -275,3 +275,12 @@ class TestRecoverHmm:
         A, B, pi = recover_hmm(T, 2, 2, 2, seed=0, tol=1e-6)
         align = align_hmm((A, B, pi), (model.A, model.B, model.pi))
         assert align.max_abs_error <= 1e-6
+
+    def test_round_trip_nine_states(self):
+        model = random_hmm(trial_rng(45, 0), 9, 3)
+        k = min_window(9, 3)
+        A, B, pi = recover_hmm(window_tensor(model, k), 9, 3, k, seed=0, tol=1e-6)
+        align = align_hmm((A, B, pi), (model.A, model.B, model.pi))
+        assert align.max_abs_error <= 1e-6
+        p = align.permutation
+        assert np.abs(A[np.ix_(p, p)] - model.A).max() <= align.max_abs_error

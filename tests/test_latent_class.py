@@ -148,14 +148,67 @@ class TestTripartitionSearch:
         assert a.witness.blocks == b.witness.blocks
         assert a.kruskal_ranks == b.kruskal_ranks
 
-    def test_heuristic_beyond_limit(self):
+    def test_exact_beyond_twelve_variables(self):
         cert = tripartition_search(2, [2] * 13)
         assert cert.holds
-        assert not cert.exhaustive
-        # a hopeless heuristic case reports unknown, not failure
+        assert cert.exhaustive
         cert = tripartition_search(100, [2] * 13)
         assert not cert.holds
-        assert cert.status == "unknown"
+        assert cert.status == "not-certified"
+        assert cert.kruskal_ranks == (100, 32, 2)
+        assert sum(cert.kruskal_ranks) == 134
+
+    def test_matches_all_set_partitions(self):
+        mixed = [(2, 2, 2), (3, 2, 4, 2), (2, 3, 2, 5, 2, 3), (2, 2, 3, 2, 4, 2, 2, 3)]
+        for kappas in mixed:
+            p = len(kappas)
+            products = set()
+            for labels in itertools.product(range(3), repeat=p):
+                blocks = [[j for j in range(p) if labels[j] == b] for b in range(3)]
+                if all(blocks):
+                    products.add(
+                        tuple(int(np.prod([kappas[j] for j in b])) for b in blocks)
+                    )
+            for r in range(1, 41):
+                # best score, then the largest capped dimensions sorted descending
+                capped = [
+                    sorted((min(r, d) for d in dims), reverse=True) for dims in products
+                ]
+                best = max((sum(c), c) for c in capped)
+                cert = tripartition_search(r, kappas)
+                dims = cert.witness.clumped_dims
+                assert sum(cert.kruskal_ranks) == best[0]
+                assert list(cert.kruskal_ranks) == best[1]
+                assert list(dims) == sorted(dims, reverse=True)
+                assert cert.holds == (best[0] >= 2 * r + 2)
+
+    def test_prefers_two_full_blocks(self):
+        # (8, 8, 2) and (8, 4, 4) both reach 2r + 2 = 14; only the first
+        # leaves two clumped dimensions >= r, as decompose3 needs
+        cert = tripartition_search(6, [2] * 7)
+        assert cert.witness.clumped_dims == (8, 8, 2)
+
+    def test_thirty_mixed_arity_variables(self):
+        # variables of equal arity are interchangeable, so splitting each
+        # arity's count over the three blocks reaches every block-product triple
+        kappas = [2, 3, 4] * 10
+        splits = np.array([(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)])
+        dims = (
+            (2**splits)[:, None, None, :]
+            * (3**splits)[None, :, None, :]
+            * (4**splits)[None, None, :, :]
+        ).reshape(-1, 3)
+        dims = dims[(dims > 1).all(axis=1)]
+        for r in (7, 40000, 50000):
+            cert = tripartition_search(r, kappas)
+            assert sum(cert.kruskal_ranks) == np.minimum(dims, r).sum(axis=1).max()
+            dims_found = list(cert.witness.clumped_dims)
+            assert dims_found == sorted(dims_found, reverse=True)
+
+    def test_rejects_state_counts_below_two(self):
+        for kappas in [(1, 2, 2, 2), (0, 2, 2)]:
+            with pytest.raises(ValueError):
+                tripartition_search(2, kappas)
 
     def test_holds_implies_clumped_certificate_holds(self):
         # generic claim realized by sampling: when the dimension search
