@@ -25,7 +25,6 @@ from . import random_graph as rg
 from . import recovery, sampling
 from .errors import DimensionMismatchError, InputError, LatentIdError
 from .modelio import load_model
-from .tensor_core import numerical_rank
 
 
 @dataclass
@@ -185,15 +184,14 @@ def _cmd_graph_certify(args) -> tuple[int, dict]:
     model = load_model(args.model)
     if not isinstance(model, rg.GraphMixtureModel):
         raise DimensionMismatchError("graph-certify expects a graph_mixture model file")
-    cert = rg.graph_certificate(model, args.m, tol=args.tol)
-    A = rg.conditional_graph_matrix(model, args.m)
+    cert, shape, rank = rg._graph_certificate(model, args.m, args.tol)
     result = _certificate_dict(cert)
     result.update(
         {
             "m": args.m,
             "nodes": args.m * args.m,
-            "group_matrix_shape": list(A.shape),
-            "group_matrix_rank": numerical_rank(A, args.tol),
+            "group_matrix_shape": list(shape),
+            "group_matrix_rank": rank,
         }
     )
     return (0 if cert.holds else 1), result

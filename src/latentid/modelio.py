@@ -11,9 +11,6 @@ Schemas, one per model family, dispatched on the ``"type"`` key:
   "pi": [...], "components": [[{"knots": [...], "values": [...]}]]}`` with
   components indexed ``[class][variate]``; knots and values are flat lists
   for one-dimensional variates and nested lists for blocks.
-
-Dense arrays elsewhere serialize as ``{"dims": [...], "data": [...]}`` with
-row-major flattening (see :mod:`latentid.tensor_core`).
 """
 
 from __future__ import annotations

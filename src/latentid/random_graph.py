@@ -188,6 +188,13 @@ def graph_certificate(
     materializing anything; the reported ranks are these Kronecker-derived
     values (equal to ``r^n`` and to the Kruskal rank exactly when full).
     """
+    return _graph_certificate(model, m, tol)[0]
+
+
+def _graph_certificate(
+    model: GraphMixtureModel, m: int, tol: float
+) -> tuple[Certificate, tuple[int, int], int]:
+    """:func:`graph_certificate`, with the shape and rank of its group matrix."""
     partitions = lattice_partitions(m)
     disjoint = partitions.pairwise_edge_disjoint()
     A = conditional_graph_matrix(model, m)
@@ -196,12 +203,13 @@ def graph_certificate(
     n = m * m
     lifted = rank_A**m
     full = r**n
-    return Certificate(
+    cert = Certificate(
         holds=disjoint and rank_A == r**m,
         kruskal_ranks=(lifted, lifted, lifted),
         threshold=2 * full + 2,
         mode="exact-matrix",
     )
+    return cert, A.shape, rank_A
 
 
 def single_edge_marginal(model: GraphMixtureModel, states, edge: tuple[int, int]) -> float:

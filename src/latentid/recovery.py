@@ -2,10 +2,15 @@
 
 The decomposition is Jennrich-style simultaneous diagonalization: two random
 mixtures of the third-mode slices share the first-mode directions as
-generalized eigenvectors.  It is non-iterative and exact up to floating point,
-but its preconditions (first two factors of full row rank, third of Kruskal
-rank at least 2) are strictly stronger than the Kruskal uniqueness condition;
-inputs in the gap raise an explicit error rather than being attempted.
+generalized eigenvectors.  Each of the two r-dimensional bases takes one SVD:
+the mode-1 basis and rank decision come from the mode-1 unfolding, and the
+mode-2 basis and rank decision from the tensor projected onto the mode-1 basis
+(the sequential truncation of ST-HOSVD; Vannieuwenhoven, Vandebril &
+Meerbergen, SIAM J. Sci. Comput. 2012).  It is non-iterative and exact up to
+floating point, but its preconditions (first two factors of full row rank,
+third of Kruskal rank at least 2) are strictly stronger than the Kruskal
+uniqueness condition; inputs in the gap raise an explicit error rather than
+being attempted.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .tensor_core import (
     check_distribution_tensor,
     clump_tensor,
     khatri_rao,
-    numerical_rank,
+    rank_from_singular_values,
     triple_product,
     unclump,
 )
@@ -83,9 +88,13 @@ def decompose3(
 ) -> RecoveredFactors:
     """Rank-r decomposition of an exact three-way probability tensor.
 
-    Draws two random weight vectors over the third mode, forms the two slice
-    mixtures, and reads the first-mode directions off the eigen-structure of
-    their quotient (in an r-dimensional projected basis); the second mode
+    Takes the r-dimensional mode-1 basis ``U1`` and the mode-1 rank decision
+    from one SVD of the mode-1 unfolding, and the mode-2 basis ``U2`` and
+    rank decision from one SVD of the ``k2 x r*k3`` matrix of the tensor
+    projected onto ``U1`` along mode 1; the mode-2 unfolding itself is never
+    factored.  Draws two random weight vectors over the third mode, forms the
+    two slice mixtures, and reads the first-mode directions off the
+    eigen-structure of their quotient in these bases; the second mode
     follows from the same eigenbasis and the third mode and the weights from a
     least-squares solve against the rank-1 terms.  Each factor row is
     normalized to sum 1, with the absorbed scales accumulating into ``pi``.
@@ -127,20 +136,28 @@ def decompose3(
         return RecoveredFactors(pi=pi, factors=factors, residual=resid, retries_used=0)
 
     T1 = T.reshape(k1, k2 * k3)
-    T2 = T.transpose(1, 0, 2).reshape(k2, k1 * k3)
-    if numerical_rank(T1) < r:
+    U1, s1, _ = np.linalg.svd(T1, full_matrices=False)
+    if rank_from_singular_values(s1, T1.shape) < r:
         raise RankDeficientError(f"mode-1 unfolding has rank below r={r}")
-    if numerical_rank(T2) < r:
+    U1 = U1[:, :r]
+    # P2 is the mode-2 unfolding of T projected onto U1 along mode 1.  When T1
+    # has rank r, P2 P2^T = T2 T2^T for the mode-2 unfolding T2, so s2 are
+    # T2's singular values and T2's cutoff applies to them.
+    P2 = (U1.T @ T1).reshape(r, k2, k3).transpose(1, 0, 2).reshape(k2, r * k3)
+    U2, s2, _ = np.linalg.svd(P2, full_matrices=False)
+    if rank_from_singular_values(s2, (k2, k1 * k3)) < r:
         raise RankDeficientError(f"mode-2 unfolding has rank below r={r}")
-    U1 = np.linalg.svd(T1, full_matrices=False)[0][:, :r]
-    U2 = np.linalg.svd(T2, full_matrices=False)[0][:, :r]
+    U2 = U2[:, :r]
     T3 = T.transpose(2, 0, 1).reshape(k3, k1 * k2)
+    pairs = np.triu_indices(r, 1)
 
     rng = np.random.default_rng(seed)
     last_reason = "spectrum"
     for attempt in range(max_retries + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
+        # einsum, not T @ a: the matmul sums in another order, and that alone
+        # flips chaining refusals of recover_mixture at its conditioning frontier
         Ta = U1.T @ np.einsum("uvw,w->uv", T, a) @ U2
         Tb = U1.T @ np.einsum("uvw,w->uv", T, b) @ U2
 
@@ -155,12 +172,8 @@ def decompose3(
         if scale == 0.0 or np.abs(lam.imag).max() > EIGEN_GAP_TOL * scale:
             last_reason = "spectrum"
             continue
-        gaps = [
-            abs(lam[i] - lam[j])
-            for i in range(r)
-            for j in range(i + 1, r)
-        ]
-        if min(gaps) < EIGEN_GAP_TOL * scale:
+        gaps = np.abs(lam[:, None] - lam[None, :])[pairs]
+        if gaps.min() < EIGEN_GAP_TOL * scale:
             last_reason = "spectrum"
             continue
 
@@ -200,7 +213,7 @@ def decompose3(
         pi = pi / pi.sum()
 
         resid = float(
-            np.abs(triple_product(pi[:, None] * M1, M2, M3) - T).max()
+            np.abs((pi[:, None] * M3).T @ khatri_rao([M1, M2]) - T3).max()
         )
         if resid <= tol:
             return RecoveredFactors(

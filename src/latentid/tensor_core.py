@@ -270,17 +270,6 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
 # witnesses
 
 
-def first_primes(n: int) -> list[int]:
-    """The first ``n`` prime numbers."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < n:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return primes
-
-
 def vandermonde_witness(r: int, col_values: Sequence[float]) -> np.ndarray:
     """Vandermonde matrix with entry ``(i, j) = col_values[j] ** i``.
 
@@ -299,18 +288,3 @@ def vandermonde_witness(r: int, col_values: Sequence[float]) -> np.ndarray:
         raise ValueError("r must be at least 1")
     return np.vander(vals, N=r, increasing=True).T
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def array_to_json_dict(arr) -> dict:
-    """Serialize an array as ``{"dims": [...], "data": [...]}`` (row-major)."""
-    arr = np.asarray(arr, dtype=float)
-    return {"dims": list(arr.shape), "data": arr.ravel(order="C").tolist()}
-
-
-def array_from_json_dict(obj: dict) -> np.ndarray:
-    """Inverse of :func:`array_to_json_dict`."""
-    data = np.asarray(obj["data"], dtype=float)
-    return data.reshape(obj["dims"])

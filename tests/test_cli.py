@@ -98,12 +98,22 @@ class TestCertificates:
         assert code == 0
         assert report["result"]["holds"] is True
 
-    def test_graph_certify(self, capsys, graph_file):
+    def test_graph_certify(self, capsys, graph_file, monkeypatch):
+        builds = []
+        build = cli.rg.conditional_graph_matrix
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli.rg, "conditional_graph_matrix", counting_build)
         code, report = run_json(
             capsys, ["graph-certify", "--model", graph_file, "--m", "4"]
         )
         assert code == 0
         assert report["result"]["group_matrix_rank"] == 16
+        assert report["result"]["group_matrix_shape"] == [16, 64]
+        assert len(builds) == 1  # built and ranked once per command
 
 
 class TestRecovery:

@@ -20,7 +20,7 @@ from latentid.hmm import (
     window_tensor,
 )
 from latentid.sampling import random_hmm, trial_rng
-from latentid.tensor_core import first_primes, khatri_rao, numerical_rank, vandermonde_witness
+from latentid.tensor_core import khatri_rao, numerical_rank, vandermonde_witness
 
 
 def path_joint(model, length):
@@ -236,7 +236,7 @@ class TestCertificate:
         # identity-chain witness with prime Vandermonde emission rows
         r, kappa = 3, 2
         assert min_window(r, kappa) == 2
-        B = vandermonde_witness(r, [float(x) for x in first_primes(kappa)])
+        B = vandermonde_witness(r, [2.0, 3.0])
         B1 = np.eye(r) @ B  # k = 1 recursion collapses to B itself
         assert numerical_rank(B1) < r
         # and on a valid random model: kappa^k = 2 columns cannot carry rank 3

@@ -16,8 +16,9 @@ from latentid.recovery import (
     decompose3,
     recover_latent_class,
 )
-from latentid.sampling import random_latent_class, trial_rng
-from latentid.tensor_core import triple_product
+from latentid.hmm import min_window, window_tensor
+from latentid.sampling import random_hmm, random_latent_class, trial_rng
+from latentid.tensor_core import numerical_rank, triple_product
 
 
 def reference_model():
@@ -78,6 +79,84 @@ class TestDecompose3:
         T = joint_distribution(m)
         with pytest.raises(RankDeficientError):
             decompose3(T, 2, seed=0)
+
+    def test_rank_deficient_second_factor_only(self):
+        # first factor of full row rank, second of rank 2 < r = 3
+        rng = np.random.default_rng(7)
+        M2 = rng.dirichlet(np.ones(4), size=3)
+        M2[2] = 0.3 * M2[0] + 0.7 * M2[1]
+        m = LatentClassModel(
+            pi=np.array([0.2, 0.3, 0.5]),
+            emissions=(
+                rng.dirichlet(np.ones(4), size=3),
+                M2,
+                rng.dirichlet(np.ones(3), size=3),
+            ),
+        )
+        with pytest.raises(RankDeficientError, match="mode-2"):
+            decompose3(joint_distribution(m), 3, seed=0)
+
+    def test_unfolding_refusals_follow_unfolding_ranks(self):
+        # refuses for rank exactly when numerical_rank(T1) < r or
+        # numerical_rank(T2) < r, naming the first deficient mode
+        rng = np.random.default_rng(8)
+
+        def degrade(M, how):
+            M = M.copy()
+            if how == "duplicate":
+                M[-1] = M[0]
+            elif how == "mixture":
+                w = rng.dirichlet(np.ones(M.shape[0] - 1))
+                M[-1] = w @ M[:-1]
+            elif how == "near":  # rows 1e-3 apart: full rank
+                M[-1] = 0.999 * M[0] + 0.001 * M[-1]
+            return M
+
+        hows = ["generic", "duplicate", "mixture", "near"]
+        seen = set()
+        cases = itertools.product(range(2), itertools.product(hows, repeat=3))
+        for t, (_, degradations) in enumerate(cases):
+            r = int(rng.integers(2, 6))
+            kappas = (
+                r + int(rng.integers(0, 3)),
+                r + int(rng.integers(0, 3)),
+                int(rng.integers(2, 4)),
+            )
+            m = random_latent_class(trial_rng(30, t), r, kappas)
+            emissions = tuple(map(degrade, m.emissions, degradations))
+            T = joint_distribution(LatentClassModel(pi=m.pi, emissions=emissions))
+            k1, k2, k3 = T.shape
+            rank1 = numerical_rank(T.reshape(k1, k2 * k3))
+            rank2 = numerical_rank(T.transpose(1, 0, 2).reshape(k2, k1 * k3))
+            expected = "mode-1" if rank1 < r else "mode-2" if rank2 < r else None
+            refused = None
+            try:
+                decompose3(T, r, seed=t, max_retries=3)
+            except RankDeficientError as err:
+                if " unfolding " in str(err):
+                    refused = str(err).split(" unfolding ")[0]
+            except LatentIdError:
+                pass
+            assert refused == expected, (t, r, kappas, rank1, rank2)
+            seen.add(expected)
+        assert seen == {None, "mode-1", "mode-2"}
+
+    def test_one_svd_per_subspace(self, monkeypatch):
+        # r=8, kappa=2 window tensor: 128 x 128 x 2.  Only the mode-1
+        # unfolding (128 x 256) and the projected tensor (128 x r*k3) are
+        # factored; the other SVDs are of r x r slice mixtures.
+        model = random_hmm(trial_rng(46, 0), 8, 2)
+        T = window_tensor(model, min_window(8, 2))
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        decompose3(T, 8, seed=0, tol=1e-6)
+        assert [sh for sh in shapes if sh[0] > 8] == [(128, 256), (128, 16)]
 
     def test_small_first_mode_rejected(self):
         T = np.full((2, 3, 3), 1.0 / 18)

@@ -12,10 +12,7 @@ from latentid.errors import (
     TooManyRowsError,
 )
 from latentid.tensor_core import (
-    array_from_json_dict,
-    array_to_json_dict,
     clump_tensor,
-    first_primes,
     khatri_rao,
     kruskal_rank,
     numerical_rank,
@@ -23,6 +20,28 @@ from latentid.tensor_core import (
     unclump,
     vandermonde_witness,
 )
+
+
+def first_primes(n: int) -> list[int]:
+    """The first ``n`` prime numbers."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def array_to_json_dict(arr) -> dict:
+    """Serialize an array as ``{"dims": [...], "data": [...]}`` (row-major)."""
+    arr = np.asarray(arr, dtype=float)
+    return {"dims": list(arr.shape), "data": arr.ravel(order="C").tolist()}
+
+
+def array_from_json_dict(obj: dict) -> np.ndarray:
+    """Inverse of :func:`array_to_json_dict`."""
+    return np.asarray(obj["data"], dtype=float).reshape(obj["dims"])
 
 
 def random_stochastic(rng, rows, cols):
