@@ -91,6 +91,23 @@ def _parse_tripartition(text: str) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
+#: each model class as a wrong-type error names it (its file's "type" key)
+_MODEL_TYPES = {
+    lc.LatentClassModel: "a latent_class",
+    hmm_mod.HiddenMarkovModel: "an hmm",
+    rg.GraphMixtureModel: "a graph_mixture",
+    npx.NonparametricMixture: "a nonparametric",
+}
+
+
+def _load(path, cls, command: str):
+    """Load a model file, requiring a ``cls`` model."""
+    model = load_model(path)
+    if not isinstance(model, cls):
+        raise DimensionMismatchError(f"{command} expects {_MODEL_TYPES[cls]} model file")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, result_dict)
 
@@ -110,9 +127,7 @@ def _cmd_search_tripartition(args) -> tuple[int, dict]:
 
 
 def _cmd_certify_lc(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, lc.LatentClassModel):
-        raise DimensionMismatchError("certify-lc expects a latent_class model file")
+    model = _load(args.model, lc.LatentClassModel, "certify-lc")
     cert = lc.kruskal_certificate(model, tol=args.tol)
     result = _certificate_dict(cert)
     result["r"] = model.r
@@ -121,9 +136,7 @@ def _cmd_certify_lc(args) -> tuple[int, dict]:
 
 
 def _cmd_recover_lc(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, lc.LatentClassModel):
-        raise DimensionMismatchError("recover-lc expects a latent_class model file")
+    model = _load(args.model, lc.LatentClassModel, "recover-lc")
     if args.tripartition:
         blocks = _parse_tripartition(args.tripartition)
     elif model.p == 3:
@@ -151,9 +164,7 @@ def _cmd_hmm_window(args) -> tuple[int, dict]:
 
 
 def _cmd_hmm_certify(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, hmm_mod.HiddenMarkovModel):
-        raise DimensionMismatchError("hmm-certify expects an hmm model file")
+    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-certify")
     k = args.k if args.k else hmm_mod.min_window(model.r, model.kappa)
     cert = hmm_mod.hmm_certificate(model, k, tol=args.tol)
     result = _certificate_dict(cert)
@@ -162,9 +173,7 @@ def _cmd_hmm_certify(args) -> tuple[int, dict]:
 
 
 def _cmd_hmm_recover(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, hmm_mod.HiddenMarkovModel):
-        raise DimensionMismatchError("hmm-recover expects an hmm model file")
+    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-recover")
     k = args.k if args.k else hmm_mod.min_window(model.r, model.kappa)
     T = hmm_mod.window_tensor(model, k)
     A_hat, B_hat, pi_hat = hmm_mod.recover_hmm(
@@ -181,9 +190,7 @@ def _cmd_hmm_recover(args) -> tuple[int, dict]:
 
 
 def _cmd_graph_certify(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, rg.GraphMixtureModel):
-        raise DimensionMismatchError("graph-certify expects a graph_mixture model file")
+    model = _load(args.model, rg.GraphMixtureModel, "graph-certify")
     cert, shape, rank = rg._graph_certificate(model, args.m, args.tol)
     result = _certificate_dict(cert)
     result.update(
@@ -208,21 +215,12 @@ def _graph_extraction_roundtrip(model: rg.GraphMixtureModel, n: int, rng) -> dic
         return rg.single_edge_marginal(model, states, edge)
 
     pi_hat, p11, p12, p22 = rg.extract_parameters(v_perm, oracle, n)
-    truth = (model.pi[0], model.pi[1], model.P[0, 0], model.P[0, 1], model.P[1, 1])
-    direct = max(
-        abs(pi_hat[0] - truth[0]),
-        abs(pi_hat[1] - truth[1]),
-        abs(p11 - truth[2]),
-        abs(p12 - truth[3]),
-        abs(p22 - truth[4]),
-    )
-    swapped = max(
-        abs(pi_hat[0] - truth[1]),
-        abs(pi_hat[1] - truth[0]),
-        abs(p11 - truth[4]),
-        abs(p12 - truth[3]),
-        abs(p22 - truth[2]),
-    )
+    # (pi_1, pi_2, P11, P12, P22); swapping the class labels permutes them
+    P = model.P
+    truth = np.array([model.pi[0], model.pi[1], P[0, 0], P[0, 1], P[1, 1]])
+    found = np.array([pi_hat[0], pi_hat[1], p11, p12, p22])
+    direct = np.abs(found - truth).max()
+    swapped = np.abs(found - truth[[1, 0, 4, 3, 2]]).max()
     return {
         "pi": [float(x) for x in pi_hat],
         "p11": p11,
@@ -233,9 +231,7 @@ def _graph_extraction_roundtrip(model: rg.GraphMixtureModel, n: int, rng) -> dic
 
 
 def _cmd_graph_extract(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, rg.GraphMixtureModel):
-        raise DimensionMismatchError("graph-extract expects a graph_mixture model file")
+    model = _load(args.model, rg.GraphMixtureModel, "graph-extract")
     rng = np.random.default_rng(args.seed)
     result = _graph_extraction_roundtrip(model, args.n, rng)
     result["n"] = args.n
@@ -243,9 +239,7 @@ def _cmd_graph_extract(args) -> tuple[int, dict]:
 
 
 def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, npx.NonparametricMixture):
-        raise DimensionMismatchError("nonparam-cuts expects a nonparametric model file")
+    model = _load(args.model, npx.NonparametricMixture, "nonparam-cuts")
     cuts = {}
     for j in range(model.p):
         cs = npx.select_cut_points(model.variate(j))
@@ -273,9 +267,7 @@ def _default_queries(model: npx.NonparametricMixture, count: int) -> list[list]:
 
 
 def _cmd_nonparam_recover(args) -> tuple[int, dict]:
-    model = load_model(args.model)
-    if not isinstance(model, npx.NonparametricMixture):
-        raise DimensionMismatchError("nonparam-recover expects a nonparametric model file")
+    model = _load(args.model, npx.NonparametricMixture, "nonparam-recover")
     queries = _default_queries(model, args.queries)
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
     # align to the file's parameters through the recovered CDF tables

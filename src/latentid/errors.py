@@ -76,7 +76,7 @@ class DegenerateSpectrumError(LatentIdError):
 
 
 class RankDeficientError(LatentIdError):
-    """A slice mixture or unfolding has numerical rank below the target."""
+    """A tensor unfolding has numerical rank below the target."""
 
 
 class NegativeWeightsError(LatentIdError):

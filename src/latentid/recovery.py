@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
+    IllConditionedError,
     NegativeWeightsError,
     RankDeficientError,
 )
@@ -107,8 +108,12 @@ def decompose3(
     Raises
     ------
     RankDeficientError
-        A mode-1 or mode-2 unfolding (or persistently every slice mixture)
-        has numerical rank below r.
+        A mode-1 or mode-2 unfolding has numerical rank below r.
+    IllConditionedError
+        The slice mixtures, projected onto the two bases, stay singular
+        (``sigma_min <= 1e-12 * sigma_max``) through the last retry, so the
+        eigenproblem cannot be formed although both unfoldings passed the
+        rank rule.
     DegenerateSpectrumError
         Eigenvalue ratios collide, or the residual never meets ``tol``.
     NegativeWeightsError
@@ -227,9 +232,9 @@ def decompose3(
             f"after {max_retries} retries"
         )
     if last_reason == "slice_rank":
-        raise RankDeficientError(
-            f"slice mixtures kept numerical rank below r={r} "
-            f"after {max_retries} retries"
+        raise IllConditionedError(
+            f"slice mixtures stayed singular after {max_retries} retries "
+            f"(last sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.3g})"
         )
     raise DegenerateSpectrumError(
         f"no weight draw gave separated eigenvalues and residual <= {tol} "

@@ -40,6 +40,8 @@ ROW_SUM_TOL = 1e-9
 NEG_ENTRY_TOL = 1e-12
 #: Kruskal-rank subset enumeration refuses matrices with more rows than this
 KRUSKAL_ROW_CAP = 20
+#: matrix entries per stacked SVD in :func:`kruskal_rank` (8 MB of float64)
+_KRUSKAL_BATCH_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +177,45 @@ def numerical_rank(M, tol: float = RANK_TOL) -> int:
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
+def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
+    """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
+
+    Subsets are taken in :func:`itertools.combinations` order, a batch at a
+    time, and each batch is one stacked SVD.  A subset is dependent when
+    ``s[size-1] <= tol * s[0] * max(size, cols)``, which is
+    :func:`rank_from_singular_values` asking for rank ``size`` (a zero subset
+    included).  Returns at the end of the first batch holding a dependent
+    subset.
+    """
+    rows, cols = M.shape
+    per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
+    subsets = itertools.combinations(range(rows), size)
+    while True:
+        batch = itertools.islice(subsets, per_batch)
+        idx = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.intp)
+        if idx.size == 0:
+            return True
+        s = np.linalg.svd(M[idx.reshape(-1, size)], compute_uv=False)
+        if np.any(s[:, size - 1] <= tol * s[:, 0] * max(size, cols)):
+            return False
+
+
 def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> int:
     """Largest ``I`` such that every set of ``I`` rows is linearly independent.
 
     Always at most the ordinary rank.  A matrix of full row rank has Kruskal
-    rank equal to its row count (checked first, with a single SVD); otherwise
-    row subsets are enumerated in increasing size with early exit at the first
-    dependent subset.  Enumeration is refused above ``row_cap`` rows because
-    the subset count grows combinatorially.
+    rank equal to its row count (checked first, with a single SVD).  Otherwise
+    the row subsets must be examined, which is refused above ``row_cap`` rows
+    because their count grows combinatorially.
+
+    Every subset of an independent row set is independent, so "all ``s``-row
+    subsets are independent" can only turn from true to false as ``s`` grows;
+    the same holds for the rank rule, since deleting a row neither raises
+    ``sigma_1`` nor lowers the ratio ``sigma_s / sigma_1`` below the larger
+    set's ``sigma_{s+1} / sigma_1``.  The Kruskal rank is where it turns.  The
+    search tests ``s = rank`` first, where a generic matrix stops, and
+    otherwise bisects on ``[0, rank - 1]``.  Each size tested costs one stacked
+    SVD over its subsets (in batches of bounded memory), not one call each.
     """
     M = as_matrix(M)
     rows = M.shape[0]
@@ -193,11 +226,17 @@ def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> in
         raise TooManyRowsError(
             f"subset enumeration over {rows} rows exceeds the cap of {row_cap}"
         )
-    for size in range(1, rank + 1):
-        for subset in itertools.combinations(range(rows), size):
-            if numerical_rank(M[list(subset)], tol) < size:
-                return size - 1
-    return rank
+    if rank == 0 or _subsets_independent(M, rank, tol):
+        return rank
+    # every lo-row subset is independent, some hi-row subset is not
+    lo, hi = 0, rank
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _subsets_independent(M, mid, tol):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

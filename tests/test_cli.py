@@ -205,8 +205,39 @@ class TestReportContract:
     def test_missing_file_exits_2(self, capsys):
         assert run(["certify-lc", "--model", "/nonexistent.json"]) == 2
 
-    def test_wrong_model_type_exits_2(self, capsys, hmm_file):
-        assert run(["certify-lc", "--model", hmm_file]) == 2
+    def test_wrong_model_type_exits_2(self, capsys, hmm_file, lc3_file):
+        expected = [
+            ("certify-lc", hmm_file, "a latent_class"),
+            ("recover-lc", hmm_file, "a latent_class"),
+            ("hmm-certify", lc3_file, "an hmm"),
+            ("hmm-recover", lc3_file, "an hmm"),
+            ("graph-certify", lc3_file, "a graph_mixture"),
+            ("graph-extract", lc3_file, "a graph_mixture"),
+            ("nonparam-cuts", lc3_file, "a nonparametric"),
+            ("nonparam-recover", lc3_file, "a nonparametric"),
+        ]
+        for command, path, kind in expected:
+            assert run([command, "--model", path, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {command} expects {kind} model file\n"
+
+    def test_singular_slice_mixtures_exit_1(self, capsys, tmp_path):
+        # classes 0 and 1 with rows 1e-7 apart in M1 and M2: both unfoldings
+        # pass the rank rule, but every slice mixture is singular
+        from latentid.latent_class import LatentClassModel
+
+        m = random_latent_class(trial_rng(50, 2), 3, (4, 4, 4))
+        M1, M2, M3 = (M.copy() for M in m.emissions)
+        for M in (M1, M2):
+            M[1] = (1.0 - 1e-7) * M[0] + 1e-7 * M[1]
+        path = tmp_path / "near.json"
+        save_model(LatentClassModel(pi=m.pi, emissions=(M1, M2, M3)), path)
+        code, report = run_json(capsys, ["recover-lc", "--model", str(path)])
+        assert code == 1
+        assert report["errors"][0].startswith(
+            "IllConditionedError: slice mixtures stayed singular after 20 retries"
+        )
 
     def test_error_classes_map_to_exit_codes(self, capsys, monkeypatch):
         classes, pending = [], [LatentIdError]

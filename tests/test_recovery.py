@@ -6,6 +6,7 @@ import pytest
 from latentid.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
+    IllConditionedError,
     LatentIdError,
     RankDeficientError,
 )
@@ -30,6 +31,15 @@ def reference_model():
             np.array([[0.6, 0.4], [0.1, 0.9]]),
         ),
     )
+
+
+def near_pair_model(t: int) -> LatentClassModel:
+    """r=3 on 4x4x4 whose classes 0 and 1 have rows 1e-7 apart in M1 and M2."""
+    m = random_latent_class(trial_rng(50, t), 3, (4, 4, 4))
+    M1, M2, M3 = (M.copy() for M in m.emissions)
+    for M in (M1, M2):
+        M[1] = (1.0 - 1e-7) * M[0] + 1e-7 * M[1]
+    return LatentClassModel(pi=m.pi, emissions=(M1, M2, M3))
 
 
 class TestDecompose3:
@@ -140,6 +150,27 @@ class TestDecompose3:
             assert refused == expected, (t, r, kappas, rank1, rank2)
             seen.add(expected)
         assert seen == {None, "mode-1", "mode-2"}
+
+    def test_singular_slice_mixtures_are_ill_conditioned(self):
+        # rows 1e-7 apart: some unfoldings fall below the rank rule, the
+        # others pass it and leave every projected slice mixture singular
+        ill = 0
+        for t in range(12):
+            T = joint_distribution(near_pair_model(t))
+            k1, k2, k3 = T.shape
+            unfoldings_pass = (
+                numerical_rank(T.reshape(k1, k2 * k3)) == 3
+                and numerical_rank(T.transpose(1, 0, 2).reshape(k2, k1 * k3)) == 3
+            )
+            with pytest.raises(LatentIdError) as info:
+                decompose3(T, 3, seed=t)
+            if unfoldings_pass:
+                assert isinstance(info.value, IllConditionedError), (t, info.value)
+                assert "last sigma_min/sigma_max = " in str(info.value)
+                ill += 1
+            else:
+                assert isinstance(info.value, RankDeficientError), (t, info.value)
+        assert ill >= 6
 
     def test_one_svd_per_subspace(self, monkeypatch):
         # r=8, kappa=2 window tensor: 128 x 128 x 2.  Only the mode-1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from latentid.errors import (
     NotKhatriRaoError,
     TooManyRowsError,
 )
+from latentid import tensor_core
 from latentid.tensor_core import (
     clump_tensor,
     khatri_rao,
@@ -47,6 +50,40 @@ def array_from_json_dict(obj: dict) -> np.ndarray:
 def random_stochastic(rng, rows, cols):
     M = rng.uniform(0.0, 1.0, size=(rows, cols))
     return M / M.sum(axis=1, keepdims=True)
+
+
+def upward_kruskal_rank(M) -> int:
+    """Kruskal rank by enumerating row subsets upward, one SVD each."""
+    rank = numerical_rank(M)
+    for size in range(1, rank + 1):
+        for subset in itertools.combinations(range(M.shape[0]), size):
+            if numerical_rank(M[list(subset)]) < size:
+                return size - 1
+    return rank
+
+
+def kruskal_test_matrices(count: int):
+    """Seeded generic and degenerate matrices, 2-10 rows and 1-8 columns."""
+    rng = np.random.default_rng(11)
+    kinds = ["generic", "duplicate", "mixture", "zero", "rank2", "near"]
+    for t in range(count):
+        rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+        M = random_stochastic(rng, rows, cols)
+        kind = kinds[t % len(kinds)]
+        i, j = rng.choice(rows, size=2, replace=False)
+        if kind == "duplicate":
+            M[i] = M[j]
+        elif kind == "mixture":
+            k = int(rng.integers(1, rows))
+            M[-1] = rng.dirichlet(np.ones(k)) @ M[:k]
+        elif kind == "zero":
+            M[i] = 0.0
+        elif kind == "rank2":
+            M = random_stochastic(rng, rows, 2) @ random_stochastic(rng, 2, cols)
+        elif kind == "near":  # rows 1e-2 .. 1e-13 apart, around the cutoff
+            eps = 10.0 ** -rng.uniform(2.0, 13.0)
+            M[i] = (1.0 - eps) * M[j] + eps * M[i]
+        yield kind, M
 
 
 class TestKhatriRao:
@@ -169,6 +206,43 @@ class TestKruskalRank:
         M = np.vstack([np.eye(20), np.ones((1, 20))])
         with pytest.raises(TooManyRowsError):
             kruskal_rank(M, row_cap=20)
+
+    @pytest.mark.parametrize("batch_entries", [None, 64])
+    def test_agrees_with_upward_enumeration(self, monkeypatch, batch_entries):
+        # 64 entries hold only a few subsets, so the search runs many batches
+        # and stops early after the first dependent one
+        if batch_entries is not None:
+            monkeypatch.setattr(tensor_core, "_KRUSKAL_BATCH_ENTRIES", batch_entries)
+        searched, below_rank = set(), 0
+        for t, (kind, M) in enumerate(kruskal_test_matrices(600)):
+            expected = upward_kruskal_rank(M)
+            assert kruskal_rank(M) == expected, (t, kind, M.shape)
+            rank = numerical_rank(M)
+            if rank < M.shape[0]:
+                searched.add(kind)
+            below_rank += expected < rank
+        # every kind needs the subset search, and many answers are not the rank
+        assert len(searched) == 6
+        assert below_rank >= 100
+
+    def test_generic_needs_two_svds(self, monkeypatch):
+        # 12 x 8: one SVD for the rank, one stacked over all 495 8-row
+        # subsets.  With a zero row, bisection tests sizes 8, 4, 2 and 1.
+        M = random_stochastic(np.random.default_rng(5), 12, 8)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert kruskal_rank(M) == 8
+        assert shapes == [(12, 8), (495, 8, 8)]
+        shapes.clear()
+        M[3] = 0.0
+        assert kruskal_rank(M) == 0
+        assert shapes == [(12, 8), (495, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
 
     def test_at_most_rank(self):
         rng = np.random.default_rng(3)
