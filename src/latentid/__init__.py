@@ -9,7 +9,6 @@ simultaneous diagonalization.
 """
 
 from .errors import (
-    AmbiguousChainingError,
     BadEdgeError,
     BadPartitionError,
     DegenerateSpectrumError,

@@ -129,7 +129,3 @@ class GridExhaustedError(LatentIdError):
 
 class NonMonotoneCdfError(LatentIdError):
     """A CDF table produced a negative bin mass beyond tolerance."""
-
-
-class AmbiguousChainingError(LatentIdError):
-    """Label matching between two recovery runs is not a unique bijection."""

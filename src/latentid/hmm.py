@@ -42,7 +42,7 @@ from .tensor_core import (
     check_stochastic,
     khatri_rao,
     kruskal_rank,
-    numerical_rank,
+    rank_from_singular_values,
     triple_product,
 )
 
@@ -262,11 +262,12 @@ def recover_hmm(
     else:
         M = F2.reshape(r, kappa ** (k - 1), kappa).sum(axis=2)
     G = khatri_rao([B_hat, M])
-    if numerical_rank(G) < r:
+    A_hat_T, _, _, sv = np.linalg.lstsq(G.T, F2.T, rcond=None)
+    if rank_from_singular_values(sv, G.shape) < r:
         raise IllConditionedError(
             "emission-block product is rank deficient; transition solve aborted"
         )
-    A_hat = np.linalg.lstsq(G.T, F2.T, rcond=None)[0].T
+    A_hat = A_hat_T.T
     row_err = np.abs(A_hat.sum(axis=1) - 1.0).max()
     if row_err > tol:
         raise IllConditionedError(

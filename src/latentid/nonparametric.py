@@ -17,7 +17,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import (
-    AmbiguousChainingError,
     DimensionMismatchError,
     GridExhaustedError,
     NonMonotoneCdfError,
@@ -35,8 +34,6 @@ from .tensor_core import (
 
 #: default threshold for a candidate cut to count as breaking a null vector
 CUT_TOL = 1e-9
-#: max-abs row distance for matching class labels across recovery runs
-CHAIN_TOL = 1e-7
 
 
 class CdfComponent:
@@ -457,53 +454,39 @@ def _cdf_at_queries(row: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
     return np.array(out)
 
 
-def _match_rows(ref_a, ref_b, new_a, new_b, tol: float) -> list[int]:
-    """Unique bijection sending new rows onto reference rows, or raise."""
-    r = ref_a.shape[0]
-    perm: list[int] = []
-    for i in range(r):
-        hits = [
-            c
-            for c in range(r)
-            if np.abs(new_a[c] - ref_a[i]).max() <= tol
-            and np.abs(new_b[c] - ref_b[i]).max() <= tol
-        ]
-        if len(hits) != 1:
-            raise AmbiguousChainingError(
-                f"reference class {i} matches {len(hits)} recovered classes"
-            )
-        perm.append(hits[0])
-    if len(set(perm)) != r:
-        raise AmbiguousChainingError("row matching is not a bijection")
-    return perm
-
-
 def recover_mixture(
     mixture: NonparametricMixture,
     query_points: Sequence,
     grid: Sequence | None = None,
     seed=None,
     tol: float = 1e-8,
-    chain_tol: float = CHAIN_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover mixing weights and component CDF values at query points.
 
-    For the first three variates: cut points are selected per variate with
-    every query point inserted as mandatory, the exact binned three-way tensor
-    is built and decomposed, and CDF values are read off through the
-    cumulative transform.  Every further variate j reruns the decomposition on
-    variates (0, 1, j) and aligns class labels by matching the recovered
-    variate-0 and variate-1 binned rows to the first run's within
-    ``chain_tol``, so labels are consistent across all variates.
+    Cut points are selected per variate with every query point inserted as
+    mandatory.  Variates 0 and 1 are two views; the third is ``(J, X_J)``
+    with ``J`` uniform on ``{2, ..., p-1}``, whose binned conditional matrix
+    is the variates' matrices side by side, divided by ``p - 2``.  The three
+    views are conditionally independent given the class, so their exact
+    binned tensor is decomposed once (Allman, Matias & Rhodes, Ann. Statist.
+    2009).  The third factor splits back into per-variate rows, scaled by
+    ``p - 2``, so one set of class labels holds for every variate.  CDF values
+    are read off through the cumulative transform.
 
     ``query_points[j]`` lists the evaluation points for variate j (floats, or
     coordinate tuples for blocks).  Returns ``(pi, tables)`` where
     ``tables[j][i, q]`` is the recovered CDF of class i, variate j at query
     q.
 
-    Raises :class:`AmbiguousChainingError` when two classes cannot be told
-    apart through variates 0 and 1, and propagates decomposition and cut
-    selection errors.
+    Raises
+    ------
+    TooFewVariablesError
+        The mixture has fewer than 3 variates.
+    GridExhaustedError
+        Cut selection finds no full-rank binning of some variate.
+    RankDeficientError, IllConditionedError, DegenerateSpectrumError, NegativeWeightsError
+        From :func:`~latentid.recovery.decompose3`, whose residual gate is
+        ``tol`` times the largest entry of the binned tensor.
     """
     p = mixture.p
     if p < 3:
@@ -522,28 +505,14 @@ def recover_mixture(
         )
         for j in range(p)
     ]
+    mats = [binned_conditional_matrix(mixture.variate(j), cuts[j]) for j in range(p)]
 
-    seed_seq = (
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    T = triple_product(
+        mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)
     )
-    children = seed_seq.spawn(max(p - 2, 1))
-
-    T = binned_tensor3(mixture, (0, 1, 2), (cuts[0], cuts[1], cuts[2]))
-    rec = decompose3(T, mixture.r, seed=np.random.default_rng(children[0]), tol=tol)
-    pi_hat = rec.pi
-    ref0, ref1 = rec.factors[0], rec.factors[1]
-    variate_rows: dict[int, np.ndarray] = {
-        0: rec.factors[0],
-        1: rec.factors[1],
-        2: rec.factors[2],
-    }
-    for idx, j in enumerate(range(3, p), start=1):
-        Tj = binned_tensor3(mixture, (0, 1, j), (cuts[0], cuts[1], cuts[j]))
-        rec_j = decompose3(
-            Tj, mixture.r, seed=np.random.default_rng(children[idx]), tol=tol
-        )
-        perm = _match_rows(ref0, ref1, rec_j.factors[0], rec_j.factors[1], chain_tol)
-        variate_rows[j] = rec_j.factors[2][perm]
+    rec = decompose3(T, mixture.r, seed=seed, tol=tol)
+    splits = np.cumsum([M.shape[1] for M in mats[2:-1]])
+    variate_rows = [*rec.factors[:2], *np.hsplit(rec.factors[2] * (p - 2), splits)]
 
     tables = [
         np.vstack(
@@ -556,4 +525,4 @@ def recover_mixture(
         else np.zeros((mixture.r, 0))
         for j in range(p)
     ]
-    return pi_hat, tables
+    return rec.pi, tables

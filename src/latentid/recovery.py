@@ -47,7 +47,8 @@ class RecoveredFactors:
     """Decomposition result: weights, stochastic factors, and reconstruction error.
 
     ``triple_product(pi[:, None] * factors[0], factors[1], factors[2])``
-    reproduces the input tensor within ``residual`` (max-abs).
+    reproduces the input tensor within ``residual`` (max-abs), which
+    :func:`decompose3` accepted only at ``residual <= tol * T.max()``.
     """
 
     pi: np.ndarray
@@ -101,9 +102,11 @@ def decompose3(
     normalized to sum 1, with the absorbed scales accumulating into ``pi``.
 
     Succeeds when the generating model has first and second factors of full
-    row rank r and third factor of Kruskal rank at least 2; the reconstruction
-    residual is at most ``tol`` on success.  Unlucky weight draws are retried
-    up to ``max_retries`` times.
+    row rank r and third factor of Kruskal rank at least 2.  A draw is
+    accepted when its max-abs reconstruction residual is at most ``tol``
+    times the largest entry of ``T``: the gate is relative, so it holds the
+    same accuracy on tensors whose entries are all small.  Unlucky weight
+    draws are retried up to ``max_retries`` times.
 
     Raises
     ------
@@ -115,7 +118,8 @@ def decompose3(
         eigenproblem cannot be formed although both unfoldings passed the
         rank rule.
     DegenerateSpectrumError
-        Eigenvalue ratios collide, or the residual never meets ``tol``.
+        Eigenvalue ratios collide, or the residual never meets
+        ``tol * T.max()``.
     NegativeWeightsError
         A recovered mixing weight stays below ``-tol``.
     """
@@ -156,13 +160,15 @@ def decompose3(
     T3 = T.transpose(2, 0, 1).reshape(k3, k1 * k2)
     pairs = np.triu_indices(r, 1)
 
+    resid_tol = tol * T.max()
     rng = np.random.default_rng(seed)
     last_reason = "spectrum"
     for attempt in range(max_retries + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
-        # einsum, not T @ a: the matmul sums in another order, and that alone
-        # flips chaining refusals of recover_mixture at its conditioning frontier
+        # einsum, not T @ a: the matmul sums in another order, which changes
+        # the recovered parameters at float level and can flip a tolerance
+        # decision near the conditioning frontier
         Ta = U1.T @ np.einsum("uvw,w->uv", T, a) @ U2
         Tb = U1.T @ np.einsum("uvw,w->uv", T, b) @ U2
 
@@ -220,7 +226,7 @@ def decompose3(
         resid = float(
             np.abs((pi[:, None] * M3).T @ khatri_rao([M1, M2]) - T3).max()
         )
-        if resid <= tol:
+        if resid <= resid_tol:
             return RecoveredFactors(
                 pi=pi, factors=(M1, M2, M3), residual=resid, retries_used=attempt
             )
@@ -237,8 +243,9 @@ def decompose3(
             f"(last sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.3g})"
         )
     raise DegenerateSpectrumError(
-        f"no weight draw gave separated eigenvalues and residual <= {tol} "
-        f"after {max_retries} retries (last failure: {last_reason})"
+        f"no weight draw gave separated eigenvalues and residual <= "
+        f"tol * max entry = {resid_tol:.3g} after {max_retries} retries "
+        f"(last failure: {last_reason})"
     )
 
 
@@ -343,7 +350,10 @@ def recover_latent_class(
     conditional matrices.  The first two clumped dimensions must be at least
     r, and the underlying model must actually factor over the variables;
     otherwise the decomposition errors propagate
-    (:class:`NotKhatriRaoError` signals a non-product input).
+    (:class:`NotKhatriRaoError` signals a non-product input).  The model
+    reassembled from the recovered parameters must reproduce ``T`` within
+    ``tol`` times its largest entry, the rule :func:`decompose3` applies, or
+    :class:`DegenerateSpectrumError` is raised.
 
     Returns ``(pi, emissions)`` with emissions in original variable order.
     """
@@ -364,8 +374,10 @@ def recover_latent_class(
     emissions = [emissions_by_var[j] for j in range(T.ndim)]
     model = LatentClassModel(pi=rec.pi, emissions=tuple(emissions))
     resid = float(np.abs(joint_distribution(model) - T).max())
-    if resid > tol:
+    resid_tol = tol * T.max()
+    if resid > resid_tol:
         raise DegenerateSpectrumError(
-            f"reassembled model misses the input table by {resid:.3g} > tol={tol}"
+            f"reassembled model misses the input table by {resid:.3g} > "
+            f"tol * max entry = {resid_tol:.3g}"
         )
     return rec.pi, emissions

@@ -190,13 +190,14 @@ class TestSimulate:
 
 
 class TestReportContract:
-    def test_json_reports_are_byte_identical(self, capsys, lc3_file):
-        argv = ["recover-lc", "--model", lc3_file, "--seed", "7", "--json"]
-        run(argv)
-        first = capsys.readouterr().out
-        run(argv)
-        second = capsys.readouterr().out
-        assert first == second
+    def test_json_reports_are_byte_identical(self, capsys, lc3_file, npm_file):
+        for command, path in [("recover-lc", lc3_file), ("nonparam-recover", npm_file)]:
+            argv = [command, "--model", path, "--seed", "7", "--json"]
+            run(argv)
+            first = capsys.readouterr().out
+            run(argv)
+            second = capsys.readouterr().out
+            assert first == second
 
     def test_usage_error_exits_2(self, capsys):
         assert run(["bound", "--r", "5"]) == 2  # missing --kappa

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from latentid import nonparametric
 from latentid.errors import (
-    AmbiguousChainingError,
     GridExhaustedError,
+    LatentIdError,
     NonMonotoneCdfError,
 )
 from latentid.nonparametric import (
@@ -265,15 +266,9 @@ class TestRecoverMixture:
         for table in tables:
             assert np.all(np.diff(table, axis=1) >= -1e-9)
 
-    def test_chaining_tolerance_too_tight_is_ambiguous(self):
-        mix = random_nonparametric_mixture(trial_rng(54, 4), 2, 4)
-        queries = [[0.5]] * 4
-        with pytest.raises(AmbiguousChainingError):
-            recover_mixture(mix, queries, seed=0, chain_tol=1e-18)
-
     def test_chaining_coherence_across_triples(self):
-        # the permutation aligning run (0,1,j) to run (0,1,2) is pinned by the
-        # shared variates, so recovered weights agree across j
+        # one decomposition labels every variate's rows, so a single class
+        # permutation must align the weights and all five tables at once
         mix = random_nonparametric_mixture(trial_rng(54, 5), 3, 5)
         queries = [[0.25, 0.5, 0.75]] * 5
         pi_hat, tables = recover_mixture(mix, queries, seed=2)
@@ -283,6 +278,42 @@ class TestRecoverMixture:
         ]
         align = align_permutation((pi_hat, tables), (mix.pi, truth))
         assert align.max_abs_error <= 1e-6
+
+    def test_one_decomposition_for_all_variates(self, monkeypatch):
+        calls = []
+        real = nonparametric.decompose3
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nonparametric, "decompose3", counting)
+        mix = random_nonparametric_mixture(trial_rng(54, 6), 2, 5)
+        recover_mixture(mix, [[0.5]] * 5, seed=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("s, i", [(2, 48), (6, 10), (16, 52)])
+    def test_frontier_answers_are_exact_or_refused(self, s, i):
+        # r=8 with 16 knots sits at the conditioning frontier, where the
+        # binned tensor's entries are 5e-2 and below; the residual gate must
+        # scale with them to keep every answer within 1e-5
+        rng = np.random.default_rng([s, 6, i])
+        full = random_nonparametric_mixture(rng, 8, 4, n_knots=16)
+        seed = int(rng.integers(2**32))
+        mix = NonparametricMixture(
+            pi=full.pi, components=[row[:3] for row in full.components]
+        )
+        queries = [[1 / 3, 2 / 3]] * 3
+        try:
+            pi_hat, tables = recover_mixture(mix, queries, seed=seed)
+        except LatentIdError:
+            return
+        truth = [
+            np.array([[comp(q) for q in queries[j]] for comp in mix.variate(j)])
+            for j in range(3)
+        ]
+        align = align_permutation((pi_hat, tables), (mix.pi, truth))
+        assert align.max_abs_error <= 1e-5
 
 
 def test_binned_tensor_total_mass():
