@@ -10,7 +10,6 @@ transform after inserting the queries among the cuts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -97,7 +96,8 @@ class CdfComponent:
         """CDF on the product grid of the requested per-coordinate values.
 
         Coordinates are clamped to the knot range, so ``-inf`` and ``+inf``
-        give the 0 and 1 limits.
+        give the 0 and 1 limits.  The table is blended one coordinate at a
+        time, so every entry is computed exactly as a single point would be.
         """
         if len(axes) != self.block_dim:
             raise DimensionMismatchError(
@@ -106,13 +106,12 @@ class CdfComponent:
         V = self.values
         for c, req in enumerate(axes):
             kn = self.knots[c]
-            x = np.clip(np.asarray(req, dtype=float), kn[0], kn[-1])
-            idx = np.clip(np.searchsorted(kn, x, side="right") - 1, 0, kn.size - 2)
+            x = np.minimum(np.maximum(np.asarray(req, dtype=float), kn[0]), kn[-1])
+            idx = np.minimum(np.searchsorted(kn, x, side="right") - 1, kn.size - 2)
             t = (x - kn[idx]) / (kn[idx + 1] - kn[idx])
-            Vc = np.moveaxis(V, c, 0)
-            shape = (-1,) + (1,) * (Vc.ndim - 1)
-            blend = Vc[idx] * (1.0 - t).reshape(shape) + Vc[idx + 1] * t.reshape(shape)
-            V = np.moveaxis(blend, 0, c)
+            shape = (-1,) + (1,) * (V.ndim - c - 1)
+            below, above = V.take(idx, axis=c), V.take(idx + 1, axis=c)
+            V = below * (1.0 - t).reshape(shape) + above * t.reshape(shape)
         return V
 
     def __call__(self, point) -> float:
@@ -267,14 +266,6 @@ def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
     return out
 
 
-def _value_matrix(components, cut_lists) -> np.ndarray:
-    """Rows of component CDF values on the product of cuts and +inf per axis."""
-    axes = [
-        np.concatenate([np.asarray(c, dtype=float), [np.inf]]) for c in cut_lists
-    ]
-    return np.vstack([comp.evaluate_grid(axes).ravel() for comp in components])
-
-
 def select_cut_points(
     components: Sequence[CdfComponent],
     mandatory=None,
@@ -285,11 +276,17 @@ def select_cut_points(
 
     Greedy loop: while the matrix of CDF values at the current cuts (plus the
     constant column from +inf) has a nontrivial left nullspace, pick a null
-    vector ``alpha`` and append the first grid candidate ``u`` with
-    ``|sum_i alpha_i F_i(u)| > tol``.  Terminates with numerical rank
-    ``len(components)``; mandatory points are inserted first and never
-    removed.  Candidates already among the cuts break no null vector and are
-    skipped naturally.
+    vector ``alpha`` and append the first grid candidate ``u`` (in the order
+    of the product of the grid axes) with ``|sum_i alpha_i F_i(u)| > tol``.
+    Terminates with numerical rank ``len(components)``; mandatory points are
+    inserted first and never removed.  Candidates already among the cuts
+    break no null vector and are skipped naturally.
+
+    Each component is evaluated once, on the sorted union per coordinate of
+    the grid, the mandatory coordinates and +inf; every step takes its value
+    matrix and the candidate values from those tables by index.  The sum is
+    accumulated component by component, so each decision, including those
+    within ``tol``, is the one a candidate-by-candidate scan would make.
 
     Raises :class:`GridExhaustedError` when no candidate makes progress,
     meaning the family is linearly dependent over the grid's span (or the
@@ -311,7 +308,6 @@ def select_cut_points(
         grid_axes = [np.asarray(g, dtype=float) for g in grid]
     if len(grid_axes) != b or any(g.size == 0 for g in grid_axes):
         raise DimensionMismatchError("grid must supply candidates for every coordinate")
-    candidates = list(itertools.product(*[g.tolist() for g in grid_axes]))
 
     cut_lists: list[list[float]] = [[] for _ in range(b)]
 
@@ -325,22 +321,36 @@ def select_cut_points(
     for pt in mandatory_points:
         add_point(pt)
 
+    axes = [
+        np.unique(np.concatenate([g, [pt[c] for pt in mandatory_points], [np.inf]]))
+        for c, g in enumerate(grid_axes)
+    ]
+    tables = np.stack([comp.evaluate_grid(axes) for comp in components])
+    classes = np.arange(r)
+    scan = tables[
+        np.ix_(classes, *[np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)])
+    ].reshape(r, -1)
+
     for _ in range(r + 1):
-        A = _value_matrix(components, cut_lists)
+        columns = [np.searchsorted(ax, cl + [np.inf]) for ax, cl in zip(axes, cut_lists)]
+        A = tables[np.ix_(classes, *columns)].reshape(r, -1)
         U, S, _ = np.linalg.svd(A)
         if rank_from_singular_values(S, A.shape) == r:
             break
         null_vector = U[:, -1]
-        for cand in candidates:
-            s = sum(a * comp(cand) for a, comp in zip(null_vector, components))
-            if abs(s) > tol:
-                add_point(cand)
-                break
-        else:
+        # one add per class, in class order: a matrix product may round
+        # differently and move a decision that lies within tol
+        s = null_vector[0] * scan[0]
+        for a, row in zip(null_vector[1:], scan[1:]):
+            s = s + a * row
+        hits = np.flatnonzero(np.abs(s) > tol)
+        if hits.size == 0:
             raise GridExhaustedError(
                 "no grid candidate reduces the nullspace: the component family "
                 "is linearly dependent over the grid's span"
             )
+        at = np.unravel_index(hits[0], [g.size for g in grid_axes])
+        add_point([float(g[k]) for g, k in zip(grid_axes, at)])
     else:
         raise GridExhaustedError("cut selection failed to reach full rank")
 
@@ -433,25 +443,22 @@ def bivariate_rank(
     return numerical_rank(N, tol)
 
 
-def _cut_index(cuts: np.ndarray, x: float) -> int:
-    pos = int(np.searchsorted(cuts, x))
-    if pos >= cuts.size or abs(cuts[pos] - x) > 1e-12:
-        raise ValueError(f"query point {x} is not among the cuts")
-    return pos
-
-
-def _cdf_at_queries(row: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
-    """Read CDF values at query points from one row of bin masses."""
-    grid = row.reshape(cuts.bins_per_axis)
-    for axis in range(cuts.block_dim):
+def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
+    """Read CDF values at query points from rows of bin masses, one per class."""
+    grid = rows.reshape((len(rows),) + cuts.bins_per_axis)
+    for axis in range(1, grid.ndim):
         grid = np.cumsum(grid, axis=axis)
-    out = []
-    for pt in queries:
-        idx = tuple(
-            _cut_index(cuts.cuts[c], pt[c]) for c in range(cuts.block_dim)
-        )
-        out.append(grid[idx])
-    return np.array(out)
+    points = np.array(queries, dtype=float).reshape(-1, cuts.block_dim)
+    index, missing = [], []
+    for c, cut in enumerate(cuts.cuts):
+        pos = np.searchsorted(cut, points[:, c])
+        index.append(np.minimum(pos, cut.size - 1))
+        missing.append((pos == cut.size) | (np.abs(cut[index[c]] - points[:, c]) > 1e-12))
+    if np.any(missing):
+        q, c = np.argwhere(np.array(missing).T)[0]
+        raise ValueError(f"query point {float(points[q, c])} is not among the cuts")
+    flat = np.ravel_multi_index(index, cuts.bins_per_axis)
+    return grid.reshape(len(rows), -1).take(flat, axis=1)
 
 
 def recover_mixture(
@@ -514,15 +521,5 @@ def recover_mixture(
     splits = np.cumsum([M.shape[1] for M in mats[2:-1]])
     variate_rows = [*rec.factors[:2], *np.hsplit(rec.factors[2] * (p - 2), splits)]
 
-    tables = [
-        np.vstack(
-            [
-                _cdf_at_queries(variate_rows[j][i], cuts[j], queries[j])
-                for i in range(mixture.r)
-            ]
-        )
-        if queries[j]
-        else np.zeros((mixture.r, 0))
-        for j in range(p)
-    ]
+    tables = [_cdf_at_queries(variate_rows[j], cuts[j], queries[j]) for j in range(p)]
     return rec.pi, tables

@@ -1,5 +1,9 @@
+import bisect
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentid import nonparametric
 from latentid.errors import (
@@ -23,7 +27,10 @@ from latentid.sampling import (
     random_piecewise_cdf,
     trial_rng,
 )
-from latentid.tensor_core import numerical_rank
+from latentid.tensor_core import numerical_rank, rank_from_singular_values
+
+#: hypothesis runs the same examples on every run, with no example database
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 def two_uniform_family():
@@ -136,6 +143,201 @@ class TestSelectCutPoints:
         assert cuts.block_dim == 2
         A = binned_conditional_matrix(family, cuts)
         assert numerical_rank(A) == 2
+
+
+def scalar_scan_cut_points(
+    components, mandatory=None, grid=None, tol=nonparametric.CUT_TOL, sums=None
+):
+    """Reference cut selection: one ``comp(cand)`` call per component and candidate.
+
+    Rebuilds the value matrix at every step and scans the candidates one at a
+    time, summing ``alpha_i F_i(u)`` with Python's ``sum``; returns the cut
+    arrays and appends every ``|s|`` it computes to ``sums``.
+    :func:`select_cut_points` must make the same decisions.
+    """
+    sums = [] if sums is None else sums
+    b = components[0].block_dim
+    if grid is None:
+        grid_axes = nonparametric.default_grid(components)
+    elif b == 1 and np.ndim(grid[0]) == 0:
+        grid_axes = [np.asarray(grid, dtype=float)]
+    else:
+        grid_axes = [np.asarray(g, dtype=float) for g in grid]
+    candidates = list(itertools.product(*[g.tolist() for g in grid_axes]))
+    cut_lists = [[] for _ in range(b)]
+
+    def add_point(pt):
+        for c, x in enumerate(pt):
+            if x not in cut_lists[c]:
+                cut_lists[c].append(x)
+                cut_lists[c].sort()
+
+    for pt in nonparametric._normalize_points(mandatory, b):
+        add_point(pt)
+    for _ in range(len(components) + 1):
+        axes = [np.concatenate([np.asarray(c, dtype=float), [np.inf]]) for c in cut_lists]
+        A = np.vstack([comp.evaluate_grid(axes).ravel() for comp in components])
+        U, S, _ = np.linalg.svd(A)
+        if rank_from_singular_values(S, A.shape) == len(components):
+            break
+        for cand in candidates:
+            s = sum(a * comp(cand) for a, comp in zip(U[:, -1], components))
+            sums.append(abs(s))
+            if abs(s) > tol:
+                add_point(cand)
+                break
+        else:
+            raise GridExhaustedError(
+                "no grid candidate reduces the nullspace: the component family "
+                "is linearly dependent over the grid's span"
+            )
+    else:
+        raise GridExhaustedError("cut selection failed to reach full rank")
+    for c in range(b):
+        if not cut_lists[c]:
+            cut_lists[c].append(float(grid_axes[c][0]))
+    return [np.asarray(c, dtype=float) for c in cut_lists]
+
+
+def scan_case(i):
+    """Family, mandatory points and grid for agreement case i.
+
+    Cycles r through 1..8 and block dimension through 1 and 2, with and
+    without mandatory points, on the default grid, an unsorted user grid and
+    a user grid with repeated values.  Every tenth family with r >= 3 has a
+    last component that mixes the first two, so it is linearly dependent.
+    """
+    rng = trial_rng(70, i)
+    r, b = 1 + i % 8, 1 + (i // 8) % 2
+    knots = 5 if b == 1 else 3
+
+    def draw():
+        if b == 1:
+            return random_piecewise_cdf(rng, knots)
+        return CdfComponent.from_product([random_piecewise_cdf(rng, knots) for _ in range(b)])
+
+    family = [draw() for _ in range(r)]
+    if i % 10 == 9 and r >= 3:
+        pool = nonparametric.default_grid(family[:2])
+        mixed = (family[0].evaluate_grid(pool) + family[1].evaluate_grid(pool)) / 2
+        family[-1] = CdfComponent(pool, mixed)
+    mandatory = None
+    if (i // 16) % 2:
+        xs = np.round(rng.uniform(0.0, 1.0, size=2), 3).tolist()
+        mandatory = xs if b == 1 else [tuple(xs)] * 2
+    grid = None
+    if (i // 32) % 3 == 1:
+        grid = [np.round(rng.uniform(-0.2, 1.2, size=12), 2) for _ in range(b)]
+    elif (i // 32) % 3 == 2:
+        grid = [np.repeat(np.round(rng.uniform(0.0, 1.0, size=6), 2), 2) for _ in range(b)]
+    if grid is not None and b == 1:
+        grid = grid[0].tolist()
+    return family, mandatory, grid
+
+
+class TestCutScanAgreement:
+    @staticmethod
+    def outcomes(family, mandatory, grid, tol, sums=None):
+        try:
+            expected = [
+                c.tobytes() for c in scalar_scan_cut_points(family, mandatory, grid, tol, sums)
+            ]
+        except GridExhaustedError as err:
+            expected = (type(err), str(err))
+        try:
+            cuts = select_cut_points(family, mandatory=mandatory, grid=grid, tol=tol)
+            got = [c.tobytes() for c in cuts.cuts]
+        except GridExhaustedError as err:
+            got = (type(err), str(err))
+        return got, expected
+
+    def test_cuts_equal_scalar_scan(self):
+        refused = 0
+        for i in range(320):
+            family, mandatory, grid = scan_case(i)
+            sums = []
+            got, expected = self.outcomes(family, mandatory, grid, nonparametric.CUT_TOL, sums)
+            assert got == expected, f"case {i}"
+            dependent = i % 10 == 9 and len(family) >= 3
+            assert isinstance(got, tuple) or not dependent, f"case {i}"
+            refused += isinstance(got, tuple)
+            if sums:
+                # a tolerance equal to the first candidate's |s| skips that
+                # candidate only when both scans round its sum alike
+                got, expected = self.outcomes(family, mandatory, grid, sums[0])
+                assert got == expected, f"case {i} at tol {sums[0]!r}"
+        # besides the 24 dependent families, a few coarse user grids refuse
+        assert refused < 64
+
+    def test_one_evaluation_per_component(self, monkeypatch):
+        calls = []
+        real = CdfComponent.evaluate_grid
+
+        def counting(self, axes):
+            calls.append(self)
+            return real(self, axes)
+
+        monkeypatch.setattr(CdfComponent, "evaluate_grid", counting)
+        for i in (7, 15, 37, 60):
+            family, mandatory, grid = scan_case(i)
+            calls.clear()
+            select_cut_points(family, mandatory=mandatory, grid=grid)
+            assert len(calls) == len(family)
+
+
+def scalar_cdf(comp, point):
+    """CDF of ``comp`` at one point, blending one coordinate at a time."""
+    V = comp.values
+    for kn, x in zip(comp.knots, point):
+        x = min(max(x, kn[0]), kn[-1])
+        i = min(bisect.bisect_right(kn.tolist(), x) - 1, kn.size - 2)
+        t = (x - kn[i]) / (kn[i + 1] - kn[i])
+        V = V[i] * (1.0 - t) + V[i + 1] * t
+    return V
+
+
+@st.composite
+def piecewise_cdfs(draw, max_knots=5):
+    """A random piecewise-linear CDF with knots in [-10, 10]."""
+    knots = sorted(
+        draw(st.lists(st.floats(-10, 10), min_size=2, max_size=max_knots, unique=True))
+    )
+    steps = draw(
+        st.lists(st.floats(0.01, 1.0), min_size=len(knots) - 1, max_size=len(knots) - 1)
+    )
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    return CdfComponent(knots, values / values[-1])
+
+
+coordinates = st.one_of(st.floats(-20, 20), st.sampled_from([-np.inf, np.inf]))
+
+
+@PROPERTY
+@given(
+    parts=st.lists(piecewise_cdfs(), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_evaluate_grid_equals_scalar_evaluation(parts, data):
+    comp = CdfComponent.from_product(parts)
+    axes = [
+        np.array(data.draw(st.lists(coordinates, min_size=1, max_size=5)))
+        for _ in parts
+    ]
+    expected = np.array([scalar_cdf(comp, pt) for pt in itertools.product(*axes)])
+    assert comp.evaluate_grid(axes).tobytes() == expected.reshape([a.size for a in axes]).tobytes()
+
+
+@PROPERTY
+@given(
+    family=st.lists(piecewise_cdfs(max_knots=6), min_size=1, max_size=6),
+    mandatory=st.lists(st.floats(-1, 11), max_size=3),
+)
+def test_selected_cuts_give_full_rank(family, mandatory):
+    try:
+        cuts = select_cut_points(family, mandatory=mandatory)
+    except GridExhaustedError:
+        return
+    assert numerical_rank(binned_conditional_matrix(family, cuts)) == len(family)
 
 
 class TestBinnedMatrix:
@@ -322,6 +524,16 @@ def test_binned_tensor_total_mass():
     T = binned_tensor3(mix, (0, 1, 2), cuts)
     assert abs(T.sum() - 1.0) <= 1e-12
     assert T.min() >= 0.0
+
+
+def test_query_not_among_cuts_is_refused():
+    cuts = CutPointSet(cuts=(np.array([0.2, 0.5]), np.array([0.5])))
+    rows = np.full((2, cuts.kappa), 1.0 / cuts.kappa)
+    table = nonparametric._cdf_at_queries(rows, cuts, [(0.2, 0.5), (0.5, 0.5)])
+    assert np.allclose(table, [[1 / 6, 2 / 6], [1 / 6, 2 / 6]])
+    for queries, x in [([(0.2, 0.5), (0.3, 0.5)], 0.3), ([(0.5, 0.9)], 0.9), ([(0.7, 0.1)], 0.7)]:
+        with pytest.raises(ValueError, match=f"^query point {x} is not among the cuts$"):
+            nonparametric._cdf_at_queries(rows, cuts, queries)
 
 
 def test_cut_point_set_validation():
