@@ -11,6 +11,7 @@ the human-readable text output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -376,57 +377,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
     common(sp, seed=False, tol=False)
-    sp.set_defaults(handler=_cmd_bound)
 
     sp = sub.add_parser("search-tripartition", help="exact clumping certificate search")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappas", required=True, help="comma-separated state counts")
     common(sp, seed=False, tol=False)
-    sp.set_defaults(handler=_cmd_search_tripartition)
 
     sp = sub.add_parser("certify-lc", help="Kruskal-rank certificate for a 3-variable model")
     common(sp, model=True, seed=False)
-    sp.set_defaults(handler=_cmd_certify_lc)
 
     sp = sub.add_parser("recover-lc", help="round-trip recovery of a latent-class model")
     sp.add_argument("--tripartition", help='blocks like "0,1|2,3|4" (0-based)')
     common(sp, model=True)
-    sp.set_defaults(handler=_cmd_recover_lc)
 
     sp = sub.add_parser("hmm-window", help="half-window bound for an HMM")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
     common(sp, seed=False, tol=False)
-    sp.set_defaults(handler=_cmd_hmm_window)
 
     sp = sub.add_parser("hmm-certify", help="window-block certificate for an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
     common(sp, model=True, seed=False)
-    sp.set_defaults(handler=_cmd_hmm_certify)
 
     sp = sub.add_parser("hmm-recover", help="round-trip recovery of an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
     common(sp, model=True)
-    sp.set_defaults(handler=_cmd_hmm_recover)
 
     sp = sub.add_parser("graph-certify", help="rank certificate for a graph mixture")
     sp.add_argument("--m", type=int, default=4, help="group size (n = m^2 nodes)")
     common(sp, model=True, seed=False)
-    sp.set_defaults(handler=_cmd_graph_certify)
 
     sp = sub.add_parser("graph-extract", help="extraction round-trip for a graph mixture")
     sp.add_argument("--n", type=int, default=4, help="number of nodes to simulate")
     common(sp, model=True)
-    sp.set_defaults(handler=_cmd_graph_extract)
 
     sp = sub.add_parser("nonparam-cuts", help="select full-rank cut points per variate")
     common(sp, model=True, seed=False)
-    sp.set_defaults(handler=_cmd_nonparam_cuts)
 
     sp = sub.add_parser("nonparam-recover", help="round-trip recovery of CDF values")
     sp.add_argument("--queries", type=int, default=5, help="query points per variate")
     common(sp, model=True)
-    sp.set_defaults(handler=_cmd_nonparam_recover)
 
     sp = sub.add_parser("simulate", help="random-model round-trip harness")
     sp.add_argument(
@@ -440,22 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--equal-mixing", action="store_true")
     sp.add_argument("--trials", type=int, default=10)
     common(sp, seed=True, tol=True)
-    sp.set_defaults(handler=_cmd_simulate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` uses, built on its first call (about 2.5 ms)."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    # looked up by command name on each call, so a replaced handler is used
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     report = RunReport(command=args.command, seed=getattr(args, "seed", None))
     start = time.perf_counter()
     try:
-        code, result = args.handler(args)
+        code, result = handler(args)
         report.result = result
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,6 +256,19 @@ class TestReportContract:
             code = run(["bound", "--r", "2", "--kappa", "2"])
             assert code == (2 if issubclass(cls, InputError) else 1), cls.__name__
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert run(["bound", "--r", "2", "--kappa", "2"]) == 0
+            assert run(["hmm-window", "--r", "3", "--kappa", "2", "--json"]) == 0
+            assert run(["bound", "--r", "2"]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
     def test_honest_negative_exits_1(self, capsys, tmp_path):
         # a latent-class model whose third variable cannot separate classes
         from latentid.latent_class import LatentClassModel

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from latentid import recovery
 from latentid.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     IllConditionedError,
     LatentIdError,
+    NegativeWeightsError,
     RankDeficientError,
 )
 from latentid.latent_class import LatentClassModel, joint_distribution
@@ -19,7 +22,10 @@ from latentid.recovery import (
 )
 from latentid.hmm import min_window, window_tensor
 from latentid.sampling import random_hmm, random_latent_class, trial_rng
-from latentid.tensor_core import numerical_rank, triple_product
+from latentid.tensor_core import numerical_rank, rank_from_singular_values, triple_product
+
+#: hypothesis runs the same examples on every run, with no example database
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 def reference_model():
@@ -40,6 +46,21 @@ def near_pair_model(t: int) -> LatentClassModel:
     for M in (M1, M2):
         M[1] = (1.0 - 1e-7) * M[0] + 1e-7 * M[1]
     return LatentClassModel(pi=m.pi, emissions=(M1, M2, M3))
+
+
+def factored_shapes(monkeypatch, T, r: int) -> list[tuple[int, ...]]:
+    """Shapes of the matrices larger than r x r that decompose3 factors with an SVD."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    decompose3(T, r, seed=0, tol=1e-6)
+    monkeypatch.undo()
+    return [sh for sh in shapes if sh[0] > r]
 
 
 class TestDecompose3:
@@ -173,21 +194,83 @@ class TestDecompose3:
         assert ill >= 6
 
     def test_one_svd_per_subspace(self, monkeypatch):
-        # r=8, kappa=2 window tensor: 128 x 128 x 2.  Only the mode-1
-        # unfolding (128 x 256) and the projected tensor (128 x r*k3) are
-        # factored; the other SVDs are of r x r slice mixtures.
+        # r=8, kappa=2 window tensor: 128 x 128 x 2, above the sketch gate.
+        # Only the small sketch Q^T T1 ((r+8) x 256) and the projected tensor
+        # (128 x r*k3) are factored; the other SVDs are of r x r slice mixtures.
         model = random_hmm(trial_rng(46, 0), 8, 2)
         T = window_tensor(model, min_window(8, 2))
-        shapes = []
-        svd = np.linalg.svd
+        assert factored_shapes(monkeypatch, T, 8) == [(16, 256), (128, 16)]
 
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+    @pytest.mark.parametrize(
+        "kappas, expected",
+        [((27, 27, 3), [(27, 81), (27, 9)]), ((729, 3, 3), [(729, 9)])],
+    )
+    def test_full_svd_below_sketch_gate(self, monkeypatch, kappas, expected):
+        # 27 < 4 * (3 + 8), and 9 < 4 * (3 + 8) columns for the tall
+        # unfolding: the mode-1 unfolding itself is factored
+        T = joint_distribution(random_latent_class(trial_rng(47, 0), 3, kappas))
+        assert factored_shapes(monkeypatch, T, 3) == expected
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        decompose3(T, 8, seed=0, tol=1e-6)
-        assert [sh for sh in shapes if sh[0] > 8] == [(128, 256), (128, 16)]
+    @pytest.mark.parametrize("r", [7, 8])
+    def test_generator_seed_pays_only_for_weight_draws(self, r):
+        # the sketch has its own generator: a caller's Generator advances by
+        # the 2 * k3 normals of each weight draw and nothing else
+        T = window_tensor(random_hmm(trial_rng(48, r), r, 2), min_window(r, 2))
+        k3 = T.shape[2]
+        for t in range(4):
+            rng, ref = np.random.default_rng(t), np.random.default_rng(t)
+            rec = decompose3(T, r, seed=rng)
+            ref.standard_normal(2 * k3 * (rec.retries_used + 1))
+            assert rng.standard_normal() == ref.standard_normal()
+
+    def test_generator_seed_advances_every_retry_of_a_refusal(self):
+        T = joint_distribution(near_pair_model(2))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(IllConditionedError):
+            decompose3(T, 3, seed=rng, max_retries=4)
+        ref.standard_normal(2 * T.shape[2] * 5)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize(
+        "outcomes, error, text",
+        [
+            (
+                [
+                    ("residual", 3e-3),
+                    ("negative", np.nan),
+                    ("residual", 1e-3),
+                    ("slice_rank", 1e-13),
+                ],
+                DegenerateSpectrumError,
+                "(furthest stage: residual, smallest residual 0.001)",
+            ),
+            (
+                [("spectrum", np.nan), ("negative", np.nan), ("slice_rank", 1e-13)],
+                NegativeWeightsError,
+                "stayed negative",
+            ),
+            (
+                [("slice_rank", 1e-14), ("spectrum", np.nan), ("slice_rank", 1e-13)],
+                DegenerateSpectrumError,
+                "(furthest stage: spectrum)",
+            ),
+            (
+                [("slice_rank", 1e-14), ("slice_rank", 1e-13)],
+                IllConditionedError,
+                "(last sigma_min/sigma_max = 1e-13)",
+            ),
+        ],
+    )
+    def test_refusal_named_after_furthest_stage(self, monkeypatch, outcomes, error, text):
+        draws = iter(outcomes)
+        monkeypatch.setattr(
+            recovery, "_weight_draw", lambda *args: (*next(draws), None)
+        )
+        T = joint_distribution(reference_model())
+        with pytest.raises(error) as info:
+            decompose3(T, 2, max_retries=len(outcomes) - 1)
+        assert text in str(info.value)
+        assert next(draws, None) is None
 
     def test_small_first_mode_rejected(self):
         T = np.full((2, 3, 3), 1.0 / 18)
@@ -231,6 +314,48 @@ class TestDecompose3:
         assert np.abs(pi_a - pi_b).max() <= 1e-8
         for Fa, Fb in zip(fac_a, fac_b):
             assert np.abs(Fa - Fb).max() <= 1e-8
+
+
+@st.composite
+def tensors_above_sketch_gate(draw):
+    """Rank-r stochastic tensors with k1 and k2*k3 at least 4 * (r + 8), and
+    class weights spread over 10^-spread."""
+    r = draw(st.integers(2, 8))
+    gate = 4 * (r + 8)
+    k1 = draw(st.integers(gate, gate + 40))
+    k3 = draw(st.integers(2, 4))
+    k2 = draw(st.integers(-(-gate // k3), -(-gate // k3) + 8))
+    spread = draw(st.floats(0.0, 6.0))
+    m = random_latent_class(draw(st.integers(0, 2**32 - 1)), r, (k1, k2, k3))
+    pi = 10.0 ** (-spread * np.arange(r) / (r - 1))
+    model = LatentClassModel(pi=pi / pi.sum(), emissions=m.emissions)
+    return r, joint_distribution(model)
+
+
+@st.composite
+def window_laws_above_sketch_gate(draw):
+    """HMM window laws, 64 x 64 x 2 and 128 x 128 x 2, with sigma_r / sigma_1 near 1e-8."""
+    r = draw(st.sampled_from([7, 8]))
+    model = random_hmm(draw(st.integers(0, 2**32 - 1)), r, 2, max_attempts=5000)
+    return r, window_tensor(model, min_window(r, 2))
+
+
+@PROPERTY
+@given(case=st.one_of(tensors_above_sketch_gate(), window_laws_above_sketch_gate()))
+def test_sketch_matches_full_svd(case):
+    r, T = case
+    T1 = T.reshape(T.shape[0], -1)
+    U_full, s_full, _ = np.linalg.svd(T1, full_matrices=False)
+    U1, s1 = recovery._mode1_basis(T1, r)
+    assert min(T1.shape) >= recovery._SKETCH_GATE * (r + recovery._SKETCH_OVERSAMPLE)
+    assert np.all(np.abs(s1[:r] - s_full[:r]) <= 1e-8 * s_full[:r])
+    assert rank_from_singular_values(s1, T1.shape) == rank_from_singular_values(
+        s_full, T1.shape
+    )
+    # sine of the largest principal angle between the two r-dimensional bases
+    U_full = U_full[:, :r]
+    sine = np.linalg.norm(U1 - U_full @ (U_full.T @ U1), 2)
+    assert sine <= 1e-7
 
 
 class TestAlignPermutation:
