@@ -26,6 +26,7 @@ from . import random_graph as rg
 from . import recovery, sampling
 from .errors import DimensionMismatchError, InputError, LatentIdError
 from .modelio import load_model
+from .tensor_core import RANK_TOL
 
 
 @dataclass
@@ -136,27 +137,36 @@ def _cmd_certify_lc(args) -> tuple[int, dict]:
     return (0 if cert.holds else 1), result
 
 
-def _cmd_recover_lc(args) -> tuple[int, dict]:
-    model = _load(args.model, lc.LatentClassModel, "recover-lc")
-    if args.tripartition:
-        blocks = _parse_tripartition(args.tripartition)
-    elif model.p == 3:
-        blocks = ((0,), (1,), (2,))
-    else:
-        blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
+def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict:
+    """Recover ``model`` from its exact joint table along ``blocks``, then align.
+
+    ``blocks=None`` puts one variable in each block when there are three, and
+    otherwise takes the witness of the tripartition search.
+    """
+    if blocks is None:
+        if model.p == 3:
+            blocks = ((0,), (1,), (2,))
+        else:
+            blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     T = lc.joint_distribution(model)
     pi_hat, emissions = recovery.recover_latent_class(
-        T, model.r, blocks, seed=args.seed, tol=args.tol
+        T, model.r, blocks, seed=seed, tol=tol
     )
     align = recovery.align_permutation(
         (pi_hat, emissions), (model.pi, list(model.emissions))
     )
-    return 0, {
+    return {
         "blocks": [list(b) for b in blocks],
         "alignment_error": float(align.max_abs_error),
         "permutation": align.permutation.tolist(),
         "pi": [float(x) for x in pi_hat],
     }
+
+
+def _cmd_recover_lc(args) -> tuple[int, dict]:
+    model = _load(args.model, lc.LatentClassModel, "recover-lc")
+    blocks = _parse_tripartition(args.tripartition) if args.tripartition else None
+    return 0, _lc_round_trip(model, blocks, args.seed, args.tol)
 
 
 def _cmd_hmm_window(args) -> tuple[int, dict]:
@@ -173,21 +183,29 @@ def _cmd_hmm_certify(args) -> tuple[int, dict]:
     return (0 if cert.holds else 1), result
 
 
-def _cmd_hmm_recover(args) -> tuple[int, dict]:
-    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-recover")
-    k = args.k if args.k else hmm_mod.min_window(model.r, model.kappa)
+def _hmm_round_trip(model: hmm_mod.HiddenMarkovModel, k: int, seed, tol: float) -> dict:
+    """Recover ``model`` from its exact window law at half-window ``k``, then align.
+
+    ``k=0`` takes the bound :func:`~latentid.hmm.min_window`.
+    """
+    k = k if k else hmm_mod.min_window(model.r, model.kappa)
     T = hmm_mod.window_tensor(model, k)
     A_hat, B_hat, pi_hat = hmm_mod.recover_hmm(
-        T, model.r, model.kappa, k, seed=args.seed, tol=args.tol
+        T, model.r, model.kappa, k, seed=seed, tol=tol
     )
     align = hmm_mod.align_hmm((A_hat, B_hat, pi_hat), (model.A, model.B, model.pi))
-    return 0, {
+    return {
         "k": k,
         "window": 2 * k + 1,
         "alignment_error": float(align.max_abs_error),
         "permutation": align.permutation.tolist(),
         "pi": [float(x) for x in pi_hat],
     }
+
+
+def _cmd_hmm_recover(args) -> tuple[int, dict]:
+    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-recover")
+    return 0, _hmm_round_trip(model, args.k, args.seed, args.tol)
 
 
 def _cmd_graph_certify(args) -> tuple[int, dict]:
@@ -205,7 +223,7 @@ def _cmd_graph_certify(args) -> tuple[int, dict]:
     return (0 if cert.holds else 1), result
 
 
-def _graph_extraction_roundtrip(model: rg.GraphMixtureModel, n: int, rng) -> dict:
+def _graph_round_trip(model: rg.GraphMixtureModel, n: int, rng) -> dict:
     """Hide the assignment order behind a random permutation, then extract."""
     v = rg.node_state_prior(model.pi, n)
     perm = rng.permutation(v.size)
@@ -234,7 +252,7 @@ def _graph_extraction_roundtrip(model: rg.GraphMixtureModel, n: int, rng) -> dic
 def _cmd_graph_extract(args) -> tuple[int, dict]:
     model = _load(args.model, rg.GraphMixtureModel, "graph-extract")
     rng = np.random.default_rng(args.seed)
-    result = _graph_extraction_roundtrip(model, args.n, rng)
+    result = _graph_round_trip(model, args.n, rng)
     result["n"] = args.n
     return (0 if result["match_error"] <= args.tol else 1), result
 
@@ -299,39 +317,15 @@ def _cmd_simulate(args) -> tuple[int, dict]:
             if args.family == "latent-class":
                 kappas = _parse_int_list(args.kappas)
                 model = sampling.random_latent_class(rng, args.r, kappas)
-                T = lc.joint_distribution(model)
-                if model.p == 3:
-                    rec = recovery.decompose3(T, model.r, seed=rng, tol=args.tol)
-                    align = recovery.align_permutation(
-                        rec, (model.pi, list(model.emissions))
-                    )
-                else:
-                    blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
-                    pi_hat, emissions = recovery.recover_latent_class(
-                        T, model.r, blocks, seed=rng, tol=args.tol
-                    )
-                    align = recovery.align_permutation(
-                        (pi_hat, emissions), (model.pi, list(model.emissions))
-                    )
-                err = float(align.max_abs_error)
+                err = _lc_round_trip(model, None, rng, args.tol)["alignment_error"]
             elif args.family == "hmm":
                 model = sampling.random_hmm(rng, args.r, args.kappa)
-                k = args.k if args.k else hmm_mod.min_window(args.r, args.kappa)
-                T = hmm_mod.window_tensor(model, k)
-                A_hat, B_hat, pi_hat = hmm_mod.recover_hmm(
-                    T, model.r, model.kappa, k, seed=rng, tol=args.tol
-                )
-                align = hmm_mod.align_hmm(
-                    (A_hat, B_hat, pi_hat), (model.A, model.B, model.pi)
-                )
-                err = float(align.max_abs_error)
+                err = _hmm_round_trip(model, args.k, rng, args.tol)["alignment_error"]
             elif args.family == "graph":
                 model = sampling.random_graph_mixture(
                     rng, equal_mixing=args.equal_mixing
                 )
-                err = float(
-                    _graph_extraction_roundtrip(model, args.n, rng)["match_error"]
-                )
+                err = _graph_round_trip(model, args.n, rng)["match_error"]
             else:
                 raise ValueError(f"unknown family {args.family!r}")
             trials.append({"trial": t, "error": err})
@@ -364,59 +358,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=False, seed=True, tol=True):
+    def common(sp, model=False, seed=True, tol=None):
+        """Shared options; ``--tol`` is added when its help ``tol`` is given."""
         if model:
             sp.add_argument("--model", required=True, help="JSON model file")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-8)
+            sp.add_argument(
+                "--tol",
+                type=float,
+                default=recovery.RECOVERY_TOL,
+                help=tol + " (default %(default)s)",
+            )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
+
+    rank_tol = (
+        "relative singular-value cutoff of each rank decision; the library's "
+        f"default is {RANK_TOL:g}"
+    )
+    gate = "residual gate of the decomposition, relative to the largest tensor entry"
 
     sp = sub.add_parser("bound", help="variables sufficient for generic identifiability")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
-    common(sp, seed=False, tol=False)
+    common(sp, seed=False)
 
     sp = sub.add_parser("search-tripartition", help="exact clumping certificate search")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappas", required=True, help="comma-separated state counts")
-    common(sp, seed=False, tol=False)
+    common(sp, seed=False)
 
     sp = sub.add_parser("certify-lc", help="Kruskal-rank certificate for a 3-variable model")
-    common(sp, model=True, seed=False)
+    common(sp, model=True, seed=False, tol=rank_tol)
 
     sp = sub.add_parser("recover-lc", help="round-trip recovery of a latent-class model")
     sp.add_argument("--tripartition", help='blocks like "0,1|2,3|4" (0-based)')
-    common(sp, model=True)
+    common(sp, model=True, tol=gate + ", also applied to the reassembled model")
 
     sp = sub.add_parser("hmm-window", help="half-window bound for an HMM")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
-    common(sp, seed=False, tol=False)
+    common(sp, seed=False)
 
     sp = sub.add_parser("hmm-certify", help="window-block certificate for an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
-    common(sp, model=True, seed=False)
+    common(sp, model=True, seed=False, tol=rank_tol)
 
     sp = sub.add_parser("hmm-recover", help="round-trip recovery of an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
-    common(sp, model=True)
+    common(
+        sp,
+        model=True,
+        tol=gate + "; also bounds the row-sum error and negative entries of the "
+        "solved transition matrix",
+    )
 
     sp = sub.add_parser("graph-certify", help="rank certificate for a graph mixture")
     sp.add_argument("--m", type=int, default=4, help="group size (n = m^2 nodes)")
-    common(sp, model=True, seed=False)
+    common(sp, model=True, seed=False, tol=rank_tol)
 
     sp = sub.add_parser("graph-extract", help="extraction round-trip for a graph mixture")
     sp.add_argument("--n", type=int, default=4, help="number of nodes to simulate")
-    common(sp, model=True)
+    common(sp, model=True, tol="largest parameter error that still exits 0")
 
     sp = sub.add_parser("nonparam-cuts", help="select full-rank cut points per variate")
-    common(sp, model=True, seed=False)
+    common(sp, model=True, seed=False, tol="not used by this command")
 
     sp = sub.add_parser("nonparam-recover", help="round-trip recovery of CDF values")
     sp.add_argument("--queries", type=int, default=5, help="query points per variate")
-    common(sp, model=True)
+    common(sp, model=True, tol=gate)
 
     sp = sub.add_parser("simulate", help="random-model round-trip harness")
     sp.add_argument(
@@ -429,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4, help="graph node count")
     sp.add_argument("--equal-mixing", action="store_true")
     sp.add_argument("--trials", type=int, default=10)
-    common(sp, seed=True, tol=True)
+    common(sp, tol=gate + "; also the largest trial error that still exits 0")
 
     return parser
 

@@ -22,7 +22,7 @@ marginalization in :func:`recover_hmm` depend on them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     TooLargeError,
 )
 from .latent_class import Certificate, ENTRY_CAP
-from .recovery import Alignment, align_permutation, decompose3
+from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
 from .tensor_core import (
     RANK_TOL,
     ROW_SUM_TOL,
@@ -50,13 +50,13 @@ from .tensor_core import (
 STATIONARY_GAP_TOL = 1e-8
 
 
-def stationary_distribution(A, gap_tol: float = STATIONARY_GAP_TOL) -> np.ndarray:
+def stationary_distribution(A) -> np.ndarray:
     """Stationary distribution of a transition matrix with a simple unit eigenvalue.
 
     Raises :class:`NonUniqueStationaryError` when a second eigenvalue lies
-    within ``gap_tol`` of 1 (the chain is reducible or periodic within
-    numerical resolution), or when the stationary vector is not strictly
-    positive.
+    within :data:`STATIONARY_GAP_TOL` of 1 (the chain is reducible or
+    periodic within numerical resolution), or when the stationary vector is
+    not strictly positive.
     """
     A = check_stochastic(A, name="A")
     r = A.shape[0]
@@ -65,7 +65,7 @@ def stationary_distribution(A, gap_tol: float = STATIONARY_GAP_TOL) -> np.ndarra
     lam, V = np.linalg.eig(A.T)
     dist = np.abs(lam - 1.0)
     order = np.argsort(dist)
-    if r > 1 and dist[order[1]] <= gap_tol:
+    if r > 1 and dist[order[1]] <= STATIONARY_GAP_TOL:
         raise NonUniqueStationaryError(
             "unit eigenvalue of the transition matrix is not simple"
         )
@@ -78,34 +78,30 @@ def stationary_distribution(A, gap_tol: float = STATIONARY_GAP_TOL) -> np.ndarra
     return pi
 
 
-def time_reversal(A, pi, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def time_reversal(A, pi) -> np.ndarray:
     """Transition matrix of the reversed stationary chain.
 
     ``A_rev[i, j] = pi[j] * A[j, i] / pi[i]``; applying the reversal twice
     returns ``A`` exactly.  Raises :class:`NotStationaryError` when ``pi`` is
-    not stationary for ``A``.
+    not stationary for ``A`` within :data:`~latentid.tensor_core.ROW_SUM_TOL`.
     """
     A = check_stochastic(A, name="A")
     pi = check_probability_vector(pi)
     if A.shape[0] != pi.size or A.shape[1] != pi.size:
         raise DimensionMismatchError("pi length must match the square matrix A")
     err = np.abs(pi @ A - pi).max()
-    if err > tol:
-        raise NotStationaryError(f"pi A differs from pi by {err:.3g} > {tol}")
+    if err > ROW_SUM_TOL:
+        raise NotStationaryError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
     return (A.T * pi[None, :]) / pi[:, None]
 
 
 @dataclass(frozen=True)
 class HiddenMarkovModel:
-    """Transition matrix, emission matrix and the stationary distribution.
-
-    ``pi`` is derived from ``A`` when omitted, and validated against it when
-    given.
-    """
+    """Transition matrix, emission matrix and ``pi``, the stationary law of ``A``."""
 
     A: np.ndarray
     B: np.ndarray
-    pi: np.ndarray | None = None
+    pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         A = check_stochastic(self.A, name="A")
@@ -116,15 +112,7 @@ class HiddenMarkovModel:
             raise DimensionMismatchError(
                 f"B has {B.shape[0]} rows, expected r={A.shape[0]}"
             )
-        if self.pi is None:
-            pi = stationary_distribution(A)
-        else:
-            pi = check_probability_vector(self.pi)
-            err = np.abs(pi @ A - pi).max()
-            if err > ROW_SUM_TOL:
-                raise NotStationaryError(
-                    f"provided pi is not stationary (deviation {err:.3g})"
-                )
+        pi = stationary_distribution(A)
         for arr in (A, B, pi):
             arr.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -172,15 +160,13 @@ def min_window(r: int, kappa: int) -> int:
     return k
 
 
-def conditional_blocks(
-    model: HiddenMarkovModel, k: int, entry_cap: int = ENTRY_CAP
-) -> ConditionalBlocks:
+def conditional_blocks(model: HiddenMarkovModel, k: int) -> ConditionalBlocks:
     """Window block matrices for half-window k, built innermost-out."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if model.kappa**k > entry_cap:
+    if model.kappa**k > ENTRY_CAP:
         raise TooLargeError(
-            f"kappa^k = {model.kappa ** k} exceeds the entry cap {entry_cap}"
+            f"kappa^k = {model.kappa ** k} exceeds the entry cap {ENTRY_CAP}"
         )
     A, B, pi = model.A, model.B, model.pi
     A_rev = time_reversal(A, pi)
@@ -192,14 +178,14 @@ def conditional_blocks(
     return ConditionalBlocks(k=k, B1=B1, B2=B2, A_rev=A_rev)
 
 
-def window_tensor(model: HiddenMarkovModel, k: int, entry_cap: int = ENTRY_CAP) -> np.ndarray:
+def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
     """Exact joint law of (past block, future block, center symbol).
 
     The tensor equals ``triple_product(diag(pi) B1, B2, B)`` and is the
     marginal distribution of ``2k + 1`` consecutive observations regrouped as
     ``((X_0..X_{k-1}), (X_{k+1}..X_{2k}), X_k)``.
     """
-    blocks = conditional_blocks(model, k, entry_cap)
+    blocks = conditional_blocks(model, k)
     return triple_product(
         model.pi[:, None] * blocks.B1, blocks.B2, model.B
     )
@@ -235,7 +221,7 @@ def recover_hmm(
     kappa: int,
     k: int,
     seed=None,
-    tol: float = 1e-8,
+    tol: float = RECOVERY_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (A, B, pi) from the exact window tensor, up to state relabeling.
 

@@ -137,16 +137,16 @@ class Certificate:
 # operations
 
 
-def joint_distribution(model: LatentClassModel, entry_cap: int = ENTRY_CAP) -> np.ndarray:
+def joint_distribution(model: LatentClassModel) -> np.ndarray:
     """Exact joint distribution of the p observed variables.
 
     Entry ``(l_1, ..., l_p)`` is ``sum_i pi[i] * prod_j emissions[j][i, l_j]``.
     Raises :class:`TooLargeError` when the dense table would exceed
-    ``entry_cap`` entries.
+    :data:`ENTRY_CAP` entries.
     """
     K = int(np.prod(model.kappas))
-    if K > entry_cap:
-        raise TooLargeError(f"joint table has {K} entries, cap is {entry_cap}")
+    if K > ENTRY_CAP:
+        raise TooLargeError(f"joint table has {K} entries, cap is {ENTRY_CAP}")
     flat = model.pi @ khatri_rao(list(model.emissions))
     return flat.reshape(model.kappas)
 

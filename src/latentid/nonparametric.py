@@ -21,7 +21,7 @@ from .errors import (
     NonMonotoneCdfError,
     TooFewVariablesError,
 )
-from .recovery import decompose3
+from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
     RANK_TOL,
@@ -197,12 +197,10 @@ class CutPointSet:
     """Sorted cut points per coordinate, defining a binning into intervals.
 
     A coordinate with c cuts has c + 1 bins; :attr:`kappa` is the total bin
-    count over the block.  Mandatory points (queries that must be readable
-    from the binned matrix) are recorded as given.
+    count over the block.
     """
 
     cuts: tuple[np.ndarray, ...]
-    mandatory: tuple = ()
 
     def __post_init__(self):
         arrays = tuple(np.asarray(c, dtype=float) for c in self.cuts)
@@ -358,15 +356,7 @@ def select_cut_points(
         if not cut_lists[c]:
             cut_lists[c].append(float(grid_axes[c][0]))
 
-    mandatory_out = (
-        tuple(pt[0] for pt in mandatory_points)
-        if b == 1
-        else tuple(mandatory_points)
-    )
-    return CutPointSet(
-        cuts=tuple(np.asarray(c, dtype=float) for c in cut_lists),
-        mandatory=mandatory_out,
-    )
+    return CutPointSet(cuts=tuple(np.asarray(c, dtype=float) for c in cut_lists))
 
 
 def binned_conditional_matrix(
@@ -464,9 +454,8 @@ def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
 def recover_mixture(
     mixture: NonparametricMixture,
     query_points: Sequence,
-    grid: Sequence | None = None,
     seed=None,
-    tol: float = 1e-8,
+    tol: float = RECOVERY_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover mixing weights and component CDF values at query points.
 
@@ -505,13 +494,7 @@ def recover_mixture(
     queries = [
         _normalize_points(query_points[j], mixture.block_dims[j]) for j in range(p)
     ]
-    grids = list(grid) if grid is not None else [None] * p
-    cuts = [
-        select_cut_points(
-            mixture.variate(j), mandatory=queries[j], grid=grids[j]
-        )
-        for j in range(p)
-    ]
+    cuts = [select_cut_points(mixture.variate(j), mandatory=queries[j]) for j in range(p)]
     mats = [binned_conditional_matrix(mixture.variate(j), cuts[j]) for j in range(p)]
 
     T = triple_product(

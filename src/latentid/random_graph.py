@@ -75,7 +75,7 @@ def edge_list(m: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(m) for l in range(k + 1, m)]
 
 
-def node_state_prior(pi, n: int, entry_cap: int = ENTRY_CAP) -> np.ndarray:
+def node_state_prior(pi, n: int) -> np.ndarray:
     """Joint prior over the r^n composite node-state assignments.
 
     Entry for assignment ``(i_1, ..., i_n)`` is ``prod_k pi[i_k]``; the
@@ -83,8 +83,8 @@ def node_state_prior(pi, n: int, entry_cap: int = ENTRY_CAP) -> np.ndarray:
     """
     pi = check_probability_vector(pi)
     r = pi.size
-    if r**n > entry_cap:
-        raise TooLargeError(f"r^n = {r ** n} exceeds the entry cap {entry_cap}")
+    if r**n > ENTRY_CAP:
+        raise TooLargeError(f"r^n = {r ** n} exceeds the entry cap {ENTRY_CAP}")
     v = pi.copy()
     for _ in range(n - 1):
         v = np.kron(v, pi)
@@ -99,9 +99,7 @@ def assignment_of_index(index: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(states)
 
 
-def conditional_graph_matrix(
-    model: GraphMixtureModel, m: int, entry_cap: int = ENTRY_CAP
-) -> np.ndarray:
+def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
     """Probabilities of every subgraph of K_m conditional on every node assignment.
 
     Shape ``(r^m, 2^C(m,2))``; the ``(I, G)`` entry is the product over edges
@@ -114,9 +112,9 @@ def conditional_graph_matrix(
     edges = edge_list(m)
     n_rows = r**m
     n_cols = 2 ** len(edges)
-    if n_rows * n_cols > entry_cap:
+    if n_rows * n_cols > ENTRY_CAP:
         raise TooLargeError(
-            f"matrix would have {n_rows}x{n_cols} entries, cap is {entry_cap}"
+            f"matrix would have {n_rows}x{n_cols} entries, cap is {ENTRY_CAP}"
         )
     assigns = np.array(list(itertools.product(range(r), repeat=m)), dtype=int)
     per_edge = []
@@ -239,19 +237,14 @@ def _cluster_values(values, tol: float) -> list[float]:
     return reps
 
 
-def extract_parameters(
-    v_perm,
-    row_oracle,
-    n: int,
-    r: int = 2,
-    tol: float = PRIOR_MATCH_TOL,
-) -> tuple[np.ndarray, float, float, float]:
+def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, float, float]:
     """Recover (pi, p11, p12, p22) from a permuted prior and a row oracle.
 
     ``v_perm`` is the composite node-state prior under an unknown assignment
     permutation; ``row_oracle(row_index, (k, l))`` returns the single-edge
     marginal of that (permuted) row.  Two-state models only, and the three
-    connection parameters must be distinct.
+    connection parameters must be distinct.  Prior entries and edge values
+    are matched within :data:`PRIOR_MATCH_TOL`.
 
     With unequal mixing the extreme prior entries locate the two uniform
     assignments, giving ``p11`` and ``p22`` directly, and a row with exactly
@@ -262,8 +255,7 @@ def extract_parameters(
     the smaller weight (unequal mixing) or the smaller within-state connection
     probability (equal mixing).
     """
-    if r != 2:
-        raise ValueError("extraction is implemented for two node states only")
+    tol = PRIOR_MATCH_TOL
     v = np.asarray(v_perm, dtype=float)
     if v.ndim != 1 or v.size != 2**n:
         raise DimensionMismatchError(f"prior must have 2^{n} entries, got {v.size}")

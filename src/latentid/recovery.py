@@ -38,6 +38,8 @@ from .tensor_core import (
     unclump,
 )
 
+#: relative residual gate of every recovery routine and the CLI's ``--tol`` default
+RECOVERY_TOL = 1e-8
 #: re-randomizations of the slice-mixture weights before giving up
 MAX_RETRIES = 20
 #: relative eigenvalue separation below which a draw is considered degenerate
@@ -96,13 +98,7 @@ def _clean_rows(M: np.ndarray, tol: float) -> np.ndarray | None:
     return M / sums
 
 
-def decompose3(
-    T,
-    r: int,
-    seed=None,
-    tol: float = 1e-8,
-    max_retries: int = MAX_RETRIES,
-) -> RecoveredFactors:
+def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFactors:
     """Rank-r decomposition of an exact three-way probability tensor.
 
     Takes the r-dimensional mode-1 basis ``U1`` and the mode-1 rank decision
@@ -126,10 +122,10 @@ def decompose3(
     accepted when its max-abs reconstruction residual is at most ``tol``
     times the largest entry of ``T``: the gate is relative, so it holds the
     same accuracy on tensors whose entries are all small.  Unlucky weight
-    draws are retried up to ``max_retries`` times; each draw takes ``2 * k3``
-    normals from ``seed``.  When every draw fails, the error is named after
-    the furthest stage any draw reached: residual, then negative weights,
-    then eigen-spectrum, then singular slice mixture.
+    draws are retried up to :data:`MAX_RETRIES` times; each draw takes
+    ``2 * k3`` normals from ``seed``.  When every draw fails, the error is
+    named after the furthest stage any draw reached: residual, then negative
+    weights, then eigen-spectrum, then singular slice mixture.
 
     Raises
     ------
@@ -186,7 +182,7 @@ def decompose3(
     rng = np.random.default_rng(seed)
     furthest = 0
     best_resid = np.inf
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
         stage, value, params = _weight_draw(T, U1, U2, T3, a, b, tol)
@@ -205,17 +201,17 @@ def decompose3(
     if stage == "negative":
         raise NegativeWeightsError(
             f"recovered weights stayed negative beyond tol={tol} "
-            f"after {max_retries} retries"
+            f"after {MAX_RETRIES} retries"
         )
     if stage == "slice_rank":
         raise IllConditionedError(
-            f"slice mixtures stayed singular after {max_retries} retries "
+            f"slice mixtures stayed singular after {MAX_RETRIES} retries "
             f"(last sigma_min/sigma_max = {slice_ratio:.3g})"
         )
     detail = f", smallest residual {best_resid:.3g}" if stage == "residual" else ""
     raise DegenerateSpectrumError(
         f"no weight draw gave separated eigenvalues and residual <= "
-        f"tol * max entry = {resid_tol:.3g} after {max_retries} retries "
+        f"tol * max entry = {resid_tol:.3g} after {MAX_RETRIES} retries "
         f"(furthest stage: {stage}{detail})"
     )
 
@@ -397,7 +393,7 @@ def recover_latent_class(
     r: int,
     tripartition,
     seed=None,
-    tol: float = 1e-8,
+    tol: float = RECOVERY_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover latent-class parameters from an exact p-variate joint table.
 

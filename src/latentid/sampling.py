@@ -16,6 +16,15 @@ from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
 from .errors import NonUniqueStationaryError
 
+#: random_hmm rejects A or B whose smallest singular value is below this
+_HMM_SINGULAR_MARGIN = 0.05
+#: random_graph_mixture rejects connection triples closer together than this
+_GRAPH_MIN_GAP = 0.05
+#: connection triples random_graph_mixture draws before giving up
+_GRAPH_MAX_ATTEMPTS = 100
+#: interval every random_piecewise_cdf is supported on
+_CDF_SUPPORT = (0.0, 1.0)
+
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator from a master seed and trial counter."""
@@ -40,23 +49,22 @@ def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
     )
 
 
-def random_hmm(
-    rng, r: int, kappa: int, margin: float = 0.05, max_attempts: int = 200
-) -> HiddenMarkovModel:
+def random_hmm(rng, r: int, kappa: int, max_attempts: int = 200) -> HiddenMarkovModel:
     """Random HMM with a numerically simple unit eigenvalue (generic case).
 
-    Draws with a smallest singular value of A or B below ``margin`` are
-    rejected: identifiability is a generic (measure-zero exception) property,
-    and samples next to the degenerate set are identifiable in theory but
-    carry no recoverable precision in floating point.
+    Draws with a smallest singular value of A or B below
+    :data:`_HMM_SINGULAR_MARGIN` are rejected: identifiability is a generic
+    (measure-zero exception) property, and samples next to the degenerate set
+    are identifiable in theory but carry no recoverable precision in floating
+    point.
     """
     rng = np.random.default_rng(rng)
     for _ in range(max_attempts):
         A = random_stochastic(rng, r, r)
         B = random_stochastic(rng, r, kappa)
-        if min(np.linalg.svd(A, compute_uv=False)) < margin:
+        if min(np.linalg.svd(A, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
             continue
-        if min(np.linalg.svd(B, compute_uv=False)) < margin:
+        if min(np.linalg.svd(B, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
             continue
         try:
             stationary_distribution(A)
@@ -68,9 +76,7 @@ def random_hmm(
     )
 
 
-def random_graph_mixture(
-    rng, equal_mixing: bool = False, min_gap: float = 0.05, max_attempts: int = 100
-) -> GraphMixtureModel:
+def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:
     """Two-state graph mixture with pairwise well-separated connection values."""
     rng = np.random.default_rng(rng)
     if equal_mixing:
@@ -78,18 +84,21 @@ def random_graph_mixture(
     else:
         p1 = rng.uniform(0.15, 0.45)
         pi = np.array([p1, 1.0 - p1])
-    for _ in range(max_attempts):
+    for _ in range(_GRAPH_MAX_ATTEMPTS):
         vals = np.sort(rng.uniform(0.0, 1.0, size=3))
-        if np.diff(vals).min() >= min_gap:
+        if np.diff(vals).min() >= _GRAPH_MIN_GAP:
             p11, p12, p22 = vals
             P = np.array([[p11, p12], [p12, p22]])
             return GraphMixtureModel(pi=pi, P=P)
-    raise ValueError(f"no well-separated connection triple found in {max_attempts} draws")
+    raise ValueError(
+        f"no well-separated connection triple found in {_GRAPH_MAX_ATTEMPTS} draws"
+    )
 
 
-def random_piecewise_cdf(rng, n_knots: int = 5, lo: float = 0.0, hi: float = 1.0) -> CdfComponent:
-    """Random strictly increasing piecewise-linear CDF on [lo, hi]."""
+def random_piecewise_cdf(rng, n_knots: int = 5) -> CdfComponent:
+    """Random strictly increasing piecewise-linear CDF on [0, 1]."""
     rng = np.random.default_rng(rng)
+    lo, hi = _CDF_SUPPORT
     inner = np.sort(rng.uniform(lo, hi, size=max(n_knots - 2, 0)))
     knots = np.unique(np.concatenate([[lo], inner, [hi]]))
     steps = rng.uniform(0.2, 1.0, size=knots.size - 1)

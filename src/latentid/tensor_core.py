@@ -60,18 +60,18 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def check_stochastic(M, tol: float = ROW_SUM_TOL, name: str = "matrix") -> np.ndarray:
+def check_stochastic(M, name: str = "matrix") -> np.ndarray:
     """Validate a row-stochastic matrix: entries in [0, 1], rows summing to 1."""
     M = as_matrix(M, name)
-    if M.min() < -NEG_ENTRY_TOL or M.max() > 1.0 + tol:
+    if M.min() < -NEG_ENTRY_TOL or M.max() > 1.0 + ROW_SUM_TOL:
         raise ValueError(f"{name} entries must lie in [0, 1]")
     err = np.abs(M.sum(axis=1) - 1.0).max()
-    if err > tol:
+    if err > ROW_SUM_TOL:
         raise ValueError(f"{name} rows must sum to 1 (max deviation {err:.3g})")
     return M
 
 
-def check_probability_vector(pi, tol: float = ROW_SUM_TOL, name: str = "pi") -> np.ndarray:
+def check_probability_vector(pi, name: str = "pi") -> np.ndarray:
     """Validate a strictly positive probability vector."""
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size == 0:
@@ -80,19 +80,19 @@ def check_probability_vector(pi, tol: float = ROW_SUM_TOL, name: str = "pi") -> 
         raise NonFiniteEntriesError(f"{name} contains non-finite entries")
     if pi.min() <= 1e-12:
         raise ValueError(f"{name} entries must be strictly positive")
-    if abs(pi.sum() - 1.0) > tol:
+    if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {pi.sum():.12g})")
     return pi
 
 
-def check_distribution_tensor(T, tol: float = ROW_SUM_TOL, name: str = "tensor") -> np.ndarray:
+def check_distribution_tensor(T, name: str = "tensor") -> np.ndarray:
     """Validate a dense joint distribution: near-nonnegative, total mass 1."""
     T = np.asarray(T, dtype=float)
     if not np.all(np.isfinite(T)):
         raise NonFiniteEntriesError(f"{name} contains non-finite entries")
     if T.min() < -NEG_ENTRY_TOL:
         raise ValueError(f"{name} has entries below -{NEG_ENTRY_TOL}")
-    if abs(T.sum() - 1.0) > tol:
+    if abs(T.sum() - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {T.sum():.12g})")
     return T
 
@@ -200,13 +200,13 @@ def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
             return False
 
 
-def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> int:
+def kruskal_rank(M, tol: float = RANK_TOL) -> int:
     """Largest ``I`` such that every set of ``I`` rows is linearly independent.
 
     Always at most the ordinary rank.  A matrix of full row rank has Kruskal
     rank equal to its row count (checked first, with a single SVD).  Otherwise
-    the row subsets must be examined, which is refused above ``row_cap`` rows
-    because their count grows combinatorially.
+    the row subsets must be examined, which is refused above
+    :data:`KRUSKAL_ROW_CAP` rows because their count grows combinatorially.
 
     Every subset of an independent row set is independent, so "all ``s``-row
     subsets are independent" can only turn from true to false as ``s`` grows;
@@ -222,9 +222,9 @@ def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> in
     rank = numerical_rank(M, tol)
     if rank == rows:
         return rows
-    if rows > row_cap:
+    if rows > KRUSKAL_ROW_CAP:
         raise TooManyRowsError(
-            f"subset enumeration over {rows} rows exceeds the cap of {row_cap}"
+            f"subset enumeration over {rows} rows exceeds the cap of {KRUSKAL_ROW_CAP}"
         )
     if rank == 0 or _subsets_independent(M, rank, tol):
         return rank
@@ -243,7 +243,7 @@ def kruskal_rank(M, tol: float = RANK_TOL, row_cap: int = KRUSKAL_ROW_CAP) -> in
 # clumping index algebra
 
 
-def unclump(A, col_dims: Sequence[int], tol: float = ROW_SUM_TOL) -> list[np.ndarray]:
+def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     """Invert :func:`khatri_rao` on row-stochastic factors.
 
     ``A`` must be row stochastic with ``prod(col_dims)`` columns.  Factor
@@ -251,7 +251,7 @@ def unclump(A, col_dims: Sequence[int], tol: float = ROW_SUM_TOL) -> list[np.nda
     mixed-radix column digit agrees; this is exact when ``A`` is a row tensor
     product of stochastic factors.  The round trip ``khatri_rao(result)`` is
     checked against ``A`` and :class:`NotKhatriRaoError` is raised when the
-    residual exceeds ``tol``.
+    residual exceeds :data:`ROW_SUM_TOL`.
     """
     A = as_matrix(A, "A")
     dims = [int(d) for d in col_dims]
@@ -262,7 +262,7 @@ def unclump(A, col_dims: Sequence[int], tol: float = ROW_SUM_TOL) -> list[np.nda
             f"prod(col_dims)={int(np.prod(dims))} does not match {A.shape[1]} columns"
         )
     row_err = np.abs(A.sum(axis=1) - 1.0).max()
-    if row_err > tol:
+    if row_err > ROW_SUM_TOL:
         raise NotKhatriRaoError(
             f"rows must sum to 1 for de-clumping (max deviation {row_err:.3g})"
         )
@@ -272,7 +272,7 @@ def unclump(A, col_dims: Sequence[int], tol: float = ROW_SUM_TOL) -> list[np.nda
         axes = tuple(ax for ax in range(1, len(dims) + 1) if ax != i + 1)
         factors.append(R.sum(axis=axes) if axes else R.copy())
     resid = np.abs(khatri_rao(factors) - A).max()
-    if resid > tol:
+    if resid > ROW_SUM_TOL:
         raise NotKhatriRaoError(
             f"input is not a row tensor product of stochastic factors "
             f"(round-trip residual {resid:.3g})"

@@ -175,6 +175,25 @@ class TestSimulate:
         assert code == 0
         assert report["result"]["max_error"] <= 1e-6
 
+    def test_three_variable_trials_share_recover_lc(self, capsys, monkeypatch):
+        # simulate and recover-lc run one round trip: a three-variable trial
+        # recovers through recover_latent_class, one variable per block
+        calls = []
+        recover = cli.recovery.recover_latent_class
+
+        def spy(T, r, blocks, **kwargs):
+            calls.append((T.shape, blocks))
+            return recover(T, r, blocks, **kwargs)
+
+        monkeypatch.setattr(cli.recovery, "recover_latent_class", spy)
+        code, report = run_json(
+            capsys,
+            ["simulate", "--family", "latent-class", "--r", "3",
+             "--kappas", "3,4,5", "--trials", "2"],
+        )
+        assert code == 0
+        assert calls == [((3, 4, 5), ((0,), (1,), (2,)))] * 2
+
     def test_graph_trials_both_branches(self, capsys):
         code, report = run_json(
             capsys,
@@ -191,8 +210,13 @@ class TestSimulate:
 
 class TestReportContract:
     def test_json_reports_are_byte_identical(self, capsys, lc3_file, npm_file):
-        for command, path in [("recover-lc", lc3_file), ("nonparam-recover", npm_file)]:
-            argv = [command, "--model", path, "--seed", "7", "--json"]
+        simulate = ["simulate", "--trials", "3", "--seed", "7", "--json", "--family"]
+        for argv in [
+            ["recover-lc", "--model", lc3_file, "--seed", "7", "--json"],
+            ["nonparam-recover", "--model", npm_file, "--seed", "7", "--json"],
+            [*simulate, "latent-class"],
+            [*simulate, "hmm", "--tol", "1e-6"],
+        ]:
             run(argv)
             first = capsys.readouterr().out
             run(argv)

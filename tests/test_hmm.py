@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from latentid import hmm
 from latentid.errors import (
     NonUniqueStationaryError,
     NotStationaryError,
@@ -191,10 +192,11 @@ class TestConditionalBlocks:
         assert np.abs(blocks.B1 - B1).max() <= 1e-13
         assert np.abs(blocks.B2 - B2).max() <= 1e-13
 
-    def test_entry_cap(self):
+    def test_entry_cap(self, monkeypatch):
         model = random_hmm(trial_rng(41, 3), 2, 2)
+        monkeypatch.setattr(hmm, "ENTRY_CAP", 7)
         with pytest.raises(TooLargeError):
-            conditional_blocks(model, 3, entry_cap=7)
+            conditional_blocks(model, 3)
 
 
 class TestWindowTensor:

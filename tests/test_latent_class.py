@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from latentid import latent_class
 from latentid.errors import (
     NotThreeVariablesError,
     TooFewVariablesError,
@@ -83,10 +84,11 @@ class TestJointDistribution:
         )
         assert np.allclose(joint_distribution(m), joint_distribution(swapped))
 
-    def test_entry_cap(self):
+    def test_entry_cap(self, monkeypatch):
         m = random_latent_class(trial_rng(0, 3), 2, (4, 4, 4))
+        monkeypatch.setattr(latent_class, "ENTRY_CAP", 63)
         with pytest.raises(TooLargeError):
-            joint_distribution(m, entry_cap=63)
+            joint_distribution(m)
 
 
 class TestKruskalCertificate:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latentid import random_graph
 from latentid.errors import (
     BadEdgeError,
     InconsistentOracleError,
@@ -57,9 +58,10 @@ class TestNodeStatePrior:
         assert np.isclose(v.max(), 0.7**5)
         assert np.isclose(v.sum(), 1.0)
 
-    def test_entry_cap(self):
+    def test_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(random_graph, "ENTRY_CAP", 15)
         with pytest.raises(TooLargeError):
-            node_state_prior(np.array([0.5, 0.5]), 4, entry_cap=15)
+            node_state_prior(np.array([0.5, 0.5]), 4)
 
 
 class TestConditionalGraphMatrix:

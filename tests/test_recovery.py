@@ -83,7 +83,7 @@ class TestDecompose3:
         align = align_permutation(rec, (m.pi, list(m.emissions)))
         assert align.max_abs_error <= 1e-9
 
-    def test_degenerate_third_factor_never_silent(self):
+    def test_degenerate_third_factor_never_silent(self, monkeypatch):
         # two classes indistinguishable on the third variable: eigenvalue
         # ratios collide for every weight draw
         m = LatentClassModel(
@@ -95,8 +95,9 @@ class TestDecompose3:
             ),
         )
         T = joint_distribution(m)
+        monkeypatch.setattr(recovery, "MAX_RETRIES", 5)
         with pytest.raises((DegenerateSpectrumError, RankDeficientError)):
-            decompose3(T, 2, seed=0, max_retries=5)
+            decompose3(T, 2, seed=0)
 
     def test_rank_deficient_first_factor(self):
         m = LatentClassModel(
@@ -127,7 +128,7 @@ class TestDecompose3:
         with pytest.raises(RankDeficientError, match="mode-2"):
             decompose3(joint_distribution(m), 3, seed=0)
 
-    def test_unfolding_refusals_follow_unfolding_ranks(self):
+    def test_unfolding_refusals_follow_unfolding_ranks(self, monkeypatch):
         # refuses for rank exactly when numerical_rank(T1) < r or
         # numerical_rank(T2) < r, naming the first deficient mode
         rng = np.random.default_rng(8)
@@ -144,6 +145,7 @@ class TestDecompose3:
             return M
 
         hows = ["generic", "duplicate", "mixture", "near"]
+        monkeypatch.setattr(recovery, "MAX_RETRIES", 3)
         seen = set()
         cases = itertools.product(range(2), itertools.product(hows, repeat=3))
         for t, (_, degradations) in enumerate(cases):
@@ -162,7 +164,7 @@ class TestDecompose3:
             expected = "mode-1" if rank1 < r else "mode-2" if rank2 < r else None
             refused = None
             try:
-                decompose3(T, r, seed=t, max_retries=3)
+                decompose3(T, r, seed=t)
             except RankDeficientError as err:
                 if " unfolding " in str(err):
                     refused = str(err).split(" unfolding ")[0]
@@ -223,11 +225,12 @@ class TestDecompose3:
             ref.standard_normal(2 * k3 * (rec.retries_used + 1))
             assert rng.standard_normal() == ref.standard_normal()
 
-    def test_generator_seed_advances_every_retry_of_a_refusal(self):
+    def test_generator_seed_advances_every_retry_of_a_refusal(self, monkeypatch):
         T = joint_distribution(near_pair_model(2))
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        monkeypatch.setattr(recovery, "MAX_RETRIES", 4)
         with pytest.raises(IllConditionedError):
-            decompose3(T, 3, seed=rng, max_retries=4)
+            decompose3(T, 3, seed=rng)
         ref.standard_normal(2 * T.shape[2] * 5)
         assert rng.standard_normal() == ref.standard_normal()
 
@@ -267,8 +270,9 @@ class TestDecompose3:
             recovery, "_weight_draw", lambda *args: (*next(draws), None)
         )
         T = joint_distribution(reference_model())
+        monkeypatch.setattr(recovery, "MAX_RETRIES", len(outcomes) - 1)
         with pytest.raises(error) as info:
-            decompose3(T, 2, max_retries=len(outcomes) - 1)
+            decompose3(T, 2)
         assert text in str(info.value)
         assert next(draws, None) is None
 

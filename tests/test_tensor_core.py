@@ -205,7 +205,7 @@ class TestKruskalRank:
         # would be needed and the cap kicks in
         M = np.vstack([np.eye(20), np.ones((1, 20))])
         with pytest.raises(TooManyRowsError):
-            kruskal_rank(M, row_cap=20)
+            kruskal_rank(M)
 
     @pytest.mark.parametrize("batch_entries", [None, 64])
     def test_agrees_with_upward_enumeration(self, monkeypatch, batch_entries):
