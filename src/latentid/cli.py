@@ -422,8 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4, help="number of nodes to simulate")
     common(sp, model=True, tol="largest parameter error that still exits 0")
 
-    sp = sub.add_parser("nonparam-cuts", help="select full-rank cut points per variate")
-    common(sp, model=True, seed=False, tol="not used by this command")
+    sp = sub.add_parser(
+        "nonparam-cuts",
+        help="select full-rank cut points per variate",
+        description="Select full-rank cut points per variate, with the library's "
+        f"cut threshold CUT_TOL = {npx.CUT_TOL:g}; takes no --tol.",
+    )
+    common(sp, model=True, seed=False)
 
     sp = sub.add_parser("nonparam-recover", help="round-trip recovery of CDF values")
     sp.add_argument("--queries", type=int, default=5, help="query points per variate")

@@ -9,10 +9,14 @@ mode-2 basis and rank decision from the tensor projected onto the mode-1 basis
 Meerbergen, SIAM J. Sci. Comput. 2012).  When both sides of the mode-1
 unfolding are at least ``4 * (r + 8)``, its one SVD is of a randomized sketch
 of its range rather than of the unfolding itself (Halko, Martinsson & Tropp,
-SIAM Review 2011).  It is non-iterative and exact up to floating point, but
-its preconditions (first two factors of full row rank, third of Kruskal rank
-at least 2) are strictly stronger than the Kruskal uniqueness condition;
-inputs in the gap raise an explicit error rather than being attempted.
+SIAM Review 2011).  Once both bases are known, the third factor and the
+weights come from a least-squares solve in the ``r x r x k3`` Tucker core
+``T x1 U1^T x2 U2^T`` (Kolda & Bader, SIAM Review 2009) rather than against
+all ``k1 * k2`` entries of each third-mode slice.  It is non-iterative and
+exact up to floating point, but its preconditions (first two factors of full
+row rank, third of Kruskal rank at least 2) are strictly stronger than the
+Kruskal uniqueness condition; inputs in the gap raise an explicit error
+rather than being attempted.
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ EIGEN_GAP_TOL = 1e-7
 #: where a weight draw can stop, earliest first; a refusal is named after the
 #: furthest stage any draw reached
 _STAGES = ("slice_rank", "spectrum", "negative", "residual")
+#: a projected slice mixture is singular at sigma_min <= _SLICE_RANK_TOL * sigma_max
+_SLICE_RANK_TOL = 1e-12
+#: floor on sigma_max in the slice cutoff, so an all-zero mixture is singular
+_SIGMA_FLOOR = 1e-300
+#: a recovered first- or second-mode row summing below this in magnitude
+#: cannot be normalized, and the draw counts as a spectrum failure
+_ROW_SUM_FLOOR = 1e-12
 #: columns the mode-1 range finder draws beyond r
 _SKETCH_OVERSAMPLE = 8
 #: the range finder replaces the full SVD of the k1 x k2*k3 mode-1 unfolding
@@ -113,9 +124,12 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     Draws two random weight vectors over the third mode, forms the two slice
     mixtures, and reads the first-mode directions off the eigen-structure of
     their quotient in these bases; the second mode follows from the same
-    eigenbasis and the third mode and the weights from a least-squares solve
-    against the rank-1 terms.  Each factor row is normalized to sum 1, with
-    the absorbed scales accumulating into ``pi``.
+    eigenbasis.  The third mode and the weights follow from a least-squares
+    solve against the rank-1 terms in the ``r x r x k3`` core
+    ``T x1 U1^T x2 U2^T``, an ``r*r``-row system with the same solution as the
+    ``k1*k2``-row one, since the recovered first- and second-mode rows lie in
+    the spans of ``U1`` and ``U2``.  Each factor row is normalized to sum 1,
+    with the absorbed scales accumulating into ``pi``.
 
     Succeeds when the generating model has first and second factors of full
     row rank r and third factor of Kruskal rank at least 2.  A draw is
@@ -133,8 +147,9 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
         A mode-1 or mode-2 unfolding has numerical rank below r.
     IllConditionedError
         Every draw's slice mixture, projected onto the two bases, was
-        singular (``sigma_min <= 1e-12 * sigma_max``), so the eigenproblem
-        could not be formed although both unfoldings passed the rank rule.
+        singular (``sigma_min <= _SLICE_RANK_TOL * sigma_max``, with
+        ``_SLICE_RANK_TOL = 1e-12``), so the eigenproblem could not be formed
+        although both unfoldings passed the rank rule.
     DegenerateSpectrumError
         No draw got past colliding eigenvalue ratios, or a draw got as far
         as the residual but none met ``tol * T.max()``; the message then
@@ -176,6 +191,8 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     if rank_from_singular_values(s2, (k2, k1 * k3)) < r:
         raise RankDeficientError(f"mode-2 unfolding has rank below r={r}")
     U2 = U2[:, :r]
+    # the r x r x k3 core T x1 U1^T x2 U2^T, rows (p, q) with q fastest
+    core = (U2.T @ P2).reshape(r, r, k3).transpose(1, 0, 2).reshape(r * r, k3)
     T3 = T.transpose(2, 0, 1).reshape(k3, k1 * k2)
 
     resid_tol = tol * T.max()
@@ -185,7 +202,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     for attempt in range(MAX_RETRIES + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
-        stage, value, params = _weight_draw(T, U1, U2, T3, a, b, tol)
+        stage, value, params = _weight_draw(T, U1, U2, core, T3, a, b, tol)
         if stage == "residual":
             if value <= resid_tol:
                 pi, M1, M2, M3 = params
@@ -240,8 +257,11 @@ def _mode1_basis(T1: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return Q @ Ub[:, :r], s
 
 
-def _weight_draw(T, U1, U2, T3, a, b, tol: float):
+def _weight_draw(T, U1, U2, core, T3, a, b, tol: float):
     """One Jennrich draw with third-mode slice weights ``a`` and ``b``.
+
+    ``core`` is the ``r*r x k3`` core unfolding that the least-squares solve
+    for ``pi * M3`` reads; the residual is taken against the full ``T3``.
 
     Returns ``(stage, value, params)``.  ``stage`` is the furthest of
     :data:`_STAGES` the draw reached; ``value`` is the slice mixture's
@@ -256,8 +276,8 @@ def _weight_draw(T, U1, U2, T3, a, b, tol: float):
     Tb = U1.T @ np.einsum("uvw,w->uv", T, b) @ U2
 
     sv = np.linalg.svd(Tb, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
-        return "slice_rank", sv[-1] / max(sv[0], 1e-300), None
+    if sv[-1] <= _SLICE_RANK_TOL * max(sv[0], _SIGMA_FLOOR):
+        return "slice_rank", sv[-1] / max(sv[0], _SIGMA_FLOOR), None
 
     E = np.linalg.solve(Tb.T, Ta.T).T
     lam, V = np.linalg.eig(E)
@@ -271,19 +291,22 @@ def _weight_draw(T, U1, U2, T3, a, b, tol: float):
     V = V.real
     M1 = (U1 @ V).T
     sums1 = M1.sum(axis=1)
-    if np.abs(sums1).min() < 1e-12:
+    if np.abs(sums1).min() < _ROW_SUM_FLOOR:
         return "spectrum", np.nan, None
     M1 = M1 / sums1[:, None]
 
     W = np.linalg.solve(V, Tb)  # rows are scaled second-mode directions
     M2 = (U2 @ W.T).T
     sums2 = M2.sum(axis=1)
-    if np.abs(sums2).min() < 1e-12:
+    if np.abs(sums2).min() < _ROW_SUM_FLOOR:
         return "spectrum", np.nan, None
     M2 = M2 / sums2[:, None]
 
-    G = khatri_rao([M1, M2])
-    C = np.linalg.lstsq(G.T, T3.T, rcond=None)[0]
+    # C = pi * M3 in the core: the rows of M1 and M2 lie in span(U1) and
+    # span(U2), so projecting both sides of the k1*k2-row system onto
+    # U1 (x) U2 keeps its normal equations and leaves r*r rows
+    G = khatri_rao([M1 @ U1, M2 @ U2])
+    C = np.linalg.lstsq(G.T, core, rcond=None)[0]
     pi = C.sum(axis=1)
     if pi.min() < -tol:
         return "negative", np.nan, None

@@ -147,6 +147,17 @@ class TestRecovery:
         assert code == 0
         assert len(report["result"]["cuts"]) == 3
 
+    def test_nonparam_cuts_takes_no_tol(self, capsys, npm_file):
+        assert run(["nonparam-cuts", "--model", npm_file, "--tol", "1e-6"]) == 2
+        capsys.readouterr()
+        run(["nonparam-cuts", "--model", npm_file, "--json"])
+        assert capsys.readouterr().out == (
+            '{"command": "nonparam-cuts", "errors": [], "result": {"cuts": '
+            '{"variate_0": [[0.20985459127702055]], "variate_1": '
+            '[[0.008632586943080722]], "variate_2": [[0.10915733196013677]]}, '
+            '"p": 3, "r": 2}}\n'
+        )
+
     def test_nonparam_recover(self, capsys, npm_file):
         code, report = run_json(
             capsys, ["nonparam-recover", "--model", npm_file, "--tol", "1e-6"]

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from latentid import nonparametric
 from latentid.errors import (
@@ -28,9 +28,6 @@ from latentid.sampling import (
     trial_rng,
 )
 from latentid.tensor_core import numerical_rank, rank_from_singular_values
-
-#: hypothesis runs the same examples on every run, with no example database
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 def two_uniform_family():
@@ -312,7 +309,6 @@ def piecewise_cdfs(draw, max_knots=5):
 coordinates = st.one_of(st.floats(-20, 20), st.sampled_from([-np.inf, np.inf]))
 
 
-@PROPERTY
 @given(
     parts=st.lists(piecewise_cdfs(), min_size=1, max_size=3),
     data=st.data(),
@@ -327,7 +323,6 @@ def test_evaluate_grid_equals_scalar_evaluation(parts, data):
     assert comp.evaluate_grid(axes).tobytes() == expected.reshape([a.size for a in axes]).tobytes()
 
 
-@PROPERTY
 @given(
     family=st.lists(piecewise_cdfs(max_knots=6), min_size=1, max_size=6),
     mandatory=st.lists(st.floats(-1, 11), max_size=3),

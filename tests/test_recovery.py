@@ -1,8 +1,9 @@
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latentid import recovery
 from latentid.errors import (
@@ -20,12 +21,14 @@ from latentid.recovery import (
     decompose3,
     recover_latent_class,
 )
-from latentid.hmm import min_window, window_tensor
+from latentid.hmm import conditional_blocks, min_window, window_tensor
 from latentid.sampling import random_hmm, random_latent_class, trial_rng
-from latentid.tensor_core import numerical_rank, rank_from_singular_values, triple_product
-
-#: hypothesis runs the same examples on every run, with no example database
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+from latentid.tensor_core import (
+    khatri_rao,
+    numerical_rank,
+    rank_from_singular_values,
+    triple_product,
+)
 
 
 def reference_model():
@@ -61,6 +64,21 @@ def factored_shapes(monkeypatch, T, r: int) -> list[tuple[int, ...]]:
     decompose3(T, r, seed=0, tol=1e-6)
     monkeypatch.undo()
     return [sh for sh in shapes if sh[0] > r]
+
+
+def solved_shapes(monkeypatch, T, r: int) -> list[tuple[int, ...]]:
+    """Shapes of both operands of every least-squares solve in decompose3."""
+    shapes = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(a, b, *args, **kwargs):
+        shapes.extend([np.shape(a), np.shape(b)])
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    decompose3(T, r, seed=0, tol=1e-6)
+    monkeypatch.undo()
+    return shapes
 
 
 class TestDecompose3:
@@ -203,6 +221,17 @@ class TestDecompose3:
         T = window_tensor(model, min_window(8, 2))
         assert factored_shapes(monkeypatch, T, 8) == [(16, 256), (128, 16)]
 
+    def test_third_factor_solved_in_core(self, monkeypatch):
+        # the solve for pi * M3 has r*r rows, not k1*k2: not 16384 on the
+        # 128 x 128 x 2 window law, nor 729 on a 27 x 27 x 3 latent-class tensor
+        cases = [
+            (8, window_tensor(random_hmm(trial_rng(46, 0), 8, 2), min_window(8, 2))),
+            (3, joint_distribution(random_latent_class(trial_rng(47, 0), 3, (27, 27, 3)))),
+        ]
+        for r, T in cases:
+            shapes = solved_shapes(monkeypatch, T, r)
+            assert shapes and all(sh[0] <= r * r for sh in shapes), shapes
+
     @pytest.mark.parametrize(
         "kappas, expected",
         [((27, 27, 3), [(27, 81), (27, 9)]), ((729, 3, 3), [(729, 9)])],
@@ -344,7 +373,6 @@ def window_laws_above_sketch_gate(draw):
     return r, window_tensor(model, min_window(r, 2))
 
 
-@PROPERTY
 @given(case=st.one_of(tensors_above_sketch_gate(), window_laws_above_sketch_gate()))
 def test_sketch_matches_full_svd(case):
     r, T = case
@@ -360,6 +388,51 @@ def test_sketch_matches_full_svd(case):
     U_full = U_full[:, :r]
     sine = np.linalg.norm(U1 - U_full @ (U_full.T @ U1), 2)
     assert sine <= 1e-7
+
+
+@st.composite
+def latent_class_factors(draw):
+    """Rank-r latent-class tensors with the M1, M2 and C = pi * M3 that made them."""
+    r = draw(st.integers(2, 8))
+    k1, k2 = draw(st.integers(r, 4 * (r + 8) + 8)), draw(st.integers(r, 40))
+    k3 = draw(st.integers(2, 4))
+    m = random_latent_class(draw(st.integers(0, 2**32 - 1)), r, (k1, k2, k3))
+    M1, M2, M3 = m.emissions
+    return r, joint_distribution(m), M1, M2, m.pi[:, None] * M3
+
+
+@st.composite
+def window_law_factors(draw):
+    """r = 7, 8 binary HMM window laws with the M1, M2 and C = pi * M3 that made them."""
+    r = draw(st.sampled_from([7, 8]))
+    model = random_hmm(draw(st.integers(0, 2**32 - 1)), r, 2, max_attempts=5000)
+    k = min_window(r, 2)
+    blocks = conditional_blocks(model, k)
+    return r, window_tensor(model, k), blocks.B1, blocks.B2, model.pi[:, None] * model.B
+
+
+@given(case=st.one_of(latent_class_factors(), window_law_factors()))
+def test_core_least_squares_matches_full(case):
+    # the rows of M1 and M2 lie in span(U1) and span(U2), so solving for C in
+    # decompose3's r x r x k3 core gives the k1*k2-row solution
+    r, T, M1, M2, C = case
+    seen = []
+    weight_draw = recovery._weight_draw
+
+    def recording(T, U1, U2, core, *rest):
+        seen.append((U1, U2, core))
+        return weight_draw(T, U1, U2, core, *rest)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.suppress(LatentIdError):
+        mp.setattr(recovery, "_weight_draw", recording)
+        decompose3(T, r, seed=0)
+    assume(seen)  # refused on an unfolding's rank before any draw
+    U1, U2, core = seen[0]
+    T3 = T.transpose(2, 0, 1).reshape(T.shape[2], -1)
+    full = np.linalg.lstsq(khatri_rao([M1, M2]).T, T3.T, rcond=None)[0]
+    projected = np.linalg.lstsq(khatri_rao([M1 @ U1, M2 @ U2]).T, core, rcond=None)[0]
+    assert np.abs(projected - full).max() <= 1e-10 * np.abs(full).max()
+    assert np.abs(full - C).max() <= 1e-6 * np.abs(C).max()
 
 
 class TestAlignPermutation:
