@@ -5,6 +5,9 @@ check when parameters are identifiable, see a classical non-identifiable
 configuration, and recover parameters from an exact joint table.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from latentid import (
@@ -12,9 +15,11 @@ from latentid import (
     decompose3,
     joint_distribution,
     kruskal_certificate,
+    load_model,
     min_variables_bound,
     param_dimension,
     recover_latent_class,
+    save_model,
     tripartition_search,
 )
 from latentid.sampling import random_latent_class, trial_rng
@@ -27,6 +32,13 @@ cert = kruskal_certificate(model)
 print(f"Kruskal ranks of the three conditional matrices: {cert.kruskal_ranks}")
 print(f"rank sum {sum(cert.kruskal_ranks)} vs threshold 2r+2 = {cert.threshold}")
 print(f"identifiable up to label swapping: {cert.holds}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.json"
+    save_model(model, path)  # the file format `latentid certify-lc --model` reads
+    loaded = load_model(path)
+same = all(np.array_equal(a, b) for a, b in zip(loaded.emissions, model.emissions))
+print(f"saved as a JSON model file and read back unchanged: "
+      f"{same and np.array_equal(loaded.pi, model.pi)}")
 
 print()
 print("=" * 72)

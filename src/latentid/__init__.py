@@ -13,7 +13,6 @@ from .errors import (
     BadPartitionError,
     DegenerateSpectrumError,
     DimensionMismatchError,
-    DuplicateValuesError,
     EmptyInputError,
     GridExhaustedError,
     IllConditionedError,
@@ -41,7 +40,6 @@ from .tensor_core import (
     numerical_rank,
     triple_product,
     unclump,
-    vandermonde_witness,
 )
 from .latent_class import (
     Certificate,
@@ -57,7 +55,6 @@ from .recovery import (
     Alignment,
     RecoveredFactors,
     align_permutation,
-    canonicalize,
     decompose3,
     recover_latent_class,
 )
@@ -88,7 +85,6 @@ from .nonparametric import (
     CutPointSet,
     NonparametricMixture,
     binned_conditional_matrix,
-    binned_tensor3,
     bivariate_rank,
     recover_mixture,
     select_cut_points,

@@ -78,6 +78,9 @@ def _certificate_dict(cert: lc.Certificate) -> dict:
     if cert.witness is not None:
         out["witness_blocks"] = [list(b) for b in cert.witness.blocks]
         out["clumped_dims"] = list(cert.witness.clumped_dims)
+    out.update(
+        (key, list(v) if isinstance(v, tuple) else v) for key, v in cert.details.items()
+    )
     return out
 
 
@@ -210,16 +213,9 @@ def _cmd_hmm_recover(args) -> tuple[int, dict]:
 
 def _cmd_graph_certify(args) -> tuple[int, dict]:
     model = _load(args.model, rg.GraphMixtureModel, "graph-certify")
-    cert, shape, rank = rg._graph_certificate(model, args.m, args.tol)
+    cert = rg.graph_certificate(model, args.m, args.tol)
     result = _certificate_dict(cert)
-    result.update(
-        {
-            "m": args.m,
-            "nodes": args.m * args.m,
-            "group_matrix_shape": list(shape),
-            "group_matrix_rank": rank,
-        }
-    )
+    result.update({"m": args.m, "nodes": args.m * args.m})
     return (0 if cert.holds else 1), result
 
 
@@ -374,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
     rank_tol = (
-        "relative singular-value cutoff of each rank decision; the library's "
-        f"default is {RANK_TOL:g}"
+        "relative singular-value cutoff of each rank decision, the library's RANK_TOL"
     )
     gate = "residual gate of the decomposition, relative to the largest tensor entry"
 
@@ -391,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify-lc", help="Kruskal-rank certificate for a 3-variable model")
     common(sp, model=True, seed=False, tol=rank_tol)
+    sp.set_defaults(tol=RANK_TOL)
 
     sp = sub.add_parser("recover-lc", help="round-trip recovery of a latent-class model")
     sp.add_argument("--tripartition", help='blocks like "0,1|2,3|4" (0-based)')
@@ -404,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hmm-certify", help="window-block certificate for an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
     common(sp, model=True, seed=False, tol=rank_tol)
+    sp.set_defaults(tol=RANK_TOL)
 
     sp = sub.add_parser("hmm-recover", help="round-trip recovery of an HMM")
     sp.add_argument("--k", type=int, default=0, help="half-window (default: bound)")
@@ -417,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("graph-certify", help="rank certificate for a graph mixture")
     sp.add_argument("--m", type=int, default=4, help="group size (n = m^2 nodes)")
     common(sp, model=True, seed=False, tol=rank_tol)
+    sp.set_defaults(tol=RANK_TOL)
 
     sp = sub.add_parser("graph-extract", help="extraction round-trip for a graph mixture")
     sp.add_argument("--n", type=int, default=4, help="number of nodes to simulate")

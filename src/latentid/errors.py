@@ -47,10 +47,6 @@ class BadPartitionError(InputError):
     """Index blocks are not disjoint, nonempty and covering."""
 
 
-class DuplicateValuesError(InputError):
-    """Vandermonde node values are not pairwise distinct."""
-
-
 # ---------------------------------------------------------------------------
 # model construction
 

@@ -36,6 +36,7 @@ from .errors import (
 from .latent_class import Certificate, ENTRY_CAP
 from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
 from .tensor_core import (
+    POSITIVE_FLOOR,
     RANK_TOL,
     ROW_SUM_TOL,
     check_probability_vector,
@@ -71,7 +72,7 @@ def stationary_distribution(A) -> np.ndarray:
         )
     v = V[:, order[0]].real
     pi = v / v.sum()
-    if pi.min() <= 1e-12:
+    if pi.min() <= POSITIVE_FLOOR:
         raise NonUniqueStationaryError(
             "stationary distribution is not strictly positive"
         )

@@ -13,8 +13,9 @@ A model mixes r product distributions over p finite variables, the j-th with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from collections.abc import Sequence
+from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -114,7 +115,10 @@ class Certificate:
     embeddings require both blocks at full row rank, slightly more than the
     bare sum).  ``witness`` carries the best tripartition when one was
     searched for; the search is exact, so a certificate that does not hold
-    means no tripartition reaches the threshold.
+    means no tripartition reaches the threshold.  ``details`` is a read-only
+    mapping of further facts behind the decision, empty unless the operation
+    documents its keys (:func:`~latentid.random_graph.graph_certificate`
+    reports the shape and rank of its group matrix there).
     """
 
     holds: bool
@@ -122,6 +126,10 @@ class Certificate:
     threshold: int
     mode: str  # "exact-matrix" or "generic-dimension"
     witness: Tripartition | None = None
+    details: Mapping[str, object] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
 
     @property
     def exhaustive(self) -> bool:

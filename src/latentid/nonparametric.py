@@ -25,6 +25,7 @@ from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
     RANK_TOL,
+    ROW_SUM_TOL,
     check_probability_vector,
     numerical_rank,
     rank_from_singular_values,
@@ -69,20 +70,20 @@ class CdfComponent:
                 )
         if not np.all(np.isfinite(values)):
             raise ValueError("CDF values must be finite")
-        if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+        if values.min() < -ROW_SUM_TOL or values.max() > 1.0 + ROW_SUM_TOL:
             raise ValueError("CDF values must lie in [0, 1]")
         for c in range(values.ndim):
-            if np.diff(values, axis=c).min() < -1e-12:
+            if np.diff(values, axis=c).min() < -NEG_ENTRY_TOL:
                 raise NonMonotoneCdfError(
                     f"CDF table decreases along coordinate {c}"
                 )
             floor = np.moveaxis(values, c, 0)[0]
-            if np.abs(floor).max() > 1e-9:
+            if np.abs(floor).max() > ROW_SUM_TOL:
                 raise ValueError(
                     f"slice at the first knot of coordinate {c} must be 0 "
                     "(the table clamps to its endpoints)"
                 )
-        if abs(values.flat[-1] - 1.0) > 1e-9:
+        if abs(values.flat[-1] - 1.0) > ROW_SUM_TOL:
             raise ValueError("top corner of the CDF table must be 1")
         self.knots = knot_arrays
         self.values = values
@@ -390,24 +391,6 @@ def binned_conditional_matrix(
             )
         rows.append(np.maximum(mass, 0.0).ravel())
     return np.vstack(rows)
-
-
-def binned_tensor3(
-    mixture: NonparametricMixture,
-    variates: tuple[int, int, int],
-    cut_sets: Sequence,
-) -> np.ndarray:
-    """Exact joint probability tensor of three binned variates.
-
-    Entry ``(a, b, c)`` is the probability that the three variates fall in
-    their respective bins; this is everything an observer of the mixture can
-    know about the chosen binning.
-    """
-    mats = [
-        binned_conditional_matrix(mixture.variate(j), cuts)
-        for j, cuts in zip(variates, cut_sets)
-    ]
-    return triple_product(mixture.pi[:, None] * mats[0], mats[1], mats[2])
 
 
 def bivariate_rank(

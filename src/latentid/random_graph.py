@@ -179,35 +179,29 @@ def graph_certificate(
 ) -> Certificate:
     """Identifiability certificate for the n = m^2 node model.
 
-    Holds when (a) the lattice partitions give pairwise edge-disjoint
-    subgraphs, and (b) the single-group matrix has full row rank ``r^m``.  The
-    composite conditional matrix of each subgraph is the m-fold Kronecker
-    power of the single-group matrix, so its rank is ``rank(A)^m`` without
-    materializing anything; the reported ranks are these Kronecker-derived
-    values (equal to ``r^n`` and to the Kruskal rank exactly when full).
+    Holds when the single-group matrix ``A`` of :func:`conditional_graph_matrix`
+    has full row rank ``r^m``.  The other condition, that the three lattice
+    partitions give pairwise edge-disjoint subgraphs, holds by construction
+    for every m (see :func:`lattice_partitions`; ``TestLatticePartitions`` in
+    ``tests/test_random_graph.py`` checks it for every m this function
+    accepts), so it is not recomputed here.  The composite conditional matrix
+    of each subgraph is the m-fold Kronecker power of ``A``, so its rank is
+    ``rank(A)^m`` without materializing anything; the reported ranks are these
+    Kronecker-derived values (equal to ``r^n`` and to the Kruskal rank exactly
+    when full).  ``details`` holds ``group_matrix_shape`` and
+    ``group_matrix_rank``.  Raises ``ValueError`` for ``m < 2`` and
+    :class:`TooLargeError` when ``A`` exceeds the entry cap.
     """
-    return _graph_certificate(model, m, tol)[0]
-
-
-def _graph_certificate(
-    model: GraphMixtureModel, m: int, tol: float
-) -> tuple[Certificate, tuple[int, int], int]:
-    """:func:`graph_certificate`, with the shape and rank of its group matrix."""
-    partitions = lattice_partitions(m)
-    disjoint = partitions.pairwise_edge_disjoint()
     A = conditional_graph_matrix(model, m)
     rank_A = numerical_rank(A, tol)
-    r = model.r
-    n = m * m
     lifted = rank_A**m
-    full = r**n
-    cert = Certificate(
-        holds=disjoint and rank_A == r**m,
+    return Certificate(
+        holds=rank_A == model.r**m,
         kruskal_ranks=(lifted, lifted, lifted),
-        threshold=2 * full + 2,
+        threshold=2 * model.r ** (m * m) + 2,
         mode="exact-matrix",
+        details={"group_matrix_shape": A.shape, "group_matrix_rank": rank_A},
     )
-    return cert, A.shape, rank_A
 
 
 def single_edge_marginal(model: GraphMixtureModel, states, edge: tuple[int, int]) -> float:

@@ -42,7 +42,7 @@ from .tensor_core import (
     unclump,
 )
 
-#: relative residual gate of every recovery routine and the CLI's ``--tol`` default
+#: relative residual gate of every recovery routine and its CLI ``--tol`` default
 RECOVERY_TOL = 1e-8
 #: re-randomizations of the slice-mixture weights before giving up
 MAX_RETRIES = 20
@@ -395,20 +395,6 @@ def _as_params(obj) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         return obj.pi, obj.factors
     pi, factors = obj
     return np.asarray(pi, dtype=float), tuple(np.asarray(F, float) for F in factors)
-
-
-def canonicalize(pi, factors):
-    """Reorder classes by descending weight, ties by the first factor's rows.
-
-    Makes recovery output a pure function of the input tensor: two runs with
-    different seeds canonicalize to identical parameters (up to float noise).
-    """
-    pi = np.asarray(pi, dtype=float)
-    factors = [np.asarray(F, dtype=float) for F in factors]
-    order = sorted(
-        range(pi.size), key=lambda i: (-pi[i], tuple(factors[0][i]))
-    )
-    return pi[order], tuple(F[order] for F in factors)
 
 
 def recover_latent_class(

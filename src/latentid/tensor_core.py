@@ -1,7 +1,7 @@
 """Dense matrix and tensor primitives.
 
 Row-wise Khatri-Rao products, triple products, numerical and Kruskal rank,
-clumping / de-clumping index algebra and Vandermonde witness matrices.
+and clumping / de-clumping index algebra.
 
 Composite index convention
 --------------------------
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BadPartitionError,
     DimensionMismatchError,
-    DuplicateValuesError,
     EmptyInputError,
     MismatchedRowsError,
     NonFiniteEntriesError,
@@ -38,6 +37,8 @@ RANK_TOL = 1e-10
 ROW_SUM_TOL = 1e-9
 #: probability entries may undershoot zero by at most this
 NEG_ENTRY_TOL = 1e-12
+#: entries that must be strictly positive (class weights) must exceed this
+POSITIVE_FLOOR = 1e-12
 #: Kruskal-rank subset enumeration refuses matrices with more rows than this
 KRUSKAL_ROW_CAP = 20
 #: matrix entries per stacked SVD in :func:`kruskal_rank` (8 MB of float64)
@@ -78,7 +79,7 @@ def check_probability_vector(pi, name: str = "pi") -> np.ndarray:
         raise DimensionMismatchError(f"{name} must be a nonempty 1-D array")
     if not np.all(np.isfinite(pi)):
         raise NonFiniteEntriesError(f"{name} contains non-finite entries")
-    if pi.min() <= 1e-12:
+    if pi.min() <= POSITIVE_FLOOR:
         raise ValueError(f"{name} entries must be strictly positive")
     if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {pi.sum():.12g})")
@@ -303,27 +304,4 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
         int(np.prod([T.shape[j] for j in b])) for b in sorted_blocks
     )
     return T.transpose(flat).reshape(dims)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-
-def vandermonde_witness(r: int, col_values: Sequence[float]) -> np.ndarray:
-    """Vandermonde matrix with entry ``(i, j) = col_values[j] ** i``.
-
-    Node values must be distinct and positive; distinct primes make the
-    monomial products of row-wise Khatri-Rao powers pairwise distinct, which
-    is what rank witnesses are built from.
-    """
-    vals = np.asarray(col_values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise DimensionMismatchError("col_values must be a nonempty 1-D sequence")
-    if len(np.unique(vals)) != len(vals):
-        raise DuplicateValuesError(f"col_values must be distinct, got {col_values}")
-    if vals.min() <= 0:
-        raise ValueError("col_values must be positive")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    return np.vander(vals, N=r, increasing=True).T
 

@@ -6,7 +6,13 @@ import pytest
 from latentid import cli
 from latentid.cli import run
 from latentid.errors import InputError, LatentIdError
+from latentid.latent_class import LatentClassModel, kruskal_certificate
 from latentid.modelio import save_model
+from latentid.random_graph import (
+    GraphMixtureModel,
+    conditional_graph_matrix,
+    graph_certificate,
+)
 from latentid.sampling import (
     random_graph_mixture,
     random_hmm,
@@ -14,6 +20,7 @@ from latentid.sampling import (
     random_nonparametric_mixture,
     trial_rng,
 )
+from latentid.tensor_core import numerical_rank
 
 
 @pytest.fixture
@@ -114,6 +121,44 @@ class TestCertificates:
         assert report["result"]["group_matrix_rank"] == 16
         assert report["result"]["group_matrix_shape"] == [16, 64]
         assert len(builds) == 1  # built and ranked once per command
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_graph_certify_reports_the_group_matrix(self, capsys, tmp_path, m):
+        model = GraphMixtureModel(
+            pi=np.array([0.3, 0.7]), P=np.array([[0.2, 0.5], [0.5, 0.8]])
+        )
+        path = tmp_path / "graph.json"
+        save_model(model, path)
+        code, report = run_json(
+            capsys, ["graph-certify", "--model", str(path), "--m", str(m)]
+        )
+        result = report["result"]
+        A = conditional_graph_matrix(model, m)
+        assert result["group_matrix_shape"] == list(A.shape)
+        assert result["group_matrix_rank"] == numerical_rank(A)
+        cert = graph_certificate(model, m)
+        assert result["kruskal_ranks"] == list(cert.kruskal_ranks)
+        assert result["threshold"] == cert.threshold
+        assert result["holds"] is cert.holds
+        assert code == (0 if cert.holds else 1)
+
+    @pytest.mark.parametrize(
+        "eps, code, ranks", [(1e-8, 0, [3, 3, 3]), (1e-11, 1, [3, 3, 1])]
+    )
+    def test_certify_lc_uses_the_library_rank_cutoff(
+        self, capsys, tmp_path, eps, code, ranks
+    ):
+        # row 2 of the third emission moved towards row 0; at eps = 1e-8 its
+        # smallest singular value lies between RANK_TOL and RECOVERY_TOL
+        m = random_latent_class(trial_rng(3, 0), 3, (3, 3, 3))
+        M3 = m.emissions[2].copy()
+        M3[2] = (1 - eps) * M3[0] + eps * M3[2]
+        model = LatentClassModel(pi=m.pi, emissions=(*m.emissions[:2], M3))
+        path = tmp_path / "near.json"
+        save_model(model, path)
+        got, report = run_json(capsys, ["certify-lc", "--model", str(path)])
+        assert (got, report["result"]["kruskal_ranks"]) == (code, ranks)
+        assert list(kruskal_certificate(model).kruskal_ranks) == ranks
 
 
 class TestRecovery:
@@ -261,8 +306,6 @@ class TestReportContract:
     def test_singular_slice_mixtures_exit_1(self, capsys, tmp_path):
         # classes 0 and 1 with rows 1e-7 apart in M1 and M2: both unfoldings
         # pass the rank rule, but every slice mixture is singular
-        from latentid.latent_class import LatentClassModel
-
         m = random_latent_class(trial_rng(50, 2), 3, (4, 4, 4))
         M1, M2, M3 = (M.copy() for M in m.emissions)
         for M in (M1, M2):
@@ -306,8 +349,6 @@ class TestReportContract:
 
     def test_honest_negative_exits_1(self, capsys, tmp_path):
         # a latent-class model whose third variable cannot separate classes
-        from latentid.latent_class import LatentClassModel
-
         dup = np.array([[0.3, 0.7], [0.3, 0.7]])
         eye = np.eye(2)
         model = LatentClassModel(pi=np.array([0.5, 0.5]), emissions=(eye, eye, dup))

@@ -21,7 +21,7 @@ from latentid.hmm import (
     window_tensor,
 )
 from latentid.sampling import random_hmm, trial_rng
-from latentid.tensor_core import khatri_rao, numerical_rank, vandermonde_witness
+from latentid.tensor_core import khatri_rao, numerical_rank
 
 
 def path_joint(model, length):
@@ -238,7 +238,8 @@ class TestCertificate:
         # identity-chain witness with prime Vandermonde emission rows
         r, kappa = 3, 2
         assert min_window(r, kappa) == 2
-        B = vandermonde_witness(r, [2.0, 3.0])
+        vals = np.array([2.0, 3.0])
+        B = np.vander(vals, N=r, increasing=True).T
         B1 = np.eye(r) @ B  # k = 1 recursion collapses to B itself
         assert numerical_rank(B1) < r
         # and on a valid random model: kappa^k = 2 columns cannot carry rank 3

@@ -18,7 +18,7 @@ from latentid.latent_class import (
     param_dimension,
     tripartition_search,
 )
-from latentid.sampling import random_latent_class, random_stochastic, trial_rng
+from latentid.sampling import random_latent_class, trial_rng
 from latentid.tensor_core import khatri_rao, kruskal_rank
 
 

@@ -16,7 +16,6 @@ from latentid.nonparametric import (
     CutPointSet,
     NonparametricMixture,
     binned_conditional_matrix,
-    binned_tensor3,
     bivariate_rank,
     recover_mixture,
     select_cut_points,
@@ -511,14 +510,6 @@ class TestRecoverMixture:
         ]
         align = align_permutation((pi_hat, tables), (mix.pi, truth))
         assert align.max_abs_error <= 1e-5
-
-
-def test_binned_tensor_total_mass():
-    mix = reference_mixture()
-    cuts = [select_cut_points(mix.variate(j)) for j in range(3)]
-    T = binned_tensor3(mix, (0, 1, 2), cuts)
-    assert abs(T.sum() - 1.0) <= 1e-12
-    assert T.min() >= 0.0
 
 
 def test_query_not_among_cuts_is_refused():

@@ -22,7 +22,6 @@ from latentid.random_graph import (
     node_state_prior,
     single_edge_marginal,
 )
-from latentid.sampling import random_graph_mixture, trial_rng
 from latentid.tensor_core import numerical_rank
 
 
@@ -88,6 +87,11 @@ class TestConditionalGraphMatrix:
         assert np.allclose(A.sum(axis=1), 1.0)
 
 
+#: every group size graph_certificate accepts: a one-state model's group
+#: matrix has 2^C(m,2) entries, within ENTRY_CAP = 2^24 up to m = 7
+CERTIFIABLE_M = range(2, 8)
+
+
 class TestLatticePartitions:
     def test_m3_edge_counts_and_disjointness(self):
         fam = lattice_partitions(3)
@@ -95,7 +99,7 @@ class TestLatticePartitions:
         assert all(len(s) == 9 for s in sets)
         assert fam.pairwise_edge_disjoint()
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", CERTIFIABLE_M)
     def test_families_partition_and_cross_intersections(self, m):
         fam = lattice_partitions(m)
         nodes = set(range(m * m))
@@ -106,8 +110,10 @@ class TestLatticePartitions:
             for ga in fam.families[i]:
                 for gb in fam.families[j]:
                     assert len(ga & gb) == 1
+        # graph_certificate relies on this without recomputing it
+        assert fam.pairwise_edge_disjoint()
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", CERTIFIABLE_M)
     def test_edge_counts(self, m):
         fam = lattice_partitions(m)
         expected = m * math.comb(m, 2)
@@ -131,6 +137,20 @@ class TestGraphCertificate:
         cert = graph_certificate(model, 4)
         assert not cert.holds
         assert cert.kruskal_ranks == (1, 1, 1)
+
+    def test_group_size_range(self):
+        one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
+        assert graph_certificate(one_state, CERTIFIABLE_M[-1]).holds
+        with pytest.raises(TooLargeError):
+            graph_certificate(one_state, CERTIFIABLE_M[-1] + 1)
+        with pytest.raises(ValueError, match="^m must be at least 2$"):
+            graph_certificate(reference_model(), 1)
+
+    def test_details_report_the_group_matrix(self):
+        cert = graph_certificate(reference_model(), 4)
+        assert dict(cert.details) == {"group_matrix_shape": (16, 64), "group_matrix_rank": 16}
+        with pytest.raises(TypeError):
+            cert.details["group_matrix_rank"] = 0
 
     def test_kronecker_rank_identity(self):
         A = conditional_graph_matrix(reference_model(), 2)
