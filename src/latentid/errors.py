@@ -92,7 +92,9 @@ class NotStationaryError(LatentIdError):
 
 
 class IllConditionedError(LatentIdError):
-    """A linear solve required by recovery is rank deficient."""
+    """A matrix is too close to singular: a linear solve required by recovery
+    is rank deficient, or every random HMM draw fell below the sampler's
+    singular-value margin."""
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .tensor_core import (
 
 #: default threshold for a candidate cut to count as breaking a null vector
 CUT_TOL = 1e-9
+#: a query point is read at the cut within this distance of it
+_QUERY_MATCH_TOL = 1e-12
 
 
 class CdfComponent:
@@ -426,7 +428,8 @@ def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
     for c, cut in enumerate(cuts.cuts):
         pos = np.searchsorted(cut, points[:, c])
         index.append(np.minimum(pos, cut.size - 1))
-        missing.append((pos == cut.size) | (np.abs(cut[index[c]] - points[:, c]) > 1e-12))
+        off_cut = np.abs(cut[index[c]] - points[:, c]) > _QUERY_MATCH_TOL
+        missing.append((pos == cut.size) | off_cut)
     if np.any(missing):
         q, c = np.argwhere(np.array(missing).T)[0]
         raise ValueError(f"query point {float(points[q, c])} is not among the cuts")

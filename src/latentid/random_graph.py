@@ -36,6 +36,11 @@ from .tensor_core import RANK_TOL, check_probability_vector, khatri_rao, numeric
 
 #: relative tolerance for locating prior entries such as pi1^(n-1) * pi2
 PRIOR_MATCH_TOL = 1e-9
+#: absolute part of the ``np.allclose`` test that P equals its transpose
+_SYMMETRY_ATOL = 1e-12
+#: weights read off the extreme prior entries (n-th roots, which magnify
+#: rounding in the oracle's prior) must sum to 1 within this
+_WEIGHT_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class GraphMixtureModel:
         r = pi.size
         if P.shape != (r, r):
             raise DimensionMismatchError(f"P must be {r}x{r}, got {P.shape}")
-        if not np.allclose(P, P.T, atol=1e-12):
+        if not np.allclose(P, P.T, atol=_SYMMETRY_ATOL):
             raise ValueError("connection matrix P must be symmetric")
         if P.min() < 0.0 or P.max() > 1.0:
             raise ValueError("connection probabilities must lie in [0, 1]")
@@ -261,7 +266,7 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     if vmax - vmin > tol * vmax:
         pi1 = vmin ** (1.0 / n)
         pi2 = vmax ** (1.0 / n)
-        if abs(pi1 + pi2 - 1.0) > 1e-6:
+        if abs(pi1 + pi2 - 1.0) > _WEIGHT_SUM_TOL:
             raise InconsistentOracleError(
                 f"extreme prior entries give weights summing to {pi1 + pi2:.9f}"
             )

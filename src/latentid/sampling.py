@@ -14,7 +14,7 @@ from .hmm import HiddenMarkovModel, stationary_distribution
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
-from .errors import NonUniqueStationaryError
+from .errors import IllConditionedError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
 _HMM_SINGULAR_MARGIN = 0.05
@@ -56,24 +56,36 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 200) -> HiddenMarkov
     :data:`_HMM_SINGULAR_MARGIN` are rejected: identifiability is a generic
     (measure-zero exception) property, and samples next to the degenerate set
     are identifiable in theory but carry no recoverable precision in floating
-    point.
+    point.  When ``max_attempts`` draws are all rejected, the error names the
+    cause: :class:`IllConditionedError` when the margin rejected any of them,
+    else :class:`NonUniqueStationaryError`; the message counts each cause.
     """
     rng = np.random.default_rng(rng)
+    rejected = {"A": 0, "B": 0, "stationary": 0}
     for _ in range(max_attempts):
         A = random_stochastic(rng, r, r)
         B = random_stochastic(rng, r, kappa)
         if min(np.linalg.svd(A, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
+            rejected["A"] += 1
             continue
         if min(np.linalg.svd(B, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
+            rejected["B"] += 1
             continue
         try:
             stationary_distribution(A)
         except NonUniqueStationaryError:
+            rejected["stationary"] += 1
             continue
         return HiddenMarkovModel(A=A, B=B)
-    raise NonUniqueStationaryError(
-        f"no well-conditioned irreducible transition matrix in {max_attempts} draws"
+    message = (
+        f"no draw accepted in {max_attempts} attempts: {rejected['A']} with "
+        f"sigma_min(A) and {rejected['B']} with sigma_min(B) below "
+        f"{_HMM_SINGULAR_MARGIN}, {rejected['stationary']} with a non-simple "
+        f"unit eigenvalue"
     )
+    if rejected["A"] or rejected["B"]:
+        raise IllConditionedError(message)
+    raise NonUniqueStationaryError(message)
 
 
 def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:

@@ -17,6 +17,7 @@ All operations are pure; inputs are never mutated.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -41,8 +42,19 @@ NEG_ENTRY_TOL = 1e-12
 POSITIVE_FLOOR = 1e-12
 #: Kruskal-rank subset enumeration refuses matrices with more rows than this
 KRUSKAL_ROW_CAP = 20
-#: matrix entries per stacked SVD in :func:`kruskal_rank` (8 MB of float64)
+#: matrix entries per batch of row subsets in :func:`kruskal_rank` (8 MB of float64)
 _KRUSKAL_BATCH_ENTRIES = 1 << 20
+#: a square subset is accepted without an SVD when its determinant bound on
+#: ``sigma_n / sigma_1`` is at least this multiple of the screen's cutoff,
+#: ``max(tol, RANK_TOL) * n``.  An LU-computed ``|det|`` has relative error of
+#: order ``n * rho * eps * kappa`` (``rho`` the pivot growth, ``kappa`` the
+#: condition number).  An accepted subset has ``kappa <= 1 / (2 * cutoff)``,
+#: so for ``n < KRUSKAL_ROW_CAP`` that error stays below 0.3 even at the
+#: worst-case growth ``rho = 2**(n-1)``, and the true ratio is above ``1.5 *
+#: cutoff``.  The SVD's own error, about ``n * eps * sigma_1``, is far below
+#: the remaining ``0.5 * cutoff * sigma_1``, so the SVD rule, whose cutoff
+#: ``tol * n`` is at most the screen's, accepts every subset the bound accepts.
+_DET_SCREEN_MARGIN = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +190,39 @@ def numerical_rank(M, tol: float = RANK_TOL) -> int:
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
+def _certified_by_det(S: np.ndarray, tol: float) -> np.ndarray:
+    """Which square matrices in the stack ``S`` provably have rank ``n``.
+
+    Uses the lower bound ``sigma_n / sigma_1 >= |det S| * (n-1)**((n-1)/2) /
+    ||S||_F**n`` (Hong & Pan, Linear Algebra Appl. 172, 1992: AM-GM on
+    ``sigma_1 ... sigma_{n-1}``, then ``sigma_1 <= ||S||_F``), evaluated in
+    logarithms so that no determinant underflows.  A matrix is certified when
+    the bound reaches :data:`_DET_SCREEN_MARGIN` times the cutoff ``max(tol,
+    RANK_TOL) * n``; a singular, zero or overflowing one never is.  False
+    means undecided, not dependent.
+    """
+    n = S.shape[-1]
+    log_gain = 0.5 * (n - 1) * math.log(n - 1) if n > 1 else 0.0
+    log_floor = math.log(_DET_SCREEN_MARGIN * max(tol, RANK_TOL) * n)
+    fro2 = np.einsum("bij,bij->b", S, S)
+    # a subnormal or zero norm is raised to ``tiny``, which only lowers the bound
+    log_fro2 = np.log(np.maximum(fro2, np.finfo(float).tiny))
+    log_det = np.linalg.slogdet(S).logabsdet
+    return log_det + log_gain >= log_floor + 0.5 * n * log_fro2
+
+
 def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
-    Subsets are taken in :func:`itertools.combinations` order, a batch at a
-    time, and each batch is one stacked SVD.  A subset is dependent when
-    ``s[size-1] <= tol * s[0] * max(size, cols)``, which is
-    :func:`rank_from_singular_values` asking for rank ``size`` (a zero subset
-    included).  Returns at the end of the first batch holding a dependent
-    subset.
+    Subsets are taken in :func:`itertools.combinations` order, a batch of
+    bounded memory at a time.  A subset is dependent when ``s[size-1] <= tol *
+    s[0] * max(size, cols)``, which is :func:`rank_from_singular_values`
+    asking for rank ``size`` (a zero subset included).  When ``size == cols``
+    one stacked determinant first accepts the subsets that
+    :func:`_certified_by_det` proves independent, and only the rest go to one
+    stacked SVD; the decisions are the SVD rule's either way.  Rectangular
+    subsets all go to the SVD (a Gram determinant would square the condition
+    number).  Returns at the end of the first batch holding a dependent subset.
     """
     rows, cols = M.shape
     per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
@@ -196,7 +232,12 @@ def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
         idx = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.intp)
         if idx.size == 0:
             return True
-        s = np.linalg.svd(M[idx.reshape(-1, size)], compute_uv=False)
+        S = M[idx.reshape(-1, size)]
+        if size == cols:
+            S = S[~_certified_by_det(S, tol)]
+            if len(S) == 0:
+                continue
+        s = np.linalg.svd(S, compute_uv=False)
         if np.any(s[:, size - 1] <= tol * s[:, 0] * max(size, cols)):
             return False
 
@@ -215,8 +256,11 @@ def kruskal_rank(M, tol: float = RANK_TOL) -> int:
     ``sigma_1`` nor lowers the ratio ``sigma_s / sigma_1`` below the larger
     set's ``sigma_{s+1} / sigma_1``.  The Kruskal rank is where it turns.  The
     search tests ``s = rank`` first, where a generic matrix stops, and
-    otherwise bisects on ``[0, rank - 1]``.  Each size tested costs one stacked
-    SVD over its subsets (in batches of bounded memory), not one call each.
+    otherwise bisects on ``[0, rank - 1]``.  Each size is tested with stacked
+    calls over its subsets, not one call each (:func:`_subsets_independent`).
+    At ``s = rank = cols`` the subsets are square, and a determinant bound
+    accepts the clearly independent ones without an SVD, so a generic matrix
+    costs one SVD and one stacked determinant.
     """
     M = as_matrix(M)
     rows = M.shape[0]

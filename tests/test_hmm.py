@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from latentid import hmm
+from latentid import hmm, sampling
 from latentid.errors import (
+    IllConditionedError,
     NonUniqueStationaryError,
     NotStationaryError,
     TooLargeError,
@@ -100,6 +101,27 @@ class TestStationary:
         A = np.array([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(NonUniqueStationaryError):
             stationary_distribution(A)
+
+
+class TestRandomHmm:
+    def test_exhausted_margin_is_named(self):
+        # at r=10 nearly every uniform A has a singular value below the
+        # margin; the refusal names that cause and counts each one
+        with pytest.raises(IllConditionedError) as info:
+            random_hmm(trial_rng(0, 0), 10, 3, max_attempts=5)
+        assert str(info.value) == (
+            "no draw accepted in 5 attempts: 5 with sigma_min(A) and 0 with "
+            "sigma_min(B) below 0.05, 0 with a non-simple unit eigenvalue"
+        )
+
+    def test_exhausted_stationarity_is_named(self, monkeypatch):
+        def never_simple(A):
+            raise NonUniqueStationaryError("unit eigenvalue is not simple")
+
+        monkeypatch.setattr(sampling, "_HMM_SINGULAR_MARGIN", 0.0)
+        monkeypatch.setattr(sampling, "stationary_distribution", never_simple)
+        with pytest.raises(NonUniqueStationaryError, match="4 with a non-simple"):
+            random_hmm(trial_rng(0, 0), 3, 2, max_attempts=4)
 
 
 class TestTimeReversal:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,32 @@ def kruskal_test_matrices(count: int):
             eps = 10.0 ** -rng.uniform(2.0, 13.0)
             M[i] = (1.0 - eps) * M[j] + eps * M[i]
         yield kind, M
+
+
+def screen_test_matrices():
+    """Matrices whose square row subsets sit near the rank cutoff or at the
+    edges of floating point, where the determinant screen must defer to the
+    SVD rule: at 1e-120 a plain 4 x 4 determinant underflows, at 1e-160 so
+    does the squared Frobenius norm."""
+    rng = np.random.default_rng(12)
+    for eps in np.logspace(-16, -2, 29):
+        M = rng.uniform(size=(7, 4))
+        M[-1] = rng.uniform(size=3) @ M[:3] + eps * rng.standard_normal(4)
+        yield "combination", M
+        M = rng.uniform(size=(7, 4))
+        M[2] = M[5] * (1.0 + eps * rng.standard_normal(4))
+        yield "near-duplicate", M
+    for _ in range(10):
+        yield "row-scaled", rng.uniform(size=(7, 4)) * 10.0 ** rng.uniform(-8, 8, (7, 1))
+    for cols in (2, 3, 4):
+        M = rng.uniform(size=(cols + 3, cols))
+        M[:cols] = 0.0
+        yield "zero-rows", M
+    for scale in (1e-120, 1e-160, 1e120):
+        yield "scaled", rng.uniform(size=(7, 4)) * scale
+    M = rng.uniform(size=(6, 2))
+    M[[1, 4]] = 0.0
+    yield "zero-rows", M
 
 
 class TestKhatriRao:
@@ -223,24 +250,49 @@ class TestKruskalRank:
         assert len(searched) == 6
         assert below_rank >= 100
 
-    def test_generic_needs_two_svds(self, monkeypatch):
-        # 12 x 8: one SVD for the rank, one stacked over all 495 8-row
-        # subsets.  With a zero row, bisection tests sizes 8, 4, 2 and 1.
+    def test_square_subsets_screened_by_determinant(self, monkeypatch):
+        # 12 x 8: one SVD for the rank, then one stacked determinant over all
+        # 495 square 8-row subsets accepts every one.  With a zero row, the
+        # 330 subsets holding it go on to the SVD, and bisection tests the
+        # rectangular sizes 4, 2 and 1 with SVDs alone.
         M = random_stochastic(np.random.default_rng(5), 12, 8)
-        shapes = []
-        svd = np.linalg.svd
+        shapes, dets = [], []
+        svd, slogdet = np.linalg.svd, np.linalg.slogdet
 
         def counting_svd(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
+        def counting_slogdet(a):
+            dets.append(np.shape(a))
+            return slogdet(a)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
         assert kruskal_rank(M) == 8
-        assert shapes == [(12, 8), (495, 8, 8)]
+        assert shapes == [(12, 8)]
+        assert dets == [(495, 8, 8)]
         shapes.clear()
+        dets.clear()
         M[3] = 0.0
         assert kruskal_rank(M) == 0
-        assert shapes == [(12, 8), (495, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
+        assert shapes == [(12, 8), (330, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
+        assert dets == [(495, 8, 8)]
+
+    def test_screen_agrees_with_svd_rule(self):
+        # the determinant screen only ever accepts; near the cutoff, with
+        # zero subsets and where det underflows, answers are the SVD rule's
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, (kind, M) in enumerate(screen_test_matrices()):
+                expected = upward_kruskal_rank(M)
+                assert kruskal_rank(M) == expected, (t, kind)
+                if kind == "combination":
+                    outcomes.add(expected)
+        # the sweep crosses the cutoff: Kruskal rank 3 while the combined row
+        # lies within it of the span, 4 beyond
+        assert outcomes == {3, 4}
 
     def test_at_most_rank(self):
         rng = np.random.default_rng(3)
