@@ -423,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "nonparam-cuts",
         help="select full-rank cut points per variate",
-        description="Select full-rank cut points per variate, with the library's "
-        f"cut threshold CUT_TOL = {npx.CUT_TOL:g}; takes no --tol.",
+        description="Select full-rank cut points per variate: each cut is the knot "
+        "farthest from the span of the cuts before it, and a family whose farthest "
+        f"knot is within CUT_TOL = {npx.CUT_TOL:g} of that span is refused as "
+        "linearly dependent; takes no --tol.",
     )
     common(sp, model=True, seed=False)
 

@@ -118,10 +118,10 @@ class NotDistinctError(LatentIdError):
 
 
 class GridExhaustedError(LatentIdError):
-    """No candidate cut point reduces the left nullspace.
+    """No candidate cut point leaves the span of the current cuts.
 
-    Signals linear dependence of the component family over the span of the
-    candidate grid (either the family is dependent or the grid is too coarse).
+    Signals that the component family is linearly dependent: the farthest
+    candidate, and so every point, lies within ``CUT_TOL`` of that span.
     """
 
 

@@ -32,7 +32,7 @@ from .tensor_core import (
     triple_product,
 )
 
-#: default threshold for a candidate cut to count as breaking a null vector
+#: a candidate cut within this distance of the current column span adds no rank
 CUT_TOL = 1e-9
 #: a query point is read at the cut within this distance of it
 _QUERY_MATCH_TOL = 1e-12
@@ -257,41 +257,39 @@ def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
 
 
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
-    """Per-coordinate candidate values: pooled knots plus their midpoints."""
-    b = components[0].block_dim
-    out = []
-    for c in range(b):
-        pool = np.unique(np.concatenate([comp.knots[c] for comp in components]))
-        mids = (pool[:-1] + pool[1:]) / 2.0
-        out.append(np.unique(np.concatenate([pool, mids])))
-    return out
+    """Per-coordinate candidate values: the pooled knots of the components."""
+    return [
+        np.unique(np.concatenate([comp.knots[c] for comp in components]))
+        for c in range(components[0].block_dim)
+    ]
 
 
-def select_cut_points(
-    components: Sequence[CdfComponent],
-    mandatory=None,
-    grid: Sequence | None = None,
-    tol: float = CUT_TOL,
-) -> CutPointSet:
+def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> CutPointSet:
     """Choose cut points making the binned conditional matrix full row rank.
 
-    Greedy loop: while the matrix of CDF values at the current cuts (plus the
-    constant column from +inf) has a nontrivial left nullspace, pick a null
-    vector ``alpha`` and append the first grid candidate ``u`` (in the order
-    of the product of the grid axes) with ``|sum_i alpha_i F_i(u)| > tol``.
-    Terminates with numerical rank ``len(components)``; mandatory points are
-    inserted first and never removed.  Candidates already among the cuts
-    break no null vector and are skipped naturally.
+    Greedy column pivoting (Businger & Golub, Numer. Math. 1965): while the
+    matrix ``A`` of CDF values at the current cuts (plus the constant column
+    from +inf) has rank below ``r``, append the candidate ``u`` whose column
+    ``F(u) = (F_1(u), ..., F_r(u))`` lies farthest from the column span of
+    ``A``, that is, which maximises ``|N^T F(u)|`` for an orthonormal basis
+    ``N`` of the left nullspace.  The first maximum in the order of the
+    product of the grid axes wins.  Mandatory points are inserted first and
+    never removed.
 
-    Each component is evaluated once, on the sorted union per coordinate of
-    the grid, the mandatory coordinates and +inf; every step takes its value
-    matrix and the candidate values from those tables by index.  The sum is
-    accumulated component by component, so each decision, including those
-    within ``tol``, is the one a candidate-by-candidate scan would make.
+    The candidates are the pooled knots (:func:`default_grid`), and no other
+    point can do better.  Inside each cell of the pooled knot grid every CDF
+    is multilinear, so ``N^T F(u)`` is affine along each coordinate, its norm
+    is convex along each coordinate, and its maximum over the cell lies at a
+    corner; outside the knot range the CDFs take their values on its
+    boundary.  The maximum over the pooled knots is therefore the maximum
+    over all of ``R^b``.
 
-    Raises :class:`GridExhaustedError` when no candidate makes progress,
-    meaning the family is linearly dependent over the grid's span (or the
-    grid is too coarse).
+    Each component is evaluated once, on the pooled knots, the mandatory
+    coordinates and +inf; every step indexes its matrices from those tables.
+
+    Raises :class:`GridExhaustedError` when the farthest candidate is within
+    ``CUT_TOL`` of the span: the components are linearly dependent, to that
+    threshold, as functions on ``R^b``.
     """
     components = list(components)
     if not components:
@@ -300,15 +298,7 @@ def select_cut_points(
     if any(c.block_dim != b for c in components):
         raise DimensionMismatchError("components must share the block dimension")
     r = len(components)
-
-    if grid is None:
-        grid_axes = default_grid(components)
-    elif b == 1 and np.ndim(grid[0]) == 0:
-        grid_axes = [np.asarray(grid, dtype=float)]
-    else:
-        grid_axes = [np.asarray(g, dtype=float) for g in grid]
-    if len(grid_axes) != b or any(g.size == 0 for g in grid_axes):
-        raise DimensionMismatchError("grid must supply candidates for every coordinate")
+    grid_axes = default_grid(components)
 
     cut_lists: list[list[float]] = [[] for _ in range(b)]
 
@@ -336,21 +326,17 @@ def select_cut_points(
         columns = [np.searchsorted(ax, cl + [np.inf]) for ax, cl in zip(axes, cut_lists)]
         A = tables[np.ix_(classes, *columns)].reshape(r, -1)
         U, S, _ = np.linalg.svd(A)
-        if rank_from_singular_values(S, A.shape) == r:
+        rank = rank_from_singular_values(S, A.shape)
+        if rank == r:
             break
-        null_vector = U[:, -1]
-        # one add per class, in class order: a matrix product may round
-        # differently and move a decision that lies within tol
-        s = null_vector[0] * scan[0]
-        for a, row in zip(null_vector[1:], scan[1:]):
-            s = s + a * row
-        hits = np.flatnonzero(np.abs(s) > tol)
-        if hits.size == 0:
+        distance = np.linalg.norm(U[:, rank:].T @ scan, axis=0)
+        best = np.argmax(distance)
+        if distance[best] <= CUT_TOL:
             raise GridExhaustedError(
-                "no grid candidate reduces the nullspace: the component family "
-                "is linearly dependent over the grid's span"
+                "no candidate leaves the span of the current cuts: the component "
+                "family is linearly dependent"
             )
-        at = np.unravel_index(hits[0], [g.size for g in grid_axes])
+        at = np.unravel_index(best, [g.size for g in grid_axes])
         add_point([float(g[k]) for g, k in zip(grid_axes, at)])
     else:
         raise GridExhaustedError("cut selection failed to reach full rank")

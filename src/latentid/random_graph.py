@@ -36,7 +36,7 @@ from .tensor_core import RANK_TOL, check_probability_vector, khatri_rao, numeric
 
 #: relative tolerance for locating prior entries such as pi1^(n-1) * pi2
 PRIOR_MATCH_TOL = 1e-9
-#: absolute part of the ``np.allclose`` test that P equals its transpose
+#: largest entry of ``|P - P^T|`` accepted as a symmetric connection matrix
 _SYMMETRY_ATOL = 1e-12
 #: weights read off the extreme prior entries (n-th roots, which magnify
 #: rounding in the oracle's prior) must sum to 1 within this
@@ -56,7 +56,7 @@ class GraphMixtureModel:
         r = pi.size
         if P.shape != (r, r):
             raise DimensionMismatchError(f"P must be {r}x{r}, got {P.shape}")
-        if not np.allclose(P, P.T, atol=_SYMMETRY_ATOL):
+        if not np.abs(P - P.T).max() <= _SYMMETRY_ATOL:
             raise ValueError("connection matrix P must be symmetric")
         if P.min() < 0.0 or P.max() > 1.0:
             raise ValueError("connection probabilities must lie in [0, 1]")

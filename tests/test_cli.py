@@ -198,8 +198,8 @@ class TestRecovery:
         run(["nonparam-cuts", "--model", npm_file, "--json"])
         assert capsys.readouterr().out == (
             '{"command": "nonparam-cuts", "errors": [], "result": {"cuts": '
-            '{"variate_0": [[0.20985459127702055]], "variate_1": '
-            '[[0.008632586943080722]], "variate_2": [[0.10915733196013677]]}, '
+            '{"variate_0": [[0.768981644816454]], "variate_1": '
+            '[[0.2876512481531802]], "variate_2": [[0.7013314329729543]]}, '
             '"p": 3, "r": 2}}\n'
         )
 

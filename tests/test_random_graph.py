@@ -41,6 +41,14 @@ def hidden_oracle(model, n, perm):
     return oracle
 
 
+def test_connection_matrix_must_be_symmetric():
+    P = np.array([[0.5, 0.3], [0.3, 0.5]])
+    assert GraphMixtureModel(pi=np.array([0.4, 0.6]), P=P).P.tobytes() == P.tobytes()
+    # 2e-6 apart: within np.allclose's default rtol, far beyond the bound
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMixtureModel(pi=np.array([0.4, 0.6]), P=np.array([[0.5, 0.3], [0.300002, 0.5]]))
+
+
 class TestNodeStatePrior:
     def test_two_nodes(self):
         v = node_state_prior(np.array([0.3, 0.7]), 2)
