@@ -143,14 +143,10 @@ def _cmd_certify_lc(args) -> tuple[int, dict]:
 def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict:
     """Recover ``model`` from its exact joint table along ``blocks``, then align.
 
-    ``blocks=None`` puts one variable in each block when there are three, and
-    otherwise takes the witness of the tripartition search.
+    ``blocks=None`` takes the witness of the tripartition search.
     """
     if blocks is None:
-        if model.p == 3:
-            blocks = ((0,), (1,), (2,))
-        else:
-            blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
+        blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     T = lc.joint_distribution(model)
     pi_hat, emissions = recovery.recover_latent_class(
         T, model.r, blocks, seed=seed, tol=tol

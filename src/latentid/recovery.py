@@ -9,14 +9,15 @@ mode-2 basis and rank decision from the tensor projected onto the mode-1 basis
 Meerbergen, SIAM J. Sci. Comput. 2012).  When both sides of the mode-1
 unfolding are at least ``4 * (r + 8)``, its one SVD is of a randomized sketch
 of its range rather than of the unfolding itself (Halko, Martinsson & Tropp,
-SIAM Review 2011).  Once both bases are known, the third factor and the
-weights come from a least-squares solve in the ``r x r x k3`` Tucker core
-``T x1 U1^T x2 U2^T`` (Kolda & Bader, SIAM Review 2009) rather than against
-all ``k1 * k2`` entries of each third-mode slice.  It is non-iterative and
-exact up to floating point, but its preconditions (first two factors of full
-row rank, third of Kruskal rank at least 2) are strictly stronger than the
-Kruskal uniqueness condition; inputs in the gap raise an explicit error
-rather than being attempted.
+SIAM Review 2011).  Once both bases are known, everything but the final
+residual gate reads only the ``r x r x k3`` Tucker core ``T x1 U1^T x2 U2^T``
+(Kolda & Bader, SIAM Review 2009): the two slice mixtures, and a least-squares
+solve for the third factor and the weights that replaces one against all
+``k1 * k2`` entries of each third-mode slice.  It is non-iterative and exact
+up to floating point, but its preconditions (first two factors of full row
+rank, third of Kruskal rank at least 2) are strictly stronger than the Kruskal
+uniqueness condition; inputs in the gap raise an explicit error rather than
+being attempted.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .tensor_core import (
     clump_tensor,
     khatri_rao,
     rank_from_singular_values,
-    triple_product,
     unclump,
 )
 
@@ -51,9 +51,8 @@ EIGEN_GAP_TOL = 1e-7
 #: where a weight draw can stop, earliest first; a refusal is named after the
 #: furthest stage any draw reached
 _STAGES = ("slice_rank", "spectrum", "negative", "residual")
-#: a projected slice mixture is singular at sigma_min <= _SLICE_RANK_TOL * sigma_max
-_SLICE_RANK_TOL = 1e-12
-#: floor on sigma_max in the slice cutoff, so an all-zero mixture is singular
+#: floor on sigma_max in the reported sigma_min / sigma_max of a singular
+#: slice mixture, so an all-zero mixture reads 0 rather than 0/0
 _SIGMA_FLOOR = 1e-300
 #: a recovered first- or second-mode row summing below this in magnitude
 #: cannot be normalized, and the draw counts as a spectrum failure
@@ -122,14 +121,16 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     2011); its sketch comes from a fixed generator, never from ``seed``.
 
     Draws two random weight vectors over the third mode, forms the two slice
-    mixtures, and reads the first-mode directions off the eigen-structure of
-    their quotient in these bases; the second mode follows from the same
-    eigenbasis.  The third mode and the weights follow from a least-squares
-    solve against the rank-1 terms in the ``r x r x k3`` core
-    ``T x1 U1^T x2 U2^T``, an ``r*r``-row system with the same solution as the
+    mixtures from the ``r x r x k3`` core ``T x1 U1^T x2 U2^T`` (the full
+    tensor's slice mixtures projected onto the two bases), and reads the
+    first-mode directions off the eigen-structure of their quotient; the
+    second mode follows from the same eigenbasis.  The third mode and the
+    weights follow from a least-squares solve against the rank-1 terms in
+    the core, an ``r*r``-row system with the same solution as the
     ``k1*k2``-row one, since the recovered first- and second-mode rows lie in
     the spans of ``U1`` and ``U2``.  Each factor row is normalized to sum 1,
-    with the absorbed scales accumulating into ``pi``.
+    with the absorbed scales accumulating into ``pi``.  ``r = 1`` takes the
+    same path.
 
     Succeeds when the generating model has first and second factors of full
     row rank r and third factor of Kruskal rank at least 2.  A draw is
@@ -146,10 +147,10 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     RankDeficientError
         A mode-1 or mode-2 unfolding has numerical rank below r.
     IllConditionedError
-        Every draw's slice mixture, projected onto the two bases, was
-        singular (``sigma_min <= _SLICE_RANK_TOL * sigma_max``, with
-        ``_SLICE_RANK_TOL = 1e-12``), so the eigenproblem could not be formed
-        although both unfoldings passed the rank rule.
+        Every draw's slice mixture in the core had rank below r under
+        :func:`~latentid.tensor_core.rank_from_singular_values`, the rule
+        that judged both unfoldings, so the eigenproblem could not be formed
+        although both unfoldings passed it.
     DegenerateSpectrumError
         No draw got past colliding eigenvalue ratios, or a draw got as far
         as the residual but none met ``tol * T.max()``; the message then
@@ -168,16 +169,6 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
         raise RankDeficientError(
             f"first two dimensions {(k1, k2)} must both be at least r={r}"
         )
-
-    if r == 1:
-        m1 = T.sum(axis=(1, 2))[None, :]
-        m2 = T.sum(axis=(0, 2))[None, :]
-        m3 = T.sum(axis=(0, 1))[None, :]
-        total = T.sum()
-        factors = (m1 / total, m2 / total, m3 / total)
-        pi = np.array([total])
-        resid = float(np.abs(triple_product(pi[:, None] * factors[0], factors[1], factors[2]) - T).max())
-        return RecoveredFactors(pi=pi, factors=factors, residual=resid, retries_used=0)
 
     T1 = T.reshape(k1, k2 * k3)
     U1, s1 = _mode1_basis(T1, r)
@@ -202,7 +193,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     for attempt in range(MAX_RETRIES + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
-        stage, value, params = _weight_draw(T, U1, U2, core, T3, a, b, tol)
+        stage, value, params = _weight_draw(U1, U2, core, T3, a, b, tol)
         if stage == "residual":
             if value <= resid_tol:
                 pi, M1, M2, M3 = params
@@ -257,11 +248,14 @@ def _mode1_basis(T1: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return Q @ Ub[:, :r], s
 
 
-def _weight_draw(T, U1, U2, core, T3, a, b, tol: float):
+def _weight_draw(U1, U2, core, T3, a, b, tol: float):
     """One Jennrich draw with third-mode slice weights ``a`` and ``b``.
 
-    ``core`` is the ``r*r x k3`` core unfolding that the least-squares solve
-    for ``pi * M3`` reads; the residual is taken against the full ``T3``.
+    ``core`` is the ``r*r x k3`` core unfolding, rows ``(p, q)`` with ``q``
+    fastest, so ``(core @ a).reshape(r, r)`` is the slice mixture
+    ``U1.T @ einsum("uvw,w->uv", T, a) @ U2``.  Both slice mixtures and the
+    least-squares solve for ``pi * M3`` read it; only the residual is taken
+    against the full ``T3``.
 
     Returns ``(stage, value, params)``.  ``stage`` is the furthest of
     :data:`_STAGES` the draw reached; ``value`` is the slice mixture's
@@ -269,14 +263,12 @@ def _weight_draw(T, U1, U2, core, T3, a, b, tol: float):
     ``"residual"`` and NaN otherwise; ``params`` is ``(pi, M1, M2, M3)`` at
     ``"residual"`` and None otherwise.
     """
-    # einsum, not T @ a: the matmul sums in another order, which changes
-    # the recovered parameters at float level and can flip a tolerance
-    # decision near the conditioning frontier
-    Ta = U1.T @ np.einsum("uvw,w->uv", T, a) @ U2
-    Tb = U1.T @ np.einsum("uvw,w->uv", T, b) @ U2
+    r = U1.shape[1]
+    Ta = (core @ a).reshape(r, r)
+    Tb = (core @ b).reshape(r, r)
 
     sv = np.linalg.svd(Tb, compute_uv=False)
-    if sv[-1] <= _SLICE_RANK_TOL * max(sv[0], _SIGMA_FLOOR):
+    if rank_from_singular_values(sv, Tb.shape) < r:
         return "slice_rank", sv[-1] / max(sv[0], _SIGMA_FLOOR), None
 
     E = np.linalg.solve(Tb.T, Ta.T).T
@@ -285,7 +277,7 @@ def _weight_draw(T, U1, U2, core, T3, a, b, tol: float):
     if scale == 0.0 or np.abs(lam.imag).max() > EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
-    if gaps.min() < EIGEN_GAP_TOL * scale:
+    if np.min(gaps, initial=np.inf) < EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
 
     V = V.real

@@ -167,6 +167,24 @@ class TestRecovery:
         assert code == 0
         assert report["result"]["alignment_error"] <= 1e-8
 
+    def test_recover_lc_three_variables_small_first(self, capsys, tmp_path):
+        # kappa_0 = 2 < r = 3 keeps variable 0 out of the first two blocks,
+        # yet the Kruskal ranks 2 + 3 + 3 certify the model
+        model = random_latent_class(1, 3, (2, 4, 4))
+        assert kruskal_certificate(model).holds
+        path = tmp_path / "lc.json"
+        save_model(model, path)
+        code, report = run_json(capsys, ["recover-lc", "--model", str(path)])
+        assert code == 0
+        assert report["result"]["blocks"] == [[1], [2], [0]]
+        assert report["result"]["alignment_error"] <= 1e-8
+        code, report = run_json(
+            capsys,
+            ["simulate", "--family", "latent-class", "--r", "3",
+             "--kappas", "2,4,4", "--trials", "3"],
+        )
+        assert code == 0
+
     def test_recover_lc_with_tripartition(self, capsys, lc5_file):
         code, report = run_json(
             capsys,
@@ -233,7 +251,7 @@ class TestSimulate:
 
     def test_three_variable_trials_share_recover_lc(self, capsys, monkeypatch):
         # simulate and recover-lc run one round trip: a three-variable trial
-        # recovers through recover_latent_class, one variable per block
+        # recovers through recover_latent_class along the search's witness
         calls = []
         recover = cli.recovery.recover_latent_class
 
@@ -248,7 +266,7 @@ class TestSimulate:
              "--kappas", "3,4,5", "--trials", "2"],
         )
         assert code == 0
-        assert calls == [((3, 4, 5), ((0,), (1,), (2,)))] * 2
+        assert calls == [((3, 4, 5), ((2,), (1,), (0,)))] * 2
 
     def test_graph_trials_both_branches(self, capsys):
         code, report = run_json(

@@ -415,9 +415,9 @@ def test_core_least_squares_matches_full(case):
     seen = []
     weight_draw = recovery._weight_draw
 
-    def recording(T, U1, U2, core, *rest):
+    def recording(U1, U2, core, *rest):
         seen.append((U1, U2, core))
-        return weight_draw(T, U1, U2, core, *rest)
+        return weight_draw(U1, U2, core, *rest)
 
     with pytest.MonkeyPatch.context() as mp, contextlib.suppress(LatentIdError):
         mp.setattr(recovery, "_weight_draw", recording)
@@ -429,6 +429,34 @@ def test_core_least_squares_matches_full(case):
     projected = np.linalg.lstsq(khatri_rao([M1 @ U1, M2 @ U2]).T, core, rcond=None)[0]
     assert np.abs(projected - full).max() <= 1e-10 * np.abs(full).max()
     assert np.abs(full - C).max() <= 1e-6 * np.abs(C).max()
+    # the core's rows are (p, q) with q fastest, so its third-mode mixtures
+    # are the full tensor's slice mixtures projected onto U1 and U2
+    a = np.linspace(-1.0, 1.0, T.shape[2])
+    sliced = U1.T @ np.einsum("uvw,w->uv", T, a) @ U2
+    assert np.abs((core @ a).reshape(r, r) - sliced).max() <= 1e-12 * np.abs(sliced).max()
+
+
+@st.composite
+def small_latent_class_models(draw):
+    """Latent-class models with r in 1-6, k1, k2 in [max(r, 2), r + 5], k3 in 2-4."""
+    r = draw(st.integers(1, 6))
+    k1, k2 = draw(st.integers(max(r, 2), r + 5)), draw(st.integers(max(r, 2), r + 5))
+    k3 = draw(st.integers(2, 4))
+    return r, random_latent_class(draw(st.integers(0, 2**32 - 1)), r, (k1, k2, k3))
+
+
+@given(case=small_latent_class_models())
+def test_decompose3_exact_seed_free_and_mode_symmetric(case):
+    # up to a class relabeling: the model's parameters, the same answer from
+    # another seed, and factors 0 and 1 swapped when modes 1 and 2 are
+    r, m = case
+    T = joint_distribution(m)
+    rec = decompose3(T, r, seed=0)
+    assert align_permutation(rec, (m.pi, list(m.emissions))).max_abs_error <= 1e-8
+    assert align_permutation(decompose3(T, r, seed=1), rec).max_abs_error <= 1e-8
+    swapped = decompose3(T.transpose(1, 0, 2), r, seed=0)
+    M2, M1, M3 = swapped.factors
+    assert align_permutation((swapped.pi, (M1, M2, M3)), rec).max_abs_error <= 1e-8
 
 
 class TestAlignPermutation:
