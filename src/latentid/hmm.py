@@ -37,7 +37,6 @@ from .latent_class import Certificate, ENTRY_CAP
 from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
 from .tensor_core import (
     POSITIVE_FLOOR,
-    RANK_TOL,
     ROW_SUM_TOL,
     check_probability_vector,
     check_stochastic,
@@ -192,7 +191,7 @@ def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
     )
 
 
-def hmm_certificate(model: HiddenMarkovModel, k: int, tol: float = RANK_TOL) -> Certificate:
+def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
     """Identifiability certificate for the window embedding at half-window k.
 
     Holds when both window blocks have full row rank r and the emission matrix
@@ -203,9 +202,9 @@ def hmm_certificate(model: HiddenMarkovModel, k: int, tol: float = RANK_TOL) -> 
     """
     blocks = conditional_blocks(model, k)
     r = model.r
-    i1 = kruskal_rank(blocks.B1, tol)
-    i2 = kruskal_rank(blocks.B2, tol)
-    i3 = kruskal_rank(model.B, tol)
+    i1 = kruskal_rank(blocks.B1)
+    i2 = kruskal_rank(blocks.B2)
+    i3 = kruskal_rank(model.B)
     # kruskal_rank returns the row count exactly when the rank is full
     holds = i1 == r and i2 == r and i3 >= 2
     return Certificate(

@@ -26,7 +26,6 @@ from .errors import (
     TooLargeError,
 )
 from .tensor_core import (
-    RANK_TOL,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
@@ -159,7 +158,7 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     return flat.reshape(model.kappas)
 
 
-def kruskal_certificate(model: LatentClassModel, tol: float = RANK_TOL) -> Certificate:
+def kruskal_certificate(model: LatentClassModel) -> Certificate:
     """Exact-matrix certificate for a three-variable model.
 
     Computes the Kruskal rank of each conditional matrix; the parameters are
@@ -168,7 +167,7 @@ def kruskal_certificate(model: LatentClassModel, tol: float = RANK_TOL) -> Certi
     """
     if model.p != 3:
         raise NotThreeVariablesError(f"model has p={model.p} variables, need exactly 3")
-    ranks = tuple(kruskal_rank(M, tol) for M in model.emissions)
+    ranks = tuple(kruskal_rank(M) for M in model.emissions)
     threshold = 2 * model.r + 2
     return Certificate(
         holds=sum(ranks) >= threshold,

@@ -99,9 +99,12 @@ def model_from_dict(obj: dict) -> Model:
             raise ValueError(f"declared kappa={obj['kappa']} but B is {model.B.shape}")
         return model
     if kind == "graph_mixture":
-        return GraphMixtureModel(
+        model = GraphMixtureModel(
             pi=np.asarray(obj["pi"], dtype=float), P=np.asarray(obj["P"], dtype=float)
         )
+        if "r" in obj and model.r != obj["r"]:
+            raise ValueError(f"declared r={obj['r']} but pi has length {model.r}")
+        return model
     if kind == "nonparametric":
         rows = tuple(
             tuple(
@@ -110,6 +113,10 @@ def model_from_dict(obj: dict) -> Model:
             for row in obj["components"]
         )
         model = NonparametricMixture(pi=np.asarray(obj["pi"], dtype=float), components=rows)
+        if "r" in obj and model.r != obj["r"]:
+            raise ValueError(f"declared r={obj['r']} but pi has length {model.r}")
+        if "p" in obj and model.p != obj["p"]:
+            raise ValueError(f"declared p={obj['p']} but components cover {model.p} variates")
         if "block_dims" in obj and list(model.block_dims) != list(obj["block_dims"]):
             raise ValueError("declared block_dims do not match the component tables")
         return model

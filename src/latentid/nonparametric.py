@@ -24,7 +24,6 @@ from .errors import (
 from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
-    RANK_TOL,
     ROW_SUM_TOL,
     check_probability_vector,
     numerical_rank,
@@ -387,7 +386,6 @@ def bivariate_rank(
     j2: int,
     cuts1,
     cuts2,
-    tol: float = RANK_TOL,
 ) -> int:
     """Rank of the binned bivariate distribution of variates j1 and j2.
 
@@ -401,7 +399,7 @@ def bivariate_rank(
     if mixture.r > min(M1.shape[1], M2.shape[1]):
         raise ValueError("need at least r bins on both variates")
     N = M1.T @ (mixture.pi[:, None] * M2)
-    return numerical_rank(N, tol)
+    return numerical_rank(N)
 
 
 def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:

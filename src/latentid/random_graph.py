@@ -32,7 +32,7 @@ from .errors import (
     TooLargeError,
 )
 from .latent_class import Certificate, ENTRY_CAP
-from .tensor_core import RANK_TOL, check_probability_vector, khatri_rao, numerical_rank
+from .tensor_core import check_probability_vector, khatri_rao, numerical_rank
 
 #: relative tolerance for locating prior entries such as pi1^(n-1) * pi2
 PRIOR_MATCH_TOL = 1e-9
@@ -68,11 +68,6 @@ class GraphMixtureModel:
     @property
     def r(self) -> int:
         return self.pi.size
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Non-connection probabilities ``1 - P``."""
-        return 1.0 - self.P
 
 
 def edge_list(m: int) -> list[tuple[int, int]]:
@@ -179,9 +174,7 @@ def lattice_partitions(m: int) -> PartitionFamily:
     return PartitionFamily(m=m, families=(rows, cols, diags))
 
 
-def graph_certificate(
-    model: GraphMixtureModel, m: int, tol: float = RANK_TOL
-) -> Certificate:
+def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     """Identifiability certificate for the n = m^2 node model.
 
     Holds when the single-group matrix ``A`` of :func:`conditional_graph_matrix`
@@ -198,7 +191,7 @@ def graph_certificate(
     :class:`TooLargeError` when ``A`` exceeds the entry cap.
     """
     A = conditional_graph_matrix(model, m)
-    rank_A = numerical_rank(A, tol)
+    rank_A = numerical_rank(A)
     lifted = rank_A**m
     return Certificate(
         holds=rank_A == model.r**m,
@@ -277,11 +270,12 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
         row_all1, row_all2 = int(low[0]), int(high[0])
         p11 = float(row_oracle(row_all1, edges[0]))
         p22 = float(row_oracle(row_all2, edges[0]))
-        for probe in (edges[-1],):
-            if abs(float(row_oracle(row_all1, probe)) - p11) > tol:
-                raise InconsistentOracleError("uniform row gave conflicting edge values")
-            if abs(float(row_oracle(row_all2, probe)) - p22) > tol:
-                raise InconsistentOracleError("uniform row gave conflicting edge values")
+        probe = edges[-1]
+        if (
+            abs(float(row_oracle(row_all1, probe)) - p11) > tol
+            or abs(float(row_oracle(row_all2, probe)) - p22) > tol
+        ):
+            raise InconsistentOracleError("uniform row gave conflicting edge values")
         target = pi1 ** (n - 1) * pi2
         deviant_rows = np.flatnonzero(np.abs(v - target) <= tol * target)
         if deviant_rows.size == 0:

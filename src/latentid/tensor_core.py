@@ -45,15 +45,15 @@ KRUSKAL_ROW_CAP = 20
 #: matrix entries per batch of row subsets in :func:`kruskal_rank` (8 MB of float64)
 _KRUSKAL_BATCH_ENTRIES = 1 << 20
 #: a square subset is accepted without an SVD when its determinant bound on
-#: ``sigma_n / sigma_1`` is at least this multiple of the screen's cutoff,
-#: ``max(tol, RANK_TOL) * n``.  An LU-computed ``|det|`` has relative error of
+#: ``sigma_n / sigma_1`` is at least this multiple of the rank rule's cutoff,
+#: ``RANK_TOL * n``.  An LU-computed ``|det|`` has relative error of
 #: order ``n * rho * eps * kappa`` (``rho`` the pivot growth, ``kappa`` the
 #: condition number).  An accepted subset has ``kappa <= 1 / (2 * cutoff)``,
 #: so for ``n < KRUSKAL_ROW_CAP`` that error stays below 0.3 even at the
 #: worst-case growth ``rho = 2**(n-1)``, and the true ratio is above ``1.5 *
 #: cutoff``.  The SVD's own error, about ``n * eps * sigma_1``, is far below
-#: the remaining ``0.5 * cutoff * sigma_1``, so the SVD rule, whose cutoff
-#: ``tol * n`` is at most the screen's, accepts every subset the bound accepts.
+#: the remaining ``0.5 * cutoff * sigma_1``, so the SVD rule accepts every
+#: subset the bound accepts.
 _DET_SCREEN_MARGIN = 2.0
 
 
@@ -167,43 +167,44 @@ def triple_product(M1, M2, M3) -> np.ndarray:
 # rank
 
 
-def rank_from_singular_values(s: np.ndarray, shape, tol: float = RANK_TOL) -> int:
+def rank_from_singular_values(s: np.ndarray, shape) -> int | np.ndarray:
     """Rank decision on the singular values ``s`` (descending) of a matrix.
 
-    Counts the values above ``tol * s[0] * max(shape)``; 0 when ``s[0]`` is 0.
-    This is the one rank rule: :func:`numerical_rank` applies it to a fresh
-    SVD, and callers that also need the singular vectors apply it to theirs.
+    Counts the values above ``RANK_TOL * s[0] * max(shape)``, so a zero
+    matrix has rank 0.  ``s`` may be a stack, one row of singular values per
+    matrix of ``shape``, and then one rank per matrix is returned; a single
+    matrix gets a Python ``int``.  This is the one rank rule:
+    :func:`numerical_rank` applies it to a fresh SVD, :func:`kruskal_rank` to
+    stacked subsets, and callers that also need the singular vectors apply it
+    to theirs.
     """
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(shape)))
+    rank = (s > RANK_TOL * s[..., :1] * max(shape)).sum(-1)
+    return rank if rank.ndim else int(rank)
 
 
-def numerical_rank(M, tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``tol * sigma_1 * max(rows, cols)``.
+def numerical_rank(M) -> int:
+    """Number of singular values above ``RANK_TOL * sigma_1 * max(rows, cols)``.
 
     Returns 0 for the zero matrix.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     M = as_matrix(M)
-    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def _certified_by_det(S: np.ndarray, tol: float) -> np.ndarray:
+def _certified_by_det(S: np.ndarray) -> np.ndarray:
     """Which square matrices in the stack ``S`` provably have rank ``n``.
 
     Uses the lower bound ``sigma_n / sigma_1 >= |det S| * (n-1)**((n-1)/2) /
     ||S||_F**n`` (Hong & Pan, Linear Algebra Appl. 172, 1992: AM-GM on
     ``sigma_1 ... sigma_{n-1}``, then ``sigma_1 <= ||S||_F``), evaluated in
     logarithms so that no determinant underflows.  A matrix is certified when
-    the bound reaches :data:`_DET_SCREEN_MARGIN` times the cutoff ``max(tol,
-    RANK_TOL) * n``; a singular, zero or overflowing one never is.  False
+    the bound reaches :data:`_DET_SCREEN_MARGIN` times the rank rule's cutoff
+    ``RANK_TOL * n``; a singular, zero or overflowing one never is.  False
     means undecided, not dependent.
     """
     n = S.shape[-1]
     log_gain = 0.5 * (n - 1) * math.log(n - 1) if n > 1 else 0.0
-    log_floor = math.log(_DET_SCREEN_MARGIN * max(tol, RANK_TOL) * n)
+    log_floor = math.log(_DET_SCREEN_MARGIN * RANK_TOL * n)
     fro2 = np.einsum("bij,bij->b", S, S)
     # a subnormal or zero norm is raised to ``tiny``, which only lowers the bound
     log_fro2 = np.log(np.maximum(fro2, np.finfo(float).tiny))
@@ -211,18 +212,18 @@ def _certified_by_det(S: np.ndarray, tol: float) -> np.ndarray:
     return log_det + log_gain >= log_floor + 0.5 * n * log_fro2
 
 
-def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
+def _subsets_independent(M: np.ndarray, size: int) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
     Subsets are taken in :func:`itertools.combinations` order, a batch of
-    bounded memory at a time.  A subset is dependent when ``s[size-1] <= tol *
-    s[0] * max(size, cols)``, which is :func:`rank_from_singular_values`
-    asking for rank ``size`` (a zero subset included).  When ``size == cols``
-    one stacked determinant first accepts the subsets that
-    :func:`_certified_by_det` proves independent, and only the rest go to one
-    stacked SVD; the decisions are the SVD rule's either way.  Rectangular
-    subsets all go to the SVD (a Gram determinant would square the condition
-    number).  Returns at the end of the first batch holding a dependent subset.
+    bounded memory at a time, and judged by
+    :func:`rank_from_singular_values` on one stacked SVD (a zero subset
+    included).  When ``size == cols`` one stacked determinant first accepts
+    the subsets that :func:`_certified_by_det` proves independent, and only
+    the rest go to the SVD; the decisions are the SVD rule's either way.
+    Rectangular subsets all go to the SVD (a Gram determinant would square
+    the condition number).  Returns at the end of the first batch holding a
+    dependent subset.
     """
     rows, cols = M.shape
     per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
@@ -234,15 +235,15 @@ def _subsets_independent(M: np.ndarray, size: int, tol: float) -> bool:
             return True
         S = M[idx.reshape(-1, size)]
         if size == cols:
-            S = S[~_certified_by_det(S, tol)]
+            S = S[~_certified_by_det(S)]
             if len(S) == 0:
                 continue
         s = np.linalg.svd(S, compute_uv=False)
-        if np.any(s[:, size - 1] <= tol * s[:, 0] * max(size, cols)):
+        if np.any(rank_from_singular_values(s, (size, cols)) < size):
             return False
 
 
-def kruskal_rank(M, tol: float = RANK_TOL) -> int:
+def kruskal_rank(M) -> int:
     """Largest ``I`` such that every set of ``I`` rows is linearly independent.
 
     Always at most the ordinary rank.  A matrix of full row rank has Kruskal
@@ -264,20 +265,20 @@ def kruskal_rank(M, tol: float = RANK_TOL) -> int:
     """
     M = as_matrix(M)
     rows = M.shape[0]
-    rank = numerical_rank(M, tol)
+    rank = numerical_rank(M)
     if rank == rows:
         return rows
     if rows > KRUSKAL_ROW_CAP:
         raise TooManyRowsError(
             f"subset enumeration over {rows} rows exceeds the cap of {KRUSKAL_ROW_CAP}"
         )
-    if rank == 0 or _subsets_independent(M, rank, tol):
+    if rank == 0 or _subsets_independent(M, rank):
         return rank
     # every lo-row subset is independent, some hi-row subset is not
     lo, hi = 0, rank
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _subsets_independent(M, mid, tol):
+        if _subsets_independent(M, mid):
             lo = mid
         else:
             hi = mid

@@ -160,6 +160,18 @@ class TestCertificates:
         assert (got, report["result"]["kruskal_ranks"]) == (code, ranks)
         assert list(kruskal_certificate(model).kruskal_ranks) == ranks
 
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [("certify-lc", "lc3_file"), ("hmm-certify", "hmm_file"),
+         ("graph-certify", "graph_file")],
+    )
+    def test_certificate_commands_take_no_tol(self, capsys, request, command, fixture):
+        # every rank decision uses the library's fixed RANK_TOL
+        path = request.getfixturevalue(fixture)
+        assert run([command, "--model", path, "--tol", "1e-8"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run([command, "--model", path]) == 0
+
 
 class TestRecovery:
     def test_recover_lc_three_variables(self, capsys, lc3_file):
@@ -268,6 +280,17 @@ class TestSimulate:
         assert code == 0
         assert calls == [((3, 4, 5), ((2,), (1,), (0,)))] * 2
 
+    def test_no_answered_trial_reports_null_error(self, capsys):
+        # r = 3 classes cannot be recovered from three binary variables
+        code, report = run_json(
+            capsys,
+            ["simulate", "--family", "latent-class", "--r", "3",
+             "--kappas", "2,2,2", "--trials", "2"],
+        )
+        assert code == 1
+        assert report["result"]["failures"] == 2
+        assert report["result"]["max_error"] is None
+
     def test_graph_trials_both_branches(self, capsys):
         code, report = run_json(
             capsys,
@@ -303,6 +326,16 @@ class TestReportContract:
 
     def test_missing_file_exits_2(self, capsys):
         assert run(["certify-lc", "--model", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("text", ["{not json", '{"type": "hmm"}'])
+    def test_malformed_model_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for command in ("certify-lc", "hmm-certify", "hmm-recover"):
+            assert run([command, "--model", str(path), "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
 
     def test_wrong_model_type_exits_2(self, capsys, hmm_file, lc3_file):
         expected = [

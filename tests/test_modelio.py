@@ -70,6 +70,34 @@ def test_declared_shape_mismatch_rejected():
         model_from_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "family, key, declared",
+    [
+        ("latent_class", "r", 3),
+        ("latent_class", "kappas", [2, 2, 3]),
+        ("hmm", "r", 4),
+        ("hmm", "kappa", 3),
+        ("graph_mixture", "r", 3),
+        ("nonparametric", "r", 5),
+        ("nonparametric", "p", 9),
+    ],
+)
+def test_every_declared_header_field_is_checked(family, key, declared):
+    rng = trial_rng(60, 5)
+    model = {
+        "latent_class": lambda: random_latent_class(rng, 2, (2, 2, 2)),
+        "hmm": lambda: random_hmm(rng, 3, 2),
+        "graph_mixture": lambda: random_graph_mixture(rng),
+        "nonparametric": lambda: random_nonparametric_mixture(rng, 3, 3),
+    }[family]()
+    obj = model_to_dict(model)
+    assert obj["type"] == family
+    assert type(model_from_dict(obj)) is type(model)
+    obj[key] = declared
+    with pytest.raises(ValueError, match="declared"):
+        model_from_dict(obj)
+
+
 def test_unknown_type_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"type": "mystery"})

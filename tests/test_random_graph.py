@@ -249,6 +249,22 @@ class TestExtractParameters:
         with pytest.raises((InconsistentOracleError, NotDistinctError)):
             extract_parameters(v_perm, flaky, n)
 
+    @pytest.mark.parametrize("bad_call", [0, 1])
+    def test_uniform_rows_checked_on_a_second_edge(self, bad_call):
+        # calls 0 and 1 read p11 and p22 off the first edge; the last edge of
+        # each uniform row must then agree
+        model = reference_model()
+        n = 4
+        base = hidden_oracle(model, n, np.arange(2**n))
+        calls = itertools.count()
+
+        def flaky(row, edge):
+            return base(row, edge) + (0.1 if next(calls) == bad_call else 0.0)
+
+        with pytest.raises(InconsistentOracleError, match="uniform row gave conflicting"):
+            extract_parameters(node_state_prior(model.pi, n), flaky, n)
+        assert next(calls) == 3 + bad_call
+
     def test_marginal_ignores_other_edges(self):
         # conditional independence: the single-edge value depends only on the
         # two endpoint states

@@ -19,6 +19,7 @@ from latentid.tensor_core import (
     khatri_rao,
     kruskal_rank,
     numerical_rank,
+    rank_from_singular_values,
     triple_product,
     unclump,
 )
@@ -210,9 +211,21 @@ class TestNumericalRank:
         with pytest.raises(NonFiniteEntriesError):
             numerical_rank(np.array([[1.0, np.nan]]))
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol=0.0)
+    def test_one_cutoff_read_at_call_time(self, monkeypatch):
+        M = np.diag([1.0, 1e-9])
+        assert numerical_rank(M) == kruskal_rank(M) == 2
+        monkeypatch.setattr(tensor_core, "RANK_TOL", 1e-8)
+        assert numerical_rank(M) == kruskal_rank(M) == 1
+
+    def test_stacked_singular_values(self):
+        # one rank per row of a stack, a Python int for a single matrix; the
+        # cutoff scales with the longer side, so 5e-9 < RANK_TOL * 1.0 * 100
+        s = np.array([[1.0, 0.5, 5e-9], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        ranks = rank_from_singular_values(s, (3, 100))
+        assert ranks.tolist() == [2, 1, 0]
+        singles = [rank_from_singular_values(row, (3, 100)) for row in s]
+        assert singles == [2, 1, 0]
+        assert all(type(rank) is int for rank in singles)
 
 
 class TestKruskalRank:
