@@ -9,29 +9,18 @@ simultaneous diagonalization.
 """
 
 from .errors import (
-    BadEdgeError,
-    BadPartitionError,
     DegenerateSpectrumError,
-    DimensionMismatchError,
-    EmptyInputError,
-    GridExhaustedError,
     IllConditionedError,
     InconsistentOracleError,
     InputError,
     LatentIdError,
-    MismatchedRowsError,
     NegativeWeightsError,
-    NonFiniteEntriesError,
     NonMonotoneCdfError,
     NonUniqueStationaryError,
     NotDistinctError,
     NotKhatriRaoError,
     NotStationaryError,
-    NotThreeVariablesError,
     RankDeficientError,
-    TooFewVariablesError,
-    TooLargeError,
-    TooManyRowsError,
 )
 from .tensor_core import (
     clump_tensor,

@@ -2,10 +2,12 @@
 
 Exit codes partition outcomes: 0 for certified or successfully recovered, 1
 for an honest negative (certificate fails, recovery precondition unmet, or
-simulation trials failed), 2 for usage and input errors.  With ``--json`` the
-report is printed as one JSON object with sorted keys; identical arguments,
-files and seed produce byte-identical JSON (wall-clock time appears only in
-the human-readable text output).
+simulation trials failed), 2 for usage and input errors: an
+:class:`~latentid.errors.InputError`, or the ``OSError``, ``ValueError`` or
+``KeyError`` that reading a malformed file or argument raises.  With
+``--json`` the report is printed as one JSON object with sorted keys;
+identical arguments, files and seed produce byte-identical JSON (wall-clock
+time appears only in the human-readable text output).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import latent_class as lc
 from . import nonparametric as npx
 from . import random_graph as rg
 from . import recovery, sampling
-from .errors import DimensionMismatchError, InputError, LatentIdError
+from .errors import InputError, LatentIdError
 from .modelio import load_model
 
 
@@ -91,7 +93,7 @@ def _parse_tripartition(text: str) -> tuple[tuple[int, ...], ...]:
     """Blocks of 0-based variable indices, e.g. ``\"0,1|2,3|4\"``."""
     blocks = tuple(tuple(_parse_int_list(part)) for part in text.split("|"))
     if len(blocks) != 3:
-        raise ValueError(f"expected three |-separated blocks, got {text!r}")
+        raise InputError(f"expected three |-separated blocks, got {text!r}")
     return blocks
 
 
@@ -108,7 +110,7 @@ def _load(path, cls, command: str):
     """Load a model file, requiring a ``cls`` model."""
     model = load_model(path)
     if not isinstance(model, cls):
-        raise DimensionMismatchError(f"{command} expects {_MODEL_TYPES[cls]} model file")
+        raise InputError(f"{command} expects {_MODEL_TYPES[cls]} model file")
     return model
 
 
@@ -299,6 +301,8 @@ def _cmd_nonparam_recover(args) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     trials = []
     failures = 0
     errors = []
@@ -318,9 +322,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
                 )
                 err = _graph_round_trip(model, args.n, rng)["match_error"]
             else:
-                raise ValueError(f"unknown family {args.family!r}")
+                raise InputError(f"unknown family {args.family!r}")
             trials.append({"trial": t, "error": err})
             errors.append(err)
+        except InputError:  # misuse ends the run with exit 2, not as a failed trial
+            raise
         except LatentIdError as exc:
             failures += 1
             trials.append({"trial": t, "failure": f"{type(exc).__name__}: {exc}"})
@@ -459,15 +465,12 @@ def run(argv=None) -> int:
     try:
         code, result = handler(args)
         report.result = result
-    except InputError as exc:
+    except (OSError, ValueError, KeyError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatentIdError as exc:
         code = 1
         report.errors.append(f"{type(exc).__name__}: {exc}")
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report.elapsed_s = time.perf_counter() - start
 
     if getattr(args, "json", False):

@@ -1,9 +1,18 @@
 """Exception types raised across the library.
 
 Every error is a subclass of :class:`LatentIdError`, so callers can catch the
-whole family with one clause or pick out the specific failure they care about.
-Errors that signal misuse or malformed input, rather than a negative result,
-also subclass :class:`InputError`.
+whole family with one clause.  Misuse and malformed input (bad shapes, values
+out of range, inputs too large or too few, inconsistent model files) raise
+:class:`InputError`, which is also a :class:`ValueError`; its message names
+the cause.  Every other class names an honest negative result.  The CLI exits
+2 on an :class:`InputError` and 1 on any other :class:`LatentIdError`.
+
+The classes: :class:`LatentIdError`, :class:`InputError`,
+:class:`NotKhatriRaoError`, :class:`DegenerateSpectrumError`,
+:class:`RankDeficientError`, :class:`NegativeWeightsError`,
+:class:`NonUniqueStationaryError`, :class:`NotStationaryError`,
+:class:`IllConditionedError`, :class:`InconsistentOracleError`,
+:class:`NotDistinctError` and :class:`NonMonotoneCdfError`.
 """
 
 
@@ -11,56 +20,16 @@ class LatentIdError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(LatentIdError):
-    """Base class for misuse and malformed input (CLI exit code 2)."""
+class InputError(LatentIdError, ValueError):
+    """Misuse or malformed input (CLI exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
 # tensor / matrix primitives
 
 
-class MismatchedRowsError(InputError):
-    """Factor matrices do not share a common row count."""
-
-
-class EmptyInputError(InputError):
-    """An operation received an empty factor list."""
-
-
-class NonFiniteEntriesError(InputError):
-    """A matrix or tensor contains NaN or infinite entries."""
-
-
-class TooManyRowsError(InputError):
-    """Kruskal-rank subset enumeration would exceed the configured row cap."""
-
-
-class DimensionMismatchError(InputError):
-    """Shapes of the provided arrays are inconsistent."""
-
-
 class NotKhatriRaoError(LatentIdError):
     """The matrix is not a row tensor product of stochastic factors."""
-
-
-class BadPartitionError(InputError):
-    """Index blocks are not disjoint, nonempty and covering."""
-
-
-# ---------------------------------------------------------------------------
-# model construction
-
-
-class TooLargeError(InputError):
-    """The requested dense object exceeds the configured entry cap."""
-
-
-class NotThreeVariablesError(InputError):
-    """The operation is defined only for three observed variables."""
-
-
-class TooFewVariablesError(InputError):
-    """At least three observed variables are required."""
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +41,9 @@ class DegenerateSpectrumError(LatentIdError):
 
 
 class RankDeficientError(LatentIdError):
-    """A tensor unfolding has numerical rank below the target."""
+    """A matrix the method needs at rank ``r`` has numerical rank below ``r``:
+    a tensor unfolding in decomposition, or the component CDFs on the cut
+    points in nonparametric cut selection."""
 
 
 class NegativeWeightsError(LatentIdError):
@@ -101,10 +72,6 @@ class IllConditionedError(LatentIdError):
 # random graph mixtures
 
 
-class BadEdgeError(InputError):
-    """An edge must join two distinct nodes inside the graph."""
-
-
 class InconsistentOracleError(LatentIdError):
     """Row-oracle answers conflict beyond tolerance."""
 
@@ -115,14 +82,6 @@ class NotDistinctError(LatentIdError):
 
 # ---------------------------------------------------------------------------
 # nonparametric mixtures
-
-
-class GridExhaustedError(LatentIdError):
-    """No candidate cut point leaves the span of the current cuts.
-
-    Signals that the component family is linearly dependent: the farthest
-    candidate, and so every point, lies within ``CUT_TOL`` of that span.
-    """
 
 
 class NonMonotoneCdfError(LatentIdError):

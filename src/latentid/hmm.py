@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     IllConditionedError,
+    InputError,
     NonUniqueStationaryError,
     NotStationaryError,
-    TooLargeError,
 )
 from .latent_class import Certificate, ENTRY_CAP
 from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
@@ -61,7 +60,7 @@ def stationary_distribution(A) -> np.ndarray:
     A = check_stochastic(A, name="A")
     r = A.shape[0]
     if A.shape[1] != r:
-        raise DimensionMismatchError(f"transition matrix must be square, got {A.shape}")
+        raise InputError(f"transition matrix must be square, got {A.shape}")
     lam, V = np.linalg.eig(A.T)
     dist = np.abs(lam - 1.0)
     order = np.argsort(dist)
@@ -88,7 +87,7 @@ def time_reversal(A, pi) -> np.ndarray:
     A = check_stochastic(A, name="A")
     pi = check_probability_vector(pi)
     if A.shape[0] != pi.size or A.shape[1] != pi.size:
-        raise DimensionMismatchError("pi length must match the square matrix A")
+        raise InputError("pi length must match the square matrix A")
     err = np.abs(pi @ A - pi).max()
     if err > ROW_SUM_TOL:
         raise NotStationaryError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
@@ -107,11 +106,9 @@ class HiddenMarkovModel:
         A = check_stochastic(self.A, name="A")
         B = check_stochastic(self.B, name="B")
         if A.shape[0] != A.shape[1]:
-            raise DimensionMismatchError(f"A must be square, got {A.shape}")
+            raise InputError(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
-            raise DimensionMismatchError(
-                f"B has {B.shape[0]} rows, expected r={A.shape[0]}"
-            )
+            raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
         pi = stationary_distribution(A)
         for arr in (A, B, pi):
             arr.flags.writeable = False
@@ -153,7 +150,7 @@ def min_window(r: int, kappa: int) -> int:
     (window ``2r - 1``); larger alphabets need shorter windows.
     """
     if r < 1 or kappa < 2:
-        raise ValueError("need r >= 1 and kappa >= 2")
+        raise InputError("need r >= 1 and kappa >= 2")
     k = 1
     while math.comb(k + kappa - 1, kappa - 1) < r:
         k += 1
@@ -163,9 +160,9 @@ def min_window(r: int, kappa: int) -> int:
 def conditional_blocks(model: HiddenMarkovModel, k: int) -> ConditionalBlocks:
     """Window block matrices for half-window k, built innermost-out."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InputError("k must be at least 1")
     if model.kappa**k > ENTRY_CAP:
-        raise TooLargeError(
+        raise InputError(
             f"kappa^k = {model.kappa ** k} exceeds the entry cap {ENTRY_CAP}"
         )
     A, B, pi = model.A, model.B, model.pi
@@ -236,7 +233,7 @@ def recover_hmm(
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (kappa**k, kappa**k, kappa):
-        raise DimensionMismatchError(
+        raise InputError(
             f"window tensor shape {T.shape} does not match "
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
@@ -279,7 +276,7 @@ def align_hmm(recovered, reference) -> Alignment:
     A_a, B_a, pi_a = (np.asarray(x, dtype=float) for x in recovered)
     A_b, B_b, pi_b = (np.asarray(x, dtype=float) for x in reference)
     if A_a.shape != A_b.shape or B_a.shape != B_b.shape or pi_a.shape != pi_b.shape:
-        raise DimensionMismatchError("recovered and reference shapes differ")
+        raise InputError("recovered and reference shapes differ")
     align = align_permutation((pi_a, (B_a,)), (pi_b, (B_b,)))
     p = align.permutation
     error = max(align.max_abs_error, float(np.abs(A_a[np.ix_(p, p)] - A_b).max()))

@@ -19,12 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    BadPartitionError,
-    NotThreeVariablesError,
-    TooFewVariablesError,
-    TooLargeError,
-)
+from .errors import InputError
 from .tensor_core import (
     check_probability_vector,
     check_stochastic,
@@ -55,15 +50,15 @@ class LatentClassModel:
             for j, M in enumerate(self.emissions)
         )
         if len(mats) < 1:
-            raise ValueError("at least one variable is required")
+            raise InputError("at least one variable is required")
         r = pi.size
         for j, M in enumerate(mats):
             if M.shape[0] != r:
-                raise ValueError(
+                raise InputError(
                     f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                 )
             if M.shape[1] < 2:
-                raise ValueError(f"variable {j} must have at least 2 states")
+                raise InputError(f"variable {j} must have at least 2 states")
         pi.flags.writeable = False
         for M in mats:
             M.flags.writeable = False
@@ -94,10 +89,10 @@ class Tripartition:
     def from_blocks(cls, blocks: Sequence[Sequence[int]], kappas: Sequence[int]) -> "Tripartition":
         sorted_blocks = tuple(tuple(sorted(int(j) for j in b)) for b in blocks)
         if len(sorted_blocks) != 3 or any(len(b) == 0 for b in sorted_blocks):
-            raise BadPartitionError("need three nonempty blocks")
+            raise InputError("need three nonempty blocks")
         flat = sorted(j for b in sorted_blocks for j in b)
         if flat != list(range(len(kappas))):
-            raise BadPartitionError(
+            raise InputError(
                 f"blocks {blocks} must disjointly cover range({len(kappas)})"
             )
         dims = tuple(math.prod(int(kappas[j]) for j in b) for b in sorted_blocks)
@@ -148,12 +143,12 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     """Exact joint distribution of the p observed variables.
 
     Entry ``(l_1, ..., l_p)`` is ``sum_i pi[i] * prod_j emissions[j][i, l_j]``.
-    Raises :class:`TooLargeError` when the dense table would exceed
+    Raises :class:`InputError` when the dense table would exceed
     :data:`ENTRY_CAP` entries.
     """
     K = int(np.prod(model.kappas))
     if K > ENTRY_CAP:
-        raise TooLargeError(f"joint table has {K} entries, cap is {ENTRY_CAP}")
+        raise InputError(f"joint table has {K} entries, cap is {ENTRY_CAP}")
     flat = model.pi @ khatri_rao(list(model.emissions))
     return flat.reshape(model.kappas)
 
@@ -166,7 +161,7 @@ def kruskal_certificate(model: LatentClassModel) -> Certificate:
     ``2r + 2``.
     """
     if model.p != 3:
-        raise NotThreeVariablesError(f"model has p={model.p} variables, need exactly 3")
+        raise InputError(f"model has p={model.p} variables, need exactly 3")
     ranks = tuple(kruskal_rank(M) for M in model.emissions)
     threshold = 2 * model.r + 2
     return Certificate(
@@ -194,11 +189,11 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     kappas = [int(k) for k in kappas]
     p = len(kappas)
     if p < 3:
-        raise TooFewVariablesError(f"need at least 3 variables, got p={p}")
+        raise InputError(f"need at least 3 variables, got p={p}")
     if r < 1:
-        raise ValueError("r must be at least 1")
+        raise InputError("r must be at least 1")
     if min(kappas) < 2:
-        raise ValueError(f"every state count must be at least 2, got {kappas}")
+        raise InputError(f"every state count must be at least 2, got {kappas}")
     threshold = 2 * r + 2
 
     # a capped product of 1 marks an empty block; any variable lifts it to >= 2
@@ -245,7 +240,7 @@ def min_variables_bound(r: int, kappa: int) -> int:
     variables already certify at p = 6 (rank sum ``4+4+4 = 12 = 2r+2``).
     """
     if r < 1 or kappa < 2:
-        raise ValueError("need r >= 1 and kappa >= 2")
+        raise InputError("need r >= 1 and kappa >= 2")
     k = 0
     while kappa**k < r:
         k += 1
@@ -261,7 +256,7 @@ def param_dimension(r: int, kappas: Sequence[int]) -> tuple[int, int]:
     """
     kappas = [int(k) for k in kappas]
     if r < 1 or any(k < 2 for k in kappas):
-        raise ValueError("need r >= 1 and every kappa >= 2")
+        raise InputError("need r >= 1 and every kappa >= 2")
     L = (r - 1) + r * sum(k - 1 for k in kappas)
     K = int(np.prod(kappas))
     return L, K

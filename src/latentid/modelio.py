@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputError
 from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
@@ -85,25 +86,25 @@ def model_from_dict(obj: dict) -> Model:
         emissions = tuple(np.asarray(M, dtype=float) for M in obj["emissions"])
         model = LatentClassModel(pi=np.asarray(obj["pi"], dtype=float), emissions=emissions)
         if "r" in obj and model.r != obj["r"]:
-            raise ValueError(f"declared r={obj['r']} but pi has length {model.r}")
+            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
         if "kappas" in obj and list(model.kappas) != list(obj["kappas"]):
-            raise ValueError("declared kappas do not match the emission shapes")
+            raise InputError("declared kappas do not match the emission shapes")
         return model
     if kind == "hmm":
         model = HiddenMarkovModel(
             A=np.asarray(obj["A"], dtype=float), B=np.asarray(obj["B"], dtype=float)
         )
         if "r" in obj and model.r != obj["r"]:
-            raise ValueError(f"declared r={obj['r']} but A is {model.A.shape}")
+            raise InputError(f"declared r={obj['r']} but A is {model.A.shape}")
         if "kappa" in obj and model.kappa != obj["kappa"]:
-            raise ValueError(f"declared kappa={obj['kappa']} but B is {model.B.shape}")
+            raise InputError(f"declared kappa={obj['kappa']} but B is {model.B.shape}")
         return model
     if kind == "graph_mixture":
         model = GraphMixtureModel(
             pi=np.asarray(obj["pi"], dtype=float), P=np.asarray(obj["P"], dtype=float)
         )
         if "r" in obj and model.r != obj["r"]:
-            raise ValueError(f"declared r={obj['r']} but pi has length {model.r}")
+            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
         return model
     if kind == "nonparametric":
         rows = tuple(
@@ -114,13 +115,13 @@ def model_from_dict(obj: dict) -> Model:
         )
         model = NonparametricMixture(pi=np.asarray(obj["pi"], dtype=float), components=rows)
         if "r" in obj and model.r != obj["r"]:
-            raise ValueError(f"declared r={obj['r']} but pi has length {model.r}")
+            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
         if "p" in obj and model.p != obj["p"]:
-            raise ValueError(f"declared p={obj['p']} but components cover {model.p} variates")
+            raise InputError(f"declared p={obj['p']} but components cover {model.p} variates")
         if "block_dims" in obj and list(model.block_dims) != list(obj["block_dims"]):
-            raise ValueError("declared block_dims do not match the component tables")
+            raise InputError("declared block_dims do not match the component tables")
         return model
-    raise ValueError(f"unknown model type {kind!r}")
+    raise InputError(f"unknown model type {kind!r}")
 
 
 def save_model(model: Model, path) -> None:

@@ -15,12 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GridExhaustedError,
-    NonMonotoneCdfError,
-    TooFewVariablesError,
-)
+from .errors import InputError, NonMonotoneCdfError, RankDeficientError
 from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
@@ -54,25 +49,23 @@ class CdfComponent:
             knot_arrays = tuple(np.asarray(k, dtype=float) for k in knots)
         values = np.asarray(values, dtype=float)
         if values.ndim != len(knot_arrays):
-            raise DimensionMismatchError(
+            raise InputError(
                 f"values has {values.ndim} axes for {len(knot_arrays)} knot arrays"
             )
         for c, kn in enumerate(knot_arrays):
             if kn.ndim != 1 or kn.size < 2:
-                raise DimensionMismatchError(
-                    f"knot array {c} must be 1-D with at least 2 entries"
-                )
+                raise InputError(f"knot array {c} must be 1-D with at least 2 entries")
             if not np.all(np.isfinite(kn)) or np.any(np.diff(kn) <= 0):
-                raise ValueError(f"knot array {c} must be finite and strictly increasing")
+                raise InputError(f"knot array {c} must be finite and strictly increasing")
             if values.shape[c] != kn.size:
-                raise DimensionMismatchError(
+                raise InputError(
                     f"values axis {c} has length {values.shape[c]}, "
                     f"expected {kn.size}"
                 )
         if not np.all(np.isfinite(values)):
-            raise ValueError("CDF values must be finite")
+            raise InputError("CDF values must be finite")
         if values.min() < -ROW_SUM_TOL or values.max() > 1.0 + ROW_SUM_TOL:
-            raise ValueError("CDF values must lie in [0, 1]")
+            raise InputError("CDF values must lie in [0, 1]")
         for c in range(values.ndim):
             if np.diff(values, axis=c).min() < -NEG_ENTRY_TOL:
                 raise NonMonotoneCdfError(
@@ -80,12 +73,12 @@ class CdfComponent:
                 )
             floor = np.moveaxis(values, c, 0)[0]
             if np.abs(floor).max() > ROW_SUM_TOL:
-                raise ValueError(
+                raise InputError(
                     f"slice at the first knot of coordinate {c} must be 0 "
                     "(the table clamps to its endpoints)"
                 )
         if abs(values.flat[-1] - 1.0) > ROW_SUM_TOL:
-            raise ValueError("top corner of the CDF table must be 1")
+            raise InputError("top corner of the CDF table must be 1")
         self.knots = knot_arrays
         self.values = values
         self.values.flags.writeable = False
@@ -102,7 +95,7 @@ class CdfComponent:
         time, so every entry is computed exactly as a single point would be.
         """
         if len(axes) != self.block_dim:
-            raise DimensionMismatchError(
+            raise InputError(
                 f"need {self.block_dim} coordinate arrays, got {len(axes)}"
             )
         V = self.values
@@ -120,7 +113,7 @@ class CdfComponent:
         if self.block_dim == 1 and np.ndim(point) == 0:
             point = (point,)
         if len(point) != self.block_dim:
-            raise DimensionMismatchError(
+            raise InputError(
                 f"point has {len(point)} coordinates, expected {self.block_dim}"
             )
         return float(self.evaluate_grid([np.array([x]) for x in point]).ravel()[0])
@@ -138,7 +131,7 @@ class CdfComponent:
         the product grid, so the table is exact.
         """
         if any(part.block_dim != 1 for part in parts):
-            raise DimensionMismatchError("from_product expects one-dimensional parts")
+            raise InputError("from_product expects one-dimensional parts")
         knots = tuple(part.knots[0] for part in parts)
         values = parts[0].values
         for part in parts[1:]:
@@ -161,16 +154,14 @@ class NonparametricMixture:
         pi = check_probability_vector(self.pi)
         comps = tuple(tuple(row) for row in self.components)
         if len(comps) != pi.size:
-            raise DimensionMismatchError(
-                f"{len(comps)} component rows for {pi.size} classes"
-            )
+            raise InputError(f"{len(comps)} component rows for {pi.size} classes")
         p = len(comps[0])
         if p < 1 or any(len(row) != p for row in comps):
-            raise DimensionMismatchError("all classes must have the same variates")
+            raise InputError("all classes must have the same variates")
         for j in range(p):
             dims = {row[j].block_dim for row in comps}
             if len(dims) != 1:
-                raise DimensionMismatchError(
+                raise InputError(
                     f"variate {j} has inconsistent block dimensions {dims}"
                 )
         pi.flags.writeable = False
@@ -208,9 +199,9 @@ class CutPointSet:
         arrays = tuple(np.asarray(c, dtype=float) for c in self.cuts)
         for c, arr in enumerate(arrays):
             if arr.ndim != 1 or arr.size == 0:
-                raise DimensionMismatchError(f"cut array {c} must be nonempty 1-D")
+                raise InputError(f"cut array {c} must be nonempty 1-D")
             if np.any(np.diff(arr) <= 0):
-                raise ValueError(f"cut array {c} must be strictly increasing")
+                raise InputError(f"cut array {c} must be strictly increasing")
             arr.flags.writeable = False
         object.__setattr__(self, "cuts", arrays)
 
@@ -248,9 +239,7 @@ def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
             out.append((float(pt),))
         else:
             if len(pt) != b:
-                raise DimensionMismatchError(
-                    f"point {pt} has {len(pt)} coordinates, expected {b}"
-                )
+                raise InputError(f"point {pt} has {len(pt)} coordinates, expected {b}")
             out.append(tuple(float(x) for x in pt))
     return out
 
@@ -286,16 +275,16 @@ def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> Cut
     Each component is evaluated once, on the pooled knots, the mandatory
     coordinates and +inf; every step indexes its matrices from those tables.
 
-    Raises :class:`GridExhaustedError` when the farthest candidate is within
+    Raises :class:`RankDeficientError` when the farthest candidate is within
     ``CUT_TOL`` of the span: the components are linearly dependent, to that
     threshold, as functions on ``R^b``.
     """
     components = list(components)
     if not components:
-        raise DimensionMismatchError("need at least one component")
+        raise InputError("need at least one component")
     b = components[0].block_dim
     if any(c.block_dim != b for c in components):
-        raise DimensionMismatchError("components must share the block dimension")
+        raise InputError("components must share the block dimension")
     r = len(components)
     grid_axes = default_grid(components)
 
@@ -331,14 +320,15 @@ def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> Cut
         distance = np.linalg.norm(U[:, rank:].T @ scan, axis=0)
         best = np.argmax(distance)
         if distance[best] <= CUT_TOL:
-            raise GridExhaustedError(
-                "no candidate leaves the span of the current cuts: the component "
-                "family is linearly dependent"
+            raise RankDeficientError(
+                f"cut selection reached rank {rank} of r={r}: no candidate leaves "
+                "the span of the current cuts, the component family is linearly "
+                "dependent"
             )
         at = np.unravel_index(best, [g.size for g in grid_axes])
         add_point([float(g[k]) for g, k in zip(grid_axes, at)])
     else:
-        raise GridExhaustedError("cut selection failed to reach full rank")
+        raise RankDeficientError(f"cut selection reached rank {rank} of r={r}")
 
     for c in range(b):
         if not cut_lists[c]:
@@ -360,9 +350,7 @@ def binned_conditional_matrix(
     cut_arrays = _as_cut_arrays(cuts)
     components = list(components)
     if any(c.block_dim != len(cut_arrays) for c in components):
-        raise DimensionMismatchError(
-            "components and cuts disagree on the block dimension"
-        )
+        raise InputError("components and cuts disagree on the block dimension")
     axes = [
         np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_arrays
     ]
@@ -397,7 +385,7 @@ def bivariate_rank(
     M1 = binned_conditional_matrix(mixture.variate(j1), cuts1)
     M2 = binned_conditional_matrix(mixture.variate(j2), cuts2)
     if mixture.r > min(M1.shape[1], M2.shape[1]):
-        raise ValueError("need at least r bins on both variates")
+        raise InputError("need at least r bins on both variates")
     N = M1.T @ (mixture.pi[:, None] * M2)
     return numerical_rank(N)
 
@@ -416,7 +404,7 @@ def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
         missing.append((pos == cut.size) | off_cut)
     if np.any(missing):
         q, c = np.argwhere(np.array(missing).T)[0]
-        raise ValueError(f"query point {float(points[q, c])} is not among the cuts")
+        raise InputError(f"query point {float(points[q, c])} is not among the cuts")
     flat = np.ravel_multi_index(index, cuts.bins_per_axis)
     return grid.reshape(len(rows), -1).take(flat, axis=1)
 
@@ -446,21 +434,20 @@ def recover_mixture(
 
     Raises
     ------
-    TooFewVariablesError
+    InputError
         The mixture has fewer than 3 variates.
-    GridExhaustedError
-        Cut selection finds no full-rank binning of some variate.
-    RankDeficientError, IllConditionedError, DegenerateSpectrumError, NegativeWeightsError
+    RankDeficientError
+        Cut selection finds no full-rank binning of some variate (see
+        :func:`select_cut_points`), or from :func:`~latentid.recovery.decompose3`.
+    IllConditionedError, DegenerateSpectrumError, NegativeWeightsError
         From :func:`~latentid.recovery.decompose3`, whose residual gate is
         ``tol`` times the largest entry of the binned tensor.
     """
     p = mixture.p
     if p < 3:
-        raise TooFewVariablesError(f"need at least 3 variates, got p={p}")
+        raise InputError(f"need at least 3 variates, got p={p}")
     if len(query_points) != p:
-        raise DimensionMismatchError(
-            f"query_points must have one entry per variate ({p})"
-        )
+        raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [
         _normalize_points(query_points[j], mixture.block_dims[j]) for j in range(p)
     ]

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadEdgeError,
-    DimensionMismatchError,
-    InconsistentOracleError,
-    NotDistinctError,
-    TooLargeError,
-)
+from .errors import InconsistentOracleError, InputError, NotDistinctError
 from .latent_class import Certificate, ENTRY_CAP
 from .tensor_core import check_probability_vector, khatri_rao, numerical_rank
 
@@ -55,11 +49,11 @@ class GraphMixtureModel:
         P = np.asarray(self.P, dtype=float)
         r = pi.size
         if P.shape != (r, r):
-            raise DimensionMismatchError(f"P must be {r}x{r}, got {P.shape}")
+            raise InputError(f"P must be {r}x{r}, got {P.shape}")
         if not np.abs(P - P.T).max() <= _SYMMETRY_ATOL:
-            raise ValueError("connection matrix P must be symmetric")
+            raise InputError("connection matrix P must be symmetric")
         if P.min() < 0.0 or P.max() > 1.0:
-            raise ValueError("connection probabilities must lie in [0, 1]")
+            raise InputError("connection probabilities must lie in [0, 1]")
         pi.flags.writeable = False
         P.flags.writeable = False
         object.__setattr__(self, "pi", pi)
@@ -84,7 +78,7 @@ def node_state_prior(pi, n: int) -> np.ndarray:
     pi = check_probability_vector(pi)
     r = pi.size
     if r**n > ENTRY_CAP:
-        raise TooLargeError(f"r^n = {r ** n} exceeds the entry cap {ENTRY_CAP}")
+        raise InputError(f"r^n = {r ** n} exceeds the entry cap {ENTRY_CAP}")
     v = pi.copy()
     for _ in range(n - 1):
         v = np.kron(v, pi)
@@ -107,13 +101,13 @@ def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
     to 1.
     """
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InputError("m must be at least 2")
     r = model.r
     edges = edge_list(m)
     n_rows = r**m
     n_cols = 2 ** len(edges)
     if n_rows * n_cols > ENTRY_CAP:
-        raise TooLargeError(
+        raise InputError(
             f"matrix would have {n_rows}x{n_cols} entries, cap is {ENTRY_CAP}"
         )
     assigns = np.array(list(itertools.product(range(r), repeat=m)), dtype=int)
@@ -161,7 +155,7 @@ def lattice_partitions(m: int) -> PartitionFamily:
     diagonal in exactly one node, and likewise column vs diagonal.
     """
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InputError("m must be at least 2")
     rows = tuple(
         frozenset(a * m + b for b in range(m)) for a in range(m)
     )
@@ -187,8 +181,8 @@ def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     ``rank(A)^m`` without materializing anything; the reported ranks are these
     Kronecker-derived values (equal to ``r^n`` and to the Kruskal rank exactly
     when full).  ``details`` holds ``group_matrix_shape`` and
-    ``group_matrix_rank``.  Raises ``ValueError`` for ``m < 2`` and
-    :class:`TooLargeError` when ``A`` exceeds the entry cap.
+    ``group_matrix_rank``.  Raises :class:`InputError` for ``m < 2`` or when
+    ``A`` exceeds the entry cap.
     """
     A = conditional_graph_matrix(model, m)
     rank_A = numerical_rank(A)
@@ -213,9 +207,9 @@ def single_edge_marginal(model: GraphMixtureModel, states, edge: tuple[int, int]
     k, l = int(edge[0]), int(edge[1])
     n = len(states)
     if k == l or not (0 <= k < n) or not (0 <= l < n):
-        raise BadEdgeError(f"edge {edge} must join two distinct nodes in range({n})")
+        raise InputError(f"edge {edge} must join two distinct nodes in range({n})")
     if any(not (0 <= s < model.r) for s in states):
-        raise ValueError(f"states must lie in range({model.r})")
+        raise InputError(f"states must lie in range({model.r})")
     return float(model.P[states[k], states[l]])
 
 
@@ -250,9 +244,9 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     tol = PRIOR_MATCH_TOL
     v = np.asarray(v_perm, dtype=float)
     if v.ndim != 1 or v.size != 2**n:
-        raise DimensionMismatchError(f"prior must have 2^{n} entries, got {v.size}")
+        raise InputError(f"prior must have 2^{n} entries, got {v.size}")
     if v.min() <= 0.0:
-        raise ValueError("prior entries must be positive")
+        raise InputError("prior entries must be positive")
     edges = edge_list(n)
     vmin, vmax = float(v.min()), float(v.max())
 

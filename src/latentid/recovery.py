@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
-    DimensionMismatchError,
     IllConditionedError,
+    InputError,
     NegativeWeightsError,
     RankDeficientError,
 )
@@ -161,10 +161,10 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     """
     T = check_distribution_tensor(T)
     if T.ndim != 3:
-        raise DimensionMismatchError(f"expected a 3-way tensor, got ndim={T.ndim}")
+        raise InputError(f"expected a 3-way tensor, got ndim={T.ndim}")
     k1, k2, k3 = T.shape
     if r < 1:
-        raise ValueError("r must be at least 1")
+        raise InputError("r must be at least 1")
     if k1 < r or k2 < r:
         raise RankDeficientError(
             f"first two dimensions {(k1, k2)} must both be at least r={r}"
@@ -358,12 +358,10 @@ def align_permutation(recovered, reference) -> Alignment:
     pi_a, factors_a = _as_params(recovered)
     pi_b, factors_b = _as_params(reference)
     if pi_a.shape != pi_b.shape or len(factors_a) != len(factors_b):
-        raise DimensionMismatchError("class counts or factor counts differ")
+        raise InputError("class counts or factor counts differ")
     for Fa, Fb in zip(factors_a, factors_b):
         if Fa.shape != Fb.shape:
-            raise DimensionMismatchError(
-                f"factor shapes differ: {Fa.shape} vs {Fb.shape}"
-            )
+            raise InputError(f"factor shapes differ: {Fa.shape} vs {Fb.shape}")
     rows_a = np.hstack([pi_a[:, None], *factors_a])
     rows_b = np.hstack([pi_b[:, None], *factors_b])
     C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)

@@ -14,7 +14,7 @@ from .hmm import HiddenMarkovModel, stationary_distribution
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
-from .errors import IllConditionedError, NonUniqueStationaryError
+from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
 _HMM_SINGULAR_MARGIN = 0.05
@@ -102,7 +102,7 @@ def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:
             p11, p12, p22 = vals
             P = np.array([[p11, p12], [p12, p22]])
             return GraphMixtureModel(pi=pi, P=P)
-    raise ValueError(
+    raise InputError(
         f"no well-separated connection triple found in {_GRAPH_MAX_ATTEMPTS} draws"
     )
 

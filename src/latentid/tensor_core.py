@@ -22,15 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadPartitionError,
-    DimensionMismatchError,
-    EmptyInputError,
-    MismatchedRowsError,
-    NonFiniteEntriesError,
-    NotKhatriRaoError,
-    TooManyRowsError,
-)
+from .errors import InputError, NotKhatriRaoError
 
 #: relative singular-value cutoff for rank decisions
 RANK_TOL = 1e-10
@@ -65,11 +57,11 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array, requiring finite entries."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={M.ndim}")
+        raise InputError(f"{name} must be 2-D, got ndim={M.ndim}")
     if M.size == 0:
-        raise DimensionMismatchError(f"{name} must have at least one row and column")
+        raise InputError(f"{name} must have at least one row and column")
     if not np.all(np.isfinite(M)):
-        raise NonFiniteEntriesError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     return M
 
 
@@ -77,10 +69,10 @@ def check_stochastic(M, name: str = "matrix") -> np.ndarray:
     """Validate a row-stochastic matrix: entries in [0, 1], rows summing to 1."""
     M = as_matrix(M, name)
     if M.min() < -NEG_ENTRY_TOL or M.max() > 1.0 + ROW_SUM_TOL:
-        raise ValueError(f"{name} entries must lie in [0, 1]")
+        raise InputError(f"{name} entries must lie in [0, 1]")
     err = np.abs(M.sum(axis=1) - 1.0).max()
     if err > ROW_SUM_TOL:
-        raise ValueError(f"{name} rows must sum to 1 (max deviation {err:.3g})")
+        raise InputError(f"{name} rows must sum to 1 (max deviation {err:.3g})")
     return M
 
 
@@ -88,13 +80,13 @@ def check_probability_vector(pi, name: str = "pi") -> np.ndarray:
     """Validate a strictly positive probability vector."""
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size == 0:
-        raise DimensionMismatchError(f"{name} must be a nonempty 1-D array")
+        raise InputError(f"{name} must be a nonempty 1-D array")
     if not np.all(np.isfinite(pi)):
-        raise NonFiniteEntriesError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     if pi.min() <= POSITIVE_FLOOR:
-        raise ValueError(f"{name} entries must be strictly positive")
+        raise InputError(f"{name} entries must be strictly positive")
     if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 (got {pi.sum():.12g})")
+        raise InputError(f"{name} must sum to 1 (got {pi.sum():.12g})")
     return pi
 
 
@@ -102,11 +94,11 @@ def check_distribution_tensor(T, name: str = "tensor") -> np.ndarray:
     """Validate a dense joint distribution: near-nonnegative, total mass 1."""
     T = np.asarray(T, dtype=float)
     if not np.all(np.isfinite(T)):
-        raise NonFiniteEntriesError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     if T.min() < -NEG_ENTRY_TOL:
-        raise ValueError(f"{name} has entries below -{NEG_ENTRY_TOL}")
+        raise InputError(f"{name} has entries below -{NEG_ENTRY_TOL}")
     if abs(T.sum() - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 (got {T.sum():.12g})")
+        raise InputError(f"{name} must sum to 1 (got {T.sum():.12g})")
     return T
 
 
@@ -131,12 +123,12 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
     (r, prod a_i) array
     """
     if len(factors) == 0:
-        raise EmptyInputError("khatri_rao requires at least one factor")
+        raise InputError("khatri_rao requires at least one factor")
     mats = [as_matrix(F, f"factor {i}") for i, F in enumerate(factors)]
     rows = mats[0].shape[0]
     for i, M in enumerate(mats[1:], start=1):
         if M.shape[0] != rows:
-            raise MismatchedRowsError(
+            raise InputError(
                 f"factor 0 has {rows} rows but factor {i} has {M.shape[0]}"
             )
     out = mats[0]
@@ -157,7 +149,7 @@ def triple_product(M1, M2, M3) -> np.ndarray:
     M2 = as_matrix(M2, "M2")
     M3 = as_matrix(M3, "M3")
     if not (M1.shape[0] == M2.shape[0] == M3.shape[0]):
-        raise MismatchedRowsError(
+        raise InputError(
             f"row counts differ: {M1.shape[0]}, {M2.shape[0]}, {M3.shape[0]}"
         )
     return np.einsum("iu,iv,iw->uvw", M1, M2, M3)
@@ -269,7 +261,7 @@ def kruskal_rank(M) -> int:
     if rank == rows:
         return rows
     if rows > KRUSKAL_ROW_CAP:
-        raise TooManyRowsError(
+        raise InputError(
             f"subset enumeration over {rows} rows exceeds the cap of {KRUSKAL_ROW_CAP}"
         )
     if rank == 0 or _subsets_independent(M, rank):
@@ -302,9 +294,9 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     A = as_matrix(A, "A")
     dims = [int(d) for d in col_dims]
     if any(d < 1 for d in dims):
-        raise DimensionMismatchError("col_dims must be positive")
+        raise InputError("col_dims must be positive")
     if int(np.prod(dims)) != A.shape[1]:
-        raise DimensionMismatchError(
+        raise InputError(
             f"prod(col_dims)={int(np.prod(dims))} does not match {A.shape[1]} columns"
         )
     row_err = np.abs(A.sum(axis=1) - 1.0).max()
@@ -336,13 +328,13 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """
     T = np.asarray(T, dtype=float)
     if len(blocks) != 3:
-        raise BadPartitionError(f"need exactly 3 blocks, got {len(blocks)}")
+        raise InputError(f"need exactly 3 blocks, got {len(blocks)}")
     sorted_blocks = [sorted(int(j) for j in b) for b in blocks]
     flat = [j for b in sorted_blocks for j in b]
     if any(len(b) == 0 for b in sorted_blocks):
-        raise BadPartitionError("blocks must be nonempty")
+        raise InputError("blocks must be nonempty")
     if sorted(flat) != list(range(T.ndim)):
-        raise BadPartitionError(
+        raise InputError(
             f"blocks must disjointly cover all {T.ndim} axes, got {blocks}"
         )
     dims = tuple(

@@ -291,6 +291,24 @@ class TestSimulate:
         assert report["result"]["failures"] == 2
         assert report["result"]["max_error"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "latent-class", "--r", "3", "--kappas", "2,2"],
+            ["--family", "latent-class", "--r", "0"],
+            ["--family", "latent-class", "--r", "3", "--kappas", ",".join(["2"] * 28)],
+            ["--family", "hmm", "--trials", "0"],
+            ["--family", "hmm", "--trials", "-1"],
+        ],
+    )
+    def test_misuse_exits_2_not_as_failed_trials(self, capsys, argv):
+        # an input error ends the run: it is not recorded as a failed trial
+        code = run(["simulate", "--trials", "2", *argv, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_graph_trials_both_branches(self, capsys):
         code, report = run_json(
             capsys,
@@ -375,7 +393,21 @@ class TestReportContract:
             cls = pending.pop()
             classes.append(cls)
             pending.extend(cls.__subclasses__())
-        assert len(classes) > 20
+        assert sorted(cls.__name__ for cls in classes) == [
+            "DegenerateSpectrumError",
+            "IllConditionedError",
+            "InconsistentOracleError",
+            "InputError",
+            "LatentIdError",
+            "NegativeWeightsError",
+            "NonMonotoneCdfError",
+            "NonUniqueStationaryError",
+            "NotDistinctError",
+            "NotKhatriRaoError",
+            "NotStationaryError",
+            "RankDeficientError",
+        ]
+        assert issubclass(InputError, ValueError)
         for cls in classes:
 
             def handler(args, cls=cls):

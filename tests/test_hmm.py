@@ -7,8 +7,8 @@ from latentid import hmm, sampling
 from latentid.errors import (
     IllConditionedError,
     NonUniqueStationaryError,
+    InputError,
     NotStationaryError,
-    TooLargeError,
 )
 from latentid.hmm import (
     HiddenMarkovModel,
@@ -217,7 +217,7 @@ class TestConditionalBlocks:
     def test_entry_cap(self, monkeypatch):
         model = random_hmm(trial_rng(41, 3), 2, 2)
         monkeypatch.setattr(hmm, "ENTRY_CAP", 7)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(InputError, match="^kappa\\^k = 8 exceeds the entry cap 7$"):
             conditional_blocks(model, 3)
 
 

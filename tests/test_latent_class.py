@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from latentid import latent_class
-from latentid.errors import (
-    NotThreeVariablesError,
-    TooFewVariablesError,
-    TooLargeError,
-)
+from latentid.errors import InputError
 from latentid.latent_class import (
     LatentClassModel,
     Tripartition,
@@ -87,7 +83,7 @@ class TestJointDistribution:
     def test_entry_cap(self, monkeypatch):
         m = random_latent_class(trial_rng(0, 3), 2, (4, 4, 4))
         monkeypatch.setattr(latent_class, "ENTRY_CAP", 63)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(InputError, match="^joint table has 64 entries, cap is 63$"):
             joint_distribution(m)
 
 
@@ -116,7 +112,7 @@ class TestKruskalCertificate:
 
     def test_needs_three_variables(self):
         m = random_latent_class(trial_rng(0, 4), 2, (2, 2, 2, 2))
-        with pytest.raises(NotThreeVariablesError):
+        with pytest.raises(InputError, match="^model has p=4 variables, need exactly 3$"):
             kruskal_certificate(m)
 
 
@@ -141,7 +137,7 @@ class TestTripartitionSearch:
         assert sum(cert.kruskal_ranks) == 6 == cert.threshold
 
     def test_too_few_variables(self):
-        with pytest.raises(TooFewVariablesError):
+        with pytest.raises(InputError, match="^need at least 3 variables, got p=2$"):
             tripartition_search(2, (2, 2))
 
     def test_deterministic(self):

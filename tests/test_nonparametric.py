@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latentid import nonparametric
-from latentid.errors import (
-    GridExhaustedError,
-    NonMonotoneCdfError,
-)
+from latentid.errors import NonMonotoneCdfError, RankDeficientError
 from latentid.nonparametric import (
     CdfComponent,
     CutPointSet,
@@ -130,7 +127,7 @@ class TestSelectCutPoints:
 
     def test_identical_components_exhaust_grid(self):
         family = [CdfComponent.uniform(0.0, 1.0), CdfComponent.uniform(0.0, 1.0)]
-        with pytest.raises(GridExhaustedError):
+        with pytest.raises(RankDeficientError, match="^cut selection reached rank 1 of r=2: "):
             select_cut_points(family)
 
     def test_mandatory_point_included(self):
@@ -194,10 +191,10 @@ def scalar_scan_cut_points(components, mandatory=None):
             if distance > farthest:
                 best, farthest = cand, distance
         if farthest <= nonparametric.CUT_TOL:
-            raise GridExhaustedError("family is linearly dependent")
+            raise RankDeficientError("family is linearly dependent")
         add_point(best)
     else:
-        raise GridExhaustedError("cut selection failed to reach full rank")
+        raise RankDeficientError("cut selection failed to reach full rank")
     for c in range(b):
         if not cut_lists[c]:
             cut_lists[c].append(float(axes[c][0]))
@@ -239,11 +236,11 @@ class TestCutScanAgreement:
             dependent = i % 10 == 9 and len(family) >= 3
             try:
                 expected = [c.tobytes() for c in scalar_scan_cut_points(family, mandatory)]
-            except GridExhaustedError:
+            except RankDeficientError:
                 expected = None
             try:
                 got = [c.tobytes() for c in select_cut_points(family, mandatory=mandatory).cuts]
-            except GridExhaustedError:
+            except RankDeficientError:
                 got = None
             assert got == expected, f"case {i}"
             assert (got is None) == dependent, f"case {i}"
@@ -312,7 +309,7 @@ def test_evaluate_grid_equals_scalar_evaluation(parts, data):
 def test_selected_cuts_give_full_rank(family, mandatory):
     try:
         cuts = select_cut_points(family, mandatory=mandatory)
-    except GridExhaustedError:
+    except RankDeficientError:
         return
     assert numerical_rank(binned_conditional_matrix(family, cuts)) == len(family)
 

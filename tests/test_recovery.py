@@ -8,8 +8,8 @@ from hypothesis import assume, given, strategies as st
 from latentid import recovery
 from latentid.errors import (
     DegenerateSpectrumError,
-    DimensionMismatchError,
     IllConditionedError,
+    InputError,
     LatentIdError,
     NegativeWeightsError,
     RankDeficientError,
@@ -486,7 +486,7 @@ class TestAlignPermutation:
 
     def test_dim_mismatch(self):
         m = reference_model()
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^class counts or factor counts differ$"):
             align_permutation(
                 (m.pi, list(m.emissions)),
                 (np.array([1.0]), [M[:1] for M in m.emissions]),

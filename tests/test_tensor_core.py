@@ -3,16 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from latentid.errors import (
-    BadPartitionError,
-    DimensionMismatchError,
-    EmptyInputError,
-    MismatchedRowsError,
-    NonFiniteEntriesError,
-    NotKhatriRaoError,
-    TooManyRowsError,
-)
+from latentid.errors import InputError, NotKhatriRaoError
 from latentid import tensor_core
 from latentid.tensor_core import (
     clump_tensor,
@@ -139,9 +132,9 @@ class TestKhatriRao:
             assert out.min() >= 0.0
 
     def test_errors(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="^khatri_rao requires at least one factor$"):
             khatri_rao([])
-        with pytest.raises(MismatchedRowsError):
+        with pytest.raises(InputError, match="^factor 0 has 2 rows but factor 1 has 3$"):
             khatri_rao([np.ones((2, 2)), np.ones((3, 2))])
 
 
@@ -193,7 +186,7 @@ class TestTripleProduct:
         assert np.abs(T - scaled).max() <= 1e-12
 
     def test_mismatched_rows(self):
-        with pytest.raises(MismatchedRowsError):
+        with pytest.raises(InputError, match="^row counts differ: 2, 3, 2$"):
             triple_product(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
 
 
@@ -208,7 +201,7 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((3, 4))) == 0
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteEntriesError):
+        with pytest.raises(InputError, match="^matrix contains non-finite entries$"):
             numerical_rank(np.array([[1.0, np.nan]]))
 
     def test_one_cutoff_read_at_call_time(self, monkeypatch):
@@ -242,7 +235,7 @@ class TestKruskalRank:
         # 21 rows in dimension 20 cannot be full row rank, so enumeration
         # would be needed and the cap kicks in
         M = np.vstack([np.eye(20), np.ones((1, 20))])
-        with pytest.raises(TooManyRowsError):
+        with pytest.raises(InputError, match="^subset enumeration over 21 rows exceeds "):
             kruskal_rank(M)
 
     @pytest.mark.parametrize("batch_entries", [None, 64])
@@ -338,7 +331,7 @@ class TestUnclump:
         assert np.allclose(out, A)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="does not match 4 columns$"):
             unclump(np.full((1, 4), 0.25), (3, 2))
 
     def test_not_khatri_rao(self):
@@ -346,6 +339,46 @@ class TestUnclump:
         A = np.array([[0.7, 0.0, 0.0, 0.3]])
         with pytest.raises(NotKhatriRaoError):
             unclump(A, (2, 2))
+
+
+@st.composite
+def stochastic_factors(draw):
+    """One to four row-stochastic factors sharing 1-4 rows, 1-4 columns each."""
+    r = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    factors = []
+    for a in dims:
+        entries = draw(st.lists(st.floats(1e-3, 1.0), min_size=r * a, max_size=r * a))
+        F = np.array(entries).reshape(r, a)
+        factors.append(F / F.sum(axis=1, keepdims=True))
+    return factors
+
+
+@given(factors=stochastic_factors())
+def test_unclump_inverts_khatri_rao(factors):
+    recovered = unclump(khatri_rao(factors), [F.shape[1] for F in factors])
+    assert len(recovered) == len(factors)
+    for F, G in zip(factors, recovered):
+        assert G.shape == F.shape
+        assert np.abs(F - G).max() <= 1e-13
+
+
+@given(data=st.data())
+def test_clump_tensor_preserves_entries(data):
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5))
+    p, n = len(shape), int(np.prod(shape))
+    T = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    T = T.reshape(shape)
+    order = data.draw(st.permutations(range(p)))
+    a = data.draw(st.integers(1, p - 2))
+    b = data.draw(st.integers(a + 1, p - 1))
+    blocks = [order[:a], order[a:b], order[b:]]
+    out = clump_tensor(T, blocks)
+    assert np.array_equal(np.sort(out.ravel()), np.sort(T.ravel()))
+    for k, block in enumerate(blocks):
+        others = tuple(j for j in range(p) if j not in block)
+        marginal = T.sum(axis=others).ravel()
+        assert np.allclose(out.sum(axis=tuple(i for i in range(3) if i != k)), marginal)
 
 
 class TestClumpTensor:
@@ -381,11 +414,11 @@ class TestClumpTensor:
 
     def test_bad_partitions(self):
         T = np.zeros((2, 2, 2))
-        with pytest.raises(BadPartitionError):
+        with pytest.raises(InputError, match="^need exactly 3 blocks, got 2$"):
             clump_tensor(T, [(0,), (1,)])
-        with pytest.raises(BadPartitionError):
+        with pytest.raises(InputError, match="^blocks must be nonempty$"):
             clump_tensor(T, [(0,), (1,), ()])
-        with pytest.raises(BadPartitionError):
+        with pytest.raises(InputError, match="^blocks must disjointly cover all 3 axes"):
             clump_tensor(T, [(0,), (0, 1), (2,)])
 
 
