@@ -22,9 +22,8 @@ print("=" * 72)
 print("1. Selecting cut points for two overlapping uniforms")
 print("=" * 72)
 family = [CdfComponent.uniform(0.0, 1.0), CdfComponent.uniform(0.0, 2.0)]
-cuts = select_cut_points(family)
+cuts, M = select_cut_points(family)
 print(f"cuts chosen: {cuts.cuts[0]}")
-M = binned_conditional_matrix(family, cuts)
 print(f"binned conditional matrix (rows sum to 1):\n{np.round(M, 4)}")
 print(f"cumulative transform gives CDF values at the cuts:\n"
       f"{np.round(np.cumsum(M, axis=1), 4)}")
@@ -40,7 +39,9 @@ mix = NonparametricMixture(
         (CdfComponent.uniform(0.0, 2.0), CdfComponent.uniform(1.0, 2.0)),
     ),
 )
-r = bivariate_rank(mix, 0, 1, [[0.5, 1.5]], [[0.5, 1.5]])
+fixed = [[0.5, 1.5]]
+print(f"binned at {fixed[0]}:\n{np.round(binned_conditional_matrix(mix.variate(0), fixed), 4)}")
+r = bivariate_rank(mix, 0, 1, fixed, fixed)
 print(f"distinct per-variate families: bivariate rank = {r} (equals r = 2)")
 prod = NonparametricMixture(
     pi=np.array([0.4, 0.6]),

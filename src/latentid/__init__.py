@@ -15,11 +15,9 @@ from .errors import (
     InputError,
     LatentIdError,
     NegativeWeightsError,
-    NonMonotoneCdfError,
     NonUniqueStationaryError,
     NotDistinctError,
     NotKhatriRaoError,
-    NotStationaryError,
     RankDeficientError,
 )
 from .tensor_core import (

@@ -3,8 +3,10 @@
 Exit codes partition outcomes: 0 for certified or successfully recovered, 1
 for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
-:class:`~latentid.errors.InputError`, or the ``OSError``, ``ValueError`` or
-``KeyError`` that reading a malformed file or argument raises.  With
+:class:`~latentid.errors.InputError` (a bad argument or model file, including
+a CDF table that decreases or a ``pi`` that is not stationary for its chain),
+or the ``OSError``, ``ValueError`` or ``KeyError`` that reading a malformed
+file or argument raises.  With
 ``--json`` the report is printed as one JSON object with sorted keys;
 identical arguments, files and seed produce byte-identical JSON (wall-clock
 time appears only in the human-readable text output).
@@ -254,7 +256,7 @@ def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
     model = _load(args.model, npx.NonparametricMixture, "nonparam-cuts")
     cuts = {}
     for j in range(model.p):
-        cs = npx.select_cut_points(model.variate(j))
+        cs, _ = npx.select_cut_points(model.variate(j))
         cuts[f"variate_{j}"] = [c.tolist() for c in cs.cuts]
     return 0, {"r": model.r, "p": model.p, "cuts": cuts}
 
@@ -284,12 +286,7 @@ def _cmd_nonparam_recover(args) -> tuple[int, dict]:
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
     # align to the file's parameters through the recovered CDF tables
     truth = [
-        np.vstack(
-            [
-                [comp(pt) for pt in npx._normalize_points(queries[j], model.block_dims[j])]
-                for comp in model.variate(j)
-            ]
-        )
+        np.vstack([[comp(pt) for pt in queries[j]] for comp in model.variate(j)])
         for j in range(model.p)
     ]
     align = recovery.align_permutation((pi_hat, tables), (model.pi, truth))

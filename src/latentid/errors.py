@@ -2,7 +2,8 @@
 
 Every error is a subclass of :class:`LatentIdError`, so callers can catch the
 whole family with one clause.  Misuse and malformed input (bad shapes, values
-out of range, inputs too large or too few, inconsistent model files) raise
+out of range, inputs too large or too few, inconsistent model files, a CDF
+table that decreases, a ``pi`` that is not stationary for its chain) raise
 :class:`InputError`, which is also a :class:`ValueError`; its message names
 the cause.  Every other class names an honest negative result.  The CLI exits
 2 on an :class:`InputError` and 1 on any other :class:`LatentIdError`.
@@ -10,9 +11,8 @@ the cause.  Every other class names an honest negative result.  The CLI exits
 The classes: :class:`LatentIdError`, :class:`InputError`,
 :class:`NotKhatriRaoError`, :class:`DegenerateSpectrumError`,
 :class:`RankDeficientError`, :class:`NegativeWeightsError`,
-:class:`NonUniqueStationaryError`, :class:`NotStationaryError`,
-:class:`IllConditionedError`, :class:`InconsistentOracleError`,
-:class:`NotDistinctError` and :class:`NonMonotoneCdfError`.
+:class:`NonUniqueStationaryError`, :class:`IllConditionedError`,
+:class:`InconsistentOracleError` and :class:`NotDistinctError`.
 """
 
 
@@ -58,10 +58,6 @@ class NonUniqueStationaryError(LatentIdError):
     """The unit eigenvalue of the transition matrix is not simple."""
 
 
-class NotStationaryError(LatentIdError):
-    """The provided distribution is not stationary for the chain."""
-
-
 class IllConditionedError(LatentIdError):
     """A matrix is too close to singular: a linear solve required by recovery
     is rank deficient, or every random HMM draw fell below the sampler's
@@ -78,11 +74,3 @@ class InconsistentOracleError(LatentIdError):
 
 class NotDistinctError(LatentIdError):
     """Fewer than three distinct connection probabilities were observed."""
-
-
-# ---------------------------------------------------------------------------
-# nonparametric mixtures
-
-
-class NonMonotoneCdfError(LatentIdError):
-    """A CDF table produced a negative bin mass beyond tolerance."""

@@ -30,7 +30,6 @@ from .errors import (
     IllConditionedError,
     InputError,
     NonUniqueStationaryError,
-    NotStationaryError,
 )
 from .latent_class import Certificate, ENTRY_CAP
 from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
@@ -81,7 +80,7 @@ def time_reversal(A, pi) -> np.ndarray:
     """Transition matrix of the reversed stationary chain.
 
     ``A_rev[i, j] = pi[j] * A[j, i] / pi[i]``; applying the reversal twice
-    returns ``A`` exactly.  Raises :class:`NotStationaryError` when ``pi`` is
+    returns ``A`` exactly.  Raises :class:`InputError` when ``pi`` is
     not stationary for ``A`` within :data:`~latentid.tensor_core.ROW_SUM_TOL`.
     """
     A = check_stochastic(A, name="A")
@@ -90,7 +89,7 @@ def time_reversal(A, pi) -> np.ndarray:
         raise InputError("pi length must match the square matrix A")
     err = np.abs(pi @ A - pi).max()
     if err > ROW_SUM_TOL:
-        raise NotStationaryError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
+        raise InputError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
     return (A.T * pi[None, :]) / pi[:, None]
 
 

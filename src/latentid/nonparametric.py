@@ -3,9 +3,10 @@
 Components are piecewise-(multi)linear CDF tables over rectangular knot
 grids, evaluated exactly between knots and clamped outside them.  Cut points
 discretize each variate into bins whose conditional matrix has full row rank,
-which turns the continuous mixture into an exactly solvable finite one; CDF
-values at arbitrary query points are read back through the cumulative
-transform after inserting the queries among the cuts.
+which turns the continuous mixture into an exactly solvable finite one; cut
+selection returns that matrix with the cuts, from one table per component.
+CDF values at arbitrary query points are read back through the cumulative
+transform after inserting the queries verbatim among the cuts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InputError, NonMonotoneCdfError, RankDeficientError
+from .errors import InputError, RankDeficientError
 from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
@@ -28,8 +29,6 @@ from .tensor_core import (
 
 #: a candidate cut within this distance of the current column span adds no rank
 CUT_TOL = 1e-9
-#: a query point is read at the cut within this distance of it
-_QUERY_MATCH_TOL = 1e-12
 
 
 class CdfComponent:
@@ -68,9 +67,7 @@ class CdfComponent:
             raise InputError("CDF values must lie in [0, 1]")
         for c in range(values.ndim):
             if np.diff(values, axis=c).min() < -NEG_ENTRY_TOL:
-                raise NonMonotoneCdfError(
-                    f"CDF table decreases along coordinate {c}"
-                )
+                raise InputError(f"CDF table decreases along coordinate {c}")
             floor = np.moveaxis(values, c, 0)[0]
             if np.abs(floor).max() > ROW_SUM_TOL:
                 raise InputError(
@@ -200,6 +197,8 @@ class CutPointSet:
         for c, arr in enumerate(arrays):
             if arr.ndim != 1 or arr.size == 0:
                 raise InputError(f"cut array {c} must be nonempty 1-D")
+            if np.any(np.isnan(arr)):
+                raise InputError(f"cut array {c} contains NaN")
             if np.any(np.diff(arr) <= 0):
                 raise InputError(f"cut array {c} must be strictly increasing")
             arr.flags.writeable = False
@@ -218,30 +217,47 @@ class CutPointSet:
         return int(np.prod(self.bins_per_axis))
 
 
-def _as_cut_arrays(cuts) -> tuple[np.ndarray, ...]:
+def _as_cut_set(cuts) -> CutPointSet:
     if isinstance(cuts, CutPointSet):
-        return cuts.cuts
-    if np.ndim(cuts[0]) == 0:
-        return (np.asarray(cuts, dtype=float),)
-    return tuple(np.asarray(c, dtype=float) for c in cuts)
+        return cuts
+    if len(cuts) == 0 or np.ndim(cuts[0]) == 0:
+        cuts = [cuts]
+    return CutPointSet(cuts=tuple(cuts))
 
 
 def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
     if points is None:
         return []
-    if b == 1 and np.ndim(points) == 0:
-        return [(float(points),)]
-    if b > 1 and len(points) == b and np.ndim(points[0]) == 0:
-        return [tuple(float(x) for x in points)]
+    if (b == 1 and np.ndim(points) == 0) or (
+        b > 1 and len(points) == b and np.ndim(points[0]) == 0
+    ):
+        points = [points]
     out = []
     for pt in points:
-        if b == 1 and np.ndim(pt) == 0:
-            out.append((float(pt),))
-        else:
-            if len(pt) != b:
-                raise InputError(f"point {pt} has {len(pt)} coordinates, expected {b}")
-            out.append(tuple(float(x) for x in pt))
+        coords = (pt,) if np.ndim(pt) == 0 else pt
+        if len(coords) != b:
+            raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
+        coords = tuple(float(x) for x in coords)
+        if np.isnan(coords).any():
+            raise InputError(f"point {pt} has a NaN coordinate")
+        out.append(coords)
     return out
+
+
+def _bin_masses(tables: np.ndarray) -> np.ndarray:
+    """Bin masses from CDF tables at ``[-inf, cuts..., +inf]`` on every coordinate.
+
+    ``tables[i]`` is component i's table; row i of the result holds its
+    successive differences along every coordinate, the last varying fastest.
+    """
+    mass = tables
+    for axis in range(1, tables.ndim):
+        mass = np.diff(mass, axis=axis)
+    mass = mass.reshape(len(tables), -1)
+    for i, lowest in enumerate(mass.min(axis=1)):
+        if lowest < -NEG_ENTRY_TOL:
+            raise InputError(f"component {i} produced bin mass {lowest:.3g}")
+    return np.maximum(mass, 0.0)
 
 
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
@@ -252,8 +268,13 @@ def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
     ]
 
 
-def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> CutPointSet:
+def select_cut_points(
+    components: Sequence[CdfComponent], mandatory=None
+) -> tuple[CutPointSet, np.ndarray]:
     """Choose cut points making the binned conditional matrix full row rank.
+
+    Returns ``(cuts, M)``, where ``M`` is the binned conditional matrix at
+    those cuts, equal to ``binned_conditional_matrix(components, cuts)``.
 
     Greedy column pivoting (Businger & Golub, Numer. Math. 1965): while the
     matrix ``A`` of CDF values at the current cuts (plus the constant column
@@ -273,11 +294,14 @@ def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> Cut
     over all of ``R^b``.
 
     Each component is evaluated once, on the pooled knots, the mandatory
-    coordinates and +inf; every step indexes its matrices from those tables.
+    coordinates and -inf and +inf; every step indexes its matrices from those
+    tables, and ``M`` is the successive differences of the table at
+    ``[-inf, cuts..., +inf]``.
 
     Raises :class:`RankDeficientError` when the farthest candidate is within
     ``CUT_TOL`` of the span: the components are linearly dependent, to that
-    threshold, as functions on ``R^b``.
+    threshold, as functions on ``R^b``.  Raises :class:`InputError` when a
+    block component gives a bin a negative mass.
     """
     components = list(components)
     if not components:
@@ -301,7 +325,7 @@ def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> Cut
         add_point(pt)
 
     axes = [
-        np.unique(np.concatenate([g, [pt[c] for pt in mandatory_points], [np.inf]]))
+        np.unique(np.concatenate([[-np.inf], g, [pt[c] for pt in mandatory_points], [np.inf]]))
         for c, g in enumerate(grid_axes)
     ]
     tables = np.stack([comp.evaluate_grid(axes) for comp in components])
@@ -334,7 +358,9 @@ def select_cut_points(components: Sequence[CdfComponent], mandatory=None) -> Cut
         if not cut_lists[c]:
             cut_lists[c].append(float(grid_axes[c][0]))
 
-    return CutPointSet(cuts=tuple(np.asarray(c, dtype=float) for c in cut_lists))
+    bounds = [np.searchsorted(ax, [-np.inf, *cl, np.inf]) for ax, cl in zip(axes, cut_lists)]
+    cuts = CutPointSet(cuts=tuple(np.asarray(c, dtype=float) for c in cut_lists))
+    return cuts, _bin_masses(tables[np.ix_(classes, *bounds)])
 
 
 def binned_conditional_matrix(
@@ -345,27 +371,15 @@ def binned_conditional_matrix(
     Row i holds the probability of each bin under component i, ordered with
     the last coordinate's bin index varying fastest; rows sum to 1 by
     telescoping.  The cumulative column transform (running sums along each
-    coordinate) recovers the CDF values at the cuts exactly.
+    coordinate) recovers the CDF values at the cuts exactly.  ``cuts`` is a
+    :class:`CutPointSet` or the cut arrays it would hold, validated the same
+    way; :func:`select_cut_points` returns this matrix for the cuts it chooses.
     """
-    cut_arrays = _as_cut_arrays(cuts)
-    components = list(components)
-    if any(c.block_dim != len(cut_arrays) for c in components):
+    cut_set = _as_cut_set(cuts)
+    if any(c.block_dim != cut_set.block_dim for c in components):
         raise InputError("components and cuts disagree on the block dimension")
-    axes = [
-        np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_arrays
-    ]
-    rows = []
-    for i, comp in enumerate(components):
-        E = comp.evaluate_grid(axes)
-        mass = E
-        for axis in range(len(cut_arrays)):
-            mass = np.diff(mass, axis=axis)
-        if mass.min() < -NEG_ENTRY_TOL:
-            raise NonMonotoneCdfError(
-                f"component {i} produced bin mass {mass.min():.3g}"
-            )
-        rows.append(np.maximum(mass, 0.0).ravel())
-    return np.vstack(rows)
+    axes = [np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_set.cuts]
+    return _bin_masses(np.stack([comp.evaluate_grid(axes) for comp in components]))
 
 
 def bivariate_rank(
@@ -391,20 +405,16 @@ def bivariate_rank(
 
 
 def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
-    """Read CDF values at query points from rows of bin masses, one per class."""
+    """Read CDF values at query points from rows of bin masses, one per class.
+
+    Every query coordinate must be one of the cuts, as it is when the queries
+    were the mandatory points of :func:`select_cut_points`.
+    """
     grid = rows.reshape((len(rows),) + cuts.bins_per_axis)
     for axis in range(1, grid.ndim):
         grid = np.cumsum(grid, axis=axis)
     points = np.array(queries, dtype=float).reshape(-1, cuts.block_dim)
-    index, missing = [], []
-    for c, cut in enumerate(cuts.cuts):
-        pos = np.searchsorted(cut, points[:, c])
-        index.append(np.minimum(pos, cut.size - 1))
-        off_cut = np.abs(cut[index[c]] - points[:, c]) > _QUERY_MATCH_TOL
-        missing.append((pos == cut.size) | off_cut)
-    if np.any(missing):
-        q, c = np.argwhere(np.array(missing).T)[0]
-        raise InputError(f"query point {float(points[q, c])} is not among the cuts")
+    index = [np.searchsorted(cut, points[:, c]) for c, cut in enumerate(cuts.cuts)]
     flat = np.ravel_multi_index(index, cuts.bins_per_axis)
     return grid.reshape(len(rows), -1).take(flat, axis=1)
 
@@ -418,24 +428,27 @@ def recover_mixture(
     """Recover mixing weights and component CDF values at query points.
 
     Cut points are selected per variate with every query point inserted as
-    mandatory.  Variates 0 and 1 are two views; the third is ``(J, X_J)``
-    with ``J`` uniform on ``{2, ..., p-1}``, whose binned conditional matrix
-    is the variates' matrices side by side, divided by ``p - 2``.  The three
-    views are conditionally independent given the class, so their exact
-    binned tensor is decomposed once (Allman, Matias & Rhodes, Ann. Statist.
-    2009).  The third factor splits back into per-variate rows, scaled by
-    ``p - 2``, so one set of class labels holds for every variate.  CDF values
-    are read off through the cumulative transform.
+    mandatory; cut selection also returns the variate's binned conditional
+    matrix, so each component is evaluated once.  Variates 0 and 1 are two
+    views; the third is ``(J, X_J)`` with ``J`` uniform on ``{2, ..., p-1}``,
+    whose binned conditional matrix is the variates' matrices side by side,
+    divided by ``p - 2``.  The three views are conditionally independent given
+    the class, so their exact binned tensor is decomposed once (Allman, Matias
+    & Rhodes, Ann. Statist. 2009).  The third factor splits back into
+    per-variate rows, scaled by ``p - 2``, so one set of class labels holds for
+    every variate.  CDF values are read off through the cumulative transform
+    at the query points, which are cuts verbatim.
 
     ``query_points[j]`` lists the evaluation points for variate j (floats, or
-    coordinate tuples for blocks).  Returns ``(pi, tables)`` where
+    coordinate tuples for blocks; ``-inf``, ``+inf`` and points outside the
+    knot range are allowed).  Returns ``(pi, tables)`` where
     ``tables[j][i, q]`` is the recovered CDF of class i, variate j at query
     q.
 
     Raises
     ------
     InputError
-        The mixture has fewer than 3 variates.
+        The mixture has fewer than 3 variates, or a query point is NaN.
     RankDeficientError
         Cut selection finds no full-rank binning of some variate (see
         :func:`select_cut_points`), or from :func:`~latentid.recovery.decompose3`.
@@ -451,8 +464,9 @@ def recover_mixture(
     queries = [
         _normalize_points(query_points[j], mixture.block_dims[j]) for j in range(p)
     ]
-    cuts = [select_cut_points(mixture.variate(j), mandatory=queries[j]) for j in range(p)]
-    mats = [binned_conditional_matrix(mixture.variate(j), cuts[j]) for j in range(p)]
+    cuts, mats = zip(
+        *(select_cut_points(mixture.variate(j), mandatory=queries[j]) for j in range(p))
+    )
 
     T = triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)

@@ -462,7 +462,7 @@ def test_criterion_10_structural_invariants():
     checks.append(bivariate_rank(prod2, 0, 1, fixed, fixed) == 1)
 
     mix_indep = random_nonparametric_mixture(trial_rng(112, 1), 3, 2)
-    cuts = [select_cut_points(mix_indep.variate(j)) for j in range(2)]
+    cuts = [select_cut_points(mix_indep.variate(j))[0] for j in range(2)]
     checks.append(bivariate_rank(mix_indep, 0, 1, cuts[0], cuts[1]) == 3)
 
     ok = report(

@@ -400,11 +400,9 @@ class TestReportContract:
             "InputError",
             "LatentIdError",
             "NegativeWeightsError",
-            "NonMonotoneCdfError",
             "NonUniqueStationaryError",
             "NotDistinctError",
             "NotKhatriRaoError",
-            "NotStationaryError",
             "RankDeficientError",
         ]
         assert issubclass(InputError, ValueError)

@@ -8,7 +8,6 @@ from latentid.errors import (
     IllConditionedError,
     NonUniqueStationaryError,
     InputError,
-    NotStationaryError,
 )
 from latentid.hmm import (
     HiddenMarkovModel,
@@ -153,7 +152,7 @@ class TestTimeReversal:
 
     def test_not_stationary(self):
         A = np.array([[0.9, 0.1], [0.3, 0.7]])
-        with pytest.raises(NotStationaryError):
+        with pytest.raises(InputError, match="^pi A differs from pi by 0.1 > "):
             time_reversal(A, np.array([0.5, 0.5]))
 
 

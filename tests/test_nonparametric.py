@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latentid import nonparametric
-from latentid.errors import NonMonotoneCdfError, RankDeficientError
+from latentid.errors import InputError, RankDeficientError
 from latentid.nonparametric import (
     CdfComponent,
     CutPointSet,
@@ -63,7 +63,7 @@ class TestCdfComponent:
         assert F(5.0) == 1.0  # clamped
 
     def test_rejects_decreasing_table(self):
-        with pytest.raises(NonMonotoneCdfError):
+        with pytest.raises(InputError, match="^CDF table decreases along coordinate 0$"):
             CdfComponent([0.0, 1.0, 2.0], [0.0, 0.9, 0.8])
 
     def test_requires_limits(self):
@@ -90,14 +90,14 @@ class TestCdfComponent:
 
 class TestSelectCutPoints:
     def test_two_uniforms(self):
-        cuts = select_cut_points(two_uniform_family())
-        A = binned_conditional_matrix(two_uniform_family(), cuts)
+        _, A = select_cut_points(two_uniform_family())
         assert numerical_rank(np.cumsum(A, axis=1)) == 2
 
     def test_two_uniforms_cut_where_the_cdfs_differ_most(self):
         # |F1 - F2| = t/2 on [0, 1] and 1 - t/2 on [1, 2]: largest at t = 1
-        cuts = select_cut_points(two_uniform_family())
+        cuts, A = select_cut_points(two_uniform_family())
         assert [c.tolist() for c in cuts.cuts] == [[1.0]]
+        assert A.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
     def test_frontier_families_are_well_conditioned(self):
         # r=8 with 16 knots and two mandatory queries: the first candidate off
@@ -106,8 +106,8 @@ class TestSelectCutPoints:
         for i in range(40):
             mix = random_nonparametric_mixture(np.random.default_rng([1, 6, i]), 8, 4, n_knots=16)
             family = mix.variate(0)
-            cuts = select_cut_points(family, mandatory=[1 / 3, 2 / 3])
-            conds.append(np.linalg.cond(binned_conditional_matrix(family, cuts)))
+            _, M = select_cut_points(family, mandatory=[1 / 3, 2 / 3])
+            conds.append(np.linalg.cond(M))
         assert max(conds) < 1e3
 
     def test_explicit_half_cuts_have_rank_two(self):
@@ -121,7 +121,7 @@ class TestSelectCutPoints:
         assert numerical_rank(rows) == 2
 
     def test_single_component_returns_one_cut(self):
-        cuts = select_cut_points([CdfComponent.uniform(0.0, 1.0)])
+        cuts, _ = select_cut_points([CdfComponent.uniform(0.0, 1.0)])
         assert cuts.block_dim == 1
         assert cuts.cuts[0].size == 1
 
@@ -131,12 +131,12 @@ class TestSelectCutPoints:
             select_cut_points(family)
 
     def test_mandatory_point_included(self):
-        cuts = select_cut_points(two_uniform_family(), mandatory=[0.37])
+        cuts, _ = select_cut_points(two_uniform_family(), mandatory=[0.37])
         assert 0.37 in cuts.cuts[0].tolist()
 
     def test_extra_cuts_never_reduce_rank(self):
         family = two_uniform_family()
-        cuts = select_cut_points(family)
+        cuts, _ = select_cut_points(family)
         more = np.unique(np.concatenate([cuts.cuts[0], [0.1, 0.9, 1.7]]))
         A = binned_conditional_matrix(family, [more])
         assert numerical_rank(A) == 2
@@ -147,9 +147,8 @@ class TestSelectCutPoints:
             CdfComponent.from_product([random_piecewise_cdf(rng) for _ in range(2)])
             for _ in range(2)
         ]
-        cuts = select_cut_points(family)
+        cuts, A = select_cut_points(family)
         assert cuts.block_dim == 2
-        A = binned_conditional_matrix(family, cuts)
         assert numerical_rank(A) == 2
 
 
@@ -239,7 +238,8 @@ class TestCutScanAgreement:
             except RankDeficientError:
                 expected = None
             try:
-                got = [c.tobytes() for c in select_cut_points(family, mandatory=mandatory).cuts]
+                cuts, _ = select_cut_points(family, mandatory=mandatory)
+                got = [c.tobytes() for c in cuts.cuts]
             except RankDeficientError:
                 got = None
             assert got == expected, f"case {i}"
@@ -259,6 +259,24 @@ class TestCutScanAgreement:
             calls.clear()
             select_cut_points(family, mandatory=mandatory)
             assert len(calls) == len(family)
+        for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
+            mix = random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
+            calls.clear()
+            recover_mixture(mix, [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims])
+            assert len(calls) == r * p
+
+    def test_binning_equals_binned_conditional_matrix(self):
+        # the matrix cut selection returns is the one binned_conditional_matrix
+        # computes at the same cuts, to the bit
+        for i in range(320):
+            family, mandatory = scan_case(i)
+            try:
+                cuts, M = select_cut_points(family, mandatory=mandatory)
+            except RankDeficientError:
+                continue
+            expected = binned_conditional_matrix(family, cuts)
+            assert M.shape == expected.shape, f"case {i}"
+            assert M.tobytes() == expected.tobytes(), f"case {i}"
 
 
 def scalar_cdf(comp, point):
@@ -308,10 +326,10 @@ def test_evaluate_grid_equals_scalar_evaluation(parts, data):
 )
 def test_selected_cuts_give_full_rank(family, mandatory):
     try:
-        cuts = select_cut_points(family, mandatory=mandatory)
+        _, M = select_cut_points(family, mandatory=mandatory)
     except RankDeficientError:
         return
-    assert numerical_rank(binned_conditional_matrix(family, cuts)) == len(family)
+    assert numerical_rank(M) == len(family)
 
 
 class TestBinnedMatrix:
@@ -337,10 +355,32 @@ class TestBinnedMatrix:
     def test_rows_are_distributions(self):
         rng = trial_rng(52, 0)
         family = [random_piecewise_cdf(rng) for _ in range(3)]
-        cuts = select_cut_points(family)
-        A = binned_conditional_matrix(family, cuts)
+        _, A = select_cut_points(family)
         assert np.allclose(A.sum(axis=1), 1.0)
         assert A.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "cuts, message",
+        [
+            ([[0.5, 0.2]], "^cut array 0 must be strictly increasing$"),
+            ([[0.3, np.nan]], "^cut array 0 contains NaN$"),
+            ([[]], "^cut array 0 must be nonempty 1-D$"),
+            ([], "^cut array 0 must be nonempty 1-D$"),
+        ],
+    )
+    def test_malformed_cuts_are_input_errors(self, cuts, message):
+        with pytest.raises(InputError, match=message):
+            binned_conditional_matrix(two_uniform_family(), cuts)
+
+    def test_negative_bin_mass_is_an_input_error(self):
+        # monotone along each coordinate, but the square (1, 2] x (1, 2]
+        # gets mass 1 - 0.8 - 0.8 + 0.2 = -0.4
+        bad = CdfComponent(([0.0, 1.0, 2.0],) * 2, [[0, 0, 0], [0, 0.2, 0.8], [0, 0.8, 1]])
+        family = [CdfComponent.from_product([CdfComponent.uniform(0.0, 2.0)] * 2), bad]
+        with pytest.raises(InputError, match="^component 1 produced bin mass -0.4$"):
+            binned_conditional_matrix(family, [[1.0], [1.0]])
+        with pytest.raises(InputError, match="^component 1 produced bin mass "):
+            select_cut_points(family, mandatory=[(1.0, 1.0)])
 
 
 class TestBivariateRank:
@@ -368,14 +408,14 @@ class TestBivariateRank:
     def test_three_class_family(self):
         rng = trial_rng(53, 0)
         mix = random_nonparametric_mixture(rng, 3, 2)
-        cuts = [select_cut_points(mix.variate(j)) for j in range(2)]
+        cuts = [select_cut_points(mix.variate(j))[0] for j in range(2)]
         assert bivariate_rank(mix, 0, 1, cuts[0], cuts[1]) == 3
 
     def test_never_exceeds_r(self):
         rng = trial_rng(53, 1)
         for t in range(5):
             mix = random_nonparametric_mixture(trial_rng(53, 10 + t), 2, 2)
-            cuts = [select_cut_points(mix.variate(j)) for j in range(2)]
+            cuts = [select_cut_points(mix.variate(j))[0] for j in range(2)]
             assert bivariate_rank(mix, 0, 1, cuts[0], cuts[1]) <= 2
 
 
@@ -488,20 +528,42 @@ class TestRecoverMixture:
         align = align_permutation((pi_hat, tables), (mix.pi, truth))
         assert align.max_abs_error <= 1e-9
 
+    def test_infinite_and_out_of_range_queries_are_answered(self):
+        mix = reference_mixture()
+        queries = [[-np.inf, -5.0, 0.5, 5.0, np.inf], [np.inf, 1.5], [-np.inf, 0.3, 7.0]]
+        pi_hat, tables = recover_mixture(mix, queries, seed=0)
+        truth = [
+            np.array([[comp(q) for q in queries[j]] for comp in mix.variate(j)])
+            for j in range(3)
+        ]
+        align = align_permutation((pi_hat, tables), (mix.pi, truth))
+        assert align.max_abs_error <= 1e-9
 
-def test_query_not_among_cuts_is_refused():
+    def test_nan_query_is_an_input_error(self):
+        with pytest.raises(InputError, match="^point nan has a NaN coordinate$"):
+            recover_mixture(reference_mixture(), [[0.3, np.nan], [0.5], [0.5]])
+        block = random_nonparametric_mixture(trial_rng(54, 2), 2, 3, block_dims=[1, 1, 2])
+        with pytest.raises(InputError, match=r"^point \(0.3, nan\) has a NaN coordinate$"):
+            recover_mixture(block, [[0.5], [0.5], [(0.3, np.nan)]])
+        with pytest.raises(InputError, match="^point nan has a NaN coordinate$"):
+            select_cut_points(two_uniform_family(), mandatory=[np.nan])
+
+
+def test_queries_at_cuts_read_back_exactly():
+    # bins (-inf, 0.2], (0.2, 0.5], (0.5, inf) x (-inf, 0.5], (0.5, inf): the
+    # CDF at cut (x, y) is the sum of the bins below and left of it
     cuts = CutPointSet(cuts=(np.array([0.2, 0.5]), np.array([0.5])))
-    rows = np.full((2, cuts.kappa), 1.0 / cuts.kappa)
-    table = nonparametric._cdf_at_queries(rows, cuts, [(0.2, 0.5), (0.5, 0.5)])
-    assert np.allclose(table, [[1 / 6, 2 / 6], [1 / 6, 2 / 6]])
-    for queries, x in [([(0.2, 0.5), (0.3, 0.5)], 0.3), ([(0.5, 0.9)], 0.9), ([(0.7, 0.1)], 0.7)]:
-        with pytest.raises(ValueError, match=f"^query point {x} is not among the cuts$"):
-            nonparametric._cdf_at_queries(rows, cuts, queries)
+    rows = np.array([[0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125], np.full(6, 0.125)])
+    queries = [(0.2, 0.5), (0.5, 0.5), (0.2, 0.5)]
+    table = nonparametric._cdf_at_queries(rows, cuts, queries)
+    assert table.tolist() == [[0.5, 0.625, 0.5], [0.125, 0.25, 0.125]]
 
 
 def test_cut_point_set_validation():
     with pytest.raises(ValueError):
         CutPointSet(cuts=(np.array([0.5, 0.5]),))
+    with pytest.raises(InputError, match="^cut array 0 contains NaN$"):
+        CutPointSet(cuts=(np.array([np.nan]),))
     cs = CutPointSet(cuts=(np.array([0.2, 0.7]), np.array([0.5])))
     assert cs.kappa == 6
     assert cs.bins_per_axis == (3, 2)
