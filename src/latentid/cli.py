@@ -4,7 +4,7 @@ Exit codes partition outcomes: 0 for certified or successfully recovered, 1
 for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
 :class:`~latentid.errors.InputError` (a bad argument or model file, including
-a CDF table that decreases or a ``pi`` that is not stationary for its chain),
+a CDF table with a negative cell mass or a ``pi`` that is not stationary for its chain),
 or the ``OSError``, ``ValueError`` or ``KeyError`` that reading a malformed
 file or argument raises.  With
 ``--json`` the report is printed as one JSON object with sorted keys;

@@ -32,7 +32,7 @@ from .errors import (
     NonUniqueStationaryError,
 )
 from .latent_class import Certificate, ENTRY_CAP
-from .recovery import RECOVERY_TOL, Alignment, align_permutation, decompose3
+from .recovery import RECOVERY_TOL, Alignment, _clean_rows, align_permutation, decompose3
 from .tensor_core import (
     POSITIVE_FLOOR,
     ROW_SUM_TOL,
@@ -255,12 +255,11 @@ def recover_hmm(
         raise IllConditionedError(
             f"solved transition matrix misses row sums by {row_err:.3g} > {tol}"
         )
-    if A_hat.min() < -tol:
+    A_hat = _clean_rows(A_hat, tol)
+    if A_hat is None:
         raise IllConditionedError(
             f"solved transition matrix has entries below -{tol}"
         )
-    A_hat = np.where(A_hat < 0.0, 0.0, A_hat)
-    A_hat = A_hat / A_hat.sum(axis=1, keepdims=True)
     return A_hat, B_hat, rec.pi
 
 

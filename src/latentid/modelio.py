@@ -85,28 +85,15 @@ def model_from_dict(obj: dict) -> Model:
     if kind == "latent_class":
         emissions = tuple(np.asarray(M, dtype=float) for M in obj["emissions"])
         model = LatentClassModel(pi=np.asarray(obj["pi"], dtype=float), emissions=emissions)
-        if "r" in obj and model.r != obj["r"]:
-            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
-        if "kappas" in obj and list(model.kappas) != list(obj["kappas"]):
-            raise InputError("declared kappas do not match the emission shapes")
-        return model
-    if kind == "hmm":
+    elif kind == "hmm":
         model = HiddenMarkovModel(
             A=np.asarray(obj["A"], dtype=float), B=np.asarray(obj["B"], dtype=float)
         )
-        if "r" in obj and model.r != obj["r"]:
-            raise InputError(f"declared r={obj['r']} but A is {model.A.shape}")
-        if "kappa" in obj and model.kappa != obj["kappa"]:
-            raise InputError(f"declared kappa={obj['kappa']} but B is {model.B.shape}")
-        return model
-    if kind == "graph_mixture":
+    elif kind == "graph_mixture":
         model = GraphMixtureModel(
             pi=np.asarray(obj["pi"], dtype=float), P=np.asarray(obj["P"], dtype=float)
         )
-        if "r" in obj and model.r != obj["r"]:
-            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
-        return model
-    if kind == "nonparametric":
+    elif kind == "nonparametric":
         rows = tuple(
             tuple(
                 CdfComponent(entry["knots"], entry["values"]) for entry in row
@@ -114,14 +101,14 @@ def model_from_dict(obj: dict) -> Model:
             for row in obj["components"]
         )
         model = NonparametricMixture(pi=np.asarray(obj["pi"], dtype=float), components=rows)
-        if "r" in obj and model.r != obj["r"]:
-            raise InputError(f"declared r={obj['r']} but pi has length {model.r}")
-        if "p" in obj and model.p != obj["p"]:
-            raise InputError(f"declared p={obj['p']} but components cover {model.p} variates")
-        if "block_dims" in obj and list(model.block_dims) != list(obj["block_dims"]):
-            raise InputError("declared block_dims do not match the component tables")
-        return model
-    raise InputError(f"unknown model type {kind!r}")
+    else:
+        raise InputError(f"unknown model type {kind!r}")
+    for key in ("r", "p", "kappa", "kappas", "block_dims"):
+        if key in obj and hasattr(model, key):
+            actual = getattr(model, key)
+            if not np.array_equal(actual, obj[key]):
+                raise InputError(f"declared {key}={obj[key]} but the model has {actual}")
+    return model
 
 
 def save_model(model: Model, path) -> None:

@@ -38,7 +38,10 @@ class CdfComponent:
     sequence of such arrays (a block of several coordinates); ``values`` holds
     the CDF at every grid point.  Evaluation interpolates multilinearly
     between knots and clamps outside them, so the table must carry its limits:
-    every slice at a minimal knot is 0 and the top corner is 1.
+    every slice at a minimal knot is 0 and the top corner is 1.  Every knot
+    cell must have nonnegative mass (the table's successive differences along
+    every coordinate at once, within ``NEG_ENTRY_TOL``); with the limits this
+    makes the table nondecreasing and keeps it in [0, 1].
     """
 
     def __init__(self, knots, values):
@@ -63,17 +66,16 @@ class CdfComponent:
                 )
         if not np.all(np.isfinite(values)):
             raise InputError("CDF values must be finite")
-        if values.min() < -ROW_SUM_TOL or values.max() > 1.0 + ROW_SUM_TOL:
-            raise InputError("CDF values must lie in [0, 1]")
         for c in range(values.ndim):
-            if np.diff(values, axis=c).min() < -NEG_ENTRY_TOL:
-                raise InputError(f"CDF table decreases along coordinate {c}")
             floor = np.moveaxis(values, c, 0)[0]
             if np.abs(floor).max() > ROW_SUM_TOL:
                 raise InputError(
                     f"slice at the first knot of coordinate {c} must be 0 "
                     "(the table clamps to its endpoints)"
                 )
+        lowest = _cell_masses(values[None]).min()
+        if lowest < -NEG_ENTRY_TOL:
+            raise InputError(f"CDF table has a negative cell mass {lowest:.3g}")
         if abs(values.flat[-1] - 1.0) > ROW_SUM_TOL:
             raise InputError("top corner of the CDF table must be 1")
         self.knots = knot_arrays
@@ -186,8 +188,7 @@ class NonparametricMixture:
 class CutPointSet:
     """Sorted cut points per coordinate, defining a binning into intervals.
 
-    A coordinate with c cuts has c + 1 bins; :attr:`kappa` is the total bin
-    count over the block.
+    A coordinate with c cuts has c + 1 bins.
     """
 
     cuts: tuple[np.ndarray, ...]
@@ -211,10 +212,6 @@ class CutPointSet:
     @property
     def bins_per_axis(self) -> tuple[int, ...]:
         return tuple(c.size + 1 for c in self.cuts)
-
-    @property
-    def kappa(self) -> int:
-        return int(np.prod(self.bins_per_axis))
 
 
 def _as_cut_set(cuts) -> CutPointSet:
@@ -244,20 +241,27 @@ def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
     return out
 
 
-def _bin_masses(tables: np.ndarray) -> np.ndarray:
-    """Bin masses from CDF tables at ``[-inf, cuts..., +inf]`` on every coordinate.
+def _cell_masses(tables: np.ndarray) -> np.ndarray:
+    """Successive differences of each table along every coordinate at once.
 
-    ``tables[i]`` is component i's table; row i of the result holds its
-    successive differences along every coordinate, the last varying fastest.
+    Row i holds those of ``tables[i]``, the last coordinate varying fastest;
+    on a component's own table they are the masses of its knot cells.
     """
     mass = tables
     for axis in range(1, tables.ndim):
         mass = np.diff(mass, axis=axis)
-    mass = mass.reshape(len(tables), -1)
-    for i, lowest in enumerate(mass.min(axis=1)):
-        if lowest < -NEG_ENTRY_TOL:
-            raise InputError(f"component {i} produced bin mass {lowest:.3g}")
-    return np.maximum(mass, 0.0)
+    return mass.reshape(len(tables), -1)
+
+
+def _bin_masses(tables: np.ndarray) -> np.ndarray:
+    """Bin masses from CDF tables at ``[-inf, cuts..., +inf]`` on every coordinate.
+
+    Multilinear interpolation spreads each knot cell's mass uniformly over
+    the cell, so every bin's mass is a nonnegative combination of cell
+    masses, which :class:`CdfComponent` checks are nonnegative; only rounding
+    negatives are left to clamp.
+    """
+    return np.maximum(_cell_masses(tables), 0.0)
 
 
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
@@ -300,8 +304,8 @@ def select_cut_points(
 
     Raises :class:`RankDeficientError` when the farthest candidate is within
     ``CUT_TOL`` of the span: the components are linearly dependent, to that
-    threshold, as functions on ``R^b``.  Raises :class:`InputError` when a
-    block component gives a bin a negative mass.
+    threshold, as functions on ``R^b``.  Bin masses are never refused: every
+    :class:`CdfComponent` gives each bin a nonnegative mass.
     """
     components = list(components)
     if not components:
@@ -374,6 +378,7 @@ def binned_conditional_matrix(
     coordinate) recovers the CDF values at the cuts exactly.  ``cuts`` is a
     :class:`CutPointSet` or the cut arrays it would hold, validated the same
     way; :func:`select_cut_points` returns this matrix for the cuts it chooses.
+    No bin mass is ever refused; only malformed cuts are.
     """
     cut_set = _as_cut_set(cuts)
     if any(c.block_dim != cut_set.block_dim for c in components):
@@ -448,7 +453,8 @@ def recover_mixture(
     Raises
     ------
     InputError
-        The mixture has fewer than 3 variates, or a query point is NaN.
+        The mixture has fewer than 3 variates, or a query point is NaN.  No
+        bin mass is ever refused (see :func:`select_cut_points`).
     RankDeficientError
         Cut selection finds no full-rank binning of some variate (see
         :func:`select_cut_points`), or from :func:`~latentid.recovery.decompose3`.

@@ -300,9 +300,6 @@ def _weight_draw(U1, U2, core, T3, a, b, tol: float):
     G = khatri_rao([M1 @ U1, M2 @ U2])
     C = np.linalg.lstsq(G.T, core, rcond=None)[0]
     pi = C.sum(axis=1)
-    if pi.min() < -tol:
-        return "negative", np.nan, None
-    pi = np.where(pi < 0.0, 0.0, pi)
     if pi.min() <= 0.0:
         return "negative", np.nan, None
     M3 = C / pi[:, None]

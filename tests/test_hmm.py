@@ -20,8 +20,9 @@ from latentid.hmm import (
     time_reversal,
     window_tensor,
 )
-from latentid.sampling import random_hmm, trial_rng
-from latentid.tensor_core import khatri_rao, numerical_rank
+from latentid.latent_class import joint_distribution
+from latentid.sampling import random_hmm, random_latent_class, trial_rng
+from latentid.tensor_core import khatri_rao, numerical_rank, triple_product
 
 
 def path_joint(model, length):
@@ -308,3 +309,39 @@ class TestRecoverHmm:
         assert align.max_abs_error <= 1e-6
         p = align.permutation
         assert np.abs(A[np.ix_(p, p)] - model.A).max() <= align.max_abs_error
+
+    def test_rank_deficient_emission_product_is_refused(self):
+        # at k = 1 the emission-block product is the third factor, whose third
+        # row is the mean of the other two
+        rng = np.random.default_rng(0)
+        a, b = rng.dirichlet(np.ones(3), size=2)
+        M1, M2 = (rng.dirichlet(np.ones(3), size=3) for _ in range(2))
+        T = triple_product(np.full((3, 1), 1 / 3) * M1, M2, np.array([a, b, (a + b) / 2]))
+        with pytest.raises(
+            IllConditionedError,
+            match="^emission-block product is rank deficient; transition solve aborted$",
+        ):
+            recover_hmm(T, 3, 3, 1, seed=0)
+
+    def test_latent_class_tensor_misses_row_sums(self):
+        model = random_latent_class(trial_rng(0, 0), 2, (4, 4, 2))
+        with pytest.raises(
+            IllConditionedError,
+            match=r"^solved transition matrix misses row sums by 0\.0144 > 1e-08$",
+        ):
+            recover_hmm(joint_distribution(model), 2, 2, 2, seed=0)
+
+    def test_signed_transition_matrix_is_refused(self):
+        # the future block is A (B (x) M) with M = A B, as in a window law,
+        # but A has the entry -0.1, so the solve meets its row sums exactly
+        A = np.array([[1.1, -0.1], [0.3, 0.7]])
+        B = np.array([[0.6, 0.4], [0.4, 0.6]])
+        F1 = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+        F2 = A @ khatri_rao([B, A @ B])
+        T = triple_product(np.full((2, 1), 0.5) * F1, F2, B)
+        assert T.min() >= 0.0
+        with pytest.raises(
+            IllConditionedError,
+            match="^solved transition matrix has entries below -1e-08$",
+        ):
+            recover_hmm(T, 2, 2, 2, seed=0)

@@ -80,6 +80,7 @@ def test_declared_shape_mismatch_rejected():
         ("graph_mixture", "r", 3),
         ("nonparametric", "r", 5),
         ("nonparametric", "p", 9),
+        ("nonparametric", "block_dims", [1, 2, 1]),
     ],
 )
 def test_every_declared_header_field_is_checked(family, key, declared):

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from latentid import nonparametric
 from latentid.errors import InputError, RankDeficientError
+from latentid.modelio import load_model, model_to_dict
 from latentid.nonparametric import (
     CdfComponent,
     CutPointSet,
@@ -63,7 +65,7 @@ class TestCdfComponent:
         assert F(5.0) == 1.0  # clamped
 
     def test_rejects_decreasing_table(self):
-        with pytest.raises(InputError, match="^CDF table decreases along coordinate 0$"):
+        with pytest.raises(InputError, match="^CDF table has a negative cell mass -0.1$"):
             CdfComponent([0.0, 1.0, 2.0], [0.0, 0.9, 0.8])
 
     def test_requires_limits(self):
@@ -372,15 +374,21 @@ class TestBinnedMatrix:
         with pytest.raises(InputError, match=message):
             binned_conditional_matrix(two_uniform_family(), cuts)
 
-    def test_negative_bin_mass_is_an_input_error(self):
-        # monotone along each coordinate, but the square (1, 2] x (1, 2]
-        # gets mass 1 - 0.8 - 0.8 + 0.2 = -0.4
-        bad = CdfComponent(([0.0, 1.0, 2.0],) * 2, [[0, 0, 0], [0, 0.2, 0.8], [0, 0.8, 1]])
-        family = [CdfComponent.from_product([CdfComponent.uniform(0.0, 2.0)] * 2), bad]
-        with pytest.raises(InputError, match="^component 1 produced bin mass -0.4$"):
-            binned_conditional_matrix(family, [[1.0], [1.0]])
-        with pytest.raises(InputError, match="^component 1 produced bin mass "):
-            select_cut_points(family, mandatory=[(1.0, 1.0)])
+    def test_negative_bin_mass_is_an_input_error(self, tmp_path):
+        # monotone along each coordinate, but the cell (1, 2] x (1, 2] has
+        # mass 1 - 0.8 - 0.8 + 0.2 = -0.4: refused where the table is built,
+        # so no binning ever sees it
+        bad = {"knots": [[0, 1, 2]] * 2, "values": [[0, 0, 0], [0, 0.2, 0.8], [0, 0.8, 1]]}
+        message = "^CDF table has a negative cell mass -0.4$"
+        with pytest.raises(InputError, match=message):
+            CdfComponent(bad["knots"], bad["values"])
+        mixture = random_nonparametric_mixture(trial_rng(52, 1), 2, 3, block_dims=[1, 1, 2])
+        obj = model_to_dict(mixture)
+        obj["components"][1][2] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InputError, match=message):
+            load_model(path)
 
 
 class TestBivariateRank:
@@ -565,5 +573,4 @@ def test_cut_point_set_validation():
     with pytest.raises(InputError, match="^cut array 0 contains NaN$"):
         CutPointSet(cuts=(np.array([np.nan]),))
     cs = CutPointSet(cuts=(np.array([0.2, 0.7]), np.array([0.5])))
-    assert cs.kappa == 6
     assert cs.bins_per_axis == (3, 2)

@@ -212,6 +212,29 @@ class TestDecompose3:
                 assert isinstance(info.value, RankDeficientError), (t, info.value)
         assert ill >= 6
 
+    def test_negative_weight_is_refused(self):
+        # a signed mixture whose tensor is still a distribution: every draw
+        # recovers the weight -0.3
+        rng = np.random.default_rng(14)
+        M1, M2, M3 = (rng.dirichlet(np.ones(3), size=3) for _ in range(3))
+        T = triple_product(np.array([[0.7], [0.6], [-0.3]]) * M1, M2, M3)
+        assert T.min() >= 0.0
+        with pytest.raises(
+            NegativeWeightsError,
+            match=r"^recovered weights stayed negative beyond tol=1e-08 after 20 retries$",
+        ):
+            decompose3(T, 3, seed=0)
+
+    def test_negative_factor_entry_is_refused(self):
+        # positive weights, but one third-mode row has the entry -0.1
+        rng = np.random.default_rng(2)
+        M1, M2, M3 = (rng.dirichlet(np.ones(3), size=3) for _ in range(3))
+        M3[0] = [1.1, 0.0, -0.1]
+        T = triple_product(np.full((3, 1), 1 / 3) * M1, M2, M3)
+        assert T.min() >= 0.0
+        with pytest.raises(NegativeWeightsError, match=r"^recovered weights stayed negative"):
+            decompose3(T, 3, seed=0)
+
     def test_one_svd_per_subspace(self, monkeypatch):
         # r=8, kappa=2 window tensor: 128 x 128 x 2, above the sketch gate.
         # Only the small sketch Q^T T1 ((r+8) x 256) and the projected tensor
