@@ -143,14 +143,19 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     """Exact joint distribution of the p observed variables.
 
     Entry ``(l_1, ..., l_p)`` is ``sum_i pi[i] * prod_j emissions[j][i, l_j]``.
-    Raises :class:`InputError` when the dense table would exceed
-    :data:`ENTRY_CAP` entries.
+    The table is built as one matrix product over the classes, ``(pi *
+    khatri_rao(first half)).T @ khatri_rao(second half)``, the first half
+    being the first ``p // 2`` variables; ``pi`` enters as a one-column
+    Khatri-Rao factor, so ``p = 1`` needs no case of its own.  Raises
+    :class:`InputError` when the dense table would exceed :data:`ENTRY_CAP`
+    entries.
     """
-    K = int(np.prod(model.kappas))
+    K = math.prod(model.kappas)
     if K > ENTRY_CAP:
         raise InputError(f"joint table has {K} entries, cap is {ENTRY_CAP}")
-    flat = model.pi @ khatri_rao(list(model.emissions))
-    return flat.reshape(model.kappas)
+    h = model.p // 2
+    left = khatri_rao([model.pi[:, None], *model.emissions[:h]])
+    return (left.T @ khatri_rao(model.emissions[h:])).reshape(model.kappas)
 
 
 def kruskal_certificate(model: LatentClassModel) -> Certificate:
@@ -258,5 +263,4 @@ def param_dimension(r: int, kappas: Sequence[int]) -> tuple[int, int]:
     if r < 1 or any(k < 2 for k in kappas):
         raise InputError("need r >= 1 and every kappa >= 2")
     L = (r - 1) + r * sum(k - 1 for k in kappas)
-    K = int(np.prod(kappas))
-    return L, K
+    return L, math.prod(kappas)

@@ -184,7 +184,6 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     U2 = U2[:, :r]
     # the r x r x k3 core T x1 U1^T x2 U2^T, rows (p, q) with q fastest
     core = (U2.T @ P2).reshape(r, r, k3).transpose(1, 0, 2).reshape(r * r, k3)
-    T3 = T.transpose(2, 0, 1).reshape(k3, k1 * k2)
 
     resid_tol = tol * T.max()
     rng = np.random.default_rng(seed)
@@ -193,7 +192,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     for attempt in range(MAX_RETRIES + 1):
         a = rng.standard_normal(k3)
         b = rng.standard_normal(k3)
-        stage, value, params = _weight_draw(U1, U2, core, T3, a, b, tol)
+        stage, value, params = _weight_draw(U1, U2, core, T1, a, b, tol)
         if stage == "residual":
             if value <= resid_tol:
                 pi, M1, M2, M3 = params
@@ -248,14 +247,17 @@ def _mode1_basis(T1: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return Q @ Ub[:, :r], s
 
 
-def _weight_draw(U1, U2, core, T3, a, b, tol: float):
+def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     """One Jennrich draw with third-mode slice weights ``a`` and ``b``.
 
     ``core`` is the ``r*r x k3`` core unfolding, rows ``(p, q)`` with ``q``
     fastest, so ``(core @ a).reshape(r, r)`` is the slice mixture
     ``U1.T @ einsum("uvw,w->uv", T, a) @ U2``.  Both slice mixtures and the
     least-squares solve for ``pi * M3`` read it; only the residual is taken
-    against the full ``T3``.
+    against the full tensor: its mode-1 unfolding ``T1`` (``k1 x k2*k3``)
+    less ``(pi * M1).T @ khatri_rao([M2, M3])``, the very product by which
+    :func:`~latentid.tensor_core.triple_product` rebuilds the tensor, so the
+    reported residual is the one a caller reconstructing it sees.
 
     Returns ``(stage, value, params)``.  ``stage`` is the furthest of
     :data:`_STAGES` the draw reached; ``value`` is the slice mixture's
@@ -310,7 +312,7 @@ def _weight_draw(U1, U2, core, T3, a, b, tol: float):
     M1, M2, M3 = cleaned
     pi = pi / pi.sum()
 
-    resid = float(np.abs((pi[:, None] * M3).T @ khatri_rao([M1, M2]) - T3).max())
+    resid = float(np.abs((pi[:, None] * M1).T @ khatri_rao([M2, M3]) - T1).max())
     return "residual", resid, (pi, M1, M2, M3)
 
 

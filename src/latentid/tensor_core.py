@@ -7,9 +7,9 @@ Composite index convention
 --------------------------
 Whenever several finite variables are merged into one composite variable, the
 composite index is mixed-radix with the *last* variable varying fastest.  This
-is the convention of :func:`khatri_rao` (binary definition applied as a left
-fold) and of C-order ``reshape``; :func:`clump_tensor` and :func:`unclump`
-rely on the two agreeing bit-exactly.
+is the convention of :func:`khatri_rao` and of C-order ``reshape``;
+:func:`clump_tensor` and :func:`unclump` rely on the two agreeing
+bit-exactly.
 
 All operations are pure; inputs are never mutated.
 """
@@ -114,6 +114,12 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
     row-stochastic factors the result is again row stochastic: each output row
     is the joint distribution of conditionally independent variables.
 
+    The product is folded from the right: each step multiplies every column
+    of the next factor to the left by the product of the later factors, which
+    is the wider operand and is kept as the contiguous innermost axis.  Each
+    broadcast then runs over a long inner axis rather than over a factor's
+    few columns.
+
     Parameters
     ----------
     factors : sequence of (r, a_i) arrays
@@ -131,10 +137,9 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
             raise InputError(
                 f"factor 0 has {rows} rows but factor {i} has {M.shape[0]}"
             )
-    out = mats[0]
-    for M in mats[1:]:
-        a, b = out.shape[1], M.shape[1]
-        out = (out[:, :, None] * M[:, None, :]).reshape(rows, a * b)
+    out = mats[-1]
+    for M in reversed(mats[:-1]):
+        out = (M[:, :, None] * out[:, None, :]).reshape(rows, -1)
     return out
 
 
@@ -144,6 +149,10 @@ def triple_product(M1, M2, M3) -> np.ndarray:
     Entry ``(u, v, w)`` equals ``sum_i M1[i, u] * M2[i, v] * M3[i, w]``.
     The result is unchanged by simultaneously permuting the rows of all three
     factors, or by row rescalings whose per-row scale product is 1.
+
+    Computed as its mode-1 unfolding ``M1.T @ khatri_rao([M2, M3])`` (Kolda &
+    Bader, SIAM Review 2009), one matrix product whose inner dimension is the
+    row count.
     """
     M1 = as_matrix(M1, "M1")
     M2 = as_matrix(M2, "M2")
@@ -152,7 +161,8 @@ def triple_product(M1, M2, M3) -> np.ndarray:
         raise InputError(
             f"row counts differ: {M1.shape[0]}, {M2.shape[0]}, {M3.shape[0]}"
         )
-    return np.einsum("iu,iv,iw->uvw", M1, M2, M3)
+    shape = (M1.shape[1], M2.shape[1], M3.shape[1])
+    return (M1.T @ khatri_rao([M2, M3])).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +305,9 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     dims = [int(d) for d in col_dims]
     if any(d < 1 for d in dims):
         raise InputError("col_dims must be positive")
-    if int(np.prod(dims)) != A.shape[1]:
+    if math.prod(dims) != A.shape[1]:
         raise InputError(
-            f"prod(col_dims)={int(np.prod(dims))} does not match {A.shape[1]} columns"
+            f"prod(col_dims)={math.prod(dims)} does not match {A.shape[1]} columns"
         )
     row_err = np.abs(A.sum(axis=1) - 1.0).max()
     if row_err > ROW_SUM_TOL:
@@ -337,8 +347,6 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
         raise InputError(
             f"blocks must disjointly cover all {T.ndim} axes, got {blocks}"
         )
-    dims = tuple(
-        int(np.prod([T.shape[j] for j in b])) for b in sorted_blocks
-    )
+    dims = tuple(math.prod(T.shape[j] for j in b) for b in sorted_blocks)
     return T.transpose(flat).reshape(dims)
 

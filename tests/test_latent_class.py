@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from latentid import latent_class
 from latentid.errors import InputError
@@ -85,6 +86,30 @@ class TestJointDistribution:
         monkeypatch.setattr(latent_class, "ENTRY_CAP", 63)
         with pytest.raises(InputError, match="^joint table has 64 entries, cap is 63$"):
             joint_distribution(m)
+
+    def test_entry_count_does_not_wrap(self, monkeypatch):
+        # 2**64 entries wrap to 0 in int64; the dense build must not be reached
+        def no_dense_build(factors):
+            raise AssertionError("joint_distribution built a table above the cap")
+
+        monkeypatch.setattr(latent_class, "khatri_rao", no_dense_build)
+        m = LatentClassModel(pi=np.array([0.5, 0.5]), emissions=(np.full((2, 2), 0.5),) * 64)
+        with pytest.raises(
+            InputError, match="^joint table has 18446744073709551616 entries, cap is 16777216$"
+        ):
+            joint_distribution(m)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 4),
+    kappas=st.lists(st.integers(2, 3), min_size=1, max_size=6),
+)
+@example(seed=0, r=3, kappas=[3])  # p = 1: the first half is pi alone
+@example(seed=0, r=3, kappas=[2, 3, 3, 2, 3])  # odd p: the halves differ in length
+def test_joint_matches_brute_force(seed, r, kappas):
+    m = random_latent_class(seed, r, kappas)
+    assert np.abs(joint_distribution(m) - brute_force_joint(m)).max() <= 1e-14
 
 
 class TestKruskalCertificate:
@@ -241,6 +266,9 @@ class TestBounds:
 
     def test_param_dimension_formula(self):
         assert param_dimension(2, (3, 3, 3)) == (13, 27)
+
+    def test_param_dimension_does_not_wrap(self):
+        assert param_dimension(2, [2] * 64)[1] == 2**64
 
     def test_certified_cases_have_room(self):
         # L < K whenever the search certifies

@@ -350,14 +350,26 @@ class TestDecompose3:
         align = align_permutation(rec_a, (rec_b.pi, list(rec_b.factors)))
         assert align.max_abs_error <= 1e-8
 
-    def test_reported_residual_matches_reconstruction(self):
-        m = random_latent_class(trial_rng(21, 0), 3, (4, 4, 3))
-        T = joint_distribution(m)
-        rec = decompose3(T, 3, seed=0)
+    @pytest.mark.parametrize(
+        "r, build",
+        [
+            (3, lambda: joint_distribution(random_latent_class(trial_rng(21, 0), 3, (4, 4, 3)))),
+            # lopsided: the residual's Khatri-Rao factor is 9 wide, T1 is 729 x 9
+            (3, lambda: joint_distribution(random_latent_class(trial_rng(21, 0), 3, (729, 3, 3)))),
+            # the largest window law of the benchmark pools, 128 x 128 x 2
+            (8, lambda: window_tensor(random_hmm(trial_rng(21, 0), 8, 2), min_window(8, 2))),
+        ],
+        ids=["lc-4x4x3", "lc-729x3x3", "hmm-128x128x2"],
+    )
+    def test_reported_residual_matches_reconstruction(self, r, build):
+        T = build()
+        rec = decompose3(T, r, seed=0)
         rebuilt = triple_product(
             rec.pi[:, None] * rec.factors[0], rec.factors[1], rec.factors[2]
         )
-        assert abs(rec.residual - np.abs(rebuilt - T).max()) <= 1e-12
+        expected = np.abs(rebuilt - T).max()
+        assert abs(rec.residual - expected) <= 1e-12
+        assert abs(rec.residual - expected) <= 1e-3 * rec.residual
 
     def test_two_seeds_agree_up_to_alignment(self):
         m = random_latent_class(trial_rng(22, 0), 3, (4, 4, 3))

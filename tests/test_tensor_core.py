@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -361,6 +362,57 @@ def test_unclump_inverts_khatri_rao(factors):
     for F, G in zip(factors, recovered):
         assert G.shape == F.shape
         assert np.abs(F - G).max() <= 1e-13
+
+
+EPS = np.finfo(float).eps
+#: signed entries that are zero or of magnitude 1/4 to 4, so that products of
+#: up to five factors stay normal and round by at most eps/2 per multiply
+SIGNED_ENTRIES = st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+
+
+@st.composite
+def signed_factors(draw, min_size=1):
+    """``min_size`` to five matrices sharing 1-4 rows, 1-4 columns each."""
+    r = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 4), min_size=min_size, max_size=5))
+    return [
+        np.array(draw(st.lists(SIGNED_ENTRIES, min_size=r * a, max_size=r * a))).reshape(r, a)
+        for a in dims
+    ]
+
+
+@given(factors=signed_factors())
+def test_khatri_rao_matches_mixed_radix_oracle(factors):
+    out = khatri_rao(factors)
+    dims = [F.shape[1] for F in factors]
+    assert out.shape == (factors[0].shape[0], math.prod(dims))
+    for i, row in enumerate(out):
+        # itertools.product counts in mixed radix with the last digit fastest
+        for col, digits in enumerate(itertools.product(*map(range, dims))):
+            want = math.prod(F[i, d] for F, d in zip(factors, digits))
+            assert abs(row[col] - want) <= len(factors) * EPS * abs(want)
+
+
+@given(factors=signed_factors(min_size=2), data=st.data())
+def test_khatri_rao_splits_at_any_factor(factors, data):
+    h = data.draw(st.integers(1, len(factors) - 1))
+    whole = khatri_rao(factors)
+    split = khatri_rao([khatri_rao(factors[:h]), khatri_rao(factors[h:])])
+    assert np.all(np.abs(split - whole) <= len(factors) * EPS * np.abs(whole))
+
+
+@given(data=st.data())
+def test_triple_product_matches_einsum(data):
+    r = data.draw(st.integers(1, 8))
+    entries = st.one_of(st.just(0.0), st.floats(1 / 64, 1.0))
+    mats = [
+        np.array(data.draw(st.lists(entries, min_size=r * a, max_size=r * a))).reshape(r, a)
+        for a in data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    ]
+    T = triple_product(*mats)
+    oracle = np.einsum("iu,iv,iw->uvw", *mats)
+    assert T.shape == oracle.shape
+    assert np.abs(T - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
 @given(data=st.data())
