@@ -229,18 +229,17 @@ def _graph_round_trip(model: rg.GraphMixtureModel, n: int, rng) -> dict:
         return rg.single_edge_marginal(model, states, edge)
 
     pi_hat, p11, p12, p22 = rg.extract_parameters(v_perm, oracle, n)
-    # (pi_1, pi_2, P11, P12, P22); swapping the class labels permutes them
+    # class rows (pi_i; P_ii, P_01)
     P = model.P
-    truth = np.array([model.pi[0], model.pi[1], P[0, 0], P[0, 1], P[1, 1]])
-    found = np.array([pi_hat[0], pi_hat[1], p11, p12, p22])
-    direct = np.abs(found - truth).max()
-    swapped = np.abs(found - truth[[1, 0, 4, 3, 2]]).max()
+    truth = np.array([[P[0, 0], P[0, 1]], [P[1, 1], P[0, 1]]])
+    found = np.array([[p11, p12], [p22, p12]])
+    align = recovery.align_permutation((pi_hat, [found]), (model.pi, [truth]))
     return {
         "pi": [float(x) for x in pi_hat],
         "p11": p11,
         "p12": p12,
         "p22": p22,
-        "match_error": float(min(direct, swapped)),
+        "match_error": align.max_abs_error,
     }
 
 
@@ -418,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="select full-rank cut points per variate",
         description="Select full-rank cut points per variate: each cut is the knot "
         "farthest from the span of the cuts before it, and a family whose farthest "
-        f"knot is within CUT_TOL = {npx.CUT_TOL:g} of that span is refused as "
-        "linearly dependent; takes no --tol.",
+        "knot does not raise the rank, under the one rank rule of every certificate, "
+        "is refused as linearly dependent; takes no --tol.",
     )
     common(sp, model=True, seed=False)
 

@@ -27,10 +27,6 @@ from .tensor_core import (
     triple_product,
 )
 
-#: a candidate cut within this distance of the current column span adds no rank
-CUT_TOL = 1e-9
-
-
 class CdfComponent:
     """Piecewise-multilinear CDF table on a rectangular knot grid.
 
@@ -298,13 +294,16 @@ def select_cut_points(
     over all of ``R^b``.
 
     Each component is evaluated once, on the pooled knots, the mandatory
-    coordinates and -inf and +inf; every step indexes its matrices from those
-    tables, and ``M`` is the successive differences of the table at
-    ``[-inf, cuts..., +inf]``.
+    coordinates and -inf and +inf.  Cuts are kept as positions on those axes:
+    every step indexes its matrices from the tables by them, and ``M`` is the
+    successive differences of the table at ``[-inf, cuts..., +inf]``.
 
-    Raises :class:`RankDeficientError` when the farthest candidate is within
-    ``CUT_TOL`` of the span: the components are linearly dependent, to that
-    threshold, as functions on ``R^b``.  Bin masses are never refused: every
+    Rank is decided by the library's one rule,
+    :func:`~latentid.tensor_core.rank_from_singular_values`, and every
+    appended cut must raise it, so at most ``r`` SVDs are taken.  Raises
+    :class:`RankDeficientError` when the farthest candidate does not raise
+    the rank: the components are linearly dependent, under that rule, as
+    functions on ``R^b``.  Bin masses are never refused: every
     :class:`CdfComponent` gives each bin a nonnegative mass.
     """
     components = list(components)
@@ -315,55 +314,43 @@ def select_cut_points(
         raise InputError("components must share the block dimension")
     r = len(components)
     grid_axes = default_grid(components)
-
-    cut_lists: list[list[float]] = [[] for _ in range(b)]
-
-    def add_point(pt):
-        for c, x in enumerate(pt):
-            if x not in cut_lists[c]:
-                cut_lists[c].append(x)
-                cut_lists[c].sort()
-
     mandatory_points = _normalize_points(mandatory, b)
-    for pt in mandatory_points:
-        add_point(pt)
-
     axes = [
         np.unique(np.concatenate([[-np.inf], g, [pt[c] for pt in mandatory_points], [np.inf]]))
         for c, g in enumerate(grid_axes)
     ]
     tables = np.stack([comp.evaluate_grid(axes) for comp in components])
     classes = np.arange(r)
-    scan = tables[
-        np.ix_(classes, *[np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)])
-    ].reshape(r, -1)
+    knots_at = [np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)]
+    scan = tables[np.ix_(classes, *knots_at)].reshape(r, -1)
+    # cuts as positions on the axes of ``tables``; the last position is +inf
+    cut_at = [
+        set(np.searchsorted(ax, [pt[c] for pt in mandatory_points]).tolist())
+        for c, ax in enumerate(axes)
+    ]
 
-    for _ in range(r + 1):
-        columns = [np.searchsorted(ax, cl + [np.inf]) for ax, cl in zip(axes, cut_lists)]
+    rank = 0
+    while True:
+        columns = [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at, axes)]
         A = tables[np.ix_(classes, *columns)].reshape(r, -1)
         U, S, _ = np.linalg.svd(A)
-        rank = rank_from_singular_values(S, A.shape)
+        previous, rank = rank, rank_from_singular_values(S, A.shape)
         if rank == r:
             break
-        distance = np.linalg.norm(U[:, rank:].T @ scan, axis=0)
-        best = np.argmax(distance)
-        if distance[best] <= CUT_TOL:
+        if rank <= previous:
             raise RankDeficientError(
                 f"cut selection reached rank {rank} of r={r}: no candidate leaves "
                 "the span of the current cuts, the component family is linearly "
                 "dependent"
             )
-        at = np.unravel_index(best, [g.size for g in grid_axes])
-        add_point([float(g[k]) for g, k in zip(grid_axes, at)])
-    else:
-        raise RankDeficientError(f"cut selection reached rank {rank} of r={r}")
+        best = np.argmax(np.linalg.norm(U[:, rank:].T @ scan, axis=0))
+        best_at = np.unravel_index(best, [pos.size for pos in knots_at])
+        for at, pos, k in zip(cut_at, knots_at, best_at):
+            at.add(int(pos[k]))
 
-    for c in range(b):
-        if not cut_lists[c]:
-            cut_lists[c].append(float(grid_axes[c][0]))
-
-    bounds = [np.searchsorted(ax, [-np.inf, *cl, np.inf]) for ax, cl in zip(axes, cut_lists)]
-    cuts = CutPointSet(cuts=tuple(np.asarray(c, dtype=float) for c in cut_lists))
+    cut_at = [sorted(at or {int(pos[0])}) for at, pos in zip(cut_at, knots_at)]
+    cuts = CutPointSet(cuts=tuple(ax[at] for ax, at in zip(axes, cut_at)))
+    bounds = [[0, *at, ax.size - 1] for at, ax in zip(cut_at, axes)]
     return cuts, _bin_masses(tables[np.ix_(classes, *bounds)])
 
 

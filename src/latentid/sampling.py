@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hmm import HiddenMarkovModel, stationary_distribution
+from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
@@ -72,11 +72,9 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 200) -> HiddenMarkov
             rejected["B"] += 1
             continue
         try:
-            stationary_distribution(A)
+            return HiddenMarkovModel(A=A, B=B)
         except NonUniqueStationaryError:
             rejected["stationary"] += 1
-            continue
-        return HiddenMarkovModel(A=A, B=B)
     message = (
         f"no draw accepted in {max_attempts} attempts: {rejected['A']} with "
         f"sigma_min(A) and {rejected['B']} with sigma_min(B) below "

@@ -119,7 +119,7 @@ class TestRandomHmm:
             raise NonUniqueStationaryError("unit eigenvalue is not simple")
 
         monkeypatch.setattr(sampling, "_HMM_SINGULAR_MARGIN", 0.0)
-        monkeypatch.setattr(sampling, "stationary_distribution", never_simple)
+        monkeypatch.setattr(hmm, "stationary_distribution", never_simple)
         with pytest.raises(NonUniqueStationaryError, match="4 with a non-simple"):
             random_hmm(trial_rng(0, 0), 3, 2, max_attempts=4)
 

@@ -132,6 +132,43 @@ class TestSelectCutPoints:
         with pytest.raises(RankDeficientError, match="^cut selection reached rank 1 of r=2: "):
             select_cut_points(family)
 
+    def test_rank_rule_alone_answers_near_dependent_pair(self):
+        # F2 = (1 - eps) F1 + eps G: the farthest knot lies about 1e-9 off the
+        # span, yet the two-cut matrix has rank 2 under the rank rule
+        eps = 2.7e-9
+        base, other = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.8, 1.0])
+        family = [
+            CdfComponent([0.0, 0.5, 1.0], base),
+            CdfComponent([0.0, 0.5, 1.0], (1 - eps) * base + eps * other),
+        ]
+        _, M = select_cut_points(family)
+        assert numerical_rank(M) == 2
+
+    def test_cut_adding_no_rank_refuses_within_r_svds(self, monkeypatch):
+        # last component is (1 - eps) times the mean of the first two plus eps
+        # times another CDF: a cut that leaves the span by more than rounding
+        # can still add no rank, and then the family is refused at once
+        eps, rng = 1.8e-8, trial_rng(0, 0)
+        family = [random_piecewise_cdf(rng, 16) for _ in range(8)]
+        other = random_piecewise_cdf(rng, 16)
+        pool = nonparametric.default_grid([*family[:2], other])
+        mean = (family[0].evaluate_grid(pool) + family[1].evaluate_grid(pool)) / 2
+        family[-1] = CdfComponent(pool, (1 - eps) * mean + eps * other.evaluate_grid(pool))
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        with pytest.raises(
+            RankDeficientError,
+            match=r"^cut selection reached rank 7 of r=8: no candidate leaves the span ",
+        ):
+            select_cut_points(family)
+        assert len(calls) <= 8
+
     def test_mandatory_point_included(self):
         cuts, _ = select_cut_points(two_uniform_family(), mandatory=[0.37])
         assert 0.37 in cuts.cuts[0].tolist()
@@ -159,7 +196,8 @@ def scalar_scan_cut_points(components, mandatory=None):
 
     Scans the pooled knots and their midpoints one candidate at a time and
     keeps the first with the largest distance from the column span of the
-    current value matrix, which it rebuilds at every step.
+    current value matrix, which it rebuilds at every step; a step whose rank
+    did not grow refuses the family.
     :func:`select_cut_points` scans no midpoints and must choose the same cuts.
     """
     b = components[0].block_dim
@@ -179,23 +217,22 @@ def scalar_scan_cut_points(components, mandatory=None):
 
     for pt in nonparametric._normalize_points(mandatory, b):
         add_point(pt)
-    for _ in range(len(components) + 1):
+    rank = 0
+    while True:
         grid = [np.concatenate([np.asarray(c, dtype=float), [np.inf]]) for c in cut_lists]
         A = np.vstack([comp.evaluate_grid(grid).ravel() for comp in components])
         U, S, _ = np.linalg.svd(A)
-        rank = rank_from_singular_values(S, A.shape)
+        previous, rank = rank, rank_from_singular_values(S, A.shape)
         if rank == len(components):
             break
+        if rank <= previous:
+            raise RankDeficientError("family is linearly dependent")
         best, farthest = None, -1.0
         for cand, col in zip(candidates, columns):
             distance = np.linalg.norm(U[:, rank:].T @ col)
             if distance > farthest:
                 best, farthest = cand, distance
-        if farthest <= nonparametric.CUT_TOL:
-            raise RankDeficientError("family is linearly dependent")
         add_point(best)
-    else:
-        raise RankDeficientError("cut selection failed to reach full rank")
     for c in range(b):
         if not cut_lists[c]:
             cut_lists[c].append(float(axes[c][0]))
@@ -266,6 +303,25 @@ class TestCutScanAgreement:
             calls.clear()
             recover_mixture(mix, [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims])
             assert len(calls) == r * p
+
+    def test_at_most_r_svds(self, monkeypatch):
+        # rank grows at every step or the family is refused
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for i in range(80):
+            family, mandatory = scan_case(i)
+            calls.clear()
+            try:
+                select_cut_points(family, mandatory=mandatory)
+            except RankDeficientError:
+                pass
+            assert 1 <= len(calls) <= len(family), f"case {i}"
 
     def test_binning_equals_binned_conditional_matrix(self):
         # the matrix cut selection returns is the one binned_conditional_matrix

@@ -267,3 +267,78 @@ class TestExtractParameters:
         for states in itertools.product(range(2), repeat=4):
             val = single_edge_marginal(model, states, (1, 3))
             assert val == model.P[states[1], states[3]]
+
+
+def _unequal_prior():
+    # identity order: row 0 is all state 0 (the smallest entry), row 15 all state 1
+    return node_state_prior([0.3, 0.7], 4)
+
+
+def _no_single_deviant_prior():
+    v = _unequal_prior()
+    deviant = np.isclose(v, 0.3**3 * 0.7)
+    v[deviant] = 0.3**2 * 0.7**2
+    return v
+
+
+def _split_rows(row, edge):
+    # rows 0-7 constant at 0.2, the rest show 0.5 on the first edge and 0.8 elsewhere
+    return 0.2 if row < 8 else (0.5 if edge == (0, 1) else 0.8)
+
+
+def _twin_uniform_rows(row, edge):
+    # both constant rows show 0.2, so two values are left for p12
+    return 0.2 if row in (0, 15) else (0.5 if edge == (0, 1) else 0.8)
+
+
+#: (prior, row oracle, error, exact message) for each refusal of extract_parameters
+EXTRACT_REFUSALS = {
+    "prior-size": (
+        np.full(8, 1 / 8), lambda row, edge: 0.5,
+        InputError, r"prior must have 2\^4 entries, got 8",
+    ),
+    "prior-positive": (
+        np.where(np.arange(16) == 3, 0.0, 1 / 15), lambda row, edge: 0.5,
+        InputError, "prior entries must be positive",
+    ),
+    "weight-sum": (
+        _unequal_prior() * 16, lambda row, edge: 0.5,
+        InconsistentOracleError, r"extreme prior entries give weights summing to 2\.000000000",
+    ),
+    "extremes-not-unique": (
+        np.where(np.arange(16) == 5, 0.3**4, _unequal_prior()), lambda row, edge: 0.5,
+        InconsistentOracleError, "extreme prior entries are not unique",
+    ),
+    "no-single-deviant": (
+        _no_single_deviant_prior(), lambda row, edge: 0.8 if row == 15 else 0.2,
+        InconsistentOracleError, "no prior entry matches a single-deviant assignment",
+    ),
+    "deviant-row-one-value": (
+        _unequal_prior(), lambda row, edge: 0.8 if row == 15 else 0.2,
+        NotDistinctError, "single-deviant row shows only one edge value; p12 equals p11",
+    ),
+    "equal-one-value": (
+        np.full(16, 1 / 16), lambda row, edge: 0.5,
+        NotDistinctError, "only 1 distinct edge values observed, need 3",
+    ),
+    "equal-four-values": (
+        np.full(16, 1 / 16), lambda row, edge: 0.1 * (1 + row % 4),
+        InconsistentOracleError, "4 distinct edge values observed, expected 3",
+    ),
+    "equal-constant-rows": (
+        np.full(16, 1 / 16), _split_rows,
+        InconsistentOracleError, "expected exactly 2 constant rows, found 8",
+    ),
+    "equal-no-cross-value": (
+        np.full(16, 1 / 16), _twin_uniform_rows,
+        InconsistentOracleError, "could not isolate the cross connection value",
+    ),
+}
+
+
+class TestExtractRefusals:
+    @pytest.mark.parametrize("case", list(EXTRACT_REFUSALS))
+    def test_refusal_is_named(self, case):
+        prior, oracle, error, message = EXTRACT_REFUSALS[case]
+        with pytest.raises(error, match=f"^{message}$"):
+            extract_parameters(prior, oracle, 4)

@@ -597,6 +597,25 @@ class TestRecoverLatentClass:
         for M, ref in zip(emissions, m.emissions):
             assert np.abs(M - ref).max() <= 1e-12
 
+    def test_reassembled_model_gate(self):
+        # the clumped block factor is a Khatri-Rao product plus a perturbation
+        # with zero row and column sums, 1e-10 in size: the table has exact rank
+        # 3, unclump accepts the factor (its check is 1e-9) and drops the
+        # perturbation, so only the reassembled model can see it
+        m = random_latent_class(trial_rng(30, 3), 3, (2, 2, 3, 3))
+        E0, E1, E2, E3 = m.emissions
+        blocks = [(0, 1), (2,), (3,)]
+
+        def table(size):
+            F0 = khatri_rao([E0, E1]) + size * np.array([1.0, -1.0, -1.0, 1.0])
+            return triple_product(m.pi[:, None] * F0, E2, E3).reshape(2, 2, 3, 3)
+
+        recover_latent_class(table(0.0), 3, blocks, seed=0, tol=1e-12)
+        with pytest.raises(
+            DegenerateSpectrumError, match="^reassembled model misses the input table by "
+        ):
+            recover_latent_class(table(1e-10), 3, blocks, seed=0, tol=1e-12)
+
     def test_goodman_dimensions_always_error(self):
         # r=3 on four binary variables: every tripartition leaves a clumped
         # dimension below 3, so the decomposition preconditions fail
