@@ -144,12 +144,7 @@ def _cmd_certify_lc(args) -> tuple[int, dict]:
 
 
 def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict:
-    """Recover ``model`` from its exact joint table along ``blocks``, then align.
-
-    ``blocks=None`` takes the witness of the tripartition search.
-    """
-    if blocks is None:
-        blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
+    """Recover ``model`` from its exact joint table along ``blocks``, then align."""
     T = lc.joint_distribution(model)
     pi_hat, emissions = recovery.recover_latent_class(
         T, model.r, blocks, seed=seed, tol=tol
@@ -167,7 +162,10 @@ def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict
 
 def _cmd_recover_lc(args) -> tuple[int, dict]:
     model = _load(args.model, lc.LatentClassModel, "recover-lc")
-    blocks = _parse_tripartition(args.tripartition) if args.tripartition else None
+    if args.tripartition:
+        blocks = _parse_tripartition(args.tripartition)
+    else:
+        blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     return 0, _lc_round_trip(model, blocks, args.seed, args.tol)
 
 
@@ -299,6 +297,10 @@ def _cmd_nonparam_recover(args) -> tuple[int, dict]:
 def _cmd_simulate(args) -> tuple[int, dict]:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.family == "latent-class":
+        # the witness depends only on r and the state counts, not on the draw
+        kappas = _parse_int_list(args.kappas)
+        blocks = lc.tripartition_search(args.r, kappas).witness.blocks
     trials = []
     failures = 0
     errors = []
@@ -306,9 +308,8 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         rng = sampling.trial_rng(args.seed, t)
         try:
             if args.family == "latent-class":
-                kappas = _parse_int_list(args.kappas)
                 model = sampling.random_latent_class(rng, args.r, kappas)
-                err = _lc_round_trip(model, None, rng, args.tol)["alignment_error"]
+                err = _lc_round_trip(model, blocks, rng, args.tol)["alignment_error"]
             elif args.family == "hmm":
                 model = sampling.random_hmm(rng, args.r, args.kappa)
                 err = _hmm_round_trip(model, args.k, rng, args.tol)["alignment_error"]

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import InputError
 from .tensor_core import (
+    NEG_ENTRY_TOL,
+    ROW_SUM_TOL,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
@@ -45,18 +47,20 @@ class LatentClassModel:
 
     def __post_init__(self):
         pi = check_probability_vector(self.pi)
-        mats = tuple(
-            check_stochastic(M, name=f"emissions[{j}]")
-            for j, M in enumerate(self.emissions)
-        )
+        mats = tuple(np.asarray(M, dtype=float) for M in self.emissions)
         if len(mats) < 1:
             raise InputError("at least one variable is required")
         r = pi.size
+        if not _stochastic_with_rows(mats, r):
+            # find and name the first failure, matrix by matrix
+            for j, M in enumerate(mats):
+                check_stochastic(M, name=f"emissions[{j}]")
+            for j, M in enumerate(mats):
+                if M.shape[0] != r:
+                    raise InputError(
+                        f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
+                    )
         for j, M in enumerate(mats):
-            if M.shape[0] != r:
-                raise InputError(
-                    f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
-                )
             if M.shape[1] < 2:
                 raise InputError(f"variable {j} must have at least 2 states")
         pi.flags.writeable = False
@@ -76,6 +80,22 @@ class LatentClassModel:
     @property
     def kappas(self) -> tuple[int, ...]:
         return tuple(M.shape[1] for M in self.emissions)
+
+
+def _stochastic_with_rows(mats: Sequence[np.ndarray], r: int) -> bool:
+    """Whether every matrix passes :func:`check_stochastic` and has ``r`` rows.
+
+    One pass over the matrices stacked side by side: one range check, which
+    a NaN or infinite entry also fails, and one ``np.add.reduceat`` for all
+    the row sums.
+    """
+    if any(M.ndim != 2 or M.shape[0] != r or M.shape[1] == 0 for M in mats):
+        return False
+    H = np.hstack(mats)
+    if not (H.min() >= -NEG_ENTRY_TOL and H.max() <= 1.0 + ROW_SUM_TOL):
+        return False
+    starts = np.cumsum([0] + [M.shape[1] for M in mats[:-1]])
+    return np.abs(np.add.reduceat(H, starts, axis=1) - 1.0).max() <= ROW_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -185,11 +205,15 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     depends only on the block products capped at ``max(r, 2)``, so a dynamic
     program over the variables keeps one partition per reachable capped
     triple, which makes the search exact for every p.  It stops as soon as
-    all three blocks reach the cap, since ``3r`` cannot be beaten.  Among the
-    best scores it prefers the largest capped dimensions, sorted descending,
-    so that the first two blocks reach r whenever possible.  The witness is
-    deterministic, with its blocks ordered by clumped dimension, largest
-    first.  Every state count must be at least 2.
+    all three blocks reach the cap, since ``3r`` cannot be beaten, and then
+    hands out the variables not yet placed one at a time, in index order,
+    each to the block whose clumped product is smallest at that point (the
+    later block on ties), so the three clumped dimensions stay balanced:
+    ten 3-state variables at ``r = 3`` give ``81 x 27 x 27``, not ``6561 x 3
+    x 3``.  Among the best scores it prefers the largest capped dimensions,
+    sorted descending, so that the first two blocks reach r whenever
+    possible.  The witness is deterministic, with its blocks ordered by
+    clumped dimension, largest first.  Every state count must be at least 2.
     """
     kappas = [int(k) for k in kappas]
     p = len(kappas)
@@ -217,8 +241,13 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
                 reached.setdefault(key, ordered)
         states = reached
         if full in states:
-            first, second, third = states[full]
-            best = (first, second, third + tuple(range(j + 1, p)))
+            best = [list(block) for block in states[full]]
+            products = [math.prod(kappas[i] for i in block) for block in best]
+            for i in range(j + 1, p):
+                # the smallest product, the last such block on ties
+                b = min(range(3), key=lambda b: (products[b], -b))
+                best[b].append(i)
+                products[b] *= kappas[i]
             break
     else:
         nonempty = [dims for dims in states if dims[2] > 1]

@@ -278,8 +278,9 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     scale = np.abs(lam).max()
     if scale == 0.0 or np.abs(lam.imag).max() > EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
-    gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
-    if np.min(gaps, initial=np.inf) < EIGEN_GAP_TOL * scale:
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, np.inf)  # r = 1 has no pair and passes
+    if gaps.min() < EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
 
     V = V.real
@@ -352,7 +353,11 @@ def align_permutation(recovered, reference) -> Alignment:
     matched pairs, so minimizing it is a bottleneck assignment problem
     (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 6): binary
     search over the sorted distinct costs for the smallest threshold ``t``
-    at which the pairs with ``C <= t`` contain a perfect matching.
+    at which the pairs with ``C <= t`` contain a perfect matching.  Every
+    row and every column is matched at a cost no smaller than its own
+    minimum, so no ``t`` lies below the largest row or column minimum; that
+    bound is tested first, and on an exact answer it is the threshold, found
+    with one matching.
     """
     pi_a, factors_a = _as_params(recovered)
     pi_b, factors_b = _as_params(reference)
@@ -366,15 +371,20 @@ def align_permutation(recovered, reference) -> Alignment:
     C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)
 
     costs = np.unique(C)
-    lo, hi = 0, costs.size - 1
+    # fmin / fmax skip NaN costs, which no threshold admits
+    bound = np.fmax.reduce(
+        [np.fmax.reduce(np.fmin.reduce(C, axis=ax)) for ax in (0, 1)]
+    )
+    lo, hi = int(np.searchsorted(costs, bound)), costs.size - 1
     perm = np.arange(pi_a.size)  # every pair is allowed at the largest cost
+    mid = lo  # the bound is tested first
     while lo < hi:
-        mid = (lo + hi) // 2
         match = _perfect_matching(C <= costs[mid])
         if match is None:
             lo = mid + 1
         else:
             hi, perm = mid, match
+        mid = (lo + hi) // 2
     error = float(C[np.arange(perm.size), perm].max())
     return Alignment(permutation=perm, max_abs_error=error)
 

@@ -53,15 +53,25 @@ _DET_SCREEN_MARGIN = 2.0
 # validation helpers
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float array, requiring finite entries."""
+def _as_2d(M, name: str) -> np.ndarray:
+    """Coerce to a nonempty 2-D float array, leaving its entries unchecked."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise InputError(f"{name} must be 2-D, got ndim={M.ndim}")
     if M.size == 0:
         raise InputError(f"{name} must have at least one row and column")
+    return M
+
+
+def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise InputError(f"{name} contains non-finite entries")
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float array, requiring finite entries."""
+    M = _as_2d(M, name)
+    _check_finite(M, name)
     return M
 
 
@@ -130,16 +140,25 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(factors) == 0:
         raise InputError("khatri_rao requires at least one factor")
-    mats = [as_matrix(F, f"factor {i}") for i, F in enumerate(factors)]
+    mats = [_as_2d(F, f"factor {i}") for i, F in enumerate(factors)]
     rows = mats[0].shape[0]
     for i, M in enumerate(mats[1:], start=1):
         if M.shape[0] != rows:
             raise InputError(
                 f"factor 0 has {rows} rows but factor {i} has {M.shape[0]}"
             )
+    # a non-finite factor entry always reaches the output (inf * 0 and nan * x
+    # are NaN), and then the output's sum, so finiteness is checked once, on
+    # that sum; only then are the factors searched for the first bad one.
+    # Finite factors never make an invalid product, and a product or sum that
+    # overflows is returned as computed.
     out = mats[-1]
-    for M in reversed(mats[:-1]):
-        out = (M[:, :, None] * out[:, None, :]).reshape(rows, -1)
+    with np.errstate(invalid="ignore"):
+        for M in reversed(mats[:-1]):
+            out = (M[:, :, None] * out[:, None, :]).reshape(rows, -1)
+    if not math.isfinite(out.sum()):
+        for i, M in enumerate(mats):
+            _check_finite(M, f"factor {i}")
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from latentid.latent_class import (
     tripartition_search,
 )
 from latentid.sampling import random_latent_class, trial_rng
-from latentid.tensor_core import khatri_rao, kruskal_rank
+from latentid.tensor_core import check_stochastic, khatri_rao, kruskal_rank
 
 
 def brute_force_joint(model):
@@ -33,6 +34,19 @@ def brute_force_joint(model):
     return T
 
 
+def best_by_set_partitions(r, kappas):
+    """Best score over every set partition into three blocks, with the capped
+    dimensions sorted descending that reach it (the largest such)."""
+    p = len(kappas)
+    products = set()
+    for labels in itertools.product(range(3), repeat=p):
+        blocks = [[j for j in range(p) if labels[j] == b] for b in range(3)]
+        if all(blocks):
+            products.add(tuple(int(np.prod([kappas[j] for j in b])) for b in blocks))
+    capped = [sorted((min(r, d) for d in dims), reverse=True) for dims in products]
+    return max((sum(c), c) for c in capped)
+
+
 class TestModelConstruction:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
@@ -44,6 +58,29 @@ class TestModelConstruction:
     def test_rejects_single_state_variable(self):
         with pytest.raises(ValueError):
             LatentClassModel(pi=np.array([1.0]), emissions=(np.ones((1, 1)),))
+
+    @pytest.mark.parametrize(
+        "delta,message",
+        [
+            (np.nan, "emissions[1] contains non-finite entries"),
+            (-1.0, "emissions[1] entries must lie in [0, 1]"),
+            (0.1, "emissions[1] rows must sum to 1 (max deviation 0.1)"),
+        ],
+        ids=["nan", "negative", "row-sum"],
+    )
+    def test_names_the_bad_emission(self, delta, message):
+        m = random_latent_class(trial_rng(0, 1), 3, (2, 3, 4))
+        emissions = [M.copy() for M in m.emissions]
+        emissions[1][2, 0] += delta
+        with pytest.raises(InputError) as info:
+            LatentClassModel(pi=m.pi, emissions=tuple(emissions))
+        assert str(info.value) == message
+
+    def test_names_the_emission_with_the_wrong_row_count(self):
+        m = random_latent_class(trial_rng(0, 1), 3, (2, 3, 4))
+        emissions = (m.emissions[0], m.emissions[1][:2], m.emissions[2])
+        with pytest.raises(InputError, match=r"^emissions\[1\] has 2 rows, expected r=3$"):
+            LatentClassModel(pi=m.pi, emissions=emissions)
 
     def test_properties(self):
         m = random_latent_class(trial_rng(0, 0), 3, (2, 3, 4))
@@ -110,6 +147,28 @@ class TestJointDistribution:
 def test_joint_matches_brute_force(seed, r, kappas):
     m = random_latent_class(seed, r, kappas)
     assert np.abs(joint_distribution(m) - brute_force_joint(m)).max() <= 1e-14
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kappas=st.lists(st.integers(2, 4), min_size=1, max_size=5),
+    which=st.integers(0, 4),
+    delta=st.sampled_from([0.0, 1e-13, -1e-13, 5e-10, -5e-10, 2e-9, -2e-12, 0.1, np.nan, np.inf]),
+)
+def test_stacked_check_agrees_with_per_matrix_checks(seed, kappas, which, delta):
+    m = random_latent_class(seed, 3, kappas)
+    mats = [M.copy() for M in m.emissions]
+    mats[which % len(mats)][1, 0] += delta
+
+    def per_matrix():
+        try:
+            for M in mats:
+                check_stochastic(M)
+        except InputError:
+            return False
+        return True
+
+    assert latent_class._stochastic_with_rows(mats, 3) == per_matrix()
 
 
 class TestKruskalCertificate:
@@ -184,20 +243,9 @@ class TestTripartitionSearch:
     def test_matches_all_set_partitions(self):
         mixed = [(2, 2, 2), (3, 2, 4, 2), (2, 3, 2, 5, 2, 3), (2, 2, 3, 2, 4, 2, 2, 3)]
         for kappas in mixed:
-            p = len(kappas)
-            products = set()
-            for labels in itertools.product(range(3), repeat=p):
-                blocks = [[j for j in range(p) if labels[j] == b] for b in range(3)]
-                if all(blocks):
-                    products.add(
-                        tuple(int(np.prod([kappas[j] for j in b])) for b in blocks)
-                    )
             for r in range(1, 41):
                 # best score, then the largest capped dimensions sorted descending
-                capped = [
-                    sorted((min(r, d) for d in dims), reverse=True) for dims in products
-                ]
-                best = max((sum(c), c) for c in capped)
+                best = best_by_set_partitions(r, kappas)
                 cert = tripartition_search(r, kappas)
                 dims = cert.witness.clumped_dims
                 assert sum(cert.kruskal_ranks) == best[0]
@@ -227,6 +275,20 @@ class TestTripartitionSearch:
             assert sum(cert.kruskal_ranks) == np.minimum(dims, r).sum(axis=1).max()
             dims_found = list(cert.witness.clumped_dims)
             assert dims_found == sorted(dims_found, reverse=True)
+
+    @pytest.mark.parametrize(
+        "r,kappas,dims", [(3, [3] * 10, (81, 27, 27)), (4, [3] * 8, (27, 27, 9))]
+    )
+    def test_leftover_variables_balance_the_witness(self, r, kappas, dims):
+        # all three blocks reach the cap early; the variables left over go
+        # one at a time to the block of smallest clumped product
+        cert = tripartition_search(r, kappas)
+        assert cert.witness.clumped_dims == dims
+        assert cert.kruskal_ranks == (r, r, r) and cert.holds
+
+    def test_one_leftover_variable_joins_the_later_of_equal_blocks(self):
+        cert = tripartition_search(5, [2] * 10)
+        assert cert.witness.blocks == ((6, 7, 8, 9), (0, 1, 2), (3, 4, 5))
 
     def test_rejects_state_counts_below_two(self):
         for kappas in [(1, 2, 2, 2), (0, 2, 2)]:
@@ -285,3 +347,22 @@ def test_tripartition_validation():
     t = Tripartition.from_blocks([(2,), (0, 1), (3,)], (2, 2, 2, 2))
     assert t.blocks == ((2,), (0, 1), (3,))
     assert t.clumped_dims == (2, 4, 2)
+
+
+@given(
+    r=st.integers(1, 40),
+    kappas=st.lists(st.integers(2, 5), min_size=3, max_size=7),
+)
+@example(r=3, kappas=[3] * 7)  # four variables left over once every block is full
+@example(r=2, kappas=[2, 5, 2, 3, 2, 2, 4])  # unequal products left to balance
+def test_witness_is_an_optimal_ordered_partition(r, kappas):
+    cert = tripartition_search(r, kappas)
+    blocks = cert.witness.blocks
+    assert sorted(j for b in blocks for j in b) == list(range(len(kappas)))
+    dims = list(cert.witness.clumped_dims)
+    assert dims == [math.prod(kappas[j] for j in b) for b in blocks]
+    assert dims == sorted(dims, reverse=True)
+    best = best_by_set_partitions(r, kappas)
+    assert sum(cert.kruskal_ranks) == best[0]
+    assert list(cert.kruskal_ranks) == best[1]
+    assert cert.holds == (best[0] >= 2 * r + 2)

@@ -14,7 +14,7 @@ from latentid.errors import (
     NegativeWeightsError,
     RankDeficientError,
 )
-from latentid.latent_class import LatentClassModel, joint_distribution
+from latentid.latent_class import LatentClassModel, joint_distribution, tripartition_search
 from latentid.recovery import (
     align_permutation,
     decompose3,
@@ -588,6 +588,19 @@ class TestRecoverLatentClass:
         )
         align = align_permutation((pi, emissions), (m.pi, list(m.emissions)))
         assert align.max_abs_error <= 1e-8
+
+    @pytest.mark.parametrize("r,kappas", [(3, [3] * 10), (4, [3] * 8)])
+    def test_balanced_witness_round_trip(self, r, kappas):
+        # variables left over once every block is full are spread over the
+        # three blocks (81 x 27 x 27 and 27 x 27 x 9), and recovery along
+        # that witness is exact
+        witness = tripartition_search(r, kappas).witness
+        for t in range(5):
+            m = random_latent_class(trial_rng(31, t), r, kappas)
+            T = joint_distribution(m)
+            pi, emissions = recover_latent_class(T, r, witness, seed=t)
+            align = align_permutation((pi, emissions), (m.pi, list(m.emissions)))
+            assert align.max_abs_error <= 1e-10
 
     def test_single_class_products(self):
         m = random_latent_class(trial_rng(30, 1), 1, (2, 3, 2, 2))

@@ -138,6 +138,22 @@ class TestKhatriRao:
         with pytest.raises(InputError, match="^factor 0 has 2 rows but factor 1 has 3$"):
             khatri_rao([np.ones((2, 2)), np.ones((3, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("others", [0.0, 1.0], ids=["zeros", "ones"])
+    def test_non_finite_factor_is_named(self, bad, others):
+        # against zero entries inf gives NaN, so the bad entry still shows
+        factors = [np.full((2, 2), others), np.full((2, 3), others), np.ones((2, 2))]
+        factors[1][1, 2] = bad
+        factors[2][0, 0] = bad
+        with pytest.raises(InputError) as info:
+            khatri_rao(factors)
+        assert str(info.value) == "factor 1 contains non-finite entries"
+
+    def test_finite_overflow_is_returned(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = khatri_rao([np.full((1, 1), 1e200), np.full((1, 1), 1e200)])
+        assert out[0, 0] == np.inf
+
 
 class TestTripleProduct:
     def test_identity_factors(self):
