@@ -3,13 +3,16 @@
 Exit codes partition outcomes: 0 for certified or successfully recovered, 1
 for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
-:class:`~latentid.errors.InputError` (a bad argument or model file, including
-a CDF table with a negative cell mass or a ``pi`` that is not stationary for its chain),
-or the ``OSError``, ``ValueError`` or ``KeyError`` that reading a malformed
-file or argument raises.  With
-``--json`` the report is printed as one JSON object with sorted keys;
-identical arguments, files and seed produce byte-identical JSON (wall-clock
-time appears only in the human-readable text output).
+:class:`~latentid.errors.InputError` (a bad argument or any malformed model
+file, including a CDF table with a negative cell mass or a ``pi`` that is not
+stationary for its chain), or the ``OSError``, ``ValueError`` or ``KeyError``
+that reading an unreadable file or a bad argument raises.  A certificate
+report's ``criterion`` names the rule its command applies: the Kruskal rank
+sum for ``search-tripartition`` and ``certify-lc``, full row rank for
+``hmm-certify`` and ``graph-certify``.  With ``--json`` the report is printed
+as one JSON object with sorted keys; identical arguments, files and seed
+produce byte-identical JSON (wall-clock time appears only in the
+human-readable text output).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,59 +34,33 @@ from .errors import InputError, LatentIdError
 from .modelio import load_model
 
 
-@dataclass
-class RunReport:
-    """Outcome of one CLI invocation, serializable and seed-deterministic."""
-
-    command: str
-    result: dict = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-    seed: int | None = None
-    elapsed_s: float = 0.0
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "result": self.result,
-            "errors": self.errors,
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return json.dumps(payload, sort_keys=True)
-
-    def text_lines(self) -> list[str]:
-        lines = [f"command: {self.command}"]
-        for key in sorted(self.result):
-            lines.append(f"  {key}: {self.result[key]}")
-        for err in self.errors:
-            lines.append(f"  error: {err}")
-        lines.append(f"  elapsed: {self.elapsed_s:.3f}s")
-        return lines
-
-
-def _certificate_dict(cert: lc.Certificate) -> dict:
-    ranks = list(cert.kruskal_ranks)
+def _certified(cert: lc.Certificate, **facts) -> tuple[int, dict]:
+    """Exit code and report of ``cert``, with the command's own ``facts``."""
+    total, t = int(sum(cert.kruskal_ranks)), cert.threshold
     if cert.holds:
-        summary = f"certified: rank sum {sum(ranks)} >= {cert.threshold}"
-    else:
-        summary = f"no certificate: best rank sum {sum(ranks)} < {cert.threshold}"
-    out = {
+        summary = f"certified: rank sum {total} >= {t}"
+    elif total < t:
+        summary = f"no certificate: best rank sum {total} < {t}"
+    else:  # a full-row-rank criterion can fail where the sum reaches the threshold
+        summary = f"no certificate: rank sum {total} >= {t}, but the criterion fails"
+    result = {
         "holds": cert.holds,
         "status": cert.status,
         "summary": summary,
-        "criterion": "Kruskal row-rank condition: I1 + I2 + I3 >= 2r + 2",
-        "kruskal_ranks": ranks,
-        "rank_sum": int(sum(ranks)),
-        "threshold": cert.threshold,
+        "criterion": cert.criterion,
+        "kruskal_ranks": list(cert.kruskal_ranks),
+        "rank_sum": total,
+        "threshold": t,
         "mode": cert.mode,
     }
     if cert.witness is not None:
-        out["witness_blocks"] = [list(b) for b in cert.witness.blocks]
-        out["clumped_dims"] = list(cert.witness.clumped_dims)
-    out.update(
+        result["witness_blocks"] = [list(b) for b in cert.witness.blocks]
+        result["clumped_dims"] = list(cert.witness.clumped_dims)
+    result.update(
         (key, list(v) if isinstance(v, tuple) else v) for key, v in cert.details.items()
     )
-    return out
+    result.update(facts)
+    return (0 if cert.holds else 1), result
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -108,11 +84,11 @@ _MODEL_TYPES = {
 }
 
 
-def _load(path, cls, command: str):
-    """Load a model file, requiring a ``cls`` model."""
-    model = load_model(path)
+def _load(args, cls):
+    """Load ``args.model``, requiring a ``cls`` model for ``args.command``."""
+    model = load_model(args.model)
     if not isinstance(model, cls):
-        raise InputError(f"{command} expects {_MODEL_TYPES[cls]} model file")
+        raise InputError(f"{args.command} expects {_MODEL_TYPES[cls]} model file")
     return model
 
 
@@ -127,20 +103,12 @@ def _cmd_bound(args) -> tuple[int, dict]:
 
 def _cmd_search_tripartition(args) -> tuple[int, dict]:
     kappas = _parse_int_list(args.kappas)
-    cert = lc.tripartition_search(args.r, kappas)
-    result = _certificate_dict(cert)
-    result["r"] = args.r
-    result["kappas"] = kappas
-    return (0 if cert.holds else 1), result
+    return _certified(lc.tripartition_search(args.r, kappas), r=args.r, kappas=kappas)
 
 
 def _cmd_certify_lc(args) -> tuple[int, dict]:
-    model = _load(args.model, lc.LatentClassModel, "certify-lc")
-    cert = lc.kruskal_certificate(model)
-    result = _certificate_dict(cert)
-    result["r"] = model.r
-    result["kappas"] = list(model.kappas)
-    return (0 if cert.holds else 1), result
+    model = _load(args, lc.LatentClassModel)
+    return _certified(lc.kruskal_certificate(model), r=model.r, kappas=list(model.kappas))
 
 
 def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict:
@@ -161,7 +129,7 @@ def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict
 
 
 def _cmd_recover_lc(args) -> tuple[int, dict]:
-    model = _load(args.model, lc.LatentClassModel, "recover-lc")
+    model = _load(args, lc.LatentClassModel)
     if args.tripartition:
         blocks = _parse_tripartition(args.tripartition)
     else:
@@ -174,21 +142,23 @@ def _cmd_hmm_window(args) -> tuple[int, dict]:
     return 0, {"r": args.r, "kappa": args.kappa, "k": k, "window": 2 * k + 1}
 
 
+def _half_window(model: hmm_mod.HiddenMarkovModel, k: int) -> int:
+    """``--k``, or the bound :func:`~latentid.hmm.min_window` when it is 0."""
+    return k or hmm_mod.min_window(model.r, model.kappa)
+
+
 def _cmd_hmm_certify(args) -> tuple[int, dict]:
-    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-certify")
-    k = args.k if args.k else hmm_mod.min_window(model.r, model.kappa)
-    cert = hmm_mod.hmm_certificate(model, k)
-    result = _certificate_dict(cert)
-    result.update({"r": model.r, "kappa": model.kappa, "k": k, "window": 2 * k + 1})
-    return (0 if cert.holds else 1), result
+    model = _load(args, hmm_mod.HiddenMarkovModel)
+    k = _half_window(model, args.k)
+    return _certified(
+        hmm_mod.hmm_certificate(model, k),
+        r=model.r, kappa=model.kappa, k=k, window=2 * k + 1,
+    )
 
 
 def _hmm_round_trip(model: hmm_mod.HiddenMarkovModel, k: int, seed, tol: float) -> dict:
-    """Recover ``model`` from its exact window law at half-window ``k``, then align.
-
-    ``k=0`` takes the bound :func:`~latentid.hmm.min_window`.
-    """
-    k = k if k else hmm_mod.min_window(model.r, model.kappa)
+    """Recover ``model`` from its exact window law at half-window ``k``, then align."""
+    k = _half_window(model, k)
     T = hmm_mod.window_tensor(model, k)
     A_hat, B_hat, pi_hat = hmm_mod.recover_hmm(
         T, model.r, model.kappa, k, seed=seed, tol=tol
@@ -204,16 +174,13 @@ def _hmm_round_trip(model: hmm_mod.HiddenMarkovModel, k: int, seed, tol: float) 
 
 
 def _cmd_hmm_recover(args) -> tuple[int, dict]:
-    model = _load(args.model, hmm_mod.HiddenMarkovModel, "hmm-recover")
+    model = _load(args, hmm_mod.HiddenMarkovModel)
     return 0, _hmm_round_trip(model, args.k, args.seed, args.tol)
 
 
 def _cmd_graph_certify(args) -> tuple[int, dict]:
-    model = _load(args.model, rg.GraphMixtureModel, "graph-certify")
-    cert = rg.graph_certificate(model, args.m)
-    result = _certificate_dict(cert)
-    result.update({"m": args.m, "nodes": args.m * args.m})
-    return (0 if cert.holds else 1), result
+    model = _load(args, rg.GraphMixtureModel)
+    return _certified(rg.graph_certificate(model, args.m), m=args.m, nodes=args.m**2)
 
 
 def _graph_round_trip(model: rg.GraphMixtureModel, n: int, rng) -> dict:
@@ -242,15 +209,14 @@ def _graph_round_trip(model: rg.GraphMixtureModel, n: int, rng) -> dict:
 
 
 def _cmd_graph_extract(args) -> tuple[int, dict]:
-    model = _load(args.model, rg.GraphMixtureModel, "graph-extract")
-    rng = np.random.default_rng(args.seed)
-    result = _graph_round_trip(model, args.n, rng)
+    model = _load(args, rg.GraphMixtureModel)
+    result = _graph_round_trip(model, args.n, np.random.default_rng(args.seed))
     result["n"] = args.n
     return (0 if result["match_error"] <= args.tol else 1), result
 
 
 def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
-    model = _load(args.model, npx.NonparametricMixture, "nonparam-cuts")
+    model = _load(args, npx.NonparametricMixture)
     cuts = {}
     for j in range(model.p):
         cs, _ = npx.select_cut_points(model.variate(j))
@@ -258,27 +224,20 @@ def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
     return 0, {"r": model.r, "p": model.p, "cuts": cuts}
 
 
-def _default_queries(model: npx.NonparametricMixture, count: int) -> list[list]:
-    queries: list[list] = []
+def _default_queries(model: npx.NonparametricMixture, count: int) -> list[np.ndarray]:
+    """``count`` evenly spaced points per variate, strictly inside its knot range."""
+    steps = np.arange(1, count + 1)[:, None]
+    queries = []
     for j in range(model.p):
         comps = model.variate(j)
-        points = []
-        per_axis = []
-        for c in range(model.block_dims[j]):
-            lo = min(comp.knots[c][0] for comp in comps)
-            hi = max(comp.knots[c][-1] for comp in comps)
-            per_axis.append(
-                [lo + (q + 1) * (hi - lo) / (count + 1) for q in range(count)]
-            )
-        for q in range(count):
-            pt = tuple(per_axis[c][q] for c in range(model.block_dims[j]))
-            points.append(pt[0] if model.block_dims[j] == 1 else pt)
-        queries.append(points)
+        lo = np.min([[axis[0] for axis in comp.knots] for comp in comps], axis=0)
+        hi = np.max([[axis[-1] for axis in comp.knots] for comp in comps], axis=0)
+        queries.append(lo + steps * (hi - lo) / (count + 1))
     return queries
 
 
 def _cmd_nonparam_recover(args) -> tuple[int, dict]:
-    model = _load(args.model, npx.NonparametricMixture, "nonparam-recover")
+    model = _load(args, npx.NonparametricMixture)
     queries = _default_queries(model, args.queries)
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
     # align to the file's parameters through the recovered CDF tables
@@ -313,13 +272,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
             elif args.family == "hmm":
                 model = sampling.random_hmm(rng, args.r, args.kappa)
                 err = _hmm_round_trip(model, args.k, rng, args.tol)["alignment_error"]
-            elif args.family == "graph":
+            else:  # graph; argparse admits no other family
                 model = sampling.random_graph_mixture(
                     rng, equal_mixing=args.equal_mixing
                 )
                 err = _graph_round_trip(model, args.n, rng)["match_error"]
-            else:
-                raise InputError(f"unknown family {args.family!r}")
             trials.append({"trial": t, "error": err})
             errors.append(err)
         except InputError:  # misuse ends the run with exit 2, not as a failed trial
@@ -457,23 +414,29 @@ def run(argv=None) -> int:
 
     # looked up by command name on each call, so a replaced handler is used
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
-    report = RunReport(command=args.command, seed=getattr(args, "seed", None))
+    errors = []
     start = time.perf_counter()
     try:
         code, result = handler(args)
-        report.result = result
     except (OSError, ValueError, KeyError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatentIdError as exc:
-        code = 1
-        report.errors.append(f"{type(exc).__name__}: {exc}")
-    report.elapsed_s = time.perf_counter() - start
+        code, result = 1, {}
+        errors.append(f"{type(exc).__name__}: {exc}")
+    elapsed_s = time.perf_counter() - start
 
-    if getattr(args, "json", False):
-        print(report.to_json())
+    if args.json:
+        payload = {"command": args.command, "result": result, "errors": errors}
+        if hasattr(args, "seed"):
+            payload["seed"] = args.seed
+        print(json.dumps(payload, sort_keys=True))
     else:
-        print("\n".join(report.text_lines()))
+        lines = [f"command: {args.command}"]
+        lines += [f"  {key}: {result[key]}" for key in sorted(result)]
+        lines += [f"  error: {err}" for err in errors]
+        lines.append(f"  elapsed: {elapsed_s:.3f}s")
+        print("\n".join(lines))
     return code
 
 

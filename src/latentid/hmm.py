@@ -208,6 +208,7 @@ def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
         kruskal_ranks=(i1, i2, i3),
         threshold=2 * r + 2,
         mode="exact-matrix",
+        criterion="window blocks at full row rank: I1 = I2 = r and I3 >= 2",
     )
 
 

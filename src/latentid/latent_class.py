@@ -124,15 +124,16 @@ class Certificate:
     """Outcome of a Kruskal-condition identifiability check.
 
     ``holds`` is True when the reported ranks certify uniqueness of the
-    decomposition against ``threshold = 2r + 2``; the exact certifying rule
-    is documented at the operation that produced the certificate (window
-    embeddings require both blocks at full row rank, slightly more than the
-    bare sum).  ``witness`` carries the best tripartition when one was
-    searched for; the search is exact, so a certificate that does not hold
-    means no tripartition reaches the threshold.  ``details`` is a read-only
-    mapping of further facts behind the decision, empty unless the operation
-    documents its keys (:func:`~latentid.random_graph.graph_certificate`
-    reports the shape and rank of its group matrix there).
+    decomposition against ``threshold = 2r + 2``.  ``criterion`` names the
+    rule that decided ``holds``: the Kruskal rank sum by default, while the
+    window and graph certificates require full row rank, which implies the
+    sum but is stronger than it.  ``witness`` carries the best tripartition
+    when one was searched for; the search is exact, so a certificate that
+    does not hold means no tripartition reaches the threshold.  ``details``
+    is a read-only mapping of further facts behind the decision, empty
+    unless the operation documents its keys
+    (:func:`~latentid.random_graph.graph_certificate` reports the shape and
+    rank of its group matrix there).
     """
 
     holds: bool
@@ -141,6 +142,7 @@ class Certificate:
     mode: str  # "exact-matrix" or "generic-dimension"
     witness: Tripartition | None = None
     details: Mapping[str, object] = field(default_factory=dict, hash=False)
+    criterion: str = "Kruskal row-rank condition: I1 + I2 + I3 >= 2r + 2"
 
     def __post_init__(self):
         object.__setattr__(self, "details", MappingProxyType(dict(self.details)))

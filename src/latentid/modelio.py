@@ -80,27 +80,57 @@ def _knots_to_json(comp: CdfComponent):
     return [k.tolist() for k in comp.knots]
 
 
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """A number or nested list of numbers as a float array."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:  # an object or null inside a list
+        raise InputError(f"{name} must hold only numbers") from None
+
+
+def _component(entry) -> CdfComponent:
+    if not isinstance(entry, dict):
+        raise InputError(f"a component must be an object, got {type(entry).__name__}")
+    knots = _list(entry["knots"], "knots")
+    if not knots:
+        raise InputError("knots must not be empty")
+    if isinstance(knots[0], list):  # one knot list per coordinate of a block
+        knots = [_floats(k, "knots") for k in knots]
+    else:
+        knots = _floats(knots, "knots")
+    return CdfComponent(knots, _floats(entry["values"], "values"))
+
+
 def model_from_dict(obj: dict) -> Model:
+    """The model a file's JSON object describes.
+
+    Raises :class:`InputError` when ``obj`` or a field of it has the wrong
+    JSON type, and ``KeyError`` when a field is missing.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"a model file must hold a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "latent_class":
-        emissions = tuple(np.asarray(M, dtype=float) for M in obj["emissions"])
-        model = LatentClassModel(pi=np.asarray(obj["pi"], dtype=float), emissions=emissions)
+        emissions = tuple(
+            _floats(M, "emissions") for M in _list(obj["emissions"], "emissions")
+        )
+        model = LatentClassModel(pi=_floats(obj["pi"], "pi"), emissions=emissions)
     elif kind == "hmm":
-        model = HiddenMarkovModel(
-            A=np.asarray(obj["A"], dtype=float), B=np.asarray(obj["B"], dtype=float)
-        )
+        model = HiddenMarkovModel(A=_floats(obj["A"], "A"), B=_floats(obj["B"], "B"))
     elif kind == "graph_mixture":
-        model = GraphMixtureModel(
-            pi=np.asarray(obj["pi"], dtype=float), P=np.asarray(obj["P"], dtype=float)
-        )
+        model = GraphMixtureModel(pi=_floats(obj["pi"], "pi"), P=_floats(obj["P"], "P"))
     elif kind == "nonparametric":
         rows = tuple(
-            tuple(
-                CdfComponent(entry["knots"], entry["values"]) for entry in row
-            )
-            for row in obj["components"]
+            tuple(_component(entry) for entry in _list(row, "a components row"))
+            for row in _list(obj["components"], "components")
         )
-        model = NonparametricMixture(pi=np.asarray(obj["pi"], dtype=float), components=rows)
+        model = NonparametricMixture(pi=_floats(obj["pi"], "pi"), components=rows)
     else:
         raise InputError(f"unknown model type {kind!r}")
     for key in ("r", "p", "kappa", "kappas", "block_dims"):

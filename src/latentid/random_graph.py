@@ -193,6 +193,7 @@ def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
         threshold=2 * model.r ** (m * m) + 2,
         mode="exact-matrix",
         details={"group_matrix_shape": A.shape, "group_matrix_rank": rank_A},
+        criterion="group matrix at full row rank: rank A = r^m",
     )
 
 

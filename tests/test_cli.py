@@ -6,6 +6,7 @@ import pytest
 from latentid import cli
 from latentid.cli import run
 from latentid.errors import InputError, LatentIdError
+from latentid.hmm import HiddenMarkovModel, hmm_certificate, min_window
 from latentid.latent_class import LatentClassModel, kruskal_certificate
 from latentid.modelio import save_model
 from latentid.random_graph import (
@@ -160,6 +161,29 @@ class TestCertificates:
         assert (got, report["result"]["kruskal_ranks"]) == (code, ranks)
         assert list(kruskal_certificate(model).kruskal_ranks) == ranks
 
+    def test_hmm_certify_names_its_full_rank_rule(self, capsys, tmp_path):
+        # A = W Q has rank 3 < r = 4, so the window blocks fall short of full
+        # row rank while the rank sum 3 + 3 + 4 still reaches 2r + 2 = 10
+        rng = np.random.default_rng(3)
+        W = rng.dirichlet(np.ones(3), size=4)
+        Q = rng.dirichlet(np.ones(4), size=3)
+        B = rng.dirichlet(np.ones(4), size=4)
+        model = HiddenMarkovModel(A=W @ Q, B=B)
+        path = tmp_path / "hmm.json"
+        save_model(model, path)
+        code, report = run_json(capsys, ["hmm-certify", "--model", str(path), "--k", "1"])
+        result = report["result"]
+        assert code == 1
+        assert (result["kruskal_ranks"], result["threshold"]) == ([3, 3, 4], 10)
+        assert result["holds"] is False
+        assert result["criterion"] == hmm_certificate(model, 1).criterion
+        assert result["criterion"] == (
+            "window blocks at full row rank: I1 = I2 = r and I3 >= 2"
+        )
+        assert result["summary"] == (
+            "no certificate: rank sum 10 >= 10, but the criterion fails"
+        )
+
     @pytest.mark.parametrize(
         "command, fixture",
         [("certify-lc", "lc3_file"), ("hmm-certify", "hmm_file"),
@@ -205,6 +229,40 @@ class TestRecovery:
         assert code == 0
         assert report["result"]["alignment_error"] <= 1e-8
 
+    @pytest.mark.parametrize("k", [None, 3, 4])
+    def test_half_window_option(self, capsys, tmp_path, k):
+        # --k sets the half-window; without it each command takes min_window
+        model = random_hmm(trial_rng(70, 5), 3, 2)
+        path = tmp_path / "hmm.json"
+        save_model(model, path)
+        expected = k or min_window(3, 2)
+        option = [] if k is None else ["--k", str(k)]
+        commands = [
+            ["hmm-certify", "--model", str(path)],
+            ["hmm-recover", "--model", str(path), "--tol", "1e-6"],
+        ]
+        for argv in commands:
+            code, report = run_json(capsys, argv + option)
+            assert code == 0, argv
+            assert report["result"]["k"] == expected
+            assert report["result"]["window"] == 2 * expected + 1
+        windows = []
+        recover = cli.hmm_mod.recover_hmm
+
+        def spy(T, r, kappa, k, **kwargs):
+            windows.append(k)
+            return recover(T, r, kappa, k, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli.hmm_mod, "recover_hmm", spy)
+            code, report = run_json(
+                capsys,
+                ["simulate", "--family", "hmm", "--r", "3", "--trials", "2",
+                 "--tol", "1e-6", *option],
+            )
+        assert code == 0
+        assert windows == [expected] * 2
+
     def test_hmm_recover(self, capsys, hmm_file):
         code, report = run_json(
             capsys, ["hmm-recover", "--model", hmm_file, "--tol", "1e-6"]
@@ -232,6 +290,19 @@ class TestRecovery:
             '[[0.2876512481531802]], "variate_2": [[0.7013314329729543]]}, '
             '"p": 3, "r": 2}}\n'
         )
+
+    @pytest.mark.parametrize("block_dims", [None, [1, 2, 1]])
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_default_queries_match_the_pointwise_formula(self, block_dims, count):
+        model = random_nonparametric_mixture(trial_rng(70, 6), 3, 3, block_dims=block_dims)
+        queries = cli._default_queries(model, count)
+        for j, points in enumerate(queries):
+            comps = model.variate(j)
+            for c in range(model.block_dims[j]):
+                lo = min(comp.knots[c][0] for comp in comps)
+                hi = max(comp.knots[c][-1] for comp in comps)
+                column = [lo + (q + 1) * (hi - lo) / (count + 1) for q in range(count)]
+                assert points[:, c].tolist() == column  # the same bits
 
     def test_nonparam_recover(self, capsys, npm_file):
         code, report = run_json(
@@ -323,11 +394,83 @@ class TestSimulate:
         assert code == 0
 
 
+KRUSKAL = "Kruskal row-rank condition: I1 + I2 + I3 >= 2r + 2"
+
+#: exact --json reports of the commands whose results hold only integers,
+#: strings and booleans; the model files are the fixtures of this module.
+#: graph-certify's criterion names its full-row-rank rule.
+PINNED_REPORTS = [
+    (
+        ["bound", "--r", "5", "--kappa", "2"],
+        None,
+        '{"command": "bound", "errors": [], "result": {"kappa": 2, '
+        '"min_variables": 7, "r": 5}}',
+    ),
+    (
+        ["hmm-window", "--r", "4", "--kappa", "2"],
+        None,
+        '{"command": "hmm-window", "errors": [], "result": {"k": 3, "kappa": 2, '
+        '"r": 4, "window": 7}}',
+    ),
+    (
+        ["search-tripartition", "--r", "3", "--kappas", "2,2,2,2"],
+        None,
+        '{"command": "search-tripartition", "errors": [], "result": {"clumped_dims": '
+        f'[4, 2, 2], "criterion": "{KRUSKAL}", "holds": false, "kappas": [2, 2, 2, 2], '
+        '"kruskal_ranks": [3, 2, 2], "mode": "generic-dimension", "r": 3, '
+        '"rank_sum": 7, "status": "not-certified", "summary": "no certificate: best '
+        'rank sum 7 < 8", "threshold": 8, "witness_blocks": [[0, 1], [2], [3]]}}',
+    ),
+    (
+        ["search-tripartition", "--r", "3", "--kappas", "2,2,2,2,2"],
+        None,
+        '{"command": "search-tripartition", "errors": [], "result": {"clumped_dims": '
+        f'[4, 4, 2], "criterion": "{KRUSKAL}", "holds": true, "kappas": '
+        '[2, 2, 2, 2, 2], "kruskal_ranks": [3, 3, 2], "mode": "generic-dimension", '
+        '"r": 3, "rank_sum": 8, "status": "certified", "summary": "certified: rank '
+        'sum 8 >= 8", "threshold": 8, "witness_blocks": [[0, 1], [2, 3], [4]]}}',
+    ),
+    (
+        ["certify-lc"],
+        "lc3_file",
+        f'{{"command": "certify-lc", "errors": [], "result": {{"criterion": "{KRUSKAL}", '
+        '"holds": true, "kappas": [3, 3, 3], "kruskal_ranks": [3, 3, 3], "mode": '
+        '"exact-matrix", "r": 3, "rank_sum": 9, "status": "certified", "summary": '
+        '"certified: rank sum 9 >= 8", "threshold": 8}}',
+    ),
+    (
+        ["graph-certify", "--m", "4"],
+        "graph_file",
+        '{"command": "graph-certify", "errors": [], "result": {"criterion": '
+        '"group matrix at full row rank: rank A = r^m", "group_matrix_rank": 16, '
+        '"group_matrix_shape": [16, 64], '
+        '"holds": true, "kruskal_ranks": [65536, 65536, 65536], "m": 4, "mode": '
+        '"exact-matrix", "nodes": 16, "rank_sum": 196608, "status": "certified", '
+        '"summary": "certified: rank sum 196608 >= 131074", "threshold": 131074}}',
+    ),
+]
+
+
 class TestReportContract:
-    def test_json_reports_are_byte_identical(self, capsys, lc3_file, npm_file):
+    @pytest.mark.parametrize(
+        "argv, fixture, expected",
+        PINNED_REPORTS,
+        ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS],
+    )
+    def test_pinned_json_report(self, capsys, request, argv, fixture, expected):
+        model = ["--model", request.getfixturevalue(fixture)] if fixture else []
+        run([*argv, *model, "--json"])
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_json_reports_are_byte_identical(
+        self, capsys, lc3_file, hmm_file, graph_file, npm_file
+    ):
         simulate = ["simulate", "--trials", "3", "--seed", "7", "--json", "--family"]
         for argv in [
             ["recover-lc", "--model", lc3_file, "--seed", "7", "--json"],
+            ["hmm-recover", "--model", hmm_file, "--seed", "7", "--json"],
+            ["graph-extract", "--model", graph_file, "--seed", "7", "--json"],
+            ["nonparam-cuts", "--model", npm_file, "--json"],
             ["nonparam-recover", "--model", npm_file, "--seed", "7", "--json"],
             [*simulate, "latent-class"],
             [*simulate, "hmm", "--tol", "1e-6"],
@@ -345,7 +488,16 @@ class TestReportContract:
     def test_missing_file_exits_2(self, capsys):
         assert run(["certify-lc", "--model", "/nonexistent.json"]) == 2
 
-    @pytest.mark.parametrize("text", ["{not json", '{"type": "hmm"}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"type": "hmm"}',
+            "[1, 2]",
+            '{"type": "latent_class", "pi": [0.5, 0.5], "emissions": 5}',
+            '{"type": "nonparametric", "pi": [1.0], "components": [[5]]}',
+        ],
+    )
     def test_malformed_model_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
