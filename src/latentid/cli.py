@@ -5,8 +5,8 @@ for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
 :class:`~latentid.errors.InputError` (a bad argument or any malformed model
 file, including a CDF table with a negative cell mass or a ``pi`` that is not
-stationary for its chain), or the ``OSError``, ``ValueError`` or ``KeyError``
-that reading an unreadable file or a bad argument raises.  A certificate
+stationary for its chain), or the ``OSError`` or ``ValueError`` that reading
+an unreadable file or a bad argument raises.  A certificate
 report's ``criterion`` names the rule its command applies: the Kruskal rank
 sum for ``search-tripartition`` and ``certify-lc``, full row rank for
 ``hmm-certify`` and ``graph-certify``.  With ``--json`` the report is printed
@@ -418,7 +418,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, result = handler(args)
-    except (OSError, ValueError, KeyError) as exc:  # InputError is a ValueError
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatentIdError as exc:

@@ -80,6 +80,14 @@ def _knots_to_json(comp: CdfComponent):
     return [k.tolist() for k in comp.knots]
 
 
+def _field(obj: dict, key: str, owner: str):
+    """``obj[key]``, refused by name when the file leaves it out."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise InputError(f"{owner} has no field {key!r}") from None
+
+
 def _list(value, name: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{name} must be a list, got {type(value).__name__}")
@@ -97,40 +105,44 @@ def _floats(value, name: str) -> np.ndarray:
 def _component(entry) -> CdfComponent:
     if not isinstance(entry, dict):
         raise InputError(f"a component must be an object, got {type(entry).__name__}")
-    knots = _list(entry["knots"], "knots")
+    knots = _list(_field(entry, "knots", "a component"), "knots")
     if not knots:
         raise InputError("knots must not be empty")
     if isinstance(knots[0], list):  # one knot list per coordinate of a block
         knots = [_floats(k, "knots") for k in knots]
     else:
         knots = _floats(knots, "knots")
-    return CdfComponent(knots, _floats(entry["values"], "values"))
+    return CdfComponent(knots, _floats(_field(entry, "values", "a component"), "values"))
 
 
 def model_from_dict(obj: dict) -> Model:
     """The model a file's JSON object describes.
 
     Raises :class:`InputError` when ``obj`` or a field of it has the wrong
-    JSON type, and ``KeyError`` when a field is missing.
+    JSON type, or when a field is missing.
     """
     if not isinstance(obj, dict):
         raise InputError(f"a model file must hold a JSON object, got {type(obj).__name__}")
-    kind = obj.get("type")
+    kind = _field(obj, "type", "a model file")
+    owner = f"{kind} model file"
+
+    def floats(key):
+        return _floats(_field(obj, key, owner), key)
+
     if kind == "latent_class":
-        emissions = tuple(
-            _floats(M, "emissions") for M in _list(obj["emissions"], "emissions")
-        )
-        model = LatentClassModel(pi=_floats(obj["pi"], "pi"), emissions=emissions)
+        emissions = _list(_field(obj, "emissions", owner), "emissions")
+        emissions = tuple(_floats(M, "emissions") for M in emissions)
+        model = LatentClassModel(pi=floats("pi"), emissions=emissions)
     elif kind == "hmm":
-        model = HiddenMarkovModel(A=_floats(obj["A"], "A"), B=_floats(obj["B"], "B"))
+        model = HiddenMarkovModel(A=floats("A"), B=floats("B"))
     elif kind == "graph_mixture":
-        model = GraphMixtureModel(pi=_floats(obj["pi"], "pi"), P=_floats(obj["P"], "P"))
+        model = GraphMixtureModel(pi=floats("pi"), P=floats("P"))
     elif kind == "nonparametric":
         rows = tuple(
             tuple(_component(entry) for entry in _list(row, "a components row"))
-            for row in _list(obj["components"], "components")
+            for row in _list(_field(obj, "components", owner), "components")
         )
-        model = NonparametricMixture(pi=_floats(obj["pi"], "pi"), components=rows)
+        model = NonparametricMixture(pi=floats("pi"), components=rows)
     else:
         raise InputError(f"unknown model type {kind!r}")
     for key in ("r", "p", "kappa", "kappas", "block_dims"):

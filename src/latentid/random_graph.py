@@ -181,10 +181,18 @@ def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     ``rank(A)^m`` without materializing anything; the reported ranks are these
     Kronecker-derived values (equal to ``r^n`` and to the Kruskal rank exactly
     when full).  ``details`` holds ``group_matrix_shape`` and
-    ``group_matrix_rank``.  Raises :class:`InputError` for ``m < 2`` or when
-    ``A`` exceeds the entry cap.
+    ``group_matrix_rank``.  Raises :class:`InputError` for ``m < 2``, when
+    ``A`` exceeds the entry cap, or when ``A`` has fewer columns
+    ``2^C(m,2)`` than rows ``r^m`` and so has no full row rank for any model
+    (two states at m = 2).
     """
     A = conditional_graph_matrix(model, m)
+    rows, cols = A.shape
+    if cols < rows:
+        raise InputError(
+            f"the {rows}x{cols} group matrix at m={m} cannot reach rank r^m = "
+            f"{rows}; no {model.r}-state model certifies at this group size"
+        )
     rank_A = numerical_rank(A)
     lifted = rank_A**m
     return Certificate(

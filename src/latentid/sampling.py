@@ -18,6 +18,10 @@ from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
 _HMM_SINGULAR_MARGIN = 0.05
+#: draws in random_hmm's first batch; each later batch doubles, up to the cap
+_HMM_FIRST_BATCH = 1
+#: largest batch of draws random_hmm decomposes at once
+_HMM_MAX_BATCH = 64
 #: random_graph_mixture rejects connection triples closer together than this
 _GRAPH_MIN_GAP = 0.05
 #: connection triples random_graph_mixture draws before giving up
@@ -59,22 +63,48 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 200) -> HiddenMarkov
     point.  When ``max_attempts`` draws are all rejected, the error names the
     cause: :class:`IllConditionedError` when the margin rejected any of them,
     else :class:`NonUniqueStationaryError`; the message counts each cause.
+
+    Each draw is A's ``r*r`` uniforms, then B's ``r*kappa``.  Draws are
+    examined in batches of 1, 2, 4, ... (at most :data:`_HMM_MAX_BATCH`): one
+    uniform call per batch, one stacked SVD of its A's and one of the B's
+    whose A passed.  On acceptance the generator is rewound to the batch's
+    start and advanced past the accepted draw only, so the model, the refusal
+    and the generator's state afterwards are those of drawing and testing one
+    attempt at a time.
     """
+    if r < 1 or kappa < 1:
+        raise InputError(f"need r >= 1 and kappa >= 1, got r={r}, kappa={kappa}")
     rng = np.random.default_rng(rng)
+    width = r * r + r * kappa
     rejected = {"A": 0, "B": 0, "stationary": 0}
-    for _ in range(max_attempts):
-        A = random_stochastic(rng, r, r)
-        B = random_stochastic(rng, r, kappa)
-        if min(np.linalg.svd(A, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
-            rejected["A"] += 1
-            continue
-        if min(np.linalg.svd(B, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
-            rejected["B"] += 1
-            continue
-        try:
-            return HiddenMarkovModel(A=A, B=B)
-        except NonUniqueStationaryError:
-            rejected["stationary"] += 1
+    attempts, n = 0, _HMM_FIRST_BATCH
+    while attempts < max_attempts:
+        n = min(n, max_attempts - attempts)
+        start = rng.bit_generator.state
+        U = rng.uniform(0.0, 1.0, size=(n, width))
+        A = U[:, : r * r].reshape(n, r, r)
+        A = A / A.sum(axis=2, keepdims=True)
+        sv_A = np.linalg.svd(A, compute_uv=False).min(axis=1)
+        passed = np.flatnonzero(sv_A >= _HMM_SINGULAR_MARGIN)
+        B = U[passed, r * r :].reshape(passed.size, r, kappa)
+        B = B / B.sum(axis=2, keepdims=True)
+        sv_B = np.linalg.svd(B, compute_uv=False).min(axis=1) if passed.size else ()
+        for i, B_i, sigma in zip(passed, B, sv_B):
+            if sigma < _HMM_SINGULAR_MARGIN:
+                rejected["B"] += 1
+                continue
+            try:
+                model = HiddenMarkovModel(A=A[i].copy(), B=B_i.copy())
+            except NonUniqueStationaryError:
+                rejected["stationary"] += 1
+                continue
+            if i < n - 1:  # hand the draws after the accepted one back
+                rng.bit_generator.state = start
+                rng.uniform(0.0, 1.0, size=(i + 1) * width)
+            return model
+        rejected["A"] += n - passed.size
+        attempts += n
+        n = min(2 * n, _HMM_MAX_BATCH)
     message = (
         f"no draw accepted in {max_attempts} attempts: {rejected['A']} with "
         f"sigma_min(A) and {rejected['B']} with sigma_min(B) below "

@@ -22,6 +22,7 @@ from latentid.sampling import (
     trial_rng,
 )
 from latentid.tensor_core import numerical_rank
+from test_hmm import reference_random_hmm
 
 
 @pytest.fixture
@@ -123,7 +124,7 @@ class TestCertificates:
         assert report["result"]["group_matrix_shape"] == [16, 64]
         assert len(builds) == 1  # built and ranked once per command
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [3, 4])
     def test_graph_certify_reports_the_group_matrix(self, capsys, tmp_path, m):
         model = GraphMixtureModel(
             pi=np.array([0.3, 0.7]), P=np.array([[0.2, 0.5], [0.5, 0.8]])
@@ -142,6 +143,16 @@ class TestCertificates:
         assert result["threshold"] == cert.threshold
         assert result["holds"] is cert.holds
         assert code == (0 if cert.holds else 1)
+
+    def test_graph_certify_refuses_a_short_group_matrix(self, capsys, graph_file):
+        # two states at m = 2: a 4x2 group matrix never reaches rank r^m = 4
+        assert run(["graph-certify", "--model", graph_file, "--m", "2", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: the 4x2 group matrix at m=2 cannot reach rank r^m = 4; "
+            "no 2-state model certifies at this group size\n"
+        )
 
     @pytest.mark.parametrize(
         "eps, code, ranks", [(1e-8, 0, [3, 3, 3]), (1e-11, 1, [3, 3, 1])]
@@ -450,6 +461,14 @@ PINNED_REPORTS = [
     ),
 ]
 
+#: HMM simulations whose models take many draws: at r = 9 the accepted draw
+#: lies in a later batch of random_hmm, and the trial's recovery seeds come
+#: from the same generator after it
+SIMULATE_HMM = [
+    ["simulate", "--family", "hmm", "--r", "7", "--kappa", "2", "--trials", "5", "--json"],
+    ["simulate", "--family", "hmm", "--r", "9", "--kappa", "3", "--trials", "2", "--json"],
+]
+
 
 class TestReportContract:
     @pytest.mark.parametrize(
@@ -474,12 +493,21 @@ class TestReportContract:
             ["nonparam-recover", "--model", npm_file, "--seed", "7", "--json"],
             [*simulate, "latent-class"],
             [*simulate, "hmm", "--tol", "1e-6"],
+            *SIMULATE_HMM,
         ]:
             run(argv)
             first = capsys.readouterr().out
             run(argv)
             second = capsys.readouterr().out
             assert first == second
+
+    @pytest.mark.parametrize("argv", SIMULATE_HMM, ids=" ".join)
+    def test_simulate_hmm_draws_as_one_at_a_time(self, capsys, monkeypatch, argv):
+        run(argv)
+        batched = capsys.readouterr().out
+        monkeypatch.setattr(cli.sampling, "random_hmm", reference_random_hmm)
+        run(argv)
+        assert capsys.readouterr().out == batched
 
     def test_usage_error_exits_2(self, capsys):
         assert run(["bound", "--r", "5"]) == 2  # missing --kappa
@@ -496,6 +524,7 @@ class TestReportContract:
             "[1, 2]",
             '{"type": "latent_class", "pi": [0.5, 0.5], "emissions": 5}',
             '{"type": "nonparametric", "pi": [1.0], "components": [[5]]}',
+            '{"type": "nonparametric", "pi": [1.0], "components": [[{"knots": [0, 1]}]]}',
         ],
     )
     def test_malformed_model_file_exits_2(self, capsys, tmp_path, text):
@@ -506,6 +535,35 @@ class TestReportContract:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"A": [[1.0]]}', "a model file has no field 'type'"),
+            ('{"type": "hmm"}', "hmm model file has no field 'A'"),
+            ('{"type": "hmm", "A": [[1.0]]}', "hmm model file has no field 'B'"),
+            ('{"type": "latent_class", "pi": [1.0]}',
+             "latent_class model file has no field 'emissions'"),
+            ('{"type": "nonparametric", "pi": [1.0], "components": '
+             '[[{"knots": [0, 1]}]]}', "a component has no field 'values'"),
+            ('{"type": "nonparametric", "pi": [1.0], "components": '
+             '[[{"values": [0, 1]}]]}', "a component has no field 'knots'"),
+        ],
+    )
+    def test_missing_field_is_named(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["certify-lc", "--model", str(path), "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_key_error_from_a_handler_is_not_exit_2(self, monkeypatch):
+        # a KeyError in a handler is a bug, not bad input: it propagates
+        def handler(args):
+            raise KeyError("stubbed")
+
+        monkeypatch.setattr(cli, "_cmd_bound", handler)
+        with pytest.raises(KeyError):
+            run(["bound", "--r", "2", "--kappa", "2"])
 
     def test_wrong_model_type_exits_2(self, capsys, hmm_file, lc3_file):
         expected = [

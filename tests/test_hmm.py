@@ -21,7 +21,13 @@ from latentid.hmm import (
     window_tensor,
 )
 from latentid.latent_class import joint_distribution
-from latentid.sampling import random_hmm, random_latent_class, trial_rng
+from latentid.sampling import (
+    _HMM_SINGULAR_MARGIN,
+    random_hmm,
+    random_latent_class,
+    random_stochastic,
+    trial_rng,
+)
 from latentid.tensor_core import khatri_rao, numerical_rank, triple_product
 
 
@@ -83,6 +89,48 @@ def oracle_blocks(model, k):
     return B1, B2
 
 
+def reference_random_hmm(rng, r: int, kappa: int, max_attempts: int = 200):
+    """``random_hmm`` drawing and testing one attempt at a time.
+
+    The batched sampler must return the same model or refusal and leave the
+    generator in the same state.
+    """
+    rng = np.random.default_rng(rng)
+    rejected = {"A": 0, "B": 0, "stationary": 0}
+    for _ in range(max_attempts):
+        A = random_stochastic(rng, r, r)
+        B = random_stochastic(rng, r, kappa)
+        if min(np.linalg.svd(A, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
+            rejected["A"] += 1
+            continue
+        if min(np.linalg.svd(B, compute_uv=False)) < _HMM_SINGULAR_MARGIN:
+            rejected["B"] += 1
+            continue
+        try:
+            return HiddenMarkovModel(A=A, B=B)
+        except NonUniqueStationaryError:
+            rejected["stationary"] += 1
+    message = (
+        f"no draw accepted in {max_attempts} attempts: {rejected['A']} with "
+        f"sigma_min(A) and {rejected['B']} with sigma_min(B) below "
+        f"{_HMM_SINGULAR_MARGIN}, {rejected['stationary']} with a non-simple "
+        f"unit eigenvalue"
+    )
+    if rejected["A"] or rejected["B"]:
+        raise IllConditionedError(message)
+    raise NonUniqueStationaryError(message)
+
+
+def sampled(sampler, rng, r, kappa, max_attempts):
+    """The model's bytes or the refusal, then the generator's next draws."""
+    try:
+        model = sampler(rng, r, kappa, max_attempts=max_attempts)
+        outcome = (model.A.tobytes(), model.B.tobytes(), model.pi.tobytes())
+    except (IllConditionedError, NonUniqueStationaryError) as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, rng.random(3).tobytes()
+
+
 class TestStationary:
     def test_symmetric(self):
         pi = stationary_distribution(np.full((2, 2), 0.5))
@@ -122,6 +170,37 @@ class TestRandomHmm:
         monkeypatch.setattr(hmm, "stationary_distribution", never_simple)
         with pytest.raises(NonUniqueStationaryError, match="4 with a non-simple"):
             random_hmm(trial_rng(0, 0), 3, 2, max_attempts=4)
+
+    @pytest.mark.parametrize("max_attempts", [5, 5000])
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    @pytest.mark.parametrize("r", range(2, 11))
+    def test_same_draws_as_one_at_a_time(self, r, kappa, max_attempts):
+        # at r >= 8 a model takes tens to hundreds of draws, so the accepted
+        # one lies deep in a later batch and the generator must be rewound
+        args = (r, kappa, max_attempts)
+        for seed in range(3):
+            expected = sampled(reference_random_hmm, trial_rng(seed, r), *args)
+            assert sampled(random_hmm, trial_rng(seed, r), *args) == expected
+
+    def test_same_refusal_counts_in_every_cause(self, monkeypatch):
+        # with no chain accepted, 40 draws at r = kappa = 3 fill batches of 1,
+        # 2, 4, 8, 16 and 9 and are rejected for all three causes
+        def never_simple(A):
+            raise NonUniqueStationaryError("unit eigenvalue is not simple")
+
+        monkeypatch.setattr(hmm, "stationary_distribution", never_simple)
+        batched = sampled(random_hmm, trial_rng(1, 0), 3, 3, 40)
+        assert batched == sampled(reference_random_hmm, trial_rng(1, 0), 3, 3, 40)
+        assert batched[0] == (
+            IllConditionedError,
+            "no draw accepted in 40 attempts: 5 with sigma_min(A) and 10 with "
+            "sigma_min(B) below 0.05, 25 with a non-simple unit eigenvalue",
+        )
+
+    @pytest.mark.parametrize("r, kappa", [(0, 2), (3, 0)])
+    def test_empty_model_refused(self, r, kappa):
+        with pytest.raises(InputError, match="^need r >= 1 and kappa >= 1, got "):
+            random_hmm(trial_rng(0, 0), r, kappa)
 
 
 class TestTimeReversal:

@@ -149,6 +149,18 @@ class TestGraphCertificate:
         with pytest.raises(ValueError, match="^m must be at least 2$"):
             graph_certificate(reference_model(), 1)
 
+    def test_group_matrix_with_fewer_columns_than_rows_refused(self):
+        # 2^C(m,2) columns against r^m rows: 4x2 for two states at m = 2
+        with pytest.raises(InputError, match="^the 4x2 group matrix at m=2 cannot reach"):
+            graph_certificate(reference_model(), 2)
+        P = np.array([[0.1, 0.4, 0.6], [0.4, 0.2, 0.7], [0.6, 0.7, 0.9]])
+        three_states = GraphMixtureModel(pi=np.full(3, 1 / 3), P=P)
+        with pytest.raises(InputError, match="^the 81x64 group matrix at m=4 cannot"):
+            graph_certificate(three_states, 4)
+        assert graph_certificate(three_states, 5).details["group_matrix_shape"] == (243, 1024)
+        one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
+        assert graph_certificate(one_state, 2).holds  # a 1x2 group matrix is answered
+
     def test_details_report_the_group_matrix(self):
         cert = graph_certificate(reference_model(), 4)
         assert dict(cert.details) == {"group_matrix_shape": (16, 64), "group_matrix_rank": 16}
