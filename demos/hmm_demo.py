@@ -14,7 +14,6 @@ from latentid import (
     hmm_certificate,
     min_window,
     recover_hmm,
-    time_reversal,
     window_tensor,
 )
 from latentid.sampling import random_hmm, trial_rng
@@ -34,11 +33,11 @@ print("2. The window embedding at half-window k")
 print("=" * 72)
 model = random_hmm(trial_rng(1, 0), 2, 2)
 k = min_window(2, 2)
-blocks = conditional_blocks(model, k)
+B1, B2 = conditional_blocks(model, k)
 print(f"r = 2, kappa = 2, k = {k}: window of {2 * k + 1} observations")
-print(f"past block B1 (reversed-chain transitions):\n{np.round(blocks.B1, 4)}")
-print(f"future block B2:\n{np.round(blocks.B2, 4)}")
-print(f"time-reversed transition matrix:\n{np.round(blocks.A_rev, 4)}")
+print(f"past block B1 (reversed-chain transitions):\n{np.round(B1, 4)}")
+print(f"future block B2:\n{np.round(B2, 4)}")
+print(f"time-reversed transition matrix:\n{np.round(model.A_rev, 4)}")
 cert = hmm_certificate(model, k)
 print(f"certificate ranks {cert.kruskal_ranks}, holds: {cert.holds}")
 
@@ -67,7 +66,7 @@ slow = HiddenMarkovModel(
 )
 print(f"stationary law: {slow.pi}")
 print(f"reversal of a symmetric chain is itself: "
-      f"{np.allclose(time_reversal(slow.A, slow.pi), slow.A)}")
+      f"{np.allclose(slow.A_rev, slow.A)}")
 T = window_tensor(slow, 1)
 A_hat, B_hat, pi_hat = recover_hmm(T, 2, 2, 1, seed=0, tol=1e-6)
 align = align_hmm((A_hat, B_hat, pi_hat), (slow.A, slow.B, slow.pi))

@@ -46,7 +46,6 @@ from .recovery import (
     recover_latent_class,
 )
 from .hmm import (
-    ConditionalBlocks,
     HiddenMarkovModel,
     align_hmm,
     conditional_blocks,

@@ -3,15 +3,15 @@
 Exit codes partition outcomes: 0 for certified or successfully recovered, 1
 for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
-:class:`~latentid.errors.InputError` (a bad argument or any malformed model
-file, including a CDF table with a negative cell mass or a ``pi`` that is not
-stationary for its chain), or the ``OSError`` or ``ValueError`` that reading
-an unreadable file or a bad argument raises.  A certificate
-report's ``criterion`` names the rule its command applies: the Kruskal rank
-sum for ``search-tripartition`` and ``certify-lc``, full row rank for
-``hmm-certify`` and ``graph-certify``.  With ``--json`` the report is printed
-as one JSON object with sorted keys; identical arguments, files and seed
-produce byte-identical JSON (wall-clock time appears only in the
+:class:`~latentid.errors.InputError` (a bad argument, such as a NaN ``--tol``
+or a ``--k`` whose window exceeds the entry cap, or any malformed model file,
+including a CDF table with a negative cell mass), or the ``OSError`` or
+``ValueError`` that reading an unreadable file or a bad argument raises.  A
+certificate report's ``criterion`` names the rule its command applies: the
+Kruskal rank sum for ``search-tripartition`` and ``certify-lc``, full row rank
+for ``hmm-certify`` and ``graph-certify``.  With ``--json`` the report is
+printed as one JSON object with sorted keys; identical arguments, files and
+seed produce byte-identical JSON (wall-clock time appears only in the
 human-readable text output).
 """
 
@@ -61,6 +61,13 @@ def _certified(cert: lc.Certificate, **facts) -> tuple[int, dict]:
     )
     result.update(facts)
     return (0 if cert.holds else 1), result
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a float that is neither negative nor NaN."""
+    if not float(text) >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return float(text)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -237,6 +244,8 @@ def _default_queries(model: npx.NonparametricMixture, count: int) -> list[np.nda
 
 
 def _cmd_nonparam_recover(args) -> tuple[int, dict]:
+    if args.queries < 0:
+        raise InputError(f"--queries must be at least 0, got {args.queries}")
     model = _load(args, npx.NonparametricMixture)
     queries = _default_queries(model, args.queries)
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             sp.add_argument(
                 "--tol",
-                type=float,
+                type=_tolerance,
                 default=recovery.RECOVERY_TOL,
                 help=tol + " (default %(default)s)",
             )

@@ -31,11 +31,12 @@ from .errors import (
     InputError,
     NonUniqueStationaryError,
 )
-from .latent_class import Certificate, ENTRY_CAP
+from .latent_class import Certificate
 from .recovery import RECOVERY_TOL, Alignment, _clean_rows, align_permutation, decompose3
 from .tensor_core import (
     POSITIVE_FLOOR,
     ROW_SUM_TOL,
+    check_entries,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
@@ -95,25 +96,24 @@ def time_reversal(A, pi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HiddenMarkovModel:
-    """Transition matrix, emission matrix and ``pi``, the stationary law of ``A``."""
+    """Transition and emission matrices, with the stationary law ``pi`` of ``A`` and
+    the reversed chain ``A_rev`` (:func:`time_reversal`) derived once; all read-only."""
 
     A: np.ndarray
     B: np.ndarray
     pi: np.ndarray = field(init=False)
+    A_rev: np.ndarray = field(init=False)
 
     def __post_init__(self):
         A = check_stochastic(self.A, name="A")
         B = check_stochastic(self.B, name="B")
-        if A.shape[0] != A.shape[1]:
-            raise InputError(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
             raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
         pi = stationary_distribution(A)
-        for arr in (A, B, pi):
+        A_rev = time_reversal(A, pi)
+        for name, arr in (("A", A), ("B", B), ("pi", pi), ("A_rev", A_rev)):
             arr.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "pi", pi)
+            object.__setattr__(self, name, arr)
 
     @property
     def r(self) -> int:
@@ -122,22 +122,6 @@ class HiddenMarkovModel:
     @property
     def kappa(self) -> int:
         return self.B.shape[1]
-
-
-@dataclass(frozen=True)
-class ConditionalBlocks:
-    """Past and future window blocks conditioned on the center hidden state.
-
-    Row ``i`` of ``B1`` is the joint law of the k symbols before the center
-    given hidden state ``i`` there; row ``i`` of ``B2`` the law of the k
-    symbols after.  ``A_rev`` is the reversed-chain transition matrix used to
-    build ``B1``.
-    """
-
-    k: int
-    B1: np.ndarray
-    B2: np.ndarray
-    A_rev: np.ndarray
 
 
 def min_window(r: int, kappa: int) -> int:
@@ -156,22 +140,23 @@ def min_window(r: int, kappa: int) -> int:
     return k
 
 
-def conditional_blocks(model: HiddenMarkovModel, k: int) -> ConditionalBlocks:
-    """Window block matrices for half-window k, built innermost-out."""
+def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Past and future window blocks ``(B1, B2)`` at half-window k, built innermost-out.
+
+    Row ``i`` of ``B1`` is the joint law of the k symbols before the center
+    given hidden state ``i`` there, built from the reversed chain
+    ``model.A_rev``; row ``i`` of ``B2`` is the law of the k symbols after.
+    """
     if k < 1:
         raise InputError("k must be at least 1")
-    if model.kappa**k > ENTRY_CAP:
-        raise InputError(
-            f"kappa^k = {model.kappa ** k} exceeds the entry cap {ENTRY_CAP}"
-        )
-    A, B, pi = model.A, model.B, model.pi
-    A_rev = time_reversal(A, pi)
+    check_entries(model.r * model.kappa**k, "window block")
+    A, A_rev, B = model.A, model.A_rev, model.B
     B1 = A_rev @ B
     B2 = A @ B
     for _ in range(k - 1):
         B1 = A_rev @ khatri_rao([B, B1])
         B2 = A @ khatri_rao([B, B2])
-    return ConditionalBlocks(k=k, B1=B1, B2=B2, A_rev=A_rev)
+    return B1, B2
 
 
 def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
@@ -181,10 +166,9 @@ def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
     marginal distribution of ``2k + 1`` consecutive observations regrouped as
     ``((X_0..X_{k-1}), (X_{k+1}..X_{2k}), X_k)``.
     """
-    blocks = conditional_blocks(model, k)
-    return triple_product(
-        model.pi[:, None] * blocks.B1, blocks.B2, model.B
-    )
+    check_entries(model.kappa ** (2 * k + 1), "window tensor")
+    B1, B2 = conditional_blocks(model, k)
+    return triple_product(model.pi[:, None] * B1, B2, model.B)
 
 
 def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
@@ -196,11 +180,8 @@ def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
     is slightly stronger than the bare sum condition.  The reported ranks are
     the true Kruskal ranks of ``(B1, B2, B)``.
     """
-    blocks = conditional_blocks(model, k)
     r = model.r
-    i1 = kruskal_rank(blocks.B1)
-    i2 = kruskal_rank(blocks.B2)
-    i3 = kruskal_rank(model.B)
+    i1, i2, i3 = (kruskal_rank(M) for M in (*conditional_blocks(model, k), model.B))
     # kruskal_rank returns the row count exactly when the rank is full
     holds = i1 == r and i2 == r and i3 >= 2
     return Certificate(

@@ -23,14 +23,12 @@ from .errors import InputError
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    check_entries,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
     kruskal_rank,
 )
-
-#: dense joint distributions are refused above this many entries
-ENTRY_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -169,12 +167,10 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     khatri_rao(first half)).T @ khatri_rao(second half)``, the first half
     being the first ``p // 2`` variables; ``pi`` enters as a one-column
     Khatri-Rao factor, so ``p = 1`` needs no case of its own.  Raises
-    :class:`InputError` when the dense table would exceed :data:`ENTRY_CAP`
-    entries.
+    :class:`InputError` when the dense table would exceed
+    :data:`~latentid.tensor_core.ENTRY_CAP` entries.
     """
-    K = math.prod(model.kappas)
-    if K > ENTRY_CAP:
-        raise InputError(f"joint table has {K} entries, cap is {ENTRY_CAP}")
+    check_entries(math.prod(model.kappas), "joint table")
     h = model.p // 2
     left = khatri_rao([model.pi[:, None], *model.emissions[:h]])
     return (left.T @ khatri_rao(model.emissions[h:])).reshape(model.kappas)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentOracleError, InputError, NotDistinctError
-from .latent_class import Certificate, ENTRY_CAP
-from .tensor_core import check_probability_vector, khatri_rao, numerical_rank
+from .latent_class import Certificate
+from .tensor_core import check_entries, check_probability_vector, khatri_rao, numerical_rank
 
 #: relative tolerance for locating prior entries such as pi1^(n-1) * pi2
 PRIOR_MATCH_TOL = 1e-9
@@ -73,12 +73,12 @@ def node_state_prior(pi, n: int) -> np.ndarray:
     """Joint prior over the r^n composite node-state assignments.
 
     Entry for assignment ``(i_1, ..., i_n)`` is ``prod_k pi[i_k]``; the
-    extreme entries are ``min(pi)^n`` and ``max(pi)^n``.
+    extreme entries are ``min(pi)^n`` and ``max(pi)^n``.  Needs ``n >= 1``.
     """
+    if n < 1:
+        raise InputError(f"node count must be at least 1, got n={n}")
     pi = check_probability_vector(pi)
-    r = pi.size
-    if r**n > ENTRY_CAP:
-        raise InputError(f"r^n = {r ** n} exceeds the entry cap {ENTRY_CAP}")
+    check_entries(pi.size**n, "node-state prior")
     v = pi.copy()
     for _ in range(n - 1):
         v = np.kron(v, pi)
@@ -104,12 +104,7 @@ def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
         raise InputError("m must be at least 2")
     r = model.r
     edges = edge_list(m)
-    n_rows = r**m
-    n_cols = 2 ** len(edges)
-    if n_rows * n_cols > ENTRY_CAP:
-        raise InputError(
-            f"matrix would have {n_rows}x{n_cols} entries, cap is {ENTRY_CAP}"
-        )
+    check_entries(r**m * 2 ** len(edges), "group matrix")
     assigns = np.array(list(itertools.product(range(r), repeat=m)), dtype=int)
     per_edge = []
     for k, l in edges:
@@ -246,10 +241,13 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     one deviant node isolates ``p12``.  With equal mixing every prior entry
     ties, so all rows are marginalized to single-edge values: exactly two rows
     are constant (the uniform ones) and the value missing from them is
-    ``p12``.  Output is exact up to label swapping; class 0 is the state with
-    the smaller weight (unequal mixing) or the smaller within-state connection
-    probability (equal mixing).
+    ``p12``; this needs ``n >= 3``, since with two nodes every row has one edge
+    and is constant.  Output is exact up to label swapping; class 0 is the
+    state with the smaller weight (unequal mixing) or the smaller within-state
+    connection probability (equal mixing).  Refuses ``n < 2``.
     """
+    if n < 2:
+        raise InputError(f"extraction needs at least 2 nodes, got n={n}")
     tol = PRIOR_MATCH_TOL
     v = np.asarray(v_perm, dtype=float)
     if v.ndim != 1 or v.size != 2**n:
@@ -298,6 +296,8 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
             )
         pi = np.array([pi1, pi2])
     else:
+        if n < 3:
+            raise InputError(f"equal mixing needs at least 3 nodes, got n={n}")
         pi = np.full(2, 0.5)
         per_row = [
             [float(row_oracle(row, e)) for e in edges] for row in range(v.size)

@@ -32,6 +32,8 @@ ROW_SUM_TOL = 1e-9
 NEG_ENTRY_TOL = 1e-12
 #: entries that must be strictly positive (class weights) must exceed this
 POSITIVE_FLOOR = 1e-12
+#: dense arrays built from a model are refused above this many entries
+ENTRY_CAP = 2**24
 #: Kruskal-rank subset enumeration refuses matrices with more rows than this
 KRUSKAL_ROW_CAP = 20
 #: matrix entries per batch of row subsets in :func:`kruskal_rank` (8 MB of float64)
@@ -61,6 +63,13 @@ def _as_2d(M, name: str) -> np.ndarray:
     if M.size == 0:
         raise InputError(f"{name} must have at least one row and column")
     return M
+
+
+def check_entries(count: int, what: str) -> None:
+    """Refuse a dense array of ``count`` entries above :data:`ENTRY_CAP`; every
+    builder calls this with the size of the array it is about to build, first."""
+    if count > ENTRY_CAP:
+        raise InputError(f"{what} has {count} entries, cap is {ENTRY_CAP}")
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:

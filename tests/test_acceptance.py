@@ -214,10 +214,10 @@ def test_criterion_04_hmm_block_oracle():
         for kappa in (2, 3):
             for k in (1, 2, 3):
                 model = random_hmm(trial_rng(104, 10 * r + kappa), r, kappa)
-                blocks = conditional_blocks(model, k)
-                B1, B2 = oracle_window_blocks(model, k)
-                worst = max(worst, np.abs(blocks.B1 - B1).max())
-                worst = max(worst, np.abs(blocks.B2 - B2).max())
+                B1, B2 = conditional_blocks(model, k)
+                O1, O2 = oracle_window_blocks(model, k)
+                worst = max(worst, np.abs(B1 - O1).max())
+                worst = max(worst, np.abs(B2 - O2).max())
                 T = window_tensor(model, k)
                 worst = max(worst, np.abs(T - oracle_window_tensor(model, k)).max())
     ok = report(

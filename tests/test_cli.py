@@ -470,6 +470,49 @@ SIMULATE_HMM = [
 ]
 
 
+#: (argv, model-file fixture or None, last stderr line) for each refused
+#: argument; the window-tensor row would ask for 2^33 doubles if not refused
+CLI_REFUSALS = {
+    "tripartition-blocks": (
+        ["recover-lc", "--tripartition", "0,1|2"], "lc5_file",
+        "error: expected three |-separated blocks, got '0,1|2'",
+    ),
+    "tol-nan": (
+        ["simulate", "--family", "latent-class", "--kappas", "3,3,3", "--trials", "1",
+         "--tol", "nan"], None,
+        "latentid simulate: error: argument --tol: must be nonnegative, got 'nan'",
+    ),
+    "tol-negative": (
+        ["graph-extract", "--tol=-1"], "graph_file",
+        "latentid graph-extract: error: argument --tol: must be nonnegative, got '-1'",
+    ),
+    "queries-negative": (
+        ["nonparam-recover", "--queries", "-2"], "npm_file",
+        "error: --queries must be at least 0, got -2",
+    ),
+    "window-tensor-cap": (
+        ["hmm-recover", "--k", "16"], "hmm_file",
+        "error: window tensor has 8589934592 entries, cap is 16777216",
+    ),
+    "graph-no-nodes": (
+        ["graph-extract", "--n", "0"], "graph_file",
+        "error: node count must be at least 1, got n=0",
+    ),
+    "graph-one-node": (
+        ["graph-extract", "--n", "1"], "graph_file",
+        "error: extraction needs at least 2 nodes, got n=1",
+    ),
+    "simulate-one-node": (
+        ["simulate", "--family", "graph", "--n", "1", "--trials", "1"], None,
+        "error: extraction needs at least 2 nodes, got n=1",
+    ),
+    "equal-mixing-two-nodes": (
+        ["simulate", "--family", "graph", "--equal-mixing", "--n", "2", "--trials", "1"],
+        None, "error: equal mixing needs at least 3 nodes, got n=2",
+    ),
+}
+
+
 class TestReportContract:
     @pytest.mark.parametrize(
         "argv, fixture, expected",
@@ -508,6 +551,25 @@ class TestReportContract:
         monkeypatch.setattr(cli.sampling, "random_hmm", reference_random_hmm)
         run(argv)
         assert capsys.readouterr().out == batched
+
+    @pytest.mark.parametrize("case", list(CLI_REFUSALS))
+    def test_refusal_exits_2(self, capsys, request, case):
+        argv, fixture, line = CLI_REFUSALS[case]
+        model = ["--model", request.getfixturevalue(fixture)] if fixture else []
+        assert run([*argv, *model]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == line
+
+    def test_boundary_values_still_answer(self, capsys, graph_file, npm_file):
+        # zero queries recover pi alone; unequal mixing extracts from two nodes
+        argv = ["nonparam-recover", "--model", npm_file, "--queries", "0"]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["result"]["queries_per_variate"] == 0
+        code, report = run_json(capsys, ["graph-extract", "--model", graph_file, "--n", "2"])
+        assert code == 0 and report["result"]["n"] == 2
+        argv = ["simulate", "--family", "graph", "--n", "2", "--tol", "0"]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["result"]["failures"] == 0
 
     def test_usage_error_exits_2(self, capsys):
         assert run(["bound", "--r", "5"]) == 2  # missing --kappa

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from latentid import hmm, sampling
+from latentid import hmm, sampling, tensor_core
 from latentid.errors import (
     IllConditionedError,
     NonUniqueStationaryError,
@@ -131,6 +131,12 @@ def sampled(sampler, rng, r, kappa, max_attempts):
     return outcome, rng.random(3).tobytes()
 
 
+def two_state_model():
+    return HiddenMarkovModel(
+        A=np.array([[0.9, 0.1], [0.3, 0.7]]), B=np.array([[0.8, 0.2], [0.4, 0.6]])
+    )
+
+
 class TestStationary:
     def test_symmetric(self):
         pi = stationary_distribution(np.full((2, 2), 0.5))
@@ -235,6 +241,23 @@ class TestTimeReversal:
         with pytest.raises(InputError, match="^pi A differs from pi by 0.1 > "):
             time_reversal(A, np.array([0.5, 0.5]))
 
+    def test_runs_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(A, pi):
+            calls.append(1)
+            return time_reversal(A, pi)
+
+        monkeypatch.setattr(hmm, "time_reversal", counting)
+        model = two_state_model()
+        assert len(calls) == 1
+        conditional_blocks(model, 2)
+        window_tensor(model, 2)
+        hmm_certificate(model, 2)
+        assert len(calls) == 1
+        assert model.A_rev.tobytes() == time_reversal(model.A, model.pi).tobytes()
+        assert not model.A_rev.flags.writeable
+
 
 class TestMinWindow:
     def test_binary_base_case(self):
@@ -258,10 +281,10 @@ class TestMinWindow:
 class TestConditionalBlocks:
     def test_k1_base_case(self):
         model = random_hmm(trial_rng(41, 0), 2, 2)
-        blocks = conditional_blocks(model, 1)
+        B1, B2 = conditional_blocks(model, 1)
         A_rev = time_reversal(model.A, model.pi)
-        assert np.allclose(blocks.B1, A_rev @ model.B)
-        assert np.allclose(blocks.B2, model.A @ model.B)
+        assert np.allclose(B1, A_rev @ model.B)
+        assert np.allclose(B2, model.A @ model.B)
 
     def test_identity_chain_gives_khatri_rao_power(self):
         # the identity transition lies outside the model class (no unique
@@ -281,22 +304,25 @@ class TestConditionalBlocks:
 
     def test_rows_are_distributions(self):
         model = random_hmm(trial_rng(41, 1), 3, 2)
-        blocks = conditional_blocks(model, 3)
-        assert np.allclose(blocks.B1.sum(axis=1), 1.0)
-        assert np.allclose(blocks.B2.sum(axis=1), 1.0)
-        assert blocks.B1.min() >= 0.0
+        B1, B2 = conditional_blocks(model, 3)
+        assert np.allclose(B1.sum(axis=1), 1.0)
+        assert np.allclose(B2.sum(axis=1), 1.0)
+        assert B1.min() >= 0.0
 
     def test_against_path_oracle(self):
         model = random_hmm(trial_rng(41, 2), 2, 2)
-        blocks = conditional_blocks(model, 2)
-        B1, B2 = oracle_blocks(model, 2)
-        assert np.abs(blocks.B1 - B1).max() <= 1e-13
-        assert np.abs(blocks.B2 - B2).max() <= 1e-13
+        B1, B2 = conditional_blocks(model, 2)
+        O1, O2 = oracle_blocks(model, 2)
+        assert np.abs(B1 - O1).max() <= 1e-13
+        assert np.abs(B2 - O2).max() <= 1e-13
 
     def test_entry_cap(self, monkeypatch):
+        # each block has r * kappa^k entries: at the cap it is built, above refused
         model = random_hmm(trial_rng(41, 3), 2, 2)
-        monkeypatch.setattr(hmm, "ENTRY_CAP", 7)
-        with pytest.raises(InputError, match="^kappa\\^k = 8 exceeds the entry cap 7$"):
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 16)
+        assert conditional_blocks(model, 3)[0].shape == (2, 8)
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 15)
+        with pytest.raises(InputError, match="^window block has 16 entries, cap is 15$"):
             conditional_blocks(model, 3)
 
 
@@ -424,3 +450,57 @@ class TestRecoverHmm:
             match="^solved transition matrix has entries below -1e-08$",
         ):
             recover_hmm(T, 2, 2, 2, seed=0)
+
+
+#: (call, error, exact message[, builder]) for each input refusal of the module
+HMM_REFUSALS = {
+    "transition-square": (
+        lambda: stationary_distribution(np.full((2, 3), 1 / 3)),
+        InputError, "transition matrix must be square, got (2, 3)",
+    ),
+    "reversal-pi-length": (
+        lambda: time_reversal(np.full((2, 2), 0.5), np.full(3, 1 / 3)),
+        InputError, "pi length must match the square matrix A",
+    ),
+    "model-A-square": (
+        lambda: HiddenMarkovModel(A=np.full((2, 3), 1 / 3), B=np.full((2, 2), 0.5)),
+        InputError, "transition matrix must be square, got (2, 3)",
+    ),
+    "model-B-rows": (
+        lambda: HiddenMarkovModel(A=np.full((2, 2), 0.5), B=np.full((3, 2), 0.5)),
+        InputError, "B has 3 rows, expected r=2",
+    ),
+    "window-arguments": (
+        lambda: min_window(2, 1), InputError, "need r >= 1 and kappa >= 2",
+    ),
+    "half-window": (
+        lambda: conditional_blocks(two_state_model(), 0),
+        InputError, "k must be at least 1",
+    ),
+    "window-shape": (
+        lambda: recover_hmm(np.zeros((2, 2, 2)), 2, 2, 2),
+        InputError,
+        "window tensor shape (2, 2, 2) does not match "
+        "(kappa^k, kappa^k, kappa) = (4, 4, 2)",
+    ),
+    "align-shapes": (
+        lambda: align_hmm(
+            (np.eye(2), np.eye(2), np.ones(2) / 2), (np.eye(3), np.eye(3), np.ones(3) / 3)
+        ),
+        InputError, "recovered and reference shapes differ",
+    ),
+    "window-block-cap": (
+        lambda: conditional_blocks(two_state_model(), 3),
+        InputError, "window block has 16 entries, cap is 15", (hmm, "khatri_rao"),
+    ),
+    "window-tensor-cap": (
+        # the blocks (8 entries each) would fit, the 2^5-entry tensor does not
+        lambda: window_tensor(two_state_model(), 2),
+        InputError, "window tensor has 32 entries, cap is 15", (hmm, "conditional_blocks"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HMM_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*HMM_REFUSALS[case])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from latentid import latent_class
+from latentid import latent_class, tensor_core
 from latentid.errors import InputError
 from latentid.latent_class import (
     LatentClassModel,
@@ -119,8 +119,11 @@ class TestJointDistribution:
         assert np.allclose(joint_distribution(m), joint_distribution(swapped))
 
     def test_entry_cap(self, monkeypatch):
+        # a table of exactly the cap is built, one entry more is refused
         m = random_latent_class(trial_rng(0, 3), 2, (4, 4, 4))
-        monkeypatch.setattr(latent_class, "ENTRY_CAP", 63)
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 64)
+        assert joint_distribution(m).shape == (4, 4, 4)
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 63)
         with pytest.raises(InputError, match="^joint table has 64 entries, cap is 63$"):
             joint_distribution(m)
 
@@ -366,3 +369,39 @@ def test_witness_is_an_optimal_ordered_partition(r, kappas):
     assert sum(cert.kruskal_ranks) == best[0]
     assert list(cert.kruskal_ranks) == best[1]
     assert cert.holds == (best[0] >= 2 * r + 2)
+
+
+def _binary_model(p):
+    return LatentClassModel(pi=np.array([0.5, 0.5]), emissions=(np.full((2, 2), 0.5),) * p)
+
+
+#: (call, error, exact message[, builder]) for each input refusal of the module
+LATENT_CLASS_REFUSALS = {
+    "no-variables": (
+        lambda: LatentClassModel(pi=np.array([1.0]), emissions=()),
+        InputError, "at least one variable is required",
+    ),
+    "two-blocks": (
+        lambda: Tripartition.from_blocks([[0], [1]], [2, 2]),
+        InputError, "need three nonempty blocks",
+    ),
+    "blocks-overlap": (
+        lambda: Tripartition.from_blocks([[0], [1], [1]], [2, 2, 2]),
+        InputError, "blocks [[0], [1], [1]] must disjointly cover range(3)",
+    ),
+    "bound-arguments": (
+        lambda: min_variables_bound(0, 2), InputError, "need r >= 1 and kappa >= 2",
+    ),
+    "dimension-arguments": (
+        lambda: param_dimension(2, [2, 1]), InputError, "need r >= 1 and every kappa >= 2",
+    ),
+    "joint-table-cap": (
+        lambda: joint_distribution(_binary_model(4)),
+        InputError, "joint table has 16 entries, cap is 15", (latent_class, "khatri_rao"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LATENT_CLASS_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*LATENT_CLASS_REFUSALS[case])

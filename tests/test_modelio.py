@@ -109,6 +109,11 @@ def test_unknown_type_rejected():
         model_from_dict({"type": "mystery"})
 
 
+def test_only_models_are_serialized():
+    with pytest.raises(TypeError, match="^unsupported model type dict$"):
+        model_to_dict({"type": "hmm"})
+
+
 @pytest.mark.parametrize(
     "family, path, value, message",
     [

@@ -630,3 +630,90 @@ def test_cut_point_set_validation():
         CutPointSet(cuts=(np.array([np.nan]),))
     cs = CutPointSet(cuts=(np.array([0.2, 0.7]), np.array([0.5])))
     assert cs.bins_per_axis == (3, 2)
+
+
+_U = CdfComponent.uniform(0.0, 1.0)
+_U2 = CdfComponent.from_product([_U, _U])
+
+
+def _mixture(r, p):
+    return NonparametricMixture(pi=np.full(r, 1 / r), components=((_U,) * p,) * r)
+
+
+#: (call, error, exact message) for each input refusal of the module
+NONPARAMETRIC_REFUSALS = {
+    "table-axes": (
+        lambda: CdfComponent([0, 1], [[0, 1]]),
+        InputError, "values has 2 axes for 1 knot arrays",
+    ),
+    "knots-short": (
+        lambda: CdfComponent([[0, 1], [0]], np.zeros((2, 1))),
+        InputError, "knot array 1 must be 1-D with at least 2 entries",
+    ),
+    "knots-increasing": (
+        lambda: CdfComponent([0, 0], [0, 1]),
+        InputError, "knot array 0 must be finite and strictly increasing",
+    ),
+    "table-length": (
+        lambda: CdfComponent([0, 1], [0, 0.5, 1]),
+        InputError, "values axis 0 has length 3, expected 2",
+    ),
+    "table-finite": (
+        lambda: CdfComponent([0, 1], [0, np.nan]), InputError, "CDF values must be finite",
+    ),
+    "grid-axes": (
+        lambda: _U.evaluate_grid([[0.5], [0.5]]),
+        InputError, "need 1 coordinate arrays, got 2",
+    ),
+    "point-coordinates": (
+        lambda: _U((0.5, 0.5)), InputError, "point has 2 coordinates, expected 1",
+    ),
+    "product-of-blocks": (
+        lambda: CdfComponent.from_product([_U2]),
+        InputError, "from_product expects one-dimensional parts",
+    ),
+    "mixture-rows": (
+        lambda: NonparametricMixture(pi=np.full(2, 0.5), components=((_U,) * 3,)),
+        InputError, "1 component rows for 2 classes",
+    ),
+    "mixture-variates": (
+        lambda: NonparametricMixture(pi=np.full(2, 0.5), components=((_U, _U), (_U,))),
+        InputError, "all classes must have the same variates",
+    ),
+    "mixture-block-dims": (
+        lambda: NonparametricMixture(pi=np.full(2, 0.5), components=((_U,), (_U2,))),
+        InputError, "variate 0 has inconsistent block dimensions {1, 2}",
+    ),
+    "mandatory-coordinates": (
+        lambda: select_cut_points([_U, _U], mandatory=[(0.5, 0.5)]),
+        InputError, "point (0.5, 0.5) has 2 coordinates, expected 1",
+    ),
+    "no-components": (
+        lambda: select_cut_points([]), InputError, "need at least one component",
+    ),
+    "mixed-block-dims": (
+        lambda: select_cut_points([_U, _U2]),
+        InputError, "components must share the block dimension",
+    ),
+    "cuts-block-dim": (
+        lambda: binned_conditional_matrix([_U2], [[0.5]]),
+        InputError, "components and cuts disagree on the block dimension",
+    ),
+    "too-few-bins": (
+        lambda: bivariate_rank(_mixture(3, 2), 0, 1, [0.5], [0.25, 0.5]),
+        InputError, "need at least r bins on both variates",
+    ),
+    "two-variates": (
+        lambda: recover_mixture(_mixture(2, 2), [[0.5], [0.5]]),
+        InputError, "need at least 3 variates, got p=2",
+    ),
+    "queries-per-variate": (
+        lambda: recover_mixture(_mixture(2, 3), [[0.5]]),
+        InputError, "query_points must have one entry per variate (3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NONPARAMETRIC_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*NONPARAMETRIC_REFUSALS[case])

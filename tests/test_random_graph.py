@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latentid import random_graph
+from latentid import random_graph, sampling, tensor_core
 from latentid.errors import InconsistentOracleError, InputError, NotDistinctError
 from latentid.random_graph import (
     GraphMixtureModel,
@@ -61,8 +61,11 @@ class TestNodeStatePrior:
         assert np.isclose(v.sum(), 1.0)
 
     def test_entry_cap(self, monkeypatch):
-        monkeypatch.setattr(random_graph, "ENTRY_CAP", 15)
-        with pytest.raises(InputError, match="^r\\^n = 16 exceeds the entry cap 15$"):
+        # a prior of exactly the cap is built, one entry more is refused
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 16)
+        assert node_state_prior(np.array([0.5, 0.5]), 4).size == 16
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 15)
+        with pytest.raises(InputError, match="^node-state prior has 16 entries, cap is 15$"):
             node_state_prior(np.array([0.5, 0.5]), 4)
 
 
@@ -144,7 +147,9 @@ class TestGraphCertificate:
     def test_group_size_range(self):
         one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
         assert graph_certificate(one_state, CERTIFIABLE_M[-1]).holds
-        with pytest.raises(InputError, match="^matrix would have .* entries, cap is "):
+        with pytest.raises(
+            InputError, match="^group matrix has 268435456 entries, cap is 16777216$"
+        ):
             graph_certificate(one_state, CERTIFIABLE_M[-1] + 1)
         with pytest.raises(ValueError, match="^m must be at least 2$"):
             graph_certificate(reference_model(), 1)
@@ -232,6 +237,15 @@ class TestExtractParameters:
         assert np.allclose(sorted([p11, p22]), [0.2, 0.8])
         assert np.isclose(p12, 0.5)
 
+    def test_unequal_mixing_at_two_nodes(self):
+        # one edge suffices when the prior tells the uniform rows apart
+        model = reference_model()
+        perm = np.array([2, 0, 3, 1])
+        v_perm = node_state_prior(model.pi, 2)[perm]
+        pi, p11, p12, p22 = extract_parameters(v_perm, hidden_oracle(model, 2, perm), 2)
+        assert np.allclose(pi, [0.3, 0.7])
+        assert np.allclose([p11, p12, p22], [0.2, 0.5, 0.8])
+
     def test_two_distinct_values_rejected(self):
         model = GraphMixtureModel(
             pi=np.array([0.3, 0.7]), P=np.array([[0.2, 0.5], [0.5, 0.2]])
@@ -303,47 +317,60 @@ def _twin_uniform_rows(row, edge):
     return 0.2 if row in (0, 15) else (0.5 if edge == (0, 1) else 0.8)
 
 
-#: (prior, row oracle, error, exact message) for each refusal of extract_parameters
+#: (prior, row oracle, n, error, exact message) for each refusal of extract_parameters
 EXTRACT_REFUSALS = {
     "prior-size": (
-        np.full(8, 1 / 8), lambda row, edge: 0.5,
+        np.full(8, 1 / 8), lambda row, edge: 0.5, 4,
         InputError, r"prior must have 2\^4 entries, got 8",
     ),
     "prior-positive": (
-        np.where(np.arange(16) == 3, 0.0, 1 / 15), lambda row, edge: 0.5,
+        np.where(np.arange(16) == 3, 0.0, 1 / 15), lambda row, edge: 0.5, 4,
         InputError, "prior entries must be positive",
     ),
     "weight-sum": (
-        _unequal_prior() * 16, lambda row, edge: 0.5,
+        _unequal_prior() * 16, lambda row, edge: 0.5, 4,
         InconsistentOracleError, r"extreme prior entries give weights summing to 2\.000000000",
     ),
     "extremes-not-unique": (
-        np.where(np.arange(16) == 5, 0.3**4, _unequal_prior()), lambda row, edge: 0.5,
+        np.where(np.arange(16) == 5, 0.3**4, _unequal_prior()), lambda row, edge: 0.5, 4,
         InconsistentOracleError, "extreme prior entries are not unique",
     ),
     "no-single-deviant": (
-        _no_single_deviant_prior(), lambda row, edge: 0.8 if row == 15 else 0.2,
+        _no_single_deviant_prior(), lambda row, edge: 0.8 if row == 15 else 0.2, 4,
         InconsistentOracleError, "no prior entry matches a single-deviant assignment",
     ),
     "deviant-row-one-value": (
-        _unequal_prior(), lambda row, edge: 0.8 if row == 15 else 0.2,
+        _unequal_prior(), lambda row, edge: 0.8 if row == 15 else 0.2, 4,
         NotDistinctError, "single-deviant row shows only one edge value; p12 equals p11",
     ),
     "equal-one-value": (
-        np.full(16, 1 / 16), lambda row, edge: 0.5,
+        np.full(16, 1 / 16), lambda row, edge: 0.5, 4,
         NotDistinctError, "only 1 distinct edge values observed, need 3",
     ),
     "equal-four-values": (
-        np.full(16, 1 / 16), lambda row, edge: 0.1 * (1 + row % 4),
+        np.full(16, 1 / 16), lambda row, edge: 0.1 * (1 + row % 4), 4,
         InconsistentOracleError, "4 distinct edge values observed, expected 3",
     ),
     "equal-constant-rows": (
-        np.full(16, 1 / 16), _split_rows,
+        np.full(16, 1 / 16), _split_rows, 4,
         InconsistentOracleError, "expected exactly 2 constant rows, found 8",
     ),
     "equal-no-cross-value": (
-        np.full(16, 1 / 16), _twin_uniform_rows,
+        np.full(16, 1 / 16), _twin_uniform_rows, 4,
         InconsistentOracleError, "could not isolate the cross connection value",
+    ),
+    "no-nodes": (
+        np.array([1.0]), lambda row, edge: 0.5, 0,
+        InputError, "extraction needs at least 2 nodes, got n=0",
+    ),
+    "one-node": (
+        np.array([0.3, 0.7]), lambda row, edge: 0.5, 1,
+        InputError, "extraction needs at least 2 nodes, got n=1",
+    ),
+    "equal-two-nodes": (
+        # with one edge every row is constant: p12 cannot be told apart
+        np.full(4, 1 / 4), lambda row, edge: (0.2, 0.5, 0.5, 0.8)[row], 2,
+        InputError, "equal mixing needs at least 3 nodes, got n=2",
     ),
 }
 
@@ -351,6 +378,52 @@ EXTRACT_REFUSALS = {
 class TestExtractRefusals:
     @pytest.mark.parametrize("case", list(EXTRACT_REFUSALS))
     def test_refusal_is_named(self, case):
-        prior, oracle, error, message = EXTRACT_REFUSALS[case]
+        prior, oracle, n, error, message = EXTRACT_REFUSALS[case]
         with pytest.raises(error, match=f"^{message}$"):
-            extract_parameters(prior, oracle, 4)
+            extract_parameters(prior, oracle, n)
+
+
+#: (call, error, exact message[, builder]) for each input refusal of the module
+#: outside extract_parameters
+GRAPH_REFUSALS = {
+    "P-shape": (
+        lambda: GraphMixtureModel(pi=np.array([0.5, 0.5]), P=np.full((3, 3), 0.5)),
+        InputError, "P must be 2x2, got (3, 3)",
+    ),
+    "P-range": (
+        lambda: GraphMixtureModel(
+            pi=np.array([0.5, 0.5]), P=np.array([[1.5, 0.5], [0.5, 0.2]])
+        ),
+        InputError, "connection probabilities must lie in [0, 1]",
+    ),
+    "lattice-size": (lambda: lattice_partitions(1), InputError, "m must be at least 2"),
+    "edge-states": (
+        lambda: single_edge_marginal(reference_model(), (0, 5), (0, 1)),
+        InputError, "states must lie in range(2)",
+    ),
+    "prior-nodes": (
+        lambda: node_state_prior([0.3, 0.7], 0),
+        InputError, "node count must be at least 1, got n=0",
+    ),
+    "prior-cap": (
+        lambda: node_state_prior([0.3, 0.7], 4),
+        InputError, "node-state prior has 16 entries, cap is 15", (np, "kron"),
+    ),
+    "group-matrix-cap": (
+        lambda: conditional_graph_matrix(reference_model(), 3),
+        InputError, "group matrix has 64 entries, cap is 15", (random_graph, "khatri_rao"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAPH_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*GRAPH_REFUSALS[case])
+
+
+def test_graph_sampler_gives_up_by_name(monkeypatch):
+    monkeypatch.setattr(sampling, "_GRAPH_MAX_ATTEMPTS", 0)
+    with pytest.raises(
+        InputError, match="^no well-separated connection triple found in 0 draws$"
+    ):
+        sampling.random_graph_mixture(5)

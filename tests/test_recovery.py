@@ -438,8 +438,8 @@ def window_law_factors(draw):
     r = draw(st.sampled_from([7, 8]))
     model = random_hmm(draw(st.integers(0, 2**32 - 1)), r, 2, max_attempts=5000)
     k = min_window(r, 2)
-    blocks = conditional_blocks(model, k)
-    return r, window_tensor(model, k), blocks.B1, blocks.B2, model.pi[:, None] * model.B
+    B1, B2 = conditional_blocks(model, k)
+    return r, window_tensor(model, k), B1, B2, model.pi[:, None] * model.B
 
 
 @given(case=st.one_of(latent_class_factors(), window_law_factors()))
@@ -552,6 +552,19 @@ class TestAlignPermutation:
                 best = min(error(p) for p in itertools.permutations(range(r)))
                 assert align.max_abs_error == best == error(align.permutation)
 
+    def test_bisection_past_the_lower_bound(self):
+        # reference classes 0 and 1 are both nearest to recovered class 0, so
+        # the pairs at the bound (the largest row or column minimum, 1) hold
+        # no perfect matching and the search must bisect above it
+        recovered = (np.array([0.0, 5.0, 7.0]), [np.array([[0.2], [0.0], [0.0]])])
+        reference = (np.array([0.0, 0.0, 6.0]), [np.array([[0.0], [0.5], [0.0]])])
+        C = np.array([[0.2, 5.0, 7.0], [0.3, 5.0, 7.0], [6.0, 1.0, 1.0]])
+        assert max(C.min(axis=0).max(), C.min(axis=1).max()) == 1.0
+        assert recovery._perfect_matching(C <= 1.0) is None
+        align = align_permutation(recovered, reference)
+        assert align.max_abs_error == 5.0
+        assert align.permutation.tolist() == [1, 0, 2]
+
     def test_optimal_beyond_eight_classes(self):
         # r = 10 with noise 0.2: a greedy row-correlation assignment reported
         # 0.368 here, against an optimum below the noise level
@@ -647,3 +660,48 @@ class TestRecoverLatentClass:
                 recover_latent_class(T, 3, blocks, seed=0)
             failures += 1
         assert partitions > 0 and failures == partitions
+
+
+@st.composite
+def integer_parameter_pairs(draw):
+    """Recovered and reference ``(pi, [F])`` for r <= 6 on five integer levels,
+    so that costs tie and the lower bound often admits no perfect matching."""
+    r = draw(st.integers(1, 6))
+    width = draw(st.integers(2, 3))
+    levels = st.lists(st.integers(0, 4), min_size=r * width, max_size=r * width)
+    a, b = (np.array(draw(levels), dtype=float).reshape(r, width) for _ in range(2))
+    return (a[:, 0], [a[:, 1:]]), (b[:, 0], [b[:, 1:]]), a, b
+
+
+@given(case=integer_parameter_pairs())
+def test_alignment_is_the_brute_force_bottleneck(case):
+    recovered, reference, a, b = case
+    r = a.shape[0]
+    C = np.abs(a[None, :, :] - b[:, None, :]).max(axis=2)
+    best = min(C[range(r), p].max() for p in itertools.permutations(range(r)))
+    align = align_permutation(recovered, reference)
+    assert sorted(align.permutation.tolist()) == list(range(r))
+    assert align.max_abs_error == best == C[range(r), align.permutation].max()
+
+
+#: (call, error, exact message) for each input refusal of the module
+RECOVERY_REFUSALS = {
+    "tensor-ndim": (
+        lambda: decompose3(np.full((2, 2), 0.25), 2),
+        InputError, "expected a 3-way tensor, got ndim=2",
+    ),
+    "no-classes": (
+        lambda: decompose3(np.full((2, 2, 2), 0.125), 0), InputError, "r must be at least 1",
+    ),
+    "factor-shapes": (
+        lambda: align_permutation(
+            (np.ones(2) / 2, [np.ones((2, 2))]), (np.ones(2) / 2, [np.ones((2, 3))])
+        ),
+        InputError, "factor shapes differ: (2, 2) vs (2, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RECOVERY_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*RECOVERY_REFUSALS[case])

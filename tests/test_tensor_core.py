@@ -1,14 +1,20 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import latentid
 from latentid.errors import InputError, NotKhatriRaoError
 from latentid import tensor_core
 from latentid.tensor_core import (
+    as_matrix,
+    check_distribution_tensor,
+    check_probability_vector,
     clump_tensor,
     khatri_rao,
     kruskal_rank,
@@ -535,3 +541,62 @@ def test_json_round_trip():
 
 def test_first_primes():
     assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+
+
+#: (call, error, exact message) for each input refusal of the validation helpers
+TENSOR_CORE_REFUSALS = {
+    "matrix-ndim": (
+        lambda: as_matrix(np.zeros(3), "M"), InputError, "M must be 2-D, got ndim=1",
+    ),
+    "matrix-empty": (
+        lambda: as_matrix(np.zeros((0, 2)), "M"),
+        InputError, "M must have at least one row and column",
+    ),
+    "pi-ndim": (
+        lambda: check_probability_vector(np.full((2, 2), 0.25)),
+        InputError, "pi must be a nonempty 1-D array",
+    ),
+    "pi-finite": (
+        lambda: check_probability_vector([0.5, np.nan]),
+        InputError, "pi contains non-finite entries",
+    ),
+    "pi-sum": (
+        lambda: check_probability_vector([0.3, 0.3]),
+        InputError, "pi must sum to 1 (got 0.6)",
+    ),
+    "tensor-finite": (
+        lambda: check_distribution_tensor([np.inf, 0.0]),
+        InputError, "tensor contains non-finite entries",
+    ),
+    "tensor-negative": (
+        lambda: check_distribution_tensor([[0.6, -0.1], [0.3, 0.2]]),
+        InputError, "tensor has entries below -1e-12",
+    ),
+    "tensor-sum": (
+        lambda: check_distribution_tensor([0.5, 0.25]),
+        InputError, "tensor must sum to 1 (got 0.75)",
+    ),
+    "unclump-dims": (
+        lambda: unclump(np.full((1, 2), 0.5), [2, 0]),
+        InputError, "col_dims must be positive",
+    ),
+    "unclump-row-sums": (
+        lambda: unclump([[0.5, 0.6]], [2]),
+        NotKhatriRaoError, "rows must sum to 1 for de-clumping (max deviation 0.1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TENSOR_CORE_REFUSALS))
+def test_refusal_is_named(case, refuses):
+    refuses(*TENSOR_CORE_REFUSALS[case])
+
+
+def test_entry_cap_has_one_home():
+    # every dense builder reads the cap through check_entries, never a copy
+    names = [info.name for info in pkgutil.iter_modules(latentid.__path__)]
+    homes = [
+        name for name in names
+        if "ENTRY_CAP" in vars(importlib.import_module(f"latentid.{name}"))
+    ]
+    assert "cli" in names and homes == ["tensor_core"]
