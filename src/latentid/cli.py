@@ -262,9 +262,30 @@ def _cmd_nonparam_recover(args) -> tuple[int, dict]:
     }
 
 
+#: the model options of ``simulate``, with the value each takes when not given
+_SIMULATE_DEFAULTS = {"r": 3, "kappas": "3,3,3", "kappa": 2, "k": 0, "n": 4, "equal_mixing": False}
+#: the model options each family reads; giving any other one is refused
+_SIMULATE_READS = {
+    "latent-class": ("r", "kappas"),
+    "hmm": ("r", "kappa", "k"),
+    "graph": ("n", "equal_mixing"),
+}
+
+
 def _cmd_simulate(args) -> tuple[int, dict]:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    reads = _SIMULATE_READS[args.family]
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in _SIMULATE_DEFAULTS
+        if getattr(args, name) is not None and name not in reads
+    ]
+    if ignored:
+        raise InputError(f"--family {args.family} does not read {', '.join(ignored)}")
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, _SIMULATE_DEFAULTS[name])
     if args.family == "latent-class":
         # the witness depends only on r and the state counts, not on the draw
         kappas = _parse_int_list(args.kappas)
@@ -397,12 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--family", choices=["latent-class", "hmm", "graph"], required=True
     )
-    sp.add_argument("--r", type=int, default=3)
-    sp.add_argument("--kappas", default="3,3,3", help="latent-class state counts")
-    sp.add_argument("--kappa", type=int, default=2, help="hmm observed states")
-    sp.add_argument("--k", type=int, default=0, help="hmm half-window (default: bound)")
-    sp.add_argument("--n", type=int, default=4, help="graph node count")
-    sp.add_argument("--equal-mixing", action="store_true")
+    # None marks an option not given: a family refuses the ones it does not read
+    default = _SIMULATE_DEFAULTS
+    sp.add_argument("--r", type=int, help=f"latent-class and hmm classes (default {default['r']})")
+    sp.add_argument("--kappas", help=f"latent-class state counts (default {default['kappas']})")
+    sp.add_argument("--kappa", type=int, help=f"hmm observed states (default {default['kappa']})")
+    sp.add_argument("--k", type=int, help="hmm half-window (default: bound)")
+    sp.add_argument("--n", type=int, help=f"graph node count (default {default['n']})")
+    sp.add_argument(
+        "--equal-mixing", action="store_true", default=None, help="graph: weights 1/2, 1/2"
+    )
     sp.add_argument("--trials", type=int, default=10)
     common(sp, tol=gate + "; also the largest trial error that still exits 0")
 

@@ -98,9 +98,11 @@ class CdfComponent:
             kn = self.knots[c]
             x = np.minimum(np.maximum(np.asarray(req, dtype=float), kn[0]), kn[-1])
             idx = np.minimum(np.searchsorted(kn, x, side="right") - 1, kn.size - 2)
-            t = (x - kn[idx]) / (kn[idx + 1] - kn[idx])
+            nxt = idx + 1
+            left = kn[idx]
+            t = (x - left) / (kn[nxt] - left)
             shape = (-1,) + (1,) * (V.ndim - c - 1)
-            below, above = V.take(idx, axis=c), V.take(idx + 1, axis=c)
+            below, above = V.take(idx, axis=c), V.take(nxt, axis=c)
             V = below * (1.0 - t).reshape(shape) + above * t.reshape(shape)
         return V
 
@@ -218,9 +220,31 @@ def _as_cut_set(cuts) -> CutPointSet:
     return CutPointSet(cuts=tuple(cuts))
 
 
-def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
+def _normalize_points(points, b: int) -> np.ndarray:
+    """Points as an ``(n, b)`` float array.
+
+    ``points`` is ``None`` (no points), one point (a bare scalar when
+    ``b == 1``, a bare ``b``-tuple when ``b > 1``) or a sequence of points,
+    each a scalar or ``b`` coordinates.  Input that converts to that array is
+    taken in one pass; an ``(n, b)`` float array comes back as it is.  Any
+    other input (ragged or deeper nesting, a wrong coordinate count, a NaN)
+    goes through :func:`_normalize_each`, which names the bad point.
+    """
     if points is None:
-        return []
+        return np.empty((0, b))
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        return _normalize_each(points, b)
+    if arr.ndim < 2 and (b == 1 or arr.size in (0, b)):
+        arr = arr.reshape(-1, b)
+    if arr.ndim == 2 and arr.shape[1] == b and not np.isnan(arr).any():
+        return arr
+    return _normalize_each(points, b)
+
+
+def _normalize_each(points, b: int) -> np.ndarray:
+    """:func:`_normalize_points` one point at a time, raising for the first bad one."""
     if (b == 1 and np.ndim(points) == 0) or (
         b > 1 and len(points) == b and np.ndim(points[0]) == 0
     ):
@@ -234,7 +258,7 @@ def _normalize_points(points, b: int) -> list[tuple[float, ...]]:
         if np.isnan(coords).any():
             raise InputError(f"point {pt} has a NaN coordinate")
         out.append(coords)
-    return out
+    return np.array(out, dtype=float).reshape(-1, b)
 
 
 def _cell_masses(tables: np.ndarray) -> np.ndarray:
@@ -314,9 +338,9 @@ def select_cut_points(
         raise InputError("components must share the block dimension")
     r = len(components)
     grid_axes = default_grid(components)
-    mandatory_points = _normalize_points(mandatory, b)
+    points = _normalize_points(mandatory, b)
     axes = [
-        np.unique(np.concatenate([[-np.inf], g, [pt[c] for pt in mandatory_points], [np.inf]]))
+        np.unique(np.concatenate([[-np.inf], g, points[:, c], [np.inf]]))
         for c, g in enumerate(grid_axes)
     ]
     tables = np.stack([comp.evaluate_grid(axes) for comp in components])
@@ -325,7 +349,7 @@ def select_cut_points(
     scan = tables[np.ix_(classes, *knots_at)].reshape(r, -1)
     # cuts as positions on the axes of ``tables``; the last position is +inf
     cut_at = [
-        set(np.searchsorted(ax, [pt[c] for pt in mandatory_points]).tolist())
+        set(np.searchsorted(ax, points[:, c]).tolist())
         for c, ax in enumerate(axes)
     ]
 
@@ -396,16 +420,16 @@ def bivariate_rank(
     return numerical_rank(N)
 
 
-def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, queries) -> np.ndarray:
+def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, points: np.ndarray) -> np.ndarray:
     """Read CDF values at query points from rows of bin masses, one per class.
 
-    Every query coordinate must be one of the cuts, as it is when the queries
-    were the mandatory points of :func:`select_cut_points`.
+    ``points`` is an ``(n, b)`` array, and every coordinate must be one of the
+    cuts, as it is when the points were the mandatory points of
+    :func:`select_cut_points`.
     """
     grid = rows.reshape((len(rows),) + cuts.bins_per_axis)
     for axis in range(1, grid.ndim):
         grid = np.cumsum(grid, axis=axis)
-    points = np.array(queries, dtype=float).reshape(-1, cuts.block_dim)
     index = [np.searchsorted(cut, points[:, c]) for c, cut in enumerate(cuts.cuts)]
     flat = np.ravel_multi_index(index, cuts.bins_per_axis)
     return grid.reshape(len(rows), -1).take(flat, axis=1)
@@ -431,9 +455,12 @@ def recover_mixture(
     every variate.  CDF values are read off through the cumulative transform
     at the query points, which are cuts verbatim.
 
-    ``query_points[j]`` lists the evaluation points for variate j (floats, or
-    coordinate tuples for blocks; ``-inf``, ``+inf`` and points outside the
-    knot range are allowed).  Returns ``(pi, tables)`` where
+    ``query_points[j]`` lists the evaluation points for variate j: an
+    ``(n, b)`` array for a block of dimension ``b``, or any nesting that
+    converts to one (floats, or ``b``-tuples for blocks); ``-inf``, ``+inf``
+    and points outside the knot range are allowed.  Each variate's points are
+    converted once, and that array is carried through cut selection and the
+    read-back.  Returns ``(pi, tables)`` where
     ``tables[j][i, q]`` is the recovered CDF of class i, variate j at query
     q.
 
@@ -454,9 +481,7 @@ def recover_mixture(
         raise InputError(f"need at least 3 variates, got p={p}")
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
-    queries = [
-        _normalize_points(query_points[j], mixture.block_dims[j]) for j in range(p)
-    ]
+    queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
     cuts, mats = zip(
         *(select_cut_points(mixture.variate(j), mandatory=queries[j]) for j in range(p))
     )

@@ -313,7 +313,10 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     M1, M2, M3 = cleaned
     pi = pi / pi.sum()
 
-    resid = float(np.abs((pi[:, None] * M1).T @ khatri_rao([M2, M3]) - T1).max())
+    # |R - T1| in the product's own buffer: no table-sized temporaries
+    D = (pi[:, None] * M1).T @ khatri_rao([M2, M3])
+    D -= T1
+    resid = float(np.abs(D, out=D).max())
     return "residual", resid, (pi, M1, M2, M3)
 
 
@@ -434,7 +437,9 @@ def recover_latent_class(
             emissions_by_var[j] = M
     emissions = [emissions_by_var[j] for j in range(T.ndim)]
     model = LatentClassModel(pi=rec.pi, emissions=tuple(emissions))
-    resid = float(np.abs(joint_distribution(model) - T).max())
+    D = joint_distribution(model)
+    D -= T
+    resid = float(np.abs(D, out=D).max())
     resid_tol = tol * T.max()
     if resid > resid_tol:
         raise DegenerateSpectrumError(

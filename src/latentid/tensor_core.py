@@ -67,9 +67,15 @@ def _as_2d(M, name: str) -> np.ndarray:
 
 def check_entries(count: int, what: str) -> None:
     """Refuse a dense array of ``count`` entries above :data:`ENTRY_CAP`; every
-    builder calls this with the size of the array it is about to build, first."""
+    builder calls this with the size of the array it is about to build, first.
+
+    A count past ``2^128`` is stated as the power of two it reaches: Python
+    will not print an integer of more than 4300 digits.
+    """
     if count > ENTRY_CAP:
-        raise InputError(f"{what} has {count} entries, cap is {ENTRY_CAP}")
+        bits = int(count).bit_length()
+        size = count if bits <= 128 else f"at least 2^{bits - 1}"
+        raise InputError(f"{what} has {size} entries, cap is {ENTRY_CAP}")
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:

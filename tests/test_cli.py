@@ -494,6 +494,22 @@ CLI_REFUSALS = {
         ["hmm-recover", "--k", "16"], "hmm_file",
         "error: window tensor has 8589934592 entries, cap is 16777216",
     ),
+    "node-state-prior-cap": (
+        ["graph-extract", "--n", "20000"], "graph_file",
+        "error: node-state prior has at least 2^20000 entries, cap is 16777216",
+    ),
+    "simulate-graph-ignores": (
+        ["simulate", "--family", "graph", "--r", "5", "--kappa", "7", "--trials", "1"], None,
+        "error: --family graph does not read --r, --kappa",
+    ),
+    "simulate-latent-class-ignores": (
+        ["simulate", "--family", "latent-class", "--k", "2", "--n", "5", "--trials", "1"],
+        None, "error: --family latent-class does not read --k, --n",
+    ),
+    "simulate-hmm-ignores": (
+        ["simulate", "--family", "hmm", "--kappas", "2,2,2", "--equal-mixing"], None,
+        "error: --family hmm does not read --kappas, --equal-mixing",
+    ),
     "graph-no-nodes": (
         ["graph-extract", "--n", "0"], "graph_file",
         "error: node count must be at least 1, got n=0",

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import json
 
@@ -191,6 +192,27 @@ class TestSelectCutPoints:
         assert numerical_rank(A) == 2
 
 
+def reference_points(points, b):
+    """Query points one at a time, as Python float tuples: the reference for
+    :func:`~latentid.nonparametric._normalize_points`, naming the first bad point."""
+    if points is None:
+        return []
+    if (b == 1 and np.ndim(points) == 0) or (
+        b > 1 and len(points) == b and np.ndim(points[0]) == 0
+    ):
+        points = [points]
+    out = []
+    for pt in points:
+        coords = (pt,) if np.ndim(pt) == 0 else pt
+        if len(coords) != b:
+            raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
+        coords = tuple(float(x) for x in coords)
+        if np.isnan(coords).any():
+            raise InputError(f"point {pt} has a NaN coordinate")
+        out.append(coords)
+    return out
+
+
 def scalar_scan_cut_points(components, mandatory=None):
     """Reference cut selection: one ``comp(cand)`` call per component and candidate.
 
@@ -215,7 +237,7 @@ def scalar_scan_cut_points(components, mandatory=None):
                 cut_lists[c].append(x)
                 cut_lists[c].sort()
 
-    for pt in nonparametric._normalize_points(mandatory, b):
+    for pt in reference_points(mandatory, b):
         add_point(pt)
     rank = 0
     while True:
@@ -388,6 +410,63 @@ def test_selected_cuts_give_full_rank(family, mandatory):
     except RankDeficientError:
         return
     assert numerical_rank(M) == len(family)
+
+
+@st.composite
+def point_inputs(draw):
+    """Query points for a block of dimension b, in every form a caller may pass.
+
+    Rows of coordinates (finite or infinite) become an ``(n, b)`` array, an
+    ``(n,)`` array, tuples, lists, bare scalars, one bare point, a mix of
+    forms, or a 3-D nesting; some cases have a NaN or a row with a missing
+    coordinate.
+    """
+    b = draw(st.integers(1, 3))
+    coordinate = st.one_of(st.floats(allow_nan=False), st.sampled_from([-np.inf, np.inf]))
+    row = st.lists(coordinate, min_size=b, max_size=b)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, b - 1))] = np.nan
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    form = draw(
+        st.sampled_from(["array", "flat", "tuples", "lists", "scalars", "bare", "mixed", "nested"])
+    )
+    if form in ("array", "flat"):
+        try:
+            array = np.array(rows)
+        except ValueError:  # ragged rows
+            return b, rows
+        return b, array.ravel() if form == "flat" else array
+    if form == "tuples":
+        return b, [tuple(r) for r in rows]
+    if form == "scalars":
+        return b, [x for r in rows for x in r]
+    if form == "bare":
+        return b, rows[0][0] if b == 1 and len(rows[0]) == 1 else tuple(rows[0])
+    if form == "mixed":
+        shapes = [tuple, list, np.array, lambda r: r[0] if len(r) == 1 else tuple(r)]
+        return b, [draw(st.sampled_from(shapes))(r) for r in rows]
+    if form == "nested":
+        return b, [[r] for r in rows]
+    return b, rows
+
+
+def normalized_or_refusal(normalize, points, b):
+    try:
+        return np.array(normalize(points, b), dtype=float).reshape(-1, b).tobytes()
+    except (TypeError, ValueError) as exc:  # InputError is a ValueError
+        return type(exc), str(exc)
+
+
+@given(case=point_inputs())
+def test_normalized_points_equal_the_per_point_loop(case):
+    b, points = case
+    expected = normalized_or_refusal(reference_points, points, b)
+    assert normalized_or_refusal(nonparametric._normalize_points, points, b) == expected
+    if isinstance(expected, bytes):
+        got = nonparametric._normalize_points(points, b)
+        assert got.dtype == float and got.shape == (len(expected) // (8 * b), b)
 
 
 class TestBinnedMatrix:
@@ -613,12 +692,90 @@ class TestRecoverMixture:
             select_cut_points(two_uniform_family(), mandatory=[np.nan])
 
 
+def test_queries_are_normalized_once_per_variate(monkeypatch):
+    # recover_mixture converts each variate's queries once; select_cut_points
+    # and the read-back receive that very array, and the per-point loop never
+    # runs on well-formed input
+    calls, read_back = [], []
+    normalize, cdf_at = nonparametric._normalize_points, nonparametric._cdf_at_queries
+
+    def spy(points, b):
+        out = normalize(points, b)
+        calls.append((points, out))
+        return out
+
+    def reading(rows, cuts, points):
+        read_back.append(points)
+        return cdf_at(rows, cuts, points)
+
+    def per_point(points, b):
+        raise AssertionError("per-point loop ran on well-formed queries")
+
+    monkeypatch.setattr(nonparametric, "_normalize_points", spy)
+    monkeypatch.setattr(nonparametric, "_cdf_at_queries", reading)
+    monkeypatch.setattr(nonparametric, "_normalize_each", per_point)
+    mix = random_nonparametric_mixture(trial_rng(54, 8), 2, 5, block_dims=[1, 2, 1, 1, 2])
+    queries = [
+        [0.2, 0.4], np.array([[0.3, 0.5], [0.6, 0.1]]), np.array([0.5]), 0.7, (0.4, 0.6)
+    ]
+    recover_mixture(mix, queries, seed=0)
+    p = mix.p
+    assert len(calls) == 2 * p
+    converted = [out for _, out in calls[:p]]
+    for j in range(p):
+        assert calls[j][0] is queries[j]
+        assert calls[p + j][0] is converted[j] and calls[p + j][1] is converted[j]
+        assert read_back[j] is converted[j]
+
+
+def output_digest(pi, tables):
+    digest = hashlib.sha256(pi.tobytes())
+    for table in tables:
+        digest.update(repr(table.shape).encode())
+        digest.update(table.tobytes())
+    return digest.hexdigest()
+
+
+#: (mixture, queries, seed, sha256 of the output) for seeded recoveries; the
+#: digests were taken before query points became one array, so the outputs
+#: are byte for byte those of the per-point code (numpy 2.4, OpenBLAS 0.3.31)
+GOLDEN_RECOVERIES = {
+    "scalar-lists": (
+        lambda: random_nonparametric_mixture(trial_rng(55, 0), 3, 3),
+        [np.linspace(0.05, 0.95, 6).tolist()] * 3, 0,
+        "f62a4da0809546eb2f69db1c191b2da4fb9336e62e41739a138dd51855c60411",
+    ),
+    "block-tuples": (
+        lambda: random_nonparametric_mixture(trial_rng(54, 2), 2, 3, block_dims=[1, 1, 2]),
+        [[0.3, 0.6], [0.3, 0.6], [(0.3, 0.5), (0.6, 0.8)]], 1,
+        "49eefbb161c5c6c40f3d0c09d8276078f280aa5a0fc2d660969b4fd2120b17cd",
+    ),
+    "block-arrays": (
+        lambda: random_nonparametric_mixture(trial_rng(55, 1), 4, 4, block_dims=[2, 1, 1, 1]),
+        [np.array([[0.2, 0.4], [0.5, 0.5], [0.9, 0.1]]), np.array([0.25, 0.75]),
+         np.array([[0.5]]), 0.4], 5,
+        "71a8fef2099efe6f96960a5958d1c78cf5bcc1c819e3ac8392835ac368e38e1c",
+    ),
+    "infinite-and-bare": (
+        lambda: random_nonparametric_mixture(trial_rng(55, 2), 3, 5),
+        [[-np.inf, 0.5, np.inf], 0.3, (0.1, 0.2), [[0.7]], None], 2,
+        "eddfceaf4f26801d469e8c4cf8d8a89ad9cce08ce48d120d64820269c4199cc7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_RECOVERIES))
+def test_recovery_output_is_golden(case):
+    mixture, queries, seed, digest = GOLDEN_RECOVERIES[case]
+    assert output_digest(*recover_mixture(mixture(), queries, seed=seed)) == digest
+
+
 def test_queries_at_cuts_read_back_exactly():
     # bins (-inf, 0.2], (0.2, 0.5], (0.5, inf) x (-inf, 0.5], (0.5, inf): the
     # CDF at cut (x, y) is the sum of the bins below and left of it
     cuts = CutPointSet(cuts=(np.array([0.2, 0.5]), np.array([0.5])))
     rows = np.array([[0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125], np.full(6, 0.125)])
-    queries = [(0.2, 0.5), (0.5, 0.5), (0.2, 0.5)]
+    queries = np.array([(0.2, 0.5), (0.5, 0.5), (0.2, 0.5)])
     table = nonparametric._cdf_at_queries(rows, cuts, queries)
     assert table.tolist() == [[0.5, 0.625, 0.5], [0.125, 0.25, 0.125]]
 
@@ -638,6 +795,14 @@ _U2 = CdfComponent.from_product([_U, _U])
 
 def _mixture(r, p):
     return NonparametricMixture(pi=np.full(r, 1 / r), components=((_U,) * p,) * r)
+
+
+#: two classes over three variates, the last a 2-D block
+_BLOCK_MIXTURE = NonparametricMixture(pi=np.full(2, 0.5), components=((_U, _U, _U2),) * 2)
+
+
+def _block_queries(last):
+    return lambda: recover_mixture(_BLOCK_MIXTURE, [[0.5], [0.5], last])
 
 
 #: (call, error, exact message) for each input refusal of the module
@@ -710,6 +875,22 @@ NONPARAMETRIC_REFUSALS = {
     "queries-per-variate": (
         lambda: recover_mixture(_mixture(2, 3), [[0.5]]),
         InputError, "query_points must have one entry per variate (3)",
+    ),
+    "query-coordinates": (
+        _block_queries([(0.3, 0.5, 0.7)]),
+        InputError, "point (0.3, 0.5, 0.7) has 3 coordinates, expected 2",
+    ),
+    "query-ragged": (
+        _block_queries([(0.3, 0.5), (0.6,)]),
+        InputError, "point (0.6,) has 1 coordinates, expected 2",
+    ),
+    "query-3d": (
+        _block_queries([[[0.3, 0.5]], [[0.6, 0.7]]]),
+        InputError, "point [[0.3, 0.5]] has 1 coordinates, expected 2",
+    ),
+    "query-nan": (
+        _block_queries(np.array([[0.3, 0.5], [0.6, np.nan]])),
+        InputError, "point [0.6 nan] has a NaN coordinate",
     ),
 }
 

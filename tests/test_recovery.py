@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +472,20 @@ def test_core_least_squares_matches_full(case):
     assert np.abs((core @ a).reshape(r, r) - sliced).max() <= 1e-12 * np.abs(sliced).max()
 
 
+@given(case=st.one_of(latent_class_factors(), window_law_factors()))
+def test_residual_is_the_max_abs_error_of_the_unfolding(case):
+    # to the bit: the gate subtracts in place, in the product's own buffer
+    r, T = case[:2]
+    try:
+        rec = decompose3(T, r, seed=0)
+    except LatentIdError:
+        assume(False)
+    pi, (M1, M2, M3) = rec.pi, rec.factors
+    T1 = T.reshape(T.shape[0], -1)
+    expected = float(np.abs((pi[:, None] * M1).T @ khatri_rao([M2, M3]) - T1).max())
+    assert rec.residual.hex() == expected.hex()
+
+
 @st.composite
 def small_latent_class_models(draw):
     """Latent-class models with r in 1-6, k1, k2 in [max(r, 2), r + 5], k3 in 2-4."""
@@ -614,6 +629,20 @@ class TestRecoverLatentClass:
             pi, emissions = recover_latent_class(T, r, witness, seed=t)
             align = align_permutation((pi, emissions), (m.pi, list(m.emissions)))
             assert align.max_abs_error <= 1e-10
+
+    def test_peak_memory_is_about_twice_the_table(self):
+        # the clumped copy and one table-sized product at a time: both
+        # residual gates take |R - T| in the product's buffer
+        m = random_latent_class(trial_rng(31, 9), 3, [3] * 12)
+        T = joint_distribution(m)
+        witness = tripartition_search(3, m.kappas).witness
+        tracemalloc.start()
+        try:
+            recover_latent_class(T, 3, witness, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * T.nbytes
 
     def test_single_class_products(self):
         m = random_latent_class(trial_rng(30, 1), 1, (2, 3, 2, 2))

@@ -14,6 +14,7 @@ from latentid import tensor_core
 from latentid.tensor_core import (
     as_matrix,
     check_distribution_tensor,
+    check_entries,
     check_probability_vector,
     clump_tensor,
     khatri_rao,
@@ -579,6 +580,19 @@ TENSOR_CORE_REFUSALS = {
     "unclump-dims": (
         lambda: unclump(np.full((1, 2), 0.5), [2, 0]),
         InputError, "col_dims must be positive",
+    ),
+    "entries-huge": (
+        lambda: check_entries(2**20000, "node-state prior"),
+        InputError, "node-state prior has at least 2^20000 entries, cap is 16777216",
+    ),
+    "entries-past-2^128": (
+        lambda: check_entries(3 * 2**127, "joint table"),
+        InputError, "joint table has at least 2^128 entries, cap is 16777216",
+    ),
+    "entries-below-2^128": (
+        lambda: check_entries(2**128 - 1, "joint table"),
+        InputError,
+        "joint table has 340282366920938463463374607431768211455 entries, cap is 16777216",
     ),
     "unclump-row-sums": (
         lambda: unclump([[0.5, 0.6]], [2]),
