@@ -74,9 +74,9 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
 
 
-def _parse_tripartition(text: str) -> tuple[tuple[int, ...], ...]:
+def _parse_tripartition(text: str) -> list[list[int]]:
     """Blocks of 0-based variable indices, e.g. ``\"0,1|2,3|4\"``."""
-    blocks = tuple(tuple(_parse_int_list(part)) for part in text.split("|"))
+    blocks = [_parse_int_list(part) for part in text.split("|")]
     if len(blocks) != 3:
         raise InputError(f"expected three |-separated blocks, got {text!r}")
     return blocks

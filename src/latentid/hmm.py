@@ -174,21 +174,15 @@ def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
 def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
     """Identifiability certificate for the window embedding at half-window k.
 
-    Holds when both window blocks have full row rank r and the emission matrix
-    has Kruskal rank at least 2.  This is what the constructive recovery in
-    :func:`recover_hmm` needs; it implies the rank sum reaches ``2r + 2`` but
-    is slightly stronger than the bare sum condition.  The reported ranks are
-    the true Kruskal ranks of ``(B1, B2, B)``.
+    The views are the window blocks ``(B1, B2)`` of
+    :func:`conditional_blocks` and the emission matrix ``B``; the reported
+    ranks are their Kruskal ranks.  The criterion is full row rank (see
+    :class:`Certificate`), which is what the constructive recovery in
+    :func:`recover_hmm` needs.
     """
-    r = model.r
-    i1, i2, i3 = (kruskal_rank(M) for M in (*conditional_blocks(model, k), model.B))
-    # kruskal_rank returns the row count exactly when the rank is full
-    holds = i1 == r and i2 == r and i3 >= 2
+    ranks = tuple(kruskal_rank(M) for M in (*conditional_blocks(model, k), model.B))
     return Certificate(
-        holds=holds,
-        kruskal_ranks=(i1, i2, i3),
-        threshold=2 * r + 2,
-        mode="exact-matrix",
+        model.r, ranks, "exact-matrix", full_row_rank=True,  # type: ignore[arg-type]
         criterion="window blocks at full row rank: I1 = I2 = r and I3 >= 2",
     )
 

@@ -1,13 +1,16 @@
 """The r-class, p-feature latent-class model and its identifiability certificates.
 
 A model mixes r product distributions over p finite variables, the j-th with
-``kappas[j]`` states.  Certificates come in two modes:
+``kappas[j]`` states.  Certificates come in two modes, by where the ranks
+come from:
 
-* ``exact-matrix``: Kruskal ranks of the given conditional matrices are
-  computed and summed against the threshold ``2r + 2``.
+* ``exact-matrix``: Kruskal ranks of the given conditional matrices.
 * ``generic-dimension``: only the dimensions enter, each clumped variable
   contributing ``min(r, prod of its state counts)``; this is the generic value
   of the Kruskal rank of a row tensor product.
+
+Either mode decides by one of two rules: the Kruskal rank sum,
+``I1 + I2 + I3 >= 2r + 2``, or full row rank, ``I1 = I2 = r`` and ``I3 >= 2``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import InputError
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    _three_blocks,
     check_entries,
     check_probability_vector,
     check_stochastic,
@@ -105,45 +109,49 @@ class Tripartition:
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], kappas: Sequence[int]) -> "Tripartition":
-        sorted_blocks = tuple(tuple(sorted(int(j) for j in b)) for b in blocks)
-        if len(sorted_blocks) != 3 or any(len(b) == 0 for b in sorted_blocks):
-            raise InputError("need three nonempty blocks")
-        flat = sorted(j for b in sorted_blocks for j in b)
-        if flat != list(range(len(kappas))):
-            raise InputError(
-                f"blocks {blocks} must disjointly cover range({len(kappas)})"
-            )
+        sorted_blocks = _three_blocks(blocks, len(kappas))
         dims = tuple(math.prod(int(kappas[j]) for j in b) for b in sorted_blocks)
         return cls(blocks=sorted_blocks, clumped_dims=dims)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a Kruskal-condition identifiability check.
+    """Outcome of a Kruskal-condition identifiability check on three views.
 
-    ``holds`` is True when the reported ranks certify uniqueness of the
-    decomposition against ``threshold = 2r + 2``.  ``criterion`` names the
-    rule that decided ``holds``: the Kruskal rank sum by default, while the
-    window and graph certificates require full row rank, which implies the
-    sum but is stronger than it.  ``witness`` carries the best tripartition
-    when one was searched for; the search is exact, so a certificate that
-    does not hold means no tripartition reaches the threshold.  ``details``
-    is a read-only mapping of further facts behind the decision, empty
-    unless the operation documents its keys
-    (:func:`~latentid.random_graph.graph_certificate` reports the shape and
-    rank of its group matrix there).
+    ``kruskal_ranks`` are the ranks ``(I1, I2, I3)`` of three views of an
+    ``r``-component mixture.  ``holds`` and ``threshold = 2r + 2`` follow from
+    them and the rule: the rank sum ``I1 + I2 + I3 >= 2r + 2``, or, with
+    ``full_row_rank``, ``I1 = I2 = r`` and ``I3 >= 2``, which implies the sum.
+    A one-component model certifies under neither rule.  ``criterion`` names
+    the rule for reports.  ``witness`` carries the best tripartition when one
+    was searched for; the search is exact, so a certificate that does not
+    hold means no tripartition reaches the threshold.  ``details`` is a
+    read-only mapping of further facts behind the decision, empty unless the
+    operation documents its keys (:func:`~latentid.random_graph.graph_certificate`
+    reports the shape and rank of its group matrix there).
     """
 
-    holds: bool
+    r: int
     kruskal_ranks: tuple[int, int, int]
-    threshold: int
     mode: str  # "exact-matrix" or "generic-dimension"
+    full_row_rank: bool = False
+    criterion: str = "Kruskal row-rank condition: I1 + I2 + I3 >= 2r + 2"
     witness: Tripartition | None = None
     details: Mapping[str, object] = field(default_factory=dict, hash=False)
-    criterion: str = "Kruskal row-rank condition: I1 + I2 + I3 >= 2r + 2"
 
     def __post_init__(self):
         object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
+
+    @property
+    def threshold(self) -> int:
+        return 2 * self.r + 2
+
+    @property
+    def holds(self) -> bool:
+        i1, i2, i3 = self.kruskal_ranks
+        if self.full_row_rank:
+            return i1 == i2 == self.r and i3 >= 2
+        return i1 + i2 + i3 >= self.threshold
 
     @property
     def exhaustive(self) -> bool:
@@ -186,13 +194,7 @@ def kruskal_certificate(model: LatentClassModel) -> Certificate:
     if model.p != 3:
         raise InputError(f"model has p={model.p} variables, need exactly 3")
     ranks = tuple(kruskal_rank(M) for M in model.emissions)
-    threshold = 2 * model.r + 2
-    return Certificate(
-        holds=sum(ranks) >= threshold,
-        kruskal_ranks=ranks,  # type: ignore[arg-type]
-        threshold=threshold,
-        mode="exact-matrix",
-    )
+    return Certificate(model.r, ranks, "exact-matrix")  # type: ignore[arg-type]
 
 
 def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
@@ -221,7 +223,6 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
         raise InputError("r must be at least 1")
     if min(kappas) < 2:
         raise InputError(f"every state count must be at least 2, got {kappas}")
-    threshold = 2 * r + 2
 
     # a capped product of 1 marks an empty block; any variable lifts it to >= 2
     cap = max(r, 2)
@@ -254,13 +255,7 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     blocks = sorted(best, key=lambda block: -math.prod(kappas[j] for j in block))
     witness = Tripartition.from_blocks(blocks, kappas)
     ranks = tuple(min(r, d) for d in witness.clumped_dims)
-    return Certificate(
-        holds=sum(ranks) >= threshold,
-        kruskal_ranks=ranks,  # type: ignore[arg-type]
-        threshold=threshold,
-        mode="generic-dimension",
-        witness=witness,
-    )
+    return Certificate(r, ranks, "generic-dimension", witness=witness)  # type: ignore[arg-type]
 
 
 def min_variables_bound(r: int, kappa: int) -> int:

@@ -254,7 +254,10 @@ def _normalize_each(points, b: int) -> np.ndarray:
         coords = (pt,) if np.ndim(pt) == 0 else pt
         if len(coords) != b:
             raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
-        coords = tuple(float(x) for x in coords)
+        try:
+            coords = tuple(float(x) for x in coords)
+        except (TypeError, ValueError):
+            raise InputError(f"point {pt} has a coordinate that is not a number") from None
         if np.isnan(coords).any():
             raise InputError(f"point {pt} has a NaN coordinate")
         out.append(coords)

@@ -166,20 +166,19 @@ def lattice_partitions(m: int) -> PartitionFamily:
 def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     """Identifiability certificate for the n = m^2 node model.
 
-    Holds when the single-group matrix ``A`` of :func:`conditional_graph_matrix`
-    has full row rank ``r^m``.  The other condition, that the three lattice
-    partitions give pairwise edge-disjoint subgraphs, holds by construction
-    for every m (see :func:`lattice_partitions`; ``TestLatticePartitions`` in
-    ``tests/test_random_graph.py`` checks it for every m this function
-    accepts), so it is not recomputed here.  The composite conditional matrix
-    of each subgraph is the m-fold Kronecker power of ``A``, so its rank is
-    ``rank(A)^m`` without materializing anything; the reported ranks are these
-    Kronecker-derived values (equal to ``r^n`` and to the Kruskal rank exactly
-    when full).  ``details`` holds ``group_matrix_shape`` and
-    ``group_matrix_rank``.  Raises :class:`InputError` for ``m < 2``, when
-    ``A`` exceeds the entry cap, or when ``A`` has fewer columns
-    ``2^C(m,2)`` than rows ``r^m`` and so has no full row rank for any model
-    (two states at m = 2).
+    The three views are the subgraphs on the group unions of the three
+    lattice partitions (:func:`lattice_partitions`), pairwise edge disjoint by
+    construction for every m this function accepts, as
+    ``TestLatticePartitions`` in ``tests/test_random_graph.py`` checks.  Each
+    view's conditional matrix over the ``r^n`` node-state assignments is the
+    m-fold Kronecker power of the group matrix ``A`` of
+    :func:`conditional_graph_matrix`, so its rank, the one reported, is
+    ``rank(A)^m``.  The criterion is full row rank (see :class:`Certificate`):
+    ``rank(A) = r^m``, with at least two states.  ``details`` holds
+    ``group_matrix_shape`` and ``group_matrix_rank``.  Raises
+    :class:`InputError` for ``m < 2``, when ``A`` exceeds the entry cap, or
+    when ``A`` has fewer columns ``2^C(m,2)`` than rows ``r^m`` and so has no
+    full row rank for any model (two states at m = 2).
     """
     A = conditional_graph_matrix(model, m)
     rows, cols = A.shape
@@ -191,12 +190,9 @@ def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     rank_A = numerical_rank(A)
     lifted = rank_A**m
     return Certificate(
-        holds=rank_A == model.r**m,
-        kruskal_ranks=(lifted, lifted, lifted),
-        threshold=2 * model.r ** (m * m) + 2,
-        mode="exact-matrix",
-        details={"group_matrix_shape": A.shape, "group_matrix_rank": rank_A},
+        model.r ** (m * m), (lifted, lifted, lifted), "exact-matrix", full_row_rank=True,
         criterion="group matrix at full row rank: rank A = r^m",
+        details={"group_matrix_shape": A.shape, "group_matrix_rank": rank_A},
     )
 
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .latent_class import LatentClassModel, Tripartition, joint_distribution
 from .tensor_core import (
+    _three_blocks,
     check_distribution_tensor,
     clump_tensor,
     khatri_rao,
@@ -422,11 +423,9 @@ def recover_latent_class(
     Returns ``(pi, emissions)`` with emissions in original variable order.
     """
     T = np.asarray(T, dtype=float)
-    blocks = (
-        tripartition.blocks
-        if isinstance(tripartition, Tripartition)
-        else tuple(tuple(sorted(int(j) for j in b)) for b in tripartition)
-    )
+    if isinstance(tripartition, Tripartition):
+        tripartition = tripartition.blocks
+    blocks = _three_blocks(tripartition, T.ndim)
     kappas = T.shape
     N = clump_tensor(T, blocks)
     rec = decompose3(N, r, seed=seed, tol=tol)

@@ -362,6 +362,21 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     return factors
 
 
+def _three_blocks(
+    blocks: Sequence[Sequence[int]], p: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``blocks`` as sorted index tuples, checked to be three disjoint
+    nonempty blocks covering ``range(p)``; :class:`InputError` otherwise."""
+    if len(blocks) != 3:
+        raise InputError(f"need exactly 3 blocks, got {len(blocks)}")
+    sorted_blocks = tuple(tuple(sorted(int(j) for j in b)) for b in blocks)
+    if any(len(b) == 0 for b in sorted_blocks):
+        raise InputError("blocks must be nonempty")
+    if sorted(j for b in sorted_blocks for j in b) != list(range(p)):
+        raise InputError(f"blocks must disjointly cover all {p} axes, got {blocks}")
+    return sorted_blocks  # type: ignore[return-value]
+
+
 def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Regroup the axes of a p-way tensor into three composite axes.
 
@@ -371,16 +386,7 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     factors in the same order.  Entries are preserved exactly.
     """
     T = np.asarray(T, dtype=float)
-    if len(blocks) != 3:
-        raise InputError(f"need exactly 3 blocks, got {len(blocks)}")
-    sorted_blocks = [sorted(int(j) for j in b) for b in blocks]
-    flat = [j for b in sorted_blocks for j in b]
-    if any(len(b) == 0 for b in sorted_blocks):
-        raise InputError("blocks must be nonempty")
-    if sorted(flat) != list(range(T.ndim)):
-        raise InputError(
-            f"blocks must disjointly cover all {T.ndim} axes, got {blocks}"
-        )
+    sorted_blocks = _three_blocks(blocks, T.ndim)
     dims = tuple(math.prod(T.shape[j] for j in b) for b in sorted_blocks)
-    return T.transpose(flat).reshape(dims)
+    return T.transpose([j for b in sorted_blocks for j in b]).reshape(dims)
 

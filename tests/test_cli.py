@@ -54,6 +54,13 @@ def graph_file(tmp_path):
 
 
 @pytest.fixture
+def one_state_graph_file(tmp_path):
+    path = tmp_path / "one_state.json"
+    save_model(GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]])), path)
+    return str(path)
+
+
+@pytest.fixture
 def npm_file(tmp_path):
     path = tmp_path / "npm.json"
     save_model(random_nonparametric_mixture(trial_rng(70, 4), 2, 3), path)
@@ -459,6 +466,16 @@ PINNED_REPORTS = [
         '"exact-matrix", "nodes": 16, "rank_sum": 196608, "status": "certified", '
         '"summary": "certified: rank sum 196608 >= 131074", "threshold": 131074}}',
     ),
+    (
+        ["graph-certify", "--m", "2"],
+        "one_state_graph_file",
+        '{"command": "graph-certify", "errors": [], "result": {"criterion": '
+        '"group matrix at full row rank: rank A = r^m", "group_matrix_rank": 1, '
+        '"group_matrix_shape": [1, 2], '
+        '"holds": false, "kruskal_ranks": [1, 1, 1], "m": 2, "mode": '
+        '"exact-matrix", "nodes": 4, "rank_sum": 3, "status": "not-certified", '
+        '"summary": "no certificate: best rank sum 3 < 4", "threshold": 4}}',
+    ),
 ]
 
 #: HMM simulations whose models take many draws: at r = 9 the accepted draw
@@ -476,6 +493,10 @@ CLI_REFUSALS = {
     "tripartition-blocks": (
         ["recover-lc", "--tripartition", "0,1|2"], "lc5_file",
         "error: expected three |-separated blocks, got '0,1|2'",
+    ),
+    "tripartition-overlap": (
+        ["recover-lc", "--tripartition", "0|1|1"], "lc3_file",
+        "error: blocks must disjointly cover all 3 axes, got [[0], [1], [1]]",
     ),
     "tol-nan": (
         ["simulate", "--family", "latent-class", "--kappas", "3,3,3", "--trials", "1",

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from latentid import latent_class, tensor_core
 from latentid.errors import InputError
+from latentid.hmm import hmm_certificate
 from latentid.latent_class import (
     LatentClassModel,
     Tripartition,
@@ -16,7 +17,8 @@ from latentid.latent_class import (
     param_dimension,
     tripartition_search,
 )
-from latentid.sampling import random_latent_class, trial_rng
+from latentid.random_graph import GraphMixtureModel, graph_certificate
+from latentid.sampling import random_hmm, random_latent_class, random_probability, trial_rng
 from latentid.tensor_core import check_stochastic, khatri_rao, kruskal_rank
 
 
@@ -371,6 +373,60 @@ def test_witness_is_an_optimal_ordered_partition(r, kappas):
     assert cert.holds == (best[0] >= 2 * r + 2)
 
 
+@st.composite
+def latent_class_certificates(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kappas = draw(st.lists(st.integers(2, 5), min_size=3, max_size=3))
+    model = random_latent_class(rng, draw(st.integers(1, 4)), kappas)
+    if draw(st.booleans()):  # the last class copies the first on variable 0
+        E = model.emissions[0].copy()
+        E[-1] = E[0]
+        model = LatentClassModel(pi=model.pi, emissions=(E, *model.emissions[1:]))
+    return kruskal_certificate(model)
+
+
+@st.composite
+def hmm_certificates(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_hmm(rng, draw(st.integers(1, 4)), draw(st.integers(2, 3)))
+    return hmm_certificate(model, draw(st.integers(1, 3)))
+
+
+@st.composite
+def graph_certificates(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = draw(st.integers(1, 2))
+    # two states need 2^C(m,2) >= 2^m group-matrix columns, so m >= 3
+    m = draw(st.sampled_from([2, 3, 4] if states == 1 else [3, 4]))
+    Q = rng.uniform(size=(states, states))
+    P = np.full_like(Q, Q[0, 0]) if draw(st.booleans()) else (Q + Q.T) / 2
+    return graph_certificate(GraphMixtureModel(pi=random_probability(rng, states), P=P), m)
+
+
+@st.composite
+def search_certificates(draw):
+    kappas = draw(st.lists(st.integers(2, 4), min_size=3, max_size=6))
+    return tripartition_search(draw(st.integers(1, 6)), kappas)
+
+
+@given(
+    st.one_of(
+        latent_class_certificates(),
+        hmm_certificates(),
+        graph_certificates(),
+        search_certificates(),
+    )
+)
+@example(graph_certificate(GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]])), 2))
+def test_every_certificate_decides_by_its_rule(cert):
+    total = sum(cert.kruskal_ranks)
+    assert cert.threshold == 2 * cert.r + 2
+    if cert.holds:
+        assert total >= cert.threshold
+    if not cert.full_row_rank:
+        assert cert.holds == (total >= cert.threshold)
+
+
 def _binary_model(p):
     return LatentClassModel(pi=np.array([0.5, 0.5]), emissions=(np.full((2, 2), 0.5),) * p)
 
@@ -383,11 +439,11 @@ LATENT_CLASS_REFUSALS = {
     ),
     "two-blocks": (
         lambda: Tripartition.from_blocks([[0], [1]], [2, 2]),
-        InputError, "need three nonempty blocks",
+        InputError, "need exactly 3 blocks, got 2",
     ),
     "blocks-overlap": (
         lambda: Tripartition.from_blocks([[0], [1], [1]], [2, 2, 2]),
-        InputError, "blocks [[0], [1], [1]] must disjointly cover range(3)",
+        InputError, "blocks must disjointly cover all 3 axes, got [[0], [1], [1]]",
     ),
     "bound-arguments": (
         lambda: min_variables_bound(0, 2), InputError, "need r >= 1 and kappa >= 2",

@@ -206,7 +206,10 @@ def reference_points(points, b):
         coords = (pt,) if np.ndim(pt) == 0 else pt
         if len(coords) != b:
             raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
-        coords = tuple(float(x) for x in coords)
+        try:
+            coords = tuple(float(x) for x in coords)
+        except (TypeError, ValueError):
+            raise InputError(f"point {pt} has a coordinate that is not a number") from None
         if np.isnan(coords).any():
             raise InputError(f"point {pt} has a NaN coordinate")
         out.append(coords)
@@ -891,6 +894,14 @@ NONPARAMETRIC_REFUSALS = {
     "query-nan": (
         _block_queries(np.array([[0.3, 0.5], [0.6, np.nan]])),
         InputError, "point [0.6 nan] has a NaN coordinate",
+    ),
+    "query-block-nested": (
+        _block_queries([[[0.3, 0.5], [0.6, 0.7]]]),
+        InputError, "point [[0.3, 0.5], [0.6, 0.7]] has a coordinate that is not a number",
+    ),
+    "query-scalar-nested": (
+        lambda: recover_mixture(_mixture(2, 3), [[[[0.5]]], [0.5], [0.5]]),
+        InputError, "point [[0.5]] has a coordinate that is not a number",
     ),
 }
 

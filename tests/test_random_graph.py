@@ -146,7 +146,7 @@ class TestGraphCertificate:
 
     def test_group_size_range(self):
         one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
-        assert graph_certificate(one_state, CERTIFIABLE_M[-1]).holds
+        assert not graph_certificate(one_state, CERTIFIABLE_M[-1]).holds
         with pytest.raises(
             InputError, match="^group matrix has 268435456 entries, cap is 16777216$"
         ):
@@ -164,7 +164,8 @@ class TestGraphCertificate:
             graph_certificate(three_states, 4)
         assert graph_certificate(three_states, 5).details["group_matrix_shape"] == (243, 1024)
         one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
-        assert graph_certificate(one_state, 2).holds  # a 1x2 group matrix is answered
+        # a 1x2 group matrix is answered; one state certifies under no rule
+        assert not graph_certificate(one_state, 2).holds
 
     def test_details_report_the_group_matrix(self):
         cert = graph_certificate(reference_model(), 4)
