@@ -224,10 +224,8 @@ def _cmd_graph_extract(args) -> tuple[int, dict]:
 
 def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
     model = _load(args, npx.NonparametricMixture)
-    cuts = {}
-    for j in range(model.p):
-        cs, _ = npx.select_cut_points(model.variate(j))
-        cuts[f"variate_{j}"] = [c.tolist() for c in cs.cuts]
+    selected = npx._select_cuts([model.variate(j) for j in range(model.p)], [None] * model.p)
+    cuts = {f"variate_{j}": [c.tolist() for c in cs.cuts] for j, (cs, _) in enumerate(selected)}
     return 0, {"r": model.r, "p": model.p, "cuts": cuts}
 
 

@@ -36,7 +36,7 @@ from .recovery import RECOVERY_TOL, Alignment, _clean_rows, align_permutation, d
 from .tensor_core import (
     POSITIVE_FLOOR,
     ROW_SUM_TOL,
-    check_entries,
+    check_power_entries,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
@@ -149,7 +149,7 @@ def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    check_entries(model.r * model.kappa**k, "window block")
+    check_power_entries([(model.r, 1), (model.kappa, k)], "window block")
     A, A_rev, B = model.A, model.A_rev, model.B
     B1 = A_rev @ B
     B2 = A @ B
@@ -166,7 +166,7 @@ def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
     marginal distribution of ``2k + 1`` consecutive observations regrouped as
     ``((X_0..X_{k-1}), (X_{k+1}..X_{2k}), X_k)``.
     """
-    check_entries(model.kappa ** (2 * k + 1), "window tensor")
+    check_power_entries([(model.kappa, 2 * k + 1)], "window tensor")
     B1, B2 = conditional_blocks(model, k)
     return triple_product(model.pi[:, None] * B1, B2, model.B)
 

@@ -3,10 +3,11 @@
 Components are piecewise-(multi)linear CDF tables over rectangular knot
 grids, evaluated exactly between knots and clamped outside them.  Cut points
 discretize each variate into bins whose conditional matrix has full row rank,
-which turns the continuous mixture into an exactly solvable finite one; cut
-selection returns that matrix with the cuts, from one table per component.
-CDF values at arbitrary query points are read back through the cumulative
-transform after inserting the queries verbatim among the cuts.
+which turns the continuous mixture into an exactly solvable finite one.  Cut
+selection evaluates the components of all variates in one stacked pass per
+block dimension and returns each variate's matrix with its cuts.  CDF values
+at arbitrary query points are read back through the cumulative transform
+after inserting the queries verbatim among the cuts.
 """
 
 from __future__ import annotations
@@ -86,25 +87,15 @@ class CdfComponent:
         """CDF on the product grid of the requested per-coordinate values.
 
         Coordinates are clamped to the knot range, so ``-inf`` and ``+inf``
-        give the 0 and 1 limits.  The table is blended one coordinate at a
-        time, so every entry is computed exactly as a single point would be.
+        give the 0 and 1 limits.  This is the one-component case of
+        :func:`_evaluate_stacked`, which blends one coordinate at a time, so
+        every entry is computed exactly as a single point would be.
         """
         if len(axes) != self.block_dim:
             raise InputError(
                 f"need {self.block_dim} coordinate arrays, got {len(axes)}"
             )
-        V = self.values
-        for c, req in enumerate(axes):
-            kn = self.knots[c]
-            x = np.minimum(np.maximum(np.asarray(req, dtype=float), kn[0]), kn[-1])
-            idx = np.minimum(np.searchsorted(kn, x, side="right") - 1, kn.size - 2)
-            nxt = idx + 1
-            left = kn[idx]
-            t = (x - left) / (kn[nxt] - left)
-            shape = (-1,) + (1,) * (V.ndim - c - 1)
-            below, above = V.take(idx, axis=c), V.take(nxt, axis=c)
-            V = below * (1.0 - t).reshape(shape) + above * t.reshape(shape)
-        return V
+        return _evaluate_stacked([[self]], [axes])[0][0]
 
     def __call__(self, point) -> float:
         if self.block_dim == 1 and np.ndim(point) == 0:
@@ -287,6 +278,88 @@ def _bin_masses(tables: np.ndarray) -> np.ndarray:
     return np.maximum(_cell_masses(tables), 0.0)
 
 
+#: entries of the knot-by-value comparison in :func:`_count_at_most` above
+#: which rows are searched one at a time instead (a 4 MB boolean table)
+_COMPARE_CAP = 1 << 22
+
+
+def _padded(arrays: Sequence[np.ndarray], fill: float) -> np.ndarray:
+    """The arrays stacked on a new first axis, each padded with ``fill`` to the largest shape."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    if all(a.shape == arrays[0].shape for a in arrays):
+        return np.array(arrays)
+    out = np.full((len(arrays), *map(max, zip(*(a.shape for a in arrays)))), fill)
+    for row, a in zip(out, arrays):
+        row[tuple(map(slice, a.shape))] = a
+    return out
+
+
+def _count_at_most(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(knots[s], x[s], side="right")`` for every row s.
+
+    Rows may end in NaN padding, which counts for no value (a search sorts
+    NaN last).  Several rows are counted in one comparison of every knot with
+    every value while it has at most :data:`_COMPARE_CAP` entries; otherwise,
+    and for a single row, each row is searched on its own.
+    """
+    if len(knots) == 1:
+        return np.searchsorted(knots[0], x[0], side="right")[None]
+    if knots.size * x.shape[1] <= _COMPARE_CAP:
+        return (knots.T[:, :, None] <= x).sum(axis=0)
+    x = np.broadcast_to(x, (len(knots), x.shape[1]))
+    return np.array([np.searchsorted(k, v, side="right") for k, v in zip(knots, x)])
+
+
+def _evaluate_stacked(
+    families: Sequence[Sequence[CdfComponent]], family_axes: Sequence[Sequence[np.ndarray]]
+) -> list[np.ndarray]:
+    """CDF tables of several component families, each on its own product grid, in one pass.
+
+    Every component has the same block dimension b, and ``family_axes[f]``
+    holds the b coordinate arrays of family f.  Entry f of the result has
+    shape ``(len(families[f]), *lengths of those arrays)``; its row i is the
+    CDF of ``families[f][i]`` on their product grid.
+
+    All components are stacked.  Tables and knot arrays are padded to the
+    longest and coordinate arrays with ``+inf``, and the padding is sliced
+    off the result.  A value's interval is the number of interior knots of
+    its row at most it, so it lies within the row's own knots and no padding
+    is ever read.  Every entry is blended one coordinate at a time as
+    ``below * (1 - t) + above * t``, exactly as a single point would be,
+    with ``t`` clamped to [0, 1]: the value clamped to the knot range gives
+    that same ``t``.  The blended coordinate's axis then moves to the back.
+    """
+    comps = [comp for family in families for comp in family]
+    n, b = len(comps), comps[0].block_dim
+    rows = np.arange(n)[:, None]
+    owner = [f for f, family in enumerate(families) for _ in family]
+    family_axes = [[np.asarray(ax, dtype=float).ravel() for ax in axes] for axes in family_axes]
+    V = _padded([comp.values for comp in comps], 0.0)
+    for c in range(b):
+        knots = [comp.knots[c] for comp in comps]
+        x = _padded([axes[c] for axes in family_axes], np.inf)
+        if len(families) > 1:
+            x = x[owner]
+        kn = _padded(knots, np.nan)
+        # each value's interval, as a position in the rows of knots laid end to end
+        at = _count_at_most(_padded([k[1:-1] for k in knots], np.nan), x) + rows * kn.shape[1]
+        nxt = at + 1
+        left = kn.take(at)
+        t = np.minimum(np.maximum((x - left) / (kn.take(nxt) - left), 0.0), 1.0)
+        t = t.reshape(t.shape + (1,) * (b - 1))
+        V = V.reshape(n * V.shape[1], *V.shape[2:])
+        V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
+        V = V.transpose(0, *range(2, b + 1), 1)
+    if len(families) == 1:  # one family's axes are not padded
+        return [V]
+    tables, start = [], 0
+    for family, axes in zip(families, family_axes):
+        tables.append(V[(slice(start, start + len(family)), *(slice(ax.size) for ax in axes))])
+        start += len(family)
+    return tables
+
+
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
     """Per-coordinate candidate values: the pooled knots of the components."""
     return [
@@ -320,10 +393,11 @@ def select_cut_points(
     boundary.  The maximum over the pooled knots is therefore the maximum
     over all of ``R^b``.
 
-    Each component is evaluated once, on the pooled knots, the mandatory
-    coordinates and -inf and +inf.  Cuts are kept as positions on those axes:
-    every step indexes its matrices from the tables by them, and ``M`` is the
-    successive differences of the table at ``[-inf, cuts..., +inf]``.
+    The components are evaluated in one stacked pass, on the pooled knots,
+    the mandatory coordinates and -inf and +inf.  Cuts are kept as positions
+    on those axes: every step indexes its matrices from the tables by them,
+    and ``M`` is the successive differences of the table at ``[-inf, cuts...,
+    +inf]``.  This is the one-family case of :func:`_select_cuts`.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
@@ -336,49 +410,99 @@ def select_cut_points(
     components = list(components)
     if not components:
         raise InputError("need at least one component")
-    b = components[0].block_dim
-    if any(c.block_dim != b for c in components):
+    if any(c.block_dim != components[0].block_dim for c in components):
         raise InputError("components must share the block dimension")
-    r = len(components)
-    grid_axes = default_grid(components)
-    points = _normalize_points(mandatory, b)
-    axes = [
-        np.unique(np.concatenate([[-np.inf], g, points[:, c], [np.inf]]))
-        for c, g in enumerate(grid_axes)
+    return _select_cuts([components], [mandatory])[0]
+
+
+def _select_cuts(
+    families: Sequence[Sequence[CdfComponent]], mandatory: Sequence
+) -> list[tuple[CutPointSet, np.ndarray]]:
+    """:func:`select_cut_points` of every family with its mandatory points.
+
+    The families sharing a block dimension are evaluated in one stacked pass
+    (:func:`_evaluate_stacked`), and the first rank decision of all families
+    whose first matrix ``A`` has the same shape comes from one stacked SVD.
+    A family still short of full rank continues alone through the greedy
+    steps.  Raises for the first family that :func:`select_cut_points` refuses.
+    """
+    points = [
+        _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, mandatory)
     ]
-    tables = np.stack([comp.evaluate_grid(axes) for comp in components])
-    classes = np.arange(r)
-    knots_at = [np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)]
-    scan = tables[np.ix_(classes, *knots_at)].reshape(r, -1)
-    # cuts as positions on the axes of ``tables``; the last position is +inf
+    grids = [default_grid(family) for family in families]
+    axes = [
+        [
+            np.unique(np.concatenate([[-np.inf], g, pts[:, c], [np.inf]]))
+            for c, g in enumerate(grid)
+        ]
+        for grid, pts in zip(grids, points)
+    ]
+    tables = [None] * len(families)
+    for b in {family[0].block_dim for family in families}:
+        members = [f for f, family in enumerate(families) if family[0].block_dim == b]
+        evaluated = _evaluate_stacked([families[f] for f in members], [axes[f] for f in members])
+        for f, table in zip(members, evaluated):
+            tables[f] = table
+    # cuts as positions on the axes of each table; the last position is +inf
     cut_at = [
-        set(np.searchsorted(ax, points[:, c]).tolist())
-        for c, ax in enumerate(axes)
+        [set(np.searchsorted(ax, pts[:, c]).tolist()) for c, ax in enumerate(family_axes)]
+        for family_axes, pts in zip(axes, points)
+    ]
+    firsts = [_cut_matrix(*args) for args in zip(tables, axes, cut_at)]
+    decided = [None] * len(families)
+    for shape in {A.shape for A in firsts}:
+        members = [f for f, A in enumerate(firsts) if A.shape == shape]
+        U, S, _ = np.linalg.svd(np.stack([firsts[f] for f in members]))
+        for f, U_f, rank in zip(members, U, rank_from_singular_values(S, shape)):
+            decided[f] = (U_f, int(rank))
+    return [
+        _greedy_cuts(*args, *first)
+        for *args, first in zip(tables, axes, grids, cut_at, decided)
     ]
 
-    rank = 0
-    while True:
-        columns = [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at, axes)]
-        A = tables[np.ix_(classes, *columns)].reshape(r, -1)
-        U, S, _ = np.linalg.svd(A)
-        previous, rank = rank, rank_from_singular_values(S, A.shape)
-        if rank == r:
-            break
+
+def _cut_matrix(table: np.ndarray, axes, cut_at) -> np.ndarray:
+    """Matrix ``A`` of CDF values at the cuts and +inf, one row per component."""
+    columns = [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at, axes)]
+    return table[np.ix_(np.arange(len(table)), *columns)].reshape(len(table), -1)
+
+
+def _greedy_cuts(table, axes, grid_axes, cut_at, U, rank) -> tuple[CutPointSet, np.ndarray]:
+    """Finish one family's cut selection from its first rank decision.
+
+    ``U`` and ``rank`` come from the SVD of the matrix at the cuts in
+    ``cut_at``, to which the greedy steps append; the candidates' matrix is
+    built only when a step is needed.  Returns ``(cuts, M)`` as
+    :func:`select_cut_points` does.
+    """
+    r = len(table)
+    classes = np.arange(r)
+    previous, scan = 0, None
+    while rank < r:
         if rank <= previous:
             raise RankDeficientError(
                 f"cut selection reached rank {rank} of r={r}: no candidate leaves "
                 "the span of the current cuts, the component family is linearly "
                 "dependent"
             )
+        if scan is None:
+            knots_at = [np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)]
+            scan = table[np.ix_(classes, *knots_at)].reshape(r, -1)
         best = np.argmax(np.linalg.norm(U[:, rank:].T @ scan, axis=0))
         best_at = np.unravel_index(best, [pos.size for pos in knots_at])
         for at, pos, k in zip(cut_at, knots_at, best_at):
             at.add(int(pos[k]))
+        A = _cut_matrix(table, axes, cut_at)
+        U, S, _ = np.linalg.svd(A)
+        previous, rank = rank, rank_from_singular_values(S, A.shape)
 
-    cut_at = [sorted(at or {int(pos[0])}) for at, pos in zip(cut_at, knots_at)]
+    cut_at = [
+        sorted(at) or [int(np.searchsorted(ax, g[0]))]
+        for at, ax, g in zip(cut_at, axes, grid_axes)
+    ]
     cuts = CutPointSet(cuts=tuple(ax[at] for ax, at in zip(axes, cut_at)))
     bounds = [[0, *at, ax.size - 1] for at, ax in zip(cut_at, axes)]
-    return cuts, _bin_masses(tables[np.ix_(classes, *bounds)])
+    return cuts, _bin_masses(table[np.ix_(classes, *bounds)])
 
 
 def binned_conditional_matrix(
@@ -394,11 +518,14 @@ def binned_conditional_matrix(
     way; :func:`select_cut_points` returns this matrix for the cuts it chooses.
     No bin mass is ever refused; only malformed cuts are.
     """
+    components = list(components)
+    if not components:
+        raise InputError("need at least one component")
     cut_set = _as_cut_set(cuts)
     if any(c.block_dim != cut_set.block_dim for c in components):
         raise InputError("components and cuts disagree on the block dimension")
     axes = [np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_set.cuts]
-    return _bin_masses(np.stack([comp.evaluate_grid(axes) for comp in components]))
+    return _bin_masses(_evaluate_stacked([components], [axes])[0])
 
 
 def bivariate_rank(
@@ -446,17 +573,18 @@ def recover_mixture(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover mixing weights and component CDF values at query points.
 
-    Cut points are selected per variate with every query point inserted as
-    mandatory; cut selection also returns the variate's binned conditional
-    matrix, so each component is evaluated once.  Variates 0 and 1 are two
-    views; the third is ``(J, X_J)`` with ``J`` uniform on ``{2, ..., p-1}``,
-    whose binned conditional matrix is the variates' matrices side by side,
-    divided by ``p - 2``.  The three views are conditionally independent given
-    the class, so their exact binned tensor is decomposed once (Allman, Matias
-    & Rhodes, Ann. Statist. 2009).  The third factor splits back into
-    per-variate rows, scaled by ``p - 2``, so one set of class labels holds for
-    every variate.  CDF values are read off through the cumulative transform
-    at the query points, which are cuts verbatim.
+    Cut points are selected for every variate with its query points
+    inserted as mandatory, the components evaluated in one stacked pass per
+    block dimension; cut selection also returns each variate's binned
+    conditional matrix.  Variates 0 and 1 are two views; the third is
+    ``(J, X_J)`` with ``J`` uniform on ``{2, ..., p-1}``, whose binned
+    conditional matrix is the variates' matrices side by side, divided by
+    ``p - 2``.  The three views are conditionally independent given the
+    class, so their exact binned tensor is decomposed once (Allman, Matias &
+    Rhodes, Ann. Statist. 2009).  The third factor splits back into
+    per-variate rows, scaled by ``p - 2``, so one set of class labels holds
+    for every variate.  CDF values are read off through the cumulative
+    transform at the query points, which are cuts verbatim.
 
     ``query_points[j]`` lists the evaluation points for variate j: an
     ``(n, b)`` array for a block of dimension ``b``, or any nesting that
@@ -485,9 +613,7 @@ def recover_mixture(
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    cuts, mats = zip(
-        *(select_cut_points(mixture.variate(j), mandatory=queries[j]) for j in range(p))
-    )
+    cuts, mats = zip(*_select_cuts([mixture.variate(j) for j in range(p)], queries))
 
     T = triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)

@@ -26,7 +26,12 @@ import numpy as np
 
 from .errors import InconsistentOracleError, InputError, NotDistinctError
 from .latent_class import Certificate
-from .tensor_core import check_entries, check_probability_vector, khatri_rao, numerical_rank
+from .tensor_core import (
+    check_power_entries,
+    check_probability_vector,
+    khatri_rao,
+    numerical_rank,
+)
 
 #: relative tolerance for locating prior entries such as pi1^(n-1) * pi2
 PRIOR_MATCH_TOL = 1e-9
@@ -78,7 +83,7 @@ def node_state_prior(pi, n: int) -> np.ndarray:
     if n < 1:
         raise InputError(f"node count must be at least 1, got n={n}")
     pi = check_probability_vector(pi)
-    check_entries(pi.size**n, "node-state prior")
+    check_power_entries([(pi.size, n)], "node-state prior")
     v = pi.copy()
     for _ in range(n - 1):
         v = np.kron(v, pi)
@@ -103,8 +108,8 @@ def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
     if m < 2:
         raise InputError("m must be at least 2")
     r = model.r
+    check_power_entries([(r, m), (2, m * (m - 1) // 2)], "group matrix")
     edges = edge_list(m)
-    check_entries(r**m * 2 ** len(edges), "group matrix")
     assigns = np.array(list(itertools.product(range(r), repeat=m)), dtype=int)
     per_edge = []
     for k, l in edges:

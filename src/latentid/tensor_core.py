@@ -67,7 +67,8 @@ def _as_2d(M, name: str) -> np.ndarray:
 
 def check_entries(count: int, what: str) -> None:
     """Refuse a dense array of ``count`` entries above :data:`ENTRY_CAP`; every
-    builder calls this with the size of the array it is about to build, first.
+    builder calls this, or :func:`check_power_entries`, with the size of the
+    array it is about to build, first.
 
     A count past ``2^128`` is stated as the power of two it reaches: Python
     will not print an integer of more than 4300 digits.
@@ -76,6 +77,35 @@ def check_entries(count: int, what: str) -> None:
         bits = int(count).bit_length()
         size = count if bits <= 128 else f"at least 2^{bits - 1}"
         raise InputError(f"{what} has {size} entries, cap is {ENTRY_CAP}")
+
+
+def _log2_lower(base: int) -> int:
+    """A lower bound of ``log2(base)`` in units of ``2^-52``, exact for powers of two."""
+    if base & (base - 1) == 0:
+        return (base.bit_length() - 1) << 52
+    # the float product is off by a few ulps, far inside the 1e-12 margin
+    return math.floor(math.log2(base) * (1 - 1e-12) * 2**52)
+
+
+def check_power_entries(powers: Sequence[tuple[int, int]], what: str) -> None:
+    """:func:`check_entries` for ``prod(base ** exponent)`` over the
+    ``(base, exponent)`` pairs in ``powers``, decided by logarithm first.
+
+    Counts that are powers in a node count or window length grow past any
+    cap, and forming one exactly takes time and memory linear in the
+    exponent.  A lower bound ``k`` of the count's ``log2``, computed in
+    integers, decides first: when ``k <= 128`` the count is below ``2^130``
+    and is formed and checked exactly, so every message up to ``2^128`` is
+    exact.  Past that the array is refused as having at least ``2^k``
+    entries, which never exceeds the count and is exact when every base is a
+    power of two.
+    """
+    powers = [(int(base), int(exponent)) for base, exponent in powers]
+    k = sum(exponent * _log2_lower(base) for base, exponent in powers) >> 52
+    if k <= 128:
+        check_entries(math.prod(base**exponent for base, exponent in powers), what)
+        return
+    raise InputError(f"{what} has at least 2^{k} entries, cap is {ENTRY_CAP}")
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:

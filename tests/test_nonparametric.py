@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latentid import nonparametric
+from latentid import cli, nonparametric
 from latentid.errors import InputError, RankDeficientError
-from latentid.modelio import load_model, model_to_dict
+from latentid.modelio import load_model, model_to_dict, save_model
 from latentid.nonparametric import (
     CdfComponent,
     CutPointSet,
@@ -23,6 +23,7 @@ from latentid.recovery import align_permutation
 from latentid.sampling import (
     random_nonparametric_mixture,
     random_piecewise_cdf,
+    random_probability,
     trial_rng,
 )
 from latentid.tensor_core import numerical_rank, rank_from_singular_values
@@ -310,24 +311,30 @@ class TestCutScanAgreement:
             assert (got is None) == dependent, f"case {i}"
 
     def test_one_evaluation_per_component(self, monkeypatch):
-        calls = []
-        real = CdfComponent.evaluate_grid
+        # every component is evaluated exactly once per call, in one stacked
+        # pass per block dimension; a per-component evaluate_grid call would
+        # show as a pass of its own
+        passes = []
+        real = nonparametric._evaluate_stacked
 
-        def counting(self, axes):
-            calls.append(self)
-            return real(self, axes)
+        def counting(families, family_axes):
+            passes.append([comp for family in families for comp in family])
+            return real(families, family_axes)
 
-        monkeypatch.setattr(CdfComponent, "evaluate_grid", counting)
+        monkeypatch.setattr(nonparametric, "_evaluate_stacked", counting)
         for i in (7, 15, 37, 60):
             family, mandatory = scan_case(i)
-            calls.clear()
+            passes.clear()
             select_cut_points(family, mandatory=mandatory)
-            assert len(calls) == len(family)
+            assert passes == [family]
         for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
             mix = random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
-            calls.clear()
+            passes.clear()
             recover_mixture(mix, [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims])
-            assert len(calls) == r * p
+            dims = sorted(({c.block_dim for c in comps} for comps in passes), key=min)
+            assert dims == [{b} for b in sorted(set(mix.block_dims))]
+            evaluated = sorted(id(c) for comps in passes for c in comps)
+            assert evaluated == sorted(id(c) for row in mix.components for c in row)
 
     def test_at_most_r_svds(self, monkeypatch):
         # rank grows at every step or the family is refused
@@ -401,6 +408,56 @@ def test_evaluate_grid_equals_scalar_evaluation(parts, data):
     ]
     expected = np.array([scalar_cdf(comp, pt) for pt in itertools.product(*axes)])
     assert comp.evaluate_grid(axes).tobytes() == expected.reshape([a.size for a in axes]).tobytes()
+
+
+def reference_evaluate_grid(comp, axes):
+    """One component on a product grid, one coordinate at a time: the
+    per-component evaluation that :func:`~latentid.nonparametric._evaluate_stacked`
+    must reproduce bit for bit."""
+    V = comp.values
+    for c, req in enumerate(axes):
+        kn = comp.knots[c]
+        x = np.minimum(np.maximum(np.asarray(req, dtype=float), kn[0]), kn[-1])
+        idx = np.minimum(np.searchsorted(kn, x, side="right") - 1, kn.size - 2)
+        nxt = idx + 1
+        left = kn[idx]
+        t = (x - left) / (kn[nxt] - left)
+        shape = (-1,) + (1,) * (V.ndim - c - 1)
+        below, above = V.take(idx, axis=c), V.take(nxt, axis=c)
+        V = below * (1.0 - t).reshape(shape) + above * t.reshape(shape)
+    return V
+
+
+@st.composite
+def stacked_families(draw):
+    """Families of one block dimension with ragged knot counts, per component
+    and per coordinate, each with its own axes of up to 4 values (possibly
+    none, infinite or outside the knots)."""
+    b = draw(st.integers(1, 2))
+    families, family_axes = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        parts = draw(st.lists(st.lists(piecewise_cdfs(), min_size=b, max_size=b),
+                              min_size=size, max_size=size))
+        families.append([p[0] if b == 1 else CdfComponent.from_product(p) for p in parts])
+        family_axes.append(
+            [np.array(draw(st.lists(coordinates, max_size=4))) for _ in range(b)]
+        )
+    return families, family_axes
+
+
+@given(case=stacked_families(), compare_cap=st.sampled_from([0, 1 << 22]))
+def test_stacked_evaluation_equals_the_per_component_loop(case, compare_cap):
+    # both ways of locating intervals: one comparison, and row by row
+    families, family_axes = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nonparametric, "_COMPARE_CAP", compare_cap)
+        tables = nonparametric._evaluate_stacked(families, family_axes)
+    assert len(tables) == len(families)
+    for family, axes, table in zip(families, family_axes, tables):
+        expected = np.array([reference_evaluate_grid(comp, axes) for comp in family])
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
 
 
 @given(
@@ -739,9 +796,29 @@ def output_digest(pi, tables):
     return digest.hexdigest()
 
 
+def ragged_mixture():
+    """Three classes whose components differ in knot count on every variate,
+    the 2-D block in each coordinate too: 3 to 5, 2 to 4 by 5 to 3, 6 to 2
+    and 4 to 8 knots."""
+    rng = trial_rng(56, 0)
+    rows = []
+    for i in range(3):
+        rows.append((
+            random_piecewise_cdf(rng, 3 + i),
+            CdfComponent.from_product(
+                [random_piecewise_cdf(rng, 2 + i), random_piecewise_cdf(rng, 5 - i)]
+            ),
+            random_piecewise_cdf(rng, 6 - 2 * i),
+            random_piecewise_cdf(rng, 4 + 2 * i),
+        ))
+    return NonparametricMixture(pi=random_probability(rng, 3), components=tuple(rows))
+
+
 #: (mixture, queries, seed, sha256 of the output) for seeded recoveries; the
-#: digests were taken before query points became one array, so the outputs
-#: are byte for byte those of the per-point code (numpy 2.4, OpenBLAS 0.3.31)
+#: digests were taken before query points became one array, and the ragged
+#: one before components were evaluated in stacked passes, so the outputs are
+#: byte for byte those of the per-point, per-component code (numpy 2.4,
+#: OpenBLAS 0.3.31)
 GOLDEN_RECOVERIES = {
     "scalar-lists": (
         lambda: random_nonparametric_mixture(trial_rng(55, 0), 3, 3),
@@ -764,6 +841,11 @@ GOLDEN_RECOVERIES = {
         [[-np.inf, 0.5, np.inf], 0.3, (0.1, 0.2), [[0.7]], None], 2,
         "eddfceaf4f26801d469e8c4cf8d8a89ad9cce08ce48d120d64820269c4199cc7",
     ),
+    "ragged-knots-mixed-blocks": (
+        ragged_mixture,
+        [[-np.inf, 0.25, 1.5], [(0.3, 0.7), (-1.0, np.inf)], None, [0.5, 0.9]], 3,
+        "5fe407b133150c436d314052c05b42259121dc9ba2e5cec3648d182a84db549c",
+    ),
 }
 
 
@@ -771,6 +853,20 @@ GOLDEN_RECOVERIES = {
 def test_recovery_output_is_golden(case):
     mixture, queries, seed, digest = GOLDEN_RECOVERIES[case]
     assert output_digest(*recover_mixture(mixture(), queries, seed=seed)) == digest
+
+
+def test_ragged_cuts_report_is_pinned(tmp_path, capsys):
+    # the bytes of the per-component code; one stacked pass must not move a cut
+    path = tmp_path / "ragged.json"
+    save_model(ragged_mixture(), path)
+    assert cli.run(["nonparam-cuts", "--model", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command": "nonparam-cuts", "errors": [], "result": {"cuts": {'
+        '"variate_0": [[0.4067830001855891, 0.72612604996354]], '
+        '"variate_1": [[0.832830161990803], [0.8382965834088321]], '
+        '"variate_2": [[0.627186546872669, 0.8502380653214595]], '
+        '"variate_3": [[0.45640013282174885, 0.9917861667189435]]}, "p": 4, "r": 3}}\n'
+    )
 
 
 def test_queries_at_cuts_read_back_exactly():

@@ -2,6 +2,8 @@ import importlib
 import itertools
 import math
 import pkgutil
+import re
+import time
 import warnings
 
 import numpy as np
@@ -10,11 +12,12 @@ from hypothesis import given, strategies as st
 
 import latentid
 from latentid.errors import InputError, NotKhatriRaoError
-from latentid import tensor_core
+from latentid import hmm, random_graph, sampling, tensor_core
 from latentid.tensor_core import (
     as_matrix,
     check_distribution_tensor,
     check_entries,
+    check_power_entries,
     check_probability_vector,
     clump_tensor,
     khatri_rao,
@@ -594,6 +597,19 @@ TENSOR_CORE_REFUSALS = {
         InputError,
         "joint table has 340282366920938463463374607431768211455 entries, cap is 16777216",
     ),
+    "power-entries-huge": (
+        lambda: check_power_entries([(2, 20000)], "node-state prior"),
+        InputError, "node-state prior has at least 2^20000 entries, cap is 16777216",
+    ),
+    "power-entries-odd-base": (
+        lambda: check_power_entries([(3, 10**9)], "window tensor"),
+        InputError, "window tensor has at least 2^1584962500 entries, cap is 16777216",
+    ),
+    "power-entries-below-2^128": (
+        lambda: check_power_entries([(3, 80)], "window tensor"),
+        InputError,
+        f"window tensor has {3**80} entries, cap is 16777216",
+    ),
     "unclump-row-sums": (
         lambda: unclump([[0.5, 0.6]], [2]),
         NotKhatriRaoError, "rows must sum to 1 for de-clumping (max deviation 0.1)",
@@ -606,8 +622,54 @@ def test_refusal_is_named(case, refuses):
     refuses(*TENSOR_CORE_REFUSALS[case])
 
 
+def refusal(check, *args):
+    """The message ``check(*args)`` refuses with, or None when it passes."""
+    try:
+        check(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    powers=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(0, 80)), min_size=1, max_size=3
+    )
+)
+def test_power_entries_agree_with_the_exact_count(powers):
+    # the same verdict as the exact count; the same message up to 2^128, and
+    # past it a power of two that never exceeds the count
+    count = math.prod(base**exponent for base, exponent in powers)
+    exact = refusal(check_entries, count, "table")
+    by_logarithm = refusal(check_power_entries, powers, "table")
+    if count.bit_length() <= 128:
+        assert by_logarithm == exact
+    else:
+        stated = int(by_logarithm.split("2^")[1].split()[0])
+        assert count.bit_length() - 2 <= stated <= count.bit_length() - 1
+
+
+def test_huge_counts_are_refused_at_once():
+    # the refusal is decided by logarithm: no count of 10^9 digits is formed
+    model = sampling.random_hmm(2, 3, 2)
+    graph = sampling.random_graph_mixture(3)
+    for build, message in [
+        (lambda: random_graph.node_state_prior([0.5, 0.5], 10**9),
+         "node-state prior has at least 2^1000000000 entries"),
+        (lambda: hmm.window_tensor(model, 10**9), "window tensor has at least 2^"),
+        (lambda: hmm.conditional_blocks(model, 10**9), "window block has at least 2^"),
+        (lambda: random_graph.conditional_graph_matrix(graph, 10**6),
+         "group matrix has at least 2^"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            build()
+        assert time.perf_counter() - start < 0.1
+
+
 def test_entry_cap_has_one_home():
-    # every dense builder reads the cap through check_entries, never a copy
+    # every dense builder reads the cap through check_entries or
+    # check_power_entries, never a copy
     names = [info.name for info in pkgutil.iter_modules(latentid.__path__)]
     homes = [
         name for name in names
