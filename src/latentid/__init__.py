@@ -72,8 +72,10 @@ from .nonparametric import (
     NonparametricMixture,
     binned_conditional_matrix,
     bivariate_rank,
+    component_cdfs,
     recover_mixture,
     select_cut_points,
+    select_mixture_cuts,
 )
 from .modelio import load_model, model_from_dict, model_to_dict, save_model
 

@@ -224,7 +224,7 @@ def _cmd_graph_extract(args) -> tuple[int, dict]:
 
 def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
     model = _load(args, npx.NonparametricMixture)
-    selected = npx._select_cuts([model.variate(j) for j in range(model.p)], [None] * model.p)
+    selected = npx.select_mixture_cuts(model)
     cuts = {f"variate_{j}": [c.tolist() for c in cs.cuts] for j, (cs, _) in enumerate(selected)}
     return 0, {"r": model.r, "p": model.p, "cuts": cuts}
 
@@ -248,10 +248,7 @@ def _cmd_nonparam_recover(args) -> tuple[int, dict]:
     queries = _default_queries(model, args.queries)
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
     # align to the file's parameters through the recovered CDF tables
-    truth = [
-        np.vstack([[comp(pt) for pt in queries[j]] for comp in model.variate(j)])
-        for j in range(model.p)
-    ]
+    truth = npx.component_cdfs(model, queries)
     align = recovery.align_permutation((pi_hat, tables), (model.pi, truth))
     return 0, {
         "queries_per_variate": args.queries,

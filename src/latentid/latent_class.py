@@ -27,7 +27,7 @@ from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
     _three_blocks,
-    check_entries,
+    check_power_entries,
     check_probability_vector,
     check_stochastic,
     khatri_rao,
@@ -178,7 +178,7 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     :class:`InputError` when the dense table would exceed
     :data:`~latentid.tensor_core.ENTRY_CAP` entries.
     """
-    check_entries(math.prod(model.kappas), "joint table")
+    check_power_entries([(kappa, 1) for kappa in model.kappas], "joint table")
     h = model.p // 2
     left = khatri_rao([model.pi[:, None], *model.emissions[:h]])
     return (left.T @ khatri_rao(model.emissions[h:])).reshape(model.kappas)

@@ -278,11 +278,6 @@ def _bin_masses(tables: np.ndarray) -> np.ndarray:
     return np.maximum(_cell_masses(tables), 0.0)
 
 
-#: entries of the knot-by-value comparison in :func:`_count_at_most` above
-#: which rows are searched one at a time instead (a 4 MB boolean table)
-_COMPARE_CAP = 1 << 22
-
-
 def _padded(arrays: Sequence[np.ndarray], fill: float) -> np.ndarray:
     """The arrays stacked on a new first axis, each padded with ``fill`` to the largest shape."""
     if len(arrays) == 1:
@@ -296,19 +291,26 @@ def _padded(arrays: Sequence[np.ndarray], fill: float) -> np.ndarray:
 
 
 def _count_at_most(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(knots[s], x[s], side="right")`` for every row s.
+    """``np.searchsorted(knots[s], x[s], side="right")`` for every row s, in one search.
 
-    Rows may end in NaN padding, which counts for no value (a search sorts
-    NaN last).  Several rows are counted in one comparison of every knot with
-    every value while it has at most :data:`_COMPARE_CAP` entries; otherwise,
-    and for a single row, each row is searched on its own.
+    ``x`` has one row per row of knots, or one row shared by all.  Rows may
+    end in NaN padding, which counts for no value.  Knots and values are
+    ranked among all knots: a knot is at most a value exactly when its rank
+    is at most the value's, and a search sorts NaN after every value.  Each
+    row's ranks are offset past those of the rows before it, so one search
+    over all rows' knots laid end to end counts each value against its own
+    row only.  A lone row is its own pool, so its count is one search of its
+    own knots, taken directly: every :meth:`CdfComponent.evaluate_grid` call
+    has one row, and ranking would add a sort and three searches to it.
     """
     if len(knots) == 1:
         return np.searchsorted(knots[0], x[0], side="right")[None]
-    if knots.size * x.shape[1] <= _COMPARE_CAP:
-        return (knots.T[:, :, None] <= x).sum(axis=0)
-    x = np.broadcast_to(x, (len(knots), x.shape[1]))
-    return np.array([np.searchsorted(k, v, side="right") for k, v in zip(knots, x)])
+    rows = np.arange(len(knots))[:, None]
+    pool = np.sort(knots, axis=None)
+    offset = rows * (pool.size + 1)
+    keys = np.searchsorted(pool, knots, side="right") + offset
+    values = np.searchsorted(pool, x, side="right") + offset
+    return np.searchsorted(keys.ravel(), values, side="right") - rows * knots.shape[1]
 
 
 def _evaluate_stacked(
@@ -327,8 +329,10 @@ def _evaluate_stacked(
     its row at most it, so it lies within the row's own knots and no padding
     is ever read.  Every entry is blended one coordinate at a time as
     ``below * (1 - t) + above * t``, exactly as a single point would be,
-    with ``t`` clamped to [0, 1]: the value clamped to the knot range gives
-    that same ``t``.  The blended coordinate's axis then moves to the back.
+    with the value clamped to its interval before ``t`` is taken: inside the
+    knot range that leaves it as it is, and outside it gives the end knot,
+    as clamping to the knot range does.  The blended coordinate's axis then
+    moves to the back.
     """
     comps = [comp for family in families for comp in family]
     n, b = len(comps), comps[0].block_dim
@@ -345,8 +349,8 @@ def _evaluate_stacked(
         # each value's interval, as a position in the rows of knots laid end to end
         at = _count_at_most(_padded([k[1:-1] for k in knots], np.nan), x) + rows * kn.shape[1]
         nxt = at + 1
-        left = kn.take(at)
-        t = np.minimum(np.maximum((x - left) / (kn.take(nxt) - left), 0.0), 1.0)
+        left, right = kn.take(at), kn.take(nxt)
+        t = (np.minimum(np.maximum(x, left), right) - left) / (right - left)
         t = t.reshape(t.shape + (1,) * (b - 1))
         V = V.reshape(n * V.shape[1], *V.shape[2:])
         V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
@@ -397,7 +401,7 @@ def select_cut_points(
     the mandatory coordinates and -inf and +inf.  Cuts are kept as positions
     on those axes: every step indexes its matrices from the tables by them,
     and ``M`` is the successive differences of the table at ``[-inf, cuts...,
-    +inf]``.  This is the one-family case of :func:`_select_cuts`.
+    +inf]``.  This is the one-family case of :func:`select_mixture_cuts`.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
@@ -415,17 +419,32 @@ def select_cut_points(
     return _select_cuts([components], [mandatory])[0]
 
 
+def select_mixture_cuts(
+    mixture: NonparametricMixture, mandatory: Sequence | None = None
+) -> list[tuple[CutPointSet, np.ndarray]]:
+    """:func:`select_cut_points` of every variate of the mixture.
+
+    ``mandatory`` is ``None`` or holds one entry per variate, taken as
+    :func:`select_cut_points` takes its ``mandatory``.  Entry j of the result
+    is ``(cuts, M)`` for variate j, equal to ``select_cut_points(
+    mixture.variate(j), mandatory[j])``.  The variates sharing a block
+    dimension are evaluated in one stacked pass, and the first rank decision
+    of all variates whose first matrix ``A`` has the same shape comes from
+    one stacked SVD.  A variate still short of full rank continues alone
+    through the greedy steps.  Raises for the first variate that
+    :func:`select_cut_points` refuses.
+    """
+    if mandatory is None:
+        mandatory = [None] * mixture.p
+    if len(mandatory) != mixture.p:
+        raise InputError(f"mandatory must have one entry per variate ({mixture.p})")
+    return _select_cuts([mixture.variate(j) for j in range(mixture.p)], mandatory)
+
+
 def _select_cuts(
     families: Sequence[Sequence[CdfComponent]], mandatory: Sequence
 ) -> list[tuple[CutPointSet, np.ndarray]]:
-    """:func:`select_cut_points` of every family with its mandatory points.
-
-    The families sharing a block dimension are evaluated in one stacked pass
-    (:func:`_evaluate_stacked`), and the first rank decision of all families
-    whose first matrix ``A`` has the same shape comes from one stacked SVD.
-    A family still short of full rank continues alone through the greedy
-    steps.  Raises for the first family that :func:`select_cut_points` refuses.
-    """
+    """:func:`select_mixture_cuts` over component families, each with its mandatory points."""
     points = [
         _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, mandatory)
     ]
@@ -565,6 +584,38 @@ def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, points: np.ndarray) -> 
     return grid.reshape(len(rows), -1).take(flat, axis=1)
 
 
+def component_cdfs(mixture: NonparametricMixture, query_points: Sequence) -> list[np.ndarray]:
+    """CDF of every component at its variate's query points.
+
+    ``query_points`` is taken as :func:`recover_mixture` takes it, and
+    ``tables[j][i, q]`` is the CDF of class i, variate j at query q: the
+    tables :func:`recover_mixture` recovers.  Each query point is a grid of
+    one point, and the components of all variates sharing a block dimension
+    are evaluated at all their points in one stacked pass, each entry
+    exactly as ``components[i][j](point)`` computes it.
+    """
+    if len(query_points) != mixture.p:
+        raise InputError(f"query_points must have one entry per variate ({mixture.p})")
+    queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
+    points = [(j, pt) for j, pts in enumerate(queries) for pt in pts]
+    columns = [None] * len(points)
+    for b in set(mixture.block_dims):
+        members = [k for k, (j, _) in enumerate(points) if mixture.block_dims[j] == b]
+        if not members:
+            continue
+        tables = _evaluate_stacked(
+            [mixture.variate(points[k][0]) for k in members],
+            [points[k][1][:, None] for k in members],
+        )
+        for k, table in zip(members, tables):
+            columns[k] = table.reshape(-1)
+    tables, start = [], 0
+    for pts in queries:
+        tables.append(np.array(columns[start : start + len(pts)]).T.reshape(mixture.r, len(pts)))
+        start += len(pts)
+    return tables
+
+
 def recover_mixture(
     mixture: NonparametricMixture,
     query_points: Sequence,
@@ -574,12 +625,12 @@ def recover_mixture(
     """Recover mixing weights and component CDF values at query points.
 
     Cut points are selected for every variate with its query points
-    inserted as mandatory, the components evaluated in one stacked pass per
-    block dimension; cut selection also returns each variate's binned
-    conditional matrix.  Variates 0 and 1 are two views; the third is
-    ``(J, X_J)`` with ``J`` uniform on ``{2, ..., p-1}``, whose binned
-    conditional matrix is the variates' matrices side by side, divided by
-    ``p - 2``.  The three views are conditionally independent given the
+    inserted as mandatory (:func:`select_mixture_cuts`), the components
+    evaluated in one stacked pass per block dimension; cut selection also
+    returns each variate's binned conditional matrix.  Variates 0 and 1 are
+    two views; the third is ``(J, X_J)`` with ``J`` uniform on ``{2, ...,
+    p-1}``, whose binned conditional matrix is the variates' matrices side by
+    side, divided by ``p - 2``.  The three views are conditionally independent given the
     class, so their exact binned tensor is decomposed once (Allman, Matias &
     Rhodes, Ann. Statist. 2009).  The third factor splits back into
     per-variate rows, scaled by ``p - 2``, so one set of class labels holds
@@ -613,7 +664,7 @@ def recover_mixture(
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    cuts, mats = zip(*_select_cuts([mixture.variate(j) for j in range(p)], queries))
+    cuts, mats = zip(*select_mixture_cuts(mixture, queries))
 
     T = triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)

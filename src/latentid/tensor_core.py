@@ -65,10 +65,9 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
-def check_entries(count: int, what: str) -> None:
-    """Refuse a dense array of ``count`` entries above :data:`ENTRY_CAP`; every
-    builder calls this, or :func:`check_power_entries`, with the size of the
-    array it is about to build, first.
+def _check_entries(count: int, what: str) -> None:
+    """The exact step of :func:`check_power_entries`: refuse ``count`` entries above
+    :data:`ENTRY_CAP`.
 
     A count past ``2^128`` is stated as the power of two it reaches: Python
     will not print an integer of more than 4300 digits.
@@ -88,8 +87,10 @@ def _log2_lower(base: int) -> int:
 
 
 def check_power_entries(powers: Sequence[tuple[int, int]], what: str) -> None:
-    """:func:`check_entries` for ``prod(base ** exponent)`` over the
-    ``(base, exponent)`` pairs in ``powers``, decided by logarithm first.
+    """Refuse a dense array of ``prod(base ** exponent)`` entries, over the
+    ``(base, exponent)`` pairs in ``powers``, above :data:`ENTRY_CAP`; every
+    builder calls this with the size of the array it is about to build,
+    first (a plain count ``n`` is ``[(n, 1)]``).
 
     Counts that are powers in a node count or window length grow past any
     cap, and forming one exactly takes time and memory linear in the
@@ -103,7 +104,7 @@ def check_power_entries(powers: Sequence[tuple[int, int]], what: str) -> None:
     powers = [(int(base), int(exponent)) for base, exponent in powers]
     k = sum(exponent * _log2_lower(base) for base, exponent in powers) >> 52
     if k <= 128:
-        check_entries(math.prod(base**exponent for base, exponent in powers), what)
+        _check_entries(math.prod(base**exponent for base, exponent in powers), what)
         return
     raise InputError(f"{what} has at least 2^{k} entries, cap is {ENTRY_CAP}")
 

@@ -16,8 +16,10 @@ from latentid.nonparametric import (
     NonparametricMixture,
     binned_conditional_matrix,
     bivariate_rank,
+    component_cdfs,
     recover_mixture,
     select_cut_points,
+    select_mixture_cuts,
 )
 from latentid.recovery import align_permutation
 from latentid.sampling import (
@@ -368,6 +370,26 @@ class TestCutScanAgreement:
             assert M.shape == expected.shape, f"case {i}"
             assert M.tobytes() == expected.tobytes(), f"case {i}"
 
+    def test_mixture_cuts_equal_per_variate_cuts(self):
+        # the stacked selection over a mixture is select_cut_points per variate
+        for mix in [
+            ragged_mixture(),
+            random_nonparametric_mixture(trial_rng(72, 0), 3, 4, block_dims=[1, 2, 1, 1]),
+            random_nonparametric_mixture(trial_rng(72, 1), 4, 5),
+        ]:
+            mandatory = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
+            for given_points in (None, mandatory):
+                selected = select_mixture_cuts(mix, given_points)
+                assert len(selected) == mix.p
+                for j, (cuts, M) in enumerate(selected):
+                    expected_cuts, expected = select_cut_points(
+                        mix.variate(j), None if given_points is None else given_points[j]
+                    )
+                    assert [c.tobytes() for c in cuts.cuts] == [
+                        c.tobytes() for c in expected_cuts.cuts
+                    ]
+                    assert M.tobytes() == expected.tobytes()
+
 
 def scalar_cdf(comp, point):
     """CDF of ``comp`` at one point, blending one coordinate at a time."""
@@ -446,18 +468,51 @@ def stacked_families(draw):
     return families, family_axes
 
 
-@given(case=stacked_families(), compare_cap=st.sampled_from([0, 1 << 22]))
-def test_stacked_evaluation_equals_the_per_component_loop(case, compare_cap):
-    # both ways of locating intervals: one comparison, and row by row
+@given(case=stacked_families())
+def test_stacked_evaluation_equals_the_per_component_loop(case):
     families, family_axes = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nonparametric, "_COMPARE_CAP", compare_cap)
-        tables = nonparametric._evaluate_stacked(families, family_axes)
+    tables = nonparametric._evaluate_stacked(families, family_axes)
     assert len(tables) == len(families)
     for family, axes, table in zip(families, family_axes, tables):
         expected = np.array([reference_evaluate_grid(comp, axes) for comp in family])
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
+
+
+def test_far_values_are_clamped_before_dividing():
+    # a value far outside a tiny knot gap is clamped to the gap before t is
+    # taken, so the division cannot overflow
+    tiny = CdfComponent([0.0, 5e-324], [0.0, 1.0])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        table = nonparametric._evaluate_stacked([[tiny, _U]], [[[1.0, -1.0]]])[0]
+        assert tiny.evaluate_grid([[2.0]]).tolist() == [1.0]
+    assert table.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+
+#: knots and values drawn from a few numbers, so that ties within and across
+#: rows are common; -0.0 ties with 0.0
+_TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, np.inf])
+
+
+@given(
+    rows=st.lists(
+        st.lists(_TIED.filter(np.isfinite), max_size=5, unique=True).map(sorted),
+        min_size=1, max_size=4,
+    ),
+    values=st.lists(_TIED, max_size=6),
+    shared=st.booleans(),
+)
+def test_count_at_most_equals_a_search_per_row(rows, values, shared):
+    # ragged rows end in NaN padding; x is one row shared by all or one per row
+    width = max(map(len, rows))
+    knots = np.array([row + [np.nan] * (width - len(row)) for row in rows]).reshape(len(rows), width)
+    x = np.tile(np.array(values, dtype=float), (1 if shared else len(rows), 1))
+    got = nonparametric._count_at_most(knots, x)
+    expected = [
+        np.searchsorted(np.array(row, dtype=float), x[0 if shared else s], side="right")
+        for s, row in enumerate(rows)
+    ]
+    assert got.tolist() == np.array(expected).reshape(len(rows), len(values)).tolist()
 
 
 @given(
@@ -855,6 +910,21 @@ def test_recovery_output_is_golden(case):
     assert output_digest(*recover_mixture(mixture(), queries, seed=seed)) == digest
 
 
+@pytest.mark.parametrize("case", list(GOLDEN_RECOVERIES))
+def test_component_cdfs_equal_pointwise_evaluation(case):
+    # the golden queries hold bare scalars, tuples, arrays, None and +-inf
+    mixture, queries, _, _ = GOLDEN_RECOVERIES[case]
+    mixture = mixture()
+    tables = component_cdfs(mixture, queries)
+    for j, (table, b) in enumerate(zip(tables, mixture.block_dims)):
+        points = nonparametric._normalize_points(queries[j], b)
+        expected = np.array(
+            [[comp(tuple(pt)) for pt in points] for comp in mixture.variate(j)]
+        ).reshape(mixture.r, len(points))
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+
+
 def test_ragged_cuts_report_is_pinned(tmp_path, capsys):
     # the bytes of the per-component code; one stacked pass must not move a cut
     path = tmp_path / "ragged.json"
@@ -959,6 +1029,10 @@ NONPARAMETRIC_REFUSALS = {
         lambda: select_cut_points([_U, _U2]),
         InputError, "components must share the block dimension",
     ),
+    "mandatory-per-variate": (
+        lambda: select_mixture_cuts(_mixture(2, 3), [[0.5]]),
+        InputError, "mandatory must have one entry per variate (3)",
+    ),
     "cuts-block-dim": (
         lambda: binned_conditional_matrix([_U2], [[0.5]]),
         InputError, "components and cuts disagree on the block dimension",
@@ -973,6 +1047,10 @@ NONPARAMETRIC_REFUSALS = {
     ),
     "queries-per-variate": (
         lambda: recover_mixture(_mixture(2, 3), [[0.5]]),
+        InputError, "query_points must have one entry per variate (3)",
+    ),
+    "cdfs-per-variate": (
+        lambda: component_cdfs(_mixture(2, 3), [[0.5]]),
         InputError, "query_points must have one entry per variate (3)",
     ),
     "query-coordinates": (

@@ -14,9 +14,9 @@ import latentid
 from latentid.errors import InputError, NotKhatriRaoError
 from latentid import hmm, random_graph, sampling, tensor_core
 from latentid.tensor_core import (
+    _check_entries,
     as_matrix,
     check_distribution_tensor,
-    check_entries,
     check_power_entries,
     check_probability_vector,
     clump_tensor,
@@ -585,15 +585,15 @@ TENSOR_CORE_REFUSALS = {
         InputError, "col_dims must be positive",
     ),
     "entries-huge": (
-        lambda: check_entries(2**20000, "node-state prior"),
+        lambda: check_power_entries([(2**20000, 1)], "node-state prior"),
         InputError, "node-state prior has at least 2^20000 entries, cap is 16777216",
     ),
     "entries-past-2^128": (
-        lambda: check_entries(3 * 2**127, "joint table"),
+        lambda: check_power_entries([(3 * 2**127, 1)], "joint table"),
         InputError, "joint table has at least 2^128 entries, cap is 16777216",
     ),
     "entries-below-2^128": (
-        lambda: check_entries(2**128 - 1, "joint table"),
+        lambda: check_power_entries([(2**128 - 1, 1)], "joint table"),
         InputError,
         "joint table has 340282366920938463463374607431768211455 entries, cap is 16777216",
     ),
@@ -640,7 +640,7 @@ def test_power_entries_agree_with_the_exact_count(powers):
     # the same verdict as the exact count; the same message up to 2^128, and
     # past it a power of two that never exceeds the count
     count = math.prod(base**exponent for base, exponent in powers)
-    exact = refusal(check_entries, count, "table")
+    exact = refusal(_check_entries, count, "table")
     by_logarithm = refusal(check_power_entries, powers, "table")
     if count.bit_length() <= 128:
         assert by_logarithm == exact
@@ -668,8 +668,7 @@ def test_huge_counts_are_refused_at_once():
 
 
 def test_entry_cap_has_one_home():
-    # every dense builder reads the cap through check_entries or
-    # check_power_entries, never a copy
+    # every dense builder reads the cap through check_power_entries, never a copy
     names = [info.name for info in pkgutil.iter_modules(latentid.__path__)]
     homes = [
         name for name in names
