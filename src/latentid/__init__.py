@@ -52,6 +52,7 @@ from .hmm import (
     hmm_certificate,
     min_window,
     recover_hmm,
+    recovery_window,
     stationary_distribution,
     time_reversal,
     window_tensor,

@@ -10,13 +10,17 @@ matrices are built by the recursion
 
 ``(x)`` denoting the row tensor product and ``A'`` the time-reversed
 transition matrix.  Column conventions (fixed; the recursion and the
-marginalization in :func:`recover_hmm` depend on them):
+marginalizations in :func:`recover_hmm` depend on them):
 
 * ``B2`` columns index the future symbols ``(x_{k+1}, ..., x_{2k})`` in
   mixed radix with the latest symbol ``x_{2k}`` varying fastest;
 * ``B1`` columns index the past symbols reversed, ``(x_{k-1}, ..., x_0)``,
   with the earliest symbol ``x_0`` varying fastest (it is produced by the
   innermost factor of the recursion).
+
+So on both block axes the fastest-varying digits are the symbols farthest
+from the center, and summing out the ``k - j`` fastest digits of both leaves
+the exact window law at half-window ``j``.
 """
 
 from __future__ import annotations
@@ -27,19 +31,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateSpectrumError,
     IllConditionedError,
     InputError,
     NonUniqueStationaryError,
 )
 from .latent_class import Certificate
-from .recovery import RECOVERY_TOL, Alignment, _clean_rows, align_permutation, decompose3
+from .recovery import (
+    RECOVERY_TOL,
+    Alignment,
+    _clean_rows,
+    _law_residual,
+    align_permutation,
+    decompose3,
+)
 from .tensor_core import (
     POSITIVE_FLOOR,
     ROW_SUM_TOL,
+    _khatri_rao,
+    check_distribution_tensor,
     check_power_entries,
     check_probability_vector,
     check_stochastic,
-    khatri_rao,
     kruskal_rank,
     rank_from_singular_values,
     triple_product,
@@ -140,6 +153,38 @@ def min_window(r: int, kappa: int) -> int:
     return k
 
 
+def recovery_window(r: int, kappa: int) -> int:
+    """Half-window at which :func:`recover_hmm` decomposes: the smallest j with
+    ``kappa**j >= 2 * r``.
+
+    The window blocks have ``kappa**j`` columns for r rows.  They reach full
+    row rank generically from ``kappa**j >= r`` on, but a square block is
+    badly conditioned, and every further level of the window multiplies the
+    decomposition's cost.  A sweep over ``(r, kappa)`` and every j from
+    ``ceil(log_kappa r)`` to :func:`min_window`, measuring refusals, error
+    and time, found twice as many columns as rows the best trade.  The
+    result can exceed :func:`min_window`, which is the paper's bound and
+    still the default window of the CLI; a caller's window is narrowed,
+    never widened.
+    """
+    if r < 1 or kappa < 2:
+        raise InputError("need r >= 1 and kappa >= 2")
+    j = 1
+    while kappa**j < 2 * r:
+        j += 1
+    return j
+
+
+def _window_blocks(A, A_rev, B, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion of :func:`conditional_blocks` on unchecked arrays, both
+    blocks carried as one stack of two."""
+    chains = np.stack([A_rev, A])
+    blocks = chains @ B
+    for _ in range(k - 1):
+        blocks = chains @ _khatri_rao([B, blocks])
+    return blocks[0], blocks[1]
+
+
 def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Past and future window blocks ``(B1, B2)`` at half-window k, built innermost-out.
 
@@ -150,13 +195,7 @@ def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np
     if k < 1:
         raise InputError("k must be at least 1")
     check_power_entries([(model.r, 1), (model.kappa, k)], "window block")
-    A, A_rev, B = model.A, model.A_rev, model.B
-    B1 = A_rev @ B
-    B2 = A @ B
-    for _ in range(k - 1):
-        B1 = A_rev @ khatri_rao([B, B1])
-        B2 = A @ khatri_rao([B, B2])
-    return B1, B2
+    return _window_blocks(model.A, model.A_rev, model.B, k)
 
 
 def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
@@ -187,6 +226,19 @@ def hmm_certificate(model: HiddenMarkovModel, k: int) -> Certificate:
     )
 
 
+def _window_marginal(T: np.ndarray, kappa: int, k: int, j: int) -> np.ndarray:
+    """The window law at half-window ``j`` from the one at ``k >= j``.
+
+    Sums out the ``k - j`` fastest-varying digits of both block axes, the
+    symbols farthest from the center (see the module docstring), in two
+    reductions over contiguous axes; one ``sum`` over both axes of the
+    five-way view is several times slower.
+    """
+    n, m = kappa**j, kappa ** (k - j)
+    P = T.reshape(n, m, -1).sum(axis=1)
+    return P.reshape(n * n, m, kappa).sum(axis=1).reshape(n, n, kappa)
+
+
 def recover_hmm(
     T,
     r: int,
@@ -197,14 +249,32 @@ def recover_hmm(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (A, B, pi) from the exact window tensor, up to state relabeling.
 
+    ``T`` is the window law at half-window ``k``.  Recovery runs at ``j =
+    min(k, recovery_window(r, kappa))`` (:func:`recovery_window`): when ``j <
+    k``, ``T`` is validated and its exact marginal at ``j`` is taken, which
+    is smaller and better conditioned; when ``j == k``, on ``T`` itself.
+
     The three-way decomposition yields the permuted blocks ``(B1, B2, B)``
     and the stationary weights.  Marginalizing the last observed symbol out of
     the recovered future block leaves a matrix ``M`` with one fewer recursion
     level, so the future block factors as ``A (B (x) M)``; ``A`` then follows
-    from one least-squares solve.
+    from one least-squares solve.  When ``j < k``, the window law at ``k`` is
+    rebuilt from the answer, with the reversed chain ``(A^T * pi) / pi`` and
+    the recursion of :func:`conditional_blocks`, and checked against ``T``.
 
-    Raises :class:`IllConditionedError` when ``B (x) M`` is rank deficient or
-    the solved transition matrix fails to be row stochastic within ``tol``.
+    Raises
+    ------
+    InputError
+        ``T`` does not have the shape ``(kappa^k, kappa^k, kappa)``, or, when
+        ``j < k``, is not a distribution.
+    IllConditionedError
+        ``B (x) M`` is rank deficient, or the solved transition matrix fails
+        to be row stochastic within ``tol``.
+    DegenerateSpectrumError
+        When ``j < k``: the law rebuilt at ``k`` misses ``T`` by more than
+        ``tol * T.max()``, the rule :func:`decompose3` applies at ``j``.  The
+        message gives the residual.  Besides these, every refusal of
+        :func:`decompose3` at ``j`` propagates.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (kappa**k, kappa**k, kappa):
@@ -212,14 +282,19 @@ def recover_hmm(
             f"window tensor shape {T.shape} does not match "
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
-    rec = decompose3(T, r, seed=seed, tol=tol)
+    j = min(k, recovery_window(r, kappa))
+    law = T
+    if j < k:
+        T = check_distribution_tensor(T)
+        law = _window_marginal(T, kappa, k, j)
+    rec = decompose3(law, r, seed=seed, tol=tol)
     B_hat = rec.factors[2]
     F2 = rec.factors[1]
-    if k == 1:
+    if j == 1:
         M = np.ones((r, 1))
     else:
-        M = F2.reshape(r, kappa ** (k - 1), kappa).sum(axis=2)
-    G = khatri_rao([B_hat, M])
+        M = F2.reshape(r, kappa ** (j - 1), kappa).sum(axis=2)
+    G = _khatri_rao([B_hat, M])
     A_hat_T, _, _, sv = np.linalg.lstsq(G.T, F2.T, rcond=None)
     if rank_from_singular_values(sv, G.shape) < r:
         raise IllConditionedError(
@@ -236,7 +311,18 @@ def recover_hmm(
         raise IllConditionedError(
             f"solved transition matrix has entries below -{tol}"
         )
-    return A_hat, B_hat, rec.pi
+    pi = rec.pi
+    if j < k:
+        A_rev = (A_hat.T * pi[None, :]) / pi[:, None]
+        B1, B2 = _window_blocks(A_hat, A_rev, B_hat, k)
+        resid = _law_residual(pi, B1, B2, B_hat, T.reshape(T.shape[0], -1))
+        resid_tol = tol * T.max()
+        if resid > resid_tol:
+            raise DegenerateSpectrumError(
+                f"window law rebuilt at k={k} from the answer at j={j} misses "
+                f"the input by {resid:.3g} > tol * max entry = {resid_tol:.3g}"
+            )
+    return A_hat, B_hat, pi
 
 
 def align_hmm(recovered, reference) -> Alignment:

@@ -35,10 +35,10 @@ from .errors import (
 )
 from .latent_class import LatentClassModel, Tripartition, joint_distribution
 from .tensor_core import (
+    _khatri_rao,
     _three_blocks,
     check_distribution_tensor,
     clump_tensor,
-    khatri_rao,
     rank_from_singular_values,
     unclump,
 )
@@ -99,10 +99,16 @@ class Alignment:
 
 
 def _clean_rows(M: np.ndarray, tol: float) -> np.ndarray | None:
-    """Clamp negatives within tol to zero and renormalize rows; None if worse."""
-    if M.min() < -tol:
+    """Clamp negatives within tol to zero and renormalize rows; None if worse.
+
+    The clamp copies ``M`` only when its minimum is negative or NaN; a NaN
+    minimum still clamps the other rows' negatives, as the copy always did.
+    """
+    low = M.min()
+    if low < -tol:
         return None
-    M = np.where(M < 0.0, 0.0, M)
+    if not low >= 0.0:
+        M = np.where(M < 0.0, 0.0, M)
     sums = M.sum(axis=1, keepdims=True)
     if np.any(sums <= 0.0):
         return None
@@ -254,11 +260,9 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     ``core`` is the ``r*r x k3`` core unfolding, rows ``(p, q)`` with ``q``
     fastest, so ``(core @ a).reshape(r, r)`` is the slice mixture
     ``U1.T @ einsum("uvw,w->uv", T, a) @ U2``.  Both slice mixtures and the
-    least-squares solve for ``pi * M3`` read it; only the residual is taken
-    against the full tensor: its mode-1 unfolding ``T1`` (``k1 x k2*k3``)
-    less ``(pi * M1).T @ khatri_rao([M2, M3])``, the very product by which
-    :func:`~latentid.tensor_core.triple_product` rebuilds the tensor, so the
-    reported residual is the one a caller reconstructing it sees.
+    least-squares solve for ``pi * M3`` read it; only the residual
+    (:func:`_law_residual`) is taken against the full tensor, through its
+    mode-1 unfolding ``T1`` (``k1 x k2*k3``).
 
     Returns ``(stage, value, params)``.  ``stage`` is the furthest of
     :data:`_STAGES` the draw reached; ``value`` is the slice mixture's
@@ -301,7 +305,7 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     # C = pi * M3 in the core: the rows of M1 and M2 lie in span(U1) and
     # span(U2), so projecting both sides of the k1*k2-row system onto
     # U1 (x) U2 keeps its normal equations and leaves r*r rows
-    G = khatri_rao([M1 @ U1, M2 @ U2])
+    G = _khatri_rao([M1 @ U1, M2 @ U2])
     C = np.linalg.lstsq(G.T, core, rcond=None)[0]
     pi = C.sum(axis=1)
     if pi.min() <= 0.0:
@@ -313,12 +317,22 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
         return "negative", np.nan, None
     M1, M2, M3 = cleaned
     pi = pi / pi.sum()
+    return "residual", _law_residual(pi, M1, M2, M3, T1), (pi, M1, M2, M3)
 
+
+def _law_residual(pi, M1, M2, M3, T1) -> float:
+    """Max-abs difference between the tensor the weights and factors build and
+    the tensor whose mode-1 unfolding is ``T1``.
+
+    The rebuilt unfolding is ``(pi * M1).T @ khatri_rao([M2, M3])``, the very
+    product by which :func:`~latentid.tensor_core.triple_product` builds the
+    tensor, so the residual is the one a caller rebuilding it sees.  The
+    arguments are the library's own results and go unchecked.
+    """
     # |R - T1| in the product's own buffer: no table-sized temporaries
-    D = (pi[:, None] * M1).T @ khatri_rao([M2, M3])
+    D = (pi[:, None] * M1).T @ _khatri_rao([M2, M3])
     D -= T1
-    resid = float(np.abs(D, out=D).max())
-    return "residual", resid, (pi, M1, M2, M3)
+    return float(np.abs(D, out=D).max())
 
 
 def _perfect_matching(allowed: np.ndarray) -> np.ndarray | None:

@@ -198,13 +198,23 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
     # that sum; only then are the factors searched for the first bad one.
     # Finite factors never make an invalid product, and a product or sum that
     # overflows is returned as computed.
-    out = mats[-1]
     with np.errstate(invalid="ignore"):
-        for M in reversed(mats[:-1]):
-            out = (M[:, :, None] * out[:, None, :]).reshape(rows, -1)
+        out = _khatri_rao(mats)
     if not math.isfinite(out.sum()):
         for i, M in enumerate(mats):
             _check_finite(M, f"factor {i}")
+    return out
+
+
+def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The arithmetic of :func:`khatri_rao`, unchecked: ``mats`` are float
+    arrays with equal row counts, as the library's own intermediate results
+    are, and are used as they are.  Axes before the last two broadcast, so
+    one call takes the products of a stack of matrices."""
+    out = mats[-1]
+    for M in reversed(mats[:-1]):
+        out = M[..., :, None] * out[..., None, :]
+        out = out.reshape(*out.shape[:-2], -1)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from latentid import cli
 from latentid.cli import run
 from latentid.errors import InputError, LatentIdError
-from latentid.hmm import HiddenMarkovModel, hmm_certificate, min_window
+from latentid.hmm import HiddenMarkovModel, hmm_certificate, min_window, recovery_window
 from latentid.latent_class import LatentClassModel, kruskal_certificate
 from latentid.modelio import save_model
 from latentid.random_graph import (
@@ -108,6 +108,9 @@ class TestCertificates:
         assert code == 0
         assert report["result"]["k"] == 3
         assert report["result"]["window"] == 7
+        # the paper's window, and the narrower one recovery decomposes
+        code, report = run_json(capsys, ["hmm-window", "--r", "8", "--kappa", "2"])
+        assert (report["result"]["k"], report["result"]["recovery_k"]) == (7, 4)
 
     def test_hmm_certify(self, capsys, hmm_file):
         code, report = run_json(capsys, ["hmm-certify", "--model", hmm_file])
@@ -264,6 +267,7 @@ class TestRecovery:
             assert code == 0, argv
             assert report["result"]["k"] == expected
             assert report["result"]["window"] == 2 * expected + 1
+        assert report["result"]["recovery_k"] == min(expected, recovery_window(3, 2))
         windows = []
         recover = cli.hmm_mod.recover_hmm
 
@@ -428,7 +432,7 @@ PINNED_REPORTS = [
         ["hmm-window", "--r", "4", "--kappa", "2"],
         None,
         '{"command": "hmm-window", "errors": [], "result": {"k": 3, "kappa": 2, '
-        '"r": 4, "window": 7}}',
+        '"r": 4, "recovery_k": 3, "window": 7}}',
     ),
     (
         ["search-tripartition", "--r", "3", "--kappas", "2,2,2,2"],

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from latentid import hmm, sampling, tensor_core
 from latentid.errors import (
+    DegenerateSpectrumError,
     IllConditionedError,
     NonUniqueStationaryError,
     InputError,
+    RankDeficientError,
 )
 from latentid.hmm import (
     HiddenMarkovModel,
@@ -16,11 +20,13 @@ from latentid.hmm import (
     hmm_certificate,
     min_window,
     recover_hmm,
+    recovery_window,
     stationary_distribution,
     time_reversal,
     window_tensor,
 )
 from latentid.latent_class import joint_distribution
+from latentid.recovery import decompose3
 from latentid.sampling import (
     _HMM_SINGULAR_MARGIN,
     random_hmm,
@@ -302,6 +308,17 @@ class TestConditionalBlocks:
         assert np.allclose(X1, power)
         assert np.allclose(X2, power)
 
+    @pytest.mark.parametrize("r, kappa, k", [(2, 2, 1), (3, 2, 4), (8, 2, 7), (9, 3, 3), (5, 4, 2)])
+    def test_stacked_recursion_equals_one_chain_at_a_time(self, r, kappa, k):
+        # to the bit: both blocks are carried as one stack of two
+        model = random_hmm(trial_rng(41, 10 * r + kappa), r, kappa, max_attempts=5000)
+        X1, X2 = model.A_rev @ model.B, model.A @ model.B
+        for _ in range(k - 1):
+            X1 = model.A_rev @ khatri_rao([model.B, X1])
+            X2 = model.A @ khatri_rao([model.B, X2])
+        B1, B2 = conditional_blocks(model, k)
+        assert B1.tobytes() == X1.tobytes() and B2.tobytes() == X2.tobytes()
+
     def test_rows_are_distributions(self):
         model = random_hmm(trial_rng(41, 1), 3, 2)
         B1, B2 = conditional_blocks(model, 3)
@@ -452,6 +469,110 @@ class TestRecoverHmm:
             recover_hmm(T, 2, 2, 2, seed=0)
 
 
+class TestRecoveryWindow:
+    def test_smallest_window_with_twice_r_columns(self):
+        for r in range(1, 40):
+            for kappa in range(2, 7):
+                j = recovery_window(r, kappa)
+                assert kappa**j >= 2 * r
+                assert j == 1 or kappa ** (j - 1) < 2 * r
+
+    @pytest.mark.parametrize("r", [6, 7, 8])
+    def test_binary_paper_window_is_answered(self, r):
+        k = min_window(r, 2)
+        assert recovery_window(r, 2) < k
+        for t in range(8):
+            model = random_hmm(trial_rng(28, t), r, 2, max_attempts=5000)
+            answer = recover_hmm(window_tensor(model, k), r, 2, k, seed=t)
+            assert align_hmm(answer, (model.A, model.B, model.pi)).max_abs_error <= 1e-5
+
+    def test_law_the_full_decomposition_refuses_is_answered(self):
+        # an r=8 binary model of the hmm-recover benchmark pools (seed 2, slot
+        # 2, model 18): its 128x256 unfolding at the paper window falls below
+        # the rank cutoff, its 16x32 one at the recovery window does not
+        rng = np.random.default_rng([2, 2, 18])
+        model = random_hmm(rng, 8, 2, max_attempts=5000)
+        seed = int(rng.integers(2**32))
+        k = min_window(8, 2)
+        T = window_tensor(model, k)
+        with pytest.raises(RankDeficientError, match="^mode-1 unfolding has rank below r=8$"):
+            decompose3(T, 8, seed=seed)
+        answer = recover_hmm(T, 8, 2, k, seed=seed)
+        assert align_hmm(answer, (model.A, model.B, model.pi)).max_abs_error <= 1e-5
+
+    def test_law_check_refuses_a_law_with_the_same_marginal(self):
+        # moving mass within one fiber of the marginal at j keeps that
+        # marginal, and so the answer found at j, but not the law at k
+        r, kappa, k = 6, 2, 5
+        j = recovery_window(r, kappa)
+        model = random_hmm(trial_rng(28, 60), r, kappa)
+        T = window_tensor(model, k)
+        recover_hmm(T, r, kappa, k, seed=0)
+        m = kappa ** (k - j)
+        cells = T.reshape(kappa**j, m, kappa**j, m, kappa).copy()
+        moved = cells[1, 0, 2, 0, 1] / 2
+        cells[1, 0, 2, 0, 1] -= moved
+        cells[1, m - 1, 2, m - 1, 1] += moved
+        T_moved = cells.reshape(T.shape)
+        assert T_moved.min() >= 0.0 and abs(T_moved.sum() - 1.0) <= 1e-15
+        marginal = hmm._window_marginal(T, kappa, k, j)
+        assert np.abs(hmm._window_marginal(T_moved, kappa, k, j) - marginal).max() <= (
+            16 * np.finfo(float).eps * marginal.max()
+        )
+        with pytest.raises(
+            DegenerateSpectrumError,
+            match=r"^window law rebuilt at k=5 from the answer at j=4 misses the input "
+            r"by \S+ > tol \* max entry = \S+$",
+        ):
+            recover_hmm(T_moved, r, kappa, k, seed=0)
+
+
+@given(r=st.integers(2, 8), kappa=st.integers(2, 4), data=st.data())
+def test_window_marginal_is_the_narrower_window_law(r, kappa, data):
+    k = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[kappa]), label="k")
+    j = data.draw(st.integers(1, k), label="j")
+    model = random_hmm(trial_rng(data.draw(st.integers(0, 999)), r), r, kappa, max_attempts=5000)
+    law = window_tensor(model, j)
+    marginal = hmm._window_marginal(window_tensor(model, k), kappa, k, j)
+    # both sides are sums of products of (2k + 1) probabilities, and the
+    # marginal adds up kappa^(2(k - j)) entries of the wider law
+    rounding = (2 * k + 1 + kappa ** (2 * (k - j))) * np.finfo(law.dtype).eps
+    assert np.abs(marginal - law).max() <= rounding * law.max()
+
+
+#: recover_hmm's (A, B, pi), hashed, for windows it decomposes whole (j == k):
+#: the kappa=3 sizes of the hmm-recover benchmark and half-windows up to 2,
+#: recorded before recovery moved to a marginal of the window law.  Case ``i``
+#: draws its model from ``trial_rng(28, i)`` and decomposes with seed ``i``.
+GOLDEN_HMM_RECOVERIES = [
+    (8, 3, 3, "79f446316f8f2a5afe6041d0453c06c2484eca4523d995a4dbe39550d8e28a17"),
+    (9, 3, 3, "1cdd8b416edf6fdac4f8092d0f0ff1dd885cb892ea43059c1321452d31524e35"),
+    (10, 3, 3, "e35c41b5ac0eb01e58300eb7089d187c658d0202cf205c17bcf38b4f1db005d0"),
+    (2, 2, 1, "1f3de0d9d45dc03c20f8def788b9fdb6bad2e18e229576a65107fdfca5687775"),
+    (3, 3, 1, "5ad32c256fe843f665966a0fdad176bdc858dd9d737a69ed322d82ebc11774eb"),
+    (2, 2, 2, "bbb800b1be3a91e892c519965c2e46f84a3aa0b10e48b521f3e4567bfe2370a9"),
+    (3, 2, 2, "11f363c4643621ff333623252aea4f663aac35acb6e56c583b3f2cb69ec469d3"),
+    (4, 3, 2, "e0f147e61773d366a33bfa6ba0286257abea680ee0c1e2b13abc599b1cbc303d"),
+    (6, 3, 2, "a709fd23f049026bc1f3545c5a61d8bd4b56134dffd36e552d2ea2cf41a46cc9"),
+    (4, 2, 3, "39e05928c618ef09ad35b8f95547d42ac105155ddcc617d6cc04a2b0da155602"),
+    (5, 2, 4, "643576e41e1b4cb8ea8dc6759aeee82d7463045f5d0d8bc72cde5e740ddd3c8d"),
+]
+
+
+@pytest.mark.parametrize(
+    "i", range(len(GOLDEN_HMM_RECOVERIES)),
+    ids=[f"r{r}-kappa{kappa}-k{k}" for r, kappa, k, _ in GOLDEN_HMM_RECOVERIES],
+)
+def test_recovery_at_the_whole_window_keeps_its_bytes(i):
+    r, kappa, k, digest = GOLDEN_HMM_RECOVERIES[i]
+    assert recovery_window(r, kappa) >= k
+    model = random_hmm(trial_rng(28, i), r, kappa, max_attempts=5000)
+    got = hashlib.sha256()
+    for x in recover_hmm(window_tensor(model, k), r, kappa, k, seed=i):
+        got.update(x.tobytes())
+    assert got.hexdigest() == digest
+
+
 #: (call, error, exact message[, builder]) for each input refusal of the module
 HMM_REFUSALS = {
     "transition-square": (
@@ -477,6 +598,15 @@ HMM_REFUSALS = {
         lambda: conditional_blocks(two_state_model(), 0),
         InputError, "k must be at least 1",
     ),
+    "recovery-window-arguments": (
+        lambda: recovery_window(2, 1), InputError, "need r >= 1 and kappa >= 2",
+    ),
+    "narrowed-law-negative": (
+        # at k = 3 recovery runs on the marginal at j = 2, so the whole law is
+        # checked first
+        lambda: recover_hmm(np.full((8, 8, 2), -1 / 128), 2, 2, 3),
+        InputError, "tensor has entries below -1e-12",
+    ),
     "window-shape": (
         lambda: recover_hmm(np.zeros((2, 2, 2)), 2, 2, 2),
         InputError,
@@ -491,7 +621,7 @@ HMM_REFUSALS = {
     ),
     "window-block-cap": (
         lambda: conditional_blocks(two_state_model(), 3),
-        InputError, "window block has 16 entries, cap is 15", (hmm, "khatri_rao"),
+        InputError, "window block has 16 entries, cap is 15", (hmm, "_khatri_rao"),
     ),
     "window-tensor-cap": (
         # the blocks (8 entries each) would fit, the 2^5-entry tensor does not

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentid import recovery
 from latentid.errors import (
@@ -17,6 +18,7 @@ from latentid.errors import (
 )
 from latentid.latent_class import LatentClassModel, joint_distribution, tripartition_search
 from latentid.recovery import (
+    _clean_rows,
     align_permutation,
     decompose3,
     recover_latent_class,
@@ -484,6 +486,37 @@ def test_residual_is_the_max_abs_error_of_the_unfolding(case):
     T1 = T.reshape(T.shape[0], -1)
     expected = float(np.abs((pi[:, None] * M1).T @ khatri_rao([M2, M3]) - T1).max())
     assert rec.residual.hex() == expected.hex()
+
+
+def reference_clean_rows(M, tol):
+    """``_clean_rows`` as it was when it always took the clamping copy."""
+    if M.min() < -tol:
+        return None
+    M = np.where(M < 0.0, 0.0, M)
+    sums = M.sum(axis=1, keepdims=True)
+    if np.any(sums <= 0.0):
+        return None
+    return M / sums
+
+
+@given(
+    M=arrays(
+        float,
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(-1.0, 1.0, allow_subnormal=False),
+            st.sampled_from([0.0, -0.0, np.nan, -1e-9, 1e-9]),
+        ),
+    ),
+    tol=st.sampled_from([0.0, 1e-8, 1e-3]),
+)
+def test_clean_rows_equals_the_clamping_copy(M, tol):
+    # to the bit, with NaN, -0.0, negatives within and beyond tol, and rows
+    # summing to zero or below
+    got, want = _clean_rows(M.copy(), tol), reference_clean_rows(M.copy(), tol)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
