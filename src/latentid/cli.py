@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Select full-rank cut points per variate: each cut is the knot "
         "farthest from the span of the cuts before it, and a family whose farthest "
         "knot does not raise the rank, under the one rank rule of every certificate, "
-        "is refused as linearly dependent; takes no --tol.",
+        "is refused as linearly dependent, naming the lowest-numbered such variate; "
+        "takes no --tol.",
     )
     common(sp, model=True, seed=False)
 

@@ -3,11 +3,18 @@
 Components are piecewise-(multi)linear CDF tables over rectangular knot
 grids, evaluated exactly between knots and clamped outside them.  Cut points
 discretize each variate into bins whose conditional matrix has full row rank,
-which turns the continuous mixture into an exactly solvable finite one.  Cut
-selection evaluates the components of all variates in one stacked pass per
-block dimension and returns each variate's matrix with its cuts.  CDF values
-at arbitrary query points are read back through the cumulative transform
-after inserting the queries verbatim among the cuts.
+which turns the continuous mixture into an exactly solvable finite one.
+
+Cut selection over a mixture runs in stages, each a stacked pass over the
+variates: the components of all variates are evaluated in one pass per block
+dimension; the greedy steps run in lockstep rounds, each deciding the rank of
+every variate still short of it with one SVD per shape of cut grid; and the
+bin masses of all variates whose bins have the same shape come from one
+gather of the evaluated tables.  A refusal names the lowest-numbered variate
+whose family is linearly dependent.  CDF values at arbitrary query points are
+read back through the cumulative transform after inserting the queries
+verbatim among the cuts, one cumulative sum for all variates whose bins have
+the same shape.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    _triple_product,
     check_probability_vector,
     numerical_rank,
     rank_from_singular_values,
-    triple_product,
 )
 
 class CdfComponent:
@@ -187,9 +194,10 @@ class CutPointSet:
         for c, arr in enumerate(arrays):
             if arr.ndim != 1 or arr.size == 0:
                 raise InputError(f"cut array {c} must be nonempty 1-D")
-            if np.any(np.isnan(arr)):
+            if np.isnan(arr).any():
                 raise InputError(f"cut array {c} contains NaN")
-            if np.any(np.diff(arr) <= 0):
+            # compared, not differenced: inf - inf is NaN, which would pass
+            if (arr[1:] <= arr[:-1]).any():
                 raise InputError(f"cut array {c} must be strictly increasing")
             arr.flags.writeable = False
         object.__setattr__(self, "cuts", arrays)
@@ -314,8 +322,10 @@ def _count_at_most(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_stacked(
-    families: Sequence[Sequence[CdfComponent]], family_axes: Sequence[Sequence[np.ndarray]]
-) -> list[np.ndarray]:
+    families: Sequence[Sequence[CdfComponent]],
+    family_axes: Sequence[Sequence[np.ndarray]],
+    padded: bool = False,
+) -> list[np.ndarray] | np.ndarray:
     """CDF tables of several component families, each on its own product grid, in one pass.
 
     Every component has the same block dimension b, and ``family_axes[f]``
@@ -325,29 +335,32 @@ def _evaluate_stacked(
 
     All components are stacked.  Tables and knot arrays are padded to the
     longest and coordinate arrays with ``+inf``, and the padding is sliced
-    off the result.  A value's interval is the number of interior knots of
+    off the result; with ``padded`` the stack itself is returned instead,
+    one row per component in family order, each family's grid at the start
+    of every axis.  A value's interval is the number of interior knots of
     its row at most it, so it lies within the row's own knots and no padding
     is ever read.  Every entry is blended one coordinate at a time as
     ``below * (1 - t) + above * t``, exactly as a single point would be,
     with the value clamped to its interval before ``t`` is taken: inside the
     knot range that leaves it as it is, and outside it gives the end knot,
     as clamping to the knot range does.  The blended coordinate's axis then
-    moves to the back.
+    moves to the back.  A lone component skips the row offsets and the
+    per-component copies of shared axes, which only a stack needs.
     """
     comps = [comp for family in families for comp in family]
     n, b = len(comps), comps[0].block_dim
-    rows = np.arange(n)[:, None]
-    owner = [f for f, family in enumerate(families) for _ in family]
     family_axes = [[np.asarray(ax, dtype=float).ravel() for ax in axes] for axes in family_axes]
     V = _padded([comp.values for comp in comps], 0.0)
     for c in range(b):
         knots = [comp.knots[c] for comp in comps]
         x = _padded([axes[c] for axes in family_axes], np.inf)
         if len(families) > 1:
-            x = x[owner]
+            x = x[[f for f, family in enumerate(families) for _ in family]]
         kn = _padded(knots, np.nan)
         # each value's interval, as a position in the rows of knots laid end to end
-        at = _count_at_most(_padded([k[1:-1] for k in knots], np.nan), x) + rows * kn.shape[1]
+        at = _count_at_most(_padded([k[1:-1] for k in knots], np.nan), x)
+        if n > 1:
+            at += np.arange(0, n * kn.shape[1], kn.shape[1])[:, None]
         nxt = at + 1
         left, right = kn.take(at), kn.take(nxt)
         t = (np.minimum(np.maximum(x, left), right) - left) / (right - left)
@@ -355,6 +368,8 @@ def _evaluate_stacked(
         V = V.reshape(n * V.shape[1], *V.shape[2:])
         V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
         V = V.transpose(0, *range(2, b + 1), 1)
+    if padded:
+        return V
     if len(families) == 1:  # one family's axes are not padded
         return [V]
     tables, start = [], 0
@@ -401,22 +416,24 @@ def select_cut_points(
     the mandatory coordinates and -inf and +inf.  Cuts are kept as positions
     on those axes: every step indexes its matrices from the tables by them,
     and ``M`` is the successive differences of the table at ``[-inf, cuts...,
-    +inf]``.  This is the one-family case of :func:`select_mixture_cuts`.
+    +inf]``.  This is the one-family case of :func:`select_mixture_cuts`,
+    whose lockstep rounds then run for this family alone.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
     appended cut must raise it, so at most ``r`` SVDs are taken.  Raises
     :class:`RankDeficientError` when the farthest candidate does not raise
     the rank: the components are linearly dependent, under that rule, as
-    functions on ``R^b``.  Bin masses are never refused: every
-    :class:`CdfComponent` gives each bin a nonnegative mass.
+    functions on ``R^b``.  The message names no variate.  Bin masses are
+    never refused: every :class:`CdfComponent` gives each bin a nonnegative
+    mass.
     """
     components = list(components)
     if not components:
         raise InputError("need at least one component")
     if any(c.block_dim != components[0].block_dim for c in components):
         raise InputError("components must share the block dimension")
-    return _select_cuts([components], [mandatory])[0]
+    return _select_cuts([components], [mandatory], named=False)[0]
 
 
 def select_mixture_cuts(
@@ -427,24 +444,52 @@ def select_mixture_cuts(
     ``mandatory`` is ``None`` or holds one entry per variate, taken as
     :func:`select_cut_points` takes its ``mandatory``.  Entry j of the result
     is ``(cuts, M)`` for variate j, equal to ``select_cut_points(
-    mixture.variate(j), mandatory[j])``.  The variates sharing a block
-    dimension are evaluated in one stacked pass, and the first rank decision
-    of all variates whose first matrix ``A`` has the same shape comes from
-    one stacked SVD.  A variate still short of full rank continues alone
-    through the greedy steps.  Raises for the first variate that
-    :func:`select_cut_points` refuses.
+    mixture.variate(j), mandatory[j])`` byte for byte.
+
+    The stages run over all variates at once.  The variates sharing a block
+    dimension are evaluated in one stacked pass.  Then the greedy steps run
+    in lockstep rounds: each round decides the rank of every variate still
+    short of r, with one stacked SVD for all whose cuts form grids of the
+    same shape, and each of those whose rank rose appends its farthest
+    candidate.  numpy takes a stacked SVD matrix by matrix, so every decision
+    is the one that variate would reach alone.  Finally the bin masses of all
+    variates whose bins have the same shape are taken from one gather of the
+    tables.  A variate whose step does not raise its rank drops out, and
+    after the rounds :class:`RankDeficientError` is raised for the
+    lowest-numbered such variate, with :func:`select_cut_points`'s message
+    prefixed by ``variate j:``.
     """
     if mandatory is None:
         mandatory = [None] * mixture.p
     if len(mandatory) != mixture.p:
         raise InputError(f"mandatory must have one entry per variate ({mixture.p})")
-    return _select_cuts([mixture.variate(j) for j in range(mixture.p)], mandatory)
+    return _select_cuts([mixture.variate(j) for j in range(mixture.p)], mandatory, named=True)
+
+
+def _by_grid_shape(items, positions) -> list[list]:
+    """``items`` grouped by the lengths of their ``positions[item]``, in order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(tuple(map(len, positions[item])), []).append(item)
+    return list(groups.values())
 
 
 def _select_cuts(
-    families: Sequence[Sequence[CdfComponent]], mandatory: Sequence
+    families: Sequence[Sequence[CdfComponent]], mandatory: Sequence, named: bool
 ) -> list[tuple[CutPointSet, np.ndarray]]:
-    """:func:`select_mixture_cuts` over component families, each with its mandatory points."""
+    """:func:`select_mixture_cuts` over families of equally many components.
+
+    Family f takes ``mandatory[f]`` as its mandatory points.  Every stage
+    after the evaluation runs over all families at once: a round decides the
+    rank of every family still short of full rank, then each of those whose
+    rank rose appends its farthest candidate.  Families whose cuts give
+    grids of the same shape are read from the tables in one gather and
+    decided in one stacked SVD, which numpy takes matrix by matrix, so every
+    decision is that of a family selected alone.  A family whose rank did not
+    rise drops out, and the refusal raised after the rounds is that of the
+    lowest-numbered such family, named as ``variate f`` when ``named``.
+    """
+    r = len(families[0])
     points = [
         _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, mandatory)
     ]
@@ -456,72 +501,82 @@ def _select_cuts(
         ]
         for grid, pts in zip(grids, points)
     ]
-    tables = [None] * len(families)
+    # one padded stack of tables per block dimension; family f is rows
+    # slot[f] * r ... (slot[f] + 1) * r of its stack
+    stacks, slot = {}, [0] * len(families)
     for b in {family[0].block_dim for family in families}:
         members = [f for f, family in enumerate(families) if family[0].block_dim == b]
-        evaluated = _evaluate_stacked([families[f] for f in members], [axes[f] for f in members])
-        for f, table in zip(members, evaluated):
-            tables[f] = table
+        stacks[b] = _evaluate_stacked(
+            [families[f] for f in members], [axes[f] for f in members], padded=True
+        )
+        for k, f in enumerate(members):
+            slot[f] = k
+
+    def gather(group, positions):
+        """Each family's table at the product of its positions: shape ``(len(group), r, -1)``."""
+        b = len(positions[group[0]])
+        index = [(np.array([slot[f] * r for f in group])[:, None] + np.arange(r))
+                 .reshape(len(group), r, *(1,) * b)]
+        for c in range(b):
+            at = np.array([positions[f][c] for f in group])
+            index.append(at.reshape(len(group), 1, *(1,) * c, -1, *(1,) * (b - c - 1)))
+        return stacks[b][tuple(index)].reshape(len(group), r, -1)
+
     # cuts as positions on the axes of each table; the last position is +inf
     cut_at = [
         [set(np.searchsorted(ax, pts[:, c]).tolist()) for c, ax in enumerate(family_axes)]
         for family_axes, pts in zip(axes, points)
     ]
-    firsts = [_cut_matrix(*args) for args in zip(tables, axes, cut_at)]
-    decided = [None] * len(families)
-    for shape in {A.shape for A in firsts}:
-        members = [f for f, A in enumerate(firsts) if A.shape == shape]
-        U, S, _ = np.linalg.svd(np.stack([firsts[f] for f in members]))
-        for f, U_f, rank in zip(members, U, rank_from_singular_values(S, shape)):
-            decided[f] = (U_f, int(rank))
-    return [
-        _greedy_cuts(*args, *first)
-        for *args, first in zip(tables, axes, grids, cut_at, decided)
-    ]
-
-
-def _cut_matrix(table: np.ndarray, axes, cut_at) -> np.ndarray:
-    """Matrix ``A`` of CDF values at the cuts and +inf, one row per component."""
-    columns = [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at, axes)]
-    return table[np.ix_(np.arange(len(table)), *columns)].reshape(len(table), -1)
-
-
-def _greedy_cuts(table, axes, grid_axes, cut_at, U, rank) -> tuple[CutPointSet, np.ndarray]:
-    """Finish one family's cut selection from its first rank decision.
-
-    ``U`` and ``rank`` come from the SVD of the matrix at the cuts in
-    ``cut_at``, to which the greedy steps append; the candidates' matrix is
-    built only when a step is needed.  Returns ``(cuts, M)`` as
-    :func:`select_cut_points` does.
-    """
-    r = len(table)
-    classes = np.arange(r)
-    previous, scan = 0, None
-    while rank < r:
-        if rank <= previous:
-            raise RankDeficientError(
-                f"cut selection reached rank {rank} of r={r}: no candidate leaves "
-                "the span of the current cuts, the component family is linearly "
-                "dependent"
-            )
-        if scan is None:
-            knots_at = [np.searchsorted(ax, g) for ax, g in zip(axes, grid_axes)]
-            scan = table[np.ix_(classes, *knots_at)].reshape(r, -1)
-        best = np.argmax(np.linalg.norm(U[:, rank:].T @ scan, axis=0))
-        best_at = np.unravel_index(best, [pos.size for pos in knots_at])
-        for at, pos, k in zip(cut_at, knots_at, best_at):
-            at.add(int(pos[k]))
-        A = _cut_matrix(table, axes, cut_at)
-        U, S, _ = np.linalg.svd(A)
-        previous, rank = rank, rank_from_singular_values(S, A.shape)
+    rank, U = [0] * len(families), [None] * len(families)
+    knots_at, scan = [None] * len(families), [None] * len(families)
+    refused = {}
+    short = list(range(len(families)))
+    while short:
+        columns = {
+            f: [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at[f], axes[f])] for f in short
+        }
+        for group in _by_grid_shape(short, columns):
+            A = gather(group, columns)
+            Us, S, _ = np.linalg.svd(A)
+            for f, U_f, reached in zip(group, Us, rank_from_singular_values(S, A.shape[1:])):
+                if reached < r and reached <= rank[f]:
+                    refused[f] = int(reached)
+                U[f], rank[f] = U_f, int(reached)
+        short = [f for f in short if rank[f] < r and f not in refused]
+        fresh = [f for f in short if scan[f] is None]
+        for f in fresh:
+            knots_at[f] = [np.searchsorted(ax, g) for ax, g in zip(axes[f], grids[f])]
+        for group in _by_grid_shape(fresh, knots_at):
+            for f, scan_f in zip(group, gather(group, knots_at)):
+                scan[f] = scan_f
+        for f in short:
+            best = np.argmax(np.linalg.norm(U[f][:, rank[f]:].T @ scan[f], axis=0))
+            best_at = np.unravel_index(best, [pos.size for pos in knots_at[f]])
+            for at, pos, k in zip(cut_at[f], knots_at[f], best_at):
+                at.add(int(pos[k]))
+    if refused:
+        f = min(refused)
+        raise RankDeficientError(
+            (f"variate {f}: " if named else "")
+            + f"cut selection reached rank {refused[f]} of r={r}: no candidate leaves "
+            "the span of the current cuts, the component family is linearly dependent"
+        )
 
     cut_at = [
-        sorted(at) or [int(np.searchsorted(ax, g[0]))]
-        for at, ax, g in zip(cut_at, axes, grid_axes)
+        [sorted(at) or [int(np.searchsorted(ax, g[0]))] for at, ax, g in zip(*args)]
+        for args in zip(cut_at, axes, grids)
     ]
-    cuts = CutPointSet(cuts=tuple(ax[at] for ax, at in zip(axes, cut_at)))
-    bounds = [[0, *at, ax.size - 1] for at, ax in zip(cut_at, axes)]
-    return cuts, _bin_masses(table[np.ix_(classes, *bounds)])
+    bounds = [[[0, *at, ax.size - 1] for at, ax in zip(*args)] for args in zip(cut_at, axes)]
+    masses = [None] * len(families)
+    for group in _by_grid_shape(range(len(families)), bounds):
+        lengths = tuple(map(len, bounds[group[0]]))
+        M = _bin_masses(gather(group, bounds).reshape(len(group) * r, *lengths))
+        for k, f in enumerate(group):
+            masses[f] = M[k * r : (k + 1) * r]
+    return [
+        (CutPointSet(cuts=tuple(ax[at] for ax, at in zip(*args))), M)
+        for *args, M in zip(axes, cut_at, masses)
+    ]
 
 
 def binned_conditional_matrix(
@@ -569,19 +624,31 @@ def bivariate_rank(
     return numerical_rank(N)
 
 
-def _cdf_at_queries(rows: np.ndarray, cuts: CutPointSet, points: np.ndarray) -> np.ndarray:
-    """Read CDF values at query points from rows of bin masses, one per class.
+def _cdf_at_queries(
+    rows: Sequence[np.ndarray], cuts: Sequence[CutPointSet], points: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Read CDF values at query points from each variate's rows of bin masses.
 
-    ``points`` is an ``(n, b)`` array, and every coordinate must be one of the
-    cuts, as it is when the points were the mandatory points of
-    :func:`select_cut_points`.
+    ``rows[j]`` holds one row per class for variate j, binned by ``cuts[j]``,
+    and ``points[j]`` is an ``(n, b)`` array whose every coordinate must be
+    one of those cuts, as it is when the points were the mandatory points of
+    :func:`select_cut_points`.  Entry j of the result is ``(classes, n)``.
+    Variates with the same bins per axis are stacked for one cumulative sum
+    per axis; each then takes its own columns, which costs less than
+    gathering the columns of all of them in one take.
     """
-    grid = rows.reshape((len(rows),) + cuts.bins_per_axis)
-    for axis in range(1, grid.ndim):
-        grid = np.cumsum(grid, axis=axis)
-    index = [np.searchsorted(cut, points[:, c]) for c, cut in enumerate(cuts.cuts)]
-    flat = np.ravel_multi_index(index, cuts.bins_per_axis)
-    return grid.reshape(len(rows), -1).take(flat, axis=1)
+    tables = [None] * len(rows)
+    for members in _by_grid_shape(range(len(rows)), [cut_set.cuts for cut_set in cuts]):
+        shape = cuts[members[0]].bins_per_axis
+        grid = np.stack([rows[j] for j in members])
+        grid = grid.reshape(*grid.shape[:2], *shape)
+        for axis in range(2, grid.ndim):
+            grid = np.cumsum(grid, axis=axis)
+        grid = grid.reshape(*grid.shape[:2], -1)
+        for k, j in enumerate(members):
+            index = [np.searchsorted(cut, points[j][:, c]) for c, cut in enumerate(cuts[j].cuts)]
+            tables[j] = grid[k].take(np.ravel_multi_index(index, shape), axis=1)
+    return tables
 
 
 def component_cdfs(mixture: NonparametricMixture, query_points: Sequence) -> list[np.ndarray]:
@@ -625,9 +692,9 @@ def recover_mixture(
     """Recover mixing weights and component CDF values at query points.
 
     Cut points are selected for every variate with its query points
-    inserted as mandatory (:func:`select_mixture_cuts`), the components
-    evaluated in one stacked pass per block dimension; cut selection also
-    returns each variate's binned conditional matrix.  Variates 0 and 1 are
+    inserted as mandatory (:func:`select_mixture_cuts`, whose stages run over
+    all variates at once); cut selection also returns each variate's binned
+    conditional matrix.  Variates 0 and 1 are
     two views; the third is ``(J, X_J)`` with ``J`` uniform on ``{2, ...,
     p-1}``, whose binned conditional matrix is the variates' matrices side by
     side, divided by ``p - 2``.  The three views are conditionally independent given the
@@ -635,7 +702,8 @@ def recover_mixture(
     Rhodes, Ann. Statist. 2009).  The third factor splits back into
     per-variate rows, scaled by ``p - 2``, so one set of class labels holds
     for every variate.  CDF values are read off through the cumulative
-    transform at the query points, which are cuts verbatim.
+    transform at the query points, which are cuts verbatim, with one
+    cumulative sum for all variates whose bins have the same shape.
 
     ``query_points[j]`` lists the evaluation points for variate j: an
     ``(n, b)`` array for a block of dimension ``b``, or any nesting that
@@ -652,8 +720,9 @@ def recover_mixture(
         The mixture has fewer than 3 variates, or a query point is NaN.  No
         bin mass is ever refused (see :func:`select_cut_points`).
     RankDeficientError
-        Cut selection finds no full-rank binning of some variate (see
-        :func:`select_cut_points`), or from :func:`~latentid.recovery.decompose3`.
+        Cut selection finds no full-rank binning of some variate; the message
+        names the lowest-numbered one (see :func:`select_mixture_cuts`).  Or
+        from :func:`~latentid.recovery.decompose3`.
     IllConditionedError, DegenerateSpectrumError, NegativeWeightsError
         From :func:`~latentid.recovery.decompose3`, whose residual gate is
         ``tol`` times the largest entry of the binned tensor.
@@ -666,12 +735,10 @@ def recover_mixture(
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
     cuts, mats = zip(*select_mixture_cuts(mixture, queries))
 
-    T = triple_product(
+    T = _triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)
     )
     rec = decompose3(T, mixture.r, seed=seed, tol=tol)
     splits = np.cumsum([M.shape[1] for M in mats[2:-1]])
     variate_rows = [*rec.factors[:2], *np.hsplit(rec.factors[2] * (p - 2), splits)]
-
-    tables = [_cdf_at_queries(variate_rows[j], cuts[j], queries[j]) for j in range(p)]
-    return rec.pi, tables
+    return rec.pi, _cdf_at_queries(variate_rows, cuts, queries)

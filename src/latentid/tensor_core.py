@@ -236,8 +236,15 @@ def triple_product(M1, M2, M3) -> np.ndarray:
         raise InputError(
             f"row counts differ: {M1.shape[0]}, {M2.shape[0]}, {M3.shape[0]}"
         )
+    return _triple_product(M1, M2, M3)
+
+
+def _triple_product(M1, M2, M3) -> np.ndarray:
+    """The arithmetic of :func:`triple_product`, unchecked: the matrices are
+    finite float arrays with equal row counts, as the library's own results
+    are, and are used as they are."""
     shape = (M1.shape[1], M2.shape[1], M3.shape[1])
-    return (M1.T @ khatri_rao([M2, M3])).reshape(shape)
+    return (M1.T @ _khatri_rao([M2, M3])).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from latentid.errors import InputError, LatentIdError
 from latentid.hmm import HiddenMarkovModel, hmm_certificate, min_window, recovery_window
 from latentid.latent_class import LatentClassModel, kruskal_certificate
 from latentid.modelio import save_model
+from latentid.nonparametric import NonparametricMixture
 from latentid.random_graph import (
     GraphMixtureModel,
     conditional_graph_matrix,
@@ -312,6 +313,22 @@ class TestRecovery:
             '[[0.2876512481531802]], "variate_2": [[0.7013314329729543]]}, '
             '"p": 3, "r": 2}}\n'
         )
+
+    def test_dependent_variate_is_named(self, capsys, tmp_path):
+        # variate 1 gets one CDF for both classes; the refusal names it
+        model = random_nonparametric_mixture(trial_rng(70, 4), 2, 3)
+        rows = [list(row) for row in model.components]
+        rows[1][1] = rows[0][1]
+        path = tmp_path / "dependent.json"
+        save_model(NonparametricMixture(pi=model.pi, components=tuple(map(tuple, rows))), path)
+        for command in ("nonparam-cuts", "nonparam-recover"):
+            code, report = run_json(capsys, [command, "--model", str(path)])
+            assert code == 1
+            assert report["errors"] == [
+                "RankDeficientError: variate 1: cut selection reached rank 1 of r=2: no "
+                "candidate leaves the span of the current cuts, the component family is "
+                "linearly dependent"
+            ]
 
     @pytest.mark.parametrize("block_dims", [None, [1, 2, 1]])
     @pytest.mark.parametrize("count", [1, 3, 5])

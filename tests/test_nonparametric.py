@@ -2,10 +2,11 @@ import bisect
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latentid import cli, nonparametric
 from latentid.errors import InputError, RankDeficientError
@@ -295,6 +296,114 @@ def scan_case(i):
     return family, mandatory
 
 
+def reference_variate_cuts(family, mandatory=None):
+    """One family's cut selection in a loop of its own, one SVD per step: the
+    greedy steps that :func:`select_mixture_cuts` takes for all variates in
+    lockstep.  Tables come from :func:`reference_evaluate_grid`, one component
+    at a time.  Returns the cut arrays and the bin masses, or raises for the
+    first step that does not raise the rank."""
+    r, b = len(family), family[0].block_dim
+    points = nonparametric._normalize_points(mandatory, b)
+    grid = nonparametric.default_grid(family)
+    axes = [
+        np.unique(np.concatenate([[-np.inf], g, points[:, c], [np.inf]]))
+        for c, g in enumerate(grid)
+    ]
+    table = np.array([reference_evaluate_grid(comp, axes) for comp in family])
+    classes = np.arange(r)
+    cut_at = [set(np.searchsorted(ax, points[:, c]).tolist()) for c, ax in enumerate(axes)]
+    knots_at = [np.searchsorted(ax, g) for ax, g in zip(axes, grid)]
+    scan = table[np.ix_(classes, *knots_at)].reshape(r, -1)
+    previous = 0
+    while True:
+        columns = [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at, axes)]
+        A = table[np.ix_(classes, *columns)].reshape(r, -1)
+        U, S, _ = np.linalg.svd(A)
+        rank = rank_from_singular_values(S, A.shape)
+        if rank == r:
+            break
+        if rank <= previous:
+            raise RankDeficientError(
+                f"cut selection reached rank {rank} of r={r}: no candidate leaves "
+                "the span of the current cuts, the component family is linearly "
+                "dependent"
+            )
+        previous = rank
+        best = np.argmax(np.linalg.norm(U[:, rank:].T @ scan, axis=0))
+        best_at = np.unravel_index(best, [pos.size for pos in knots_at])
+        for at, pos, k in zip(cut_at, knots_at, best_at):
+            at.add(int(pos[k]))
+    cut_at = [
+        sorted(at) or [int(np.searchsorted(ax, g[0]))] for at, ax, g in zip(cut_at, axes, grid)
+    ]
+    mass = table[np.ix_(classes, *([0, *at, ax.size - 1] for at, ax in zip(cut_at, axes)))]
+    for axis in range(1, b + 1):
+        mass = np.diff(mass, axis=axis)
+    return [ax[at] for ax, at in zip(axes, cut_at)], np.maximum(mass.reshape(r, -1), 0.0)
+
+
+def mixed_component(family, i, k):
+    """The equal mixture of ``family[i]`` and ``family[k]``, tabled on their pooled knots."""
+    pool = nonparametric.default_grid([family[i], family[k]])
+    return CdfComponent(pool, (family[i].evaluate_grid(pool) + family[k].evaluate_grid(pool)) / 2)
+
+
+@st.composite
+def lockstep_mixtures(draw):
+    """Mixtures whose variates take different numbers of greedy steps.
+
+    r is 2 to 8 and there are 1 to 4 variates, each a scalar with 3 to 16
+    knots or a 2-D block with 3 or 4 knots per coordinate, and with 0 to r
+    mandatory points (signed zeros and infinities among them).  A variate
+    may be made linearly dependent, so that its rank stops short in a round
+    of its own: one component copies another or mixes two others, or every
+    component has 2 knots, which makes each the uniform CDF.
+    """
+    r, p = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coordinate = st.one_of(
+        st.floats(-0.5, 1.5), st.sampled_from([-0.0, 0.0, 1.0, -np.inf, np.inf])
+    )
+    variates, mandatory = [], []
+    for _ in range(p):
+        b = draw(st.sampled_from([1, 1, 2]))
+        dependence = draw(st.sampled_from(["none"] * 4 + ["copy", "mix", "uniform"]))
+        knots = 2 if dependence == "uniform" else draw(st.integers(3, 16 if b == 1 else 4))
+        family = [
+            CdfComponent.from_product([random_piecewise_cdf(rng, knots) for _ in range(b)])
+            if b > 1 else random_piecewise_cdf(rng, knots)
+            for _ in range(r)
+        ]
+        if dependence == "copy":
+            family[-1] = family[0]
+        elif dependence == "mix" and r >= 3:
+            family[-1] = mixed_component(family, 0, 1)
+        variates.append(family)
+        points = draw(st.lists(st.tuples(*[coordinate] * b), max_size=r))
+        mandatory.append([pt[0] for pt in points] if b == 1 else points)
+    mix = NonparametricMixture(pi=np.full(r, 1 / r), components=tuple(zip(*variates)))
+    return mix, mandatory
+
+
+def late_and_early_refusals():
+    """Four classes over three scalar variates without mandatory points.
+
+    Variate 0 is independent.  Variate 1's last component mixes its first
+    two, so it reaches rank 3 and refuses in the fourth round; variate 2's
+    components are all one CDF, so it refuses in the second.  The refusal
+    raised is variate 1's, the lowest-numbered, not variate 2's, the first.
+    """
+    rng = trial_rng(74, 0)
+    independent = [random_piecewise_cdf(rng, 6) for _ in range(4)]
+    mixed = [random_piecewise_cdf(rng, 6) for _ in range(3)]
+    mixed.append(mixed_component(mixed, 0, 1))
+    same = [random_piecewise_cdf(rng, 6)] * 4
+    mix = NonparametricMixture(
+        pi=np.full(4, 0.25), components=tuple(zip(independent, mixed, same))
+    )
+    return mix, [None] * 3
+
+
 class TestCutScanAgreement:
     def test_cuts_equal_scalar_scan(self):
         for i in range(320):
@@ -319,9 +428,9 @@ class TestCutScanAgreement:
         passes = []
         real = nonparametric._evaluate_stacked
 
-        def counting(families, family_axes):
+        def counting(families, family_axes, **options):
             passes.append([comp for family in families for comp in family])
-            return real(families, family_axes)
+            return real(families, family_axes, **options)
 
         monkeypatch.setattr(nonparametric, "_evaluate_stacked", counting)
         for i in (7, 15, 37, 60):
@@ -370,25 +479,30 @@ class TestCutScanAgreement:
             assert M.shape == expected.shape, f"case {i}"
             assert M.tobytes() == expected.tobytes(), f"case {i}"
 
-    def test_mixture_cuts_equal_per_variate_cuts(self):
-        # the stacked selection over a mixture is select_cut_points per variate
-        for mix in [
-            ragged_mixture(),
-            random_nonparametric_mixture(trial_rng(72, 0), 3, 4, block_dims=[1, 2, 1, 1]),
-            random_nonparametric_mixture(trial_rng(72, 1), 4, 5),
-        ]:
-            mandatory = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
-            for given_points in (None, mandatory):
-                selected = select_mixture_cuts(mix, given_points)
-                assert len(selected) == mix.p
-                for j, (cuts, M) in enumerate(selected):
-                    expected_cuts, expected = select_cut_points(
-                        mix.variate(j), None if given_points is None else given_points[j]
-                    )
-                    assert [c.tobytes() for c in cuts.cuts] == [
-                        c.tobytes() for c in expected_cuts.cuts
-                    ]
-                    assert M.tobytes() == expected.tobytes()
+    @given(case=lockstep_mixtures())
+    @example(case=late_and_early_refusals())
+    def test_mixture_cuts_equal_per_variate_cuts(self, case):
+        # the lockstep rounds over a mixture are the greedy loop run for one
+        # variate at a time, to the byte, and refuse for the lowest-numbered
+        # variate that the loop refuses, whichever round that happens in
+        mix, mandatory = case
+        expected, refusal = [], None
+        for j in range(mix.p):
+            try:
+                expected.append(reference_variate_cuts(mix.variate(j), mandatory[j]))
+            except RankDeficientError as exc:
+                refusal = f"variate {j}: {exc}"
+                break
+        if refusal is not None:
+            with pytest.raises(RankDeficientError, match=f"^{re.escape(refusal)}$"):
+                select_mixture_cuts(mix, mandatory)
+            return
+        selected = select_mixture_cuts(mix, mandatory)
+        assert len(selected) == mix.p
+        for (cuts, M), (expected_cuts, expected_M) in zip(selected, expected):
+            assert [c.tobytes() for c in cuts.cuts] == [c.tobytes() for c in expected_cuts]
+            assert M.shape == expected_M.shape
+            assert M.tobytes() == expected_M.tobytes()
 
 
 def scalar_cdf(comp, point):
@@ -808,9 +922,9 @@ class TestRecoverMixture:
 
 
 def test_queries_are_normalized_once_per_variate(monkeypatch):
-    # recover_mixture converts each variate's queries once; select_cut_points
-    # and the read-back receive that very array, and the per-point loop never
-    # runs on well-formed input
+    # recover_mixture converts each variate's queries once; cut selection and
+    # the one read-back of all variates receive that very array, and the
+    # per-point loop never runs on well-formed input
     calls, read_back = [], []
     normalize, cdf_at = nonparametric._normalize_points, nonparametric._cdf_at_queries
 
@@ -840,7 +954,8 @@ def test_queries_are_normalized_once_per_variate(monkeypatch):
     for j in range(p):
         assert calls[j][0] is queries[j]
         assert calls[p + j][0] is converted[j] and calls[p + j][1] is converted[j]
-        assert read_back[j] is converted[j]
+        assert read_back[0][j] is converted[j]
+    assert len(read_back) == 1
 
 
 def output_digest(pi, tables):
@@ -870,9 +985,10 @@ def ragged_mixture():
 
 
 #: (mixture, queries, seed, sha256 of the output) for seeded recoveries; the
-#: digests were taken before query points became one array, and the ragged
-#: one before components were evaluated in stacked passes, so the outputs are
-#: byte for byte those of the per-point, per-component code (numpy 2.4,
+#: digests were taken before query points became one array, the ragged one
+#: before components were evaluated in stacked passes, and the frontier one
+#: before the greedy steps ran in lockstep, so the outputs are byte for byte
+#: those of the per-point, per-component, per-variate code (numpy 2.4,
 #: OpenBLAS 0.3.31)
 GOLDEN_RECOVERIES = {
     "scalar-lists": (
@@ -900,6 +1016,13 @@ GOLDEN_RECOVERIES = {
         ragged_mixture,
         [[-np.inf, 0.25, 1.5], [(0.3, 0.7), (-1.0, np.inf)], None, [0.5, 0.9]], 3,
         "5fe407b133150c436d314052c05b42259121dc9ba2e5cec3648d182a84db549c",
+    ),
+    # the benchmark's frontier size: every variate starts at rank 3 of 8 and
+    # takes five greedy steps
+    "frontier-greedy": (
+        lambda: random_nonparametric_mixture(trial_rng(57, 0), 8, 4, n_knots=16),
+        [[1 / 3, 2 / 3]] * 4, 4,
+        "389497fa7e7228c108741c516d3d32760bb3b2becbfe0c8788686f2d794f2df6",
     ),
 }
 
@@ -945,7 +1068,7 @@ def test_queries_at_cuts_read_back_exactly():
     cuts = CutPointSet(cuts=(np.array([0.2, 0.5]), np.array([0.5])))
     rows = np.array([[0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125], np.full(6, 0.125)])
     queries = np.array([(0.2, 0.5), (0.5, 0.5), (0.2, 0.5)])
-    table = nonparametric._cdf_at_queries(rows, cuts, queries)
+    (table,) = nonparametric._cdf_at_queries([rows], [cuts], [queries])
     assert table.tolist() == [[0.5, 0.625, 0.5], [0.125, 0.25, 0.125]]
 
 
@@ -968,6 +1091,17 @@ def _mixture(r, p):
 
 #: two classes over three variates, the last a 2-D block
 _BLOCK_MIXTURE = NonparametricMixture(pi=np.full(2, 0.5), components=((_U, _U, _U2),) * 2)
+
+
+#: two classes whose variate 1 is one CDF twice, so no cut separates them
+_V = CdfComponent.uniform(0.0, 2.0)
+_DEPENDENT_MIXTURE = NonparametricMixture(
+    pi=np.full(2, 0.5), components=((_U, _U, _U), (_V, _U, _V))
+)
+_DEPENDENT = (
+    "cut selection reached rank {rank} of r={r}: no candidate leaves the span of the "
+    "current cuts, the component family is linearly dependent"
+)
 
 
 def _block_queries(last):
@@ -1032,6 +1166,22 @@ NONPARAMETRIC_REFUSALS = {
     "mandatory-per-variate": (
         lambda: select_mixture_cuts(_mixture(2, 3), [[0.5]]),
         InputError, "mandatory must have one entry per variate (3)",
+    ),
+    "family-dependent": (
+        lambda: select_cut_points([_U, _U]),
+        RankDeficientError, _DEPENDENT.format(rank=1, r=2),
+    ),
+    "variate-dependent": (
+        lambda: select_mixture_cuts(_DEPENDENT_MIXTURE),
+        RankDeficientError, "variate 1: " + _DEPENDENT.format(rank=1, r=2),
+    ),
+    "recovery-variate-dependent": (
+        lambda: recover_mixture(_DEPENDENT_MIXTURE, [[0.5]] * 3),
+        RankDeficientError, "variate 1: " + _DEPENDENT.format(rank=1, r=2),
+    ),
+    "cuts-repeated-infinity": (
+        lambda: CutPointSet(cuts=(np.array([np.inf, np.inf]),)),
+        InputError, "cut array 0 must be strictly increasing",
     ),
     "cuts-block-dim": (
         lambda: binned_conditional_matrix([_U2], [[0.5]]),
