@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp,
         model=True,
         tol=gate + "; also bounds the row-sum error and negative entries of the "
-        "solved transition matrix",
+        "solved transition matrix, and the law rebuilt at k",
     )
 
     sp = sub.add_parser("graph-certify", help="rank certificate for a graph mixture")

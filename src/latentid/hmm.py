@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrumError,
     IllConditionedError,
     InputError,
     NonUniqueStationaryError,
@@ -41,7 +40,7 @@ from .recovery import (
     RECOVERY_TOL,
     Alignment,
     _clean_rows,
-    _law_residual,
+    _require_rebuilds,
     align_permutation,
     decompose3,
 )
@@ -104,6 +103,11 @@ def time_reversal(A, pi) -> np.ndarray:
     err = np.abs(pi @ A - pi).max()
     if err > ROW_SUM_TOL:
         raise InputError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
+    return _reversed_chain(A, pi)
+
+
+def _reversed_chain(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`time_reversal` on unchecked arrays."""
     return (A.T * pi[None, :]) / pi[:, None]
 
 
@@ -249,31 +253,31 @@ def recover_hmm(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (A, B, pi) from the exact window tensor, up to state relabeling.
 
-    ``T`` is the window law at half-window ``k``.  Recovery runs at ``j =
-    min(k, recovery_window(r, kappa))`` (:func:`recovery_window`): when ``j <
-    k``, ``T`` is validated and its exact marginal at ``j`` is taken, which
-    is smaller and better conditioned; when ``j == k``, on ``T`` itself.
+    ``T`` is the window law at half-window ``k``.  It is validated, and
+    recovery runs on its exact marginal at ``j = min(k, recovery_window(r,
+    kappa))`` (:func:`recovery_window`): ``T`` itself at ``j == k``, and
+    otherwise a smaller, better conditioned law.
 
     The three-way decomposition yields the permuted blocks ``(B1, B2, B)``
     and the stationary weights.  Marginalizing the last observed symbol out of
     the recovered future block leaves a matrix ``M`` with one fewer recursion
     level, so the future block factors as ``A (B (x) M)``; ``A`` then follows
-    from one least-squares solve.  When ``j < k``, the window law at ``k`` is
-    rebuilt from the answer, with the reversed chain ``(A^T * pi) / pi`` and
-    the recursion of :func:`conditional_blocks`, and checked against ``T``.
+    from one least-squares solve.  The window law at ``k`` is then rebuilt
+    from the answer, with the reversed chain ``(A^T * pi) / pi`` and the
+    recursion of :func:`conditional_blocks`, and checked against ``T``.
 
     Raises
     ------
     InputError
-        ``T`` does not have the shape ``(kappa^k, kappa^k, kappa)``, or, when
-        ``j < k``, is not a distribution.
+        ``T`` does not have the shape ``(kappa^k, kappa^k, kappa)``, or is
+        not a distribution.
     IllConditionedError
         ``B (x) M`` is rank deficient, or the solved transition matrix fails
         to be row stochastic within ``tol``.
     DegenerateSpectrumError
-        When ``j < k``: the law rebuilt at ``k`` misses ``T`` by more than
-        ``tol * T.max()``, the rule :func:`decompose3` applies at ``j``.  The
-        message gives the residual.  Besides these, every refusal of
+        The law rebuilt at ``k`` misses ``T`` by more than ``tol *
+        T.max()``, the rule :func:`decompose3` applies at ``j``.  The message
+        gives the residual.  Besides these, every refusal of
         :func:`decompose3` at ``j`` propagates.
     """
     T = np.asarray(T, dtype=float)
@@ -282,14 +286,10 @@ def recover_hmm(
             f"window tensor shape {T.shape} does not match "
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
+    check_distribution_tensor(T)
     j = min(k, recovery_window(r, kappa))
-    law = T
-    if j < k:
-        T = check_distribution_tensor(T)
-        law = _window_marginal(T, kappa, k, j)
-    rec = decompose3(law, r, seed=seed, tol=tol)
-    B_hat = rec.factors[2]
-    F2 = rec.factors[1]
+    rec = decompose3(_window_marginal(T, kappa, k, j), r, seed=seed, tol=tol)
+    F2, B_hat = rec.factors[1:]
     if j == 1:
         M = np.ones((r, 1))
     else:
@@ -312,16 +312,9 @@ def recover_hmm(
             f"solved transition matrix has entries below -{tol}"
         )
     pi = rec.pi
-    if j < k:
-        A_rev = (A_hat.T * pi[None, :]) / pi[:, None]
-        B1, B2 = _window_blocks(A_hat, A_rev, B_hat, k)
-        resid = _law_residual(pi, B1, B2, B_hat, T.reshape(T.shape[0], -1))
-        resid_tol = tol * T.max()
-        if resid > resid_tol:
-            raise DegenerateSpectrumError(
-                f"window law rebuilt at k={k} from the answer at j={j} misses "
-                f"the input by {resid:.3g} > tol * max entry = {resid_tol:.3g}"
-            )
+    B1, B2 = _window_blocks(A_hat, _reversed_chain(A_hat, pi), B_hat, k)
+    what = f"window law rebuilt at k={k} from the answer at j={j} misses the input"
+    _require_rebuilds(pi, B1, B2, B_hat, T.reshape(T.shape[0], -1), tol, what)
     return A_hat, B_hat, pi
 
 

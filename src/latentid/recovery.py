@@ -33,7 +33,7 @@ from .errors import (
     NegativeWeightsError,
     RankDeficientError,
 )
-from .latent_class import LatentClassModel, Tripartition, joint_distribution
+from .latent_class import Tripartition
 from .tensor_core import (
     _khatri_rao,
     _three_blocks,
@@ -335,6 +335,18 @@ def _law_residual(pi, M1, M2, M3, T1) -> float:
     return float(np.abs(D, out=D).max())
 
 
+def _require_rebuilds(pi, M1, M2, M3, T1, tol: float, what: str) -> None:
+    """Raise :class:`DegenerateSpectrumError`, its message opening with ``what``,
+    when :func:`_law_residual` exceeds ``tol * T1.max()``, the gate of
+    :func:`decompose3`."""
+    resid = _law_residual(pi, M1, M2, M3, T1)
+    resid_tol = tol * T1.max()
+    if resid > resid_tol:
+        raise DegenerateSpectrumError(
+            f"{what} by {resid:.3g} > tol * max entry = {resid_tol:.3g}"
+        )
+
+
 def _perfect_matching(allowed: np.ndarray) -> np.ndarray | None:
     """Row-to-column perfect matching inside a boolean matrix, or None.
 
@@ -430,7 +442,8 @@ def recover_latent_class(
     r, and the underlying model must actually factor over the variables;
     otherwise the decomposition errors propagate
     (:class:`NotKhatriRaoError` signals a non-product input).  The model
-    reassembled from the recovered parameters must reproduce ``T`` within
+    reassembled through the clumped factors, each the Khatri-Rao product of
+    its block's recovered matrices, must reproduce the clumped table within
     ``tol`` times its largest entry, the rule :func:`decompose3` applies, or
     :class:`DegenerateSpectrumError` is raised.
 
@@ -444,19 +457,11 @@ def recover_latent_class(
     N = clump_tensor(T, blocks)
     rec = decompose3(N, r, seed=seed, tol=tol)
     emissions_by_var: dict[int, np.ndarray] = {}
+    rebuilt = []
     for block, factor in zip(blocks, rec.factors):
         parts = unclump(factor, [kappas[j] for j in block])
-        for j, M in zip(block, parts):
-            emissions_by_var[j] = M
-    emissions = [emissions_by_var[j] for j in range(T.ndim)]
-    model = LatentClassModel(pi=rec.pi, emissions=tuple(emissions))
-    D = joint_distribution(model)
-    D -= T
-    resid = float(np.abs(D, out=D).max())
-    resid_tol = tol * T.max()
-    if resid > resid_tol:
-        raise DegenerateSpectrumError(
-            f"reassembled model misses the input table by {resid:.3g} > "
-            f"tol * max entry = {resid_tol:.3g}"
-        )
-    return rec.pi, emissions
+        emissions_by_var.update(zip(block, parts))
+        rebuilt.append(_khatri_rao(parts))
+    what = "reassembled model misses the input table"
+    _require_rebuilds(rec.pi, *rebuilt, N.reshape(N.shape[0], -1), tol, what)
+    return rec.pi, [emissions_by_var[j] for j in range(T.ndim)]

@@ -22,7 +22,8 @@ def _must_not_build(*args, **kwargs):
 @pytest.fixture
 def refuses(monkeypatch):
     """Check one refusal-table row: ``call()`` raises ``error`` with exactly
-    ``message``, a literal string rather than a pattern.
+    ``message``, a literal string; a message that carries a computed number
+    is given as a compiled pattern instead.
 
     A size-guard row also names ``builder``, an ``(owner, attribute)`` pair:
     it runs with :data:`~latentid.tensor_core.ENTRY_CAP` at :data:`SMALL_CAP`
@@ -34,7 +35,9 @@ def refuses(monkeypatch):
         if builder is not None:
             monkeypatch.setattr(tensor_core, "ENTRY_CAP", SMALL_CAP)
             monkeypatch.setattr(*builder, _must_not_build)
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        if not isinstance(message, re.Pattern):
+            message = f"^{re.escape(message)}$"
+        with pytest.raises(error, match=message):
             call()
 
     return check

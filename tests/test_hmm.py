@@ -1,9 +1,10 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latentid import hmm, sampling, tensor_core
 from latentid.errors import (
@@ -540,6 +541,35 @@ def test_window_marginal_is_the_narrower_window_law(r, kappa, data):
     assert np.abs(marginal - law).max() <= rounding * law.max()
 
 
+def foreign_past_block_law(r, kappa, k, rng):
+    """``triple_product(pi * X, B2, B)``: a chain's future block ``B2`` and
+    emissions ``B`` at half-window ``k``, with a random stochastic past block
+    ``X`` in place of the chain's own.
+
+    The tensor has exact rank r, so it decomposes, and ``A`` solves exactly
+    from ``B2`` and ``B``; but no chain has this law, since ``X`` is not the
+    past block that ``A``, ``B`` and ``pi`` make.
+    """
+    model = random_hmm(rng, r, kappa, max_attempts=5000)
+    _, B2 = conditional_blocks(model, k)
+    X = sampling.random_stochastic(rng, r, kappa**k)
+    return triple_product(model.pi[:, None] * X, B2, model.B)
+
+
+@given(r=st.integers(2, 6), kappa=st.integers(2, 4), seed=st.integers(0, 999))
+@example(r=4, kappa=2, seed=0)  # decomposed whole: j == k == 3
+@example(r=6, kappa=2, seed=0)  # decomposed at j = 4 < k = 5
+def test_foreign_past_block_is_never_answered(r, kappa, seed):
+    k = min_window(r, kappa)
+    j = min(k, recovery_window(r, kappa))
+    T = foreign_past_block_law(r, kappa, k, trial_rng(seed, r))
+    with pytest.raises(
+        DegenerateSpectrumError,
+        match=f"^window law rebuilt at k={k} from the answer at j={j} misses the input by ",
+    ):
+        recover_hmm(T, r, kappa, k, seed=seed)
+
+
 #: recover_hmm's (A, B, pi), hashed, for windows it decomposes whole (j == k):
 #: the kappa=3 sizes of the hmm-recover benchmark and half-windows up to 2,
 #: recorded before recovery moved to a marginal of the window law.  Case ``i``
@@ -573,7 +603,8 @@ def test_recovery_at_the_whole_window_keeps_its_bytes(i):
     assert got.hexdigest() == digest
 
 
-#: (call, error, exact message[, builder]) for each input refusal of the module
+#: (call, error, exact message or pattern[, builder]) for each input refusal of
+#: the module
 HMM_REFUSALS = {
     "transition-square": (
         lambda: stationary_distribution(np.full((2, 3), 1 / 3)),
@@ -606,6 +637,16 @@ HMM_REFUSALS = {
         # checked first
         lambda: recover_hmm(np.full((8, 8, 2), -1 / 128), 2, 2, 3),
         InputError, "tensor has entries below -1e-12",
+    ),
+    "foreign-past-block": (
+        # decomposed whole (j == k) and answered; only the law rebuilt from
+        # the answer shows that the tensor is no window law
+        lambda: recover_hmm(foreign_past_block_law(4, 2, 3, trial_rng(30, 0)), 4, 2, 3),
+        DegenerateSpectrumError,
+        re.compile(
+            r"^window law rebuilt at k=3 from the answer at j=3 misses the input "
+            r"by \S+ > tol \* max entry = \S+$"
+        ),
     ),
     "window-shape": (
         lambda: recover_hmm(np.zeros((2, 2, 2)), 2, 2, 2),
