@@ -70,8 +70,9 @@ class IllConditionedError(LatentIdError):
 
 
 class InconsistentOracleError(LatentIdError):
-    """Row-oracle answers conflict beyond tolerance."""
+    """The prior or the row oracle fits no two-state graph mixture within tolerance."""
 
 
 class NotDistinctError(LatentIdError):
-    """Fewer than three distinct connection probabilities were observed."""
+    """Connection probabilities tie: fewer than three distinct values were read, or
+    a row with both states ties ``p12`` to a within value or ``p11`` to ``p22``."""

@@ -244,13 +244,13 @@ def _normalize_points(points, b: int) -> np.ndarray:
 
 def _normalize_each(points, b: int) -> np.ndarray:
     """:func:`_normalize_points` one point at a time, raising for the first bad one."""
-    if (b == 1 and np.ndim(points) == 0) or (
-        b > 1 and len(points) == b and np.ndim(points[0]) == 0
-    ):
+    def bare(x):  # one number; a list or tuple, ragged or not, is never converted
+        return not isinstance(x, (list, tuple)) and np.ndim(x) == 0
+    if bare(points) or (b > 1 and len(points) == b and bare(points[0])):
         points = [points]
     out = []
     for pt in points:
-        coords = (pt,) if np.ndim(pt) == 0 else pt
+        coords = (pt,) if bare(pt) else pt
         if len(coords) != b:
             raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
         try:

@@ -240,11 +240,14 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     With unequal mixing the extreme prior entries locate the two uniform
     assignments, giving ``p11`` and ``p22`` directly, and a row with exactly
     one deviant node isolates ``p12``.  With equal mixing every prior entry
-    ties, so all rows are marginalized to single-edge values: exactly two rows
-    are constant (the uniform ones) and the value missing from them is
-    ``p12``; this needs ``n >= 3``, since with two nodes every row has one edge
-    and is constant.  Output is exact up to label swapping; class 0 is the
-    state with the smaller weight (unequal mixing) or the smaller within-state
+    ties, so rows are read in index order.  A constant row shows a within
+    value.  A row with both states must be two cliques joined by ``p12``, the
+    one value every node sees.  Reading stops once ``p12`` and two within
+    values are known.  All but the ``2n + 2`` rows with at most one node of
+    some state show all three, so at most ``min(2^n, 2n + 3)`` rows are read.
+    This needs ``n >= 3``: with two nodes every row has one edge and is
+    constant.  Output is exact up to label swapping; class 0 is the state
+    with the smaller weight (unequal mixing) or the smaller within-state
     connection probability (equal mixing).  Refuses ``n < 2``.
     """
     if n < 2:
@@ -300,39 +303,35 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
         if n < 3:
             raise InputError(f"equal mixing needs at least 3 nodes, got n={n}")
         pi = np.full(2, 0.5)
-        per_row = [
-            [float(row_oracle(row, e)) for e in edges] for row in range(v.size)
-        ]
-        observed = _cluster_values(
-            [val for vals in per_row for val in vals], tol
-        )
-        if len(observed) < 3:
-            raise NotDistinctError(
-                f"only {len(observed)} distinct edge values observed, need 3"
-            )
-        if len(observed) > 3:
-            raise InconsistentOracleError(
-                f"{len(observed)} distinct edge values observed, expected 3"
-            )
-        uniform = [
-            row
-            for row, vals in enumerate(per_row)
-            if max(vals) - min(vals) <= tol
-        ]
-        if len(uniform) != 2:
-            raise InconsistentOracleError(
-                f"expected exactly 2 constant rows, found {len(uniform)}"
-            )
-        u_vals = sorted(per_row[row][0] for row in uniform)
-        p11, p22 = float(u_vals[0]), float(u_vals[1])
-        leftovers = [
-            val
-            for val in observed
-            if abs(val - p11) > tol and abs(val - p22) > tol
-        ]
-        if len(leftovers) != 1:
-            raise InconsistentOracleError("could not isolate the cross connection value")
-        p12 = float(leftovers[0])
+        ks, ls = np.array(edges).T
+        within, cross = [], []
+        for row in range(min(v.size, 2 * n + 3)):
+            vals = [float(row_oracle(row, e)) for e in edges]
+            reps = _cluster_values(vals, tol)
+            label = np.searchsorted(reps, vals, side="right") - 1
+            seen = np.zeros((n, len(reps)), dtype=bool)
+            seen[ks, label] = seen[ls, label] = True
+            if len(reps) > 1:
+                common = np.flatnonzero(seen.all(axis=0))
+                seen[:, common] = False
+                if common.size != 1 or n - np.count_nonzero(seen.any(axis=1)) > 1:
+                    raise NotDistinctError(f"row {row} ties p12 to a within value or p11 to p22")
+                own = np.where(seen.any(axis=1), seen.argmax(axis=1), -1)
+                if (np.where(own[ks] == own[ls], own[ks], common) != label).any():
+                    raise InconsistentOracleError(f"row {row} is not two cliques joined by p12")
+                cross.append(reps[common[0]])
+            within += [reps[i] for i in np.flatnonzero(seen.any(axis=0))]
+            if cross and max(cross) - min(cross) <= tol and len(_cluster_values(within, tol)) == 2:
+                break
+        else:
+            k = len(_cluster_values(within + cross, tol))
+            if k < 3:
+                raise NotDistinctError(f"only {k} distinct edge values observed, need 3")
+            if k > 3:
+                raise InconsistentOracleError(f"{k} distinct edge values observed, expected 3")
+            raise InconsistentOracleError("3 edge values, but not one p12 and two within values")
+        p11, p22 = _cluster_values(within, tol)
+        p12 = cross[0]
 
     values = (p11, p12, p22)
     for a, b in itertools.combinations(values, 2):

@@ -201,13 +201,15 @@ def reference_points(points, b):
     :func:`~latentid.nonparametric._normalize_points`, naming the first bad point."""
     if points is None:
         return []
-    if (b == 1 and np.ndim(points) == 0) or (
-        b > 1 and len(points) == b and np.ndim(points[0]) == 0
-    ):
+
+    def bare(x):  # never np.ndim of a list or tuple, which raises when it is ragged
+        return not isinstance(x, (list, tuple)) and np.ndim(x) == 0
+
+    if bare(points) or (b > 1 and len(points) == b and bare(points[0])):
         points = [points]
     out = []
     for pt in points:
-        coords = (pt,) if np.ndim(pt) == 0 else pt
+        coords = (pt,) if bare(pt) else pt
         if len(coords) != b:
             raise InputError(f"point {pt} has {len(coords)} coordinates, expected {b}")
         try:
@@ -1210,6 +1212,13 @@ NONPARAMETRIC_REFUSALS = {
     "query-ragged": (
         _block_queries([(0.3, 0.5), (0.6,)]),
         InputError, "point (0.6,) has 1 coordinates, expected 2",
+    ),
+    "query-ragged-scalars": (
+        lambda: recover_mixture(_mixture(2, 3), [[[1, 2], [3]], [0.5], [0.5]]),
+        InputError, "point [1, 2] has 2 coordinates, expected 1",
+    ),
+    "query-block-scalar": (
+        _block_queries(0.5), InputError, "point 0.5 has 1 coordinates, expected 2",
     ),
     "query-3d": (
         _block_queries([[[0.3, 0.5]], [[0.6, 0.7]]]),

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from latentid import random_graph, sampling, tensor_core
 from latentid.errors import InconsistentOracleError, InputError, NotDistinctError
 from latentid.random_graph import (
+    PRIOR_MATCH_TOL,
     GraphMixtureModel,
     assignment_of_index,
     conditional_graph_matrix,
@@ -238,6 +240,17 @@ class TestExtractParameters:
         assert np.allclose(sorted([p11, p22]), [0.2, 0.8])
         assert np.isclose(p12, 0.5)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_mixing_at_three_nodes(self, seed):
+        # no row of three nodes holds two nodes of each state, so the values
+        # of several rows make up the answer
+        model = reference_model(pi=(0.5, 0.5))
+        perm = np.random.default_rng(200 + seed).permutation(8)
+        v_perm = node_state_prior(model.pi, 3)[perm]
+        pi, p11, p12, p22 = extract_parameters(v_perm, hidden_oracle(model, 3, perm), 3)
+        assert pi.tolist() == [0.5, 0.5]
+        assert (p11, p12, p22) == (0.2, 0.5, 0.8)
+
     def test_unequal_mixing_at_two_nodes(self):
         # one edge suffices when the prior tells the uniform rows apart
         model = reference_model()
@@ -296,6 +309,31 @@ class TestExtractParameters:
             assert val == model.P[states[1], states[3]]
 
 
+@given(
+    n=st.integers(3, 12),
+    values=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equal_mixing_reads_at_most_2n_plus_3_rows(n, values, seed):
+    # only the 2n + 2 rows with at most one node of some state fail to show
+    # all three values, and every row costs C(n, 2) oracle calls
+    assume(np.diff(sorted(values)).min() > PRIOR_MATCH_TOL)
+    a, c, b = values
+    model = GraphMixtureModel(pi=np.full(2, 0.5), P=np.array([[a, c], [c, b]]))
+    perm = np.random.default_rng(seed).permutation(2**n)
+    base = hidden_oracle(model, n, perm)
+    calls = itertools.count()
+
+    def oracle(row, edge):
+        next(calls)
+        return base(row, edge)
+
+    pi, p11, p12, p22 = extract_parameters(node_state_prior(model.pi, n)[perm], oracle, n)
+    assert pi.tolist() == [0.5, 0.5]
+    assert (p11, p12, p22) == (min(a, b), c, max(a, b))
+    assert next(calls) <= min(2**n, 2 * n + 3) * math.comb(n, 2)
+
+
 def _unequal_prior():
     # identity order: row 0 is all state 0 (the smallest entry), row 15 all state 1
     return node_state_prior([0.3, 0.7], 4)
@@ -308,14 +346,10 @@ def _no_single_deviant_prior():
     return v
 
 
-def _split_rows(row, edge):
-    # rows 0-7 constant at 0.2, the rest show 0.5 on the first edge and 0.8 elsewhere
-    return 0.2 if row < 8 else (0.5 if edge == (0, 1) else 0.8)
-
-
-def _twin_uniform_rows(row, edge):
-    # both constant rows show 0.2, so two values are left for p12
-    return 0.2 if row in (0, 15) else (0.5 if edge == (0, 1) else 0.8)
+def _tied_oracle(p11, p12, p22):
+    # equal mixing in the identity order: row 3 is the first with two nodes of each state
+    model = GraphMixtureModel(pi=np.full(2, 0.5), P=np.array([[p11, p12], [p12, p22]]))
+    return hidden_oracle(model, 4, np.arange(16))
 
 
 #: (prior, row oracle, n, error, exact message) for each refusal of extract_parameters
@@ -352,13 +386,30 @@ EXTRACT_REFUSALS = {
         np.full(16, 1 / 16), lambda row, edge: 0.1 * (1 + row % 4), 4,
         InconsistentOracleError, "4 distinct edge values observed, expected 3",
     ),
-    "equal-constant-rows": (
-        np.full(16, 1 / 16), _split_rows, 4,
-        InconsistentOracleError, "expected exactly 2 constant rows, found 8",
+    "equal-within-values-tie": (
+        # every node of row 3 sees both 0.2 and 0.5
+        np.full(16, 1 / 16), _tied_oracle(0.2, 0.5, 0.2), 4,
+        NotDistinctError, "row 3 ties p12 to a within value or p11 to p22",
     ),
-    "equal-no-cross-value": (
-        np.full(16, 1 / 16), _twin_uniform_rows, 4,
-        InconsistentOracleError, "could not isolate the cross connection value",
+    "equal-cross-ties-within": (
+        # the two state-0 nodes of row 3 see only 0.5
+        np.full(16, 1 / 16), _tied_oracle(0.5, 0.5, 0.8), 4,
+        NotDistinctError, "row 3 ties p12 to a within value or p11 to p22",
+    ),
+    "equal-not-two-cliques": (
+        # nodes 0, 1, 2 see 0.2 and 0.5, node 3 only 0.5, but edge (0, 2) shows 0.5
+        np.full(16, 1 / 16), lambda row, edge: 0.2 if edge in ((0, 1), (1, 2)) else 0.5, 4,
+        InconsistentOracleError, "row 0 is not two cliques joined by p12",
+    ),
+    "equal-no-single-cross-value": (
+        # every row constant, three values between them
+        np.full(16, 1 / 16), lambda row, edge: 0.1 * (1 + row % 3), 4,
+        InconsistentOracleError, "3 edge values, but not one p12 and two within values",
+    ),
+    "equal-cross-values-differ": (
+        # every row is two cliques joined by a cross value, 0.5 or 0.6 by turns
+        np.full(8, 1 / 8), lambda row, edge: 0.2 if edge == (0, 1) else 0.5 + 0.1 * (row % 2), 3,
+        InconsistentOracleError, "3 edge values, but not one p12 and two within values",
     ),
     "no-nodes": (
         np.array([1.0]), lambda row, edge: 0.5, 0,
