@@ -236,9 +236,12 @@ def _window_marginal(T: np.ndarray, kappa: int, k: int, j: int) -> np.ndarray:
     Sums out the ``k - j`` fastest-varying digits of both block axes, the
     symbols farthest from the center (see the module docstring), in two
     reductions over contiguous axes; one ``sum`` over both axes of the
-    five-way view is several times slower.
+    five-way view is several times slower.  At ``j == k`` there is nothing
+    to sum, and ``T`` itself is returned.
     """
     n, m = kappa**j, kappa ** (k - j)
+    if m == 1:
+        return T
     P = T.reshape(n, m, -1).sum(axis=1)
     return P.reshape(n * n, m, kappa).sum(axis=1).reshape(n, n, kappa)
 

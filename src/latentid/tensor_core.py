@@ -38,16 +38,22 @@ ENTRY_CAP = 2**24
 KRUSKAL_ROW_CAP = 20
 #: matrix entries per batch of row subsets in :func:`kruskal_rank` (8 MB of float64)
 _KRUSKAL_BATCH_ENTRIES = 1 << 20
-#: a square subset is accepted without an SVD when its determinant bound on
-#: ``sigma_n / sigma_1`` is at least this multiple of the rank rule's cutoff,
-#: ``RANK_TOL * n``.  An LU-computed ``|det|`` has relative error of
-#: order ``n * rho * eps * kappa`` (``rho`` the pivot growth, ``kappa`` the
-#: condition number).  An accepted subset has ``kappa <= 1 / (2 * cutoff)``,
-#: so for ``n < KRUSKAL_ROW_CAP`` that error stays below 0.3 even at the
-#: worst-case growth ``rho = 2**(n-1)``, and the true ratio is above ``1.5 *
-#: cutoff``.  The SVD's own error, about ``n * eps * sigma_1``, is far below
-#: the remaining ``0.5 * cutoff * sigma_1``, so the SVD rule accepts every
-#: subset the bound accepts.
+#: a square row subset of a tall matrix is accepted without an SVD when the
+#: bound of :func:`_orthogonal_screen` on its ``sigma_n / sigma_1`` is at least
+#: this multiple of the rank rule's cutoff, ``RANK_TOL * n``.  The bound reads
+#: ``|det B|`` of a ``k x k`` block ``B`` of an orthogonal factor, ``k <= n``,
+#: whose LU-computed value has relative error of order ``k * rho * eps *
+#: cond(B)`` (``rho`` the pivot growth).  ``B`` has singular values at most 1,
+#: so an accepted block has ``cond(B) <= 1 / |det B| <= 1 / (2 * RANK_TOL *
+#: n)``; for ``k < KRUSKAL_ROW_CAP`` the error stays below 0.3 even at the
+#: worst-case growth ``rho = 2**(k-1)``, and the true ratio is above ``1.4 *
+#: cutoff``.  The bound's other inputs err far less: the rank rule put
+#: ``sigma_n`` above ``RANK_TOL * sigma_1``, so the SVD's absolute error of
+#: about ``eps * sigma_1`` moves ``kappa`` by a relative ``eps / RANK_TOL``,
+#: about ``2e-6``, and the computed factor is orthogonal to within about ``m *
+#: eps``.  The SVD's own error on the subset, about ``n * eps * sigma_1``, is
+#: far below the remaining ``0.4 * cutoff * sigma_1``, so the SVD rule accepts
+#: every subset the bound accepts.
 _DET_SCREEN_MARGIN = 2.0
 
 
@@ -275,25 +281,28 @@ def numerical_rank(M) -> int:
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def _certified_by_det(S: np.ndarray) -> np.ndarray:
-    """Which square matrices in the stack ``S`` provably have rank ``n``.
+def _orthogonal_screen(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Blocks of one orthogonal factor that bound the square row subsets of ``M``.
 
-    Uses the lower bound ``sigma_n / sigma_1 >= |det S| * (n-1)**((n-1)/2) /
-    ||S||_F**n`` (Hong & Pan, Linear Algebra Appl. 172, 1992: AM-GM on
-    ``sigma_1 ... sigma_{n-1}``, then ``sigma_1 <= ||S||_F``), evaluated in
-    logarithms so that no determinant underflows.  A matrix is certified when
-    the bound reaches :data:`_DET_SCREEN_MARGIN` times the rank rule's cutoff
-    ``RANK_TOL * n``; a singular, zero or overflowing one never is.  False
-    means undecided, not dependent.
+    ``M`` is ``m x n`` with ``m > n`` and numerical rank ``n``.  Write ``M = U
+    Sigma V^T`` (one full SVD) and ``kappa = sigma_1 / sigma_n``.  An ``n``-row
+    set ``S`` has ``M[S] = U[S, :n] Sigma_n V^T``, and deleting rows does not
+    raise ``sigma_1``, so ``sigma_n(M[S]) / sigma_1(M[S]) >= sigma_min(U[S,
+    :n]) / kappa``.  By the CS decomposition of ``U`` (Paige & Wei, Linear
+    Algebra Appl. 208/209, 1994), ``sigma_min(U[S, :n]) = sigma_min(U[S^c,
+    n:])``, and a block of an orthogonal matrix has singular values at most 1,
+    so either block's ``|det|`` is at most its ``sigma_min``.
+
+    Returns ``W`` and ``log_floor``.  ``W`` is ``U[:, :n]`` when ``n <= m - n``
+    and ``U[:, n:]`` otherwise, so its square blocks ``W[T]`` have the smaller
+    size ``k = W.shape[1]``, with ``T = S`` or ``T = S^c`` respectively.  ``S``
+    is accepted when ``log |det W[T]| >= log_floor = log(_DET_SCREEN_MARGIN *
+    RANK_TOL * n * kappa)``; a singular block never is.
     """
-    n = S.shape[-1]
-    log_gain = 0.5 * (n - 1) * math.log(n - 1) if n > 1 else 0.0
-    log_floor = math.log(_DET_SCREEN_MARGIN * RANK_TOL * n)
-    fro2 = np.einsum("bij,bij->b", S, S)
-    # a subnormal or zero norm is raised to ``tiny``, which only lowers the bound
-    log_fro2 = np.log(np.maximum(fro2, np.finfo(float).tiny))
-    log_det = np.linalg.slogdet(S).logabsdet
-    return log_det + log_gain >= log_floor + 0.5 * n * log_fro2
+    rows, cols = M.shape
+    U, s, _ = np.linalg.svd(M)
+    W = U[:, :cols] if 2 * cols <= rows else U[:, cols:]
+    return W, math.log(_DET_SCREEN_MARGIN * RANK_TOL * cols * (s[0] / s[-1]))
 
 
 def _subsets_independent(M: np.ndarray, size: int) -> bool:
@@ -302,27 +311,37 @@ def _subsets_independent(M: np.ndarray, size: int) -> bool:
     Subsets are taken in :func:`itertools.combinations` order, a batch of
     bounded memory at a time, and judged by
     :func:`rank_from_singular_values` on one stacked SVD (a zero subset
-    included).  When ``size == cols`` one stacked determinant first accepts
-    the subsets that :func:`_certified_by_det` proves independent, and only
-    the rest go to the SVD; the decisions are the SVD rule's either way.
-    Rectangular subsets all go to the SVD (a Gram determinant would square
-    the condition number).  Returns at the end of the first batch holding a
-    dependent subset.
+    included).  When ``size == cols`` (reached only for a tall ``M`` of rank
+    ``cols``) the enumeration runs over the row sets of the square blocks of
+    :func:`_orthogonal_screen`, which are the subsets or, when ``cols > rows -
+    cols``, their complements.  One stacked determinant of the blocks accepts
+    the subsets the screen proves independent, and only the rest go to the
+    SVD; the decisions are the SVD rule's either way.  Rectangular subsets all
+    go to the SVD (a Gram determinant would square the condition number).
+    Returns at the end of the first batch holding a dependent subset.
     """
     rows, cols = M.shape
     per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
-    subsets = itertools.combinations(range(rows), size)
+    k = size
+    if size == cols:
+        W, log_floor = _orthogonal_screen(M)
+        k = W.shape[1]
+    sets = itertools.combinations(range(rows), k)
     while True:
-        batch = itertools.islice(subsets, per_batch)
+        batch = itertools.islice(sets, per_batch)
         idx = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.intp)
         if idx.size == 0:
             return True
-        S = M[idx.reshape(-1, size)]
+        idx = idx.reshape(-1, k)
         if size == cols:
-            S = S[~_certified_by_det(S)]
-            if len(S) == 0:
+            idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
+            if len(idx) == 0:
                 continue
-        s = np.linalg.svd(S, compute_uv=False)
+            if k < size:  # the blocks' row sets are the subsets' complements
+                keep = np.ones((len(idx), rows), dtype=bool)
+                np.put_along_axis(keep, idx, False, axis=1)
+                idx = np.nonzero(keep)[1].reshape(-1, size)
+        s = np.linalg.svd(M[idx], compute_uv=False)
         if np.any(rank_from_singular_values(s, (size, cols)) < size):
             return False
 
@@ -343,9 +362,12 @@ def kruskal_rank(M) -> int:
     search tests ``s = rank`` first, where a generic matrix stops, and
     otherwise bisects on ``[0, rank - 1]``.  Each size is tested with stacked
     calls over its subsets, not one call each (:func:`_subsets_independent`).
-    At ``s = rank = cols`` the subsets are square, and a determinant bound
-    accepts the clearly independent ones without an SVD, so a generic matrix
-    costs one SVD and one stacked determinant.
+    At ``s = rank = cols`` the subsets are square, and a determinant bound on
+    blocks of ``M``'s orthogonal factor (:func:`_orthogonal_screen`) accepts
+    the clearly independent ones without an SVD.  The blocks are ``k x k``
+    with ``k = min(cols, rows - cols)``, so a generic tall matrix costs two
+    SVDs and one stacked determinant of ``k x k`` blocks: 495 ``4 x 4``
+    blocks for a ``12 x 8`` matrix.
     """
     M = as_matrix(M)
     rows = M.shape[0]

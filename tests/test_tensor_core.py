@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import latentid
 from latentid.errors import InputError, NotKhatriRaoError
@@ -66,12 +66,17 @@ def upward_kruskal_rank(M) -> int:
     return rank
 
 
-def kruskal_test_matrices(count: int):
-    """Seeded generic and degenerate matrices, 2-10 rows and 1-8 columns."""
+def kruskal_test_matrices(count: int, tall: bool = False):
+    """Seeded generic and degenerate matrices, 2-10 rows and 1-8 columns; with
+    ``tall``, 11-12 rows and more than half as many columns, but fewer."""
     rng = np.random.default_rng(11)
     kinds = ["generic", "duplicate", "mixture", "zero", "rank2", "near"]
     for t in range(count):
-        rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+        if tall:
+            rows = int(rng.integers(11, 13))
+            cols = int(rng.integers(rows // 2 + 1, rows))
+        else:
+            rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
         M = random_stochastic(rng, rows, cols)
         kind = kinds[t % len(kinds)]
         i, j = rng.choice(rows, size=2, replace=False)
@@ -283,17 +288,34 @@ class TestKruskalRank:
         assert len(searched) == 6
         assert below_rank >= 100
 
+    def test_tall_agrees_with_upward_enumeration(self, monkeypatch):
+        # more columns than half the rows: square subsets are screened through
+        # the blocks of their complements, one at a time with 64 entries
+        searched, below_rank = set(), 0
+        for t, (kind, M) in enumerate(kruskal_test_matrices(48, tall=True)):
+            expected = upward_kruskal_rank(M)
+            for batch_entries in (1 << 20, 64):
+                monkeypatch.setattr(tensor_core, "_KRUSKAL_BATCH_ENTRIES", batch_entries)
+                assert kruskal_rank(M) == expected, (t, kind, M.shape, batch_entries)
+            rank = numerical_rank(M)
+            if rank < M.shape[0]:
+                searched.add(kind)
+            below_rank += expected < rank
+        assert len(searched) == 6
+        assert below_rank >= 24
+
     def test_square_subsets_screened_by_determinant(self, monkeypatch):
-        # 12 x 8: one SVD for the rank, then one stacked determinant over all
-        # 495 square 8-row subsets accepts every one.  With a zero row, the
-        # 330 subsets holding it go on to the SVD, and bisection tests the
-        # rectangular sizes 4, 2 and 1 with SVDs alone.
+        # 12 x 8: one SVD for the rank and one full SVD for the orthogonal
+        # factor U, then one stacked determinant over the 495 4 x 4 blocks
+        # U[T, 8:], T the complement of an 8-row subset, accepts every one.
+        # With a zero row, the 330 subsets holding it go on to the SVD, and
+        # bisection tests the rectangular sizes 4, 2 and 1 with SVDs alone.
         M = random_stochastic(np.random.default_rng(5), 12, 8)
-        shapes, dets = [], []
+        svds, dets = [], []
         svd, slogdet = np.linalg.svd, np.linalg.slogdet
 
         def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            svds.append((np.shape(a), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
         def counting_slogdet(a):
@@ -303,14 +325,16 @@ class TestKruskalRank:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
         assert kruskal_rank(M) == 8
-        assert shapes == [(12, 8)]
-        assert dets == [(495, 8, 8)]
-        shapes.clear()
+        assert svds == [((12, 8), False), ((12, 8), True)]
+        assert dets == [(495, 4, 4)]
+        svds.clear()
         dets.clear()
         M[3] = 0.0
         assert kruskal_rank(M) == 0
-        assert shapes == [(12, 8), (330, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
-        assert dets == [(495, 8, 8)]
+        assert svds == [((12, 8), False), ((12, 8), True)] + [
+            (shape, False) for shape in [(330, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
+        ]
+        assert dets == [(495, 4, 4)]
 
     def test_screen_agrees_with_svd_rule(self):
         # the determinant screen only ever accepts; near the cutoff, with
@@ -334,6 +358,26 @@ class TestKruskalRank:
             kr = kruskal_rank(M)
             nr = numerical_rank(M)
             assert kr <= nr <= min(M.shape)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(3, 14), data=st.data())
+def test_orthogonal_screen_bounds_square_subsets(seed, rows, data):
+    """On either side, ``|det W[T]| / kappa`` never exceeds ``sigma_n /
+    sigma_1`` of the square subset it stands for."""
+    cols = data.draw(st.integers(1, rows - 1), label="cols")
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    assume(numerical_rank(M) == cols)
+    W, log_floor = tensor_core._orthogonal_screen(M)
+    assert W.shape == (rows, min(cols, rows - cols))
+    order = rng.permuted(np.tile(np.arange(rows), (32, 1)), axis=1)
+    S = np.sort(order[:, :cols], axis=1)
+    T = S if W.shape[1] == cols else np.sort(order[:, cols:], axis=1)
+    cutoff = tensor_core._DET_SCREEN_MARGIN * tensor_core.RANK_TOL * cols
+    log_bound = np.linalg.slogdet(W[T]).logabsdet - log_floor + math.log(cutoff)
+    s = np.linalg.svd(M[S], compute_uv=False)
+    assert np.all(log_bound <= np.log(s[:, -1] / s[:, 0]) + 1e-9)
 
 
 class TestUnclump:
