@@ -335,5 +335,6 @@ def align_hmm(recovered, reference) -> Alignment:
         raise InputError("recovered and reference shapes differ")
     align = align_permutation((pi_a, (B_a,)), (pi_b, (B_b,)))
     p = align.permutation
-    error = max(align.max_abs_error, float(np.abs(A_a[np.ix_(p, p)] - A_b).max()))
+    # np.maximum, unlike max, keeps a NaN from either side
+    error = float(np.maximum(align.max_abs_error, np.abs(A_a[np.ix_(p, p)] - A_b).max()))
     return Alignment(permutation=p, max_abs_error=error)

@@ -102,7 +102,7 @@ class CdfComponent:
             raise InputError(
                 f"need {self.block_dim} coordinate arrays, got {len(axes)}"
             )
-        return _evaluate_stacked([[self]], [axes])[0][0]
+        return _evaluate_stacked([[self]], [axes])[0]
 
     def __call__(self, point) -> float:
         if self.block_dim == 1 and np.ndim(point) == 0:
@@ -324,20 +324,19 @@ def _count_at_most(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _evaluate_stacked(
     families: Sequence[Sequence[CdfComponent]],
     family_axes: Sequence[Sequence[np.ndarray]],
-    padded: bool = False,
-) -> list[np.ndarray] | np.ndarray:
+) -> np.ndarray:
     """CDF tables of several component families, each on its own product grid, in one pass.
 
     Every component has the same block dimension b, and ``family_axes[f]``
-    holds the b coordinate arrays of family f.  Entry f of the result has
-    shape ``(len(families[f]), *lengths of those arrays)``; its row i is the
-    CDF of ``families[f][i]`` on their product grid.
+    holds the b coordinate arrays of family f.  The result is one stack with
+    one row per component, in family order; axis c has the length of the
+    longest coordinate array c.  The row of ``families[f][i]`` holds its CDF
+    on the product grid of family f's arrays at the start of every axis.
+    Entries beyond a family's own grid are padding, which no reader may use;
+    a lone family's grid fills the stack.
 
-    All components are stacked.  Tables and knot arrays are padded to the
-    longest and coordinate arrays with ``+inf``, and the padding is sliced
-    off the result; with ``padded`` the stack itself is returned instead,
-    one row per component in family order, each family's grid at the start
-    of every axis.  A value's interval is the number of interior knots of
+    Tables and knot arrays are padded to the longest and coordinate arrays
+    with ``+inf``.  A value's interval is the number of interior knots of
     its row at most it, so it lies within the row's own knots and no padding
     is ever read.  Every entry is blended one coordinate at a time as
     ``below * (1 - t) + above * t``, exactly as a single point would be,
@@ -368,15 +367,7 @@ def _evaluate_stacked(
         V = V.reshape(n * V.shape[1], *V.shape[2:])
         V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
         V = V.transpose(0, *range(2, b + 1), 1)
-    if padded:
-        return V
-    if len(families) == 1:  # one family's axes are not padded
-        return [V]
-    tables, start = [], 0
-    for family, axes in zip(families, family_axes):
-        tables.append(V[(slice(start, start + len(family)), *(slice(ax.size) for ax in axes))])
-        start += len(family)
-    return tables
+    return V
 
 
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
@@ -506,9 +497,7 @@ def _select_cuts(
     stacks, slot = {}, [0] * len(families)
     for b in {family[0].block_dim for family in families}:
         members = [f for f, family in enumerate(families) if family[0].block_dim == b]
-        stacks[b] = _evaluate_stacked(
-            [families[f] for f in members], [axes[f] for f in members], padded=True
-        )
+        stacks[b] = _evaluate_stacked([families[f] for f in members], [axes[f] for f in members])
         for k, f in enumerate(members):
             slot[f] = k
 
@@ -599,7 +588,7 @@ def binned_conditional_matrix(
     if any(c.block_dim != cut_set.block_dim for c in components):
         raise InputError("components and cuts disagree on the block dimension")
     axes = [np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_set.cuts]
-    return _bin_masses(_evaluate_stacked([components], [axes])[0])
+    return _bin_masses(_evaluate_stacked([components], [axes]))
 
 
 def bivariate_rank(
@@ -657,29 +646,25 @@ def component_cdfs(mixture: NonparametricMixture, query_points: Sequence) -> lis
     ``query_points`` is taken as :func:`recover_mixture` takes it, and
     ``tables[j][i, q]`` is the CDF of class i, variate j at query q: the
     tables :func:`recover_mixture` recovers.  Each query point is a grid of
-    one point, and the components of all variates sharing a block dimension
-    are evaluated at all their points in one stacked pass, each entry
-    exactly as ``components[i][j](point)`` computes it.
+    one point, so one stacked pass per block dimension evaluates the
+    components of all variates sharing it at all their points, and its stack
+    holds nothing else: one row of r entries per point, each written into its
+    variate's table, and each computed exactly as ``components[i][j](point)``.
     """
     if len(query_points) != mixture.p:
         raise InputError(f"query_points must have one entry per variate ({mixture.p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    points = [(j, pt) for j, pts in enumerate(queries) for pt in pts]
-    columns = [None] * len(points)
+    tables = [np.empty((mixture.r, len(pts))) for pts in queries]
     for b in set(mixture.block_dims):
-        members = [k for k, (j, _) in enumerate(points) if mixture.block_dims[j] == b]
-        if not members:
+        points = [(j, q) for j, pts in enumerate(queries) if mixture.block_dims[j] == b
+                  for q in range(len(pts))]
+        if not points:
             continue
-        tables = _evaluate_stacked(
-            [mixture.variate(points[k][0]) for k in members],
-            [points[k][1][:, None] for k in members],
+        stack = _evaluate_stacked(
+            [mixture.variate(j) for j, _ in points], [queries[j][q][:, None] for j, q in points]
         )
-        for k, table in zip(members, tables):
-            columns[k] = table.reshape(-1)
-    tables, start = [], 0
-    for pts in queries:
-        tables.append(np.array(columns[start : start + len(pts)]).T.reshape(mixture.r, len(pts)))
-        start += len(pts)
+        for (j, q), column in zip(points, stack.reshape(len(points), mixture.r)):
+            tables[j][:, q] = column
     return tables
 
 

@@ -55,6 +55,8 @@ class GraphMixtureModel:
         r = pi.size
         if P.shape != (r, r):
             raise InputError(f"P must be {r}x{r}, got {P.shape}")
+        if not np.isfinite(P).all():
+            raise InputError("connection matrix P must be finite")
         if not np.abs(P - P.T).max() <= _SYMMETRY_ATOL:
             raise InputError("connection matrix P must be symmetric")
         if P.min() < 0.0 or P.max() > 1.0:
@@ -256,6 +258,8 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     v = np.asarray(v_perm, dtype=float)
     if v.ndim != 1 or v.size != 2**n:
         raise InputError(f"prior must have 2^{n} entries, got {v.size}")
+    if not np.isfinite(v).all():
+        raise InputError("prior entries must be finite")
     if v.min() <= 0.0:
         raise InputError("prior entries must be positive")
     edges = edge_list(n)

@@ -138,29 +138,29 @@ def check_stochastic(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def check_probability_vector(pi, name: str = "pi") -> np.ndarray:
+def check_probability_vector(pi) -> np.ndarray:
     """Validate a strictly positive probability vector."""
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size == 0:
-        raise InputError(f"{name} must be a nonempty 1-D array")
+        raise InputError("pi must be a nonempty 1-D array")
     if not np.all(np.isfinite(pi)):
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError("pi contains non-finite entries")
     if pi.min() <= POSITIVE_FLOOR:
-        raise InputError(f"{name} entries must be strictly positive")
+        raise InputError("pi entries must be strictly positive")
     if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
-        raise InputError(f"{name} must sum to 1 (got {pi.sum():.12g})")
+        raise InputError(f"pi must sum to 1 (got {pi.sum():.12g})")
     return pi
 
 
-def check_distribution_tensor(T, name: str = "tensor") -> np.ndarray:
+def check_distribution_tensor(T) -> np.ndarray:
     """Validate a dense joint distribution: near-nonnegative, total mass 1."""
     T = np.asarray(T, dtype=float)
     if not np.all(np.isfinite(T)):
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError("tensor contains non-finite entries")
     if T.min() < -NEG_ENTRY_TOL:
-        raise InputError(f"{name} has entries below -{NEG_ENTRY_TOL}")
+        raise InputError(f"tensor has entries below -{NEG_ENTRY_TOL}")
     if abs(T.sum() - 1.0) > ROW_SUM_TOL:
-        raise InputError(f"{name} must sum to 1 (got {T.sum():.12g})")
+        raise InputError(f"tensor must sum to 1 (got {T.sum():.12g})")
     return T
 
 

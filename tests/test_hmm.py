@@ -433,6 +433,15 @@ class TestRecoverHmm:
         p = align.permutation
         assert np.abs(A[np.ix_(p, p)] - model.A).max() <= align.max_abs_error
 
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_alignment_error_keeps_nan(self, where):
+        # one NaN in a recovered A or B makes the error NaN, never a match
+        model = random_hmm(trial_rng(45, 1), 3, 2)
+        recovered = {"A": model.A.copy(), "B": model.B.copy()}
+        recovered[where][1, 0] = np.nan
+        align = align_hmm((recovered["A"], recovered["B"], model.pi), (model.A, model.B, model.pi))
+        assert np.isnan(align.max_abs_error)
+
     def test_rank_deficient_emission_product_is_refused(self):
         # at k = 1 the emission-block product is the third factor, whose third
         # row is the mean of the other two

@@ -587,9 +587,12 @@ def stacked_families(draw):
 @given(case=stacked_families())
 def test_stacked_evaluation_equals_the_per_component_loop(case):
     families, family_axes = case
-    tables = nonparametric._evaluate_stacked(families, family_axes)
-    assert len(tables) == len(families)
-    for family, axes, table in zip(families, family_axes, tables):
+    stack = nonparametric._evaluate_stacked(families, family_axes)
+    assert len(stack) == sum(map(len, families))
+    start = 0
+    for family, axes in zip(families, family_axes):
+        table = stack[(slice(start, start + len(family)), *(slice(len(ax)) for ax in axes))]
+        start += len(family)
         expected = np.array([reference_evaluate_grid(comp, axes) for comp in family])
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
@@ -600,7 +603,7 @@ def test_far_values_are_clamped_before_dividing():
     # taken, so the division cannot overflow
     tiny = CdfComponent([0.0, 5e-324], [0.0, 1.0])
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        table = nonparametric._evaluate_stacked([[tiny, _U]], [[[1.0, -1.0]]])[0]
+        table = nonparametric._evaluate_stacked([[tiny, _U]], [[[1.0, -1.0]]])
         assert tiny.evaluate_grid([[2.0]]).tolist() == [1.0]
     assert table.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
@@ -1049,6 +1052,24 @@ def test_component_cdfs_equal_pointwise_evaluation(case):
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
 
+
+
+@pytest.mark.parametrize("queries", [
+    [None, [(0.2, 0.4), (-np.inf, 0.7), (0.9, np.inf)], [0.1, 0.5, 2.0, -1.0]],
+    [[0.3, np.inf], None, [0.1, 0.5, 0.5]],  # no point of block dimension 2
+])
+def test_component_cdfs_with_empty_query_sets(queries):
+    # the points of each block dimension share one stack; a variate without
+    # points, or a block dimension without any, gets an empty table
+    mixture = random_nonparametric_mixture(trial_rng(58, 0), 3, 3, block_dims=[1, 2, 1])
+    tables = component_cdfs(mixture, queries)
+    for j, (table, b) in enumerate(zip(tables, mixture.block_dims)):
+        points = nonparametric._normalize_points(queries[j], b)
+        expected = np.array(
+            [[comp(tuple(pt)) for pt in points] for comp in mixture.variate(j)]
+        ).reshape(mixture.r, len(points))
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
 
 def test_ragged_cuts_report_is_pinned(tmp_path, capsys):
     # the bytes of the per-component code; one stacked pass must not move a cut

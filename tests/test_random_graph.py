@@ -362,6 +362,16 @@ EXTRACT_REFUSALS = {
         np.where(np.arange(16) == 3, 0.0, 1 / 15), lambda row, edge: 0.5, 4,
         InputError, "prior entries must be positive",
     ),
+    # checked first: NaN or inf would make the unequal-mixing comparison false
+    # and send the prior to the equal-mixing branch
+    "prior-nan": (
+        np.where(np.arange(16) == 3, np.nan, _unequal_prior()), lambda row, edge: 0.5, 4,
+        InputError, "prior entries must be finite",
+    ),
+    "prior-inf": (
+        np.where(np.arange(16) == 3, np.inf, _unequal_prior()), lambda row, edge: 0.5, 4,
+        InputError, "prior entries must be finite",
+    ),
     "weight-sum": (
         _unequal_prior() * 16, lambda row, edge: 0.5, 4,
         InconsistentOracleError, r"extreme prior entries give weights summing to 2\.000000000",
@@ -441,6 +451,13 @@ GRAPH_REFUSALS = {
     "P-shape": (
         lambda: GraphMixtureModel(pi=np.array([0.5, 0.5]), P=np.full((3, 3), 0.5)),
         InputError, "P must be 2x2, got (3, 3)",
+    ),
+    # refused before the symmetry check, whose inf - inf would warn first
+    "P-finite": (
+        lambda: GraphMixtureModel(
+            pi=np.array([0.5, 0.5]), P=np.array([[0.5, np.inf], [np.inf, 0.2]])
+        ),
+        InputError, "connection matrix P must be finite",
     ),
     "P-range": (
         lambda: GraphMixtureModel(
