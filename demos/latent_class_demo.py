@@ -12,8 +12,10 @@ import numpy as np
 
 from latentid import (
     align_permutation,
+    clump_tensor,
     decompose3,
     joint_distribution,
+    khatri_rao,
     kruskal_certificate,
     load_model,
     min_variables_bound,
@@ -76,7 +78,13 @@ print("5. Many variables: clump, decompose, de-clump")
 print("=" * 72)
 model = random_latent_class(trial_rng(0, 2), 2, (2, 2, 2, 2, 2))
 T = joint_distribution(model)
-pi_hat, emissions = recover_latent_class(T, 2, [(0, 1), (2, 3), (4,)], seed=0)
+blocks = [(0, 1), (2, 3), (4,)]
+pi_hat, emissions = recover_latent_class(T, 2, blocks, seed=0)
 align = align_permutation((pi_hat, emissions), (model.pi, list(model.emissions)))
 print(f"five binary variables, blocks (0,1)/(2,3)/(4)")
 print(f"parameter error after relabeling: {align.max_abs_error:.2e}")
+# block (0, 1) acts as one 4-state variable: its factor in the clumped
+# decomposition is the row tensor product of the two recovered matrices
+clumped = decompose3(clump_tensor(T, blocks), 2, seed=0).factors[0]
+gap = np.abs(clumped - khatri_rao(emissions[:2])).max()
+print(f"block (0,1) factor vs khatri_rao of its recovered matrices: {gap:.2e}")

@@ -26,11 +26,11 @@ from .errors import InputError
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    _khatri_rao,
     _three_blocks,
     check_power_entries,
     check_probability_vector,
     check_stochastic,
-    khatri_rao,
     kruskal_rank,
 )
 
@@ -180,8 +180,8 @@ def joint_distribution(model: LatentClassModel) -> np.ndarray:
     """
     check_power_entries([(kappa, 1) for kappa in model.kappas], "joint table")
     h = model.p // 2
-    left = khatri_rao([model.pi[:, None], *model.emissions[:h]])
-    return (left.T @ khatri_rao(model.emissions[h:])).reshape(model.kappas)
+    left = _khatri_rao([model.pi[:, None], *model.emissions[:h]])
+    return (left.T @ _khatri_rao(model.emissions[h:])).reshape(model.kappas)
 
 
 def kruskal_certificate(model: LatentClassModel) -> Certificate:

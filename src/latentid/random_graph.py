@@ -27,9 +27,9 @@ import numpy as np
 from .errors import InconsistentOracleError, InputError, NotDistinctError
 from .latent_class import Certificate
 from .tensor_core import (
+    _khatri_rao,
     check_power_entries,
     check_probability_vector,
-    khatri_rao,
     numerical_rank,
 )
 
@@ -118,7 +118,7 @@ def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
         p = model.P[assigns[:, k], assigns[:, l]]
         per_edge.append(np.column_stack([1.0 - p, p]))
     # first edge is the least significant bit, i.e. the fastest digit
-    return khatri_rao(list(reversed(per_edge)))
+    return _khatri_rao(list(reversed(per_edge)))
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,15 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     This needs ``n >= 3``: with two nodes every row has one edge and is
     constant.  Output is exact up to label swapping; class 0 is the state
     with the smaller weight (unequal mixing) or the smaller within-state
-    connection probability (equal mixing).  Refuses ``n < 2``.
+    connection probability (equal mixing).  Refuses ``n < 2``, and a NaN or
+    infinite oracle answer before comparing it.
     """
+    def ask(row: int, edge: tuple[int, int]) -> float:
+        val = float(row_oracle(row, edge))
+        if not np.isfinite(val):
+            raise InconsistentOracleError(f"row {row}, edge {edge}: oracle answered {val}")
+        return val
+
     if n < 2:
         raise InputError(f"extraction needs at least 2 nodes, got n={n}")
     tol = PRIOR_MATCH_TOL
@@ -277,13 +284,10 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
         if low.size != 1 or high.size != 1:
             raise InconsistentOracleError("extreme prior entries are not unique")
         row_all1, row_all2 = int(low[0]), int(high[0])
-        p11 = float(row_oracle(row_all1, edges[0]))
-        p22 = float(row_oracle(row_all2, edges[0]))
+        p11 = ask(row_all1, edges[0])
+        p22 = ask(row_all2, edges[0])
         probe = edges[-1]
-        if (
-            abs(float(row_oracle(row_all1, probe)) - p11) > tol
-            or abs(float(row_oracle(row_all2, probe)) - p22) > tol
-        ):
+        if abs(ask(row_all1, probe) - p11) > tol or abs(ask(row_all2, probe) - p22) > tol:
             raise InconsistentOracleError("uniform row gave conflicting edge values")
         target = pi1 ** (n - 1) * pi2
         deviant_rows = np.flatnonzero(np.abs(v - target) <= tol * target)
@@ -294,7 +298,7 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
         row_dev = int(deviant_rows[0])
         p12 = None
         for e in edges:
-            val = float(row_oracle(row_dev, e))
+            val = ask(row_dev, e)
             if abs(val - p11) > tol:
                 p12 = val
                 break
@@ -310,7 +314,7 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
         ks, ls = np.array(edges).T
         within, cross = [], []
         for row in range(min(v.size, 2 * n + 3)):
-            vals = [float(row_oracle(row, e)) for e in edges]
+            vals = [ask(row, e) for e in edges]
             reps = _cluster_values(vals, tol)
             label = np.searchsorted(reps, vals, side="right") - 1
             seen = np.zeros((n, len(reps)), dtype=bool)

@@ -33,7 +33,6 @@ from .errors import (
     NegativeWeightsError,
     RankDeficientError,
 )
-from .latent_class import Tripartition
 from .tensor_core import (
     _khatri_rao,
     _three_blocks,
@@ -435,8 +434,8 @@ def recover_latent_class(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover latent-class parameters from an exact p-variate joint table.
 
-    Clumps the table into a three-way tensor along ``tripartition`` (a
-    :class:`Tripartition` or three blocks of 0-based axis indices), decomposes
+    Clumps the table into a three-way tensor along ``tripartition`` (three
+    blocks of 0-based axis indices, such as a witness's ``blocks``), decomposes
     it, then de-clumps each recovered composite factor back into per-variable
     conditional matrices.  The first two clumped dimensions must be at least
     r, and the underlying model must actually factor over the variables;
@@ -450,8 +449,6 @@ def recover_latent_class(
     Returns ``(pi, emissions)`` with emissions in original variable order.
     """
     T = np.asarray(T, dtype=float)
-    if isinstance(tripartition, Tripartition):
-        tripartition = tripartition.blocks
     blocks = _three_blocks(tripartition, T.ndim)
     kappas = T.shape
     N = clump_tensor(T, blocks)

@@ -180,7 +180,7 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
     of the next factor to the left by the product of the later factors, which
     is the wider operand and is kept as the contiguous innermost axis.  Each
     broadcast then runs over a long inner axis rather than over a factor's
-    few columns.
+    few columns.  The first non-finite factor is refused by name.
 
     Parameters
     ----------
@@ -199,17 +199,9 @@ def khatri_rao(factors: Sequence[np.ndarray]) -> np.ndarray:
             raise InputError(
                 f"factor 0 has {rows} rows but factor {i} has {M.shape[0]}"
             )
-    # a non-finite factor entry always reaches the output (inf * 0 and nan * x
-    # are NaN), and then the output's sum, so finiteness is checked once, on
-    # that sum; only then are the factors searched for the first bad one.
-    # Finite factors never make an invalid product, and a product or sum that
-    # overflows is returned as computed.
-    with np.errstate(invalid="ignore"):
-        out = _khatri_rao(mats)
-    if not math.isfinite(out.sum()):
-        for i, M in enumerate(mats):
-            _check_finite(M, f"factor {i}")
-    return out
+    for i, M in enumerate(mats):
+        _check_finite(M, f"factor {i}")
+    return _khatri_rao(mats)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -281,17 +273,17 @@ def numerical_rank(M) -> int:
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def _orthogonal_screen(M: np.ndarray) -> tuple[np.ndarray, float]:
+def _orthogonal_screen(U: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
     """Blocks of one orthogonal factor that bound the square row subsets of ``M``.
 
-    ``M`` is ``m x n`` with ``m > n`` and numerical rank ``n``.  Write ``M = U
-    Sigma V^T`` (one full SVD) and ``kappa = sigma_1 / sigma_n``.  An ``n``-row
-    set ``S`` has ``M[S] = U[S, :n] Sigma_n V^T``, and deleting rows does not
-    raise ``sigma_1``, so ``sigma_n(M[S]) / sigma_1(M[S]) >= sigma_min(U[S,
-    :n]) / kappa``.  By the CS decomposition of ``U`` (Paige & Wei, Linear
-    Algebra Appl. 208/209, 1994), ``sigma_min(U[S, :n]) = sigma_min(U[S^c,
-    n:])``, and a block of an orthogonal matrix has singular values at most 1,
-    so either block's ``|det|`` is at most its ``sigma_min``.
+    ``M = U Sigma V^T``, its one full SVD with values ``s``, is ``m x n`` with
+    ``m > n`` and numerical rank ``n``; ``kappa = sigma_1 / sigma_n``.  An
+    ``n``-row set ``S`` has ``M[S] = U[S, :n] Sigma_n V^T``, and deleting rows
+    does not raise ``sigma_1``, so ``sigma_n(M[S]) / sigma_1(M[S]) >=
+    sigma_min(U[S, :n]) / kappa``.  By the CS decomposition of ``U`` (Paige &
+    Wei, Linear Algebra Appl. 208/209, 1994), ``sigma_min(U[S, :n]) =
+    sigma_min(U[S^c, n:])``, and a block of an orthogonal matrix has singular
+    values at most 1, so either block's ``|det|`` is at most its ``sigma_min``.
 
     Returns ``W`` and ``log_floor``.  ``W`` is ``U[:, :n]`` when ``n <= m - n``
     and ``U[:, n:]`` otherwise, so its square blocks ``W[T]`` have the smaller
@@ -299,21 +291,20 @@ def _orthogonal_screen(M: np.ndarray) -> tuple[np.ndarray, float]:
     is accepted when ``log |det W[T]| >= log_floor = log(_DET_SCREEN_MARGIN *
     RANK_TOL * n * kappa)``; a singular block never is.
     """
-    rows, cols = M.shape
-    U, s, _ = np.linalg.svd(M)
+    rows, cols = len(U), len(s)
     W = U[:, :cols] if 2 * cols <= rows else U[:, cols:]
     return W, math.log(_DET_SCREEN_MARGIN * RANK_TOL * cols * (s[0] / s[-1]))
 
 
-def _subsets_independent(M: np.ndarray, size: int) -> bool:
+def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
     Subsets are taken in :func:`itertools.combinations` order, a batch of
     bounded memory at a time, and judged by
     :func:`rank_from_singular_values` on one stacked SVD (a zero subset
-    included).  When ``size == cols`` (reached only for a tall ``M`` of rank
-    ``cols``) the enumeration runs over the row sets of the square blocks of
-    :func:`_orthogonal_screen`, which are the subsets or, when ``cols > rows -
+    included).  With ``screen``, the :func:`_orthogonal_screen` of a tall
+    ``M`` of rank ``size == cols``, the enumeration runs over the row sets of
+    the square blocks of ``W``, which are the subsets or, when ``cols > rows -
     cols``, their complements.  One stacked determinant of the blocks accepts
     the subsets the screen proves independent, and only the rest go to the
     SVD; the decisions are the SVD rule's either way.  Rectangular subsets all
@@ -323,8 +314,8 @@ def _subsets_independent(M: np.ndarray, size: int) -> bool:
     rows, cols = M.shape
     per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
     k = size
-    if size == cols:
-        W, log_floor = _orthogonal_screen(M)
+    if screen is not None:
+        W, log_floor = screen
         k = W.shape[1]
     sets = itertools.combinations(range(rows), k)
     while True:
@@ -333,7 +324,7 @@ def _subsets_independent(M: np.ndarray, size: int) -> bool:
         if idx.size == 0:
             return True
         idx = idx.reshape(-1, k)
-        if size == cols:
+        if screen is not None:
             idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
             if len(idx) == 0:
                 continue
@@ -350,9 +341,9 @@ def kruskal_rank(M) -> int:
     """Largest ``I`` such that every set of ``I`` rows is linearly independent.
 
     Always at most the ordinary rank.  A matrix of full row rank has Kruskal
-    rank equal to its row count (checked first, with a single SVD).  Otherwise
-    the row subsets must be examined, which is refused above
-    :data:`KRUSKAL_ROW_CAP` rows because their count grows combinatorially.
+    rank equal to its row count (checked first).  Otherwise the row subsets
+    must be examined, which is refused above :data:`KRUSKAL_ROW_CAP` rows
+    because their count grows combinatorially.
 
     Every subset of an independent row set is independent, so "all ``s``-row
     subsets are independent" can only turn from true to false as ``s`` grows;
@@ -362,23 +353,28 @@ def kruskal_rank(M) -> int:
     search tests ``s = rank`` first, where a generic matrix stops, and
     otherwise bisects on ``[0, rank - 1]``.  Each size is tested with stacked
     calls over its subsets, not one call each (:func:`_subsets_independent`).
-    At ``s = rank = cols`` the subsets are square, and a determinant bound on
-    blocks of ``M``'s orthogonal factor (:func:`_orthogonal_screen`) accepts
-    the clearly independent ones without an SVD.  The blocks are ``k x k``
-    with ``k = min(cols, rows - cols)``, so a generic tall matrix costs two
-    SVDs and one stacked determinant of ``k x k`` blocks: 495 ``4 x 4``
-    blocks for a ``12 x 8`` matrix.
+    ``M`` takes one SVD, full for a tall matrix within the cap and values-only
+    otherwise.  At ``s = rank = cols`` the subsets are square, and a bound on
+    blocks of the full SVD's orthogonal factor (:func:`_orthogonal_screen`)
+    accepts the clearly independent ones without an SVD.  The blocks are ``k
+    x k`` with ``k = min(cols, rows - cols)``, so a generic tall matrix costs
+    one SVD and one stacked determinant: 495 ``4 x 4`` blocks for ``12 x 8``.
     """
     M = as_matrix(M)
-    rows = M.shape[0]
-    rank = numerical_rank(M)
+    rows, cols = M.shape
+    if cols < rows <= KRUSKAL_ROW_CAP:
+        U, s, _ = np.linalg.svd(M)
+    else:
+        s = np.linalg.svd(M, compute_uv=False)
+    rank = rank_from_singular_values(s, M.shape)
     if rank == rows:
         return rows
     if rows > KRUSKAL_ROW_CAP:
         raise InputError(
             f"subset enumeration over {rows} rows exceeds the cap of {KRUSKAL_ROW_CAP}"
         )
-    if rank == 0 or _subsets_independent(M, rank):
+    screen = _orthogonal_screen(U, s) if rank == cols else None  # so M is tall
+    if rank == 0 or _subsets_independent(M, rank, screen):
         return rank
     # every lo-row subset is independent, some hi-row subset is not
     lo, hi = 0, rank
@@ -401,9 +397,9 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     ``A`` must be row stochastic with ``prod(col_dims)`` columns.  Factor
     ``i`` is recovered by summing, within each row, the entries whose ``i``-th
     mixed-radix column digit agrees; this is exact when ``A`` is a row tensor
-    product of stochastic factors.  The round trip ``khatri_rao(result)`` is
-    checked against ``A`` and :class:`NotKhatriRaoError` is raised when the
-    residual exceeds :data:`ROW_SUM_TOL`.
+    product of stochastic factors.  The round trip, the unchecked row tensor
+    product of the result, is compared with ``A``: :class:`NotKhatriRaoError`
+    is raised unless the residual is at most :data:`ROW_SUM_TOL`.
     """
     A = as_matrix(A, "A")
     dims = [int(d) for d in col_dims]
@@ -423,8 +419,8 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     for i in range(len(dims)):
         axes = tuple(ax for ax in range(1, len(dims) + 1) if ax != i + 1)
         factors.append(R.sum(axis=axes) if axes else R.copy())
-    resid = np.abs(khatri_rao(factors) - A).max()
-    if resid > ROW_SUM_TOL:
+    resid = np.abs(_khatri_rao(factors) - A).max()
+    if not resid <= ROW_SUM_TOL:
         raise NotKhatriRaoError(
             f"input is not a row tensor product of stochastic factors "
             f"(round-trip residual {resid:.3g})"

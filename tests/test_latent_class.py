@@ -134,7 +134,7 @@ class TestJointDistribution:
         def no_dense_build(factors):
             raise AssertionError("joint_distribution built a table above the cap")
 
-        monkeypatch.setattr(latent_class, "khatri_rao", no_dense_build)
+        monkeypatch.setattr(latent_class, "_khatri_rao", no_dense_build)
         m = LatentClassModel(pi=np.array([0.5, 0.5]), emissions=(np.full((2, 2), 0.5),) * 64)
         with pytest.raises(
             InputError, match="^joint table has 18446744073709551616 entries, cap is 16777216$"
@@ -453,7 +453,7 @@ LATENT_CLASS_REFUSALS = {
     ),
     "joint-table-cap": (
         lambda: joint_distribution(_binary_model(4)),
-        InputError, "joint table has 16 entries, cap is 15", (latent_class, "khatri_rao"),
+        InputError, "joint table has 16 entries, cap is 15", (latent_class, "_khatri_rao"),
     ),
 }
 

@@ -346,6 +346,11 @@ def _no_single_deviant_prior():
     return v
 
 
+def _with_answer(oracle, row, edge, value):
+    # ``oracle`` with its answer for one row and edge replaced
+    return lambda r, e: value if (r, e) == (row, edge) else oracle(r, e)
+
+
 def _tied_oracle(p11, p12, p22):
     # equal mixing in the identity order: row 3 is the first with two nodes of each state
     model = GraphMixtureModel(pi=np.full(2, 0.5), P=np.array([[p11, p12], [p12, p22]]))
@@ -371,6 +376,24 @@ EXTRACT_REFUSALS = {
     "prior-inf": (
         np.where(np.arange(16) == 3, np.inf, _unequal_prior()), lambda row, edge: 0.5, 4,
         InputError, "prior entries must be finite",
+    ),
+    # an oracle answer is checked before any comparison, which NaN would fail
+    "oracle-nan": (
+        _unequal_prior(), lambda row, edge: np.nan, 4,
+        InconsistentOracleError, r"row 0, edge \(0, 1\): oracle answered nan",
+    ),
+    "oracle-inf-deviant-row": (
+        # row 1 is the first with a single node in state 1
+        _unequal_prior(), lambda row, edge: np.inf if row == 1 else 0.8 if row == 15 else 0.2, 4,
+        InconsistentOracleError, r"row 1, edge \(0, 1\): oracle answered inf",
+    ),
+    "equal-oracle-nan": (
+        np.full(16, 1 / 16), _with_answer(_tied_oracle(0.2, 0.5, 0.8), 1, (0, 1), np.nan), 4,
+        InconsistentOracleError, r"row 1, edge \(0, 1\): oracle answered nan",
+    ),
+    "equal-oracle-inf": (
+        np.full(16, 1 / 16), lambda row, edge: -np.inf, 4,
+        InconsistentOracleError, r"row 0, edge \(0, 1\): oracle answered -inf",
     ),
     "weight-sum": (
         _unequal_prior() * 16, lambda row, edge: 0.5, 4,
@@ -480,7 +503,7 @@ GRAPH_REFUSALS = {
     ),
     "group-matrix-cap": (
         lambda: conditional_graph_matrix(reference_model(), 3),
-        InputError, "group matrix has 64 entries, cap is 15", (random_graph, "khatri_rao"),
+        InputError, "group matrix has 64 entries, cap is 15", (random_graph, "_khatri_rao"),
     ),
 }
 

@@ -659,7 +659,7 @@ class TestRecoverLatentClass:
         for t in range(5):
             m = random_latent_class(trial_rng(31, t), r, kappas)
             T = joint_distribution(m)
-            pi, emissions = recover_latent_class(T, r, witness, seed=t)
+            pi, emissions = recover_latent_class(T, r, witness.blocks, seed=t)
             align = align_permutation((pi, emissions), (m.pi, list(m.emissions)))
             assert align.max_abs_error <= 1e-10
 
@@ -671,7 +671,7 @@ class TestRecoverLatentClass:
         witness = tripartition_search(3, m.kappas).witness
         tracemalloc.start()
         try:
-            recover_latent_class(T, 3, witness, seed=0)
+            recover_latent_class(T, 3, witness.blocks, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -119,6 +119,15 @@ def screen_test_matrices():
     M = rng.uniform(size=(6, 2))
     M[[1, 4]] = 0.0
     yield "zero-rows", M
+    # the last column nears the span of the others, so the matrix's own rank,
+    # read off the one full SVD of a tall matrix, crosses the cutoff; the
+    # square subsets of a 7 x 4 matrix are screened through their
+    # complements, those of a 12 x 4 matrix directly
+    for eps in np.logspace(-16, -2, 29):
+        for rows in (7, 12):
+            M = rng.uniform(size=(rows, 4))
+            M[:, -1] = M[:, :3] @ rng.uniform(size=3) + eps * rng.standard_normal(rows)
+            yield "column-combination", M
 
 
 class TestKhatriRao:
@@ -305,7 +314,7 @@ class TestKruskalRank:
         assert below_rank >= 24
 
     def test_square_subsets_screened_by_determinant(self, monkeypatch):
-        # 12 x 8: one SVD for the rank and one full SVD for the orthogonal
+        # 12 x 8: one full SVD decides the rank and gives the orthogonal
         # factor U, then one stacked determinant over the 495 4 x 4 blocks
         # U[T, 8:], T the complement of an 8-row subset, accepts every one.
         # With a zero row, the 330 subsets holding it go on to the SVD, and
@@ -325,13 +334,13 @@ class TestKruskalRank:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
         assert kruskal_rank(M) == 8
-        assert svds == [((12, 8), False), ((12, 8), True)]
+        assert svds == [((12, 8), True)]
         assert dets == [(495, 4, 4)]
         svds.clear()
         dets.clear()
         M[3] = 0.0
         assert kruskal_rank(M) == 0
-        assert svds == [((12, 8), False), ((12, 8), True)] + [
+        assert svds == [((12, 8), True)] + [
             (shape, False) for shape in [(330, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
         ]
         assert dets == [(495, 4, 4)]
@@ -339,7 +348,7 @@ class TestKruskalRank:
     def test_screen_agrees_with_svd_rule(self):
         # the determinant screen only ever accepts; near the cutoff, with
         # zero subsets and where det underflows, answers are the SVD rule's
-        outcomes = set()
+        outcomes, own_ranks = set(), set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t, (kind, M) in enumerate(screen_test_matrices()):
@@ -347,9 +356,12 @@ class TestKruskalRank:
                 assert kruskal_rank(M) == expected, (t, kind)
                 if kind == "combination":
                     outcomes.add(expected)
+                if kind == "column-combination":
+                    own_ranks.add(numerical_rank(M))
         # the sweep crosses the cutoff: Kruskal rank 3 while the combined row
-        # lies within it of the span, 4 beyond
+        # lies within it of the span, 4 beyond; so does the combined column
         assert outcomes == {3, 4}
+        assert own_ranks == {3, 4}
 
     def test_at_most_rank(self):
         rng = np.random.default_rng(3)
@@ -369,7 +381,7 @@ def test_orthogonal_screen_bounds_square_subsets(seed, rows, data):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
     assume(numerical_rank(M) == cols)
-    W, log_floor = tensor_core._orthogonal_screen(M)
+    W, log_floor = tensor_core._orthogonal_screen(*np.linalg.svd(M)[:2])
     assert W.shape == (rows, min(cols, rows - cols))
     order = rng.permuted(np.tile(np.arange(rows), (32, 1)), axis=1)
     S = np.sort(order[:, :cols], axis=1)
