@@ -54,7 +54,6 @@ from .hmm import (
     recover_hmm,
     recovery_window,
     stationary_distribution,
-    time_reversal,
     window_tensor,
 )
 from .random_graph import (

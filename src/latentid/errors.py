@@ -2,12 +2,11 @@
 
 Every error is a subclass of :class:`LatentIdError`, so callers can catch the
 whole family with one clause.  Misuse and malformed input (bad shapes, values
-out of range, inputs too large or too few, inconsistent model files, a CDF
-table with a negative cell mass, or a ``pi`` passed to
-:func:`~latentid.hmm.time_reversal` that is not stationary for ``A``) raise
-:class:`InputError`, which is also a :class:`ValueError`; its message names
-the cause.  Every other class names an honest negative result.  The CLI exits
-2 on an :class:`InputError` and 1 on any other :class:`LatentIdError`.
+out of range, inputs too large or too few, inconsistent model files, or a CDF
+table with a negative cell mass) raise :class:`InputError`, which is also a
+:class:`ValueError`; its message names the cause.  Every other class names an
+honest negative result.  The CLI exits 2 on an :class:`InputError` and 1 on
+any other :class:`LatentIdError`.
 
 The classes: :class:`LatentIdError`, :class:`InputError`,
 :class:`NotKhatriRaoError`, :class:`DegenerateSpectrumError`,

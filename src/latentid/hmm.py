@@ -46,11 +46,9 @@ from .recovery import (
 )
 from .tensor_core import (
     POSITIVE_FLOOR,
-    ROW_SUM_TOL,
     _khatri_rao,
     check_distribution_tensor,
     check_power_entries,
-    check_probability_vector,
     check_stochastic,
     kruskal_rank,
     rank_from_singular_values,
@@ -89,32 +87,17 @@ def stationary_distribution(A) -> np.ndarray:
     return pi
 
 
-def time_reversal(A, pi) -> np.ndarray:
-    """Transition matrix of the reversed stationary chain.
-
-    ``A_rev[i, j] = pi[j] * A[j, i] / pi[i]``; applying the reversal twice
-    returns ``A`` exactly.  Raises :class:`InputError` when ``pi`` is
-    not stationary for ``A`` within :data:`~latentid.tensor_core.ROW_SUM_TOL`.
-    """
-    A = check_stochastic(A, name="A")
-    pi = check_probability_vector(pi)
-    if A.shape[0] != pi.size or A.shape[1] != pi.size:
-        raise InputError("pi length must match the square matrix A")
-    err = np.abs(pi @ A - pi).max()
-    if err > ROW_SUM_TOL:
-        raise InputError(f"pi A differs from pi by {err:.3g} > {ROW_SUM_TOL}")
-    return _reversed_chain(A, pi)
-
-
 def _reversed_chain(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The arithmetic of :func:`time_reversal` on unchecked arrays."""
+    """The reversed stationary chain ``A_rev[i, j] = pi[j] * A[j, i] / pi[i]``, for
+    ``A`` row stochastic and ``pi`` stationary for it; the caller checks both."""
     return (A.T * pi[None, :]) / pi[:, None]
 
 
 @dataclass(frozen=True)
 class HiddenMarkovModel:
     """Transition and emission matrices, with the stationary law ``pi`` of ``A`` and
-    the reversed chain ``A_rev`` (:func:`time_reversal`) derived once; all read-only."""
+    the reversed chain ``A_rev[i, j] = pi[j] * A[j, i] / pi[i]`` derived once;
+    all read-only."""
 
     A: np.ndarray
     B: np.ndarray
@@ -127,7 +110,7 @@ class HiddenMarkovModel:
         if B.shape[0] != A.shape[0]:
             raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
         pi = stationary_distribution(A)
-        A_rev = time_reversal(A, pi)
+        A_rev = _reversed_chain(A, pi)
         for name, arr in (("A", A), ("B", B), ("pi", pi), ("A_rev", A_rev)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

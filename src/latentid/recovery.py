@@ -61,11 +61,13 @@ _ROW_SUM_FLOOR = 1e-12
 _SKETCH_OVERSAMPLE = 8
 #: the range finder replaces the full SVD of the k1 x k2*k3 mode-1 unfolding
 #: only when min(k1, k2*k3) >= _SKETCH_GATE * (r + _SKETCH_OVERSAMPLE).  Full
-#: SVD against sketch plus one power iteration (2 vCPU, OpenBLAS, 2 threads):
-#: 128x256 9.21 -> 0.73 ms, 64x128 0.97 -> 0.43 ms, 32x64 0.19 -> 0.29 ms,
-#: 27x81 0.15 -> 0.37 ms, and tall 6561x9 (r=3) 0.90 -> 3.94 ms.  Sketching
-#: every unfolding also moved a nonparametric frontier answer past 1e-5, so
-#: the full SVD stays below the gate.
+#: SVD against sketch plus one power iteration, best of 200 (2 vCPU Xeon,
+#: OpenBLAS 0.3.31, 2 threads / 1 thread): 81x729 at r=3, a ten-variable
+#: latent-class unfolding, 12.3 -> 0.73 / 4.2 -> 0.87 ms; at the gate 44x44
+#: 0.22 -> 0.19 / 0.17 -> 0.19 ms; below it 27x81 0.16 -> 0.23 / 0.13 ->
+#: 0.19 ms and tall 6561x9 0.95 -> 4.5 / 0.86 -> 3.9 ms.  Sketching every
+#: unfolding also moved a nonparametric frontier answer past 1e-5, so the
+#: full SVD stays below the gate.
 _SKETCH_GATE = 4
 
 
@@ -162,8 +164,8 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
         as the residual but none met ``tol * T.max()``; the message then
         gives the smallest residual seen.
     NegativeWeightsError
-        The furthest draws stopped on a mixing weight or factor entry below
-        ``-tol``.
+        The furthest draws stopped on a mixing weight at or below 0 or a
+        factor entry below ``-tol``.
     """
     T = check_distribution_tensor(T)
     if T.ndim != 3:

@@ -53,7 +53,7 @@ def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
     )
 
 
-def random_hmm(rng, r: int, kappa: int, max_attempts: int = 200) -> HiddenMarkovModel:
+def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarkovModel:
     """Random HMM with a numerically simple unit eigenvalue (generic case).
 
     Draws with a smallest singular value of A or B below

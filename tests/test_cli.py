@@ -371,6 +371,17 @@ class TestSimulate:
         assert code == 0
         assert report["result"]["max_error"] <= 1e-6
 
+    def test_hmm_trials_draw_every_model_at_r10(self, capsys):
+        # about one draw in 200 passes the singular-value margin at r = 10,
+        # kappa = 3; with 200 draws per model 14 of these 30 trials were refused
+        code, report = run_json(
+            capsys,
+            ["simulate", "--family", "hmm", "--r", "10", "--kappa", "3",
+             "--trials", "30"],
+        )
+        assert code == 0
+        assert report["result"]["failures"] == 0
+
     def test_three_variable_trials_share_recover_lc(self, capsys, monkeypatch):
         # simulate and recover-lc run one round trip: a three-variable trial
         # recovers through recover_latent_class along the search's witness

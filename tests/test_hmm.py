@@ -23,7 +23,6 @@ from latentid.hmm import (
     recover_hmm,
     recovery_window,
     stationary_distribution,
-    time_reversal,
     window_tensor,
 )
 from latentid.latent_class import joint_distribution
@@ -96,7 +95,7 @@ def oracle_blocks(model, k):
     return B1, B2
 
 
-def reference_random_hmm(rng, r: int, kappa: int, max_attempts: int = 200):
+def reference_random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000):
     """``random_hmm`` drawing and testing one attempt at a time.
 
     The batched sampler must return the same model or refusal and leave the
@@ -219,12 +218,14 @@ class TestRandomHmm:
 class TestTimeReversal:
     def test_symmetric_chain_unchanged(self):
         A = np.array([[0.2, 0.8], [0.8, 0.2]])
-        pi = np.array([0.5, 0.5])
-        assert np.allclose(time_reversal(A, pi), A)
+        model = HiddenMarkovModel(A=A, B=np.eye(2))
+        assert np.allclose(model.pi, [0.5, 0.5])
+        assert np.allclose(model.A_rev, A)
 
     def test_reversible_example(self):
         A = np.array([[0.9, 0.1], [0.3, 0.7]])
-        pi = np.array([0.75, 0.25])
+        model = HiddenMarkovModel(A=A, B=np.eye(2))
+        assert np.allclose(model.pi, [0.75, 0.25])
         # entrywise: A'[i, j] = pi_j A[j, i] / pi_i
         expected = np.array(
             [
@@ -232,37 +233,33 @@ class TestTimeReversal:
                 [0.75 * 0.1 / 0.25, 0.25 * 0.7 / 0.25],
             ]
         )
-        out = time_reversal(A, pi)
-        assert np.allclose(out, expected)
-        assert np.allclose(out, A)  # this chain is reversible
+        assert np.allclose(model.A_rev, expected)
+        assert np.allclose(model.A_rev, A)  # this chain is reversible
 
     def test_involution_and_stationarity(self):
         model = random_hmm(trial_rng(40, 0), 3, 2)
-        A_rev = time_reversal(model.A, model.pi)
+        A_rev = model.A_rev
         assert np.allclose(A_rev.sum(axis=1), 1.0)
         assert np.abs(model.pi @ A_rev - model.pi).max() <= 1e-12
-        assert np.abs(time_reversal(A_rev, model.pi) - model.A).max() <= 1e-12
-
-    def test_not_stationary(self):
-        A = np.array([[0.9, 0.1], [0.3, 0.7]])
-        with pytest.raises(InputError, match="^pi A differs from pi by 0.1 > "):
-            time_reversal(A, np.array([0.5, 0.5]))
+        twice = HiddenMarkovModel(A=A_rev, B=model.B)
+        assert np.abs(twice.pi - model.pi).max() <= 1e-12
+        assert np.abs(twice.A_rev - model.A).max() <= 1e-12
 
     def test_runs_once_per_model(self, monkeypatch):
-        calls = []
+        calls, reversed_chain = [], hmm._reversed_chain
 
         def counting(A, pi):
             calls.append(1)
-            return time_reversal(A, pi)
+            return reversed_chain(A, pi)
 
-        monkeypatch.setattr(hmm, "time_reversal", counting)
+        monkeypatch.setattr(hmm, "_reversed_chain", counting)
         model = two_state_model()
         assert len(calls) == 1
         conditional_blocks(model, 2)
         window_tensor(model, 2)
         hmm_certificate(model, 2)
         assert len(calls) == 1
-        assert model.A_rev.tobytes() == time_reversal(model.A, model.pi).tobytes()
+        assert model.A_rev.tobytes() == reversed_chain(model.A, model.pi).tobytes()
         assert not model.A_rev.flags.writeable
 
 
@@ -289,8 +286,7 @@ class TestConditionalBlocks:
     def test_k1_base_case(self):
         model = random_hmm(trial_rng(41, 0), 2, 2)
         B1, B2 = conditional_blocks(model, 1)
-        A_rev = time_reversal(model.A, model.pi)
-        assert np.allclose(B1, A_rev @ model.B)
+        assert np.allclose(B1, model.A_rev @ model.B)
         assert np.allclose(B2, model.A @ model.B)
 
     def test_identity_chain_gives_khatri_rao_power(self):
@@ -299,7 +295,7 @@ class TestConditionalBlocks:
         B = np.array([[0.8, 0.2], [0.4, 0.6]])
         pi = np.array([0.5, 0.5])
         eye = np.eye(2)
-        A_rev = time_reversal(eye, pi)
+        A_rev = hmm._reversed_chain(eye, pi)
         k = 3
         X1, X2 = A_rev @ B, eye @ B
         for _ in range(k - 1):
@@ -618,10 +614,6 @@ HMM_REFUSALS = {
     "transition-square": (
         lambda: stationary_distribution(np.full((2, 3), 1 / 3)),
         InputError, "transition matrix must be square, got (2, 3)",
-    ),
-    "reversal-pi-length": (
-        lambda: time_reversal(np.full((2, 2), 0.5), np.full(3, 1 / 3)),
-        InputError, "pi length must match the square matrix A",
     ),
     "model-A-square": (
         lambda: HiddenMarkovModel(A=np.full((2, 3), 1 / 3), B=np.full((2, 2), 0.5)),

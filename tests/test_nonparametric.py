@@ -916,6 +916,23 @@ class TestRecoverMixture:
         align = align_permutation((pi_hat, tables), (mix.pi, truth))
         assert align.max_abs_error <= 1e-9
 
+    def test_ragged_queries_answer_as_the_array(self, monkeypatch):
+        # numpy refuses [(0.3,), 0.6] as ragged; the per-point loop takes it
+        # and the answer keeps the bytes of the same points as one array
+        mix = random_nonparametric_mixture(trial_rng(55, 0), 3, 3)
+        expected = recover_mixture(mix, [[0.3, 0.6]] * 3, seed=0)
+        per_point, normalize_each = [], nonparametric._normalize_each
+
+        def counting(points, b):
+            per_point.append(points)
+            return normalize_each(points, b)
+
+        monkeypatch.setattr(nonparametric, "_normalize_each", counting)
+        got = recover_mixture(mix, [[(0.3,), 0.6], [0.3, 0.6], [[0.3], 0.6]], seed=0)
+        assert per_point == [[(0.3,), 0.6], [[0.3], 0.6]]
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert [t.tobytes() for t in got[1]] == [t.tobytes() for t in expected[1]]
+
     def test_nan_query_is_an_input_error(self):
         with pytest.raises(InputError, match="^point nan has a NaN coordinate$"):
             recover_mixture(reference_mixture(), [[0.3, np.nan], [0.5], [0.5]])
@@ -1181,6 +1198,10 @@ NONPARAMETRIC_REFUSALS = {
     ),
     "no-components": (
         lambda: select_cut_points([]), InputError, "need at least one component",
+    ),
+    "binning-no-components": (
+        lambda: binned_conditional_matrix([], [[0.5]]),
+        InputError, "need at least one component",
     ),
     "mixed-block-dims": (
         lambda: select_cut_points([_U, _U2]),

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ class TestDecompose3:
         monkeypatch.setattr(recovery, "MAX_RETRIES", 5)
         with pytest.raises((DegenerateSpectrumError, RankDeficientError)):
             decompose3(T, 2, seed=0)
+
+    def test_pencil_without_real_eigenbasis_refused_at_spectrum(self, monkeypatch):
+        # this 3x3x2 tensor's slice pencil has complex eigenvalues (real rank
+        # above 3), so every draw stops at the spectrum stage
+        T = np.random.default_rng(0).random((3, 3, 2))
+        T /= T.sum()
+        stages, weight_draw = [], recovery._weight_draw
+
+        def recording(*args):
+            out = weight_draw(*args)
+            stages.append(out[0])
+            return out
+
+        monkeypatch.setattr(recovery, "_weight_draw", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateSpectrumError) as info:
+                decompose3(T, 3, seed=0)
+        assert str(info.value).endswith("(furthest stage: spectrum)")
+        assert stages == ["spectrum"] * (recovery.MAX_RETRIES + 1)
 
     def test_rank_deficient_first_factor(self):
         m = LatentClassModel(
