@@ -144,16 +144,11 @@ def _cmd_recover_lc(args) -> tuple[int, dict]:
     return 0, _lc_round_trip(model, blocks, args.seed, args.tol)
 
 
-def _recovery_k(r: int, kappa: int, k: int) -> int:
-    """The half-window :func:`~latentid.hmm.recover_hmm` decomposes at, given ``k``."""
-    return min(k, hmm_mod.recovery_window(r, kappa))
-
-
 def _cmd_hmm_window(args) -> tuple[int, dict]:
     k = hmm_mod.min_window(args.r, args.kappa)
     return 0, {
         "r": args.r, "kappa": args.kappa, "k": k, "window": 2 * k + 1,
-        "recovery_k": _recovery_k(args.r, args.kappa, k),
+        "recovery_k": hmm_mod._recovery_k(args.r, args.kappa, k),
     }
 
 
@@ -182,7 +177,7 @@ def _hmm_round_trip(model: hmm_mod.HiddenMarkovModel, k: int, seed, tol: float) 
     return {
         "k": k,
         "window": 2 * k + 1,
-        "recovery_k": _recovery_k(model.r, model.kappa, k),
+        "recovery_k": hmm_mod._recovery_k(model.r, model.kappa, k),
         "alignment_error": float(align.max_abs_error),
         "permutation": align.permutation.tolist(),
         "pi": [float(x) for x in pi_hat],

@@ -162,6 +162,11 @@ def recovery_window(r: int, kappa: int) -> int:
     return j
 
 
+def _recovery_k(r: int, kappa: int, k: int) -> int:
+    """The half-window :func:`recover_hmm` decomposes at, given the input's ``k``."""
+    return min(k, recovery_window(r, kappa))
+
+
 def _window_blocks(A, A_rev, B, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The recursion of :func:`conditional_blocks` on unchecked arrays, both
     blocks carried as one stack of two."""
@@ -239,7 +244,7 @@ def recover_hmm(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (A, B, pi) from the exact window tensor, up to state relabeling.
 
-    ``T`` is the window law at half-window ``k``.  It is validated, and
+    ``T`` is the window law at half-window ``k >= 1``.  It is validated, and
     recovery runs on its exact marginal at ``j = min(k, recovery_window(r,
     kappa))`` (:func:`recovery_window`): ``T`` itself at ``j == k``, and
     otherwise a smaller, better conditioned law.
@@ -255,8 +260,8 @@ def recover_hmm(
     Raises
     ------
     InputError
-        ``T`` does not have the shape ``(kappa^k, kappa^k, kappa)``, or is
-        not a distribution.
+        ``k < 1``, or ``T`` is not a distribution of shape ``(kappa^k,
+        kappa^k, kappa)``.
     IllConditionedError
         ``B (x) M`` is rank deficient, or the solved transition matrix fails
         to be row stochastic within ``tol``.
@@ -266,6 +271,8 @@ def recover_hmm(
         gives the residual.  Besides these, every refusal of
         :func:`decompose3` at ``j`` propagates.
     """
+    if k < 1:
+        raise InputError("k must be at least 1")
     T = np.asarray(T, dtype=float)
     if T.shape != (kappa**k, kappa**k, kappa):
         raise InputError(
@@ -273,7 +280,7 @@ def recover_hmm(
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
     check_distribution_tensor(T)
-    j = min(k, recovery_window(r, kappa))
+    j = _recovery_k(r, kappa, k)
     rec = decompose3(_window_marginal(T, kappa, k, j), r, seed=seed, tol=tol)
     F2, B_hat = rec.factors[1:]
     if j == 1:

@@ -197,6 +197,13 @@ def kruskal_certificate(model: LatentClassModel) -> Certificate:
     return Certificate(model.r, ranks, "exact-matrix")  # type: ignore[arg-type]
 
 
+def _state_counts(kappas: Sequence[int]) -> list[int]:
+    """``kappas`` as ints; a count that is not a whole number is refused, not truncated."""
+    if any(k != int(k) for k in kappas):
+        raise InputError(f"state counts must be whole numbers, got {list(kappas)}")
+    return [int(k) for k in kappas]
+
+
 def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     """Search tripartitions for a generic-dimension certificate.
 
@@ -213,9 +220,9 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     x 3``.  Among the best scores it prefers the largest capped dimensions,
     sorted descending, so that the first two blocks reach r whenever
     possible.  The witness is deterministic, with its blocks ordered by
-    clumped dimension, largest first.  Every state count must be at least 2.
+    clumped dimension, largest first.  State counts are whole numbers >= 2.
     """
-    kappas = [int(k) for k in kappas]
+    kappas = _state_counts(kappas)
     p = len(kappas)
     if p < 3:
         raise InputError(f"need at least 3 variables, got p={p}")
@@ -281,7 +288,7 @@ def param_dimension(r: int, kappas: Sequence[int]) -> tuple[int, int]:
     table of ``K = prod(kappa_j)`` entries.  ``L < K`` is necessary for
     identifiability.
     """
-    kappas = [int(k) for k in kappas]
+    kappas = _state_counts(kappas)
     if r < 1 or any(k < 2 for k in kappas):
         raise InputError("need r >= 1 and every kappa >= 2")
     L = (r - 1) + r * sum(k - 1 for k in kappas)

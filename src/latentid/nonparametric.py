@@ -176,7 +176,9 @@ class NonparametricMixture:
         return tuple(c.block_dim for c in self.components[0])
 
     def variate(self, j: int) -> list[CdfComponent]:
-        """The r components of variate j."""
+        """The r components of variate j, for ``0 <= j < p``."""
+        if not 0 <= j < self.p:
+            raise InputError(f"variate index {j} is out of range for p={self.p}")
         return [row[j] for row in self.components]
 
 
@@ -378,9 +380,7 @@ def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
     ]
 
 
-def select_cut_points(
-    components: Sequence[CdfComponent], mandatory=None
-) -> tuple[CutPointSet, np.ndarray]:
+def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, np.ndarray]:
     """Choose cut points making the binned conditional matrix full row rank.
 
     Returns ``(cuts, M)``, where ``M`` is the binned conditional matrix at
@@ -392,8 +392,8 @@ def select_cut_points(
     ``F(u) = (F_1(u), ..., F_r(u))`` lies farthest from the column span of
     ``A``, that is, which maximises ``|N^T F(u)|`` for an orthonormal basis
     ``N`` of the left nullspace.  The first maximum in the order of the
-    product of the grid axes wins.  Mandatory points are inserted first and
-    never removed.
+    product of the grid axes wins.  Cuts serve identifiability alone: query
+    points become cuts only inside :func:`recover_mixture`.
 
     The candidates are the pooled knots (:func:`default_grid`), and no other
     point can do better.  Inside each cell of the pooled knot grid every CDF
@@ -403,12 +403,12 @@ def select_cut_points(
     boundary.  The maximum over the pooled knots is therefore the maximum
     over all of ``R^b``.
 
-    The components are evaluated in one stacked pass, on the pooled knots,
-    the mandatory coordinates and -inf and +inf.  Cuts are kept as positions
-    on those axes: every step indexes its matrices from the tables by them,
-    and ``M`` is the successive differences of the table at ``[-inf, cuts...,
-    +inf]``.  This is the one-family case of :func:`select_mixture_cuts`,
-    whose lockstep rounds then run for this family alone.
+    The components are evaluated in one stacked pass, on the pooled knots
+    and -inf and +inf.  Cuts are kept as positions on those axes: every step
+    indexes its matrices from the tables by them, and ``M`` is the successive
+    differences of the table at ``[-inf, cuts..., +inf]``.  This is the
+    one-family case of :func:`select_mixture_cuts`, whose lockstep rounds
+    then run for this family alone.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
@@ -424,18 +424,15 @@ def select_cut_points(
         raise InputError("need at least one component")
     if any(c.block_dim != components[0].block_dim for c in components):
         raise InputError("components must share the block dimension")
-    return _select_cuts([components], [mandatory], named=False)[0]
+    return _select_cuts([components], [None], named=False)[0]
 
 
-def select_mixture_cuts(
-    mixture: NonparametricMixture, mandatory: Sequence | None = None
-) -> list[tuple[CutPointSet, np.ndarray]]:
+def select_mixture_cuts(mixture: NonparametricMixture) -> list[tuple[CutPointSet, np.ndarray]]:
     """:func:`select_cut_points` of every variate of the mixture.
 
-    ``mandatory`` is ``None`` or holds one entry per variate, taken as
-    :func:`select_cut_points` takes its ``mandatory``.  Entry j of the result
-    is ``(cuts, M)`` for variate j, equal to ``select_cut_points(
-    mixture.variate(j), mandatory[j])`` byte for byte.
+    Entry j of the result is ``(cuts, M)`` for variate j, equal to
+    ``select_cut_points(mixture.variate(j))`` byte for byte.  As there, query
+    points play no part: they become cuts only inside :func:`recover_mixture`.
 
     The stages run over all variates at once.  The variates sharing a block
     dimension are evaluated in one stacked pass.  Then the greedy steps run
@@ -450,11 +447,8 @@ def select_mixture_cuts(
     lowest-numbered such variate, with :func:`select_cut_points`'s message
     prefixed by ``variate j:``.
     """
-    if mandatory is None:
-        mandatory = [None] * mixture.p
-    if len(mandatory) != mixture.p:
-        raise InputError(f"mandatory must have one entry per variate ({mixture.p})")
-    return _select_cuts([mixture.variate(j) for j in range(mixture.p)], mandatory, named=True)
+    variates = [mixture.variate(j) for j in range(mixture.p)]
+    return _select_cuts(variates, [None] * mixture.p, named=True)
 
 
 def _by_grid_shape(items, positions) -> list[list]:
@@ -466,23 +460,26 @@ def _by_grid_shape(items, positions) -> list[list]:
 
 
 def _select_cuts(
-    families: Sequence[Sequence[CdfComponent]], mandatory: Sequence, named: bool
+    families: Sequence[Sequence[CdfComponent]], queries: Sequence, named: bool
 ) -> list[tuple[CutPointSet, np.ndarray]]:
     """:func:`select_mixture_cuts` over families of equally many components.
 
-    Family f takes ``mandatory[f]`` as its mandatory points.  Every stage
-    after the evaluation runs over all families at once: a round decides the
-    rank of every family still short of full rank, then each of those whose
-    rank rose appends its farthest candidate.  Families whose cuts give
-    grids of the same shape are read from the tables in one gather and
-    decided in one stacked SVD, which numpy takes matrix by matrix, so every
-    decision is that of a family selected alone.  A family whose rank did not
-    rise drops out, and the refusal raised after the rounds is that of the
+    Family f's cuts start from the coordinates of ``queries[f]`` (``None``
+    for none), taken as :func:`recover_mixture` takes one variate's query
+    points, and are never removed.  Only :func:`recover_mixture` passes
+    queries, to read CDF values back at them.  Every stage after the
+    evaluation runs over all families at once: a round decides the rank of
+    every family still short of full rank, then each of those whose rank rose
+    appends its farthest candidate.  Families whose cuts give grids of the
+    same shape are read from the tables in one gather and decided in one
+    stacked SVD, which numpy takes matrix by matrix, so every decision is
+    that of a family selected alone.  A family whose rank did not rise drops
+    out, and the refusal raised after the rounds is that of the
     lowest-numbered such family, named as ``variate f`` when ``named``.
     """
     r = len(families[0])
     points = [
-        _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, mandatory)
+        _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, queries)
     ]
     grids = [default_grid(family) for family in families]
     axes = [
@@ -620,8 +617,8 @@ def _cdf_at_queries(
 
     ``rows[j]`` holds one row per class for variate j, binned by ``cuts[j]``,
     and ``points[j]`` is an ``(n, b)`` array whose every coordinate must be
-    one of those cuts, as it is when the points were the mandatory points of
-    :func:`select_cut_points`.  Entry j of the result is ``(classes, n)``.
+    one of those cuts: :func:`recover_mixture` inserts them there, as no
+    public cut selector does.  Entry j of the result is ``(classes, n)``.
     Variates with the same bins per axis are stacked for one cumulative sum
     per axis; each then takes its own columns, which costs less than
     gathering the columns of all of them in one take.
@@ -676,14 +673,15 @@ def recover_mixture(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover mixing weights and component CDF values at query points.
 
-    Cut points are selected for every variate with its query points
-    inserted as mandatory (:func:`select_mixture_cuts`, whose stages run over
-    all variates at once); cut selection also returns each variate's binned
-    conditional matrix.  Variates 0 and 1 are
-    two views; the third is ``(J, X_J)`` with ``J`` uniform on ``{2, ...,
-    p-1}``, whose binned conditional matrix is the variates' matrices side by
-    side, divided by ``p - 2``.  The three views are conditionally independent given the
-    class, so their exact binned tensor is decomposed once (Allman, Matias &
+    Cut points are selected for every variate as by
+    :func:`select_mixture_cuts`, whose stages run over all variates at once,
+    but with the variate's query points among the cuts; only here do query
+    points become cuts.  Cut selection also returns each variate's binned
+    conditional matrix.  Variates 0 and 1 are two views; the third is ``(J,
+    X_J)`` with ``J`` uniform on ``{2, ..., p-1}``, whose binned conditional
+    matrix is the variates' matrices side by side, divided by ``p - 2``.  The
+    three views are conditionally independent given the class, so their
+    exact binned tensor is decomposed once (Allman, Matias &
     Rhodes, Ann. Statist. 2009).  The third factor splits back into
     per-variate rows, scaled by ``p - 2``, so one set of class labels holds
     for every variate.  CDF values are read off through the cumulative
@@ -718,7 +716,7 @@ def recover_mixture(
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    cuts, mats = zip(*select_mixture_cuts(mixture, queries))
+    cuts, mats = zip(*_select_cuts([mixture.variate(j) for j in range(p)], queries, named=True))
 
     T = _triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)

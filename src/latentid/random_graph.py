@@ -134,13 +134,8 @@ class PartitionFamily:
 
     def edges(self, i: int) -> frozenset[tuple[int, int]]:
         """Edge set of the union of complete graphs on partition ``i``'s groups."""
-        out = set()
-        for group in self.families[i]:
-            nodes = sorted(group)
-            for a in range(len(nodes)):
-                for b in range(a + 1, len(nodes)):
-                    out.add((nodes[a], nodes[b]))
-        return frozenset(out)
+        pairs = (itertools.combinations(sorted(group), 2) for group in self.families[i])
+        return frozenset(itertools.chain.from_iterable(pairs))
 
     def pairwise_edge_disjoint(self) -> bool:
         sets = [self.edges(i) for i in range(3)]

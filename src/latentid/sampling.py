@@ -162,13 +162,7 @@ def random_nonparametric_mixture(
     for _ in range(r):
         row = []
         for b in block_dims:
-            if b == 1:
-                row.append(random_piecewise_cdf(rng, n_knots))
-            else:
-                row.append(
-                    CdfComponent.from_product(
-                        [random_piecewise_cdf(rng, n_knots) for _ in range(b)]
-                    )
-                )
+            parts = [random_piecewise_cdf(rng, n_knots) for _ in range(b)]
+            row.append(parts[0] if b == 1 else CdfComponent.from_product(parts))
         rows.append(tuple(row))
     return NonparametricMixture(pi=random_probability(rng, r), components=tuple(rows))

@@ -405,6 +405,8 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     dims = [int(d) for d in col_dims]
     if any(d < 1 for d in dims):
         raise InputError("col_dims must be positive")
+    if not dims:
+        raise InputError("col_dims must be nonempty")
     if math.prod(dims) != A.shape[1]:
         raise InputError(
             f"prod(col_dims)={math.prod(dims)} does not match {A.shape[1]} columns"

@@ -20,6 +20,7 @@ from latentid.sampling import (
     random_hmm,
     random_latent_class,
     random_nonparametric_mixture,
+    random_stochastic,
     trial_rng,
 )
 from latentid.tensor_core import numerical_rank
@@ -285,6 +286,36 @@ class TestRecovery:
             )
         assert code == 0
         assert windows == [expected] * 2
+
+    def test_recovery_k_is_the_window_recover_hmm_decomposes(self, monkeypatch):
+        # the round trip reports the half-window whose law decompose3 receives,
+        # at every k up to min_window, whether or not that window can answer
+        class Received(Exception):
+            pass
+
+        shapes, recover = [], cli.hmm_mod.recover_hmm
+
+        def received(T, r, **kwargs):
+            shapes.append(T.shape)
+            raise Received
+
+        def recorded(T, r, kappa, k, **kwargs):
+            with pytest.raises(Received):
+                recover(T, r, kappa, k, **kwargs)
+            return model.A, model.B, model.pi
+
+        monkeypatch.setattr(cli.hmm_mod, "decompose3", received)
+        monkeypatch.setattr(cli.hmm_mod, "recover_hmm", recorded)
+        for r in range(2, 12):
+            for kappa in range(2, 5):
+                rng = trial_rng(72, 10 * r + kappa)
+                model = HiddenMarkovModel(
+                    A=random_stochastic(rng, r, r), B=random_stochastic(rng, r, kappa)
+                )
+                for k in range(1, min_window(r, kappa) + 1):
+                    shapes.clear()
+                    j = cli._hmm_round_trip(model, k, 0, 1e-8)["recovery_k"]
+                    assert shapes == [(kappa**j, kappa**j, kappa)], (r, kappa, k)
 
     def test_hmm_recover(self, capsys, hmm_file):
         code, report = run_json(

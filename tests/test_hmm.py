@@ -630,6 +630,15 @@ HMM_REFUSALS = {
         lambda: conditional_blocks(two_state_model(), 0),
         InputError, "k must be at least 1",
     ),
+    "recovery-k-zero": (
+        # a (1, 1, 2) law has the shape of half-window 0 for one state
+        lambda: recover_hmm(np.array([[[0.5, 0.5]]]), 1, 2, 0),
+        InputError, "k must be at least 1",
+    ),
+    "recovery-k-zero-two-states": (
+        lambda: recover_hmm(np.array([[[0.5, 0.5]]]), 2, 2, 0),
+        InputError, "k must be at least 1",
+    ),
     "recovery-window-arguments": (
         lambda: recovery_window(2, 1), InputError, "need r >= 1 and kappa >= 2",
     ),

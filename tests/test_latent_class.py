@@ -451,6 +451,14 @@ LATENT_CLASS_REFUSALS = {
     "dimension-arguments": (
         lambda: param_dimension(2, [2, 1]), InputError, "need r >= 1 and every kappa >= 2",
     ),
+    "search-state-counts": (
+        lambda: tripartition_search(3, [2.5, 3, 3]),
+        InputError, "state counts must be whole numbers, got [2.5, 3, 3]",
+    ),
+    "dimension-state-counts": (
+        lambda: param_dimension(2, [2, 2.5]),
+        InputError, "state counts must be whole numbers, got [2, 2.5]",
+    ),
     "joint-table-cap": (
         lambda: joint_distribution(_binary_model(4)),
         InputError, "joint table has 16 entries, cap is 15", (latent_class, "_khatri_rao"),

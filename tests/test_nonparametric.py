@@ -37,6 +37,17 @@ def two_uniform_family():
     return [CdfComponent.uniform(0.0, 1.0), CdfComponent.uniform(0.0, 2.0)]
 
 
+def select_with_queries(family, queries=None):
+    """One family's cuts with ``queries`` among them, as :func:`recover_mixture`
+    selects a variate's cuts; no public selector takes query points."""
+    return nonparametric._select_cuts([family], [queries], named=False)[0]
+
+
+def mixture_cuts_with_queries(mix, queries):
+    """:func:`select_mixture_cuts` with ``queries[j]`` among variate j's cuts."""
+    return nonparametric._select_cuts([mix.variate(j) for j in range(mix.p)], queries, named=True)
+
+
 def knee_cdf(knee_x, knee_y, lo=0.0, hi=1.0):
     return CdfComponent([lo, knee_x, hi], [0.0, knee_y, 1.0])
 
@@ -113,7 +124,7 @@ class TestSelectCutPoints:
         for i in range(40):
             mix = random_nonparametric_mixture(np.random.default_rng([1, 6, i]), 8, 4, n_knots=16)
             family = mix.variate(0)
-            _, M = select_cut_points(family, mandatory=[1 / 3, 2 / 3])
+            _, M = select_with_queries(family, [1 / 3, 2 / 3])
             conds.append(np.linalg.cond(M))
         assert max(conds) < 1e3
 
@@ -175,8 +186,16 @@ class TestSelectCutPoints:
         assert len(calls) <= 8
 
     def test_mandatory_point_included(self):
-        cuts, _ = select_cut_points(two_uniform_family(), mandatory=[0.37])
+        cuts, _ = select_with_queries(two_uniform_family(), [0.37])
         assert 0.37 in cuts.cuts[0].tolist()
+
+    def test_cut_selectors_take_no_query_points(self):
+        # query points become cuts only inside recover_mixture
+        mix = random_nonparametric_mixture(trial_rng(51, 1), 2, 3)
+        with pytest.raises(TypeError):
+            select_mixture_cuts(mix, [[0.5]] * 3)
+        with pytest.raises(TypeError):
+            select_cut_points(two_uniform_family(), mandatory=[0.37])
 
     def test_extra_cuts_never_reduce_rank(self):
         family = two_uniform_family()
@@ -416,7 +435,7 @@ class TestCutScanAgreement:
             except RankDeficientError:
                 expected = None
             try:
-                cuts, _ = select_cut_points(family, mandatory=mandatory)
+                cuts, _ = select_with_queries(family, mandatory)
                 got = [c.tobytes() for c in cuts.cuts]
             except RankDeficientError:
                 got = None
@@ -438,7 +457,7 @@ class TestCutScanAgreement:
         for i in (7, 15, 37, 60):
             family, mandatory = scan_case(i)
             passes.clear()
-            select_cut_points(family, mandatory=mandatory)
+            select_with_queries(family, mandatory)
             assert passes == [family]
         for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
             mix = random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
@@ -463,7 +482,7 @@ class TestCutScanAgreement:
             family, mandatory = scan_case(i)
             calls.clear()
             try:
-                select_cut_points(family, mandatory=mandatory)
+                select_with_queries(family, mandatory)
             except RankDeficientError:
                 pass
             assert 1 <= len(calls) <= len(family), f"case {i}"
@@ -474,7 +493,7 @@ class TestCutScanAgreement:
         for i in range(320):
             family, mandatory = scan_case(i)
             try:
-                cuts, M = select_cut_points(family, mandatory=mandatory)
+                cuts, M = select_with_queries(family, mandatory)
             except RankDeficientError:
                 continue
             expected = binned_conditional_matrix(family, cuts)
@@ -497,9 +516,9 @@ class TestCutScanAgreement:
                 break
         if refusal is not None:
             with pytest.raises(RankDeficientError, match=f"^{re.escape(refusal)}$"):
-                select_mixture_cuts(mix, mandatory)
+                mixture_cuts_with_queries(mix, mandatory)
             return
-        selected = select_mixture_cuts(mix, mandatory)
+        selected = mixture_cuts_with_queries(mix, mandatory)
         assert len(selected) == mix.p
         for (cuts, M), (expected_cuts, expected_M) in zip(selected, expected):
             assert [c.tobytes() for c in cuts.cuts] == [c.tobytes() for c in expected_cuts]
@@ -640,7 +659,7 @@ def test_count_at_most_equals_a_search_per_row(rows, values, shared):
 )
 def test_selected_cuts_give_full_rank(family, mandatory):
     try:
-        _, M = select_cut_points(family, mandatory=mandatory)
+        _, M = select_with_queries(family, mandatory)
     except RankDeficientError:
         return
     assert numerical_rank(M) == len(family)
@@ -940,7 +959,7 @@ class TestRecoverMixture:
         with pytest.raises(InputError, match=r"^point \(0.3, nan\) has a NaN coordinate$"):
             recover_mixture(block, [[0.5], [0.5], [(0.3, np.nan)]])
         with pytest.raises(InputError, match="^point nan has a NaN coordinate$"):
-            select_cut_points(two_uniform_family(), mandatory=[np.nan])
+            select_with_queries(two_uniform_family(), [np.nan])
 
 
 def test_queries_are_normalized_once_per_variate(monkeypatch):
@@ -1193,7 +1212,7 @@ NONPARAMETRIC_REFUSALS = {
         InputError, "variate 0 has inconsistent block dimensions {1, 2}",
     ),
     "mandatory-coordinates": (
-        lambda: select_cut_points([_U, _U], mandatory=[(0.5, 0.5)]),
+        lambda: select_with_queries([_U, _U], [(0.5, 0.5)]),
         InputError, "point (0.5, 0.5) has 2 coordinates, expected 1",
     ),
     "no-components": (
@@ -1206,10 +1225,6 @@ NONPARAMETRIC_REFUSALS = {
     "mixed-block-dims": (
         lambda: select_cut_points([_U, _U2]),
         InputError, "components must share the block dimension",
-    ),
-    "mandatory-per-variate": (
-        lambda: select_mixture_cuts(_mixture(2, 3), [[0.5]]),
-        InputError, "mandatory must have one entry per variate (3)",
     ),
     "family-dependent": (
         lambda: select_cut_points([_U, _U]),
@@ -1230,6 +1245,14 @@ NONPARAMETRIC_REFUSALS = {
     "cuts-block-dim": (
         lambda: binned_conditional_matrix([_U2], [[0.5]]),
         InputError, "components and cuts disagree on the block dimension",
+    ),
+    "variate-index-negative": (
+        lambda: bivariate_rank(_mixture(2, 3), -1, 0, [0.5], [0.5]),
+        InputError, "variate index -1 is out of range for p=3",
+    ),
+    "variate-index-past-end": (
+        lambda: bivariate_rank(_mixture(2, 3), 0, 3, [0.5], [0.5]),
+        InputError, "variate index 3 is out of range for p=3",
     ),
     "too-few-bins": (
         lambda: bivariate_rank(_mixture(3, 2), 0, 1, [0.5], [0.25, 0.5]),

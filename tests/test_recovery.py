@@ -140,6 +140,23 @@ class TestDecompose3:
         assert str(info.value).endswith("(furthest stage: spectrum)")
         assert stages == ["spectrum"] * (recovery.MAX_RETRIES + 1)
 
+    @pytest.mark.parametrize(
+        "a2, b2, c2, eps",
+        [((1, -1, 0), (1, 0, -1), (1, 2, 0), 0.01), ((1, 2, 0), (1, -1, 0), (1, 0, 2), 0.005)],
+        ids=["first-mode", "second-mode"],
+    )
+    def test_direction_summing_to_zero_refused_at_spectrum(self, a2, b2, c2, eps):
+        # the second rank-one term's factor in the named mode sums to zero, so
+        # its recovered direction there cannot be scaled to a distribution: every
+        # draw stops at that mode's row-sum floor
+        T = triple_product(
+            np.array([np.ones(3) / 27, eps * np.array(a2)]),
+            np.array([np.ones(3), b2]),
+            np.array([np.ones(3), c2]),
+        )
+        with pytest.raises(DegenerateSpectrumError, match=r"\(furthest stage: spectrum\)$"):
+            decompose3(T, 2, seed=0)
+
     def test_rank_deficient_first_factor(self):
         m = LatentClassModel(
             pi=np.array([0.4, 0.6]),

@@ -640,6 +640,9 @@ TENSOR_CORE_REFUSALS = {
         lambda: unclump(np.full((1, 2), 0.5), [2, 0]),
         InputError, "col_dims must be positive",
     ),
+    "unclump-no-dims": (
+        lambda: unclump(np.ones((2, 1)), []), InputError, "col_dims must be nonempty",
+    ),
     "entries-huge": (
         lambda: check_power_entries([(2**20000, 1)], "node-state prior"),
         InputError, "node-state prior has at least 2^20000 entries, cap is 16777216",
