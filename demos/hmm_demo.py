@@ -14,6 +14,7 @@ from latentid import (
     hmm_certificate,
     min_window,
     recover_hmm,
+    stationary_distribution,
     window_tensor,
 )
 from latentid.sampling import random_hmm, trial_rng
@@ -53,6 +54,8 @@ print(f"parameter error after state relabeling: {align.max_abs_error:.2e}")
 print(f"true A:\n{np.round(model.A, 6)}")
 perm = align.permutation
 print(f"recovered A (reordered):\n{np.round(A_hat[np.ix_(perm, perm)], 6)}")
+print(f"recovered pi is the stationary law of recovered A: "
+      f"{np.allclose(stationary_distribution(A_hat), pi_hat)}")
 
 print()
 print("=" * 72)

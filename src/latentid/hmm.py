@@ -47,6 +47,7 @@ from .recovery import (
 from .tensor_core import (
     POSITIVE_FLOOR,
     _khatri_rao,
+    _whole_numbers,
     check_distribution_tensor,
     check_power_entries,
     check_stochastic,
@@ -67,7 +68,11 @@ def stationary_distribution(A) -> np.ndarray:
     periodic within numerical resolution), or when the stationary vector is
     not strictly positive.
     """
-    A = check_stochastic(A, name="A")
+    return _stationary(check_stochastic(A, name="A"))
+
+
+def _stationary(A: np.ndarray) -> np.ndarray:
+    """:func:`stationary_distribution` of an ``A`` already checked row stochastic."""
     r = A.shape[0]
     if A.shape[1] != r:
         raise InputError(f"transition matrix must be square, got {A.shape}")
@@ -109,7 +114,7 @@ class HiddenMarkovModel:
         B = check_stochastic(self.B, name="B")
         if B.shape[0] != A.shape[0]:
             raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
-        pi = stationary_distribution(A)
+        pi = _stationary(A)
         A_rev = _reversed_chain(A, pi)
         for name, arr in (("A", A), ("B", B), ("pi", pi), ("A_rev", A_rev)):
             arr.flags.writeable = False
@@ -184,6 +189,7 @@ def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np
     given hidden state ``i`` there, built from the reversed chain
     ``model.A_rev``; row ``i`` of ``B2`` is the law of the k symbols after.
     """
+    (k,) = _whole_numbers([k], "k")
     if k < 1:
         raise InputError("k must be at least 1")
     check_power_entries([(model.r, 1), (model.kappa, k)], "window block")
@@ -260,8 +266,8 @@ def recover_hmm(
     Raises
     ------
     InputError
-        ``k < 1``, or ``T`` is not a distribution of shape ``(kappa^k,
-        kappa^k, kappa)``.
+        ``k`` is not a whole number or is below 1, or ``T`` is not a
+        distribution of shape ``(kappa^k, kappa^k, kappa)``.
     IllConditionedError
         ``B (x) M`` is rank deficient, or the solved transition matrix fails
         to be row stochastic within ``tol``.
@@ -271,6 +277,7 @@ def recover_hmm(
         gives the residual.  Besides these, every refusal of
         :func:`decompose3` at ``j`` propagates.
     """
+    (k,) = _whole_numbers([k], "k")
     if k < 1:
         raise InputError("k must be at least 1")
     T = np.asarray(T, dtype=float)
@@ -279,8 +286,9 @@ def recover_hmm(
             f"window tensor shape {T.shape} does not match "
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
-    check_distribution_tensor(T)
     j = _recovery_k(r, kappa, k)
+    if j < k:  # at j == k, decompose3 checks T itself
+        check_distribution_tensor(T)
     rec = decompose3(_window_marginal(T, kappa, k, j), r, seed=seed, tol=tol)
     F2, B_hat = rec.factors[1:]
     if j == 1:

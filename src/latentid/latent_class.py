@@ -28,6 +28,7 @@ from .tensor_core import (
     ROW_SUM_TOL,
     _khatri_rao,
     _three_blocks,
+    _whole_numbers,
     check_power_entries,
     check_probability_vector,
     check_stochastic,
@@ -110,7 +111,8 @@ class Tripartition:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], kappas: Sequence[int]) -> "Tripartition":
         sorted_blocks = _three_blocks(blocks, len(kappas))
-        dims = tuple(math.prod(int(kappas[j]) for j in b) for b in sorted_blocks)
+        kappas = _whole_numbers(kappas, "state counts")
+        dims = tuple(math.prod(kappas[j] for j in b) for b in sorted_blocks)
         return cls(blocks=sorted_blocks, clumped_dims=dims)  # type: ignore[arg-type]
 
 
@@ -197,13 +199,6 @@ def kruskal_certificate(model: LatentClassModel) -> Certificate:
     return Certificate(model.r, ranks, "exact-matrix")  # type: ignore[arg-type]
 
 
-def _state_counts(kappas: Sequence[int]) -> list[int]:
-    """``kappas`` as ints; a count that is not a whole number is refused, not truncated."""
-    if any(k != int(k) for k in kappas):
-        raise InputError(f"state counts must be whole numbers, got {list(kappas)}")
-    return [int(k) for k in kappas]
-
-
 def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     """Search tripartitions for a generic-dimension certificate.
 
@@ -222,7 +217,7 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     possible.  The witness is deterministic, with its blocks ordered by
     clumped dimension, largest first.  State counts are whole numbers >= 2.
     """
-    kappas = _state_counts(kappas)
+    kappas = _whole_numbers(kappas, "state counts")
     p = len(kappas)
     if p < 3:
         raise InputError(f"need at least 3 variables, got p={p}")
@@ -234,33 +229,50 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     # a capped product of 1 marks an empty block; any variable lifts it to >= 2
     cap = max(r, 2)
     full = (cap, cap, cap)
-    # capped block products, sorted descending -> blocks in the same order
+    # capped block products, sorted descending -> blocks in the same order.
+    # Growing a block never lowers its product, so a stable sort of the grown
+    # triple only moves the grown block ahead of those it now exceeds: block
+    # 0 stays first, block 1 may pass block 0, block 2 may pass one or both.
+    # The first partition to reach a key keeps it.
     states = {(1, 1, 1): ((), (), ())}
     for j, kappa in enumerate(kappas):
         reached = {}
-        for dims, blocks in states.items():
-            for i in range(3):
-                grown = list(zip(dims, blocks))
-                grown[i] = (min(cap, dims[i] * kappa), blocks[i] + (j,))
-                grown.sort(key=lambda item: -item[0])
-                key, ordered = zip(*grown)
-                reached.setdefault(key, ordered)
+        for (d0, d1, d2), (b0, b1, b2) in states.items():
+            g = d0 * kappa
+            key = (g if g < cap else cap, d1, d2)
+            if key not in reached:
+                reached[key] = (b0 + (j,), b1, b2)
+            g = d1 * kappa
+            g = g if g < cap else cap
+            key = (g, d0, d2) if g > d0 else (d0, g, d2)
+            if key not in reached:
+                b = b1 + (j,)
+                reached[key] = (b, b0, b2) if g > d0 else (b0, b, b2)
+            g = d2 * kappa
+            g = g if g < cap else cap
+            key = (g, d0, d1) if g > d0 else (d0, g, d1) if g > d1 else (d0, d1, g)
+            if key not in reached:
+                b = b2 + (j,)
+                reached[key] = (b, b0, b1) if g > d0 else (b0, b, b1) if g > d1 else (b0, b1, b)
         states = reached
         if full in states:
-            best = [list(block) for block in states[full]]
-            products = [math.prod(kappas[i] for i in block) for block in best]
-            for i in range(j + 1, p):
-                # the smallest product, the last such block on ties
-                b = min(range(3), key=lambda b: (products[b], -b))
-                best[b].append(i)
-                products[b] *= kappas[i]
+            best, placed = states[full], j + 1
             break
     else:
         nonempty = [dims for dims in states if dims[2] > 1]
         best = states[max(nonempty, key=lambda d: (sum(min(r, x) for x in d), d))]
+        placed = p
 
-    blocks = sorted(best, key=lambda block: -math.prod(kappas[j] for j in block))
-    witness = Tripartition.from_blocks(blocks, kappas)
+    best = [list(block) for block in best]
+    products = [math.prod(kappas[i] for i in block) for block in best]
+    for i in range(placed, p):
+        b = 2 - products[::-1].index(min(products))  # the last of smallest product
+        best[b].append(i)
+        products[b] *= kappas[i]
+    # blocks hold ascending indices; order them by clumped product, a stable sort
+    order = sorted(range(3), key=lambda b: -products[b])
+    blocks, dims = tuple(tuple(best[b]) for b in order), tuple(products[b] for b in order)
+    witness = Tripartition(blocks=blocks, clumped_dims=dims)  # type: ignore[arg-type]
     ranks = tuple(min(r, d) for d in witness.clumped_dims)
     return Certificate(r, ranks, "generic-dimension", witness=witness)  # type: ignore[arg-type]
 
@@ -288,7 +300,7 @@ def param_dimension(r: int, kappas: Sequence[int]) -> tuple[int, int]:
     table of ``K = prod(kappa_j)`` entries.  ``L < K`` is necessary for
     identifiability.
     """
-    kappas = _state_counts(kappas)
+    kappas = _whole_numbers(kappas, "state counts")
     if r < 1 or any(k < 2 for k in kappas):
         raise InputError("need r >= 1 and every kappa >= 2")
     L = (r - 1) + r * sum(k - 1 for k in kappas)

@@ -386,9 +386,11 @@ def align_permutation(recovered, reference) -> Alignment:
     search over the sorted distinct costs for the smallest threshold ``t``
     at which the pairs with ``C <= t`` contain a perfect matching.  Every
     row and every column is matched at a cost no smaller than its own
-    minimum, so no ``t`` lies below the largest row or column minimum; that
-    bound is tested first, and on an exact answer it is the threshold, found
-    with one matching.
+    minimum, so no ``t`` lies below the largest row or column minimum.  When
+    the pairs at that bound hold exactly one pair in every row and every
+    column, they are the only perfect matching there, and the answer; an
+    exact answer ends there, with no search.  Otherwise the search tests the
+    bound first.
     """
     pi_a, factors_a = _as_params(recovered)
     pi_b, factors_b = _as_params(reference)
@@ -401,11 +403,16 @@ def align_permutation(recovered, reference) -> Alignment:
     rows_b = np.hstack([pi_b[:, None], *factors_b])
     C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)
 
-    costs = np.unique(C)
     # fmin / fmax skip NaN costs, which no threshold admits
     bound = np.fmax.reduce(
         [np.fmax.reduce(np.fmin.reduce(C, axis=ax)) for ax in (0, 1)]
     )
+    allowed = C <= bound
+    if (allowed.sum(axis=0) == 1).all() and (allowed.sum(axis=1) == 1).all():
+        # one pair per row and column, each its row's and column's minimum:
+        # the only matching at the bound, and its largest cost is the bound
+        return Alignment(permutation=allowed.argmax(axis=1), max_abs_error=float(bound))
+    costs = np.unique(C)
     lo, hi = int(np.searchsorted(costs, bound)), costs.size - 1
     perm = np.arange(pi_a.size)  # every pair is allowed at the largest cost
     mid = lo  # the bound is tested first

@@ -14,6 +14,7 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
+from .tensor_core import _whole_numbers
 from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
@@ -46,10 +47,11 @@ def random_probability(rng, n: int) -> np.ndarray:
 
 
 def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
+    kappas = _whole_numbers(kappas, "state counts")
     rng = np.random.default_rng(rng)
     return LatentClassModel(
         pi=random_probability(rng, r),
-        emissions=tuple(random_stochastic(rng, r, int(k)) for k in kappas),
+        emissions=tuple(random_stochastic(rng, r, k) for k in kappas),
     )
 
 

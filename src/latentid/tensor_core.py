@@ -71,6 +71,15 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
+def _whole_numbers(values: Sequence, what: str) -> list[int]:
+    """``values`` as ints; one that is not a whole number, NaN and infinity
+    included, is refused with :class:`InputError` naming them as ``what``,
+    not truncated."""
+    if not all(math.isfinite(v) and v == int(v) for v in values):
+        raise InputError(f"{what} must be whole numbers, got {list(values)}")
+    return [int(v) for v in values]
+
+
 def _check_entries(count: int, what: str) -> None:
     """The exact step of :func:`check_power_entries`: refuse ``count`` entries above
     :data:`ENTRY_CAP`.
@@ -402,7 +411,7 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     is raised unless the residual is at most :data:`ROW_SUM_TOL`.
     """
     A = as_matrix(A, "A")
-    dims = [int(d) for d in col_dims]
+    dims = _whole_numbers(col_dims, "col_dims")
     if any(d < 1 for d in dims):
         raise InputError("col_dims must be positive")
     if not dims:

@@ -179,7 +179,7 @@ class TestRandomHmm:
             raise NonUniqueStationaryError("unit eigenvalue is not simple")
 
         monkeypatch.setattr(sampling, "_HMM_SINGULAR_MARGIN", 0.0)
-        monkeypatch.setattr(hmm, "stationary_distribution", never_simple)
+        monkeypatch.setattr(hmm, "_stationary", never_simple)
         with pytest.raises(NonUniqueStationaryError, match="4 with a non-simple"):
             random_hmm(trial_rng(0, 0), 3, 2, max_attempts=4)
 
@@ -200,7 +200,7 @@ class TestRandomHmm:
         def never_simple(A):
             raise NonUniqueStationaryError("unit eigenvalue is not simple")
 
-        monkeypatch.setattr(hmm, "stationary_distribution", never_simple)
+        monkeypatch.setattr(hmm, "_stationary", never_simple)
         batched = sampled(random_hmm, trial_rng(1, 0), 3, 3, 40)
         assert batched == sampled(reference_random_hmm, trial_rng(1, 0), 3, 3, 40)
         assert batched[0] == (
@@ -575,6 +575,12 @@ def test_foreign_past_block_is_never_answered(r, kappa, seed):
         recover_hmm(T, r, kappa, k, seed=seed)
 
 
+def test_whole_float_k_answers_as_its_int():
+    T = window_tensor(random_hmm(0, 2, 2), 2)
+    for got, want in zip(recover_hmm(T, 2, 2, 2.0, seed=0), recover_hmm(T, 2, 2, 2, seed=0)):
+        assert got.tobytes() == want.tobytes()
+
+
 #: recover_hmm's (A, B, pi), hashed, for windows it decomposes whole (j == k):
 #: the kappa=3 sizes of the hmm-recover benchmark and half-windows up to 2,
 #: recorded before recovery moved to a marginal of the window law.  Case ``i``
@@ -638,6 +644,20 @@ HMM_REFUSALS = {
     "recovery-k-zero-two-states": (
         lambda: recover_hmm(np.array([[[0.5, 0.5]]]), 2, 2, 0),
         InputError, "k must be at least 1",
+    ),
+    "recovery-k-fraction": (
+        # 4 ** 2.5 = 32, so the shape check alone lets k = 2.5 through
+        lambda: recover_hmm(np.full((32, 32, 4), 1 / 4096), 2, 4, 2.5),
+        InputError, "k must be whole numbers, got [2.5]",
+    ),
+    "half-window-fraction": (
+        lambda: conditional_blocks(two_state_model(), 1.5),
+        InputError, "k must be whole numbers, got [1.5]",
+    ),
+    "whole-law-negative": (
+        # at k = 2 recovery decomposes the law itself, and decompose3 checks it
+        lambda: recover_hmm(np.full((4, 4, 2), -1 / 32), 2, 2, 2),
+        InputError, "tensor has entries below -1e-12",
     ),
     "recovery-window-arguments": (
         lambda: recovery_window(2, 1), InputError, "need r >= 1 and kappa >= 2",

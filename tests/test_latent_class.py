@@ -373,6 +373,88 @@ def test_witness_is_an_optimal_ordered_partition(r, kappas):
     assert cert.holds == (best[0] >= 2 * r + 2)
 
 
+def sorted_dp_blocks(r, kappas):
+    """The search's dynamic program with each grown state re-sorted by a full
+    stable sort, the plain form of its in-order transitions; returns the
+    blocks kept at the first full-cap state, or at the best final state."""
+    cap = max(r, 2)
+    states = {(1, 1, 1): ((), (), ())}
+    for j, kappa in enumerate(kappas):
+        reached = {}
+        for dims, blocks in states.items():
+            for i in range(3):
+                grown = list(zip(dims, blocks))
+                grown[i] = (min(cap, dims[i] * kappa), blocks[i] + (j,))
+                grown.sort(key=lambda item: -item[0])
+                key, ordered = zip(*grown)
+                reached.setdefault(key, ordered)
+        states = reached
+        if (cap, cap, cap) in states:
+            return j, states[(cap, cap, cap)]
+    nonempty = [dims for dims in states if dims[2] > 1]
+    return len(kappas) - 1, states[max(nonempty, key=lambda d: (sum(min(r, x) for x in d), d))]
+
+
+@given(
+    r=st.integers(1, 40),
+    kappas=st.lists(st.integers(2, 5), min_size=3, max_size=9),
+)
+@example(r=4, kappas=[2, 2, 2, 2, 2, 2])  # tied capped products on the way
+def test_search_keeps_the_blocks_of_a_sorted_dynamic_program(r, kappas):
+    j, blocks = sorted_dp_blocks(r, kappas)
+    witness = tripartition_search(r, kappas).witness
+    # the variables after j are handed out to blocks only after an early stop
+    placed = [tuple(i for i in b if i <= j) for b in witness.blocks]
+    assert sorted(placed) == sorted(blocks)
+
+
+#: (r, kappas, witness blocks) from the sort-based search the in-order
+#: transitions replaced: early stops at full caps, r = 1 and 2, ties
+PINNED_WITNESSES = [
+    (1, (2, 3, 4), ((2,), (1,), (0,))),
+    (1, (5, 2, 3, 2), ((0,), (1, 3), (2,))),
+    (2, (2, 2, 2), ((0,), (1,), (2,))),
+    (2, (3, 2, 5, 2), ((2,), (1, 3), (0,))),
+    (2, (2, 5, 2, 3, 2, 2, 4), ((1, 6), (0, 4, 5), (2, 3))),
+    (3, (3, 3, 3, 3, 3, 3, 3), ((2, 3, 6), (0, 5), (1, 4))),
+    (3, (2, 3, 2, 3, 2, 3), ((1, 5), (3, 4), (0, 2))),
+    (4, (2, 3, 2, 3, 2), ((0, 1), (2, 4), (3,))),
+    (4, (4, 2, 2, 4, 2, 2), ((1, 2, 5), (3, 4), (0,))),
+    (5, (2, 2, 3, 3, 4, 4), ((4, 5), (0, 2), (1, 3))),
+    (5, (3, 2, 2, 2, 3, 2, 2, 2), ((4, 6, 7), (2, 3, 5), (0, 1))),
+    (6, (2, 3, 2, 3, 2, 3, 2), ((4, 5, 6), (0, 1), (2, 3))),
+    (6, (5, 4, 3, 2, 5, 4, 3, 2), ((2, 3, 6, 7), (0, 1), (4, 5))),
+    (7, (2, 3, 4, 5, 2, 3, 4, 5), ((1, 5, 7), (0, 2, 6), (3, 4))),
+    (8, (4, 2, 2, 4, 2, 2, 4), ((0, 1, 2), (3, 4), (5, 6))),
+    (9, (3, 3, 2, 2, 3, 3, 2, 2, 3), ((0, 1, 8), (2, 3, 4), (5, 6, 7))),
+    (10, (2, 5, 2, 5, 2, 5), ((0, 1), (2, 3), (4, 5))),
+    (12, (3, 4, 2, 3, 4, 2, 3, 4, 2), ((4, 6, 7), (2, 3, 5, 8), (0, 1))),
+    (16, (4, 4, 4, 2, 2, 2, 4, 4), ((0, 1, 3), (2, 4, 5), (6, 7))),
+    (20, (5, 4, 2, 3, 5, 4, 2, 3, 2), ((0, 1, 8), (2, 3, 4), (5, 6, 7))),
+    (24, (2, 3, 4) * 4, ((0, 1, 2, 11), (3, 4, 5, 10), (6, 7, 8, 9))),
+    (30, (5, 3, 2, 5, 3, 2, 5, 3), ((0, 1, 2), (3, 4, 5), (6, 7))),
+    (40, (2, 3, 4, 5, 2, 3, 4), ((0, 3, 6), (1, 2, 5), (4,))),
+    (100, (2, 3) * 6, ((0, 1, 2, 3, 5), (4, 6, 7, 9, 11), (8, 10))),
+    (7, (2, 3, 4) * 10, (
+        (3, 5, 6, 9, 11, 15, 17, 21, 23, 27, 29),
+        (1, 4, 8, 12, 13, 16, 20, 24, 25, 28),
+        (0, 2, 7, 10, 14, 18, 19, 22, 26),
+    )),
+    (40000, (2, 3, 4) * 10, (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 10),
+        (19, 21, 22, 23, 24, 25, 26, 27, 28, 29),
+        (9, 11, 12, 13, 14, 15, 16, 17, 18, 20),
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "r,kappas,blocks", PINNED_WITNESSES, ids=[f"r{c[0]}-p{len(c[1])}" for c in PINNED_WITNESSES]
+)
+def test_pinned_witness(r, kappas, blocks):
+    assert tripartition_search(r, kappas).witness.blocks == blocks
+
+
 @st.composite
 def latent_class_certificates(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -455,9 +537,21 @@ LATENT_CLASS_REFUSALS = {
         lambda: tripartition_search(3, [2.5, 3, 3]),
         InputError, "state counts must be whole numbers, got [2.5, 3, 3]",
     ),
+    "search-state-count-nan": (
+        lambda: tripartition_search(3, [float("nan"), 3, 3]),
+        InputError, "state counts must be whole numbers, got [nan, 3, 3]",
+    ),
     "dimension-state-counts": (
         lambda: param_dimension(2, [2, 2.5]),
         InputError, "state counts must be whole numbers, got [2, 2.5]",
+    ),
+    "witness-state-counts": (
+        lambda: Tripartition.from_blocks([[0], [1], [2]], [2.5, 2, 2]),
+        InputError, "state counts must be whole numbers, got [2.5, 2, 2]",
+    ),
+    "sampled-state-counts": (
+        lambda: random_latent_class(0, 2, [2, 2.5, 2]),
+        InputError, "state counts must be whole numbers, got [2, 2.5, 2]",
     ),
     "joint-table-cap": (
         lambda: joint_distribution(_binary_model(4)),

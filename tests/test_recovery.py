@@ -784,6 +784,49 @@ def test_alignment_is_the_brute_force_bottleneck(case):
     assert align.max_abs_error == best == C[range(r), align.permutation].max()
 
 
+@given(case=integer_parameter_pairs(), data=st.data())
+def test_alignment_around_nan_costs_is_the_brute_force_bottleneck(case, data):
+    # a NaN parameter makes its row's costs NaN, and no threshold admits them
+    recovered, reference, a, b = case
+    r = a.shape[0]
+    holes = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    a[holes, 0] = np.nan
+    C = np.abs(a[None, :, :] - b[:, None, :]).max(axis=2)
+    finite = [p for p in itertools.permutations(range(r)) if not np.isnan(C[range(r), p]).any()]
+    align = align_permutation((a[:, 0], [a[:, 1:]]), reference)
+    if finite:
+        best = min(C[range(r), p].max() for p in finite)
+        assert align.max_abs_error == best == C[range(r), align.permutation].max()
+    else:
+        assert align.permutation.tolist() == list(range(r))
+        assert np.isnan(align.max_abs_error)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_exact_answer_is_aligned_without_a_matching_search(r, monkeypatch):
+    # on an exact answer each row's and column's nearest pair is the only one
+    # at the bound, and that matching is what a first search step would find
+    rng = np.random.default_rng(r)
+    m = random_latent_class(rng, r, (2, 3, 3))
+    shuffle = rng.permutation(r)
+    pi = m.pi[shuffle] + rng.uniform(-1e-14, 1e-14, r)
+    factors = [M[shuffle] + rng.uniform(-1e-14, 1e-14, M.shape) for M in m.emissions]
+    A = np.hstack([pi[:, None], *factors])
+    B = np.hstack([m.pi[:, None], *m.emissions])
+    C = np.abs(A[None, :, :] - B[:, None, :]).max(axis=2)
+    bound = max(C.min(axis=0).max(), C.min(axis=1).max())
+    first_step = recovery._perfect_matching(C <= bound)
+
+    def no_search(allowed):
+        raise AssertionError("an exact answer ran the matching search")
+
+    monkeypatch.setattr(recovery, "_perfect_matching", no_search)
+    align = align_permutation((pi, factors), (m.pi, list(m.emissions)))
+    assert align.permutation.tolist() == first_step.tolist() == np.argsort(shuffle).tolist()
+    assert align.permutation.dtype == first_step.dtype
+    assert align.max_abs_error == C[range(r), first_step].max() == bound
+
+
 #: (call, error, exact message) for each input refusal of the module
 RECOVERY_REFUSALS = {
     "tensor-ndim": (

@@ -640,6 +640,11 @@ TENSOR_CORE_REFUSALS = {
         lambda: unclump(np.full((1, 2), 0.5), [2, 0]),
         InputError, "col_dims must be positive",
     ),
+    "unclump-fractional-dims": (
+        # truncating 2.5 to 2 would de-clump this as two binary factors
+        lambda: unclump(khatri_rao([[[0.5, 0.5]], [[0.3, 0.7]]]), [2.5, 2]),
+        InputError, "col_dims must be whole numbers, got [2.5, 2]",
+    ),
     "unclump-no-dims": (
         lambda: unclump(np.ones((2, 1)), []), InputError, "col_dims must be nonempty",
     ),
