@@ -66,7 +66,7 @@ print("=" * 72)
 model = random_latent_class(trial_rng(0, 1), 3, (4, 4, 3))
 T = joint_distribution(model)
 rec = decompose3(T, model.r, seed=0)
-align = align_permutation(rec, (model.pi, list(model.emissions)))
+align = align_permutation((rec.pi, rec.factors), (model.pi, list(model.emissions)))
 print(f"reconstruction residual: {rec.residual:.2e}")
 print(f"parameter error after relabeling: {align.max_abs_error:.2e}")
 print(f"true pi: {np.round(model.pi, 6)}")

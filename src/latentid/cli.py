@@ -29,7 +29,7 @@ from . import hmm as hmm_mod
 from . import latent_class as lc
 from . import nonparametric as npx
 from . import random_graph as rg
-from . import recovery, sampling
+from . import recovery, sampling, tensor_core
 from .errors import InputError, LatentIdError
 from .modelio import load_model
 
@@ -64,22 +64,15 @@ def _certified(cert: lc.Certificate, **facts) -> tuple[int, dict]:
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``: a float that is neither negative nor NaN."""
-    if not float(text) >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return float(text)
+    """``--tol``: a float that the library's one tolerance rule accepts."""
+    try:
+        return tensor_core._tolerance(float(text))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
-
-
-def _parse_tripartition(text: str) -> list[list[int]]:
-    """Blocks of 0-based variable indices, e.g. ``\"0,1|2,3|4\"``."""
-    blocks = [_parse_int_list(part) for part in text.split("|")]
-    if len(blocks) != 3:
-        raise InputError(f"expected three |-separated blocks, got {text!r}")
-    return blocks
 
 
 #: each model class as a wrong-type error names it (its file's "type" key)
@@ -138,7 +131,8 @@ def _lc_round_trip(model: lc.LatentClassModel, blocks, seed, tol: float) -> dict
 def _cmd_recover_lc(args) -> tuple[int, dict]:
     model = _load(args, lc.LatentClassModel)
     if args.tripartition:
-        blocks = _parse_tripartition(args.tripartition)
+        # the library checks that there are three blocks covering the variables
+        blocks = [_parse_int_list(part) for part in args.tripartition.split("|")]
     else:
         blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     return 0, _lc_round_trip(model, blocks, args.seed, args.tol)
@@ -246,8 +240,7 @@ def _default_queries(model: npx.NonparametricMixture, count: int) -> list[np.nda
 
 
 def _cmd_nonparam_recover(args) -> tuple[int, dict]:
-    if args.queries < 0:
-        raise InputError(f"--queries must be at least 0, got {args.queries}")
+    tensor_core._whole_number(args.queries, "--queries", 0)
     model = _load(args, npx.NonparametricMixture)
     queries = _default_queries(model, args.queries)
     pi_hat, tables = npx.recover_mixture(model, queries, seed=args.seed, tol=args.tol)
@@ -272,8 +265,7 @@ _SIMULATE_READS = {
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    if args.trials < 1:
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    tensor_core._whole_number(args.trials, "--trials", 1)
     reads = _SIMULATE_READS[args.family]
     ignored = [
         "--" + name.replace("_", "-")

@@ -4,9 +4,13 @@ Every error is a subclass of :class:`LatentIdError`, so callers can catch the
 whole family with one clause.  Misuse and malformed input (bad shapes, values
 out of range, inputs too large or too few, inconsistent model files, or a CDF
 table with a negative cell mass) raise :class:`InputError`, which is also a
-:class:`ValueError`; its message names the cause.  Every other class names an
-honest negative result.  The CLI exits 2 on an :class:`InputError` and 1 on
-any other :class:`LatentIdError`.
+:class:`ValueError`; its message names the cause.  Every count and index
+argument must be a whole number (an integer of any size, or a float equal to
+one) at least its least value, and every tolerance a number >= 0; any other
+value is refused, never truncated, as ``<name> must be a whole number >=
+<least>, got <value>`` or ``tol must be a number >= 0, got <value>``.  Every
+other class names an honest negative result.  The CLI exits 2 on an
+:class:`InputError` and 1 on any other :class:`LatentIdError`.
 
 The classes: :class:`LatentIdError`, :class:`InputError`,
 :class:`NotKhatriRaoError`, :class:`DegenerateSpectrumError`,

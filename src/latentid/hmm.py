@@ -47,7 +47,8 @@ from .recovery import (
 from .tensor_core import (
     POSITIVE_FLOOR,
     _khatri_rao,
-    _whole_numbers,
+    _tolerance,
+    _whole_number,
     check_distribution_tensor,
     check_power_entries,
     check_stochastic,
@@ -135,14 +136,17 @@ def min_window(r: int, kappa: int) -> int:
     The binomial counts distinct degree-k monomials in kappa symbols, which is
     what makes the window blocks generically full rank; the full window has
     ``2k + 1`` observations.  For binary observations this gives ``k = r - 1``
-    (window ``2r - 1``); larger alphabets need shorter windows.
+    (window ``2r - 1``); larger alphabets need shorter windows.  The binomial
+    grows with k, so k is doubled past the answer and then bisected, exactly.
     """
-    if r < 1 or kappa < 2:
-        raise InputError("need r >= 1 and kappa >= 2")
-    k = 1
-    while math.comb(k + kappa - 1, kappa - 1) < r:
-        k += 1
-    return k
+    r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 2)
+    lo, hi = 0, 1  # the binomial is below r at lo (or lo == 0), at least r at hi
+    while math.comb(hi + kappa - 1, kappa - 1) < r:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.comb(mid + kappa - 1, kappa - 1) < r else (lo, mid)
+    return hi
 
 
 def recovery_window(r: int, kappa: int) -> int:
@@ -159,8 +163,7 @@ def recovery_window(r: int, kappa: int) -> int:
     still the default window of the CLI; a caller's window is narrowed,
     never widened.
     """
-    if r < 1 or kappa < 2:
-        raise InputError("need r >= 1 and kappa >= 2")
+    r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 2)
     j = 1
     while kappa**j < 2 * r:
         j += 1
@@ -189,9 +192,7 @@ def conditional_blocks(model: HiddenMarkovModel, k: int) -> tuple[np.ndarray, np
     given hidden state ``i`` there, built from the reversed chain
     ``model.A_rev``; row ``i`` of ``B2`` is the law of the k symbols after.
     """
-    (k,) = _whole_numbers([k], "k")
-    if k < 1:
-        raise InputError("k must be at least 1")
+    k = _whole_number(k, "k", 1)
     check_power_entries([(model.r, 1), (model.kappa, k)], "window block")
     return _window_blocks(model.A, model.A_rev, model.B, k)
 
@@ -203,8 +204,9 @@ def window_tensor(model: HiddenMarkovModel, k: int) -> np.ndarray:
     marginal distribution of ``2k + 1`` consecutive observations regrouped as
     ``((X_0..X_{k-1}), (X_{k+1}..X_{2k}), X_k)``.
     """
+    k = _whole_number(k, "k", 1)
     check_power_entries([(model.kappa, 2 * k + 1)], "window tensor")
-    B1, B2 = conditional_blocks(model, k)
+    B1, B2 = _window_blocks(model.A, model.A_rev, model.B, k)
     return triple_product(model.pi[:, None] * B1, B2, model.B)
 
 
@@ -266,8 +268,9 @@ def recover_hmm(
     Raises
     ------
     InputError
-        ``k`` is not a whole number or is below 1, or ``T`` is not a
-        distribution of shape ``(kappa^k, kappa^k, kappa)``.
+        ``r``, ``kappa`` or ``k`` is not a whole number of at least 1, 2
+        and 1, or ``tol`` is NaN or negative, all checked first; or ``T`` is
+        not a distribution of shape ``(kappa^k, kappa^k, kappa)``.
     IllConditionedError
         ``B (x) M`` is rank deficient, or the solved transition matrix fails
         to be row stochastic within ``tol``.
@@ -277,9 +280,9 @@ def recover_hmm(
         gives the residual.  Besides these, every refusal of
         :func:`decompose3` at ``j`` propagates.
     """
-    (k,) = _whole_numbers([k], "k")
-    if k < 1:
-        raise InputError("k must be at least 1")
+    r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 2)
+    k, tol = _whole_number(k, "k", 1), _tolerance(tol)
+    check_power_entries([(kappa, 2 * k + 1)], "window law")
     T = np.asarray(T, dtype=float)
     if T.shape != (kappa**k, kappa**k, kappa):
         raise InputError(

@@ -27,7 +27,7 @@ from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
     _khatri_rao,
-    _three_blocks,
+    _whole_number,
     _whole_numbers,
     check_power_entries,
     check_probability_vector,
@@ -63,9 +63,7 @@ class LatentClassModel:
                     raise InputError(
                         f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                     )
-        for j, M in enumerate(mats):
-            if M.shape[1] < 2:
-                raise InputError(f"variable {j} must have at least 2 states")
+        _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
         pi.flags.writeable = False
         for M in mats:
             M.flags.writeable = False
@@ -107,13 +105,6 @@ class Tripartition:
 
     blocks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     clumped_dims: tuple[int, int, int]
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Sequence[int]], kappas: Sequence[int]) -> "Tripartition":
-        sorted_blocks = _three_blocks(blocks, len(kappas))
-        kappas = _whole_numbers(kappas, "state counts")
-        dims = tuple(math.prod(kappas[j] for j in b) for b in sorted_blocks)
-        return cls(blocks=sorted_blocks, clumped_dims=dims)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -217,14 +208,10 @@ def tripartition_search(r: int, kappas: Sequence[int]) -> Certificate:
     possible.  The witness is deterministic, with its blocks ordered by
     clumped dimension, largest first.  State counts are whole numbers >= 2.
     """
-    kappas = _whole_numbers(kappas, "state counts")
+    r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
     p = len(kappas)
     if p < 3:
         raise InputError(f"need at least 3 variables, got p={p}")
-    if r < 1:
-        raise InputError("r must be at least 1")
-    if min(kappas) < 2:
-        raise InputError(f"every state count must be at least 2, got {kappas}")
 
     # a capped product of 1 marks an empty block; any variable lifts it to >= 2
     cap = max(r, 2)
@@ -285,8 +272,7 @@ def min_variables_bound(r: int, kappa: int) -> int:
     always minimal: for ``r=5, kappa=2`` it gives 7, yet three blocks of two
     variables already certify at p = 6 (rank sum ``4+4+4 = 12 = 2r+2``).
     """
-    if r < 1 or kappa < 2:
-        raise InputError("need r >= 1 and kappa >= 2")
+    r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 2)
     k = 0
     while kappa**k < r:
         k += 1
@@ -300,8 +286,6 @@ def param_dimension(r: int, kappas: Sequence[int]) -> tuple[int, int]:
     table of ``K = prod(kappa_j)`` entries.  ``L < K`` is necessary for
     identifiability.
     """
-    kappas = _whole_numbers(kappas, "state counts")
-    if r < 1 or any(k < 2 for k in kappas):
-        raise InputError("need r >= 1 and every kappa >= 2")
+    r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
     L = (r - 1) + r * sum(k - 1 for k in kappas)
     return L, math.prod(kappas)

@@ -29,7 +29,9 @@ from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    _tolerance,
     _triple_product,
+    _whole_number,
     check_probability_vector,
     numerical_rank,
     rank_from_singular_values,
@@ -177,7 +179,8 @@ class NonparametricMixture:
 
     def variate(self, j: int) -> list[CdfComponent]:
         """The r components of variate j, for ``0 <= j < p``."""
-        if not 0 <= j < self.p:
+        j = _whole_number(j, "variate index", 0)
+        if j >= self.p:
             raise InputError(f"variate index {j} is out of range for p={self.p}")
         return [row[j] for row in self.components]
 
@@ -700,8 +703,9 @@ def recover_mixture(
     Raises
     ------
     InputError
-        The mixture has fewer than 3 variates, or a query point is NaN.  No
-        bin mass is ever refused (see :func:`select_cut_points`).
+        ``tol`` is NaN or negative (checked first), the mixture has fewer than
+        3 variates, or a query point is NaN.  No bin mass is ever refused (see
+        :func:`select_cut_points`).
     RankDeficientError
         Cut selection finds no full-rank binning of some variate; the message
         names the lowest-numbered one (see :func:`select_mixture_cuts`).  Or
@@ -710,7 +714,7 @@ def recover_mixture(
         From :func:`~latentid.recovery.decompose3`, whose residual gate is
         ``tol`` times the largest entry of the binned tensor.
     """
-    p = mixture.p
+    p, tol = mixture.p, _tolerance(tol)
     if p < 3:
         raise InputError(f"need at least 3 variates, got p={p}")
     if len(query_points) != p:

@@ -28,6 +28,8 @@ from .errors import InconsistentOracleError, InputError, NotDistinctError
 from .latent_class import Certificate
 from .tensor_core import (
     _khatri_rao,
+    _whole_number,
+    _whole_numbers,
     check_power_entries,
     check_probability_vector,
     numerical_rank,
@@ -82,8 +84,7 @@ def node_state_prior(pi, n: int) -> np.ndarray:
     Entry for assignment ``(i_1, ..., i_n)`` is ``prod_k pi[i_k]``; the
     extreme entries are ``min(pi)^n`` and ``max(pi)^n``.  Needs ``n >= 1``.
     """
-    if n < 1:
-        raise InputError(f"node count must be at least 1, got n={n}")
+    n = _whole_number(n, "n", 1)
     pi = check_probability_vector(pi)
     check_power_entries([(pi.size, n)], "node-state prior")
     v = pi.copy()
@@ -107,8 +108,7 @@ def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:
     of ``P`` or ``1 - P`` according to the edge's presence in ``G``.  Rows sum
     to 1.
     """
-    if m < 2:
-        raise InputError("m must be at least 2")
+    m = _whole_number(m, "m", 2)
     r = model.r
     check_power_entries([(r, m), (2, m * (m - 1) // 2)], "group matrix")
     edges = edge_list(m)
@@ -151,8 +151,7 @@ def lattice_partitions(m: int) -> PartitionFamily:
     is ``{(a, (a + j) mod m)}``, a diagonal; a row meets a column or a
     diagonal in exactly one node, and likewise column vs diagonal.
     """
-    if m < 2:
-        raise InputError("m must be at least 2")
+    m = _whole_number(m, "m", 2)
     rows = tuple(
         frozenset(a * m + b for b in range(m)) for a in range(m)
     )
@@ -182,6 +181,7 @@ def graph_certificate(model: GraphMixtureModel, m: int) -> Certificate:
     when ``A`` has fewer columns ``2^C(m,2)`` than rows ``r^m`` and so has no
     full row rank for any model (two states at m = 2).
     """
+    m = _whole_number(m, "m", 2)
     A = conditional_graph_matrix(model, m)
     rows, cols = A.shape
     if cols < rows:
@@ -205,12 +205,12 @@ def single_edge_marginal(model: GraphMixtureModel, states, edge: tuple[int, int]
     marginal of one row of the huge composite matrix, summing over all
     subgraphs that contain the edge without materializing them.
     """
-    states = tuple(int(s) for s in states)
-    k, l = int(edge[0]), int(edge[1])
+    states = _whole_numbers(states, "states", 0)
+    k, l = _whole_numbers(edge, "edge", 0)
     n = len(states)
-    if k == l or not (0 <= k < n) or not (0 <= l < n):
+    if k == l or max(k, l) >= n:
         raise InputError(f"edge {edge} must join two distinct nodes in range({n})")
-    if any(not (0 <= s < model.r) for s in states):
+    if any(s >= model.r for s in states):
         raise InputError(f"states must lie in range({model.r})")
     return float(model.P[states[k], states[l]])
 
@@ -254,8 +254,7 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
             raise InconsistentOracleError(f"row {row}, edge {edge}: oracle answered {val}")
         return val
 
-    if n < 2:
-        raise InputError(f"extraction needs at least 2 nodes, got n={n}")
+    n = _whole_number(n, "n", 2)
     tol = PRIOR_MATCH_TOL
     v = np.asarray(v_perm, dtype=float)
     if v.ndim != 1 or v.size != 2**n:

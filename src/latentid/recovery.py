@@ -36,6 +36,8 @@ from .errors import (
 from .tensor_core import (
     _khatri_rao,
     _three_blocks,
+    _tolerance,
+    _whole_number,
     check_distribution_tensor,
     clump_tensor,
     rank_from_singular_values,
@@ -152,6 +154,9 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
 
     Raises
     ------
+    InputError
+        ``r`` is not a whole number >= 1, ``tol`` is NaN or negative, or
+        ``T`` is not a three-way distribution.
     RankDeficientError
         A mode-1 or mode-2 unfolding has numerical rank below r.
     IllConditionedError
@@ -167,12 +172,11 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
         The furthest draws stopped on a mixing weight at or below 0 or a
         factor entry below ``-tol``.
     """
+    r, tol = _whole_number(r, "r", 1), _tolerance(tol)
     T = check_distribution_tensor(T)
     if T.ndim != 3:
         raise InputError(f"expected a 3-way tensor, got ndim={T.ndim}")
     k1, k2, k3 = T.shape
-    if r < 1:
-        raise InputError("r must be at least 1")
     if k1 < r or k2 < r:
         raise RankDeficientError(
             f"first two dimensions {(k1, k2)} must both be at least r={r}"
@@ -377,28 +381,27 @@ def _perfect_matching(allowed: np.ndarray) -> np.ndarray | None:
 def align_permutation(recovered, reference) -> Alignment:
     """Best class relabeling of ``recovered`` onto ``reference``.
 
-    Both arguments are ``(pi, factors)`` pairs (a :class:`RecoveredFactors`
-    is accepted for either).  The relabeling minimizes the max-abs parameter
-    difference exactly.  That error is the largest cost ``C[ref, rec]`` (the
-    max-abs difference between the concatenated ``(pi, factors)`` rows) on the
-    matched pairs, so minimizing it is a bottleneck assignment problem
-    (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 6): binary
-    search over the sorted distinct costs for the smallest threshold ``t``
-    at which the pairs with ``C <= t`` contain a perfect matching.  Every
-    row and every column is matched at a cost no smaller than its own
-    minimum, so no ``t`` lies below the largest row or column minimum.  When
-    the pairs at that bound hold exactly one pair in every row and every
-    column, they are the only perfect matching there, and the answer; an
-    exact answer ends there, with no search.  Otherwise the search tests the
-    bound first.
+    Both arguments are ``(pi, factors)`` pairs.  The relabeling minimizes the
+    max-abs parameter difference exactly.  That error is the largest cost
+    ``C[ref, rec]`` (the max-abs difference between the concatenated ``(pi,
+    factors)`` rows) on the matched pairs, so minimizing it is a bottleneck
+    assignment problem (Burkard, Dell'Amico & Martello, *Assignment
+    Problems*, ch. 6): binary search over the sorted distinct costs for the
+    smallest threshold ``t`` at which the pairs with ``C <= t`` contain a
+    perfect matching.  Every row and every column is matched at a cost no
+    smaller than its own minimum, so no ``t`` lies below the largest row or
+    column minimum.  When the pairs at that bound hold exactly one pair in
+    every row and every column, they are the only perfect matching there,
+    and the answer; an exact answer ends there, with no search.  Otherwise
+    the search tests the bound first.
     """
-    pi_a, factors_a = _as_params(recovered)
-    pi_b, factors_b = _as_params(reference)
+    (pi_a, factors_a), (pi_b, factors_b) = recovered, reference
+    pi_a, pi_b = np.asarray(pi_a, dtype=float), np.asarray(pi_b, dtype=float)
     if pi_a.shape != pi_b.shape or len(factors_a) != len(factors_b):
         raise InputError("class counts or factor counts differ")
     for Fa, Fb in zip(factors_a, factors_b):
-        if Fa.shape != Fb.shape:
-            raise InputError(f"factor shapes differ: {Fa.shape} vs {Fb.shape}")
+        if np.shape(Fa) != np.shape(Fb):
+            raise InputError(f"factor shapes differ: {np.shape(Fa)} vs {np.shape(Fb)}")
     rows_a = np.hstack([pi_a[:, None], *factors_a])
     rows_b = np.hstack([pi_b[:, None], *factors_b])
     C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)
@@ -427,13 +430,6 @@ def align_permutation(recovered, reference) -> Alignment:
     return Alignment(permutation=perm, max_abs_error=error)
 
 
-def _as_params(obj) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    if isinstance(obj, RecoveredFactors):
-        return obj.pi, obj.factors
-    pi, factors = obj
-    return np.asarray(pi, dtype=float), tuple(np.asarray(F, float) for F in factors)
-
-
 def recover_latent_class(
     T,
     r: int,
@@ -453,10 +449,12 @@ def recover_latent_class(
     reassembled through the clumped factors, each the Khatri-Rao product of
     its block's recovered matrices, must reproduce the clumped table within
     ``tol`` times its largest entry, the rule :func:`decompose3` applies, or
-    :class:`DegenerateSpectrumError` is raised.
+    :class:`DegenerateSpectrumError` is raised.  A NaN or negative ``tol``, or a
+    block index that is not a whole number >= 0, raises :class:`InputError` first.
 
     Returns ``(pi, emissions)`` with emissions in original variable order.
     """
+    tol = _tolerance(tol)
     T = np.asarray(T, dtype=float)
     blocks = _three_blocks(tripartition, T.ndim)
     kappas = T.shape

@@ -14,7 +14,7 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
-from .tensor_core import _whole_numbers
+from .tensor_core import _whole_number, _whole_numbers
 from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
@@ -33,7 +33,8 @@ _CDF_SUPPORT = (0.0, 1.0)
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator from a master seed and trial counter."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(trial)]))
+    seeds = [_whole_number(master_seed, "master_seed", 0), _whole_number(trial, "trial", 0)]
+    return np.random.default_rng(np.random.SeedSequence(seeds))
 
 
 def random_stochastic(rng, rows: int, cols: int) -> np.ndarray:
@@ -47,7 +48,7 @@ def random_probability(rng, n: int) -> np.ndarray:
 
 
 def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
-    kappas = _whole_numbers(kappas, "state counts")
+    r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
     rng = np.random.default_rng(rng)
     return LatentClassModel(
         pi=random_probability(rng, r),
@@ -74,8 +75,8 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
     and the generator's state afterwards are those of drawing and testing one
     attempt at a time.
     """
-    if r < 1 or kappa < 1:
-        raise InputError(f"need r >= 1 and kappa >= 1, got r={r}, kappa={kappa}")
+    r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 1)
+    max_attempts = _whole_number(max_attempts, "max_attempts", 0)
     rng = np.random.default_rng(rng)
     width = r * r + r * kappa
     rejected = {"A": 0, "B": 0, "stationary": 0}
@@ -157,6 +158,7 @@ def random_nonparametric_mixture(
     Per-variate families are generically linearly independent; blocks of
     dimension b > 1 are products of independent random marginals.
     """
+    r, p = _whole_number(r, "r", 1), _whole_number(p, "p", 1)
     rng = np.random.default_rng(rng)
     if block_dims is None:
         block_dims = [1] * p

@@ -71,13 +71,27 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
-def _whole_numbers(values: Sequence, what: str) -> list[int]:
-    """``values`` as ints; one that is not a whole number, NaN and infinity
-    included, is refused with :class:`InputError` naming them as ``what``,
-    not truncated."""
-    if not all(math.isfinite(v) and v == int(v) for v in values):
-        raise InputError(f"{what} must be whole numbers, got {list(values)}")
-    return [int(v) for v in values]
+def _whole_number(value, what: str, least: int, index: int | None = None) -> int:
+    """``value`` as an int: an integer of any size or a whole float, at least ``least``;
+    anything else is refused, never truncated, naming ``what`` or ``what[index]``."""
+    if isinstance(value, (int, np.integer)) and value >= least:
+        return int(value)
+    if isinstance(value, (float, np.floating)) and value.is_integer() and value >= least:
+        return int(value)
+    name = what if index is None else f"{what}[{index}]"
+    raise InputError(f"{name} must be a whole number >= {least}, got {value}")
+
+
+def _whole_numbers(values: Sequence, what: str, least: int) -> list[int]:
+    """:func:`_whole_number` of each entry of ``values``, a list named ``what``."""
+    return [_whole_number(v, what, least, i) for i, v in enumerate(values)]
+
+
+def _tolerance(tol: float) -> float:
+    """``tol`` unchanged, refused with :class:`InputError` when NaN or negative."""
+    if not tol >= 0.0:
+        raise InputError(f"tol must be a number >= 0, got {tol}")
+    return tol
 
 
 def _check_entries(count: int, what: str) -> None:
@@ -88,7 +102,7 @@ def _check_entries(count: int, what: str) -> None:
     will not print an integer of more than 4300 digits.
     """
     if count > ENTRY_CAP:
-        bits = int(count).bit_length()
+        bits = count.bit_length()
         size = count if bits <= 128 else f"at least 2^{bits - 1}"
         raise InputError(f"{what} has {size} entries, cap is {ENTRY_CAP}")
 
@@ -116,7 +130,6 @@ def check_power_entries(powers: Sequence[tuple[int, int]], what: str) -> None:
     entries, which never exceeds the count and is exact when every base is a
     power of two.
     """
-    powers = [(int(base), int(exponent)) for base, exponent in powers]
     k = sum(exponent * _log2_lower(base) for base, exponent in powers) >> 52
     if k <= 128:
         _check_entries(math.prod(base**exponent for base, exponent in powers), what)
@@ -411,9 +424,7 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     is raised unless the residual is at most :data:`ROW_SUM_TOL`.
     """
     A = as_matrix(A, "A")
-    dims = _whole_numbers(col_dims, "col_dims")
-    if any(d < 1 for d in dims):
-        raise InputError("col_dims must be positive")
+    dims = _whole_numbers(col_dims, "col_dims", 1)
     if not dims:
         raise InputError("col_dims must be nonempty")
     if math.prod(dims) != A.shape[1]:
@@ -446,7 +457,9 @@ def _three_blocks(
     nonempty blocks covering ``range(p)``; :class:`InputError` otherwise."""
     if len(blocks) != 3:
         raise InputError(f"need exactly 3 blocks, got {len(blocks)}")
-    sorted_blocks = tuple(tuple(sorted(int(j) for j in b)) for b in blocks)
+    sorted_blocks = tuple(
+        tuple(sorted(_whole_numbers(b, f"blocks[{i}]", 0))) for i, b in enumerate(blocks)
+    )
     if any(len(b) == 0 for b in sorted_blocks):
         raise InputError("blocks must be nonempty")
     if sorted(j for b in sorted_blocks for j in b) != list(range(p)):

@@ -68,7 +68,7 @@ def test_criterion_01_three_way_round_trip():
         model = random_latent_class(trial_rng(101, t), 3, (4, 4, 3))
         T = joint_distribution(model)
         rec = decompose3(T, 3, seed=t, tol=1e-8)
-        align = align_permutation(rec, (model.pi, list(model.emissions)))
+        align = align_permutation((rec.pi, rec.factors), (model.pi, list(model.emissions)))
         worst = max(worst, align.max_abs_error)
         if align.max_abs_error > 1e-8:
             failures.append(t)

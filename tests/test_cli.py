@@ -555,7 +555,7 @@ SIMULATE_HMM = [
 CLI_REFUSALS = {
     "tripartition-blocks": (
         ["recover-lc", "--tripartition", "0,1|2"], "lc5_file",
-        "error: expected three |-separated blocks, got '0,1|2'",
+        "error: need exactly 3 blocks, got 2",
     ),
     "tripartition-overlap": (
         ["recover-lc", "--tripartition", "0|1|1"], "lc3_file",
@@ -564,19 +564,24 @@ CLI_REFUSALS = {
     "tol-nan": (
         ["simulate", "--family", "latent-class", "--kappas", "3,3,3", "--trials", "1",
          "--tol", "nan"], None,
-        "latentid simulate: error: argument --tol: must be nonnegative, got 'nan'",
+        "latentid simulate: error: argument --tol: tol must be a number >= 0, got nan",
     ),
     "tol-negative": (
         ["graph-extract", "--tol=-1"], "graph_file",
-        "latentid graph-extract: error: argument --tol: must be nonnegative, got '-1'",
+        "latentid graph-extract: error: argument --tol: tol must be a number >= 0, got -1.0",
     ),
     "queries-negative": (
         ["nonparam-recover", "--queries", "-2"], "npm_file",
-        "error: --queries must be at least 0, got -2",
+        "error: --queries must be a whole number >= 0, got -2",
     ),
     "window-tensor-cap": (
         ["hmm-recover", "--k", "16"], "hmm_file",
         "error: window tensor has 8589934592 entries, cap is 16777216",
+    ),
+    "certify-huge-half-window": (
+        # refused by the entry cap, not by a float conversion of k
+        ["hmm-certify", "--k", str(10**400)], "hmm_file",
+        f"error: window block has at least 2^{10**400 + 1} entries, cap is 16777216",
     ),
     "node-state-prior-cap": (
         ["graph-extract", "--n", "20000"], "graph_file",
@@ -596,15 +601,15 @@ CLI_REFUSALS = {
     ),
     "graph-no-nodes": (
         ["graph-extract", "--n", "0"], "graph_file",
-        "error: node count must be at least 1, got n=0",
+        "error: n must be a whole number >= 1, got 0",
     ),
     "graph-one-node": (
         ["graph-extract", "--n", "1"], "graph_file",
-        "error: extraction needs at least 2 nodes, got n=1",
+        "error: n must be a whole number >= 2, got 1",
     ),
     "simulate-one-node": (
         ["simulate", "--family", "graph", "--n", "1", "--trials", "1"], None,
-        "error: extraction needs at least 2 nodes, got n=1",
+        "error: n must be a whole number >= 2, got 1",
     ),
     "equal-mixing-two-nodes": (
         ["simulate", "--family", "graph", "--equal-mixing", "--n", "2", "--trials", "1"],
@@ -659,6 +664,13 @@ class TestReportContract:
         assert run([*argv, *model]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1] == line
+
+    def test_huge_state_count_is_searched(self, capsys):
+        argv = ["search-tripartition", "--r", "3", "--kappas", f"2,2,{10**400}"]
+        code, report = run_json(capsys, argv)
+        assert code == 1 and report["errors"] == []
+        assert report["result"]["clumped_dims"] == [10**400, 2, 2]
+        assert report["result"]["kruskal_ranks"] == [3, 2, 2]
 
     def test_boundary_values_still_answer(self, capsys, graph_file, npm_file):
         # zero queries recover pi alone; unequal mixing extracts from two nodes

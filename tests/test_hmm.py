@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -211,7 +212,8 @@ class TestRandomHmm:
 
     @pytest.mark.parametrize("r, kappa", [(0, 2), (3, 0)])
     def test_empty_model_refused(self, r, kappa):
-        with pytest.raises(InputError, match="^need r >= 1 and kappa >= 1, got "):
+        name = "r" if r == 0 else "kappa"
+        with pytest.raises(InputError, match=f"^{name} must be a whole number >= 1, got 0$"):
             random_hmm(trial_rng(0, 0), r, kappa)
 
 
@@ -280,6 +282,17 @@ class TestMinWindow:
         for r in range(2, 9):
             ks = [min_window(r, kappa) for kappa in range(2, 7)]
             assert all(a >= b for a, b in zip(ks, ks[1:]))
+
+    def test_search_equals_the_linear_scan(self):
+        for kappa in range(2, 7):
+            k = 1
+            for r in range(1, 2001):
+                while math.comb(k + kappa - 1, kappa - 1) < r:
+                    k += 1
+                assert min_window(r, kappa) == k
+
+    def test_huge_class_count(self):
+        assert min_window(10**400, 2) == 10**400 - 1
 
 
 class TestConditionalBlocks:
@@ -581,6 +594,12 @@ def test_whole_float_k_answers_as_its_int():
         assert got.tobytes() == want.tobytes()
 
 
+def test_whole_float_kappa_answers_as_its_int():
+    T = window_tensor(random_hmm(0, 3, 2), 2)
+    for got, want in zip(recover_hmm(T, 3, 2.0, 2, seed=0), recover_hmm(T, 3, 2, 2, seed=0)):
+        assert got.tobytes() == want.tobytes()
+
+
 #: recover_hmm's (A, B, pi), hashed, for windows it decomposes whole (j == k):
 #: the kappa=3 sizes of the hmm-recover benchmark and half-windows up to 2,
 #: recorded before recovery moved to a marginal of the window law.  Case ``i``
@@ -630,29 +649,51 @@ HMM_REFUSALS = {
         InputError, "B has 3 rows, expected r=2",
     ),
     "window-arguments": (
-        lambda: min_window(2, 1), InputError, "need r >= 1 and kappa >= 2",
+        lambda: min_window(2, 1), InputError, "kappa must be a whole number >= 2, got 1",
+    ),
+    "window-nan-classes": (
+        lambda: min_window(np.nan, 2), InputError, "r must be a whole number >= 1, got nan",
+    ),
+    "recovery-window-infinite-kappa": (
+        lambda: recovery_window(3, np.inf),
+        InputError, "kappa must be a whole number >= 2, got inf",
+    ),
+    "recovery-fractional-classes": (
+        lambda: recover_hmm(window_tensor(two_state_model(), 2), 2.5, 2, 2),
+        InputError, "r must be a whole number >= 1, got 2.5",
+    ),
+    "recovery-tol-nan": (
+        lambda: recover_hmm(window_tensor(two_state_model(), 2), 2, 2, 2, tol=np.nan),
+        InputError, "tol must be a number >= 0, got nan",
+    ),
+    "sampler-fractional-classes": (
+        lambda: random_hmm(0, 2.5, 2), InputError, "r must be a whole number >= 1, got 2.5",
+    ),
+    "sampler-fractional-attempts": (
+        lambda: random_hmm(0, 2, 2, max_attempts=2.5),
+        InputError, "max_attempts must be a whole number >= 0, got 2.5",
     ),
     "half-window": (
         lambda: conditional_blocks(two_state_model(), 0),
-        InputError, "k must be at least 1",
+        InputError, "k must be a whole number >= 1, got 0",
     ),
     "recovery-k-zero": (
         # a (1, 1, 2) law has the shape of half-window 0 for one state
         lambda: recover_hmm(np.array([[[0.5, 0.5]]]), 1, 2, 0),
-        InputError, "k must be at least 1",
+        InputError, "k must be a whole number >= 1, got 0",
     ),
     "recovery-k-zero-two-states": (
         lambda: recover_hmm(np.array([[[0.5, 0.5]]]), 2, 2, 0),
-        InputError, "k must be at least 1",
+        InputError, "k must be a whole number >= 1, got 0",
     ),
     "recovery-k-fraction": (
         # 4 ** 2.5 = 32, so the shape check alone lets k = 2.5 through
         lambda: recover_hmm(np.full((32, 32, 4), 1 / 4096), 2, 4, 2.5),
-        InputError, "k must be whole numbers, got [2.5]",
+        InputError, "k must be a whole number >= 1, got 2.5",
     ),
     "half-window-fraction": (
         lambda: conditional_blocks(two_state_model(), 1.5),
-        InputError, "k must be whole numbers, got [1.5]",
+        InputError, "k must be a whole number >= 1, got 1.5",
     ),
     "whole-law-negative": (
         # at k = 2 recovery decomposes the law itself, and decompose3 checks it
@@ -660,7 +701,8 @@ HMM_REFUSALS = {
         InputError, "tensor has entries below -1e-12",
     ),
     "recovery-window-arguments": (
-        lambda: recovery_window(2, 1), InputError, "need r >= 1 and kappa >= 2",
+        lambda: recovery_window(2, 1),
+        InputError, "kappa must be a whole number >= 2, got 1",
     ),
     "narrowed-law-negative": (
         # at k = 3 recovery runs on the marginal at j = 2, so the whole law is
@@ -697,7 +739,7 @@ HMM_REFUSALS = {
     "window-tensor-cap": (
         # the blocks (8 entries each) would fit, the 2^5-entry tensor does not
         lambda: window_tensor(two_state_model(), 2),
-        InputError, "window tensor has 32 entries, cap is 15", (hmm, "conditional_blocks"),
+        InputError, "window tensor has 32 entries, cap is 15", (hmm, "_window_blocks"),
     ),
 }
 

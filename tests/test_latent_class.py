@@ -10,7 +10,6 @@ from latentid.errors import InputError
 from latentid.hmm import hmm_certificate
 from latentid.latent_class import (
     LatentClassModel,
-    Tripartition,
     joint_distribution,
     kruskal_certificate,
     min_variables_bound,
@@ -348,12 +347,6 @@ class TestBounds:
                         assert L < K
 
 
-def test_tripartition_validation():
-    t = Tripartition.from_blocks([(2,), (0, 1), (3,)], (2, 2, 2, 2))
-    assert t.blocks == ((2,), (0, 1), (3,))
-    assert t.clumped_dims == (2, 4, 2)
-
-
 @given(
     r=st.integers(1, 40),
     kappas=st.lists(st.integers(2, 5), min_size=3, max_size=7),
@@ -519,39 +512,36 @@ LATENT_CLASS_REFUSALS = {
         lambda: LatentClassModel(pi=np.array([1.0]), emissions=()),
         InputError, "at least one variable is required",
     ),
-    "two-blocks": (
-        lambda: Tripartition.from_blocks([[0], [1]], [2, 2]),
-        InputError, "need exactly 3 blocks, got 2",
-    ),
-    "blocks-overlap": (
-        lambda: Tripartition.from_blocks([[0], [1], [1]], [2, 2, 2]),
-        InputError, "blocks must disjointly cover all 3 axes, got [[0], [1], [1]]",
-    ),
     "bound-arguments": (
-        lambda: min_variables_bound(0, 2), InputError, "need r >= 1 and kappa >= 2",
+        lambda: min_variables_bound(0, 2), InputError, "r must be a whole number >= 1, got 0",
     ),
     "dimension-arguments": (
-        lambda: param_dimension(2, [2, 1]), InputError, "need r >= 1 and every kappa >= 2",
+        lambda: param_dimension(2, [2, 1]),
+        InputError, "kappas[1] must be a whole number >= 2, got 1",
     ),
     "search-state-counts": (
         lambda: tripartition_search(3, [2.5, 3, 3]),
-        InputError, "state counts must be whole numbers, got [2.5, 3, 3]",
+        InputError, "kappas[0] must be a whole number >= 2, got 2.5",
+    ),
+    "search-fractional-classes": (
+        lambda: tripartition_search(2.5, [2, 2, 2, 2]),
+        InputError, "r must be a whole number >= 1, got 2.5",
+    ),
+    "dimension-fractional-classes": (
+        lambda: param_dimension(2.5, [2, 2, 2]),
+        InputError, "r must be a whole number >= 1, got 2.5",
     ),
     "search-state-count-nan": (
         lambda: tripartition_search(3, [float("nan"), 3, 3]),
-        InputError, "state counts must be whole numbers, got [nan, 3, 3]",
+        InputError, "kappas[0] must be a whole number >= 2, got nan",
     ),
     "dimension-state-counts": (
         lambda: param_dimension(2, [2, 2.5]),
-        InputError, "state counts must be whole numbers, got [2, 2.5]",
-    ),
-    "witness-state-counts": (
-        lambda: Tripartition.from_blocks([[0], [1], [2]], [2.5, 2, 2]),
-        InputError, "state counts must be whole numbers, got [2.5, 2, 2]",
+        InputError, "kappas[1] must be a whole number >= 2, got 2.5",
     ),
     "sampled-state-counts": (
         lambda: random_latent_class(0, 2, [2, 2.5, 2]),
-        InputError, "state counts must be whole numbers, got [2, 2.5, 2]",
+        InputError, "kappas[1] must be a whole number >= 2, got 2.5",
     ),
     "joint-table-cap": (
         lambda: joint_distribution(_binary_model(4)),

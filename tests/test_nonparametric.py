@@ -1238,6 +1238,15 @@ NONPARAMETRIC_REFUSALS = {
         lambda: recover_mixture(_DEPENDENT_MIXTURE, [[0.5]] * 3),
         RankDeficientError, "variate 1: " + _DEPENDENT.format(rank=1, r=2),
     ),
+    "recovery-tol-nan": (
+        # refused before cut selection, which would refuse the dependent variate
+        lambda: recover_mixture(_DEPENDENT_MIXTURE, [[0.5]] * 3, tol=np.nan),
+        InputError, "tol must be a number >= 0, got nan",
+    ),
+    "variate-index-fraction": (
+        lambda: _mixture(2, 3).variate(0.5),
+        InputError, "variate index must be a whole number >= 0, got 0.5",
+    ),
     "cuts-repeated-infinity": (
         lambda: CutPointSet(cuts=(np.array([np.inf, np.inf]),)),
         InputError, "cut array 0 must be strictly increasing",
@@ -1248,7 +1257,7 @@ NONPARAMETRIC_REFUSALS = {
     ),
     "variate-index-negative": (
         lambda: bivariate_rank(_mixture(2, 3), -1, 0, [0.5], [0.5]),
-        InputError, "variate index -1 is out of range for p=3",
+        InputError, "variate index must be a whole number >= 0, got -1",
     ),
     "variate-index-past-end": (
         lambda: bivariate_rank(_mixture(2, 3), 0, 3, [0.5], [0.5]),

@@ -146,6 +146,11 @@ class TestGraphCertificate:
         assert not cert.holds
         assert cert.kruskal_ranks == (1, 1, 1)
 
+    def test_whole_float_group_size_answers_as_its_int(self):
+        model = reference_model()
+        assert graph_certificate(model, 4.0) == graph_certificate(model, 4)
+        assert type(graph_certificate(model, 4.0).kruskal_ranks[0]) is int
+
     def test_group_size_range(self):
         one_state = GraphMixtureModel(pi=np.array([1.0]), P=np.array([[0.5]]))
         assert not graph_certificate(one_state, CERTIFIABLE_M[-1]).holds
@@ -153,7 +158,7 @@ class TestGraphCertificate:
             InputError, match="^group matrix has 268435456 entries, cap is 16777216$"
         ):
             graph_certificate(one_state, CERTIFIABLE_M[-1] + 1)
-        with pytest.raises(ValueError, match="^m must be at least 2$"):
+        with pytest.raises(ValueError, match="^m must be a whole number >= 2, got 1$"):
             graph_certificate(reference_model(), 1)
 
     def test_group_matrix_with_fewer_columns_than_rows_refused(self):
@@ -446,11 +451,11 @@ EXTRACT_REFUSALS = {
     ),
     "no-nodes": (
         np.array([1.0]), lambda row, edge: 0.5, 0,
-        InputError, "extraction needs at least 2 nodes, got n=0",
+        InputError, "n must be a whole number >= 2, got 0",
     ),
     "one-node": (
         np.array([0.3, 0.7]), lambda row, edge: 0.5, 1,
-        InputError, "extraction needs at least 2 nodes, got n=1",
+        InputError, "n must be a whole number >= 2, got 1",
     ),
     "equal-two-nodes": (
         # with one edge every row is constant: p12 cannot be told apart
@@ -488,14 +493,32 @@ GRAPH_REFUSALS = {
         ),
         InputError, "connection probabilities must lie in [0, 1]",
     ),
-    "lattice-size": (lambda: lattice_partitions(1), InputError, "m must be at least 2"),
+    "lattice-size": (
+        lambda: lattice_partitions(1), InputError, "m must be a whole number >= 2, got 1",
+    ),
     "edge-states": (
         lambda: single_edge_marginal(reference_model(), (0, 5), (0, 1)),
         InputError, "states must lie in range(2)",
     ),
+    "lattice-fractional-size": (
+        lambda: lattice_partitions(2.5), InputError, "m must be a whole number >= 2, got 2.5",
+    ),
+    "edge-fractional-state": (
+        # int() would read state 0.7 as 0 and answer
+        lambda: single_edge_marginal(reference_model(), (0, 0.7), (0, 1)),
+        InputError, "states[1] must be a whole number >= 0, got 0.7",
+    ),
+    "edge-fractional-endpoint": (
+        lambda: single_edge_marginal(reference_model(), (0, 1), (0, 1.9)),
+        InputError, "edge[1] must be a whole number >= 0, got 1.9",
+    ),
+    "prior-fractional-nodes": (
+        lambda: node_state_prior([0.3, 0.7], 2.5),
+        InputError, "n must be a whole number >= 1, got 2.5",
+    ),
     "prior-nodes": (
         lambda: node_state_prior([0.3, 0.7], 0),
-        InputError, "node count must be at least 1, got n=0",
+        InputError, "n must be a whole number >= 1, got 0",
     ),
     "prior-cap": (
         lambda: node_state_prior([0.3, 0.7], 4),

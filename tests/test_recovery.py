@@ -101,7 +101,7 @@ class TestDecompose3:
         m = reference_model()
         T = joint_distribution(m)
         rec = decompose3(T, 2, seed=0)
-        align = align_permutation(rec, (m.pi, list(m.emissions)))
+        align = align_permutation((rec.pi, rec.factors), (m.pi, list(m.emissions)))
         assert align.max_abs_error <= 1e-9
 
     def test_degenerate_third_factor_never_silent(self, monkeypatch):
@@ -380,7 +380,7 @@ class TestDecompose3:
             m = random_latent_class(trial_rng(10 + r, t), r, kappas)
             T = joint_distribution(m)
             rec = decompose3(T, r, seed=t)
-            align = align_permutation(rec, (m.pi, list(m.emissions)))
+            align = align_permutation((rec.pi, rec.factors), (m.pi, list(m.emissions)))
             assert align.max_abs_error <= 1e-8
 
     def test_seed_independence_up_to_relabeling(self):
@@ -388,7 +388,7 @@ class TestDecompose3:
         T = joint_distribution(m)
         rec_a = decompose3(T, 3, seed=1)
         rec_b = decompose3(T, 3, seed=2)
-        align = align_permutation(rec_a, (rec_b.pi, list(rec_b.factors)))
+        align = align_permutation((rec_a.pi, rec_a.factors), (rec_b.pi, list(rec_b.factors)))
         assert align.max_abs_error <= 1e-8
 
     @pytest.mark.parametrize(
@@ -417,7 +417,7 @@ class TestDecompose3:
         T = joint_distribution(m)
         rec_a = decompose3(T, 3, seed=5)
         rec_b = decompose3(T, 3, seed=6)
-        align = align_permutation(rec_a, rec_b)
+        align = align_permutation((rec_a.pi, rec_a.factors), (rec_b.pi, rec_b.factors))
         assert align.max_abs_error <= 1e-8
 
 
@@ -573,11 +573,21 @@ def test_decompose3_exact_seed_free_and_mode_symmetric(case):
     r, m = case
     T = joint_distribution(m)
     rec = decompose3(T, r, seed=0)
-    assert align_permutation(rec, (m.pi, list(m.emissions))).max_abs_error <= 1e-8
-    assert align_permutation(decompose3(T, r, seed=1), rec).max_abs_error <= 1e-8
+    found = (rec.pi, rec.factors)
+    assert align_permutation(found, (m.pi, list(m.emissions))).max_abs_error <= 1e-8
+    other = decompose3(T, r, seed=1)
+    assert align_permutation((other.pi, other.factors), found).max_abs_error <= 1e-8
     swapped = decompose3(T.transpose(1, 0, 2), r, seed=0)
     M2, M1, M3 = swapped.factors
-    assert align_permutation((swapped.pi, (M1, M2, M3)), rec).max_abs_error <= 1e-8
+    assert align_permutation((swapped.pi, (M1, M2, M3)), found).max_abs_error <= 1e-8
+
+
+def test_whole_float_r_answers_as_its_int():
+    T = joint_distribution(random_latent_class(trial_rng(23, 0), 3, (4, 4, 3)))
+    got, want = decompose3(T, 3.0, seed=0), decompose3(T, 3, seed=0)
+    for a, b in zip((got.pi, *got.factors), (want.pi, *want.factors)):
+        assert a.tobytes() == b.tobytes()
+    assert (got.residual, got.retries_used) == (want.residual, want.retries_used)
 
 
 class TestAlignPermutation:
@@ -834,7 +844,25 @@ RECOVERY_REFUSALS = {
         InputError, "expected a 3-way tensor, got ndim=2",
     ),
     "no-classes": (
-        lambda: decompose3(np.full((2, 2, 2), 0.125), 0), InputError, "r must be at least 1",
+        lambda: decompose3(np.full((2, 2, 2), 0.125), 0),
+        InputError, "r must be a whole number >= 1, got 0",
+    ),
+    "fractional-classes": (
+        lambda: decompose3(joint_distribution(reference_model()), 2.5),
+        InputError, "r must be a whole number >= 1, got 2.5",
+    ),
+    "tol-nan": (
+        lambda: decompose3(joint_distribution(reference_model()), 2, tol=np.nan),
+        InputError, "tol must be a number >= 0, got nan",
+    ),
+    "tol-negative": (
+        lambda: decompose3(joint_distribution(reference_model()), 2, tol=-1),
+        InputError, "tol must be a number >= 0, got -1",
+    ),
+    "fractional-block-index": (
+        # int() would read 0.9 as axis 0 and answer
+        lambda: recover_latent_class(joint_distribution(reference_model()), 2, [[0.9], [1], [2]]),
+        InputError, "blocks[0][0] must be a whole number >= 0, got 0.9",
     ),
     "factor-shapes": (
         lambda: align_permutation(

@@ -638,12 +638,12 @@ TENSOR_CORE_REFUSALS = {
     ),
     "unclump-dims": (
         lambda: unclump(np.full((1, 2), 0.5), [2, 0]),
-        InputError, "col_dims must be positive",
+        InputError, "col_dims[1] must be a whole number >= 1, got 0",
     ),
     "unclump-fractional-dims": (
         # truncating 2.5 to 2 would de-clump this as two binary factors
         lambda: unclump(khatri_rao([[[0.5, 0.5]], [[0.3, 0.7]]]), [2.5, 2]),
-        InputError, "col_dims must be whole numbers, got [2.5, 2]",
+        InputError, "col_dims[0] must be a whole number >= 1, got 2.5",
     ),
     "unclump-no-dims": (
         lambda: unclump(np.ones((2, 1)), []), InputError, "col_dims must be nonempty",
