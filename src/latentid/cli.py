@@ -229,6 +229,7 @@ def _cmd_nonparam_cuts(args) -> tuple[int, dict]:
 
 def _default_queries(model: npx.NonparametricMixture, count: int) -> list[np.ndarray]:
     """``count`` evenly spaced points per variate, strictly inside its knot range."""
+    tensor_core.check_power_entries([(count, 1), (max(model.block_dims), 1)], "query array")
     steps = np.arange(1, count + 1)[:, None]
     queries = []
     for j in range(model.p):

@@ -19,6 +19,7 @@ the same shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -29,6 +30,7 @@ from .recovery import RECOVERY_TOL, decompose3
 from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
+    _check_entries,
     _tolerance,
     _triple_product,
     _whole_number,
@@ -463,7 +465,7 @@ def _by_grid_shape(items, positions) -> list[list]:
 
 
 def _select_cuts(
-    families: Sequence[Sequence[CdfComponent]], queries: Sequence, named: bool
+    families: Sequence[Sequence[CdfComponent]], queries: Sequence, named: bool, check_bins=None
 ) -> list[tuple[CutPointSet, np.ndarray]]:
     """:func:`select_mixture_cuts` over families of equally many components.
 
@@ -479,6 +481,8 @@ def _select_cuts(
     that of a family selected alone.  A family whose rank did not rise drops
     out, and the refusal raised after the rounds is that of the
     lowest-numbered such family, named as ``variate f`` when ``named``.
+    Before any evaluation, ``check_bins``, when given, is called with each
+    family's bin count at its query coordinates alone, a lower bound.
     """
     r = len(families[0])
     points = [
@@ -492,6 +496,13 @@ def _select_cuts(
         ]
         for grid, pts in zip(grids, points)
     ]
+    # cuts as positions on the axes of each table; the last position is +inf
+    cut_at = [
+        [set(np.searchsorted(ax, pts[:, c]).tolist()) for c, ax in enumerate(family_axes)]
+        for family_axes, pts in zip(axes, points)
+    ]
+    if check_bins is not None:
+        check_bins([math.prod(len(at) + 1 for at in family_at) for family_at in cut_at])
     # one padded stack of tables per block dimension; family f is rows
     # slot[f] * r ... (slot[f] + 1) * r of its stack
     stacks, slot = {}, [0] * len(families)
@@ -511,11 +522,6 @@ def _select_cuts(
             index.append(at.reshape(len(group), 1, *(1,) * c, -1, *(1,) * (b - c - 1)))
         return stacks[b][tuple(index)].reshape(len(group), r, -1)
 
-    # cuts as positions on the axes of each table; the last position is +inf
-    cut_at = [
-        [set(np.searchsorted(ax, pts[:, c]).tolist()) for c, ax in enumerate(family_axes)]
-        for family_axes, pts in zip(axes, points)
-    ]
     rank, U = [0] * len(families), [None] * len(families)
     knots_at, scan = [None] * len(families), [None] * len(families)
     refused = {}
@@ -668,6 +674,12 @@ def component_cdfs(mixture: NonparametricMixture, query_points: Sequence) -> lis
     return tables
 
 
+def _check_binned_tensor(bins: Sequence[int], what="binned tensor at the query points alone"):
+    """Refuse :func:`recover_mixture`'s tensor of variates 0, 1 and the rest
+    side by side, given each variate's bin count, above the entry cap."""
+    _check_entries(bins[0] * bins[1] * sum(bins[2:]), what)
+
+
 def recover_mixture(
     mixture: NonparametricMixture,
     query_points: Sequence,
@@ -720,8 +732,9 @@ def recover_mixture(
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    cuts, mats = zip(*_select_cuts([mixture.variate(j) for j in range(p)], queries, named=True))
-
+    variates = [mixture.variate(j) for j in range(p)]
+    cuts, mats = zip(*_select_cuts(variates, queries, named=True, check_bins=_check_binned_tensor))
+    _check_binned_tensor([M.shape[1] for M in mats], "binned tensor")
     T = _triple_product(
         mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)
     )

@@ -257,7 +257,7 @@ def extract_parameters(v_perm, row_oracle, n: int) -> tuple[np.ndarray, float, f
     n = _whole_number(n, "n", 2)
     tol = PRIOR_MATCH_TOL
     v = np.asarray(v_perm, dtype=float)
-    if v.ndim != 1 or v.size != 2**n:
+    if v.ndim != 1 or n >= 63 or v.size != 2**n:  # a length is below 2^63
         raise InputError(f"prior must have 2^{n} entries, got {v.size}")
     if not np.isfinite(v).all():
         raise InputError("prior entries must be finite")

@@ -14,7 +14,7 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
-from .tensor_core import _whole_number, _whole_numbers
+from .tensor_core import _whole_number, _whole_numbers, check_power_entries
 from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
@@ -49,6 +49,7 @@ def random_probability(rng, n: int) -> np.ndarray:
 
 def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
     r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
+    check_power_entries([(r, 1), (max(kappas, default=1), 1)], "emission matrix")
     rng = np.random.default_rng(rng)
     return LatentClassModel(
         pi=random_probability(rng, r),
@@ -77,6 +78,7 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
     """
     r, kappa = _whole_number(r, "r", 1), _whole_number(kappa, "kappa", 1)
     max_attempts = _whole_number(max_attempts, "max_attempts", 0)
+    check_power_entries([(r, 1), (r + kappa, 1)], "HMM draw")
     rng = np.random.default_rng(rng)
     width = r * r + r * kappa
     rejected = {"A": 0, "B": 0, "stationary": 0}
@@ -140,9 +142,10 @@ def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:
 
 def random_piecewise_cdf(rng, n_knots: int = 5) -> CdfComponent:
     """Random strictly increasing piecewise-linear CDF on [0, 1]."""
+    n_knots = _whole_number(n_knots, "n_knots", 2)
     rng = np.random.default_rng(rng)
     lo, hi = _CDF_SUPPORT
-    inner = np.sort(rng.uniform(lo, hi, size=max(n_knots - 2, 0)))
+    inner = np.sort(rng.uniform(lo, hi, size=n_knots - 2))
     knots = np.unique(np.concatenate([[lo], inner, [hi]]))
     steps = rng.uniform(0.2, 1.0, size=knots.size - 1)
     values = np.concatenate([[0.0], np.cumsum(steps)])
@@ -159,9 +162,10 @@ def random_nonparametric_mixture(
     dimension b > 1 are products of independent random marginals.
     """
     r, p = _whole_number(r, "r", 1), _whole_number(p, "p", 1)
+    block_dims = [1] * p if block_dims is None else _whole_numbers(block_dims, "block_dims", 1)
+    if len(block_dims) != p:
+        raise InputError(f"block_dims must have {p} entries, got {len(block_dims)}")
     rng = np.random.default_rng(rng)
-    if block_dims is None:
-        block_dims = [1] * p
     rows = []
     for _ in range(r):
         row = []

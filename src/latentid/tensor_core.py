@@ -34,10 +34,6 @@ NEG_ENTRY_TOL = 1e-12
 POSITIVE_FLOOR = 1e-12
 #: dense arrays built from a model are refused above this many entries
 ENTRY_CAP = 2**24
-#: Kruskal-rank subset enumeration refuses matrices with more rows than this
-KRUSKAL_ROW_CAP = 20
-#: matrix entries per batch of row subsets in :func:`kruskal_rank` (8 MB of float64)
-_KRUSKAL_BATCH_ENTRIES = 1 << 20
 #: a square row subset of a tall matrix is accepted without an SVD when the
 #: bound of :func:`_orthogonal_screen` on its ``sigma_n / sigma_1`` is at least
 #: this multiple of the rank rule's cutoff, ``RANK_TOL * n``.  The bound reads
@@ -45,15 +41,17 @@ _KRUSKAL_BATCH_ENTRIES = 1 << 20
 #: whose LU-computed value has relative error of order ``k * rho * eps *
 #: cond(B)`` (``rho`` the pivot growth).  ``B`` has singular values at most 1,
 #: so an accepted block has ``cond(B) <= 1 / |det B| <= 1 / (2 * RANK_TOL *
-#: n)``; for ``k < KRUSKAL_ROW_CAP`` the error stays below 0.3 even at the
-#: worst-case growth ``rho = 2**(k-1)``, and the true ratio is above ``1.4 *
+#: n)``.  A screened matrix has at least ``2k`` rows, so its stack of blocks
+#: has at least ``C(2k, k) * k^2`` entries, above :data:`ENTRY_CAP` from ``k =
+#: 10`` on; for ``k <= 9`` the error stays below ``3e-4`` even at the
+#: worst-case growth ``rho = 2**(k-1)``, and the true ratio is above ``1.99 *
 #: cutoff``.  The bound's other inputs err far less: the rank rule put
 #: ``sigma_n`` above ``RANK_TOL * sigma_1``, so the SVD's absolute error of
 #: about ``eps * sigma_1`` moves ``kappa`` by a relative ``eps / RANK_TOL``,
 #: about ``2e-6``, and the computed factor is orthogonal to within about ``m *
 #: eps``.  The SVD's own error on the subset, about ``n * eps * sigma_1``, is
-#: far below the remaining ``0.4 * cutoff * sigma_1``, so the SVD rule accepts
-#: every subset the bound accepts.
+#: far below the remaining ``0.99 * cutoff * sigma_1``, so the SVD rule
+#: accepts every subset the bound accepts.
 _DET_SCREEN_MARGIN = 2.0
 
 
@@ -298,14 +296,15 @@ def numerical_rank(M) -> int:
 def _orthogonal_screen(U: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
     """Blocks of one orthogonal factor that bound the square row subsets of ``M``.
 
-    ``M = U Sigma V^T``, its one full SVD with values ``s``, is ``m x n`` with
-    ``m > n`` and numerical rank ``n``; ``kappa = sigma_1 / sigma_n``.  An
-    ``n``-row set ``S`` has ``M[S] = U[S, :n] Sigma_n V^T``, and deleting rows
-    does not raise ``sigma_1``, so ``sigma_n(M[S]) / sigma_1(M[S]) >=
-    sigma_min(U[S, :n]) / kappa``.  By the CS decomposition of ``U`` (Paige &
-    Wei, Linear Algebra Appl. 208/209, 1994), ``sigma_min(U[S, :n]) =
-    sigma_min(U[S^c, n:])``, and a block of an orthogonal matrix has singular
-    values at most 1, so either block's ``|det|`` is at most its ``sigma_min``.
+    ``M = U Sigma V^T``, its one SVD with values ``s``, is ``m x n`` with ``m >
+    n`` and numerical rank ``n``; ``kappa = sigma_1 / sigma_n``, and ``U`` is
+    square when ``2n > m``.  An ``n``-row set ``S`` has ``M[S] = U[S, :n]
+    Sigma_n V^T``, and deleting rows does not raise ``sigma_1``, so
+    ``sigma_n(M[S]) / sigma_1(M[S]) >= sigma_min(U[S, :n]) / kappa``.  By the
+    CS decomposition of the square ``U`` (Paige & Wei, Linear Algebra Appl.
+    208/209, 1994), ``sigma_min(U[S, :n]) = sigma_min(U[S^c, n:])``, and a
+    block of an orthogonal matrix has singular values at most 1, so either
+    block's ``|det|`` is at most its ``sigma_min``.
 
     Returns ``W`` and ``log_floor``.  ``W`` is ``U[:, :n]`` when ``n <= m - n``
     and ``U[:, n:]`` otherwise, so its square blocks ``W[T]`` have the smaller
@@ -321,92 +320,74 @@ def _orthogonal_screen(U: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]
 def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
-    Subsets are taken in :func:`itertools.combinations` order, a batch of
-    bounded memory at a time, and judged by
-    :func:`rank_from_singular_values` on one stacked SVD (a zero subset
-    included).  With ``screen``, the :func:`_orthogonal_screen` of a tall
-    ``M`` of rank ``size == cols``, the enumeration runs over the row sets of
-    the square blocks of ``W``, which are the subsets or, when ``cols > rows -
-    cols``, their complements.  One stacked determinant of the blocks accepts
-    the subsets the screen proves independent, and only the rest go to the
-    SVD; the decisions are the SVD rule's either way.  Rectangular subsets all
-    go to the SVD (a Gram determinant would square the condition number).
-    Returns at the end of the first batch holding a dependent subset.
+    All ``C(rows, size)`` subsets are judged at once by the rank rule on one
+    stacked SVD (a zero subset included).  With ``screen``, the
+    :func:`_orthogonal_screen` of a tall ``M`` of rank ``size == cols``, one
+    stacked determinant of the ``k x k`` blocks of ``W``, whose row sets are
+    the subsets or, when ``cols > rows - cols``, their complements, first
+    accepts the subsets it proves independent; only the rest go to the SVD,
+    so the decisions are the SVD rule's.  Rectangular subsets all go to the
+    SVD (a Gram determinant would square the condition number).  Each stack
+    is refused by :func:`_check_entries` before it is built.
     """
     rows, cols = M.shape
-    per_batch = max(1, _KRUSKAL_BATCH_ENTRIES // (size * cols))
-    k = size
+    W, log_floor = (M, None) if screen is None else screen
+    k = size if screen is None else W.shape[1]
+    count = math.comb(rows, k)
+    _check_entries(count * k * W.shape[1], f"stack of {k}-row subsets")
+    sets = itertools.chain.from_iterable(itertools.combinations(range(rows), k))
+    idx = np.fromiter(sets, dtype=np.intp, count=count * k).reshape(count, k)
     if screen is not None:
-        W, log_floor = screen
-        k = W.shape[1]
-    sets = itertools.combinations(range(rows), k)
-    while True:
-        batch = itertools.islice(sets, per_batch)
-        idx = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.intp)
-        if idx.size == 0:
+        idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
+        if len(idx) == 0:
             return True
-        idx = idx.reshape(-1, k)
-        if screen is not None:
-            idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
-            if len(idx) == 0:
-                continue
-            if k < size:  # the blocks' row sets are the subsets' complements
-                keep = np.ones((len(idx), rows), dtype=bool)
-                np.put_along_axis(keep, idx, False, axis=1)
-                idx = np.nonzero(keep)[1].reshape(-1, size)
-        s = np.linalg.svd(M[idx], compute_uv=False)
-        if np.any(rank_from_singular_values(s, (size, cols)) < size):
-            return False
+        if k < size:  # the blocks' row sets are the subsets' complements
+            keep = np.ones((len(idx), rows), dtype=bool)
+            np.put_along_axis(keep, idx, False, axis=1)
+            idx = np.nonzero(keep)[1].reshape(-1, size)
+        _check_entries(idx.size * cols, f"stack of {size}-row subsets")
+    s = np.linalg.svd(M[idx], compute_uv=False)
+    return not np.any(rank_from_singular_values(s, (size, cols)) < size)
 
 
 def kruskal_rank(M) -> int:
     """Largest ``I`` such that every set of ``I`` rows is linearly independent.
 
     Always at most the ordinary rank.  A matrix of full row rank has Kruskal
-    rank equal to its row count (checked first).  Otherwise the row subsets
-    must be examined, which is refused above :data:`KRUSKAL_ROW_CAP` rows
-    because their count grows combinatorially.
+    rank equal to its row count (checked first).  Otherwise each size is
+    tested on one stack of all its row subsets (:func:`_subsets_independent`),
+    refused above :data:`ENTRY_CAP` entries like every other dense array:
+    the Kruskal rank is NP-hard to compute (Tillmann & Pfetsch, IEEE Trans.
+    Inf. Theory 2014).
 
     Every subset of an independent row set is independent, so "all ``s``-row
     subsets are independent" can only turn from true to false as ``s`` grows;
     the same holds for the rank rule, since deleting a row neither raises
     ``sigma_1`` nor lowers the ratio ``sigma_s / sigma_1`` below the larger
     set's ``sigma_{s+1} / sigma_1``.  The Kruskal rank is where it turns.  The
-    search tests ``s = rank`` first, where a generic matrix stops, and
-    otherwise bisects on ``[0, rank - 1]``.  Each size is tested with stacked
-    calls over its subsets, not one call each (:func:`_subsets_independent`).
-    ``M`` takes one SVD, full for a tall matrix within the cap and values-only
-    otherwise.  At ``s = rank = cols`` the subsets are square, and a bound on
-    blocks of the full SVD's orthogonal factor (:func:`_orthogonal_screen`)
-    accepts the clearly independent ones without an SVD.  The blocks are ``k
+    search tests ``s = rank`` first, where a generic matrix stops, and then
+    ``s = 1, 2, ...`` up to the first dependent size.  ``M`` takes one SVD,
+    with its left factor for a tall matrix and values-only otherwise.  At ``s
+    = rank = cols`` the subsets are square, and a bound on blocks of that
+    factor (:func:`_orthogonal_screen`) accepts the clearly independent ones
+    without an SVD.  The blocks are ``k
     x k`` with ``k = min(cols, rows - cols)``, so a generic tall matrix costs
     one SVD and one stacked determinant: 495 ``4 x 4`` blocks for ``12 x 8``.
     """
     M = as_matrix(M)
     rows, cols = M.shape
-    if cols < rows <= KRUSKAL_ROW_CAP:
-        U, s, _ = np.linalg.svd(M)
+    if cols < rows:  # the screen reads U[:, cols:] only when 2 * cols > rows
+        U, s, _ = np.linalg.svd(M, full_matrices=2 * cols > rows)
     else:
         s = np.linalg.svd(M, compute_uv=False)
     rank = rank_from_singular_values(s, M.shape)
     if rank == rows:
         return rows
-    if rows > KRUSKAL_ROW_CAP:
-        raise InputError(
-            f"subset enumeration over {rows} rows exceeds the cap of {KRUSKAL_ROW_CAP}"
-        )
     screen = _orthogonal_screen(U, s) if rank == cols else None  # so M is tall
     if rank == 0 or _subsets_independent(M, rank, screen):
         return rank
-    # every lo-row subset is independent, some hi-row subset is not
-    lo, hi = 0, rank
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _subsets_independent(M, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    dependent = (size for size in range(1, rank) if not _subsets_independent(M, size))
+    return next(dependent, rank) - 1
 
 
 # ---------------------------------------------------------------------------

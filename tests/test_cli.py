@@ -208,6 +208,45 @@ class TestCertificates:
         )
 
     @pytest.mark.parametrize(
+        "duplicate, code, ranks", [(False, 0, [21, 21, 8]), (True, 1, [1, 21, 8])]
+    )
+    def test_certify_lc_past_twenty_classes(self, capsys, tmp_path, duplicate, code, ranks):
+        # the 21 x 8 view falls short of full row rank, so its 8-row subsets
+        # are tested; a duplicated row of the first view makes its rank 1
+        model = random_latent_class(0, 21, (30, 30, 8))
+        if duplicate:
+            M = model.emissions[0].copy()
+            M[1] = M[0]
+            model = LatentClassModel(pi=model.pi, emissions=(M, *model.emissions[1:]))
+        path = tmp_path / "lc21.json"
+        save_model(model, path)
+        got, report = run_json(capsys, ["certify-lc", "--model", str(path)])
+        assert (got, report["result"]["kruskal_ranks"]) == (code, ranks)
+
+    @pytest.mark.parametrize(
+        "duplicate, code, ranks", [(False, 0, [21, 21, 3]), (True, 1, [21, 21, 1])]
+    )
+    def test_hmm_certify_past_twenty_states(self, capsys, tmp_path, duplicate, code, ranks):
+        # a lazy cycle on 21 states; B has 3 columns, so its subsets are tested
+        r = 21
+        B = random_stochastic(trial_rng(70, 8), r, 3)
+        if duplicate:
+            B[1] = B[0]
+        A = 0.5 * np.eye(r) + 0.5 * np.roll(np.eye(r), 1, axis=1)
+        path = tmp_path / "hmm21.json"
+        save_model(HiddenMarkovModel(A=A, B=B), path)
+        got, report = run_json(capsys, ["hmm-certify", "--model", str(path)])
+        assert (got, report["result"]["kruskal_ranks"]) == (code, ranks)
+
+    def test_certify_lc_refuses_a_subset_stack_past_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "lc40.json"
+        save_model(random_latent_class(0, 40, (50, 50, 8)), path)
+        assert run(["certify-lc", "--model", str(path), "--json"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: stack of 8-row subsets has 4921899840 entries, cap is 16777216\n"
+        )
+
+    @pytest.mark.parametrize(
         "command, fixture",
         [("certify-lc", "lc3_file"), ("hmm-certify", "hmm_file"),
          ("graph-certify", "graph_file")],
@@ -610,6 +649,23 @@ CLI_REFUSALS = {
     "simulate-one-node": (
         ["simulate", "--family", "graph", "--n", "1", "--trials", "1"], None,
         "error: n must be a whole number >= 2, got 1",
+    ),
+    "simulate-huge-classes": (
+        ["simulate", "--family", "latent-class", "--r", str(10**400), "--trials", "1"], None,
+        "error: emission matrix has at least 2^1330 entries, cap is 16777216",
+    ),
+    "simulate-huge-state-count": (
+        ["simulate", "--family", "latent-class", "--kappas", f"3,3,{10**400}", "--trials", "1"],
+        None, "error: emission matrix has at least 2^1330 entries, cap is 16777216",
+    ),
+    "simulate-hmm-huge-classes": (
+        ["simulate", "--family", "hmm", "--r", str(10**400), "--trials", "1"], None,
+        "error: HMM draw has at least 2^2657 entries, cap is 16777216",
+    ),
+    "queries-cap": (
+        # refused before 30 million points per variate are built
+        ["nonparam-recover", "--queries", "30000000"], "npm_file",
+        "error: query array has 30000000 entries, cap is 16777216",
     ),
     "equal-mixing-two-nodes": (
         ["simulate", "--family", "graph", "--equal-mixing", "--n", "2", "--trials", "1"],

@@ -669,6 +669,10 @@ HMM_REFUSALS = {
     "sampler-fractional-classes": (
         lambda: random_hmm(0, 2.5, 2), InputError, "r must be a whole number >= 1, got 2.5",
     ),
+    "sampler-huge-classes": (
+        lambda: random_hmm(0, 10**400, 2),
+        InputError, "HMM draw has at least 2^2657 entries, cap is 16777216",
+    ),
     "sampler-fractional-attempts": (
         lambda: random_hmm(0, 2, 2, max_attempts=2.5),
         InputError, "max_attempts must be a whole number >= 0, got 2.5",

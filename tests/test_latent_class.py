@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from latentid import latent_class, tensor_core
+from latentid import latent_class, sampling, tensor_core
 from latentid.errors import InputError
 from latentid.hmm import hmm_certificate
 from latentid.latent_class import (
@@ -542,6 +542,15 @@ LATENT_CLASS_REFUSALS = {
     "sampled-state-counts": (
         lambda: random_latent_class(0, 2, [2, 2.5, 2]),
         InputError, "kappas[1] must be a whole number >= 2, got 2.5",
+    ),
+    "sampled-emission-cap": (
+        lambda: random_latent_class(0, 4, [2, 4]),
+        InputError, "emission matrix has 16 entries, cap is 15",
+        (sampling, "random_probability"),
+    ),
+    "sampled-huge-state-count": (
+        lambda: random_latent_class(0, 3, [3, 3, 10**400]),
+        InputError, "emission matrix has at least 2^1330 entries, cap is 16777216",
     ),
     "joint-table-cap": (
         lambda: joint_distribution(_binary_model(4)),

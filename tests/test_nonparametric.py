@@ -1167,6 +1167,11 @@ def _block_queries(last):
     return lambda: recover_mixture(_BLOCK_MIXTURE, [[0.5], [0.5], last])
 
 
+def _random_queries(queries):
+    """Recovery of a two-class, three-variate random mixture at ``queries``."""
+    return lambda: recover_mixture(random_nonparametric_mixture(trial_rng(56, 0), 2, 3), queries)
+
+
 #: (call, error, exact message) for each input refusal of the module
 NONPARAMETRIC_REFUSALS = {
     "table-axes": (
@@ -1309,6 +1314,37 @@ NONPARAMETRIC_REFUSALS = {
     "query-scalar-nested": (
         lambda: recover_mixture(_mixture(2, 3), [[[[0.5]]], [0.5], [0.5]]),
         InputError, "point [[0.5]] has a coordinate that is not a number",
+    ),
+    "binned-tensor-at-queries-cap": (
+        # three distinct query points give four bins per variate before any
+        # cut is selected
+        _random_queries([[0.2, 0.5, 0.7]] * 3),
+        InputError, "binned tensor at the query points alone has 64 entries, cap is 15",
+        (nonparametric, "_evaluate_stacked"),
+    ),
+    "binned-tensor-cap": (
+        # a point past the knots adds nothing to the rank, so each variate
+        # selects one more cut: 3 bins each
+        _random_queries([[5.0]] * 3),
+        InputError, "binned tensor has 27 entries, cap is 15",
+        (nonparametric, "_triple_product"),
+    ),
+    "sampler-fractional-knots": (
+        lambda: random_nonparametric_mixture(0, 2, 3, n_knots=4.5),
+        InputError, "n_knots must be a whole number >= 2, got 4.5",
+    ),
+    "sampler-one-knot": (
+        # one knot used to be drawn as two, silently
+        lambda: random_piecewise_cdf(0, 1),
+        InputError, "n_knots must be a whole number >= 2, got 1",
+    ),
+    "sampler-empty-block": (
+        lambda: random_nonparametric_mixture(0, 2, 3, block_dims=[1, 1, 0]),
+        InputError, "block_dims[2] must be a whole number >= 1, got 0",
+    ),
+    "sampler-block-count": (
+        lambda: random_nonparametric_mixture(0, 2, 3, block_dims=[1, 1]),
+        InputError, "block_dims must have 3 entries, got 2",
     ),
 }
 

@@ -66,15 +66,18 @@ def upward_kruskal_rank(M) -> int:
     return rank
 
 
-def kruskal_test_matrices(count: int, tall: bool = False):
+def kruskal_test_matrices(count: int, shape: str = "small"):
     """Seeded generic and degenerate matrices, 2-10 rows and 1-8 columns; with
-    ``tall``, 11-12 rows and more than half as many columns, but fewer."""
+    shape ``tall``, 11-12 rows and more than half as many columns, but fewer;
+    with shape ``long``, 21-24 rows and 1-4 columns."""
     rng = np.random.default_rng(11)
     kinds = ["generic", "duplicate", "mixture", "zero", "rank2", "near"]
     for t in range(count):
-        if tall:
+        if shape == "tall":
             rows = int(rng.integers(11, 13))
             cols = int(rng.integers(rows // 2 + 1, rows))
+        elif shape == "long":
+            rows, cols = int(rng.integers(21, 25)), int(rng.integers(1, 5))
         else:
             rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
         M = random_stochastic(rng, rows, cols)
@@ -272,40 +275,33 @@ class TestKruskalRank:
     def test_zero_row(self):
         assert kruskal_rank(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])) == 0
 
-    def test_row_cap(self):
-        # 21 rows in dimension 20 cannot be full row rank, so enumeration
-        # would be needed and the cap kicks in
+    def test_more_than_twenty_rows(self):
+        # 21 rows in dimension 20 cannot be full row rank, so the subsets are
+        # enumerated: every 20 of them are independent
         M = np.vstack([np.eye(20), np.ones((1, 20))])
-        with pytest.raises(InputError, match="^subset enumeration over 21 rows exceeds "):
-            kruskal_rank(M)
+        assert kruskal_rank(M) == 20
 
-    @pytest.mark.parametrize("batch_entries", [None, 64])
-    def test_agrees_with_upward_enumeration(self, monkeypatch, batch_entries):
-        # 64 entries hold only a few subsets, so the search runs many batches
-        # and stops early after the first dependent one
-        if batch_entries is not None:
-            monkeypatch.setattr(tensor_core, "_KRUSKAL_BATCH_ENTRIES", batch_entries)
+    def test_agrees_with_upward_enumeration(self):
+        for shape, count, least_below_rank in [("small", 600, 100), ("long", 24, 8)]:
+            searched, below_rank = set(), 0
+            for t, (kind, M) in enumerate(kruskal_test_matrices(count, shape)):
+                expected = upward_kruskal_rank(M)
+                assert kruskal_rank(M) == expected, (t, kind, M.shape)
+                rank = numerical_rank(M)
+                if rank < M.shape[0]:
+                    searched.add(kind)
+                below_rank += expected < rank
+            # every kind needs the subset search, and many answers are not the rank
+            assert len(searched) == 6, shape
+            assert below_rank >= least_below_rank, shape
+
+    def test_tall_agrees_with_upward_enumeration(self):
+        # more columns than half the rows: square subsets are screened through
+        # the blocks of their complements
         searched, below_rank = set(), 0
-        for t, (kind, M) in enumerate(kruskal_test_matrices(600)):
+        for t, (kind, M) in enumerate(kruskal_test_matrices(48, "tall")):
             expected = upward_kruskal_rank(M)
             assert kruskal_rank(M) == expected, (t, kind, M.shape)
-            rank = numerical_rank(M)
-            if rank < M.shape[0]:
-                searched.add(kind)
-            below_rank += expected < rank
-        # every kind needs the subset search, and many answers are not the rank
-        assert len(searched) == 6
-        assert below_rank >= 100
-
-    def test_tall_agrees_with_upward_enumeration(self, monkeypatch):
-        # more columns than half the rows: square subsets are screened through
-        # the blocks of their complements, one at a time with 64 entries
-        searched, below_rank = set(), 0
-        for t, (kind, M) in enumerate(kruskal_test_matrices(48, tall=True)):
-            expected = upward_kruskal_rank(M)
-            for batch_entries in (1 << 20, 64):
-                monkeypatch.setattr(tensor_core, "_KRUSKAL_BATCH_ENTRIES", batch_entries)
-                assert kruskal_rank(M) == expected, (t, kind, M.shape, batch_entries)
             rank = numerical_rank(M)
             if rank < M.shape[0]:
                 searched.add(kind)
@@ -318,7 +314,7 @@ class TestKruskalRank:
         # factor U, then one stacked determinant over the 495 4 x 4 blocks
         # U[T, 8:], T the complement of an 8-row subset, accepts every one.
         # With a zero row, the 330 subsets holding it go on to the SVD, and
-        # bisection tests the rectangular sizes 4, 2 and 1 with SVDs alone.
+        # the upward search stops at the first rectangular size, 1.
         M = random_stochastic(np.random.default_rng(5), 12, 8)
         svds, dets = [], []
         svd, slogdet = np.linalg.svd, np.linalg.slogdet
@@ -341,7 +337,7 @@ class TestKruskalRank:
         M[3] = 0.0
         assert kruskal_rank(M) == 0
         assert svds == [((12, 8), True)] + [
-            (shape, False) for shape in [(330, 8, 8), (495, 4, 8), (66, 2, 8), (12, 1, 8)]
+            (shape, False) for shape in [(330, 8, 8), (12, 1, 8)]
         ]
         assert dets == [(495, 4, 4)]
 
@@ -674,6 +670,11 @@ TENSOR_CORE_REFUSALS = {
         InputError,
         f"window tensor has {3**80} entries, cap is 16777216",
     ),
+    "kruskal-stack": (
+        # a generic 40 x 8 matrix: its 8-row subsets are screened on 8 x 8 blocks
+        lambda: kruskal_rank(np.random.default_rng(0).uniform(size=(40, 8))),
+        InputError, "stack of 8-row subsets has 4921899840 entries, cap is 16777216",
+    ),
     "unclump-row-sums": (
         lambda: unclump([[0.5, 0.6]], [2]),
         NotKhatriRaoError, "rows must sum to 1 for de-clumping (max deviation 0.1)",
@@ -724,6 +725,8 @@ def test_huge_counts_are_refused_at_once():
         (lambda: hmm.conditional_blocks(model, 10**9), "window block has at least 2^"),
         (lambda: random_graph.conditional_graph_matrix(graph, 10**6),
          "group matrix has at least 2^"),
+        (lambda: random_graph.extract_parameters(np.full(4, 0.25), lambda *_: 0.5, 10**9),
+         "prior must have 2^1000000000 entries, got 4"),
     ]:
         start = time.perf_counter()
         with pytest.raises(InputError, match=f"^{re.escape(message)}"):
