@@ -11,6 +11,13 @@ Schemas, one per model family, dispatched on the ``"type"`` key:
   "pi": [...], "components": [[{"knots": [...], "values": [...]}]]}`` with
   components indexed ``[class][variate]``; knots and values are flat lists
   for one-dimensional variates and nested lists for blocks.
+
+A nonparametric file's CDF tables are checked by
+:func:`~latentid.nonparametric._check_tables`, the checks of
+:class:`~latentid.nonparametric.CdfComponent`, in one stacked pass per table
+shape.  A file that fails is read again one component at a time, in file
+order, so the error names its first fault, as checking each component on its
+own would.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .errors import InputError
 from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
-from .nonparametric import CdfComponent, NonparametricMixture
+from .nonparametric import CdfComponent, NonparametricMixture, _check_tables
 from .random_graph import GraphMixtureModel
 
 Model = LatentClassModel | HiddenMarkovModel | GraphMixtureModel | NonparametricMixture
@@ -102,17 +109,50 @@ def _floats(value, name: str) -> np.ndarray:
         raise InputError(f"{name} must hold only numbers") from None
 
 
-def _component(entry) -> CdfComponent:
+def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A component entry's knot arrays, one per coordinate, and its values."""
     if not isinstance(entry, dict):
         raise InputError(f"a component must be an object, got {type(entry).__name__}")
     knots = _list(_field(entry, "knots", "a component"), "knots")
     if not knots:
         raise InputError("knots must not be empty")
     if isinstance(knots[0], list):  # one knot list per coordinate of a block
-        knots = [_floats(k, "knots") for k in knots]
+        knots = tuple(_floats(k, "knots") for k in knots)
     else:
-        knots = _floats(knots, "knots")
-    return CdfComponent(knots, _floats(_field(entry, "values", "a component"), "values"))
+        knots = (_floats(knots, "knots"),)
+    return knots, _floats(_field(entry, "values", "a component"), "values")
+
+
+def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
+    """The ``[class][variate]`` grid of components a file's entries describe.
+
+    Every entry is parsed first, then the tables of each shape are checked in
+    one stacked pass (:func:`~latentid.nonparametric._check_tables`) and the
+    components are built from the checked arrays.  A file that fails either
+    step is read again one component at a time, in file order, so the error
+    raised is that of its first faulty entry, whatever the fault.
+    """
+    try:
+        parsed = [
+            [_parse_component(entry) for entry in _list(row, "a components row")]
+            for row in _list(rows, "components")
+        ]
+        shapes = {}
+        for knots, values in (entry for row in parsed for entry in row):
+            key = (tuple(k.shape for k in knots), values.shape)
+            shapes.setdefault(key, []).append((knots, values))
+        for group in shapes.values():
+            knot_stacks = [np.array(coordinate) for coordinate in zip(*(k for k, _ in group))]
+            _check_tables(knot_stacks, np.array([v for _, v in group]))
+    except Exception:  # whatever failed, the pass below raises the first entry's error
+        return tuple(
+            tuple(
+                CdfComponent(*_parse_component(entry))
+                for entry in _list(row, "a components row")
+            )
+            for row in _list(rows, "components")
+        )
+    return tuple(tuple(CdfComponent._checked(*entry) for entry in row) for row in parsed)
 
 
 def model_from_dict(obj: dict) -> Model:
@@ -138,10 +178,7 @@ def model_from_dict(obj: dict) -> Model:
     elif kind == "graph_mixture":
         model = GraphMixtureModel(pi=floats("pi"), P=floats("P"))
     elif kind == "nonparametric":
-        rows = tuple(
-            tuple(_component(entry) for entry in _list(row, "a components row"))
-            for row in _list(_field(obj, "components", owner), "components")
-        )
+        rows = _components(_field(obj, "components", owner))
         model = NonparametricMixture(pi=floats("pi"), components=rows)
     else:
         raise InputError(f"unknown model type {kind!r}")

@@ -8,13 +8,14 @@ which turns the continuous mixture into an exactly solvable finite one.
 Cut selection over a mixture runs in stages, each a stacked pass over the
 variates: the components of all variates are evaluated in one pass per block
 dimension; the greedy steps run in lockstep rounds, each deciding the rank of
-every variate still short of it with one SVD per shape of cut grid; and the
-bin masses of all variates whose bins have the same shape come from one
-gather of the evaluated tables.  A refusal names the lowest-numbered variate
-whose family is linearly dependent.  CDF values at arbitrary query points are
-read back through the cumulative transform after inserting the queries
-verbatim among the cuts, one cumulative sum for all variates whose bins have
-the same shape.
+every variate still short of it with one SVD per shape of cut grid and taking
+the farthest candidates with one product per rank and shape of candidate
+grid; and the bin masses of all variates whose bins have the same shape come
+from one gather of the evaluated tables.  A refusal names the lowest-numbered
+variate whose family is linearly dependent.  CDF values at arbitrary query
+points are read back through the cumulative transform after inserting the
+queries verbatim among the cuts, one cumulative sum for all variates whose
+bins have the same shape.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class CdfComponent:
     cell must have nonnegative mass (the table's successive differences along
     every coordinate at once, within ``NEG_ENTRY_TOL``); with the limits this
     makes the table nondecreasing and keeps it in [0, 1].
+
+    The checks live in :func:`_check_tables`, which takes a stack of tables
+    of one shape; the constructor runs it on a stack of one.  The model file
+    loader runs it once per table shape, and re-checks a failing file one
+    component at a time to name its first fault.
     """
 
     def __init__(self, knots, values):
@@ -58,37 +64,18 @@ class CdfComponent:
         else:
             knot_arrays = tuple(np.asarray(k, dtype=float) for k in knots)
         values = np.asarray(values, dtype=float)
-        if values.ndim != len(knot_arrays):
-            raise InputError(
-                f"values has {values.ndim} axes for {len(knot_arrays)} knot arrays"
-            )
-        for c, kn in enumerate(knot_arrays):
-            if kn.ndim != 1 or kn.size < 2:
-                raise InputError(f"knot array {c} must be 1-D with at least 2 entries")
-            if not np.all(np.isfinite(kn)) or np.any(np.diff(kn) <= 0):
-                raise InputError(f"knot array {c} must be finite and strictly increasing")
-            if values.shape[c] != kn.size:
-                raise InputError(
-                    f"values axis {c} has length {values.shape[c]}, "
-                    f"expected {kn.size}"
-                )
-        if not np.all(np.isfinite(values)):
-            raise InputError("CDF values must be finite")
-        for c in range(values.ndim):
-            floor = np.moveaxis(values, c, 0)[0]
-            if np.abs(floor).max() > ROW_SUM_TOL:
-                raise InputError(
-                    f"slice at the first knot of coordinate {c} must be 0 "
-                    "(the table clamps to its endpoints)"
-                )
-        lowest = _cell_masses(values[None]).min()
-        if lowest < -NEG_ENTRY_TOL:
-            raise InputError(f"CDF table has a negative cell mass {lowest:.3g}")
-        if abs(values.flat[-1] - 1.0) > ROW_SUM_TOL:
-            raise InputError("top corner of the CDF table must be 1")
+        _check_tables([k[None] for k in knot_arrays], values[None])
         self.knots = knot_arrays
         self.values = values
         self.values.flags.writeable = False
+
+    @classmethod
+    def _checked(cls, knots: tuple[np.ndarray, ...], values: np.ndarray) -> "CdfComponent":
+        """The component of float arrays that :func:`_check_tables` has passed."""
+        comp = cls.__new__(cls)
+        comp.knots, comp.values = knots, values
+        values.flags.writeable = False
+        return comp
 
     @property
     def block_dim(self) -> int:
@@ -282,6 +269,43 @@ def _cell_masses(tables: np.ndarray) -> np.ndarray:
     return mass.reshape(len(tables), -1)
 
 
+def _check_tables(knots: Sequence[np.ndarray], values: np.ndarray) -> None:
+    """Refuse a stack of CDF tables unless :class:`CdfComponent` takes every one.
+
+    ``knots[c]`` stacks the knot arrays of coordinate c and ``values`` the
+    tables, one component per row of each.  Each check runs once for the whole
+    stack, in the order and with the message of a lone component's, so a
+    stack of one raises what that component raises, and a stack passes
+    exactly when each of its rows would.
+    """
+    b = len(knots)
+    if values.ndim - 1 != b:
+        raise InputError(f"values has {values.ndim - 1} axes for {b} knot arrays")
+    for c, kn in enumerate(knots):
+        if kn.ndim != 2 or kn.shape[1] < 2:
+            raise InputError(f"knot array {c} must be 1-D with at least 2 entries")
+        # compared, not differenced: finite knots differ by less than overflow
+        if not np.isfinite(kn).all() or (kn[:, 1:] <= kn[:, :-1]).any():
+            raise InputError(f"knot array {c} must be finite and strictly increasing")
+        if values.shape[c + 1] != kn.shape[1]:
+            raise InputError(
+                f"values axis {c} has length {values.shape[c + 1]}, expected {kn.shape[1]}"
+            )
+    if not np.isfinite(values).all():
+        raise InputError("CDF values must be finite")
+    for c in range(b):
+        if np.abs(values.take(0, axis=c + 1)).max() > ROW_SUM_TOL:
+            raise InputError(
+                f"slice at the first knot of coordinate {c} must be 0 "
+                "(the table clamps to its endpoints)"
+            )
+    lowest = _cell_masses(values).min()
+    if lowest < -NEG_ENTRY_TOL:
+        raise InputError(f"CDF table has a negative cell mass {lowest:.3g}")
+    if np.abs(values.reshape(len(values), -1)[:, -1] - 1.0).max() > ROW_SUM_TOL:
+        raise InputError("top corner of the CDF table must be 1")
+
+
 def _bin_masses(tables: np.ndarray) -> np.ndarray:
     """Bin masses from CDF tables at ``[-inf, cuts..., +inf]`` on every coordinate.
 
@@ -444,13 +468,15 @@ def select_mixture_cuts(mixture: NonparametricMixture) -> list[tuple[CutPointSet
     in lockstep rounds: each round decides the rank of every variate still
     short of r, with one stacked SVD for all whose cuts form grids of the
     same shape, and each of those whose rank rose appends its farthest
-    candidate.  numpy takes a stacked SVD matrix by matrix, so every decision
-    is the one that variate would reach alone.  Finally the bin masses of all
-    variates whose bins have the same shape are taken from one gather of the
-    tables.  A variate whose step does not raise its rank drops out, and
-    after the rounds :class:`RankDeficientError` is raised for the
-    lowest-numbered such variate, with :func:`select_cut_points`'s message
-    prefixed by ``variate j:``.
+    candidate, found with one stacked product for all at the same rank on
+    candidate grids of the same shape.  numpy takes a stacked SVD or product
+    matrix by matrix, so every decision is the one that variate would reach
+    alone.  Finally the bin masses of all variates whose bins have the same
+    shape are taken from one gather of the tables.  A variate whose step does
+    not raise its rank drops out, and after the rounds
+    :class:`RankDeficientError` is raised for the lowest-numbered such
+    variate, with :func:`select_cut_points`'s message prefixed by ``variate
+    j:``.
     """
     variates = [mixture.variate(j) for j in range(mixture.p)]
     return _select_cuts(variates, [None] * mixture.p, named=True)
@@ -477,10 +503,12 @@ def _select_cuts(
     every family still short of full rank, then each of those whose rank rose
     appends its farthest candidate.  Families whose cuts give grids of the
     same shape are read from the tables in one gather and decided in one
-    stacked SVD, which numpy takes matrix by matrix, so every decision is
-    that of a family selected alone.  A family whose rank did not rise drops
-    out, and the refusal raised after the rounds is that of the
-    lowest-numbered such family, named as ``variate f`` when ``named``.
+    stacked SVD, and families at the same rank on candidate grids of the same
+    shape take their step in one stacked product; numpy takes both matrix by
+    matrix, so every decision is that of a family selected alone.  A family
+    whose rank did not rise drops out, and the refusal raised after the
+    rounds is that of the lowest-numbered such family, named as ``variate f``
+    when ``named``.
     Before any evaluation, ``check_bins``, when given, is called with each
     family's bin count at its query coordinates alone, a lower bound.
     """
@@ -489,9 +517,12 @@ def _select_cuts(
         _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, queries)
     ]
     grids = [default_grid(family) for family in families]
+    # the pooled knots are finite, sorted and unique, so without points the
+    # axes need no np.unique
     axes = [
         [
-            np.unique(np.concatenate([[-np.inf], g, pts[:, c], [np.inf]]))
+            np.unique(np.concatenate([[-np.inf], g, pts[:, c], [np.inf]])) if len(pts)
+            else np.concatenate([[-np.inf], g, [np.inf]])
             for c, g in enumerate(grid)
         ]
         for grid, pts in zip(grids, points)
@@ -544,11 +575,22 @@ def _select_cuts(
         for group in _by_grid_shape(fresh, knots_at):
             for f, scan_f in zip(group, gather(group, knots_at)):
                 scan[f] = scan_f
+        # one product N^T @ scan per group of families at the same rank on the
+        # same candidate grid, N the columns of U past the rank: numpy takes a
+        # stack matrix by matrix, each in the BLAS call of a family alone, so
+        # every distance keeps its bits (zeroing rows of a product over all of
+        # U instead is another BLAS call, which moves low bits and can flip a
+        # near tie)
+        steps = {}
         for f in short:
-            best = np.argmax(np.linalg.norm(U[f][:, rank[f]:].T @ scan[f], axis=0))
-            best_at = np.unravel_index(best, [pos.size for pos in knots_at[f]])
-            for at, pos, k in zip(cut_at[f], knots_at[f], best_at):
-                at.add(int(pos[k]))
+            steps.setdefault((rank[f], *map(len, knots_at[f])), []).append(f)
+        for (reached, *shape), group in steps.items():
+            N = np.array([U[f] for f in group])[:, :, reached:]
+            far = np.linalg.norm(N.transpose(0, 2, 1) @ np.array([scan[f] for f in group]), axis=1)
+            best_at = np.unravel_index(np.argmax(far, axis=1), shape)
+            for f, *best in zip(group, *(ks.tolist() for ks in best_at)):
+                for at, pos, k in zip(cut_at[f], knots_at[f], best):
+                    at.add(int(pos[k]))
     if refused:
         f = min(refused)
         raise RankDeficientError(

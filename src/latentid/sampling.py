@@ -14,7 +14,8 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
-from .tensor_core import _whole_number, _whole_numbers, check_power_entries
+from . import tensor_core
+from .tensor_core import _check_entries, _whole_number, _whole_numbers, check_power_entries
 from .errors import IllConditionedError, InputError, NonUniqueStationaryError
 
 #: random_hmm rejects A or B whose smallest singular value is below this
@@ -69,7 +70,8 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
     else :class:`NonUniqueStationaryError`; the message counts each cause.
 
     Each draw is A's ``r*r`` uniforms, then B's ``r*kappa``.  Draws are
-    examined in batches of 1, 2, 4, ... (at most :data:`_HMM_MAX_BATCH`): one
+    examined in batches of 1, 2, 4, ... (at most :data:`_HMM_MAX_BATCH`, and
+    at most :data:`~latentid.tensor_core.ENTRY_CAP` uniforms in all): one
     uniform call per batch, one stacked SVD of its A's and one of the B's
     whose A passed.  On acceptance the generator is rewound to the batch's
     start and advanced past the accepted draw only, so the model, the refusal
@@ -84,7 +86,7 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
     rejected = {"A": 0, "B": 0, "stationary": 0}
     attempts, n = 0, _HMM_FIRST_BATCH
     while attempts < max_attempts:
-        n = min(n, max_attempts - attempts)
+        n = min(n, max_attempts - attempts, tensor_core.ENTRY_CAP // width)
         start = rng.bit_generator.state
         U = rng.uniform(0.0, 1.0, size=(n, width))
         A = U[:, : r * r].reshape(n, r, r)
@@ -143,6 +145,7 @@ def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:
 def random_piecewise_cdf(rng, n_knots: int = 5) -> CdfComponent:
     """Random strictly increasing piecewise-linear CDF on [0, 1]."""
     n_knots = _whole_number(n_knots, "n_knots", 2)
+    _check_entries(n_knots, "knot array")
     rng = np.random.default_rng(rng)
     lo, hi = _CDF_SUPPORT
     inner = np.sort(rng.uniform(lo, hi, size=n_knots - 2))

@@ -195,6 +195,26 @@ class TestRandomHmm:
             expected = sampled(reference_random_hmm, trial_rng(seed, r), *args)
             assert sampled(random_hmm, trial_rng(seed, r), *args) == expected
 
+    @pytest.mark.parametrize("max_attempts", [40, 5000])
+    def test_batches_stay_within_the_entry_cap(self, monkeypatch, max_attempts):
+        # at r = 9 two of the seeds are refused after 40 draws, in batches
+        # growing to 16 when uncapped; the rewind makes the capped batches give
+        # the same models, refusals and generator states
+        r, kappa = 9, 3
+        args, width = (r, kappa, max_attempts), r * r + r * kappa
+        expected = [sampled(random_hmm, trial_rng(seed, r), *args) for seed in range(3)]
+        batches, svd = [], np.linalg.svd
+
+        def counted(a, *rest, **kwargs):
+            if a.ndim == 3 and a.shape[1:] == (r, r):
+                batches.append(len(a))
+            return svd(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(tensor_core, "ENTRY_CAP", 4 * width)
+        assert [sampled(random_hmm, trial_rng(seed, r), *args) for seed in range(3)] == expected
+        assert max(batches) == 4
+
     def test_same_refusal_counts_in_every_cause(self, monkeypatch):
         # with no chain accepted, 40 draws at r = kappa = 3 fill batches of 1,
         # 2, 4, 8, 16 and 9 and are rejected for all three causes

@@ -1,6 +1,11 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from latentid import modelio
 from latentid.errors import InputError
 from latentid.hmm import HiddenMarkovModel
 from latentid.latent_class import LatentClassModel
@@ -12,6 +17,8 @@ from latentid.sampling import (
     random_hmm,
     random_latent_class,
     random_nonparametric_mixture,
+    random_piecewise_cdf,
+    random_probability,
     trial_rng,
 )
 
@@ -48,19 +55,114 @@ def test_graph_round_trip(tmp_path):
     assert np.allclose(loaded.P, model.P)
 
 
+def assert_same_components(loaded, model):
+    """Every knot and value of ``loaded`` equals ``model``'s: JSON floats round-trip exactly."""
+    assert loaded.block_dims == model.block_dims
+    for i in range(model.r):
+        for j in range(model.p):
+            a, b = loaded.components[i][j], model.components[i][j]
+            assert len(a.knots) == len(b.knots)
+            assert all(np.array_equal(x, y) for x, y in zip(a.knots, b.knots))
+            assert np.array_equal(a.values, b.values)
+            assert not a.values.flags.writeable
+
+
 def test_nonparametric_round_trip(tmp_path):
     model = random_nonparametric_mixture(trial_rng(60, 3), 2, 3, block_dims=[1, 2, 1])
     path = tmp_path / "npm.json"
     save_model(model, path)
     loaded = load_model(path)
     assert isinstance(loaded, NonparametricMixture)
-    assert np.allclose(loaded.pi, model.pi)
-    assert loaded.block_dims == model.block_dims
-    for i in range(model.r):
-        for j in range(model.p):
-            a, b = loaded.components[i][j], model.components[i][j]
-            assert all(np.allclose(x, y) for x, y in zip(a.knots, b.knots))
-            assert np.allclose(a.values, b.values)
+    assert np.array_equal(loaded.pi, model.pi)
+    assert_same_components(loaded, model)
+
+
+@st.composite
+def ragged_mixtures(draw):
+    """Mixtures of 1-D variates and 2-D blocks whose components have equal
+    knot counts (one table shape per block dimension) or ragged ones."""
+    r, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    block_dims = draw(st.lists(st.integers(1, 2), min_size=p, max_size=p))
+    knots = st.integers(2, 5) if draw(st.booleans()) else st.just(draw(st.integers(2, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def component(b):
+        parts = [random_piecewise_cdf(rng, draw(knots)) for _ in range(b)]
+        return parts[0] if b == 1 else CdfComponent.from_product(parts)
+
+    rows = tuple(tuple(component(b) for b in block_dims) for _ in range(r))
+    return NonparametricMixture(pi=random_probability(rng, r), components=rows)
+
+
+@given(ragged_mixtures())
+def test_loader_checks_each_table_shape_once(model):
+    shapes = {
+        (tuple(k.shape for k in comp.knots), comp.values.shape)
+        for row in model.components for comp in row
+    }
+    with mock.patch.object(modelio, "_check_tables", wraps=modelio._check_tables) as check:
+        loaded = model_from_dict(model_to_dict(model))
+    assert check.call_count == len(shapes)
+    assert_same_components(loaded, model)
+
+
+#: (block dimension of variate 2, knots, values, message) for each table fault
+#: of CdfComponent, put at component (1, 2) of a file
+TABLE_FAULTS = {
+    "knots-increasing": (
+        1, [0, 0.5, 0.5, 1], [0, 0.3, 0.6, 1],
+        "knot array 0 must be finite and strictly increasing",
+    ),
+    "value-finite": (1, [0, 0.5, 1], [0, float("nan"), 1], "CDF values must be finite"),
+    "floor": (
+        1, [0, 0.5, 1], [0.1, 0.5, 1],
+        "slice at the first knot of coordinate 0 must be 0 (the table clamps to its endpoints)",
+    ),
+    "cell-mass": (1, [0, 1, 2, 3], [0, 0.7, 0.5, 1], "CDF table has a negative cell mass -0.2"),
+    "block-cell-mass": (
+        2, [[0, 1, 2]] * 2, [[0, 0, 0], [0, 0.2, 0.8], [0, 0.8, 1]],
+        "CDF table has a negative cell mass -0.4",
+    ),
+    "top-corner": (1, [0, 0.5, 1], [0, 0.5, 0.9], "top corner of the CDF table must be 1"),
+}
+
+
+def faulty_file(block_dim, faults):
+    """A 3-class, 3-variate file with each ``(i, j, entry)`` of ``faults`` put in."""
+    model = random_nonparametric_mixture(trial_rng(60, 7), 3, 3, block_dims=[1, 1, block_dim])
+    obj = model_to_dict(model)
+    for i, j, entry in faults:
+        obj["components"][i][j] = entry
+    return obj
+
+
+@pytest.mark.parametrize("case", list(TABLE_FAULTS))
+def test_loader_names_a_table_fault_as_the_constructor_does(case):
+    block_dim, knots, values, message = TABLE_FAULTS[case]
+    with pytest.raises(InputError) as constructed:
+        CdfComponent(knots, values)
+    assert str(constructed.value) == message
+    obj = faulty_file(block_dim, [(1, 2, {"knots": knots, "values": values})])
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "table_at, json_at, message",
+    [
+        # parsing stops at the later JSON-type fault before any table is checked
+        ((1, 0), (1, 2), "CDF table has a negative cell mass -0.2"),
+        ((1, 2), (1, 0), "values must hold only numbers"),
+    ],
+)
+def test_the_first_of_two_faults_is_named(table_at, json_at, message):
+    # first in [class][variate] order
+    faults = [
+        (*table_at, {"knots": [0, 1, 2, 3], "values": [0, 0.7, 0.5, 1]}),
+        (*json_at, {"knots": [0, 1], "values": [None, {}]}),
+    ]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        model_from_dict(faulty_file(1, faults))
 
 
 def random_model(family: str, rng):

@@ -1338,6 +1338,11 @@ NONPARAMETRIC_REFUSALS = {
         lambda: random_piecewise_cdf(0, 1),
         InputError, "n_knots must be a whole number >= 2, got 1",
     ),
+    "sampler-huge-knots": (
+        # refused before the draw, not by numpy's dimension limit
+        lambda: random_piecewise_cdf(0, 10**400),
+        InputError, "knot array has at least 2^1328 entries, cap is 16777216",
+    ),
     "sampler-empty-block": (
         lambda: random_nonparametric_mixture(0, 2, 3, block_dims=[1, 1, 0]),
         InputError, "block_dims[2] must be a whole number >= 1, got 0",
