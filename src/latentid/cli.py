@@ -71,8 +71,16 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+def _parse_int_list(text: str, option: str) -> list[int]:
+    """The comma-separated integers of ``text``, given as ``option``."""
+    ints = []
+    for tok in text.replace(" ", "").split(","):
+        if tok:
+            try:
+                ints.append(int(tok))
+            except ValueError:
+                raise InputError(f"{option} must list integers, got {tok!r}") from None
+    return ints
 
 
 #: each model class as a wrong-type error names it (its file's "type" key)
@@ -102,7 +110,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
 
 
 def _cmd_search_tripartition(args) -> tuple[int, dict]:
-    kappas = _parse_int_list(args.kappas)
+    kappas = _parse_int_list(args.kappas, "--kappas")
     return _certified(lc.tripartition_search(args.r, kappas), r=args.r, kappas=kappas)
 
 
@@ -132,7 +140,7 @@ def _cmd_recover_lc(args) -> tuple[int, dict]:
     model = _load(args, lc.LatentClassModel)
     if args.tripartition:
         # the library checks that there are three blocks covering the variables
-        blocks = [_parse_int_list(part) for part in args.tripartition.split("|")]
+        blocks = [_parse_int_list(part, "--tripartition") for part in args.tripartition.split("|")]
     else:
         blocks = lc.tripartition_search(model.r, model.kappas).witness.blocks
     return 0, _lc_round_trip(model, blocks, args.seed, args.tol)
@@ -280,7 +288,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
             setattr(args, name, _SIMULATE_DEFAULTS[name])
     if args.family == "latent-class":
         # the witness depends only on r and the state counts, not on the draw
-        kappas = _parse_int_list(args.kappas)
+        kappas = _parse_int_list(args.kappas, "--kappas")
         blocks = lc.tripartition_search(args.r, kappas).witness.blocks
     trials = []
     failures = 0

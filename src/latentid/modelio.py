@@ -107,6 +107,8 @@ def _floats(value, name: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except TypeError:  # an object or null inside a list
         raise InputError(f"{name} must hold only numbers") from None
+    except ValueError:  # a string, or rows of unequal length
+        raise InputError(f"{name} must hold only numbers, in rows of equal length") from None
 
 
 def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -59,11 +59,12 @@ class CdfComponent:
     """
 
     def __init__(self, knots, values):
+        # copies, so that the caller's arrays neither change the table nor freeze
         if np.ndim(knots[0]) == 0:
-            knot_arrays = (np.asarray(knots, dtype=float),)
+            knot_arrays = (np.array(knots, dtype=float),)
         else:
-            knot_arrays = tuple(np.asarray(k, dtype=float) for k in knots)
-        values = np.asarray(values, dtype=float)
+            knot_arrays = tuple(np.array(k, dtype=float) for k in knots)
+        values = np.array(values, dtype=float)
         _check_tables([k[None] for k in knot_arrays], values[None])
         self.knots = knot_arrays
         self.values = values

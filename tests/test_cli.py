@@ -8,7 +8,7 @@ from latentid.cli import run
 from latentid.errors import InputError, LatentIdError
 from latentid.hmm import HiddenMarkovModel, hmm_certificate, min_window, recovery_window
 from latentid.latent_class import LatentClassModel, kruskal_certificate
-from latentid.modelio import model_to_dict, save_model
+from latentid.modelio import save_model
 from latentid.nonparametric import NonparametricMixture
 from latentid.random_graph import (
     GraphMixtureModel,
@@ -600,6 +600,18 @@ CLI_REFUSALS = {
         ["recover-lc", "--tripartition", "0|1|1"], "lc3_file",
         "error: blocks must disjointly cover all 3 axes, got [[0], [1], [1]]",
     ),
+    "tripartition-not-integers": (
+        ["recover-lc", "--tripartition", "0|1|a"], "lc3_file",
+        "error: --tripartition must list integers, got 'a'",
+    ),
+    "search-kappas-not-integers": (
+        ["search-tripartition", "--r", "3", "--kappas", "2,x,3"], None,
+        "error: --kappas must list integers, got 'x'",
+    ),
+    "simulate-kappas-not-integers": (
+        ["simulate", "--family", "latent-class", "--kappas", "3,3,a"], None,
+        "error: --kappas must list integers, got 'a'",
+    ),
     "tol-nan": (
         ["simulate", "--family", "latent-class", "--kappas", "3,3,3", "--trials", "1",
          "--tol", "nan"], None,
@@ -876,64 +888,3 @@ class TestReportContract:
         path = tmp_path / "bad.json"
         save_model(model, path)
         assert run(["certify-lc", "--model", str(path)]) == 1
-
-
-def ci_model_file(tmp_path, edit, block_dims=None):
-    """The mixture ``random_nonparametric_mixture(0, 3, 3, block_dims)`` saved
-    after ``edit`` changed its components, as the CI step builds its files."""
-    obj = model_to_dict(random_nonparametric_mixture(0, 3, 3, block_dims=block_dims))
-    edit(obj["components"])
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-class TestCiModelFiles:
-    """In-process twins of the CI step's checks on edited nonparametric files."""
-
-    @pytest.mark.parametrize(
-        "block_dims, component, line",
-        [
-            (None, {"knots": [0, 1, 2, 3], "values": [0, 0.7, 0.5, 1]},
-             "error: CDF table has a negative cell mass -0.2"),
-            ([1, 1, 2],
-             {"knots": [[0, 1, 2]] * 2, "values": [[0, 0, 0], [0, 0.2, 0.8], [0, 0.8, 1]]},
-             "error: CDF table has a negative cell mass -0.4"),
-        ],
-        ids=["bad.json", "bad_block.json"],
-    )
-    def test_malformed_table_exits_2(self, capsys, tmp_path, block_dims, component, line):
-        path = ci_model_file(tmp_path, lambda rows: rows[0][2].update(component), block_dims)
-        assert run(["nonparam-cuts", "--model", path]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.splitlines() == [line]
-
-    def test_dependent_variate_exits_1(self, capsys, tmp_path):
-        def edit(rows):  # dep.json: class 1 gets class 0's component of variate 0
-            rows[1][0] = rows[0][0]
-
-        path = ci_model_file(tmp_path, edit)
-        code, report = run_json(capsys, ["nonparam-cuts", "--model", path])
-        assert code == 1
-        assert report["errors"] == [
-            "RankDeficientError: variate 0: cut selection reached rank 2 of r=3: no "
-            "candidate leaves the span of the current cuts, the component family is "
-            "linearly dependent"
-        ]
-
-    def test_ragged_cuts_are_pinned(self, capsys, tmp_path):
-        # ragged.json: two components get knot counts of their own
-        def edit(rows):
-            rows[1][0].update(knots=[0, 0.3, 0.55, 0.8, 1, 1.2], values=[0, 0.1, 0.5, 0.7, 0.9, 1])
-            rows[2][1].update(knots=[0, 0.6, 1], values=[0, 0.3, 1])
-
-        argv = ["nonparam-cuts", "--model", ci_model_file(tmp_path, edit), "--json"]
-        expected = (
-            '{"command": "nonparam-cuts", "errors": [], "result": {"cuts": {'
-            '"variate_0": [[0.2697867137638703, 0.39161900052816123]], '
-            '"variate_1": [[0.6, 0.6884467305709401]], '
-            '"variate_2": [[0.17565562060255901, 0.8894878343490003]]}, "p": 3, "r": 3}}\n'
-        )
-        for _ in range(2):
-            assert run(argv) == 0
-            assert capsys.readouterr().out == expected

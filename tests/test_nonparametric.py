@@ -90,6 +90,16 @@ class TestCdfComponent:
         with pytest.raises(ValueError):
             CdfComponent([0.0, 1.0], [0.0, 0.9])
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_keeps_copies_of_its_inputs(self, block):
+        knots, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.4, 1.0])
+        F = CdfComponent([knots] if block else knots, values)
+        knots[1] = 2.0
+        values[1] = 0.9  # the caller's array stays writeable
+        assert F.knots[0].tolist() == [0.0, 0.5, 1.0]
+        assert F.values.tolist() == [0.0, 0.4, 1.0]
+        assert F((0.75,) if block else 0.75) == pytest.approx(0.7)
+
     def test_product_table_is_exact(self):
         F = CdfComponent.from_product(
             [CdfComponent.uniform(0.0, 1.0), CdfComponent.uniform(0.0, 2.0)]
