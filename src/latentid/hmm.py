@@ -47,6 +47,7 @@ from .recovery import (
 from .tensor_core import (
     POSITIVE_FLOOR,
     _khatri_rao,
+    _read_only,
     _tolerance,
     _whole_number,
     check_distribution_tensor,
@@ -111,14 +112,13 @@ class HiddenMarkovModel:
     A_rev: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        A = check_stochastic(self.A, name="A")
-        B = check_stochastic(self.B, name="B")
+        A = check_stochastic(_read_only(self.A), name="A")
+        B = check_stochastic(_read_only(self.B), name="B")
         if B.shape[0] != A.shape[0]:
             raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
-        pi = _stationary(A)
-        A_rev = _reversed_chain(A, pi)
+        pi = _read_only(_stationary(A))
+        A_rev = _read_only(_reversed_chain(A, pi))
         for name, arr in (("A", A), ("B", B), ("pi", pi), ("A_rev", A_rev)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property

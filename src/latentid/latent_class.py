@@ -27,6 +27,7 @@ from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
     _khatri_rao,
+    _read_only,
     _whole_number,
     _whole_numbers,
     check_power_entries,
@@ -49,8 +50,8 @@ class LatentClassModel:
     emissions: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        pi = check_probability_vector(self.pi)
-        mats = tuple(np.asarray(M, dtype=float) for M in self.emissions)
+        pi = check_probability_vector(_read_only(self.pi))
+        mats = tuple(_read_only(M) for M in self.emissions)
         if len(mats) < 1:
             raise InputError("at least one variable is required")
         r = pi.size
@@ -64,9 +65,6 @@ class LatentClassModel:
                         f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                     )
         _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
-        pi.flags.writeable = False
-        for M in mats:
-            M.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "emissions", mats)
 

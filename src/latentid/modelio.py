@@ -22,6 +22,7 @@ own would.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -102,13 +103,23 @@ def _list(value, name: str) -> list:
 
 
 def _floats(value, name: str) -> np.ndarray:
-    """A number or nested list of numbers as a float array."""
+    """A number or nested list of numbers as a float array.  One pass over the
+    element types, in C, refuses a boolean, null or string among the numbers,
+    which numpy would convert."""
     try:
-        return np.asarray(value, dtype=float)
-    except TypeError:  # an object or null inside a list
-        raise InputError(f"{name} must hold only numbers") from None
-    except ValueError:  # a string, or rows of unequal length
+        arr = np.asarray(value)
+        floats = arr.astype(float, copy=False)  # also integers past int64, held as objects
+        items = [value] if arr.ndim == 0 else value
+        for _ in range(arr.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        types = set(map(type, items))
+        if arr.dtype.kind in "iufO" and types.isdisjoint((bool, np.bool_, type(None), str)):
+            return floats
+    except TypeError:  # an object, such as a dict, among the numbers
+        pass
+    except ValueError:  # a string that is not a number, or rows of unequal length
         raise InputError(f"{name} must hold only numbers, in rows of equal length") from None
+    raise InputError(f"{name} must hold only numbers")
 
 
 def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -32,6 +32,7 @@ from .tensor_core import (
     NEG_ENTRY_TOL,
     ROW_SUM_TOL,
     _check_entries,
+    _read_only,
     _tolerance,
     _triple_product,
     _whole_number,
@@ -50,7 +51,9 @@ class CdfComponent:
     every slice at a minimal knot is 0 and the top corner is 1.  Every knot
     cell must have nonnegative mass (the table's successive differences along
     every coordinate at once, within ``NEG_ENTRY_TOL``); with the limits this
-    makes the table nondecreasing and keeps it in [0, 1].
+    makes the table nondecreasing and keeps it in [0, 1].  The component
+    holds read-only copies of its knots and values; the caller's arrays are
+    neither frozen nor shared.
 
     The checks live in :func:`_check_tables`, which takes a stack of tables
     of one shape; the constructor runs it on a stack of one.  The model file
@@ -59,23 +62,17 @@ class CdfComponent:
     """
 
     def __init__(self, knots, values):
-        # copies, so that the caller's arrays neither change the table nor freeze
-        if np.ndim(knots[0]) == 0:
-            knot_arrays = (np.array(knots, dtype=float),)
-        else:
-            knot_arrays = tuple(np.array(k, dtype=float) for k in knots)
-        values = np.array(values, dtype=float)
-        _check_tables([k[None] for k in knot_arrays], values[None])
-        self.knots = knot_arrays
-        self.values = values
-        self.values.flags.writeable = False
+        knots = (knots,) if np.ndim(knots[0]) == 0 else knots
+        self.knots = tuple(_read_only(k) for k in knots)
+        self.values = _read_only(values)
+        _check_tables([k[None] for k in self.knots], self.values[None])
 
     @classmethod
     def _checked(cls, knots: tuple[np.ndarray, ...], values: np.ndarray) -> "CdfComponent":
         """The component of float arrays that :func:`_check_tables` has passed."""
         comp = cls.__new__(cls)
-        comp.knots, comp.values = knots, values
-        values.flags.writeable = False
+        comp.knots = tuple(_read_only(k) for k in knots)
+        comp.values = _read_only(values)
         return comp
 
     @property
@@ -138,7 +135,7 @@ class NonparametricMixture:
     components: tuple[tuple[CdfComponent, ...], ...]
 
     def __post_init__(self):
-        pi = check_probability_vector(self.pi)
+        pi = check_probability_vector(_read_only(self.pi))
         comps = tuple(tuple(row) for row in self.components)
         if len(comps) != pi.size:
             raise InputError(f"{len(comps)} component rows for {pi.size} classes")
@@ -151,7 +148,6 @@ class NonparametricMixture:
                 raise InputError(
                     f"variate {j} has inconsistent block dimensions {dims}"
                 )
-        pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "components", comps)
 
@@ -185,7 +181,7 @@ class CutPointSet:
     cuts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arrays = tuple(np.asarray(c, dtype=float) for c in self.cuts)
+        arrays = tuple(_read_only(c) for c in self.cuts)
         for c, arr in enumerate(arrays):
             if arr.ndim != 1 or arr.size == 0:
                 raise InputError(f"cut array {c} must be nonempty 1-D")
@@ -194,7 +190,6 @@ class CutPointSet:
             # compared, not differenced: inf - inf is NaN, which would pass
             if (arr[1:] <= arr[:-1]).any():
                 raise InputError(f"cut array {c} must be strictly increasing")
-            arr.flags.writeable = False
         object.__setattr__(self, "cuts", arrays)
 
     @property

@@ -28,6 +28,7 @@ from .errors import InconsistentOracleError, InputError, NotDistinctError
 from .latent_class import Certificate
 from .tensor_core import (
     _khatri_rao,
+    _read_only,
     _whole_number,
     _whole_numbers,
     check_power_entries,
@@ -52,8 +53,8 @@ class GraphMixtureModel:
     P: np.ndarray
 
     def __post_init__(self):
-        pi = check_probability_vector(self.pi)
-        P = np.asarray(self.P, dtype=float)
+        pi = check_probability_vector(_read_only(self.pi))
+        P = _read_only(self.P)
         r = pi.size
         if P.shape != (r, r):
             raise InputError(f"P must be {r}x{r}, got {P.shape}")
@@ -63,8 +64,6 @@ class GraphMixtureModel:
             raise InputError("connection matrix P must be symmetric")
         if P.min() < 0.0 or P.max() > 1.0:
             raise InputError("connection probabilities must lie in [0, 1]")
-        pi.flags.writeable = False
-        P.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "P", P)
 
@@ -94,11 +93,16 @@ def node_state_prior(pi, n: int) -> np.ndarray:
 
 
 def assignment_of_index(index: int, r: int, n: int) -> tuple[int, ...]:
-    """Node states for a composite row index (first node = slowest digit)."""
-    states = []
-    for k in range(n):
-        states.append((index // r ** (n - 1 - k)) % r)
-    return tuple(states)
+    """Node states for a composite row index below ``r^n`` (first node = slowest digit)."""
+    index = _whole_number(index, "index", 0)
+    r, n = _whole_number(r, "r", 1), _whole_number(n, "n", 1)
+    states, rest = [], index
+    for _ in range(n):  # the last node's digit first
+        rest, state = divmod(rest, r)
+        states.append(state)
+    if rest:
+        raise InputError(f"index {index} is out of range for {r}^{n} assignments")
+    return tuple(reversed(states))
 
 
 def conditional_graph_matrix(model: GraphMixtureModel, m: int) -> np.ndarray:

@@ -101,7 +101,7 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
                 rejected["B"] += 1
                 continue
             try:
-                model = HiddenMarkovModel(A=A[i].copy(), B=B_i.copy())
+                model = HiddenMarkovModel(A=A[i], B=B_i)
             except NonUniqueStationaryError:
                 rejected["stationary"] += 1
                 continue

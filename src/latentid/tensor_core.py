@@ -69,6 +69,13 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
+def _read_only(value) -> np.ndarray:
+    """A read-only float copy of ``value``, the one kind of array a class keeps."""
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _whole_number(value, what: str, least: int, index: int | None = None) -> int:
     """``value`` as an int: an integer of any size or a whole float, at least ``least``;
     anything else is refused, never truncated, naming ``what`` or ``what[index]``."""

@@ -64,7 +64,7 @@ def assert_same_components(loaded, model):
             assert len(a.knots) == len(b.knots)
             assert all(np.array_equal(x, y) for x, y in zip(a.knots, b.knots))
             assert np.array_equal(a.values, b.values)
-            assert not a.values.flags.writeable
+            assert not any(x.flags.writeable for x in (*a.knots, a.values))
 
 
 def test_nonparametric_round_trip(tmp_path):
@@ -231,6 +231,14 @@ def test_only_models_are_serialized():
         ("nonparametric", ("components", 0, 0, "knots"), [], "knots must not be empty"),
         ("nonparametric", ("components", 0, 0, "knots"), [{}], "knots must hold only numbers"),
         ("nonparametric", ("components", 0, 0, "values"), [None, {}], "values must hold"),
+        ("latent_class", ("pi",), ["0.25", "0.75"], "^pi must hold only numbers$"),
+        ("hmm", ("A", 0, 1), True, "^A must hold only numbers$"),
+        ("hmm", ("B",), [[True, False]] * 3, "^B must hold only numbers$"),
+        ("graph_mixture", ("P", 1, 0), None, "^P must hold only numbers$"),
+        (
+            "nonparametric", ("components", 0, 1, "values", 1), "0.5",
+            "^values must hold only numbers$",
+        ),
     ],
 )
 def test_wrong_json_types_are_input_errors(family, path, value, message):
@@ -241,6 +249,16 @@ def test_wrong_json_types_are_input_errors(family, path, value, message):
     inner[path[-1]] = value
     with pytest.raises(InputError, match=message):
         model_from_dict(obj)
+
+
+def test_every_json_number_loads_as_a_float():
+    # integers past int64 are numbers too, though numpy infers an object array for them
+    entry = {"knots": [-(2**70), 0, 2**70], "values": [0, 0.5, 1]}
+    model = model_from_dict({"type": "nonparametric", "pi": [1], "components": [[entry]]})
+    (comp,) = model.components[0]
+    assert comp.knots[0].tolist() == [-(2.0**70), 0.0, 2.0**70]
+    assert comp.values.tolist() == [0.0, 0.5, 1.0]
+    assert model.pi.dtype == comp.knots[0].dtype == comp.values.dtype == np.float64
 
 
 @pytest.mark.parametrize("obj", [[1, 2], 5, "hmm", None])

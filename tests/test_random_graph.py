@@ -216,6 +216,32 @@ class TestSingleEdgeMarginal:
             single_edge_marginal(reference_model(), (0, 1), (0, 5))
 
 
+class TestAssignmentOfIndex:
+    @pytest.mark.parametrize("r, n", [(1, 3), (2, 1), (2, 4), (3, 3)])
+    def test_first_node_is_the_slowest_digit(self, r, n):
+        expected = list(itertools.product(range(r), repeat=n))
+        assert [assignment_of_index(i, r, n) for i in range(r**n)] == expected
+
+    def test_whole_floats_answer_as_ints(self):
+        assert assignment_of_index(5.0, 2.0, 3.0) == (1, 0, 1)
+        assert all(type(s) is int for s in assignment_of_index(np.int64(5), 2, 3))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((8, 2, 3), "index 8 is out of range for 2\\^3 assignments"),
+            ((1, 1, 3), "index 1 is out of range for 1\\^3 assignments"),
+            ((-1, 2, 3), "index must be a whole number >= 0, got -1"),
+            ((1.5, 2, 3), "index must be a whole number >= 0, got 1.5"),
+            ((0, 0, 3), "r must be a whole number >= 1, got 0"),
+            ((0, 2, 2.5), "n must be a whole number >= 1, got 2.5"),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            assignment_of_index(*args)
+
+
 class TestExtractParameters:
     @pytest.mark.parametrize("seed", range(10))
     def test_unequal_mixing_branch(self, seed):
