@@ -33,6 +33,7 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture, _check_tables
 from .random_graph import GraphMixtureModel
+from .tensor_core import _read_only
 
 Model = LatentClassModel | HiddenMarkovModel | GraphMixtureModel | NonparametricMixture
 
@@ -139,11 +140,12 @@ def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
     """The ``[class][variate]`` grid of components a file's entries describe.
 
-    Every entry is parsed first, then the tables of each shape are checked in
-    one stacked pass (:func:`~latentid.nonparametric._check_tables`) and the
-    components are built from the checked arrays.  A file that fails either
-    step is read again one component at a time, in file order, so the error
-    raised is that of its first faulty entry, whatever the fault.
+    Every entry is parsed first, then the tables of each shape are stacked
+    into read-only arrays, checked in one pass
+    (:func:`~latentid.nonparametric._check_tables`), and each component keeps
+    read-only row views of its shape's stacks.  A file that fails either step
+    is read again one component at a time, in file order, so the error raised
+    is that of its first faulty entry, whatever the fault.
     """
     try:
         parsed = [
@@ -151,12 +153,17 @@ def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
             for row in _list(rows, "components")
         ]
         shapes = {}
-        for knots, values in (entry for row in parsed for entry in row):
-            key = (tuple(k.shape for k in knots), values.shape)
-            shapes.setdefault(key, []).append((knots, values))
+        for i, row in enumerate(parsed):
+            for j, (knots, values) in enumerate(row):
+                shapes.setdefault((tuple(k.shape for k in knots), values.shape), []).append((i, j))
+        grid = [[None] * len(row) for row in parsed]
         for group in shapes.values():
-            knot_stacks = [np.array(coordinate) for coordinate in zip(*(k for k, _ in group))]
-            _check_tables(knot_stacks, np.array([v for _, v in group]))
+            entries = [parsed[i][j] for i, j in group]
+            stacks = [_read_only(axis) for axis in zip(*(knots for knots, _ in entries))]
+            tables = _read_only([values for _, values in entries])
+            _check_tables(stacks, tables)
+            for k, (i, j) in enumerate(group):
+                grid[i][j] = CdfComponent._checked(tuple(s[k] for s in stacks), tables[k])
     except Exception:  # whatever failed, the pass below raises the first entry's error
         return tuple(
             tuple(
@@ -165,7 +172,7 @@ def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
             )
             for row in _list(rows, "components")
         )
-    return tuple(tuple(CdfComponent._checked(*entry) for entry in row) for row in parsed)
+    return tuple(map(tuple, grid))
 
 
 def model_from_dict(obj: dict) -> Model:

@@ -5,24 +5,26 @@ grids, evaluated exactly between knots and clamped outside them.  Cut points
 discretize each variate into bins whose conditional matrix has full row rank,
 which turns the continuous mixture into an exactly solvable finite one.
 
+A mixture tabulates each variate's components once, when it is built, with a
+map from each pooled knot cell to each component's own cell, so evaluating a
+variate on any grid takes one search per coordinate for all its components.
 Cut selection over a mixture runs in stages, each a stacked pass over the
-variates: the components of all variates are evaluated in one pass per block
-dimension; the greedy steps run in lockstep rounds, each deciding the rank of
-every variate still short of it with one SVD per shape of cut grid and taking
-the farthest candidates with one product per rank and shape of candidate
-grid; and the bin masses of all variates whose bins have the same shape come
-from one gather of the evaluated tables.  A refusal names the lowest-numbered
-variate whose family is linearly dependent.  CDF values at arbitrary query
-points are read back through the cumulative transform after inserting the
-queries verbatim among the cuts, one cumulative sum for all variates whose
-bins have the same shape.
+variates: the variates of one block dimension are evaluated in one pass; the
+greedy steps run in lockstep rounds, each deciding the rank of every variate
+still short of it with one SVD per shape of cut grid and taking the farthest
+candidates with one product per rank and shape of candidate grid; and the bin
+masses of all variates whose bins have the same shape come from one gather.  A
+refusal names the lowest-numbered variate whose family is linearly dependent.
+CDF values at query points are read back through the cumulative transform
+after inserting the queries verbatim among the cuts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +54,9 @@ class CdfComponent:
     cell must have nonnegative mass (the table's successive differences along
     every coordinate at once, within ``NEG_ENTRY_TOL``); with the limits this
     makes the table nondecreasing and keeps it in [0, 1].  The component
-    holds read-only copies of its knots and values; the caller's arrays are
-    neither frozen nor shared.
+    holds read-only copies of its knots and values (the model file loader's
+    hold read-only rows of its stacks); the caller's arrays are neither
+    frozen nor shared.
 
     The checks live in :func:`_check_tables`, which takes a stack of tables
     of one shape; the constructor runs it on a stack of one.  The model file
@@ -69,10 +72,10 @@ class CdfComponent:
 
     @classmethod
     def _checked(cls, knots: tuple[np.ndarray, ...], values: np.ndarray) -> "CdfComponent":
-        """The component of float arrays that :func:`_check_tables` has passed."""
+        """The component of read-only float arrays that :func:`_check_tables` has passed,
+        kept as they are."""
         comp = cls.__new__(cls)
-        comp.knots = tuple(_read_only(k) for k in knots)
-        comp.values = _read_only(values)
+        comp.knots, comp.values = knots, values
         return comp
 
     @property
@@ -83,23 +86,19 @@ class CdfComponent:
         """CDF on the product grid of the requested per-coordinate values.
 
         Coordinates are clamped to the knot range, so ``-inf`` and ``+inf``
-        give the 0 and 1 limits.  This is the one-component case of
-        :func:`_evaluate_stacked`, which blends one coordinate at a time, so
-        every entry is computed exactly as a single point would be.
+        give the 0 and 1 limits.  A lone component is its own family
+        (:func:`_evaluate`), which blends one coordinate at a time, so every
+        entry is computed exactly as a single point would be.
         """
         if len(axes) != self.block_dim:
-            raise InputError(
-                f"need {self.block_dim} coordinate arrays, got {len(axes)}"
-            )
-        return _evaluate_stacked([[self]], [axes])[0]
+            raise InputError(f"need {self.block_dim} coordinate arrays, got {len(axes)}")
+        return _evaluate(_tabulate([[self]]), [axes])[0]
 
     def __call__(self, point) -> float:
         if self.block_dim == 1 and np.ndim(point) == 0:
             point = (point,)
         if len(point) != self.block_dim:
-            raise InputError(
-                f"point has {len(point)} coordinates, expected {self.block_dim}"
-            )
+            raise InputError(f"point has {len(point)} coordinates, expected {self.block_dim}")
         return float(self.evaluate_grid([np.array([x]) for x in point]).ravel()[0])
 
     @classmethod
@@ -133,6 +132,7 @@ class NonparametricMixture:
 
     pi: np.ndarray
     components: tuple[tuple[CdfComponent, ...], ...]
+    _families: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = check_probability_vector(_read_only(self.pi))
@@ -145,11 +145,14 @@ class NonparametricMixture:
         for j in range(p):
             dims = {row[j].block_dim for row in comps}
             if len(dims) != 1:
-                raise InputError(
-                    f"variate {j} has inconsistent block dimensions {dims}"
-                )
+                raise InputError(f"variate {j} has inconsistent block dimensions {dims}")
+        families = {}
+        for b in {comp.block_dim for comp in comps[0]}:  # one tabulation per block dimension
+            members = [j for j in range(p) if comps[0][j].block_dim == b]
+            families.update(zip(members, _tabulate([[row[j] for row in comps] for j in members])))
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_families", tuple(families[j] for j in range(p)))
 
     @property
     def r(self) -> int:
@@ -165,10 +168,13 @@ class NonparametricMixture:
 
     def variate(self, j: int) -> list[CdfComponent]:
         """The r components of variate j, for ``0 <= j < p``."""
+        return list(self._family(j).components)
+
+    def _family(self, j: int) -> "_Family":
         j = _whole_number(j, "variate index", 0)
         if j >= self.p:
             raise InputError(f"variate index {j} is out of range for p={self.p}")
-        return [row[j] for row in self.components]
+        return self._families[j]
 
 
 @dataclass(frozen=True)
@@ -325,84 +331,110 @@ def _padded(arrays: Sequence[np.ndarray], fill: float) -> np.ndarray:
     return out
 
 
-def _count_at_most(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(knots[s], x[s], side="right")`` for every row s, in one search.
-
-    ``x`` has one row per row of knots, or one row shared by all.  Rows may
-    end in NaN padding, which counts for no value.  Knots and values are
-    ranked among all knots: a knot is at most a value exactly when its rank
-    is at most the value's, and a search sorts NaN after every value.  Each
-    row's ranks are offset past those of the rows before it, so one search
-    over all rows' knots laid end to end counts each value against its own
-    row only.  A lone row is its own pool, so its count is one search of its
-    own knots, taken directly: every :meth:`CdfComponent.evaluate_grid` call
-    has one row, and ranking would add a sort and three searches to it.
-    """
-    if len(knots) == 1:
-        return np.searchsorted(knots[0], x[0], side="right")[None]
-    rows = np.arange(len(knots))[:, None]
-    pool = np.sort(knots, axis=None)
-    offset = rows * (pool.size + 1)
-    keys = np.searchsorted(pool, knots, side="right") + offset
-    values = np.searchsorted(pool, x, side="right") + offset
-    return np.searchsorted(keys.ravel(), values, side="right") - rows * knots.shape[1]
-
-
-def _evaluate_stacked(
-    families: Sequence[Sequence[CdfComponent]],
-    family_axes: Sequence[Sequence[np.ndarray]],
-) -> np.ndarray:
-    """CDF tables of several component families, each on its own product grid, in one pass.
-
-    Every component has the same block dimension b, and ``family_axes[f]``
-    holds the b coordinate arrays of family f.  The result is one stack with
-    one row per component, in family order; axis c has the length of the
-    longest coordinate array c.  The row of ``families[f][i]`` holds its CDF
-    on the product grid of family f's arrays at the start of every axis.
-    Entries beyond a family's own grid are padding, which no reader may use;
-    a lone family's grid fills the stack.
-
-    Tables and knot arrays are padded to the longest and coordinate arrays
-    with ``+inf``.  A value's interval is the number of interior knots of
-    its row at most it, so it lies within the row's own knots and no padding
-    is ever read.  Every entry is blended one coordinate at a time as
-    ``below * (1 - t) + above * t``, exactly as a single point would be,
-    with the value clamped to its interval before ``t`` is taken: inside the
-    knot range that leaves it as it is, and outside it gives the end knot,
-    as clamping to the knot range does.  The blended coordinate's axis then
-    moves to the back.  A lone component skips the row offsets and the
-    per-component copies of shared axes, which only a stack needs.
-    """
-    comps = [comp for family in families for comp in family]
-    n, b = len(comps), comps[0].block_dim
-    family_axes = [[np.asarray(ax, dtype=float).ravel() for ax in axes] for axes in family_axes]
-    V = _padded([comp.values for comp in comps], 0.0)
-    for c in range(b):
-        knots = [comp.knots[c] for comp in comps]
-        x = _padded([axes[c] for axes in family_axes], np.inf)
-        if len(families) > 1:
-            x = x[[f for f, family in enumerate(families) for _ in family]]
-        kn = _padded(knots, np.nan)
-        # each value's interval, as a position in the rows of knots laid end to end
-        at = _count_at_most(_padded([k[1:-1] for k in knots], np.nan), x)
-        if n > 1:
-            at += np.arange(0, n * kn.shape[1], kn.shape[1])[:, None]
-        nxt = at + 1
-        left, right = kn.take(at), kn.take(nxt)
-        t = (np.minimum(np.maximum(x, left), right) - left) / (right - left)
-        t = t.reshape(t.shape + (1,) * (b - 1))
-        V = V.reshape(n * V.shape[1], *V.shape[2:])
-        V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
-        V = V.transpose(0, *range(2, b + 1), 1)
-    return V
-
-
 def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
     """Per-coordinate candidate values: the pooled knots of the components."""
     return [
         np.unique(np.concatenate([comp.knots[c] for comp in components]))
         for c in range(components[0].block_dim)
     ]
+
+
+class _Family(NamedTuple):
+    """The components of one variate, tabulated once for evaluation.
+
+    ``grid[c]`` holds the pooled knots of coordinate c (:func:`default_grid`).
+    The families one :func:`_tabulate` call builds share read-only stacks,
+    one row per component, padded to the longest, and this family's rows
+    start at ``row``: ``knots[c]`` and ``values`` hold the components' own
+    knots and tables, and ``cells[c][s, k]`` is the own cell of row s that
+    holds pooled cell k, from ``grid[c][k]`` up to the next pooled knot (a
+    component's knots are all pooled, so none lies inside a pooled cell).
+    A lone component is its own pooled grid, with no map (``cells`` is None).
+    """
+
+    components: tuple[CdfComponent, ...]
+    grid: tuple[np.ndarray, ...]
+    knots: tuple[np.ndarray, ...]
+    values: np.ndarray
+    cells: tuple[np.ndarray, ...] | None
+    row: int
+
+    @property
+    def block_dim(self) -> int:
+        return len(self.grid)
+
+
+def _evaluate(families: Sequence[_Family], family_axes: Sequence) -> np.ndarray:
+    """CDF tables of families built together, each on its own product grid, in one pass.
+
+    ``family_axes[f]`` holds family f's coordinate arrays.  Each component's
+    row holds its CDF on its family's grid at the start of every axis; the
+    rest is padding, which no reader may use.  Each value is searched once
+    among its family's pooled interior knots, and the maps give each
+    component's own cell.  Every entry is blended one coordinate at a time as
+    ``below * (1 - t) + above * t`` on the component's own knots, exactly as
+    a single point would be, with the value clamped to its cell before ``t``
+    is taken (outside the knot range that gives the end knot).
+    """
+    (n, r), first = (len(families), len(families[0].components)), families[0]
+    starts = [f.row for f in families]
+    whole = starts == list(range(0, len(first.values), r))  # every row of the stacks, in order
+    rows = None if whole and first.cells is None else np.add.outer(starts, np.arange(r))
+    V = first.values if whole else first.values.take(rows.ravel(), axis=0)
+    b = V.ndim - 1
+    for c in range(b):
+        xs = [np.asarray(axes[c], dtype=float).ravel() for axes in family_axes]
+        k = _padded([f.grid[c][1:-1].searchsorted(x, "right") for f, x in zip(families, xs)], 0)
+        kn = first.knots[c] if whole else first.knots[c].take(rows.ravel(), axis=0)
+        if first.cells is None:  # a lone component: its own cells, in its one row
+            at = k[:, None]
+        else:  # each component's own cell, as a position in the rows of kn laid end to end
+            at = first.cells[c][rows[..., None], k[:, None]]
+            at = at + kn.shape[1] * np.arange(n * r).reshape(n, r, 1)
+        nxt, x = at + 1, _padded(xs, np.inf)[:, None]
+        left, right = kn.take(at), kn.take(nxt)
+        t = (np.minimum(np.maximum(x, left), right) - left) / (right - left)
+        t = t.reshape(n * r, -1, *(1,) * (b - 1))
+        at, nxt = at.reshape(n * r, -1), nxt.reshape(n * r, -1)
+        V = V.reshape(V.shape[0] * V.shape[1], *V.shape[2:])
+        V = V.take(at, axis=0) * (1.0 - t) + V.take(nxt, axis=0) * t
+        V = V.transpose(0, *range(2, b + 1), 1)
+    return V
+
+
+def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
+    """The families of variates of one block dimension, r components each.
+
+    Each variate's pooled knots are its :func:`default_grid`, among which its
+    components' knots are searched in one call per coordinate.  The rest is
+    one stacked call for all the variates: the knots of each coordinate and
+    the tables are padded into one stack each, and the maps are one count of
+    interior knots per pooled cell with a running sum along each row, kept
+    in the smallest unsigned type that holds a knot count.
+    """
+    if len(variates) == 1 and len(variates[0]) == 1:
+        ((comp,),) = variates
+        return [_Family((comp,), comp.knots, tuple(k[None] for k in comp.knots), comp.values[None],
+                        None, 0)]
+    n, r = len(variates), len(variates[0])
+    comps = [comp for variate in variates for comp in variate]
+    grids = [tuple(_read_only(g) for g in default_grid(variate)) for variate in variates]
+    values = _read_only(_padded([comp.values for comp in comps], 0.0))
+    knots, cells = [], []
+    for c in range(len(grids[0])):
+        kn = _read_only(_padded([comp.knots[c] for comp in comps], np.nan))
+        inner = np.zeros(kn.shape, dtype=bool)
+        inner[:, 1:-1] = ~np.isnan(kn[:, 2:])  # past the first knot and before the last
+        pos = np.array([g[c].searchsorted(kn_j) for g, kn_j in zip(grids, kn.reshape(n, r, -1))])
+        width = max(grid[c].size for grid in grids) - 1
+        rows = np.arange(n * r)[:, None] * width
+        count = np.bincount((rows + pos.reshape(n * r, -1))[inner], minlength=n * r * width)
+        count = count.reshape(n * r, -1).cumsum(axis=1)
+        knots.append(kn)
+        cells.append(_read_only(count, np.min_scalar_type(kn.shape[1])))
+    knots, cells = tuple(knots), tuple(cells)
+    return [_Family(tuple(v), grids[j], knots, values, cells, j * r)
+            for j, v in enumerate(variates)]
 
 
 def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, np.ndarray]:
@@ -422,18 +454,13 @@ def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, 
 
     The candidates are the pooled knots (:func:`default_grid`), and no other
     point can do better.  Inside each cell of the pooled knot grid every CDF
-    is multilinear, so ``N^T F(u)`` is affine along each coordinate, its norm
-    is convex along each coordinate, and its maximum over the cell lies at a
-    corner; outside the knot range the CDFs take their values on its
-    boundary.  The maximum over the pooled knots is therefore the maximum
-    over all of ``R^b``.
-
-    The components are evaluated in one stacked pass, on the pooled knots
-    and -inf and +inf.  Cuts are kept as positions on those axes: every step
-    indexes its matrices from the tables by them, and ``M`` is the successive
-    differences of the table at ``[-inf, cuts..., +inf]``.  This is the
-    one-family case of :func:`select_mixture_cuts`, whose lockstep rounds
-    then run for this family alone.
+    is multilinear, so ``N^T F(u)`` is affine and its norm convex along each
+    coordinate, and its maximum over the cell lies at a corner; outside the
+    knot range the CDFs take their values on its boundary.  The components
+    are evaluated on the pooled knots and -inf and +inf, cuts are kept as
+    positions on those axes, and ``M`` is the successive differences of the
+    table at ``[-inf, cuts..., +inf]``.  This is the one-family case of
+    :func:`select_mixture_cuts`.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
@@ -449,7 +476,7 @@ def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, 
         raise InputError("need at least one component")
     if any(c.block_dim != components[0].block_dim for c in components):
         raise InputError("components must share the block dimension")
-    return _select_cuts([components], [None], named=False)[0]
+    return _select_cuts(_tabulate([components]), [None], named=False)[0]
 
 
 def select_mixture_cuts(mixture: NonparametricMixture) -> list[tuple[CutPointSet, np.ndarray]]:
@@ -459,23 +486,13 @@ def select_mixture_cuts(mixture: NonparametricMixture) -> list[tuple[CutPointSet
     ``select_cut_points(mixture.variate(j))`` byte for byte.  As there, query
     points play no part: they become cuts only inside :func:`recover_mixture`.
 
-    The stages run over all variates at once.  The variates sharing a block
-    dimension are evaluated in one stacked pass.  Then the greedy steps run
-    in lockstep rounds: each round decides the rank of every variate still
-    short of r, with one stacked SVD for all whose cuts form grids of the
-    same shape, and each of those whose rank rose appends its farthest
-    candidate, found with one stacked product for all at the same rank on
-    candidate grids of the same shape.  numpy takes a stacked SVD or product
-    matrix by matrix, so every decision is the one that variate would reach
-    alone.  Finally the bin masses of all variates whose bins have the same
-    shape are taken from one gather of the tables.  A variate whose step does
-    not raise its rank drops out, and after the rounds
-    :class:`RankDeficientError` is raised for the lowest-numbered such
-    variate, with :func:`select_cut_points`'s message prefixed by ``variate
-    j:``.
+    The families the mixture tabulated when it was built are evaluated in
+    one pass per block dimension, and the greedy steps of all variates run in
+    lockstep rounds (:func:`_select_cuts`).  :class:`RankDeficientError` is
+    raised for the lowest-numbered variate whose step does not raise its
+    rank, with :func:`select_cut_points`'s message prefixed by ``variate j:``.
     """
-    variates = [mixture.variate(j) for j in range(mixture.p)]
-    return _select_cuts(variates, [None] * mixture.p, named=True)
+    return _select_cuts(mixture._families, [None] * mixture.p, named=True)
 
 
 def _by_grid_shape(items, positions) -> list[list]:
@@ -487,34 +504,28 @@ def _by_grid_shape(items, positions) -> list[list]:
 
 
 def _select_cuts(
-    families: Sequence[Sequence[CdfComponent]], queries: Sequence, named: bool, check_bins=None
+    families: Sequence[_Family], queries: Sequence, named: bool, check_bins=None
 ) -> list[tuple[CutPointSet, np.ndarray]]:
     """:func:`select_mixture_cuts` over families of equally many components.
 
     Family f's cuts start from the coordinates of ``queries[f]`` (``None``
     for none), taken as :func:`recover_mixture` takes one variate's query
     points, and are never removed.  Only :func:`recover_mixture` passes
-    queries, to read CDF values back at them.  Every stage after the
-    evaluation runs over all families at once: a round decides the rank of
-    every family still short of full rank, then each of those whose rank rose
-    appends its farthest candidate.  Families whose cuts give grids of the
-    same shape are read from the tables in one gather and decided in one
-    stacked SVD, and families at the same rank on candidate grids of the same
-    shape take their step in one stacked product; numpy takes both matrix by
-    matrix, so every decision is that of a family selected alone.  A family
-    whose rank did not rise drops out, and the refusal raised after the
-    rounds is that of the lowest-numbered such family, named as ``variate f``
-    when ``named``.
+    queries, to read CDF values back at them.  Each round decides the rank of
+    every family short of full rank, with one gather and stacked SVD per
+    shape of cut grid, then each whose rank rose appends its farthest
+    candidate, with one stacked product per rank and shape of candidate grid;
+    numpy takes both matrix by matrix, so every decision is that of a family
+    selected alone.  A family whose rank did not rise drops out, and the
+    lowest-numbered one's refusal, named ``variate f`` when ``named``, is
+    raised after the rounds.
     Before any evaluation, ``check_bins``, when given, is called with each
     family's bin count at its query coordinates alone, a lower bound.
     """
-    r = len(families[0])
-    points = [
-        _normalize_points(pts, family[0].block_dim) for family, pts in zip(families, queries)
-    ]
-    grids = [default_grid(family) for family in families]
-    # the pooled knots are finite, sorted and unique, so without points the
-    # axes need no np.unique
+    r = len(families[0].components)
+    points = [_normalize_points(pts, family.block_dim) for family, pts in zip(families, queries)]
+    grids = [family.grid for family in families]  # the pooled knots
+    # the pooled knots are finite, sorted and unique: without points, no np.unique
     axes = [
         [
             np.unique(np.concatenate([[-np.inf], g, pts[:, c], [np.inf]])) if len(pts)
@@ -530,12 +541,11 @@ def _select_cuts(
     ]
     if check_bins is not None:
         check_bins([math.prod(len(at) + 1 for at in family_at) for family_at in cut_at])
-    # one padded stack of tables per block dimension; family f is rows
-    # slot[f] * r ... (slot[f] + 1) * r of its stack
+    # one stack of tables per block dimension; family f is rows slot[f] * r on
     stacks, slot = {}, [0] * len(families)
-    for b in {family[0].block_dim for family in families}:
-        members = [f for f, family in enumerate(families) if family[0].block_dim == b]
-        stacks[b] = _evaluate_stacked([families[f] for f in members], [axes[f] for f in members])
+    for b in {family.block_dim for family in families}:
+        members = [f for f, family in enumerate(families) if family.block_dim == b]
+        stacks[b] = _evaluate([families[f] for f in members], [axes[f] for f in members])
         for k, f in enumerate(members):
             slot[f] = k
 
@@ -631,17 +641,18 @@ def binned_conditional_matrix(
     cut_set = _as_cut_set(cuts)
     if any(c.block_dim != cut_set.block_dim for c in components):
         raise InputError("components and cuts disagree on the block dimension")
+    return _binned(_tabulate([components])[0], cut_set)
+
+
+def _binned(family: _Family, cuts) -> np.ndarray:
+    cut_set = _as_cut_set(cuts)
+    if family.block_dim != cut_set.block_dim:
+        raise InputError("components and cuts disagree on the block dimension")
     axes = [np.concatenate([[-np.inf], c, [np.inf]]) for c in cut_set.cuts]
-    return _bin_masses(_evaluate_stacked([components], [axes]))
+    return _bin_masses(_evaluate([family], [axes]))
 
 
-def bivariate_rank(
-    mixture: NonparametricMixture,
-    j1: int,
-    j2: int,
-    cuts1,
-    cuts2,
-) -> int:
+def bivariate_rank(mixture: NonparametricMixture, j1: int, j2: int, cuts1, cuts2) -> int:
     """Rank of the binned bivariate distribution of variates j1 and j2.
 
     Builds ``N = M1^T diag(pi) M2`` from the two binned conditional matrices.
@@ -649,8 +660,8 @@ def bivariate_rank(
     independent as seen through these bins; rank 1 means the pair is an exact
     product measure.
     """
-    M1 = binned_conditional_matrix(mixture.variate(j1), cuts1)
-    M2 = binned_conditional_matrix(mixture.variate(j2), cuts2)
+    M1 = _binned(mixture._family(j1), cuts1)
+    M2 = _binned(mixture._family(j2), cuts2)
     if mixture.r > min(M1.shape[1], M2.shape[1]):
         raise InputError("need at least r bins on both variates")
     N = M1.T @ (mixture.pi[:, None] * M2)
@@ -688,28 +699,20 @@ def component_cdfs(mixture: NonparametricMixture, query_points: Sequence) -> lis
     """CDF of every component at its variate's query points.
 
     ``query_points`` is taken as :func:`recover_mixture` takes it, and
-    ``tables[j][i, q]`` is the CDF of class i, variate j at query q: the
-    tables :func:`recover_mixture` recovers.  Each query point is a grid of
-    one point, so one stacked pass per block dimension evaluates the
-    components of all variates sharing it at all their points, and its stack
-    holds nothing else: one row of r entries per point, each written into its
-    variate's table, and each computed exactly as ``components[i][j](point)``.
+    ``tables[j][i, q]`` is the CDF of class i, variate j at query q, computed
+    exactly as ``components[i][j](point)``: the tables :func:`recover_mixture`
+    recovers.  A scalar variate's points are one axis of its family; each
+    point of a block is a grid of one point.
     """
     if len(query_points) != mixture.p:
         raise InputError(f"query_points must have one entry per variate ({mixture.p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    tables = [np.empty((mixture.r, len(pts))) for pts in queries]
-    for b in set(mixture.block_dims):
-        points = [(j, q) for j, pts in enumerate(queries) if mixture.block_dims[j] == b
-                  for q in range(len(pts))]
-        if not points:
-            continue
-        stack = _evaluate_stacked(
-            [mixture.variate(j) for j, _ in points], [queries[j][q][:, None] for j, q in points]
-        )
-        for (j, q), column in zip(points, stack.reshape(len(points), mixture.r)):
-            tables[j][:, q] = column
-    return tables
+    return [
+        _evaluate([f], [[pts[:, 0]]]) if f.block_dim == 1
+        else np.array([_evaluate([f], [pt[:, None]]).ravel() for pt in pts])
+        .reshape(-1, mixture.r).T
+        for f, pts in zip(mixture._families, queries)
+    ]
 
 
 def _check_binned_tensor(bins: Sequence[int], what="binned tensor at the query points alone"):
@@ -726,29 +729,27 @@ def recover_mixture(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Recover mixing weights and component CDF values at query points.
 
-    Cut points are selected for every variate as by
-    :func:`select_mixture_cuts`, whose stages run over all variates at once,
-    but with the variate's query points among the cuts; only here do query
-    points become cuts.  Cut selection also returns each variate's binned
-    conditional matrix.  Variates 0 and 1 are two views; the third is ``(J,
-    X_J)`` with ``J`` uniform on ``{2, ..., p-1}``, whose binned conditional
-    matrix is the variates' matrices side by side, divided by ``p - 2``.  The
-    three views are conditionally independent given the class, so their
-    exact binned tensor is decomposed once (Allman, Matias &
-    Rhodes, Ann. Statist. 2009).  The third factor splits back into
-    per-variate rows, scaled by ``p - 2``, so one set of class labels holds
-    for every variate.  CDF values are read off through the cumulative
-    transform at the query points, which are cuts verbatim, with one
-    cumulative sum for all variates whose bins have the same shape.
+    Cut points and binned conditional matrices are selected for every
+    variate as by :func:`select_mixture_cuts`, but with the variate's query
+    points among the cuts; only here do query points become cuts.  Variates
+    0 and 1 are two views; the third is ``(J, X_J)`` with ``J`` uniform on
+    ``{2, ..., p-1}``, whose binned conditional matrix is the variates'
+    matrices side by side, divided by ``p - 2``.  The three views are
+    conditionally independent given the class, so their exact binned tensor
+    is decomposed once (Allman, Matias & Rhodes, Ann. Statist. 2009).  The
+    third factor splits back into per-variate rows, scaled by ``p - 2``, so
+    one set of class labels holds for every variate.  CDF values are read off
+    through the cumulative transform at the query points, which are cuts
+    verbatim, with one cumulative sum for all variates whose bins have the
+    same shape.
 
-    ``query_points[j]`` lists the evaluation points for variate j: an
-    ``(n, b)`` array for a block of dimension ``b``, or any nesting that
-    converts to one (floats, or ``b``-tuples for blocks); ``-inf``, ``+inf``
-    and points outside the knot range are allowed.  Each variate's points are
-    converted once, and that array is carried through cut selection and the
-    read-back.  Returns ``(pi, tables)`` where
-    ``tables[j][i, q]`` is the recovered CDF of class i, variate j at query
-    q.
+    ``query_points[j]`` lists the evaluation points for variate j: an ``(n,
+    b)`` array for a block of dimension ``b``, or any nesting that converts
+    to one (floats, or ``b``-tuples for blocks); ``-inf``, ``+inf`` and points
+    outside the knot range are allowed.  Each variate's points are converted
+    once and carried through cut selection and the read-back.  Returns ``(pi,
+    tables)`` where ``tables[j][i, q]`` is the recovered CDF of class i,
+    variate j at query q.
 
     Raises
     ------
@@ -770,12 +771,10 @@ def recover_mixture(
     if len(query_points) != p:
         raise InputError(f"query_points must have one entry per variate ({p})")
     queries = [_normalize_points(q, b) for q, b in zip(query_points, mixture.block_dims)]
-    variates = [mixture.variate(j) for j in range(p)]
-    cuts, mats = zip(*_select_cuts(variates, queries, named=True, check_bins=_check_binned_tensor))
+    selected = _select_cuts(mixture._families, queries, True, _check_binned_tensor)
+    cuts, mats = zip(*selected)
     _check_binned_tensor([M.shape[1] for M in mats], "binned tensor")
-    T = _triple_product(
-        mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2)
-    )
+    T = _triple_product(mixture.pi[:, None] * mats[0], mats[1], np.hstack(mats[2:]) / (p - 2))
     rec = decompose3(T, mixture.r, seed=seed, tol=tol)
     splits = np.cumsum([M.shape[1] for M in mats[2:-1]])
     variate_rows = [*rec.factors[:2], *np.hsplit(rec.factors[2] * (p - 2), splits)]

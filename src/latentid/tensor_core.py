@@ -69,9 +69,9 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
-def _read_only(value) -> np.ndarray:
-    """A read-only float copy of ``value``, the one kind of array a class keeps."""
-    arr = np.array(value, dtype=float)
+def _read_only(value, dtype=float) -> np.ndarray:
+    """A read-only copy of ``value`` as ``dtype``, the one kind of array a class keeps."""
+    arr = np.array(value, dtype=dtype)
     arr.flags.writeable = False
     return arr
 

@@ -77,6 +77,20 @@ def test_nonparametric_round_trip(tmp_path):
     assert_same_components(loaded, model)
 
 
+def test_loaded_components_share_one_stack_per_shape(tmp_path):
+    # the loader checks each table shape's stacks once and the components
+    # keep read-only rows of them, with no copy per component
+    model = random_nonparametric_mixture(trial_rng(60, 4), 3, 3, block_dims=[1, 2, 1])
+    path = tmp_path / "npm.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert_same_components(loaded, model)
+    comps = [loaded.components[i][j] for i in range(3) for j in (0, 2)]
+    arrays = [a for comp in comps for a in (comp.values, comp.knots[0])]
+    assert all(a.base is not None for a in arrays)
+    assert len({id(a.base) for a in arrays}) == 2
+
+
 @st.composite
 def ragged_mixtures(draw):
     """Mixtures of 1-D variates and 2-D blocks whose components have equal

@@ -40,12 +40,12 @@ def two_uniform_family():
 def select_with_queries(family, queries=None):
     """One family's cuts with ``queries`` among them, as :func:`recover_mixture`
     selects a variate's cuts; no public selector takes query points."""
-    return nonparametric._select_cuts([family], [queries], named=False)[0]
+    return nonparametric._select_cuts(nonparametric._tabulate([family]), [queries], named=False)[0]
 
 
 def mixture_cuts_with_queries(mix, queries):
     """:func:`select_mixture_cuts` with ``queries[j]`` among variate j's cuts."""
-    return nonparametric._select_cuts([mix.variate(j) for j in range(mix.p)], queries, named=True)
+    return nonparametric._select_cuts(mix._families, queries, named=True)
 
 
 def knee_cdf(knee_x, knee_y, lo=0.0, hi=1.0):
@@ -452,31 +452,34 @@ class TestCutScanAgreement:
             assert got == expected, f"case {i}"
             assert (got is None) == dependent, f"case {i}"
 
-    def test_one_evaluation_per_component(self, monkeypatch):
-        # every component is evaluated exactly once per call, in one stacked
-        # pass per block dimension; a per-component evaluate_grid call would
-        # show as a pass of its own
-        passes = []
-        real = nonparametric._evaluate_stacked
+    def test_each_variate_is_tabulated_once(self, monkeypatch):
+        # a mixture builds one family per variate, pooling its knots once;
+        # cut selection, recovery, bivariate ranks and component CDFs read
+        # those families and build none
+        builds, grids = [], []
+        build, grid = nonparametric._tabulate, nonparametric.default_grid
 
-        def counting(families, family_axes, **options):
-            passes.append([comp for family in families for comp in family])
-            return real(families, family_axes, **options)
+        def counting_build(variates):
+            builds.extend(variates)
+            return build(variates)
 
-        monkeypatch.setattr(nonparametric, "_evaluate_stacked", counting)
-        for i in (7, 15, 37, 60):
-            family, mandatory = scan_case(i)
-            passes.clear()
-            select_with_queries(family, mandatory)
-            assert passes == [family]
+        def counting_grid(components):
+            grids.append(1)
+            return grid(components)
+
+        monkeypatch.setattr(nonparametric, "_tabulate", counting_build)
+        monkeypatch.setattr(nonparametric, "default_grid", counting_grid)
         for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
+            builds.clear(), grids.clear()
             mix = random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
-            passes.clear()
-            recover_mixture(mix, [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims])
-            dims = sorted(({c.block_dim for c in comps} for comps in passes), key=min)
-            assert dims == [{b} for b in sorted(set(mix.block_dims))]
-            evaluated = sorted(id(c) for comps in passes for c in comps)
-            assert evaluated == sorted(id(c) for row in mix.components for c in row)
+            assert (len(builds), len(grids)) == (p, p)
+            builds.clear(), grids.clear()
+            queries = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
+            select_mixture_cuts(mix)
+            recover_mixture(mix, queries)
+            bivariate_rank(mix, 0, p - 1, np.linspace(0.1, 0.9, r), np.linspace(0.1, 0.9, r))
+            component_cdfs(mix, queries)
+            assert (builds, grids) == ([], [])
 
     def test_at_most_r_svds(self, monkeypatch):
         # rank grows at every step or the family is refused
@@ -595,44 +598,12 @@ def reference_evaluate_grid(comp, axes):
     return V
 
 
-@st.composite
-def stacked_families(draw):
-    """Families of one block dimension with ragged knot counts, per component
-    and per coordinate, each with its own axes of up to 4 values (possibly
-    none, infinite or outside the knots)."""
-    b = draw(st.integers(1, 2))
-    families, family_axes = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        size = draw(st.integers(1, 4))
-        parts = draw(st.lists(st.lists(piecewise_cdfs(), min_size=b, max_size=b),
-                              min_size=size, max_size=size))
-        families.append([p[0] if b == 1 else CdfComponent.from_product(p) for p in parts])
-        family_axes.append(
-            [np.array(draw(st.lists(coordinates, max_size=4))) for _ in range(b)]
-        )
-    return families, family_axes
-
-
-@given(case=stacked_families())
-def test_stacked_evaluation_equals_the_per_component_loop(case):
-    families, family_axes = case
-    stack = nonparametric._evaluate_stacked(families, family_axes)
-    assert len(stack) == sum(map(len, families))
-    start = 0
-    for family, axes in zip(families, family_axes):
-        table = stack[(slice(start, start + len(family)), *(slice(len(ax)) for ax in axes))]
-        start += len(family)
-        expected = np.array([reference_evaluate_grid(comp, axes) for comp in family])
-        assert table.shape == expected.shape
-        assert table.tobytes() == expected.tobytes()
-
-
 def test_far_values_are_clamped_before_dividing():
     # a value far outside a tiny knot gap is clamped to the gap before t is
     # taken, so the division cannot overflow
     tiny = CdfComponent([0.0, 5e-324], [0.0, 1.0])
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        table = nonparametric._evaluate_stacked([[tiny, _U]], [[[1.0, -1.0]]])
+    with np.errstate(all="raise"):
+        table = nonparametric._evaluate(nonparametric._tabulate([[tiny, _U]]), [[[1.0, -1.0]]])
         assert tiny.evaluate_grid([[2.0]]).tolist() == [1.0]
     assert table.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
@@ -642,25 +613,54 @@ def test_far_values_are_clamped_before_dividing():
 _TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, np.inf])
 
 
-@given(
-    rows=st.lists(
-        st.lists(_TIED.filter(np.isfinite), max_size=5, unique=True).map(sorted),
-        min_size=1, max_size=4,
-    ),
-    values=st.lists(_TIED, max_size=6),
-    shared=st.booleans(),
-)
-def test_count_at_most_equals_a_search_per_row(rows, values, shared):
-    # ragged rows end in NaN padding; x is one row shared by all or one per row
-    width = max(map(len, rows))
-    knots = np.array([row + [np.nan] * (width - len(row)) for row in rows]).reshape(len(rows), width)
-    x = np.tile(np.array(values, dtype=float), (1 if shared else len(rows), 1))
-    got = nonparametric._count_at_most(knots, x)
-    expected = [
-        np.searchsorted(np.array(row, dtype=float), x[0 if shared else s], side="right")
-        for s, row in enumerate(rows)
-    ]
-    assert got.tolist() == np.array(expected).reshape(len(rows), len(values)).tolist()
+@st.composite
+def tied_variates(draw):
+    """Variates of one block dimension and axes to evaluate each on, from :data:`_TIED`.
+
+    There are 1 to 3 variates of 1 to 4 components each, all of block
+    dimension 1 or 2.  A component has 2 to 5 knots per coordinate, so rows
+    are ragged and share knots, and one row may hold -0.0 where another
+    holds 0.0.  Each axis holds up to 6 values: knots, points between and
+    beyond them (from :data:`_TIED` or any in [-2, 3]), and both infinities.
+    """
+    b, r = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    knots = st.lists(_TIED.filter(np.isfinite), min_size=2, max_size=5, unique=True).map(sorted)
+    point = st.one_of(_TIED, st.floats(-2.0, 3.0))
+
+    def scalar():
+        kn = draw(knots)
+        steps = draw(st.lists(st.floats(0.01, 1.0), min_size=len(kn) - 1, max_size=len(kn) - 1))
+        values = np.concatenate([[0.0], np.cumsum(steps)])
+        return CdfComponent(kn, values / values[-1])
+
+    variates, variate_axes = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        variates.append([
+            scalar() if b == 1 else CdfComponent.from_product([scalar() for _ in range(b)])
+            for _ in range(r)
+        ])
+        variate_axes.append(
+            [np.array(draw(st.lists(point, max_size=6)), dtype=float) for _ in range(b)]
+        )
+    return variates, variate_axes
+
+
+@given(case=tied_variates())
+def test_family_evaluation_equals_the_per_component_loop(case):
+    # one shared search per coordinate and the maps to each row's own cells
+    # give every entry of the per-component evaluation, to the bit, whether
+    # the families built together are evaluated in one pass or one at a time
+    variates, variate_axes = case
+    families = nonparametric._tabulate(variates)
+    stack = nonparametric._evaluate(families, variate_axes)
+    r = len(variates[0])
+    for f, (family, axes) in enumerate(zip(variates, variate_axes)):
+        expected = np.array([reference_evaluate_grid(comp, axes) for comp in family])
+        table = stack[(slice(f * r, (f + 1) * r), *(slice(len(ax)) for ax in axes))]
+        alone = nonparametric._evaluate([families[f]], [axes])
+        for got in (table, alone):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 @given(
@@ -1330,7 +1330,7 @@ NONPARAMETRIC_REFUSALS = {
         # cut is selected
         _random_queries([[0.2, 0.5, 0.7]] * 3),
         InputError, "binned tensor at the query points alone has 64 entries, cap is 15",
-        (nonparametric, "_evaluate_stacked"),
+        (nonparametric, "_evaluate"),
     ),
     "binned-tensor-cap": (
         # a point past the knots adds nothing to the rank, so each variate

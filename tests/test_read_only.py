@@ -61,7 +61,10 @@ CLASSES = {
         lambda pi: NonparametricMixture(
             pi, ((CdfComponent.uniform(0, 1),), (CdfComponent.uniform(0, 2),))
         ),
-        lambda m: [m.pi],
+        lambda m: [
+            m.pi,
+            *(a for f in m._families for a in (*f.grid, *f.knots, f.values, *f.cells)),
+        ],
     ),
     "CdfComponent": (
         [[0.0, 0.5, 1.0], [0.0, 0.4, 1.0]],
