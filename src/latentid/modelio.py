@@ -12,12 +12,14 @@ Schemas, one per model family, dispatched on the ``"type"`` key:
   components indexed ``[class][variate]``; knots and values are flat lists
   for one-dimensional variates and nested lists for blocks.
 
-A nonparametric file's CDF tables are checked by
-:func:`~latentid.nonparametric._check_tables`, the checks of
-:class:`~latentid.nonparametric.CdfComponent`, in one stacked pass per table
-shape.  A file that fails is read again one component at a time, in file
-order, so the error names its first fault, as checking each component on its
-own would.
+A nonparametric file is parsed and checked once per table shape, which its
+knot lists' lengths give, by :func:`~latentid.nonparametric._check_tables`,
+the checks of :class:`~latentid.nonparametric.CdfComponent`; each component
+is a read-only row view of its group's arrays, which the
+:class:`~latentid.nonparametric.NonparametricMixture` copies once into its
+own stacks.  A file that fails is read again one component at a time, in
+file order, so the error names its first fault, as checking each component
+on its own would.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def model_to_dict(model: Model) -> dict:
             "components": [
                 [
                     {
-                        "knots": _knots_to_json(comp),
+                        "knots": [k.tolist() for k in comp.knots]
+                        if comp.block_dim > 1 else comp.knots[0].tolist(),
                         "values": comp.values.tolist(),
                     }
                     for comp in row
@@ -81,12 +84,6 @@ def model_to_dict(model: Model) -> dict:
             ],
         }
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _knots_to_json(comp: CdfComponent):
-    if comp.block_dim == 1:
-        return comp.knots[0].tolist()
-    return [k.tolist() for k in comp.knots]
 
 
 def _field(obj: dict, key: str, owner: str):
@@ -140,39 +137,41 @@ def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
     """The ``[class][variate]`` grid of components a file's entries describe.
 
-    Every entry is parsed first, then the tables of each shape are stacked
-    into read-only arrays, checked in one pass
-    (:func:`~latentid.nonparametric._check_tables`), and each component keeps
-    read-only row views of its shape's stacks.  A file that fails either step
-    is read again one component at a time, in file order, so the error raised
-    is that of its first faulty entry, whatever the fault.
+    The entries are grouped by the lengths of their knot lists; each group's
+    knots, per coordinate, and tables are converted in one :func:`_floats`
+    call each and checked in one pass (:func:`_check_tables`), and each
+    component is a read-only row view of its group's arrays.  A file that
+    fails either step is read again one component at a time, in file order,
+    so the error raised is that of its first faulty entry, whatever the fault.
     """
     try:
-        parsed = [
-            [_parse_component(entry) for entry in _list(row, "a components row")]
-            for row in _list(rows, "components")
-        ]
-        shapes = {}
-        for i, row in enumerate(parsed):
-            for j, (knots, values) in enumerate(row):
-                shapes.setdefault((tuple(k.shape for k in knots), values.shape), []).append((i, j))
-        grid = [[None] * len(row) for row in parsed]
-        for group in shapes.values():
-            entries = [parsed[i][j] for i, j in group]
-            stacks = [_read_only(axis) for axis in zip(*(knots for knots, _ in entries))]
-            tables = _read_only([values for _, values in entries])
-            _check_tables(stacks, tables)
-            for k, (i, j) in enumerate(group):
-                grid[i][j] = CdfComponent._checked(tuple(s[k] for s in stacks), tables[k])
+        entries = [_list(row, "a components row") for row in _list(rows, "components")]
+        groups, grid = {}, [[None] * len(row) for row in entries]
+        for i, row in enumerate(entries):
+            for j, entry in enumerate(row):
+                kn = _list(entry["knots"] if isinstance(entry, dict) else None, "knots")
+                kn = kn if isinstance(kn[0], list) else [kn]  # one list per coordinate
+                groups.setdefault(tuple(map(len, kn)), []).append((i, j, kn, entry["values"]))
+        for key, group in groups.items():
+            knots = [[kn[c] for _, _, kn, _ in group] for c in range(len(key))]
+            knots = [_read_only(_floats(k, "knots")) for k in knots]
+            values = _read_only(_floats([v for *_, v in group], "values"))
+            _check_tables(knots, values)
+            for (i, j, *_), row_knots, table in zip(group, zip(*knots), values):
+                grid[i][j] = CdfComponent._checked(row_knots, table)
     except Exception:  # whatever failed, the pass below raises the first entry's error
         return tuple(
-            tuple(
-                CdfComponent(*_parse_component(entry))
-                for entry in _list(row, "a components row")
-            )
+            tuple(CdfComponent(*_parse_component(e)) for e in _list(row, "a components row"))
             for row in _list(rows, "components")
         )
     return tuple(map(tuple, grid))
+
+
+def _plain(value):
+    """A tuple or array as the list that JSON would hold, anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
 
 
 def model_from_dict(obj: dict) -> Model:
@@ -205,7 +204,7 @@ def model_from_dict(obj: dict) -> Model:
     for key in ("r", "p", "kappa", "kappas", "block_dims"):
         if key in obj and hasattr(model, key):
             actual = getattr(model, key)
-            if not np.array_equal(actual, obj[key]):
+            if _plain(actual) != _plain(obj[key]):
                 raise InputError(f"declared {key}={obj[key]} but the model has {actual}")
     return model
 

@@ -5,7 +5,7 @@ grids, evaluated exactly between knots and clamped outside them.  Cut points
 discretize each variate into bins whose conditional matrix has full row rank,
 which turns the continuous mixture into an exactly solvable finite one.
 
-A mixture tabulates each variate's components once, when it is built, with a
+A mixture stacks and tabulates its components once, when it is built, with a
 map from each pooled knot cell to each component's own cell, so evaluating a
 variate on any grid takes one search per coordinate for all its components.
 Cut selection over a mixture runs in stages, each a stacked pass over the
@@ -54,9 +54,8 @@ class CdfComponent:
     cell must have nonnegative mass (the table's successive differences along
     every coordinate at once, within ``NEG_ENTRY_TOL``); with the limits this
     makes the table nondecreasing and keeps it in [0, 1].  The component
-    holds read-only copies of its knots and values (the model file loader's
-    hold read-only rows of its stacks); the caller's arrays are neither
-    frozen nor shared.
+    holds read-only copies of its knots and values, or in a mixture read-only
+    views of the mixture's stacks; the caller's arrays are neither frozen nor shared.
 
     The checks live in :func:`_check_tables`, which takes a stack of tables
     of one shape; the constructor runs it on a stack of one.  The model file
@@ -72,8 +71,7 @@ class CdfComponent:
 
     @classmethod
     def _checked(cls, knots: tuple[np.ndarray, ...], values: np.ndarray) -> "CdfComponent":
-        """The component of read-only float arrays that :func:`_check_tables` has passed,
-        kept as they are."""
+        """The component of read-only arrays that :func:`_check_tables` passed, as they are."""
         comp = cls.__new__(cls)
         comp.knots, comp.values = knots, values
         return comp
@@ -127,7 +125,8 @@ class NonparametricMixture:
     """Mixing weights and an r x p grid of CDF components.
 
     ``components[i][j]`` is the CDF of variate j under class i; all classes
-    must agree on each variate's block dimension.
+    must agree on each variate's block dimension.  Its ``components`` are
+    views of stacks it owns (:func:`_tabulate`), not the objects it is given.
     """
 
     pi: np.ndarray
@@ -150,9 +149,10 @@ class NonparametricMixture:
         for b in {comp.block_dim for comp in comps[0]}:  # one tabulation per block dimension
             members = [j for j in range(p) if comps[0][j].block_dim == b]
             families.update(zip(members, _tabulate([[row[j] for row in comps] for j in members])))
+        families = tuple(families[j] for j in range(p))
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_families", tuple(families[j] for j in range(p)))
+        object.__setattr__(self, "components", tuple(zip(*(f.components for f in families))))
+        object.__setattr__(self, "_families", families)
 
     @property
     def r(self) -> int:
@@ -331,24 +331,16 @@ def _padded(arrays: Sequence[np.ndarray], fill: float) -> np.ndarray:
     return out
 
 
-def default_grid(components: Sequence[CdfComponent]) -> list[np.ndarray]:
-    """Per-coordinate candidate values: the pooled knots of the components."""
-    return [
-        np.unique(np.concatenate([comp.knots[c] for comp in components]))
-        for c in range(components[0].block_dim)
-    ]
-
-
 class _Family(NamedTuple):
     """The components of one variate, tabulated once for evaluation.
 
-    ``grid[c]`` holds the pooled knots of coordinate c (:func:`default_grid`).
-    The families one :func:`_tabulate` call builds share read-only stacks,
-    one row per component, padded to the longest, and this family's rows
-    start at ``row``: ``knots[c]`` and ``values`` hold the components' own
-    knots and tables, and ``cells[c][s, k]`` is the own cell of row s that
-    holds pooled cell k, from ``grid[c][k]`` up to the next pooled knot (a
-    component's knots are all pooled, so none lies inside a pooled cell).
+    ``grid[c]`` holds the pooled knots of coordinate c, sorted and unique.  The
+    families one :func:`_tabulate` call builds share the stacks of which the
+    components are row views, and this family's rows start at ``row``:
+    ``knots[c]`` and ``values`` hold the components' own knots and tables,
+    and ``cells[c][s, k]`` is the own cell of row s that holds pooled cell k,
+    from ``grid[c][k]`` up to the next pooled knot (a component's knots are
+    all pooled, so none lies inside a pooled cell).
     A lone component is its own pooled grid, with no map (``cells`` is None).
     """
 
@@ -405,12 +397,10 @@ def _evaluate(families: Sequence[_Family], family_axes: Sequence) -> np.ndarray:
 def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
     """The families of variates of one block dimension, r components each.
 
-    Each variate's pooled knots are its :func:`default_grid`, among which its
-    components' knots are searched in one call per coordinate.  The rest is
-    one stacked call for all the variates: the knots of each coordinate and
-    the tables are padded into one stack each, and the maps are one count of
-    interior knots per pooled cell with a running sum along each row, kept
-    in the smallest unsigned type that holds a knot count.
+    The components' arrays are copied once into padded stacks, and the
+    families hold views of their rows instead.  The maps are one count of
+    interior knots per pooled cell with a running sum along each row, kept in
+    the smallest unsigned type that holds a knot count.
     """
     if len(variates) == 1 and len(variates[0]) == 1:
         ((comp,),) = variates
@@ -418,23 +408,32 @@ def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
                         None, 0)]
     n, r = len(variates), len(variates[0])
     comps = [comp for variate in variates for comp in variate]
-    grids = [tuple(_read_only(g) for g in default_grid(variate)) for variate in variates]
-    values = _read_only(_padded([comp.values for comp in comps], 0.0))
-    knots, cells = [], []
-    for c in range(len(grids[0])):
-        kn = _read_only(_padded([comp.knots[c] for comp in comps], np.nan))
+    knots = tuple(_read_only(_padded(k, np.nan)) for k in zip(*(c.knots for c in comps)))
+    values = _read_only(_padded([c.values for c in comps], 0.0))
+    # the components become views of the stacks' rows, each cut to its own shape
+    comps = [CdfComponent._checked(tuple(k[s, : a.size] for k, a in zip(knots, c.knots)),
+                                   values[(s, *map(slice, c.values.shape))])
+             for s, c in enumerate(comps)]
+    grids, cells = [], []
+    for kn in knots:
+        # each variate's pooled knots: a stable sort of its rows end to end puts
+        # NaN last and keeps the first of each run of equal values (-0.0 or 0.0)
+        ranked = np.sort(kn.reshape(n, -1), axis=1, kind="stable")
+        first = np.ones(ranked.shape, dtype=bool)
+        np.greater(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])  # false at NaN
+        pooled, ends = _read_only(ranked[first]), first.sum(axis=1).cumsum().tolist()
+        grid = [pooled[a:e] for a, e in zip([0, *ends], ends)]
         inner = np.zeros(kn.shape, dtype=bool)
         inner[:, 1:-1] = ~np.isnan(kn[:, 2:])  # past the first knot and before the last
-        pos = np.array([g[c].searchsorted(kn_j) for g, kn_j in zip(grids, kn.reshape(n, r, -1))])
-        width = max(grid[c].size for grid in grids) - 1
+        pos = np.array([g.searchsorted(kn_j) for g, kn_j in zip(grid, kn.reshape(n, r, -1))])
+        width = max(g.size for g in grid) - 1
         rows = np.arange(n * r)[:, None] * width
         count = np.bincount((rows + pos.reshape(n * r, -1))[inner], minlength=n * r * width)
-        count = count.reshape(n * r, -1).cumsum(axis=1)
-        knots.append(kn)
-        cells.append(_read_only(count, np.min_scalar_type(kn.shape[1])))
-    knots, cells = tuple(knots), tuple(cells)
-    return [_Family(tuple(v), grids[j], knots, values, cells, j * r)
-            for j, v in enumerate(variates)]
+        grids.append(grid)
+        cells.append(_read_only(count.reshape(n * r, -1).cumsum(axis=1),
+                                np.min_scalar_type(kn.shape[1])))
+    return [_Family(tuple(comps[j * r : (j + 1) * r]), tuple(g[j] for g in grids), knots, values,
+                    tuple(cells), j * r) for j in range(n)]
 
 
 def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, np.ndarray]:
@@ -452,14 +451,14 @@ def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, 
     product of the grid axes wins.  Cuts serve identifiability alone: query
     points become cuts only inside :func:`recover_mixture`.
 
-    The candidates are the pooled knots (:func:`default_grid`), and no other
-    point can do better.  Inside each cell of the pooled knot grid every CDF
-    is multilinear, so ``N^T F(u)`` is affine and its norm convex along each
-    coordinate, and its maximum over the cell lies at a corner; outside the
-    knot range the CDFs take their values on its boundary.  The components
-    are evaluated on the pooled knots and -inf and +inf, cuts are kept as
-    positions on those axes, and ``M`` is the successive differences of the
-    table at ``[-inf, cuts..., +inf]``.  This is the one-family case of
+    The candidates are the pooled knots, and no other point can do better.
+    Inside each cell of the pooled knot grid every CDF is multilinear, so
+    ``N^T F(u)`` is affine and its norm convex along each coordinate, and its
+    maximum over the cell lies at a corner; outside the knot range the CDFs
+    take their values on its boundary.  The components are evaluated on the
+    pooled knots and -inf and +inf, cuts are kept as positions on those axes,
+    and ``M`` is the successive differences of the table at ``[-inf,
+    cuts..., +inf]``.  This is the one-family case of
     :func:`select_mixture_cuts`.
 
     Rank is decided by the library's one rule,

@@ -16,6 +16,7 @@ All operations are pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -53,6 +54,8 @@ ENTRY_CAP = 2**24
 #: far below the remaining ``0.99 * cutoff * sigma_1``, so the SVD rule
 #: accepts every subset the bound accepts.
 _DET_SCREEN_MARGIN = 2.0
+#: :func:`_subsets` keeps at most this many indexes, of at most this many entries each
+_SUBSET_SLOTS, _SUBSET_ENTRIES = 32, 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,17 @@ def _orthogonal_screen(U: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]
     return W, math.log(_DET_SCREEN_MARGIN * RANK_TOL * cols * (s[0] / s[-1]))
 
 
+@functools.lru_cache(maxsize=_SUBSET_SLOTS)
+def _subsets(rows: int, k: int) -> np.ndarray:
+    """The read-only index of the ``k``-row subsets, in lexicographic order, kept
+    for the views of one certificate that share a shape (the three 12 x 8 views of
+    a 12-class model need one) and for later calls in the same process; callers
+    keep at most ``_SUBSET_SLOTS`` indexes of ``_SUBSET_ENTRIES``: 8 MB of ``intp``."""
+    sets = itertools.chain.from_iterable(itertools.combinations(range(rows), k))
+    idx = np.fromiter(sets, dtype=np.intp, count=math.comb(rows, k) * k)
+    return _read_only(idx.reshape(-1, k), np.intp)
+
+
 def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
@@ -342,8 +356,7 @@ def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:
     k = size if screen is None else W.shape[1]
     count = math.comb(rows, k)
     _check_entries(count * k * W.shape[1], f"stack of {k}-row subsets")
-    sets = itertools.chain.from_iterable(itertools.combinations(range(rows), k))
-    idx = np.fromiter(sets, dtype=np.intp, count=count * k).reshape(count, k)
+    idx = _subsets(rows, k) if count * k <= _SUBSET_ENTRIES else _subsets.__wrapped__(rows, k)
     if screen is not None:
         idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
         if len(idx) == 0:

@@ -1,9 +1,10 @@
+import json
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latentid import modelio
 from latentid.errors import InputError
@@ -220,6 +221,19 @@ def test_every_declared_header_field_is_checked(family, key, declared):
         model_from_dict(obj)
 
 
+@pytest.mark.parametrize("convert", [list, tuple, np.array])
+def test_declared_fields_compare_as_json_lists(convert):
+    # a Python caller may declare a sequence as a tuple or an array: it is
+    # compared as the list a file would hold, and a mismatch names both values
+    model = random_latent_class(trial_rng(60, 6), 2, (2, 3, 2))
+    obj = model_to_dict(model)
+    obj["kappas"] = convert([2, 3, 2])
+    assert model_from_dict(obj).kappas == (2, 3, 2)
+    obj["kappas"] = convert([2, 2, 2])
+    with pytest.raises(ValueError, match=r"^declared kappas=.* but the model has \(2, 3, 2\)$"):
+        model_from_dict(obj)
+
+
 def test_unknown_type_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"type": "mystery"})
@@ -252,6 +266,10 @@ def test_only_models_are_serialized():
         (
             "nonparametric", ("components", 0, 1, "values", 1), "0.5",
             "^values must hold only numbers$",
+        ),
+        (
+            "nonparametric", ("components", 0, 0, "knots"), (0.0, 1.0),
+            "knots must be a list, got tuple",
         ),
     ],
 )
@@ -287,3 +305,87 @@ def test_block_knot_lists_may_differ_in_length():
     model = NonparametricMixture(pi=np.array([1.0]), components=((uniform, uniform, block),))
     loaded = model_from_dict(model_to_dict(model))
     assert [k.tolist() for k in loaded.components[0][2].knots] == [[0, 1, 2], [0, 1]]
+
+
+#: faults a fuzzed nonparametric file may carry, each put into one entry
+FUZZ_FAULTS = (
+    "bool", "null", "string", "ragged-table", "ragged-grid", "negative-mass", "top-corner",
+)
+
+
+@st.composite
+def nonparametric_documents(draw):
+    """A nonparametric file's object: 1 to 3 classes, 1 to 3 variates of block
+    dimension 1 or 2, 2 to 4 knots per coordinate, and 0 to 2 faults."""
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    block_dims = draw(st.lists(st.integers(1, 2), min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def component(b):
+        parts = [random_piecewise_cdf(rng, draw(st.integers(2, 4))) for _ in range(b)]
+        return parts[0] if b == 1 else CdfComponent.from_product(parts)
+
+    rows = tuple(tuple(component(b) for b in block_dims) for _ in range(r))
+    obj = model_to_dict(NonparametricMixture(pi=random_probability(rng, r), components=rows))
+    obj = {key: obj[key] for key in ("type", "pi", "components")}  # no declared shape
+
+    def leaf(node):
+        """A random innermost list of ``node`` and an index into it."""
+        while isinstance(node[0], list):
+            node = node[draw(st.integers(0, len(node) - 1))]
+        return node, draw(st.integers(0, len(node) - 1))
+
+    cells = st.tuples(st.integers(0, r - 1), st.integers(0, p - 1))
+    faults = draw(st.lists(st.tuples(cells, st.sampled_from(FUZZ_FAULTS)), max_size=2,
+                           unique_by=lambda fault: fault[0]))
+    for (i, j), fault in sorted(faults, key=lambda fault: -fault[0][1]):  # pops last-first
+        entry = obj["components"][i][j]
+        values = np.array(entry["values"])
+        if fault in ("bool", "null", "string"):
+            node, k = leaf(entry[draw(st.sampled_from(["knots", "values"]))])
+            node[k] = {"bool": True, "null": None, "string": "0.5"}[fault]
+        elif fault == "ragged-table":
+            leaf(entry["values"])[0].pop()
+        elif fault == "ragged-grid":
+            obj["components"][i].pop(j)
+        elif fault == "top-corner":
+            values.flat[-1] = 1.5
+        else:  # a value raised inside the table makes a later cell's mass negative
+            inside = [at for at in np.ndindex(values.shape) if min(at) >= 1][:-1]
+            if inside:
+                values[draw(st.sampled_from(inside))] += 2.0
+        if fault in ("top-corner", "negative-mass"):
+            entry["values"] = values.tolist()
+    return json.loads(json.dumps(obj))
+
+
+def load_one_at_a_time(obj):
+    """The model of a nonparametric file with every entry built through
+    :class:`CdfComponent` on its own, in file order."""
+    rows = tuple(
+        tuple(CdfComponent(*modelio._parse_component(entry)) for entry in row)
+        for row in obj["components"]
+    )
+    return NonparametricMixture(pi=modelio._floats(obj["pi"], "pi"), components=rows)
+
+
+@settings(max_examples=200)
+@given(nonparametric_documents())
+def test_loader_equals_building_each_component(obj):
+    # the stacked parse and check give the arrays, or the exception text,
+    # of checking every entry on its own in file order
+    try:
+        expected = load_one_at_a_time(obj)
+    except InputError as error:
+        with pytest.raises(InputError) as raised:
+            model_from_dict(obj)
+        assert str(raised.value) == str(error)
+        return
+    loaded = model_from_dict(obj)
+    assert loaded.pi.tobytes() == expected.pi.tobytes()
+    assert loaded.block_dims == expected.block_dims
+    for got, want in zip(loaded.components, expected.components):
+        for a, b in zip(got, want):
+            assert [k.tobytes() for k in a.knots] == [k.tobytes() for k in b.knots]
+            assert a.values.tobytes() == b.values.tobytes()
+            assert not any(x.flags.writeable for x in (*a.knots, a.values))

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from latentid import cli, nonparametric
 from latentid.errors import InputError, RankDeficientError
-from latentid.modelio import load_model, model_to_dict, save_model
+from latentid.modelio import load_model, model_from_dict, model_to_dict, save_model
 from latentid.nonparametric import (
     CdfComponent,
     CutPointSet,
@@ -46,6 +46,16 @@ def select_with_queries(family, queries=None):
 def mixture_cuts_with_queries(mix, queries):
     """:func:`select_mixture_cuts` with ``queries[j]`` among variate j's cuts."""
     return nonparametric._select_cuts(mix._families, queries, named=True)
+
+
+def default_grid(components):
+    """The pooled knots of the components, per coordinate, sorted and unique:
+    of ``-0.0`` and ``0.0``, the first met (``np.unique`` sorts stably when
+    asked for indices)."""
+    return [
+        np.unique(np.concatenate([comp.knots[c] for comp in components]), return_index=True)[0]
+        for c in range(components[0].block_dim)
+    ]
 
 
 def knee_cdf(knee_x, knee_y, lo=0.0, hi=1.0):
@@ -177,7 +187,7 @@ class TestSelectCutPoints:
         eps, rng = 1.8e-8, trial_rng(0, 0)
         family = [random_piecewise_cdf(rng, 16) for _ in range(8)]
         other = random_piecewise_cdf(rng, 16)
-        pool = nonparametric.default_grid([*family[:2], other])
+        pool = default_grid([*family[:2], other])
         mean = (family[0].evaluate_grid(pool) + family[1].evaluate_grid(pool)) / 2
         family[-1] = CdfComponent(pool, (1 - eps) * mean + eps * other.evaluate_grid(pool))
         calls = []
@@ -317,7 +327,7 @@ def scan_case(i):
 
     family = [draw() for _ in range(r)]
     if i % 10 == 9 and r >= 3:
-        pool = nonparametric.default_grid(family[:2])
+        pool = default_grid(family[:2])
         mixed = (family[0].evaluate_grid(pool) + family[1].evaluate_grid(pool)) / 2
         family[-1] = CdfComponent(pool, mixed)
     mandatory = None
@@ -335,7 +345,7 @@ def reference_variate_cuts(family, mandatory=None):
     first step that does not raise the rank."""
     r, b = len(family), family[0].block_dim
     points = nonparametric._normalize_points(mandatory, b)
-    grid = nonparametric.default_grid(family)
+    grid = default_grid(family)
     axes = [
         np.unique(np.concatenate([[-np.inf], g, points[:, c], [np.inf]]))
         for c, g in enumerate(grid)
@@ -375,7 +385,7 @@ def reference_variate_cuts(family, mandatory=None):
 
 def mixed_component(family, i, k):
     """The equal mixture of ``family[i]`` and ``family[k]``, tabled on their pooled knots."""
-    pool = nonparametric.default_grid([family[i], family[k]])
+    pool = default_grid([family[i], family[k]])
     return CdfComponent(pool, (family[i].evaluate_grid(pool) + family[k].evaluate_grid(pool)) / 2)
 
 
@@ -453,33 +463,36 @@ class TestCutScanAgreement:
             assert (got is None) == dependent, f"case {i}"
 
     def test_each_variate_is_tabulated_once(self, monkeypatch):
-        # a mixture builds one family per variate, pooling its knots once;
-        # cut selection, recovery, bivariate ranks and component CDFs read
-        # those families and build none
-        builds, grids = [], []
-        build, grid = nonparametric._tabulate, nonparametric.default_grid
+        # a mixture, built or loaded, makes one family per variate, and only
+        # _tabulate stacks components and pools their knots; cut selection,
+        # recovery, bivariate ranks and component CDFs read those families
+        # and build none
+        builds = []
+        build = nonparametric._tabulate
 
         def counting_build(variates):
             builds.extend(variates)
             return build(variates)
 
-        def counting_grid(components):
-            grids.append(1)
-            return grid(components)
-
         monkeypatch.setattr(nonparametric, "_tabulate", counting_build)
-        monkeypatch.setattr(nonparametric, "default_grid", counting_grid)
         for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
-            builds.clear(), grids.clear()
-            mix = random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
-            assert (len(builds), len(grids)) == (p, p)
-            builds.clear(), grids.clear()
-            queries = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
-            select_mixture_cuts(mix)
-            recover_mixture(mix, queries)
-            bivariate_rank(mix, 0, p - 1, np.linspace(0.1, 0.9, r), np.linspace(0.1, 0.9, r))
-            component_cdfs(mix, queries)
-            assert (builds, grids) == ([], [])
+            document = model_to_dict(
+                random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
+            )
+            builds.clear()
+            for build_mixture in (
+                lambda: random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims),
+                lambda: model_from_dict(document),
+            ):
+                mix = build_mixture()
+                assert len(builds) == p
+                builds.clear()
+                queries = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
+                select_mixture_cuts(mix)
+                recover_mixture(mix, queries)
+                bivariate_rank(mix, 0, p - 1, np.linspace(0.1, 0.9, r), np.linspace(0.1, 0.9, r))
+                component_cdfs(mix, queries)
+                assert builds == []
 
     def test_at_most_r_svds(self, monkeypatch):
         # rank grows at every step or the family is refused
@@ -582,8 +595,8 @@ def test_evaluate_grid_equals_scalar_evaluation(parts, data):
 
 def reference_evaluate_grid(comp, axes):
     """One component on a product grid, one coordinate at a time: the
-    per-component evaluation that :func:`~latentid.nonparametric._evaluate_stacked`
-    must reproduce bit for bit."""
+    per-component evaluation that :func:`~latentid.nonparametric._evaluate`
+    must reproduce bit for bit for every row of a family."""
     V = comp.values
     for c, req in enumerate(axes):
         kn = comp.knots[c]
@@ -661,6 +674,32 @@ def test_family_evaluation_equals_the_per_component_loop(case):
         for got in (table, alone):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+@given(case=tied_variates())
+def test_pooled_knots_are_the_default_grid(case):
+    # one sort of the padded knot stack gives each variate's default_grid,
+    # byte for byte, over ragged rows and ties of -0.0 with 0.0
+    variates, _ = case
+    for family, variate in zip(nonparametric._tabulate(variates), variates):
+        expected = default_grid(variate)
+        assert [g.tobytes() for g in family.grid] == [g.tobytes() for g in expected]
+
+
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_pooled_knots_keep_the_first_zero(zeros):
+    # of -0.0 and 0.0, the pooled knots keep the one met first in component
+    # order, as default_grid does; the second variate has fewer knots
+    first, second = zeros
+    variates = [
+        [CdfComponent([-1.0, first, 1.0], [0.0, 0.5, 1.0]), CdfComponent([second, 2.0], [0, 1])],
+        [CdfComponent.uniform(second, 1.0), CdfComponent.uniform(first, 3.0)],
+    ]
+    for family, variate, zero in zip(nonparametric._tabulate(variates), variates, zeros):
+        (grid,) = family.grid
+        (expected,) = default_grid(variate)
+        assert grid.tobytes() == expected.tobytes()
+        assert np.signbit(grid[grid == 0.0]).tolist() == [bool(np.signbit(zero))]
 
 
 @given(
@@ -1076,6 +1115,27 @@ GOLDEN_RECOVERIES = {
         "389497fa7e7228c108741c516d3d32760bb3b2becbfe0c8788686f2d794f2df6",
     ),
 }
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_components_are_views_of_the_family_stacks(loaded):
+    # the mixture holds one copy of each table: its components are read-only
+    # row views of its families' stacks, cut to their own shapes
+    mixture = ragged_mixture()
+    if loaded:
+        mixture = model_from_dict(model_to_dict(mixture))
+    for j in range(mixture.p):
+        family = mixture._families[j]
+        for i, comp in enumerate(mixture.variate(j)):
+            assert comp is mixture.components[i][j]
+            row = family.row + i
+            assert comp.values.tobytes() == family.values[row][
+                tuple(map(slice, comp.values.shape))].tobytes()
+            assert np.shares_memory(comp.values, family.values)
+            for knots, stack in zip(comp.knots, family.knots):
+                assert knots.tobytes() == stack[row, : knots.size].tobytes()
+                assert np.shares_memory(knots, stack)
+            assert not any(a.flags.writeable for a in (*comp.knots, comp.values))
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_RECOVERIES))

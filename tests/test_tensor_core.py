@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import latentid
 from latentid.errors import InputError, NotKhatriRaoError
-from latentid import hmm, random_graph, sampling, tensor_core
+from latentid import hmm, latent_class, random_graph, sampling, tensor_core
 from latentid.tensor_core import (
     _check_entries,
     as_matrix,
@@ -340,6 +340,33 @@ class TestKruskalRank:
             (shape, False) for shape in [(330, 8, 8), (12, 1, 8)]
         ]
         assert dets == [(495, 4, 4)]
+
+    def test_subset_indexes_are_built_once(self):
+        # each small (rows, k) index is built once per process, read-only and
+        # in lexicographic order; one past the size bound is built every time
+        tensor_core._subsets.cache_clear()
+        index = tensor_core._subsets(6, 3)
+        assert index.tolist() == [list(s) for s in itertools.combinations(range(6), 3)]
+        assert not index.flags.writeable
+        assert tensor_core._subsets(6, 3) is index
+        rows = 20  # C(20, 6) * 6 = 232560 entries
+        assert math.comb(rows, 6) * 6 > tensor_core._SUBSET_ENTRIES
+        M = np.vstack([np.eye(6), np.ones((rows - 6, 6))])
+        for _ in range(2):
+            assert kruskal_rank(M) == 1
+        # (6, 3), then (20, 1) and (20, 2) of the upward search, built once
+        # each; the (20, 6) index of the screen bypasses the cache
+        info = tensor_core._subsets.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+    def test_views_of_one_certificate_share_a_subset_index(self):
+        # the three 12 x 8 views of a generic 12-class model are screened on
+        # the 4-row complements of their 8-row subsets: one index, built once
+        model = sampling.random_latent_class(sampling.trial_rng(61, 0), 12, (8, 8, 8))
+        tensor_core._subsets.cache_clear()
+        assert latent_class.kruskal_certificate(model).kruskal_ranks == (8, 8, 8)
+        info = tensor_core._subsets.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_screen_agrees_with_svd_rule(self):
         # the determinant screen only ever accepts; near the cutoff, with
