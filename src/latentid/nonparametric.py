@@ -8,15 +8,15 @@ which turns the continuous mixture into an exactly solvable finite one.
 A mixture stacks and tabulates its components once, when it is built, with a
 map from each pooled knot cell to each component's own cell, so evaluating a
 variate on any grid takes one search per coordinate for all its components.
-Cut selection over a mixture runs in stages, each a stacked pass over the
-variates: the variates of one block dimension are evaluated in one pass; the
-greedy steps run in lockstep rounds, each deciding the rank of every variate
-still short of it with one SVD per shape of cut grid and taking the farthest
-candidates with one product per rank and shape of candidate grid; and the bin
-masses of all variates whose bins have the same shape come from one gather.  A
-refusal names the lowest-numbered variate whose family is linearly dependent.
-CDF values at query points are read back through the cumulative transform
-after inserting the queries verbatim among the cuts.
+Cut selection keeps its state in stacked arrays, one group of variates per
+shape of candidate and cut grid: the axes of all variates with the same knot
+and query counts are sorted in one pass, the variates of one block dimension
+are evaluated in one pass, each lockstep round takes one SVD and one product
+of farthest candidates per group, and each group's bin masses come from one
+gather.  A group splits only where its variates diverge.  A refusal names the
+lowest-numbered variate whose family is linearly dependent.  CDF values at
+query points are read back through the cumulative transform after inserting
+the queries verbatim among the cuts.
 """
 
 from __future__ import annotations
@@ -197,6 +197,13 @@ class CutPointSet:
             if (arr[1:] <= arr[:-1]).any():
                 raise InputError(f"cut array {c} must be strictly increasing")
         object.__setattr__(self, "cuts", arrays)
+
+    @classmethod
+    def _checked(cls, cuts: tuple[np.ndarray, ...]) -> "CutPointSet":
+        """The cut set of read-only arrays that pass its checks, as they are."""
+        cut_set = cls.__new__(cls)
+        object.__setattr__(cut_set, "cuts", cuts)
+        return cut_set
 
     @property
     def block_dim(self) -> int:
@@ -408,8 +415,10 @@ def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
                         None, 0)]
     n, r = len(variates), len(variates[0])
     comps = [comp for variate in variates for comp in variate]
-    knots = tuple(_read_only(_padded(k, np.nan)) for k in zip(*(c.knots for c in comps)))
-    values = _read_only(_padded([c.values for c in comps], 0.0))
+    # two or more components, so each _padded stack is a new array, frozen in place
+    knots = tuple(_read_only(_padded(k, np.nan), fresh=True)
+                  for k in zip(*(c.knots for c in comps)))
+    values = _read_only(_padded([c.values for c in comps], 0.0), fresh=True)
     # the components become views of the stacks' rows, each cut to its own shape
     comps = [CdfComponent._checked(tuple(k[s, : a.size] for k, a in zip(knots, c.knots)),
                                    values[(s, *map(slice, c.values.shape))])
@@ -421,7 +430,7 @@ def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
         ranked = np.sort(kn.reshape(n, -1), axis=1, kind="stable")
         first = np.ones(ranked.shape, dtype=bool)
         np.greater(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])  # false at NaN
-        pooled, ends = _read_only(ranked[first]), first.sum(axis=1).cumsum().tolist()
+        pooled, ends = _read_only(ranked[first], fresh=True), first.sum(axis=1).cumsum().tolist()
         grid = [pooled[a:e] for a, e in zip([0, *ends], ends)]
         inner = np.zeros(kn.shape, dtype=bool)
         inner[:, 1:-1] = ~np.isnan(kn[:, 2:])  # past the first knot and before the last
@@ -455,11 +464,9 @@ def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, 
     Inside each cell of the pooled knot grid every CDF is multilinear, so
     ``N^T F(u)`` is affine and its norm convex along each coordinate, and its
     maximum over the cell lies at a corner; outside the knot range the CDFs
-    take their values on its boundary.  The components are evaluated on the
-    pooled knots and -inf and +inf, cuts are kept as positions on those axes,
-    and ``M`` is the successive differences of the table at ``[-inf,
-    cuts..., +inf]``.  This is the one-family case of
-    :func:`select_mixture_cuts`.
+    take their values on its boundary.  ``M`` is the successive differences
+    of the table at ``[-inf, cuts..., +inf]``.  This is the one-family case
+    of :func:`select_mixture_cuts`.
 
     Rank is decided by the library's one rule,
     :func:`~latentid.tensor_core.rank_from_singular_values`, and every
@@ -484,22 +491,141 @@ def select_mixture_cuts(mixture: NonparametricMixture) -> list[tuple[CutPointSet
     Entry j of the result is ``(cuts, M)`` for variate j, equal to
     ``select_cut_points(mixture.variate(j))`` byte for byte.  As there, query
     points play no part: they become cuts only inside :func:`recover_mixture`.
-
-    The families the mixture tabulated when it was built are evaluated in
-    one pass per block dimension, and the greedy steps of all variates run in
-    lockstep rounds (:func:`_select_cuts`).  :class:`RankDeficientError` is
-    raised for the lowest-numbered variate whose step does not raise its
-    rank, with :func:`select_cut_points`'s message prefixed by ``variate j:``.
+    The greedy steps of all variates run in lockstep rounds
+    (:func:`_select_cuts`).  :class:`RankDeficientError` is raised for the
+    lowest-numbered variate whose step does not raise its rank, with
+    :func:`select_cut_points`'s message prefixed by ``variate j:``.
     """
     return _select_cuts(mixture._families, [None] * mixture.p, named=True)
 
 
-def _by_grid_shape(items, positions) -> list[list]:
-    """``items`` grouped by the lengths of their ``positions[item]``, in order."""
-    groups = {}
-    for item in items:
-        groups.setdefault(tuple(map(len, positions[item])), []).append(item)
-    return list(groups.values())
+def _split(keys: list) -> list[tuple]:
+    """``(key, rows)`` per distinct key, ``rows`` the indexes holding it or None for all."""
+    if keys.count(keys[0]) == len(keys):
+        return [(keys[0], None)]
+    return [(k, np.flatnonzero([key == k for key in keys])) for k in dict.fromkeys(keys)]
+
+
+def _sorted_axes(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The rows of ``ax`` sorted as :func:`numpy.unique` sorts one array, so the
+    first of each run of equal values is its choice of ``-0.0`` or ``0.0``;
+    where the run of each entry of ``ax`` starts in its sorted row; and
+    whether any run is longer than one entry."""
+    values = np.sort(ax, axis=1)
+    at = np.argsort(np.argsort(ax, axis=1, kind="stable"), axis=1)  # each entry's sorted place
+    fresh = values[:, 1:] != values[:, :-1]
+    if fresh.all():
+        return values, at, False
+    start = np.zeros(ax.shape, dtype=int)
+    start[:, 1:] = np.where(fresh, np.arange(1, ax.shape[1]), 0)
+    return values, np.take_along_axis(np.maximum.accumulate(start, axis=1), at, axis=1), True
+
+
+class _Cuts(NamedTuple):
+    """Cut selection's state for families of one block dimension and rank
+    whose candidate and cut grids have the same shapes; row i of each array
+    is family ``index[i]``, whose tables are rows ``rows[i]`` of ``table``.
+    Per coordinate, ``axes`` holds the sorted axes (a run of equal values
+    stands at its first entry), ``knots`` the positions of the pooled knots,
+    the candidates, and ``cols`` the sorted positions cut so far, then that
+    of +inf; ``scan`` holds the tables at the candidates."""
+
+    index: np.ndarray
+    rows: np.ndarray
+    axes: tuple
+    knots: tuple
+    cols: tuple
+    rank: int = 0
+    table: np.ndarray | None = None
+    scan: np.ndarray | None = None
+
+    def take(self, rows: np.ndarray | None) -> "_Cuts":
+        """The families at ``rows``; all of them for None."""
+        if rows is None:
+            return self
+        axes, knots, cols = (tuple(a[rows] for a in t) for t in (self.axes, self.knots, self.cols))
+        return _Cuts(self.index[rows], self.rows[rows], axes, knots, cols, self.rank, self.table,
+                     None if self.scan is None else self.scan[rows])
+
+    def gather(self, positions: Sequence[np.ndarray]) -> np.ndarray:
+        """Each family's table at the product of its ``positions[c]``: shape ``(g, r, -1)``."""
+        (g, r), b = self.rows.shape, len(positions)
+        index = [self.rows.reshape(g, r, *(1,) * b)]
+        for c, at in enumerate(positions):
+            index.append(at.reshape(g, 1, *(1,) * c, -1, *(1,) * (b - c - 1)))
+        return self.table[tuple(index)].reshape(g, r, -1)
+
+    def step(self, U: np.ndarray) -> list["_Cuts"]:
+        """The families after each appends its farthest candidate, by shape of cut grid.
+
+        One product ``N^T @ scan``, N the columns of ``U`` past the rank:
+        numpy takes a stack matrix by matrix, each in the BLAS call of a family
+        alone, so every distance keeps its bits (zeroing rows of a product over
+        all of U instead is another BLAS call, which moves low bits and can
+        flip a near tie).  A block step onto a coordinate position already cut
+        leaves that coordinate's cuts as they are, and splits its family off.
+        """
+        grp = self if self.scan is not None else self._replace(scan=self.gather(self.knots))
+        far = np.linalg.norm(U[:, :, grp.rank :].transpose(0, 2, 1) @ grp.scan, axis=1)
+        best = np.unravel_index(np.argmax(far, axis=1), [kn.shape[1] for kn in grp.knots])
+        new = [kn[np.arange(len(kn)), k][:, None] for kn, k in zip(grp.knots, best)]
+        on_cut = zip(*((cols == at).any(axis=1).tolist() for cols, at in zip(grp.cols, new)))
+        out = []
+        for on, rows in _split(list(on_cut)):
+            part = grp.take(rows)
+            cols = [cols if cut else np.sort(np.concatenate(
+                        [cols, at if rows is None else at[rows]], axis=1), axis=1)
+                    for cols, at, cut in zip(part.cols, new, on)]
+            out.append(part._replace(cols=tuple(cols)))
+        return out
+
+
+def _starting_cuts(
+    families: Sequence[_Family], points: Sequence[np.ndarray], r: int
+) -> list[_Cuts]:
+    """The families' axes and query cuts, grouped by knot and query counts per
+    coordinate and counts of distinct query positions, each block dimension's
+    table rows numbered in group order.  An axis holds -inf, the pooled knots,
+    the query coordinates and +inf; all axes with the same knot and query
+    counts are one stack, sorted by :func:`_sorted_axes` in one pass."""
+    keys, stacks, taken, groups, start = {}, {}, {}, [], {}
+    for f, (family, pts) in enumerate(zip(families, points)):
+        keys.setdefault((tuple(map(len, family.grid)), len(pts)), []).append(f)
+    for (sizes, n), members in keys.items():  # rows of a stack: by key, then by coordinate
+        for c, size in enumerate(sizes):
+            stacks.setdefault((size, n), []).extend((f, c) for f in members)
+    for (size, n), rows in stacks.items():
+        ax = np.empty((len(rows), size + n + 2))
+        ax[:, 0], ax[:, 1 : size + 1], ax[:, size + 1 : -1], ax[:, -1] = (
+            -np.inf, [families[f].grid[c] for f, c in rows], [points[f][:, c] for f, c in rows],
+            np.inf)
+        # without queries, -inf, the pooled knots and +inf are sorted and unique
+        ax, at, repeated = _sorted_axes(ax) if n else (
+            ax, np.zeros((len(rows), 1), dtype=int) + np.arange(size + 2), False)
+        spot, keep = np.sort(at[:, size + 1 :], axis=1), None  # the queries', then +inf's
+        if repeated:  # the first of each query position, and +inf's
+            keep = np.ones(spot.shape, dtype=bool)
+            np.not_equal(spot[:, 1:-1], spot[:, :-2], out=keep[:, 1:-1])
+        counts = keep.sum(axis=1).tolist() if repeated else [n + 1] * len(rows)
+        stacks[size, n] = ax, at[:, 1 : size + 1], spot, keep, counts
+    for (sizes, n), members in keys.items():
+        g, b, per_axis = len(members), len(sizes), []
+        for size in sizes:  # this key's rows of each coordinate's stack, in turn
+            at = taken.get((size, n), 0)
+            taken[size, n] = at + g
+            per_axis.append([None if a is None else a[at : at + g] for a in stacks[size, n]])
+        members = np.array(members)
+        for count, rows in _split(list(zip(*(arrays[-1] for arrays in per_axis)))):
+            part = [[a if rows is None or a is None else a[rows] for a in arrays[:-1]]
+                    for arrays in per_axis]
+            axes, knots, spots, keeps = zip(*part)
+            m, at = len(axes[0]), start.get(b, 0)
+            cols = tuple(spot if keep is None else spot[keep].reshape(m, k)
+                         for spot, keep, k in zip(spots, keeps, count))
+            groups.append(_Cuts(members if rows is None else members[rows],
+                                np.arange(at, at + m * r).reshape(m, r), axes, knots, cols))
+            start[b] = at + m * r
+    return groups
 
 
 def _select_cuts(
@@ -509,93 +635,45 @@ def _select_cuts(
 
     Family f's cuts start from the coordinates of ``queries[f]`` (``None``
     for none), taken as :func:`recover_mixture` takes one variate's query
-    points, and are never removed.  Only :func:`recover_mixture` passes
-    queries, to read CDF values back at them.  Each round decides the rank of
-    every family short of full rank, with one gather and stacked SVD per
-    shape of cut grid, then each whose rank rose appends its farthest
-    candidate, with one stacked product per rank and shape of candidate grid;
-    numpy takes both matrix by matrix, so every decision is that of a family
-    selected alone.  A family whose rank did not rise drops out, and the
-    lowest-numbered one's refusal, named ``variate f`` when ``named``, is
-    raised after the rounds.
+    points, and are never removed; only :func:`recover_mixture` passes them.
     Before any evaluation, ``check_bins``, when given, is called with each
     family's bin count at its query coordinates alone, a lower bound.
+
+    The state is stacked (:class:`_Cuts`), so set-up, rounds and result cost
+    a few numpy calls per group of families, whatever their number.  Each
+    round takes one gather and stacked SVD per group, whose families then
+    append their farthest candidates (:meth:`_Cuts.step`); numpy takes both
+    matrix by matrix, so every decision is that of a family selected alone.
+    A family whose rank did not rise drops out, and the lowest-numbered one's
+    refusal, named ``variate f`` when ``named``, is raised after the rounds.
     """
     r = len(families[0].components)
     points = [_normalize_points(pts, family.block_dim) for family, pts in zip(families, queries)]
-    grids = [family.grid for family in families]  # the pooled knots
-    # the pooled knots are finite, sorted and unique: without points, no np.unique
-    axes = [
-        [
-            np.unique(np.concatenate([[-np.inf], g, pts[:, c], [np.inf]])) if len(pts)
-            else np.concatenate([[-np.inf], g, [np.inf]])
-            for c, g in enumerate(grid)
-        ]
-        for grid, pts in zip(grids, points)
-    ]
-    # cuts as positions on the axes of each table; the last position is +inf
-    cut_at = [
-        [set(np.searchsorted(ax, pts[:, c]).tolist()) for c, ax in enumerate(family_axes)]
-        for family_axes, pts in zip(axes, points)
-    ]
+    groups = _starting_cuts(families, points, r)
     if check_bins is not None:
-        check_bins([math.prod(len(at) + 1 for at in family_at) for family_at in cut_at])
-    # one stack of tables per block dimension; family f is rows slot[f] * r on
-    stacks, slot = {}, [0] * len(families)
-    for b in {family.block_dim for family in families}:
-        members = [f for f, family in enumerate(families) if family.block_dim == b]
-        stacks[b] = _evaluate([families[f] for f in members], [axes[f] for f in members])
-        for k, f in enumerate(members):
-            slot[f] = k
-
-    def gather(group, positions):
-        """Each family's table at the product of its positions: shape ``(len(group), r, -1)``."""
-        b = len(positions[group[0]])
-        index = [(np.array([slot[f] * r for f in group])[:, None] + np.arange(r))
-                 .reshape(len(group), r, *(1,) * b)]
-        for c in range(b):
-            at = np.array([positions[f][c] for f in group])
-            index.append(at.reshape(len(group), 1, *(1,) * c, -1, *(1,) * (b - c - 1)))
-        return stacks[b][tuple(index)].reshape(len(group), r, -1)
-
-    rank, U = [0] * len(families), [None] * len(families)
-    knots_at, scan = [None] * len(families), [None] * len(families)
-    refused = {}
-    short = list(range(len(families)))
-    while short:
-        columns = {
-            f: [sorted(at) + [ax.size - 1] for at, ax in zip(cut_at[f], axes[f])] for f in short
-        }
-        for group in _by_grid_shape(short, columns):
-            A = gather(group, columns)
-            Us, S, _ = np.linalg.svd(A)
-            for f, U_f, reached in zip(group, Us, rank_from_singular_values(S, A.shape[1:])):
-                if reached < r and reached <= rank[f]:
-                    refused[f] = int(reached)
-                U[f], rank[f] = U_f, int(reached)
-        short = [f for f in short if rank[f] < r and f not in refused]
-        fresh = [f for f in short if scan[f] is None]
-        for f in fresh:
-            knots_at[f] = [np.searchsorted(ax, g) for ax, g in zip(axes[f], grids[f])]
-        for group in _by_grid_shape(fresh, knots_at):
-            for f, scan_f in zip(group, gather(group, knots_at)):
-                scan[f] = scan_f
-        # one product N^T @ scan per group of families at the same rank on the
-        # same candidate grid, N the columns of U past the rank: numpy takes a
-        # stack matrix by matrix, each in the BLAS call of a family alone, so
-        # every distance keeps its bits (zeroing rows of a product over all of
-        # U instead is another BLAS call, which moves low bits and can flip a
-        # near tie)
-        steps = {}
-        for f in short:
-            steps.setdefault((rank[f], *map(len, knots_at[f])), []).append(f)
-        for (reached, *shape), group in steps.items():
-            N = np.array([U[f] for f in group])[:, :, reached:]
-            far = np.linalg.norm(N.transpose(0, 2, 1) @ np.array([scan[f] for f in group]), axis=1)
-            best_at = np.unravel_index(np.argmax(far, axis=1), shape)
-            for f, *best in zip(group, *(ks.tolist() for ks in best_at)):
-                for at, pos, k in zip(cut_at[f], knots_at[f], best):
-                    at.add(int(pos[k]))
+        bins = {f: math.prod(cols.shape[1] for cols in grp.cols)
+                for grp in groups for f in grp.index.tolist()}
+        check_bins([bins[f] for f in range(len(families))])
+    tables = {}  # one per block dimension, its groups' rows in turn
+    for b in {len(grp.axes) for grp in groups}:
+        mine = [grp for grp in groups if len(grp.axes) == b]
+        tables[b] = _evaluate([families[f] for grp in mine for f in grp.index.tolist()],
+                              [rows for grp in mine for rows in zip(*grp.axes)])
+    groups, refused, done = [grp._replace(table=tables[len(grp.axes)]) for grp in groups], {}, []
+    while groups:
+        later = []
+        for grp in groups:
+            A = grp.gather(grp.cols)
+            U, S, _ = np.linalg.svd(A)
+            for reached, rows in _split(rank_from_singular_values(S, A.shape[1:]).tolist()):
+                part = grp.take(rows)
+                if reached == r:
+                    done.append(part)
+                elif reached <= grp.rank:
+                    refused.update(dict.fromkeys(part.index.tolist(), reached))
+                else:
+                    later += part._replace(rank=reached).step(U if rows is None else U[rows])
+        groups = later
     if refused:
         f = min(refused)
         raise RankDeficientError(
@@ -603,22 +681,20 @@ def _select_cuts(
             + f"cut selection reached rank {refused[f]} of r={r}: no candidate leaves "
             "the span of the current cuts, the component family is linearly dependent"
         )
-
-    cut_at = [
-        [sorted(at) or [int(np.searchsorted(ax, g[0]))] for at, ax, g in zip(*args)]
-        for args in zip(cut_at, axes, grids)
-    ]
-    bounds = [[[0, *at, ax.size - 1] for at, ax in zip(*args)] for args in zip(cut_at, axes)]
-    masses = [None] * len(families)
-    for group in _by_grid_shape(range(len(families)), bounds):
-        lengths = tuple(map(len, bounds[group[0]]))
-        M = _bin_masses(gather(group, bounds).reshape(len(group) * r, *lengths))
-        for k, f in enumerate(group):
-            masses[f] = M[k * r : (k + 1) * r]
-    return [
-        (CutPointSet(cuts=tuple(ax[at] for ax, at in zip(*args))), M)
-        for *args, M in zip(axes, cut_at, masses)
-    ]
+    selected = [None] * len(families)
+    for grp in done:  # each group's bin masses from one gather
+        g, every = len(grp.index), np.arange(len(grp.index))[:, None]
+        # a coordinate with no cut is cut at its lowest pooled knot
+        cuts = [cols[:, :-1] if cols.shape[1] > 1 else kn[:, :1]
+                for cols, kn in zip(grp.cols, grp.knots)]
+        bounds = [np.concatenate([np.zeros((g, 1), dtype=int), at, cols[:, -1:]], axis=1)
+                  for at, cols in zip(cuts, grp.cols)]
+        M = _bin_masses(grp.gather(bounds).reshape(g * r, *(bd.shape[1] for bd in bounds)))
+        values = [_read_only(ax[every, at], fresh=True) for ax, at in zip(grp.axes, cuts)]
+        for i, f in enumerate(grp.index.tolist()):
+            cut_set = CutPointSet._checked(tuple(v[i] for v in values))
+            selected[f] = (cut_set, M[i * r : (i + 1) * r])
+    return selected
 
 
 def binned_conditional_matrix(
@@ -681,8 +757,8 @@ def _cdf_at_queries(
     gathering the columns of all of them in one take.
     """
     tables = [None] * len(rows)
-    for members in _by_grid_shape(range(len(rows)), [cut_set.cuts for cut_set in cuts]):
-        shape = cuts[members[0]].bins_per_axis
+    for shape, members in _split([cut_set.bins_per_axis for cut_set in cuts]):
+        members = range(len(rows)) if members is None else members.tolist()
         grid = np.stack([rows[j] for j in members])
         grid = grid.reshape(*grid.shape[:2], *shape)
         for axis in range(2, grid.ndim):

@@ -22,6 +22,7 @@ being attempted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .tensor_core import (
     _khatri_rao,
+    _read_only,
     _three_blocks,
     _tolerance,
     _whole_number,
@@ -71,6 +73,8 @@ _SKETCH_OVERSAMPLE = 8
 #: unfolding also moved a nonparametric frontier answer past 1e-5, so the
 #: full SVD stays below the gate.
 _SKETCH_GATE = 4
+#: :func:`_sketch` keeps at most this many test matrices, of at most this many entries each
+_SKETCH_SLOTS, _SKETCH_ENTRIES = 8, 2**16
 
 
 @dataclass
@@ -252,11 +256,20 @@ def _mode1_basis(T1: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     if min(T1.shape) < _SKETCH_GATE * width:
         U, s, _ = np.linalg.svd(T1, full_matrices=False)
         return U[:, :r], s
-    omega = np.random.default_rng(0).standard_normal((T1.shape[1], width))
-    Q = np.linalg.qr(T1 @ omega)[0]
+    cols = T1.shape[1]
+    draw = _sketch if cols * width <= _SKETCH_ENTRIES else _sketch.__wrapped__
+    Q = np.linalg.qr(T1 @ draw(cols, width))[0]
     Q = np.linalg.qr(T1 @ np.linalg.qr(T1.T @ Q)[0])[0]
     Ub, s, _ = np.linalg.svd(Q.T @ T1, full_matrices=False)
     return Q @ Ub[:, :r], s
+
+
+@functools.lru_cache(maxsize=_SKETCH_SLOTS)
+def _sketch(cols: int, width: int) -> np.ndarray:
+    """The range finder's read-only ``cols x width`` Gaussian test matrix, drawn
+    from a fixed generator once per shape and kept for later calls in the same
+    process; callers keep at most ``_SKETCH_SLOTS`` of ``_SKETCH_ENTRIES``: 4 MB."""
+    return _read_only(np.random.default_rng(0).standard_normal((cols, width)), fresh=True)
 
 
 def _weight_draw(U1, U2, core, T1, a, b, tol: float):

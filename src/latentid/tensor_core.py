@@ -72,9 +72,13 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
-def _read_only(value, dtype=float) -> np.ndarray:
-    """A read-only copy of ``value`` as ``dtype``, the one kind of array a class keeps."""
-    arr = np.array(value, dtype=dtype)
+def _read_only(value, dtype=float, fresh: bool = False) -> np.ndarray:
+    """A read-only copy of ``value`` as ``dtype``, the one kind of array a class keeps.
+
+    With ``fresh``, ``value`` is an array its caller has just made and shares
+    with no one, frozen in place unless it needs converting to ``dtype``.
+    """
+    arr = np.array(value, dtype=dtype, copy=None if fresh else True)
     arr.flags.writeable = False
     return arr
 
@@ -335,7 +339,7 @@ def _subsets(rows: int, k: int) -> np.ndarray:
     keep at most ``_SUBSET_SLOTS`` indexes of ``_SUBSET_ENTRIES``: 8 MB of ``intp``."""
     sets = itertools.chain.from_iterable(itertools.combinations(range(rows), k))
     idx = np.fromiter(sets, dtype=np.intp, count=math.comb(rows, k) * k)
-    return _read_only(idx.reshape(-1, k), np.intp)
+    return _read_only(idx.reshape(-1, k), np.intp, fresh=True)
 
 
 def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:

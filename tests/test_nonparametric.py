@@ -445,6 +445,27 @@ def late_and_early_refusals():
     return mix, [None] * 3
 
 
+def block_step_on_a_cut():
+    """Five classes over two 2-D blocks of one knot shape and two scalars.
+
+    Block 0's components share their second marginal, so every greedy step
+    lands on its top knot, where the first step has already cut: from the
+    second step on, its second coordinate keeps one cut while block 1, whose
+    steps cut both coordinates, and the scalars keep growing.
+    """
+    rng = trial_rng(75, 0)
+    marginal = random_piecewise_cdf(rng, 5 * (4 - 2) + 2)  # block 1's pooled knot count
+    shared = [CdfComponent.from_product([random_piecewise_cdf(rng, 4), marginal])
+              for _ in range(5)]
+    generic = [CdfComponent.from_product([random_piecewise_cdf(rng, 4) for _ in range(2)])
+               for _ in range(5)]
+    scalars = [[random_piecewise_cdf(rng, 6) for _ in range(5)] for _ in range(2)]
+    mix = NonparametricMixture(
+        pi=np.full(5, 0.2), components=tuple(zip(shared, generic, *scalars))
+    )
+    return mix, [None] * 4
+
+
 class TestCutScanAgreement:
     def test_cuts_equal_scalar_scan(self):
         for i in range(320):
@@ -513,6 +534,29 @@ class TestCutScanAgreement:
                 pass
             assert 1 <= len(calls) <= len(family), f"case {i}"
 
+    @pytest.mark.parametrize("r", [3, 5, 8])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_rounds_make_no_calls_per_variate(self, monkeypatch, r, p):
+        # p scalar variates of one shape take r rounds together: r stacked
+        # SVDs and r - 1 stacked products, whatever p; the cut sets come out
+        # read-only and as the checking constructor builds them
+        mix = random_nonparametric_mixture(trial_rng(76, 10 * r + p), r, p)
+        calls = {"svd": 0, "norm": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        selected = select_mixture_cuts(mix)
+        assert calls == {"svd": r, "norm": r - 1}
+        for cuts, _ in selected:
+            assert not any(c.flags.writeable for c in cuts.cuts)
+            checked = CutPointSet(cuts=tuple(np.array(c) for c in cuts.cuts))
+            assert [c.tobytes() for c in cuts.cuts] == [c.tobytes() for c in checked.cuts]
+
     def test_binning_equals_binned_conditional_matrix(self):
         # the matrix cut selection returns is the one binned_conditional_matrix
         # computes at the same cuts, to the bit
@@ -528,6 +572,7 @@ class TestCutScanAgreement:
 
     @given(case=lockstep_mixtures())
     @example(case=late_and_early_refusals())
+    @example(case=block_step_on_a_cut())
     def test_mixture_cuts_equal_per_variate_cuts(self, case):
         # the lockstep rounds over a mixture are the greedy loop run for one
         # variate at a time, to the byte, and refuse for the lowest-numbered

@@ -305,6 +305,23 @@ class TestDecompose3:
         T = joint_distribution(random_latent_class(trial_rng(47, 0), 3, kappas))
         assert factored_shapes(monkeypatch, T, 3) == expected
 
+    def test_sketch_is_drawn_once_per_shape(self):
+        # the range finder's test matrix is kept read-only per shape and gives
+        # the bits of a fresh draw; one past the size bound is drawn every time
+        T1 = np.random.default_rng(0).random((60, 300))
+        recovery._sketch.cache_clear()
+        first = recovery._mode1_basis(T1, 3)
+        omega = recovery._sketch(300, 11)
+        assert not omega.flags.writeable
+        assert omega.tobytes() == np.random.default_rng(0).standard_normal((300, 11)).tobytes()
+        again = recovery._mode1_basis(T1, 3)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        info = recovery._sketch.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        wide = np.random.default_rng(1).random((60, recovery._SKETCH_ENTRIES // 11 + 1))
+        recovery._mode1_basis(wide, 3)
+        assert recovery._sketch.cache_info().currsize == 1
+
     @pytest.mark.parametrize("r", [7, 8])
     def test_generator_seed_pays_only_for_weight_draws(self, r):
         # the sketch has its own generator: a caller's Generator advances by
