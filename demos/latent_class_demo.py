@@ -23,6 +23,7 @@ from latentid import (
     recover_latent_class,
     save_model,
     tripartition_search,
+    unclump,
 )
 from latentid.sampling import random_latent_class, trial_rng
 
@@ -84,7 +85,11 @@ align = align_permutation((pi_hat, emissions), (model.pi, list(model.emissions))
 print(f"five binary variables, blocks (0,1)/(2,3)/(4)")
 print(f"parameter error after relabeling: {align.max_abs_error:.2e}")
 # block (0, 1) acts as one 4-state variable: its factor in the clumped
-# decomposition is the row tensor product of the two recovered matrices
+# decomposition is the row tensor product of the two recovered matrices, and
+# de-clumping it gives them back
 clumped = decompose3(clump_tensor(T, blocks), 2, seed=0).factors[0]
 gap = np.abs(clumped - khatri_rao(emissions[:2])).max()
 print(f"block (0,1) factor vs khatri_rao of its recovered matrices: {gap:.2e}")
+parts = unclump(clumped, [2, 2])
+gap = max(np.abs(a - b).max() for a, b in zip(parts, emissions[:2]))
+print(f"unclump of that factor vs the recovered matrices: {gap:.2e}")

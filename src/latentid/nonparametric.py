@@ -633,9 +633,9 @@ def _select_cuts(
 ) -> list[tuple[CutPointSet, np.ndarray]]:
     """:func:`select_mixture_cuts` over families of equally many components.
 
-    Family f's cuts start from the coordinates of ``queries[f]`` (``None``
-    for none), taken as :func:`recover_mixture` takes one variate's query
-    points, and are never removed; only :func:`recover_mixture` passes them.
+    Family f's cuts start from the coordinates of ``queries[f]`` (``None`` for
+    none), points :func:`recover_mixture` has converted (:func:`_normalize_points`)
+    and passes alone; they are never removed.
     Before any evaluation, ``check_bins``, when given, is called with each
     family's bin count at its query coordinates alone, a lower bound.
 
@@ -648,7 +648,7 @@ def _select_cuts(
     refusal, named ``variate f`` when ``named``, is raised after the rounds.
     """
     r = len(families[0].components)
-    points = [_normalize_points(pts, family.block_dim) for family, pts in zip(families, queries)]
+    points = [np.empty((0, f.block_dim)) if q is None else q for f, q in zip(families, queries)]
     groups = _starting_cuts(families, points, r)
     if check_bins is not None:
         bins = {f: math.prod(cols.shape[1] for cols in grp.cols)

@@ -35,15 +35,15 @@ from .errors import (
     RankDeficientError,
 )
 from .tensor_core import (
+    _clump,
     _khatri_rao,
     _read_only,
     _three_blocks,
     _tolerance,
+    _unclump,
     _whole_number,
     check_distribution_tensor,
-    clump_tensor,
     rank_from_singular_values,
-    unclump,
 )
 
 #: relative residual gate of every recovery routine and its CLI ``--tol`` default
@@ -117,7 +117,7 @@ def _clean_rows(M: np.ndarray, tol: float) -> np.ndarray | None:
     if not low >= 0.0:
         M = np.where(M < 0.0, 0.0, M)
     sums = M.sum(axis=1, keepdims=True)
-    if np.any(sums <= 0.0):
+    if (sums <= 0.0).any():
         return None
     return M / sums
 
@@ -177,7 +177,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
         factor entry below ``-tol``.
     """
     r, tol = _whole_number(r, "r", 1), _tolerance(tol)
-    T = check_distribution_tensor(T)
+    T, high = check_distribution_tensor(T)
     if T.ndim != 3:
         raise InputError(f"expected a 3-way tensor, got ndim={T.ndim}")
     k1, k2, k3 = T.shape
@@ -201,7 +201,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
     # the r x r x k3 core T x1 U1^T x2 U2^T, rows (p, q) with q fastest
     core = (U2.T @ P2).reshape(r, r, k3).transpose(1, 0, 2).reshape(r * r, k3)
 
-    resid_tol = tol * T.max()
+    resid_tol = tol * high
     rng = np.random.default_rng(seed)
     furthest = 0
     best_resid = np.inf
@@ -302,7 +302,7 @@ def _weight_draw(U1, U2, core, T1, a, b, tol: float):
     if scale == 0.0 or np.abs(lam.imag).max() > EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
     gaps = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(gaps, np.inf)  # r = 1 has no pair and passes
+    gaps.flat[:: r + 1] = np.inf  # the diagonal; r = 1 has no pair and passes
     if gaps.min() < EIGEN_GAP_TOL * scale:
         return "spectrum", np.nan, None
 
@@ -415,8 +415,8 @@ def align_permutation(recovered, reference) -> Alignment:
     for Fa, Fb in zip(factors_a, factors_b):
         if np.shape(Fa) != np.shape(Fb):
             raise InputError(f"factor shapes differ: {np.shape(Fa)} vs {np.shape(Fb)}")
-    rows_a = np.hstack([pi_a[:, None], *factors_a])
-    rows_b = np.hstack([pi_b[:, None], *factors_b])
+    rows_a = np.concatenate([pi_a[:, None], *factors_a], axis=1)
+    rows_b = np.concatenate([pi_b[:, None], *factors_b], axis=1)
     C = np.abs(rows_a[None, :, :] - rows_b[:, None, :]).max(axis=2)
 
     # fmin / fmax skip NaN costs, which no threshold admits
@@ -455,9 +455,10 @@ def recover_latent_class(
     Clumps the table into a three-way tensor along ``tripartition`` (three
     blocks of 0-based axis indices, such as a witness's ``blocks``), decomposes
     it, then de-clumps each recovered composite factor back into per-variable
-    conditional matrices.  The first two clumped dimensions must be at least
-    r, and the underlying model must actually factor over the variables;
-    otherwise the decomposition errors propagate
+    conditional matrices.  :func:`decompose3` checks the table; its factors are
+    de-clumped with the round-trip check alone.  The first two clumped
+    dimensions must be at least r, and the underlying model must actually
+    factor over the variables; otherwise the decomposition errors propagate
     (:class:`NotKhatriRaoError` signals a non-product input).  The model
     reassembled through the clumped factors, each the Khatri-Rao product of
     its block's recovered matrices, must reproduce the clumped table within
@@ -470,15 +471,11 @@ def recover_latent_class(
     tol = _tolerance(tol)
     T = np.asarray(T, dtype=float)
     blocks = _three_blocks(tripartition, T.ndim)
-    kappas = T.shape
-    N = clump_tensor(T, blocks)
+    N = _clump(T, blocks)
     rec = decompose3(N, r, seed=seed, tol=tol)
-    emissions_by_var: dict[int, np.ndarray] = {}
-    rebuilt = []
-    for block, factor in zip(blocks, rec.factors):
-        parts = unclump(factor, [kappas[j] for j in block])
-        emissions_by_var.update(zip(block, parts))
-        rebuilt.append(_khatri_rao(parts))
+    dims = [[T.shape[j] for j in block] for block in blocks]
+    parts, rebuilt = zip(*map(_unclump, rec.factors, dims))
     what = "reassembled model misses the input table"
     _require_rebuilds(rec.pi, *rebuilt, N.reshape(N.shape[0], -1), tol, what)
-    return rec.pi, [emissions_by_var[j] for j in range(T.ndim)]
+    by_var = dict(zip(sum(blocks, ()), sum(parts, [])))
+    return rec.pi, [by_var[j] for j in range(T.ndim)]

@@ -38,11 +38,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seeds))
 
 
-def random_stochastic(rng, rows: int, cols: int) -> np.ndarray:
-    M = rng.uniform(0.0, 1.0, size=(rows, cols))
-    return M / M.sum(axis=1, keepdims=True)
-
-
 def random_probability(rng, n: int) -> np.ndarray:
     v = rng.uniform(0.05, 1.0, size=n)
     return v / v.sum()
@@ -52,10 +47,12 @@ def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
     r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
     check_power_entries([(r, 1), (max(kappas, default=1), 1)], "emission matrix")
     rng = np.random.default_rng(rng)
-    return LatentClassModel(
-        pi=random_probability(rng, r),
-        emissions=tuple(random_stochastic(rng, r, k) for k in kappas),
-    )
+    pi = random_probability(rng, r)
+    # one uniform draw for all emissions: the stream of one draw per matrix
+    U = rng.uniform(0.0, 1.0, size=r * sum(kappas))
+    ends = np.cumsum(kappas).tolist()
+    mats = (U[r * (e - k) : r * e].reshape(r, k) for e, k in zip(ends, kappas))
+    return LatentClassModel(pi=pi, emissions=tuple(M / M.sum(axis=1, keepdims=True) for M in mats))
 
 
 def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarkovModel:

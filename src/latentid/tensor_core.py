@@ -186,16 +186,19 @@ def check_probability_vector(pi) -> np.ndarray:
     return pi
 
 
-def check_distribution_tensor(T) -> np.ndarray:
-    """Validate a dense joint distribution: near-nonnegative, total mass 1."""
+def check_distribution_tensor(T) -> tuple[np.ndarray, float]:
+    """Check a recovery's input table: finite, near-nonnegative, of total mass 1.
+    Returns it as a float array with its largest entry.  A NaN or infinite entry
+    makes the minimum or the maximum non-finite, so those passes decide finiteness."""
     T = np.asarray(T, dtype=float)
-    if not np.all(np.isfinite(T)):
+    low, high = T.min(), T.max()
+    if not (-np.inf < low and high < np.inf):
         raise InputError("tensor contains non-finite entries")
-    if T.min() < -NEG_ENTRY_TOL:
+    if low < -NEG_ENTRY_TOL:
         raise InputError(f"tensor has entries below -{NEG_ENTRY_TOL}")
     if abs(T.sum() - 1.0) > ROW_SUM_TOL:
         raise InputError(f"tensor must sum to 1 (got {T.sum():.12g})")
-    return T
+    return T, high
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +295,11 @@ def rank_from_singular_values(s: np.ndarray, shape) -> int | np.ndarray:
     matrix gets a Python ``int``.  This is the one rank rule:
     :func:`numerical_rank` applies it to a fresh SVD, :func:`kruskal_rank` to
     stacked subsets, and callers that also need the singular vectors apply it
-    to theirs.
+    to theirs, which it takes unchecked; one matrix takes a scalar path.
     """
-    rank = (s > RANK_TOL * s[..., :1] * max(shape)).sum(-1)
-    return rank if rank.ndim else int(rank)
+    if s.ndim == 1:
+        return int(np.count_nonzero(s > RANK_TOL * s[0] * max(shape))) if s.size else 0
+    return (s > RANK_TOL * s[..., :1] * max(shape)).sum(-1)
 
 
 def numerical_rank(M) -> int:
@@ -425,8 +429,9 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
     ``i`` is recovered by summing, within each row, the entries whose ``i``-th
     mixed-radix column digit agrees; this is exact when ``A`` is a row tensor
     product of stochastic factors.  The round trip, the unchecked row tensor
-    product of the result, is compared with ``A``: :class:`NotKhatriRaoError`
-    is raised unless the residual is at most :data:`ROW_SUM_TOL`.
+    product of the result, is compared with ``A`` by :func:`_unclump`, after
+    the checks of ``A`` and ``col_dims`` here: :class:`NotKhatriRaoError` is
+    raised unless the residual is at most :data:`ROW_SUM_TOL`.
     """
     A = as_matrix(A, "A")
     dims = _whole_numbers(col_dims, "col_dims", 1)
@@ -441,18 +446,25 @@ def unclump(A, col_dims: Sequence[int]) -> list[np.ndarray]:
         raise NotKhatriRaoError(
             f"rows must sum to 1 for de-clumping (max deviation {row_err:.3g})"
         )
+    return _unclump(A, dims)[0]
+
+
+def _unclump(A: np.ndarray, dims: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`unclump`'s factors and their row tensor product, checking only the round
+    trip: ``A`` is finite, rows summing to 1 within 1e-12, as decompose3's factors are."""
     R = A.reshape(A.shape[0], *dims)
     factors = []
     for i in range(len(dims)):
         axes = tuple(ax for ax in range(1, len(dims) + 1) if ax != i + 1)
         factors.append(R.sum(axis=axes) if axes else R.copy())
-    resid = np.abs(_khatri_rao(factors) - A).max()
+    product = _khatri_rao(factors)
+    resid = np.abs(product - A).max()
     if not resid <= ROW_SUM_TOL:
         raise NotKhatriRaoError(
             f"input is not a row tensor product of stochastic factors "
             f"(round-trip residual {resid:.3g})"
         )
-    return factors
+    return factors, product
 
 
 def _three_blocks(
@@ -481,7 +493,11 @@ def clump_tensor(T, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     factors in the same order.  Entries are preserved exactly.
     """
     T = np.asarray(T, dtype=float)
-    sorted_blocks = _three_blocks(blocks, T.ndim)
-    dims = tuple(math.prod(T.shape[j] for j in b) for b in sorted_blocks)
-    return T.transpose([j for b in sorted_blocks for j in b]).reshape(dims)
+    return _clump(T, _three_blocks(blocks, T.ndim))
+
+
+def _clump(T: np.ndarray, blocks) -> np.ndarray:
+    """:func:`clump_tensor` of a float array along blocks :func:`_three_blocks` made."""
+    dims = tuple(math.prod(T.shape[j] for j in b) for b in blocks)
+    return T.transpose([j for b in blocks for j in b]).reshape(dims)
 

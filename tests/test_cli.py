@@ -20,11 +20,10 @@ from latentid.sampling import (
     random_hmm,
     random_latent_class,
     random_nonparametric_mixture,
-    random_stochastic,
     trial_rng,
 )
 from latentid.tensor_core import numerical_rank
-from test_hmm import reference_random_hmm
+from test_hmm import random_stochastic, reference_random_hmm
 
 
 @pytest.fixture

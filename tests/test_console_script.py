@@ -33,9 +33,8 @@ from latentid.sampling import (
     random_hmm,
     random_latent_class,
     random_nonparametric_mixture,
-    random_stochastic,
 )
-from test_hmm import foreign_past_block_law
+from test_hmm import foreign_past_block_law, random_stochastic
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

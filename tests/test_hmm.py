@@ -32,7 +32,6 @@ from latentid.sampling import (
     _HMM_SINGULAR_MARGIN,
     random_hmm,
     random_latent_class,
-    random_stochastic,
     trial_rng,
 )
 from latentid.tensor_core import khatri_rao, numerical_rank, triple_product
@@ -94,6 +93,13 @@ def oracle_blocks(model, k):
                     emit *= model.B[z, x]
                 B2[center, col] += prob * emit
     return B1, B2
+
+
+def random_stochastic(rng, rows: int, cols: int) -> np.ndarray:
+    """A row-stochastic matrix from one uniform draw of its own, the stream the
+    samplers reproduce one matrix at a time."""
+    M = rng.uniform(0.0, 1.0, size=(rows, cols))
+    return M / M.sum(axis=1, keepdims=True)
 
 
 def reference_random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000):
@@ -590,7 +596,7 @@ def foreign_past_block_law(r, kappa, k, rng):
     """
     model = random_hmm(rng, r, kappa, max_attempts=5000)
     _, B2 = conditional_blocks(model, k)
-    X = sampling.random_stochastic(rng, r, kappa**k)
+    X = random_stochastic(rng, r, kappa**k)
     return triple_product(model.pi[:, None] * X, B2, model.B)
 
 
@@ -651,6 +657,36 @@ def test_recovery_at_the_whole_window_keeps_its_bytes(i):
     for x in recover_hmm(window_tensor(model, k), r, kappa, k, seed=i):
         got.update(x.tobytes())
     assert got.hexdigest() == digest
+
+
+#: recover_hmm's (A, B, pi), hashed, for windows it recovers from their marginal
+#: (j < k): the kappa=2 sizes of the hmm-recover benchmark at their minimal
+#: window.  Case ``i`` draws its model from ``trial_rng(48, i)`` and decomposes
+#: with seed ``i``.
+GOLDEN_MARGINAL_RECOVERIES = [
+    (6, 2, "5750f1653770b5439474bd0bb43a227aa01ce5d438a011f906c3aa90a0b4810b"),
+    (7, 2, "8deb44744dc6981b5cd4b08938c7ab485d3b1dc92f21abcbce09d9454e4c2c5c"),
+    (8, 2, "4f3f76b942b7b81aa51ad0a6733c26e5836ec8fbadf86028b1bd66d2bd8700de"),
+]
+
+
+def marginal_recovery_digest(i: int) -> str:
+    r, kappa, _ = GOLDEN_MARGINAL_RECOVERIES[i]
+    k = min_window(r, kappa)
+    assert recovery_window(r, kappa) < k
+    model = random_hmm(trial_rng(48, i), r, kappa, max_attempts=5000)
+    got = hashlib.sha256()
+    for x in recover_hmm(window_tensor(model, k), r, kappa, k, seed=i):
+        got.update(x.tobytes())
+    return got.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "i", range(len(GOLDEN_MARGINAL_RECOVERIES)),
+    ids=[f"r{r}-kappa{kappa}" for r, kappa, _ in GOLDEN_MARGINAL_RECOVERIES],
+)
+def test_recovery_from_the_marginal_keeps_its_bytes(i):
+    assert marginal_recovery_digest(i) == GOLDEN_MARGINAL_RECOVERIES[i][2]
 
 
 #: (call, error, exact message or pattern[, builder]) for each input refusal of

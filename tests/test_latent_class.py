@@ -19,6 +19,7 @@ from latentid.latent_class import (
 from latentid.random_graph import GraphMixtureModel, graph_certificate
 from latentid.sampling import random_hmm, random_latent_class, random_probability, trial_rng
 from latentid.tensor_core import check_stochastic, khatri_rao, kruskal_rank
+from test_hmm import random_stochastic
 
 
 def brute_force_joint(model):
@@ -151,6 +152,23 @@ class TestJointDistribution:
 def test_joint_matches_brute_force(seed, r, kappas):
     m = random_latent_class(seed, r, kappas)
     assert np.abs(joint_distribution(m) - brute_force_joint(m)).max() <= 1e-14
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    kappas=st.lists(st.integers(2, 6), min_size=1, max_size=10),
+)
+def test_sampler_draws_emissions_as_one_matrix_at_a_time(seed, r, kappas):
+    # random_latent_class draws every emission matrix in one uniform call:
+    # the same bytes and generator state as pi and then one draw per matrix
+    got, want = trial_rng(seed, 0), trial_rng(seed, 0)
+    m = random_latent_class(got, r, kappas)
+    pi = random_probability(want, r)
+    emissions = [random_stochastic(want, r, k) for k in kappas]
+    assert m.pi.tobytes() == pi.tobytes()
+    assert [M.tobytes() for M in m.emissions] == [M.tobytes() for M in emissions]
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 @given(

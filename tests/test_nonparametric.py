@@ -38,14 +38,17 @@ def two_uniform_family():
 
 
 def select_with_queries(family, queries=None):
-    """One family's cuts with ``queries`` among them, as :func:`recover_mixture`
-    selects a variate's cuts; no public selector takes query points."""
-    return nonparametric._select_cuts(nonparametric._tabulate([family]), [queries], named=False)[0]
+    """One family's cuts with ``queries`` among them, converted and selected as
+    :func:`recover_mixture` selects a variate's cuts; no public selector takes
+    query points."""
+    points = nonparametric._normalize_points(queries, family[0].block_dim)
+    return nonparametric._select_cuts(nonparametric._tabulate([family]), [points], named=False)[0]
 
 
 def mixture_cuts_with_queries(mix, queries):
     """:func:`select_mixture_cuts` with ``queries[j]`` among variate j's cuts."""
-    return nonparametric._select_cuts(mix._families, queries, named=True)
+    points = [nonparametric._normalize_points(q, b) for q, b in zip(queries, mix.block_dims)]
+    return nonparametric._select_cuts(mix._families, points, named=True)
 
 
 def default_grid(components):
@@ -1060,8 +1063,9 @@ def test_queries_are_normalized_once_per_variate(monkeypatch):
     # recover_mixture converts each variate's queries once; cut selection and
     # the one read-back of all variates receive that very array, and the
     # per-point loop never runs on well-formed input
-    calls, read_back = [], []
+    calls, read_back, starting = [], [], []
     normalize, cdf_at = nonparametric._normalize_points, nonparametric._cdf_at_queries
+    start = nonparametric._starting_cuts
 
     def spy(points, b):
         out = normalize(points, b)
@@ -1075,6 +1079,11 @@ def test_queries_are_normalized_once_per_variate(monkeypatch):
     def per_point(points, b):
         raise AssertionError("per-point loop ran on well-formed queries")
 
+    def starting_cuts(families, points, r):
+        starting.append(points)
+        return start(families, points, r)
+
+    monkeypatch.setattr(nonparametric, "_starting_cuts", starting_cuts)
     monkeypatch.setattr(nonparametric, "_normalize_points", spy)
     monkeypatch.setattr(nonparametric, "_cdf_at_queries", reading)
     monkeypatch.setattr(nonparametric, "_normalize_each", per_point)
@@ -1084,13 +1093,13 @@ def test_queries_are_normalized_once_per_variate(monkeypatch):
     ]
     recover_mixture(mix, queries, seed=0)
     p = mix.p
-    assert len(calls) == 2 * p
-    converted = [out for _, out in calls[:p]]
+    assert len(calls) == p
+    converted = [out for _, out in calls]
     for j in range(p):
         assert calls[j][0] is queries[j]
-        assert calls[p + j][0] is converted[j] and calls[p + j][1] is converted[j]
+        assert starting[0][j] is converted[j]
         assert read_back[0][j] is converted[j]
-    assert len(read_back) == 1
+    assert len(read_back) == len(starting) == 1
 
 
 def output_digest(pi, tables):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -583,6 +584,29 @@ def small_latent_class_models(draw):
     return r, random_latent_class(draw(st.integers(0, 2**32 - 1)), r, (k1, k2, k3))
 
 
+@given(
+    case=small_latent_class_models(), noise=st.sampled_from([0.0, 1e-9, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_accepted_factors_are_finite_stochastic_rows(case, noise, seed):
+    # recover_latent_class de-clumps decompose3's factors without the row-sum
+    # check of the public unclump: every accepted factor is finite and its rows
+    # sum to 1 within 1e-12, on exact tables and on noisy ones a loose tol admits
+    r, m = case
+    T = joint_distribution(m)
+    if noise:
+        other = np.random.default_rng(seed).dirichlet(np.ones(T.size)).reshape(T.shape)
+        T = (1.0 - noise) * T + noise * other
+    try:
+        rec = decompose3(T, r, seed=seed, tol=1e-2 if noise else recovery.RECOVERY_TOL)
+    except LatentIdError:
+        return
+    for M in rec.factors:
+        assert np.isfinite(M).all()
+        assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.isfinite(rec.pi).all() and abs(rec.pi.sum() - 1.0) <= 1e-12
+
+
 @given(case=small_latent_class_models())
 def test_decompose3_exact_seed_free_and_mode_symmetric(case):
     # up to a class relabeling: the model's parameters, the same answer from
@@ -852,6 +876,65 @@ def test_exact_answer_is_aligned_without_a_matching_search(r, monkeypatch):
     assert align.permutation.tolist() == first_step.tolist() == np.argsort(shuffle).tolist()
     assert align.permutation.dtype == first_step.dtype
     assert align.max_abs_error == C[range(r), first_step].max() == bound
+
+
+#: recover_latent_class's (pi, emissions), hashed, at latent-class sizes of the
+#: simulate benchmark, each clumped along its tripartition_search witness as
+#: ``latentid simulate`` does; (3, 3, 10) is the 81 x 27 x 27 witness whose
+#: mode-1 basis comes from the range finder.  Case ``i`` draws its model from
+#: ``trial_rng(48, i)`` and decomposes with seed ``i``.
+GOLDEN_LATENT_CLASS_RECOVERIES = [
+    (3, 3, 10, "8e9f48f7f4fb90c284a10268378f78b78b27608d616da0404555e797f637f553"),
+    (4, 3, 8, "73215ccb3f4280bc42142347125ff92ed5877aa10933a413e921d384763ff1fc"),
+    (5, 2, 10, "e69f54d275496121a808bfeccc1d09b4a91678aea880d254a77421536c86ebfb"),
+    (7, 2, 8, "67b55be53566f63331e0078ee8ca560a69e60c5c63a256f016b971f887bd284f"),
+]
+#: decompose3's (pi, factors, residual, retries_used), hashed, on three-variable
+#: tables; case ``i`` draws from ``trial_rng(49, i)`` and decomposes with seed ``i``
+#: (the 48 x 12 x 6 table takes the range finder)
+GOLDEN_DECOMPOSITIONS = [
+    (3, (3, 3, 3), "cbb93c236e0c525ccac4f7109e4977a6852916daa9308b0421525b73f9c65d5c"),
+    (4, (4, 4, 4), "c8f59f63f3cd66eaa36d99db742e3d7dbc8df4e821cd3a1fb9f0c8c43f8d2efd"),
+    (5, (6, 5, 7), "ca241095e8dc74abadb232db678d950b5fb2288397efa9393468aaa1a3e821bd"),
+    (4, (48, 12, 6), "ca586cc28b980825cd3286e8d4f338057b2408de938e3d19b4aa2187e76e1e46"),
+]
+
+
+def latent_class_recovery_digest(i: int) -> str:
+    r, kappa, p, _ = GOLDEN_LATENT_CLASS_RECOVERIES[i]
+    blocks = tripartition_search(r, [kappa] * p).witness.blocks
+    model = random_latent_class(trial_rng(48, i), r, [kappa] * p)
+    pi, emissions = recover_latent_class(joint_distribution(model), r, blocks, seed=i)
+    got = hashlib.sha256(pi.tobytes())
+    for M in emissions:
+        got.update(M.tobytes())
+    return got.hexdigest()
+
+
+def decomposition_digest(i: int) -> str:
+    r, kappas, _ = GOLDEN_DECOMPOSITIONS[i]
+    rec = decompose3(joint_distribution(random_latent_class(trial_rng(49, i), r, kappas)), r, seed=i)
+    got = hashlib.sha256(rec.pi.tobytes())
+    for M in rec.factors:
+        got.update(M.tobytes())
+    got.update(np.array([rec.residual, rec.retries_used], dtype=float).tobytes())
+    return got.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "i", range(len(GOLDEN_LATENT_CLASS_RECOVERIES)),
+    ids=[f"r{r}-kappa{kappa}-p{p}" for r, kappa, p, _ in GOLDEN_LATENT_CLASS_RECOVERIES],
+)
+def test_latent_class_recovery_keeps_its_bytes(i):
+    assert latent_class_recovery_digest(i) == GOLDEN_LATENT_CLASS_RECOVERIES[i][3]
+
+
+@pytest.mark.parametrize(
+    "i", range(len(GOLDEN_DECOMPOSITIONS)),
+    ids=[f"r{r}-" + "x".join(map(str, kappas)) for r, kappas, _ in GOLDEN_DECOMPOSITIONS],
+)
+def test_decomposition_keeps_its_bytes(i):
+    assert decomposition_digest(i) == GOLDEN_DECOMPOSITIONS[i][2]
 
 
 #: (call, error, exact message) for each input refusal of the module

@@ -265,6 +265,54 @@ class TestNumericalRank:
         assert all(type(rank) is int for rank in singles)
 
 
+    @given(
+        rows=st.integers(1, 6), width=st.integers(1, 6), shape=st.tuples(
+            st.integers(1, 50), st.integers(1, 50)), data=st.data(),
+    )
+    def test_one_matrix_is_ranked_as_its_row_of_a_stack(self, rows, width, shape, data):
+        # the scalar path for one matrix gives the stacked rule's rank on
+        # random, zero, tied and NaN values alike
+        value = st.one_of(
+            st.floats(0.0, 10.0), st.just(0.0), st.just(1.0), st.just(1e-9), st.just(np.nan)
+        )
+        s = np.array(data.draw(st.lists(
+            st.lists(value, min_size=width, max_size=width), min_size=rows, max_size=rows)))
+        ranks = rank_from_singular_values(s, shape)
+        singles = [rank_from_singular_values(row, shape) for row in s]
+        assert singles == ranks.tolist()
+        assert all(type(rank) is int for rank in singles)
+
+    def test_no_values_have_rank_zero(self):
+        assert rank_from_singular_values(np.zeros(0), (0, 3)) == 0
+        assert rank_from_singular_values(np.zeros((2, 0)), (0, 3)).tolist() == [0, 0]
+
+
+def test_distribution_sum_overflow_warns_only_of_the_sum():
+    # finite entries whose sum overflows: the sum check refuses them, and
+    # numpy's overflow of that sum is the only warning, as it always was
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError, match=re.escape("tensor must sum to 1 (got inf)")):
+            check_distribution_tensor(np.full((2, 2), 1e308))
+    assert seen and {(w.category, str(w.message)) for w in seen} == {
+        (RuntimeWarning, "overflow encountered in reduce")}
+
+
+def test_empty_tensor_is_refused_by_its_minimum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^zero-size array to reduction operation minimum"):
+            check_distribution_tensor(np.zeros((0, 2, 2)))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.lists(st.integers(2, 5), min_size=1, max_size=4))
+def test_distribution_check_returns_the_array_and_its_largest_entry(seed, r, kappas):
+    T = latent_class.joint_distribution(sampling.random_latent_class(seed, r, kappas))
+    checked, high = check_distribution_tensor(T.tolist())
+    assert checked.dtype == float and checked.tobytes() == T.tobytes()
+    assert high == T.max()
+
+
 class TestKruskalRank:
     def test_three_vectors_in_dim_two(self):
         assert kruskal_rank(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])) == 2
@@ -650,6 +698,31 @@ TENSOR_CORE_REFUSALS = {
     "tensor-finite": (
         lambda: check_distribution_tensor([np.inf, 0.0]),
         InputError, "tensor contains non-finite entries",
+    ),
+    # finiteness is checked first, then negative entries, then the sum
+    "tensor-nan": (
+        lambda: check_distribution_tensor([[0.5, np.nan], [0.25, 0.25]]),
+        InputError, "tensor contains non-finite entries",
+    ),
+    "tensor-minus-inf": (
+        lambda: check_distribution_tensor([[0.5, -np.inf], [0.25, 0.25]]),
+        InputError, "tensor contains non-finite entries",
+    ),
+    "tensor-both-infs": (
+        lambda: check_distribution_tensor([[np.inf, -np.inf], [0.25, 0.25]]),
+        InputError, "tensor contains non-finite entries",
+    ),
+    "tensor-nan-before-negative": (
+        lambda: check_distribution_tensor([[np.nan, -1.0], [1.0, 1.0]]),
+        InputError, "tensor contains non-finite entries",
+    ),
+    "tensor-just-below-zero": (
+        lambda: check_distribution_tensor([[0.6, -2e-12], [0.2, 0.2]]),
+        InputError, "tensor has entries below -1e-12",
+    ),
+    "tensor-negative-before-sum": (
+        lambda: check_distribution_tensor([[0.6, -0.1], [0.2, 0.9]]),
+        InputError, "tensor has entries below -1e-12",
     ),
     "tensor-negative": (
         lambda: check_distribution_tensor([[0.6, -0.1], [0.3, 0.2]]),
