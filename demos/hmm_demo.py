@@ -15,6 +15,7 @@ from latentid import (
     min_window,
     recover_hmm,
     stationary_distribution,
+    triple_product,
     window_tensor,
 )
 from latentid.sampling import random_hmm, trial_rng
@@ -48,6 +49,8 @@ print("3. Recovery from the exact window law")
 print("=" * 72)
 T = window_tensor(model, k)
 print(f"window tensor shape {T.shape}, total mass {T.sum():.12f}")
+mixture = triple_product(model.pi[:, None] * B1, B2, model.B)
+print(f"it is the mixture of the blocks, (pi * B1, B2, B): {np.array_equal(T, mixture)}")
 A_hat, B_hat, pi_hat = recover_hmm(T, 2, 2, k, seed=0, tol=1e-6)
 align = align_hmm((A_hat, B_hat, pi_hat), (model.A, model.B, model.pi))
 print(f"parameter error after state relabeling: {align.max_abs_error:.2e}")

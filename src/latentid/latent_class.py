@@ -65,8 +65,20 @@ class LatentClassModel:
                         f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                     )
         _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "emissions", mats)
+        self._adopt(pi, mats)
+
+    @classmethod
+    def _checked(cls, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> "LatentClassModel":
+        """The model of float arrays the library has just built and shares with no
+        one, which pass the constructor's checks, frozen in place, unchecked."""
+        model = cls.__new__(cls)
+        model._adopt(pi, emissions)
+        return model
+
+    def _adopt(self, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> None:
+        """Freeze the model's own arrays in place and set them as its fields."""
+        object.__setattr__(self, "pi", _read_only(pi, fresh=True))
+        object.__setattr__(self, "emissions", tuple(_read_only(M, fresh=True) for M in emissions))
 
     @property
     def r(self) -> int:

@@ -4,6 +4,13 @@ All samplers draw independent uniform parameters and renormalize rows.  Trial
 seeds derive from a master seed through a counter-based split,
 ``SeedSequence([master_seed, trial_index])``, so per-trial results are
 reproducible and independent of execution order.
+
+:func:`random_latent_class` and :func:`random_hmm` build their models through
+the private ``_checked`` constructors of :class:`LatentClassModel` and
+:class:`HiddenMarkovModel`, which freeze the arrays the sampler has just
+normalized in place instead of copying and re-checking them; the sampler
+refuses what the public constructor would, with its message, and the model
+is the one the public constructor builds from the same arrays.
 """
 
 from __future__ import annotations
@@ -44,15 +51,20 @@ def random_probability(rng, n: int) -> np.ndarray:
 
 
 def random_latent_class(rng, r: int, kappas) -> LatentClassModel:
+    """Random latent-class model with ``r`` classes and ``kappas[j]`` states of
+    variable ``j``.  An empty ``kappas`` is refused here, as
+    :class:`LatentClassModel` would refuse it: the draw is built unchecked."""
     r, kappas = _whole_number(r, "r", 1), _whole_numbers(kappas, "kappas", 2)
     check_power_entries([(r, 1), (max(kappas, default=1), 1)], "emission matrix")
+    if not kappas:
+        raise InputError("at least one variable is required")
     rng = np.random.default_rng(rng)
     pi = random_probability(rng, r)
     # one uniform draw for all emissions: the stream of one draw per matrix
     U = rng.uniform(0.0, 1.0, size=r * sum(kappas))
     ends = np.cumsum(kappas).tolist()
     mats = (U[r * (e - k) : r * e].reshape(r, k) for e, k in zip(ends, kappas))
-    return LatentClassModel(pi=pi, emissions=tuple(M / M.sum(axis=1, keepdims=True) for M in mats))
+    return LatentClassModel._checked(pi, tuple(M / M.sum(axis=1, keepdims=True) for M in mats))
 
 
 def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarkovModel:
@@ -98,7 +110,8 @@ def random_hmm(rng, r: int, kappa: int, max_attempts: int = 5000) -> HiddenMarko
                 rejected["B"] += 1
                 continue
             try:
-                model = HiddenMarkovModel(A=A[i], B=B_i)
+                # rows of the batch, copied so that the model owns its arrays
+                model = HiddenMarkovModel._checked(A[i].copy(), B_i.copy())
             except NonUniqueStationaryError:
                 rejected["stationary"] += 1
                 continue
