@@ -60,11 +60,6 @@ from .tensor_core import (
 
 #: the unit eigenvalue must be separated from the rest by this much
 STATIONARY_GAP_TOL = 1e-8
-#: :func:`_window_marginal` adds in place from this many entries per add on.
-#: Its second reduction, numpy's against in-place adds, best of 9 (2 vCPU,
-#: numpy 2.4.6): 345 against 690 us at 128 entries (kappa 2, k = 11, j = 3),
-#: 702 against 602 us at 512 (j = 4), 45 against 25 us at 128 x 128 x 2.
-_MARGINAL_ADD_ENTRIES = 256
 
 
 def stationary_distribution(A) -> np.ndarray:
@@ -252,23 +247,14 @@ def _window_marginal(T: np.ndarray, kappa: int, k: int, j: int) -> np.ndarray:
     Sums out the ``k - j`` fastest-varying digits of both block axes, the
     symbols farthest from the center (see the module docstring), in two
     reductions over contiguous axes; one ``sum`` over both axes of the
-    five-way view is several times slower.  The second reduction's inner
-    axis holds only ``kappa`` entries, so once each of its ``m`` summed
-    positions covers :data:`_MARGINAL_ADD_ENTRIES` entries, they are added
-    in place one at a time, in numpy's order: from 0.0, first to last, so
-    the bytes are the same.  At ``j == k`` there is nothing to sum, and
-    ``T`` itself is returned.
+    five-way view is several times slower.  At ``j == k`` there is nothing
+    to sum, and ``T`` itself is returned.
     """
     n, m = kappa**j, kappa ** (k - j)
     if m == 1:
         return T
-    P = T.reshape(n, m, -1).sum(axis=1).reshape(n * n, m, kappa)
-    if n * n * kappa < _MARGINAL_ADD_ENTRIES:
-        return P.sum(axis=1).reshape(n, n, kappa)
-    out = 0.0 + P[:, 0]
-    for i in range(1, m):
-        out += P[:, i]
-    return out.reshape(n, n, kappa)
+    P = T.reshape(n, m, -1).sum(axis=1)
+    return P.reshape(n * n, m, kappa).sum(axis=1).reshape(n, n, kappa)
 
 
 def recover_hmm(
@@ -319,8 +305,8 @@ def recover_hmm(
             f"(kappa^k, kappa^k, kappa) = {(kappa ** k, kappa ** k, kappa)}"
         )
     j = _recovery_k(r, kappa, k)
-    # at j == k decompose3 checks T itself, and its check reads T's max
-    high = check_distribution_tensor(T)[1] if j < k else None
+    if j < k:  # at j == k, decompose3 checks T itself
+        check_distribution_tensor(T)
     rec = decompose3(_window_marginal(T, kappa, k, j), r, seed=seed, tol=tol)
     F2, B_hat = rec.factors[1:]
     if j == 1:
@@ -347,8 +333,7 @@ def recover_hmm(
     pi = rec.pi
     B1, B2 = _window_blocks(A_hat, _reversed_chain(A_hat, pi), B_hat, k)
     what = f"window law rebuilt at k={k} from the answer at j={j} misses the input"
-    high = rec._table_max if high is None else high
-    _require_rebuilds(pi, B1, B2, B_hat, T.reshape(T.shape[0], -1), high, tol, what)
+    _require_rebuilds(pi, B1, B2, B_hat, T.reshape(T.shape[0], -1), tol, what)
     return A_hat, B_hat, pi
 
 

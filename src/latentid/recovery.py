@@ -23,7 +23,7 @@ being attempted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class RecoveredFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     residual: float
     retries_used: int
-    #: ``T.max()`` as :func:`decompose3`'s check read it, for the callers that
-    #: gate a rebuilt law on the same table
-    _table_max: float = field(default=np.nan, repr=False, compare=False)
 
 
 @dataclass
@@ -216,8 +213,7 @@ def decompose3(T, r: int, seed=None, tol: float = RECOVERY_TOL) -> RecoveredFact
             if value <= resid_tol:
                 pi, M1, M2, M3 = params
                 return RecoveredFactors(
-                    pi=pi, factors=(M1, M2, M3), residual=value, retries_used=attempt,
-                    _table_max=high,
+                    pi=pi, factors=(M1, M2, M3), residual=value, retries_used=attempt
                 )
             best_resid = min(best_resid, value)
         elif stage == "slice_rank":
@@ -357,12 +353,12 @@ def _law_residual(pi, M1, M2, M3, T1) -> float:
     return float(np.abs(D, out=D).max())
 
 
-def _require_rebuilds(pi, M1, M2, M3, T1, high: float, tol: float, what: str) -> None:
+def _require_rebuilds(pi, M1, M2, M3, T1, tol: float, what: str) -> None:
     """Raise :class:`DegenerateSpectrumError`, its message opening with ``what``,
-    when :func:`_law_residual` exceeds ``tol * high``, the gate of
-    :func:`decompose3`; ``high`` is ``T1.max()``, as a check of the table read it."""
+    when :func:`_law_residual` exceeds ``tol * T1.max()``, the gate of
+    :func:`decompose3`."""
     resid = _law_residual(pi, M1, M2, M3, T1)
-    resid_tol = tol * high
+    resid_tol = tol * T1.max()
     if resid > resid_tol:
         raise DegenerateSpectrumError(
             f"{what} by {resid:.3g} > tol * max entry = {resid_tol:.3g}"
@@ -480,6 +476,6 @@ def recover_latent_class(
     dims = [[T.shape[j] for j in block] for block in blocks]
     parts, rebuilt = zip(*map(_unclump, rec.factors, dims))
     what = "reassembled model misses the input table"
-    _require_rebuilds(rec.pi, *rebuilt, N.reshape(N.shape[0], -1), rec._table_max, tol, what)
+    _require_rebuilds(rec.pi, *rebuilt, N.reshape(N.shape[0], -1), tol, what)
     by_var = dict(zip(sum(blocks, ()), sum(parts, [])))
     return rec.pi, [by_var[j] for j in range(T.ndim)]

@@ -585,30 +585,6 @@ def test_window_marginal_is_the_narrower_window_law(r, kappa, data):
     assert np.abs(marginal - law).max() <= rounding * law.max()
 
 
-#: (kappa, k, j) on both sides of _MARGINAL_ADD_ENTRIES: in-place adds from
-#: (2, 5, 4) and (3, 5, 3) on, one numpy reduction below
-MARGINAL_SHAPES = [
-    (2, 7, 4), (2, 6, 4), (2, 5, 4), (3, 5, 3), (2, 9, 4), (2, 8, 6), (4, 4, 2),
-    (2, 8, 1), (2, 8, 3), (3, 5, 1), (3, 5, 2), (4, 4, 1),
-]
-
-
-@pytest.mark.parametrize("kappa, k, j", MARGINAL_SHAPES)
-@pytest.mark.parametrize("zeros", [0.0, 0.5])
-def test_window_marginal_adds_as_numpy_reduces(kappa, k, j, zeros):
-    # the marginal has the bytes of its two numpy reductions, on a table
-    # with zeros of both signs too
-    n, m = kappa**j, kappa ** (k - j)
-    rng = np.random.default_rng(k * j)
-    T = rng.random((n * m, n * m, kappa)) ** 4
-    T[rng.random(T.shape) < zeros] = 0.0
-    T[rng.random(T.shape) < zeros] = -0.0
-    T /= T.sum()
-    P = T.reshape(n, m, -1).sum(axis=1)
-    want = P.reshape(n * n, m, kappa).sum(axis=1).reshape(n, n, kappa)
-    assert hmm._window_marginal(T, kappa, k, j).tobytes() == want.tobytes()
-
-
 def foreign_past_block_law(r, kappa, k, rng):
     """``triple_product(pi * X, B2, B)``: a chain's future block ``B2`` and
     emissions ``B`` at half-window ``k``, with a random stochastic past block
