@@ -39,13 +39,16 @@ ENTRY_CAP = 2**24
 #: bound of :func:`_orthogonal_screen` on its ``sigma_n / sigma_1`` is at least
 #: this multiple of the rank rule's cutoff, ``RANK_TOL * n``.  The bound reads
 #: ``|det B|`` of a ``k x k`` block ``B`` of an orthogonal factor, ``k <= n``,
-#: whose LU-computed value has relative error of order ``k * rho * eps *
-#: cond(B)`` (``rho`` the pivot growth).  ``B`` has singular values at most 1,
-#: so an accepted block has ``cond(B) <= 1 / |det B| <= 1 / (2 * RANK_TOL *
-#: n)``.  A screened matrix has at least ``2k`` rows, so its stack of blocks
-#: has at least ``C(2k, k) * k^2`` entries, above :data:`ENTRY_CAP` from ``k =
-#: 10`` on; for ``k <= 9`` the error stays below ``3e-4`` even at the
-#: worst-case growth ``rho = 2**(k-1)``, and the true ratio is above ``1.99 *
+#: from the cofactor expansion of :func:`_maximal_minors`.  Each minor of a
+#: matrix with orthonormal columns is at most 1 in absolute value, and by
+#: Cauchy-Binet and Cauchy-Schwarz so is the sum of the absolute values of each
+#: level's terms, so the computed ``|det B|`` is off by at most about ``(k + 1)
+#: * sqrt(k!) * eps``, as each level adds ``(j + 1) * eps`` to ``sqrt(j)``
+#: times the error of the level below.
+#: A screened matrix has at least ``2k`` rows, so its stack of blocks has at
+#: least ``C(2k, k) * k^2`` entries, above :data:`ENTRY_CAP` from ``k = 10``
+#: on; for ``k <= 9`` the error stays below ``2e-12``, against a floor of at
+#: least ``2e-10 * n``, and the true ratio is above ``1.99 *
 #: cutoff``.  The bound's other inputs err far less: the rank rule put
 #: ``sigma_n`` above ``RANK_TOL * sigma_1``, so the SVD's absolute error of
 #: about ``eps * sigma_1`` moves ``kappa`` by a relative ``eps / RANK_TOL``,
@@ -54,7 +57,8 @@ ENTRY_CAP = 2**24
 #: far below the remaining ``0.99 * cutoff * sigma_1``, so the SVD rule
 #: accepts every subset the bound accepts.
 _DET_SCREEN_MARGIN = 2.0
-#: :func:`_subsets` keeps at most this many indexes, of at most this many entries each
+#: :func:`_subsets` keeps at most this many indexes, of at most this many entries each;
+#: :func:`_expansion` as many whose last level is as large (under 2^17 in all at m >= 2k)
 _SUBSET_SLOTS, _SUBSET_ENTRIES = 32, 2**15
 
 
@@ -346,27 +350,76 @@ def _subsets(rows: int, k: int) -> np.ndarray:
     return _read_only(idx.reshape(-1, k), np.intp, fresh=True)
 
 
+def _expansion_levels(rows: int, k: int):
+    """Yield, for ``j = 2 .. k``, the ``j``-row subsets in lexicographic order,
+    for each subset ``S`` and each ``t`` the position of ``S`` less ``s_t`` among
+    the ``(j - 1)``-row subsets, and the cofactor signs ``(-1)^(t+j)``; read-only,
+    each level built from the last.
+
+    The ``j``-subsets that start with row ``a`` are ``a`` followed by each of the
+    last ``c_a = C(rows - 1 - a, j - 1)`` ``(j - 1)``-subsets, those after ``a``
+    (at ``tail``).  So ``S`` less ``a`` is at ``tail``, and ``S`` less a later
+    row is ``a`` followed by ``tail`` less that row: its position one level down,
+    moved from the block after ``a`` to the block of ``a``, which by the
+    combinatorial number system is ``C(rows, j - 1) - C(rows, j - 2) - c_a`` on."""
+    subsets, positions = np.arange(rows)[:, None], np.zeros((rows, 1), dtype=np.intp)
+    for j in range(2, k + 1):
+        counts = np.array([math.comb(rows - 1 - a, j - 1) for a in range(rows)])
+        first = np.repeat(np.arange(rows), counts)
+        tail = np.arange(len(first)) + (len(subsets) - np.cumsum(counts))[first]
+        shift = len(subsets) - math.comb(rows, j - 2) - counts[first]
+        subsets = _read_only(np.column_stack([first, subsets[tail]]), np.intp, True)
+        positions = np.column_stack([tail, positions[tail] + shift[:, None]])
+        signs = (-1.0) ** np.arange(j - 1, -1, -1)
+        yield subsets, _read_only(positions, np.intp, True), _read_only(signs, float, True)
+
+
+@functools.lru_cache(maxsize=_SUBSET_SLOTS)
+def _expansion(rows: int, k: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The levels of :func:`_expansion_levels`, kept like :func:`_subsets` when
+    the last level's subsets hold at most ``_SUBSET_ENTRIES`` entries."""
+    return tuple(_expansion_levels(rows, k))
+
+
+def _maximal_minors(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``det W[T]`` for every ``k``-row subset ``T`` of the ``m x k`` ``W``, and
+    the subsets, in lexicographic order: a cofactor expansion with one level per
+    column, ``D_j[S] = sum_t (-1)^(t+j) W[s_t, j-1] * D_{j-1}[S less s_t]`` over
+    all ``j``-row subsets ``S``, each level one gather, product and sum over
+    ``C(m, j) * j`` entries; its error is bounded at :data:`_DET_SCREEN_MARGIN`."""
+    rows, k = W.shape
+    minors, subsets = W[:, 0], np.arange(rows)[:, None]
+    small = math.comb(rows, k) * k <= _SUBSET_ENTRIES
+    levels = _expansion(rows, k) if small else _expansion_levels(rows, k)
+    for j, (subsets, positions, signs) in enumerate(levels, start=2):
+        minors = (W[:, j - 1][subsets] * minors[positions]) @ signs
+    return minors, subsets
+
+
 def _subsets_independent(M: np.ndarray, size: int, screen=None) -> bool:
     """Whether every ``size``-row subset of ``M`` has numerical rank ``size``.
 
     All ``C(rows, size)`` subsets are judged at once by the rank rule on one
     stacked SVD (a zero subset included).  With ``screen``, the
-    :func:`_orthogonal_screen` of a tall ``M`` of rank ``size == cols``, one
-    stacked determinant of the ``k x k`` blocks of ``W``, whose row sets are
-    the subsets or, when ``cols > rows - cols``, their complements, first
-    accepts the subsets it proves independent; only the rest go to the SVD,
-    so the decisions are the SVD rule's.  Rectangular subsets all go to the
-    SVD (a Gram determinant would square the condition number).  Each stack
-    is refused by :func:`_check_entries` before it is built.
+    :func:`_orthogonal_screen` of a tall ``M`` of rank ``size == cols``, the
+    maximal minors of ``W`` (:func:`_maximal_minors`), whose row sets are the
+    subsets or, when ``cols > rows - cols``, their complements, first accept
+    the subsets they prove independent; only the rest go to the SVD, so the
+    decisions are the SVD rule's.  Rectangular subsets all go to the SVD (a
+    Gram determinant would square the condition number).  Each stack, the
+    ``k x k`` blocks of ``W`` included though the expansion never builds them,
+    is refused by :func:`_check_entries` before anything is built.
     """
     rows, cols = M.shape
     W, log_floor = (M, None) if screen is None else screen
     k = size if screen is None else W.shape[1]
     count = math.comb(rows, k)
     _check_entries(count * k * W.shape[1], f"stack of {k}-row subsets")
-    idx = _subsets(rows, k) if count * k <= _SUBSET_ENTRIES else _subsets.__wrapped__(rows, k)
-    if screen is not None:
-        idx = idx[np.linalg.slogdet(W[idx]).logabsdet < log_floor]
+    if screen is None:
+        idx = _subsets(rows, k) if count * k <= _SUBSET_ENTRIES else _subsets.__wrapped__(rows, k)
+    else:
+        minors, idx = _maximal_minors(W)
+        idx = idx[np.abs(minors) < math.exp(log_floor)]
         if len(idx) == 0:
             return True
         if k < size:  # the blocks' row sets are the subsets' complements
@@ -398,9 +451,10 @@ def kruskal_rank(M) -> int:
     with its left factor for a tall matrix and values-only otherwise.  At ``s
     = rank = cols`` the subsets are square, and a bound on blocks of that
     factor (:func:`_orthogonal_screen`) accepts the clearly independent ones
-    without an SVD.  The blocks are ``k
-    x k`` with ``k = min(cols, rows - cols)``, so a generic tall matrix costs
-    one SVD and one stacked determinant: 495 ``4 x 4`` blocks for ``12 x 8``.
+    without an SVD.  The blocks are ``k x k`` with ``k = min(cols, rows -
+    cols)``, and one cofactor expansion (:func:`_maximal_minors`) gives all
+    their determinants, so a generic tall matrix costs one SVD and three
+    levels of 66, 220 and 495 subsets of a ``12 x 4`` factor for ``12 x 8``.
     """
     M = as_matrix(M)
     rows, cols = M.shape

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -359,40 +360,61 @@ class TestKruskalRank:
 
     def test_square_subsets_screened_by_determinant(self, monkeypatch):
         # 12 x 8: one full SVD decides the rank and gives the orthogonal
-        # factor U, then one stacked determinant over the 495 4 x 4 blocks
-        # U[T, 8:], T the complement of an 8-row subset, accepts every one.
+        # factor U, then one cofactor expansion of its 12 x 4 block U[:, 8:]
+        # gives the determinants of the 495 4 x 4 blocks U[T, 8:], T the
+        # complement of an 8-row subset, and accepts every one; no LU runs.
         # With a zero row, the 330 subsets holding it go on to the SVD, and
         # the upward search stops at the first rectangular size, 1.
         M = random_stochastic(np.random.default_rng(5), 12, 8)
-        svds, dets = [], []
-        svd, slogdet = np.linalg.svd, np.linalg.slogdet
+        svds, expanded = [], []
+        svd, minors = np.linalg.svd, tensor_core._maximal_minors
 
         def counting_svd(a, *args, **kwargs):
             svds.append((np.shape(a), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
-        def counting_slogdet(a):
-            dets.append(np.shape(a))
-            return slogdet(a)
+        def counting_minors(W):
+            expanded.append(W.shape)
+            values, subsets = minors(W)
+            assert values.shape == (495,) and subsets.shape == (495, 4)
+            return values, subsets
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("the screen ran an LU")
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
+        monkeypatch.setattr(tensor_core, "_maximal_minors", counting_minors)
+        monkeypatch.setattr(np.linalg, "slogdet", no_lu)
+        monkeypatch.setattr(np.linalg, "det", no_lu)
         assert kruskal_rank(M) == 8
         assert svds == [((12, 8), True)]
-        assert dets == [(495, 4, 4)]
+        assert expanded == [(12, 4)]
         svds.clear()
-        dets.clear()
+        expanded.clear()
         M[3] = 0.0
         assert kruskal_rank(M) == 0
         assert svds == [((12, 8), True)] + [
             (shape, False) for shape in [(330, 8, 8), (12, 1, 8)]
         ]
-        assert dets == [(495, 4, 4)]
+        assert expanded == [(12, 4)]
+
+    @staticmethod
+    def clear_subset_tables():
+        tensor_core._subsets.cache_clear()
+        tensor_core._expansion.cache_clear()
+
+    @staticmethod
+    def table_counts():
+        """(misses, hits, currsize) of the subset indexes and the expansion tables."""
+        return [
+            (info.misses, info.hits, info.currsize)
+            for info in (tensor_core._subsets.cache_info(), tensor_core._expansion.cache_info())
+        ]
 
     def test_subset_indexes_are_built_once(self):
         # each small (rows, k) index is built once per process, read-only and
         # in lexicographic order; one past the size bound is built every time
-        tensor_core._subsets.cache_clear()
+        self.clear_subset_tables()
         index = tensor_core._subsets(6, 3)
         assert index.tolist() == [list(s) for s in itertools.combinations(range(6), 3)]
         assert not index.flags.writeable
@@ -403,18 +425,39 @@ class TestKruskalRank:
         for _ in range(2):
             assert kruskal_rank(M) == 1
         # (6, 3), then (20, 1) and (20, 2) of the upward search, built once
-        # each; the (20, 6) index of the screen bypasses the cache
-        info = tensor_core._subsets.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+        # each; the screen's expansion of the 20 x 6 factor bypasses its cache
+        assert self.table_counts() == [(3, 3, 3), (0, 0, 0)]
+        # a 7 x 4 matrix is screened on a 7 x 3 factor, whose expansion is
+        # kept, then searched upward on (7, 1) and (7, 2)
+        M = np.vstack([np.eye(4), np.ones((3, 4))])
+        for _ in range(2):
+            assert kruskal_rank(M) == 1
+        assert self.table_counts() == [(5, 5, 5), (1, 1, 1)]
+        levels = tensor_core._expansion(7, 3)
+        assert tensor_core._expansion(7, 3) is levels
+        assert not any(a.flags.writeable for level in levels for a in level)
+
+    def test_expansion_levels_locate_each_smaller_subset(self):
+        for rows, k in [(2, 2), (7, 3), (9, 9), (12, 4), (18, 9)]:
+            smaller = np.arange(rows)[:, None]
+            levels = tensor_core._expansion_levels(rows, k)
+            for j, (subsets, positions, signs) in enumerate(levels, start=2):
+                assert signs.tolist() == [(-1.0) ** (t + j) for t in range(1, j + 1)]
+                combos = itertools.combinations(range(rows), j)
+                assert subsets.tolist() == [list(s) for s in combos]
+                for t in range(j):
+                    assert np.array_equal(smaller[positions[:, t]], np.delete(subsets, t, 1))
+                smaller = subsets
+            assert j == k
 
     def test_views_of_one_certificate_share_a_subset_index(self):
         # the three 12 x 8 views of a generic 12-class model are screened on
-        # the 4-row complements of their 8-row subsets: one index, built once
+        # the 4-row complements of their 8-row subsets: the expansion tables
+        # of their 12 x 4 blocks are built once, and no subset index at all
         model = sampling.random_latent_class(sampling.trial_rng(61, 0), 12, (8, 8, 8))
-        tensor_core._subsets.cache_clear()
+        self.clear_subset_tables()
         assert latent_class.kruskal_certificate(model).kruskal_ranks == (8, 8, 8)
-        info = tensor_core._subsets.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert self.table_counts() == [(0, 0, 0), (1, 2, 1)]
 
     def test_screen_agrees_with_svd_rule(self):
         # the determinant screen only ever accepts; near the cutoff, with
@@ -461,6 +504,63 @@ def test_orthogonal_screen_bounds_square_subsets(seed, rows, data):
     log_bound = np.linalg.slogdet(W[T]).logabsdet - log_floor + math.log(cutoff)
     s = np.linalg.svd(M[S], compute_uv=False)
     assert np.all(log_bound <= np.log(s[:, -1] / s[:, 0]) + 1e-9)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 9),
+    left=st.booleans(),
+    closeness=st.floats(2.0, 16.0),
+    data=st.data(),
+)
+def test_expanded_minors_match_determinants(seed, k, left, closeness, data):
+    """Every maximal minor of a ``rows x k`` block of an orthogonal factor,
+    ``U[:, :n]`` or ``U[:, n:]`` of a tall ``M`` with one row moved near the
+    span of the others, equals its block's determinant within ``(k + 1) *
+    sqrt(k!) * eps``, the error bound stated at ``_DET_SCREEN_MARGIN``."""
+    rows = data.draw(st.integers(max(3, k + 1), 18), label="rows")
+    cols = k if left else rows - k
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    i = rng.integers(rows)
+    near = rng.standard_normal(rows - 1) @ np.delete(M, i, axis=0) / rows
+    M[i] = near + 10.0**-closeness * rng.standard_normal(cols)
+    U = np.linalg.svd(M)[0]
+    W = U[:, :cols] if left else U[:, cols:]
+    minors, subsets = tensor_core._maximal_minors(W)
+    assert subsets.tolist() == [list(s) for s in itertools.combinations(range(rows), k)]
+    bound = (k + 1) * math.sqrt(math.factorial(k)) * np.finfo(float).eps
+    assert np.abs(minors - np.linalg.det(W[subsets])).max() <= bound
+
+#: the Kruskal ranks of :func:`golden_kruskal_views`, joined by commas
+GOLDEN_VIEW_COUNT = 496
+GOLDEN_RANK_DIGEST = "5ddc0e7e942093626b7a715832261a4efa7a7c06c11392449f79adf65451a852"
+
+def golden_kruskal_views():
+    """Seeded views whose Kruskal ranks are pinned: the views of the
+    ``certify-cli`` benchmark's latent-class and HMM models (seeds 1-5, its
+    per-instance generators), the tall and screen test matrices."""
+    for seed in range(1, 6):
+        for s, (r, kappas) in enumerate([(3, (3, 3, 3)), (6, (3, 4, 5)), (10, (4, 8, 8)), (12, (8, 8, 8))]):
+            for j in range(3):
+                rng = np.random.default_rng([seed, s, j])
+                yield from sampling.random_latent_class(rng, r, kappas).emissions
+        for s, (r, kappa) in enumerate([(4, 2), (6, 2), (8, 3)], start=7):
+            for j in range(3):
+                model = sampling.random_hmm(np.random.default_rng([seed, s, j]), r, kappa)
+                yield from (*hmm.conditional_blocks(model, hmm.min_window(r, kappa)), model.B)
+    yield from (M for _, M in kruskal_test_matrices(48, "tall"))
+    yield from (M for _, M in screen_test_matrices())
+
+
+def test_kruskal_ranks_match_their_golden_digest():
+    # the digest was recorded when square subsets were screened by a stacked
+    # LU determinant; any change to the screen must leave every rank as it was
+    ranks = [kruskal_rank(M) for M in golden_kruskal_views()]
+    assert len(ranks) == GOLDEN_VIEW_COUNT
+    digest = hashlib.sha256(",".join(map(str, ranks)).encode()).hexdigest()
+    assert digest == GOLDEN_RANK_DIGEST
 
 
 class TestUnclump:
