@@ -370,6 +370,7 @@ def _expansion_levels(rows: int, k: int):
         shift = len(subsets) - math.comb(rows, j - 2) - counts[first]
         subsets = _read_only(np.column_stack([first, subsets[tail]]), np.intp, True)
         positions = np.column_stack([tail, positions[tail] + shift[:, None]])
+        del first, tail, shift  # not held while the caller reads the level
         signs = (-1.0) ** np.arange(j - 1, -1, -1)
         yield subsets, _read_only(positions, np.intp, True), _read_only(signs, float, True)
 
@@ -392,7 +393,9 @@ def _maximal_minors(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = math.comb(rows, k) * k <= _SUBSET_ENTRIES
     levels = _expansion(rows, k) if small else _expansion_levels(rows, k)
     for j, (subsets, positions, signs) in enumerate(levels, start=2):
-        minors = (W[:, j - 1][subsets] * minors[positions]) @ signs
+        terms = W[:, j - 1][subsets]
+        terms *= minors[positions]
+        minors = terms @ signs
     return minors, subsets
 
 
