@@ -5,8 +5,10 @@ for an honest negative (certificate fails, recovery precondition unmet, or
 simulation trials failed), 2 for usage and input errors: an
 :class:`~latentid.errors.InputError` (a bad argument, such as a NaN ``--tol``
 or a ``--k`` whose window exceeds the entry cap, or any malformed model file,
-including a CDF table with a negative cell mass), or the ``OSError`` or
-``ValueError`` that reading an unreadable file or a bad argument raises.  A
+including a CDF table with a negative cell mass), or the ``OSError``,
+``json.JSONDecodeError`` or ``UnicodeDecodeError`` that reading a missing,
+unparsable or undecodable file raises.  Any other exception is a fault of
+the program and propagates.  A
 certificate report's ``criterion`` names the rule its command applies: the
 Kruskal rank sum for ``search-tripartition`` and ``certify-lc``, full row rank
 for ``hmm-certify`` and ``graph-certify``.  With ``--json`` the report is
@@ -455,7 +457,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, result = handler(args)
-    except (OSError, ValueError) as exc:  # InputError is a ValueError
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatentIdError as exc:

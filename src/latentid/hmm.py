@@ -48,6 +48,7 @@ from .tensor_core import (
     POSITIVE_FLOOR,
     _khatri_rao,
     _read_only,
+    _stochastic_with_rows,
     _tolerance,
     _triple_product,
     _whole_number,
@@ -80,7 +81,7 @@ def _stationary(A: np.ndarray) -> np.ndarray:
         raise InputError(f"transition matrix must be square, got {A.shape}")
     lam, V = np.linalg.eig(A.T)
     dist = np.abs(lam - 1.0)
-    order = np.argsort(dist)
+    order = dist.argsort()
     if r > 1 and dist[order[1]] <= STATIONARY_GAP_TOL:
         raise NonUniqueStationaryError(
             "unit eigenvalue of the transition matrix is not simple"
@@ -112,10 +113,13 @@ class HiddenMarkovModel:
     A_rev: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        A = check_stochastic(_read_only(self.A), name="A")
-        B = check_stochastic(_read_only(self.B), name="B")
-        if B.shape[0] != A.shape[0]:
-            raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
+        A, B = _read_only(self.A), _read_only(self.B)
+        if not (A.ndim == 2 and _stochastic_with_rows((A, B), A.shape[0])):
+            # name the first fault; _stationary refuses a non-square A
+            check_stochastic(A, name="A")
+            check_stochastic(B, name="B")
+            if B.shape[0] != A.shape[0]:
+                raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
         self._adopt(A, B)
 
     @classmethod

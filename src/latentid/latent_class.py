@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import InputError
 from .tensor_core import (
-    NEG_ENTRY_TOL,
-    ROW_SUM_TOL,
     _khatri_rao,
     _read_only,
+    _stochastic_with_rows,
     _whole_number,
     _whole_numbers,
     check_power_entries,
@@ -51,7 +50,7 @@ class LatentClassModel:
 
     def __post_init__(self):
         pi = check_probability_vector(_read_only(self.pi))
-        mats = tuple(_read_only(M) for M in self.emissions)
+        mats = tuple([_read_only(M) for M in self.emissions])
         if len(mats) < 1:
             raise InputError("at least one variable is required")
         r = pi.size
@@ -65,7 +64,8 @@ class LatentClassModel:
                         f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                     )
         _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
-        self._adopt(pi, mats)
+        object.__setattr__(self, "pi", pi)  # read-only copies, made above
+        object.__setattr__(self, "emissions", mats)
 
     @classmethod
     def _checked(cls, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> "LatentClassModel":
@@ -78,7 +78,7 @@ class LatentClassModel:
     def _adopt(self, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> None:
         """Freeze the model's own arrays in place and set them as its fields."""
         object.__setattr__(self, "pi", _read_only(pi, fresh=True))
-        object.__setattr__(self, "emissions", tuple(_read_only(M, fresh=True) for M in emissions))
+        object.__setattr__(self, "emissions", tuple([_read_only(M, fresh=True) for M in emissions]))
 
     @property
     def r(self) -> int:
@@ -90,23 +90,7 @@ class LatentClassModel:
 
     @property
     def kappas(self) -> tuple[int, ...]:
-        return tuple(M.shape[1] for M in self.emissions)
-
-
-def _stochastic_with_rows(mats: Sequence[np.ndarray], r: int) -> bool:
-    """Whether every matrix passes :func:`check_stochastic` and has ``r`` rows.
-
-    One pass over the matrices stacked side by side: one range check, which
-    a NaN or infinite entry also fails, and one ``np.add.reduceat`` for all
-    the row sums.
-    """
-    if any(M.ndim != 2 or M.shape[0] != r or M.shape[1] == 0 for M in mats):
-        return False
-    H = np.hstack(mats)
-    if not (H.min() >= -NEG_ENTRY_TOL and H.max() <= 1.0 + ROW_SUM_TOL):
-        return False
-    starts = np.cumsum([0] + [M.shape[1] for M in mats[:-1]])
-    return np.abs(np.add.reduceat(H, starts, axis=1) - 1.0).max() <= ROW_SUM_TOL
+        return tuple([M.shape[1] for M in self.emissions])
 
 
 @dataclass(frozen=True)

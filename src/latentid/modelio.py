@@ -12,20 +12,25 @@ Schemas, one per model family, dispatched on the ``"type"`` key:
   components indexed ``[class][variate]``; knots and values are flat lists
   for one-dimensional variates and nested lists for blocks.
 
-A nonparametric file is parsed and checked once per table shape, which its
-knot lists' lengths give, by :func:`~latentid.nonparametric._check_tables`,
-the checks of :class:`~latentid.nonparametric.CdfComponent`; each component
-is a read-only row view of its group's arrays, which the
-:class:`~latentid.nonparametric.NonparametricMixture` copies once into its
-own stacks.  A file that fails is read again one component at a time, in
-file order, so the error names its first fault, as checking each component
-on its own would.
+A file is read as its model's public constructor reads its arrays, with
+every check: the constructor accepts a valid model in one stacked pass and
+names the first fault of any other.  A nonparametric file makes no
+component objects.  Its entries are grouped by table shape, which the knot
+lists' lengths give; each group's knots, per coordinate, and tables are
+converted in one call each and checked once by
+:func:`~latentid.nonparametric._check_tables`, the checks of
+:class:`~latentid.nonparametric.CdfComponent`.  The mixture takes those
+stacks as its own, padding them only where one block dimension has tables
+of several shapes, and makes the one set of component views.  A file that
+fails is read again one component at a time, in file order, so the error
+names its first fault, as checking each component on its own would.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +40,6 @@ from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
 from .nonparametric import CdfComponent, NonparametricMixture, _check_tables
 from .random_graph import GraphMixtureModel
-from .tensor_core import _read_only
 
 Model = LatentClassModel | HiddenMarkovModel | GraphMixtureModel | NonparametricMixture
 
@@ -102,8 +106,18 @@ def _list(value, name: str) -> list:
 
 def _floats(value, name: str) -> np.ndarray:
     """A number or nested list of numbers as a float array.  One pass over the
-    element types, in C, refuses a boolean, null or string among the numbers,
-    which numpy would convert."""
+    element types, in C, accepts the ints and floats of a JSON file at once,
+    and refuses a boolean, null or string among the numbers, which numpy would
+    convert."""
+    try:
+        floats = np.asarray(value, dtype=float)
+        items = [value] if floats.ndim == 0 else value
+        for _ in range(floats.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        if {float, int}.issuperset(map(type, items)):
+            return floats
+    except (TypeError, ValueError):  # decided below, with the message
+        pass
     try:
         arr = np.asarray(value)
         floats = arr.astype(float, copy=False)  # also integers past int64, held as objects
@@ -134,37 +148,36 @@ def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return knots, _floats(_field(entry, "values", "a component"), "values")
 
 
-def _components(rows) -> tuple[tuple[CdfComponent, ...], ...]:
-    """The ``[class][variate]`` grid of components a file's entries describe.
-
-    The entries are grouped by the lengths of their knot lists; each group's
-    knots, per coordinate, and tables are converted in one :func:`_floats`
-    call each and checked in one pass (:func:`_check_tables`), and each
-    component is a read-only row view of its group's arrays.  A file that
-    fails either step is read again one component at a time, in file order,
-    so the error raised is that of its first faulty entry, whatever the fault.
-    """
-    try:
-        entries = [_list(row, "a components row") for row in _list(rows, "components")]
-        groups, grid = {}, [[None] * len(row) for row in entries]
-        for i, row in enumerate(entries):
-            for j, entry in enumerate(row):
-                kn = _list(entry["knots"] if isinstance(entry, dict) else None, "knots")
-                kn = kn if isinstance(kn[0], list) else [kn]  # one list per coordinate
-                groups.setdefault(tuple(map(len, kn)), []).append((i, j, kn, entry["values"]))
-        for key, group in groups.items():
-            knots = [[kn[c] for _, _, kn, _ in group] for c in range(len(key))]
-            knots = [_read_only(_floats(k, "knots")) for k in knots]
-            values = _read_only(_floats([v for *_, v in group], "values"))
-            _check_tables(knots, values)
-            for (i, j, *_), row_knots, table in zip(group, zip(*knots), values):
-                grid[i][j] = CdfComponent._checked(row_knots, table)
-    except Exception:  # whatever failed, the pass below raises the first entry's error
-        return tuple(
-            tuple(CdfComponent(*_parse_component(e)) for e in _list(row, "a components row"))
-            for row in _list(rows, "components")
-        )
-    return tuple(map(tuple, grid))
+def _tables(rows) -> tuple[list[list[int]], list[tuple]]:
+    """The block dimensions of a file's ``[class][variate]`` grid of components,
+    and per shape of table, which the knot lists' lengths give, the entries
+    ``index`` (class i's of variate j is entry ``j * r + i``) as ``(index,
+    knots, values)``: their knots, per coordinate, and tables, each converted
+    by one :func:`_floats` call and checked by one :func:`_check_tables` call.
+    A fault, not always the file's first, raises :class:`InputError`, or
+    :class:`KeyError`, :class:`IndexError` or :class:`TypeError` where a field
+    is missing or of the wrong type."""
+    rows = [_list(row, "a components row") for row in _list(rows, "components")]
+    entries = [entry for variate in zip(*rows) for entry in variate]  # variate by variate
+    if len(entries) != sum(map(len, rows)) or {*map(type, entries)} != {dict}:
+        raise InputError("not a grid of objects")
+    knots = [entry["knots"] for entry in entries]
+    if {*map(type, knots)} != {list}:
+        raise InputError("knots must be lists")
+    # a shape: the knot count of a flat list, or of each list of a nested one
+    shapes = [tuple(map(len, kn)) if type(kn[0]) is list else len(kn) for kn in knots]
+    tables = []
+    for shape in dict.fromkeys(shapes):
+        index = [s for s, other in enumerate(shapes) if other == shape]
+        if type(shape) is int:
+            stacks = [_floats([knots[s] for s in index], "knots")]
+        else:
+            stacks = [_floats([knots[s][c] for s in index], "knots") for c in range(len(shape))]
+        values = _floats([entries[s]["values"] for s in index], "values")
+        _check_tables(stacks, values)
+        tables.append((index, stacks, values))
+    dims = [1 if type(shape) is int else len(shape) for shape in shapes]
+    return [dims[i :: len(rows)] for i in range(len(rows))], tables
 
 
 def _plain(value):
@@ -190,19 +203,29 @@ def model_from_dict(obj: dict) -> Model:
 
     if kind == "latent_class":
         emissions = _list(_field(obj, "emissions", owner), "emissions")
-        emissions = tuple(_floats(M, "emissions") for M in emissions)
+        emissions = tuple([_floats(M, "emissions") for M in emissions])
         model = LatentClassModel(pi=floats("pi"), emissions=emissions)
     elif kind == "hmm":
         model = HiddenMarkovModel(A=floats("A"), B=floats("B"))
     elif kind == "graph_mixture":
         model = GraphMixtureModel(pi=floats("pi"), P=floats("P"))
     elif kind == "nonparametric":
-        rows = _components(_field(obj, "components", owner))
-        model = NonparametricMixture(pi=floats("pi"), components=rows)
+        rows = _field(obj, "components", owner)
+        try:
+            dims, tables = _tables(rows)
+        except (InputError, KeyError, IndexError, TypeError):
+            # read again one component at a time, in file order, to name the first fault
+            rows = tuple(
+                tuple(CdfComponent(*_parse_component(e)) for e in _list(row, "a components row"))
+                for row in _list(rows, "components")
+            )
+            model = NonparametricMixture(pi=floats("pi"), components=rows)
+        else:
+            model = NonparametricMixture._from_tables(floats("pi"), dims, tables)
     else:
         raise InputError(f"unknown model type {kind!r}")
     for key in ("r", "p", "kappa", "kappas", "block_dims"):
-        if key in obj and hasattr(model, key):
+        if key in obj and hasattr(type(model), key):  # a property, evaluated once
             actual = getattr(model, key)
             if _plain(actual) != _plain(obj[key]):
                 raise InputError(f"declared {key}={obj[key]} but the model has {actual}")
@@ -214,4 +237,9 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:  # Path(path).read_text() parses the path first: about 5 us more per file
+        with open(os.fspath(path)) as f:
+            text = f.read()
+    except OSError:  # raised again as Path raises it, naming the path as Path writes it
+        text = Path(path).read_text()
+    return model_from_dict(json.loads(text))

@@ -8,6 +8,10 @@ which turns the continuous mixture into an exactly solvable finite one.
 A mixture stacks and tabulates its components once, when it is built, with a
 map from each pooled knot cell to each component's own cell, so evaluating a
 variate on any grid takes one search per coordinate for all its components.
+A model file's tables, stacked and checked once per shape, become those
+stacks, padded only where one block dimension has several shapes, with one
+set of component views and no other component objects
+(``NonparametricMixture._from_tables``).
 Cut selection keeps its state in stacked arrays, one group of variates per
 shape of candidate and cut grid: the axes of all variates with the same knot
 and query counts are sorted in one pass, the variates of one block dimension
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -126,7 +131,8 @@ class NonparametricMixture:
 
     ``components[i][j]`` is the CDF of variate j under class i; all classes
     must agree on each variate's block dimension.  Its ``components`` are
-    views of stacks it owns (:func:`_tabulate`), not the objects it is given.
+    views of stacks it owns (:func:`_families_from_stacks`), not the objects
+    it is given.
     """
 
     pi: np.ndarray
@@ -134,24 +140,49 @@ class NonparametricMixture:
     _families: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pi = check_probability_vector(_read_only(self.pi))
         comps = tuple(tuple(row) for row in self.components)
-        if len(comps) != pi.size:
-            raise InputError(f"{len(comps)} component rows for {pi.size} classes")
-        p = len(comps[0])
-        if p < 1 or any(len(row) != p for row in comps):
+        self._build(self.pi, [[comp.block_dim for comp in row] for row in comps],
+                    lambda members: _tabulate([[row[j] for row in comps] for j in members]))
+
+    @classmethod
+    def _from_tables(cls, pi, dims: Sequence[Sequence[int]], tables) -> "NonparametricMixture":
+        """The mixture the constructor builds, with its checks and refusals, from
+        stacks of one shape of table that :func:`_check_tables` passed: row k of
+        ``(index, knots, values)`` in ``tables`` is the component of class i and
+        variate j, of block dimension ``dims[i][j]``, where ``index[k] = j * r + i``."""
+        def tabulate(members):
+            mine = [table for table in tables if len(table[1]) == dims[0][members[0]]]
+            if len(mine) == 1:  # its rows are the families', variate by variate: kept
+                return _families_from_stacks(*mine[0][1:], len(members))
+            rows = sorted([row for index, knots, values in mine  # copied once, padded
+                           for row in zip(index, zip(*knots), values)], key=itemgetter(0))
+            return _padded_families([kn for _, kn, _ in rows], [v for *_, v in rows], len(members))
+
+        mixture = cls.__new__(cls)
+        mixture._build(pi, dims, tabulate)
+        return mixture
+
+    def _build(self, pi, dims: Sequence[Sequence[int]], tabulate) -> None:
+        """Check ``pi`` and that ``dims[i][j]``, the block dimension of the
+        component of class i and variate j, make a layout, then set the fields;
+        ``tabulate(members)`` gives the families of the variates ``members``,
+        all of one block dimension."""
+        pi = check_probability_vector(_read_only(pi))
+        if len(dims) != pi.size:
+            raise InputError(f"{len(dims)} component rows for {pi.size} classes")
+        p = len(dims[0])
+        if p < 1 or any(len(row) != p for row in dims):
             raise InputError("all classes must have the same variates")
-        for j in range(p):
-            dims = {row[j].block_dim for row in comps}
-            if len(dims) != 1:
-                raise InputError(f"variate {j} has inconsistent block dimensions {dims}")
+        for j, block in enumerate(map(set, zip(*dims))):
+            if len(block) != 1:
+                raise InputError(f"variate {j} has inconsistent block dimensions {block}")
         families = {}
-        for b in {comp.block_dim for comp in comps[0]}:  # one tabulation per block dimension
-            members = [j for j in range(p) if comps[0][j].block_dim == b]
-            families.update(zip(members, _tabulate([[row[j] for row in comps] for j in members])))
-        families = tuple(families[j] for j in range(p))
+        for b in set(dims[0]):  # one tabulation per block dimension
+            members = [j for j in range(p) if dims[0][j] == b]
+            families.update(zip(members, tabulate(members)))
+        families = tuple([families[j] for j in range(p)])
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "components", tuple(zip(*(f.components for f in families))))
+        object.__setattr__(self, "components", tuple(zip(*[f.components for f in families])))
         object.__setattr__(self, "_families", families)
 
     @property
@@ -273,8 +304,9 @@ def _cell_masses(tables: np.ndarray) -> np.ndarray:
     on a component's own table they are the masses of its knot cells.
     """
     mass = tables
-    for axis in range(1, tables.ndim):
-        mass = np.diff(mass, axis=axis)
+    for axis in range(1, tables.ndim):  # np.diff, without its argument handling
+        lead = (slice(None),) * axis
+        mass = mass[(*lead, slice(1, None))] - mass[(*lead, slice(None, -1))]
     return mass.reshape(len(tables), -1)
 
 
@@ -342,8 +374,8 @@ class _Family(NamedTuple):
     """The components of one variate, tabulated once for evaluation.
 
     ``grid[c]`` holds the pooled knots of coordinate c, sorted and unique.  The
-    families one :func:`_tabulate` call builds share the stacks of which the
-    components are row views, and this family's rows start at ``row``:
+    families one :func:`_families_from_stacks` call builds share the stacks of
+    which the components are row views, and this family's rows start at ``row``:
     ``knots[c]`` and ``values`` hold the components' own knots and tables,
     and ``cells[c][s, k]`` is the own cell of row s that holds pooled cell k,
     from ``grid[c][k]`` up to the next pooled knot (a component's knots are
@@ -402,27 +434,45 @@ def _evaluate(families: Sequence[_Family], family_axes: Sequence) -> np.ndarray:
 
 
 def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
-    """The families of variates of one block dimension, r components each.
-
-    The components' arrays are copied once into padded stacks, and the
-    families hold views of their rows instead.  The maps are one count of
-    interior knots per pooled cell with a running sum along each row, kept in
-    the smallest unsigned type that holds a knot count.
-    """
+    """The families of variates of one block dimension, r components each; a lone
+    component is its own family, with its own arrays."""
     if len(variates) == 1 and len(variates[0]) == 1:
         ((comp,),) = variates
         return [_Family((comp,), comp.knots, tuple(k[None] for k in comp.knots), comp.values[None],
                         None, 0)]
-    n, r = len(variates), len(variates[0])
     comps = [comp for variate in variates for comp in variate]
-    # two or more components, so each _padded stack is a new array, frozen in place
-    knots = tuple(_read_only(_padded(k, np.nan), fresh=True)
-                  for k in zip(*(c.knots for c in comps)))
-    values = _read_only(_padded([c.values for c in comps], 0.0), fresh=True)
-    # the components become views of the stacks' rows, each cut to its own shape
-    comps = [CdfComponent._checked(tuple(k[s, : a.size] for k, a in zip(knots, c.knots)),
-                                   values[(s, *map(slice, c.values.shape))])
-             for s, c in enumerate(comps)]
+    return _padded_families([c.knots for c in comps], [c.values for c in comps], len(variates))
+
+
+def _padded_families(knots: Sequence[tuple], values: Sequence[np.ndarray], n: int) -> list[_Family]:
+    """:func:`_families_from_stacks` of two or more components given one at a
+    time, as knots per coordinate and table, copied once into padded stacks."""
+    stacks = [_padded(k, np.nan) for k in zip(*knots)]
+    return _families_from_stacks(stacks, _padded(values, 0.0), n, [v.shape for v in values])
+
+
+def _families_from_stacks(
+    knots: Sequence[np.ndarray], values: np.ndarray, n: int, shapes: Sequence[tuple] = ()
+) -> list[_Family]:
+    """The families of ``n`` variates of one block dimension from new stacks of
+    their components' knots, per coordinate, and tables, variate by variate;
+    row s is padded with NaN knots and 0 where ``shapes[s]`` is smaller.
+
+    The stacks are frozen in place and the components are views of their rows,
+    cut to their own shapes.  The maps are one count of interior knots per
+    pooled cell with a running sum along each row, kept in the smallest
+    unsigned type that holds a knot count.
+    """
+    knots = tuple([_read_only(k, fresh=True) for k in knots])
+    values = _read_only(values, fresh=True)
+    comps = list(map(CdfComponent._checked, zip(*knots), values))
+    for s, shape in enumerate(shapes):
+        if shape != values.shape[1:]:  # a padded row
+            comps[s] = CdfComponent._checked(tuple(k[s, :m] for k, m in zip(knots, shape)),
+                                             values[(s, *map(slice, shape))])
+    if len(comps) == 1:  # a lone component of a file: its own pooled grid, with no map
+        return [_Family(tuple(comps), comps[0].knots, knots, values, None, 0)]
+    r = len(comps) // n
     grids, cells = [], []
     for kn in knots:
         # each variate's pooled knots: a stable sort of its rows end to end puts
@@ -435,14 +485,14 @@ def _tabulate(variates: Sequence[Sequence[CdfComponent]]) -> list[_Family]:
         inner = np.zeros(kn.shape, dtype=bool)
         inner[:, 1:-1] = ~np.isnan(kn[:, 2:])  # past the first knot and before the last
         pos = np.array([g.searchsorted(kn_j) for g, kn_j in zip(grid, kn.reshape(n, r, -1))])
-        width = max(g.size for g in grid) - 1
+        width = max(map(len, grid)) - 1
         rows = np.arange(n * r)[:, None] * width
         count = np.bincount((rows + pos.reshape(n * r, -1))[inner], minlength=n * r * width)
         grids.append(grid)
         cells.append(_read_only(count.reshape(n * r, -1).cumsum(axis=1),
                                 np.min_scalar_type(kn.shape[1])))
-    return [_Family(tuple(comps[j * r : (j + 1) * r]), tuple(g[j] for g in grids), knots, values,
-                    tuple(cells), j * r) for j in range(n)]
+    return [_Family(tuple(comps[j * r : (j + 1) * r]), grid, knots, values, tuple(cells), j * r)
+            for j, grid in enumerate(zip(*grids))]
 
 
 def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, np.ndarray]:

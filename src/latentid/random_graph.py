@@ -56,14 +56,18 @@ class GraphMixtureModel:
         pi = check_probability_vector(_read_only(self.pi))
         P = _read_only(self.P)
         r = pi.size
-        if P.shape != (r, r):
-            raise InputError(f"P must be {r}x{r}, got {P.shape}")
-        if not np.isfinite(P).all():
-            raise InputError("connection matrix P must be finite")
-        if not np.abs(P - P.T).max() <= _SYMMETRY_ATOL:
-            raise InputError("connection matrix P must be symmetric")
-        if P.min() < 0.0 or P.max() > 1.0:
-            raise InputError("connection probabilities must lie in [0, 1]")
+        # one pass accepts; its range check fails a NaN or infinite entry before
+        # any difference is taken, and the checks below name the first fault
+        if not (P.shape == (r, r) and P.min() >= 0.0 and P.max() <= 1.0
+                and np.abs(P - P.T).max() <= _SYMMETRY_ATOL):
+            if P.shape != (r, r):
+                raise InputError(f"P must be {r}x{r}, got {P.shape}")
+            if not np.isfinite(P).all():
+                raise InputError("connection matrix P must be finite")
+            if not np.abs(P - P.T).max() <= _SYMMETRY_ATOL:
+                raise InputError("connection matrix P must be symmetric")
+            if P.min() < 0.0 or P.max() > 1.0:
+                raise InputError("connection probabilities must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "P", P)
 

@@ -176,9 +176,27 @@ def check_stochastic(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _stochastic_with_rows(mats: Sequence[np.ndarray], r: int) -> bool:
+    """Whether every matrix passes :func:`check_stochastic` and has ``r`` rows:
+    one range check of the matrices side by side, which a NaN or infinite entry
+    also fails, then the row sums, taken as :func:`check_stochastic` takes them."""
+    if any(M.ndim != 2 or M.shape[0] != r or M.shape[1] == 0 for M in mats):
+        return False
+    H = np.concatenate(mats, axis=1)
+    if not (H.min() >= -NEG_ENTRY_TOL and H.max() <= 1.0 + ROW_SUM_TOL):
+        return False
+    sums = np.concatenate([M.sum(axis=1) for M in mats])
+    return np.abs(sums - 1.0).max() <= ROW_SUM_TOL
+
+
 def check_probability_vector(pi) -> np.ndarray:
     """Validate a strictly positive probability vector."""
     pi = np.asarray(pi, dtype=float)
+    # one pass accepts (a NaN fails the minimum, an infinity the sum); the
+    # checks below name the fault of any other vector
+    if pi.ndim == 1 and pi.size and pi.min() > POSITIVE_FLOOR:
+        if abs(pi.sum() - 1.0) <= ROW_SUM_TOL:
+            return pi
     if pi.ndim != 1 or pi.size == 0:
         raise InputError("pi must be a nonempty 1-D array")
     if not np.all(np.isfinite(pi)):

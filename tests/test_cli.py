@@ -806,6 +806,25 @@ class TestReportContract:
         with pytest.raises(KeyError):
             run(["bound", "--r", "2", "--kappa", "2"])
 
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_other_errors_from_a_handler_propagate(self, monkeypatch, error):
+        # only input errors exit 2: a plain ValueError, such as a numpy shape
+        # error, or an IndexError in a handler is a bug
+        def handler(args):
+            raise error("stubbed")
+
+        monkeypatch.setattr(cli, "_cmd_bound", handler)
+        with pytest.raises(error, match="^stubbed$"):
+            run(["bound", "--r", "2", "--kappa", "2"])
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["certify-lc", "--model", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_wrong_model_type_exits_2(self, capsys, hmm_file, lc3_file):
         expected = [
             ("certify-lc", hmm_file, "a latent_class"),

@@ -190,7 +190,7 @@ def test_stacked_check_agrees_with_per_matrix_checks(seed, kappas, which, delta)
             return False
         return True
 
-    assert latent_class._stochastic_with_rows(mats, 3) == per_matrix()
+    assert tensor_core._stochastic_with_rows(mats, 3) == per_matrix()
 
 
 class TestKruskalCertificate:

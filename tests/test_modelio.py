@@ -1,5 +1,7 @@
 import json
 import re
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentid import modelio
-from latentid.errors import InputError
-from latentid.hmm import HiddenMarkovModel
+from latentid.errors import InputError, LatentIdError
+from latentid.hmm import HiddenMarkovModel, _stationary
 from latentid.latent_class import LatentClassModel
 from latentid.modelio import load_model, model_from_dict, model_to_dict, save_model
 from latentid.nonparametric import CdfComponent, NonparametricMixture
@@ -22,6 +24,7 @@ from latentid.sampling import (
     random_probability,
     trial_rng,
 )
+from latentid.tensor_core import POSITIVE_FLOOR, ROW_SUM_TOL, _whole_numbers, check_stochastic
 
 
 def test_latent_class_round_trip(tmp_path):
@@ -119,6 +122,15 @@ def test_loader_checks_each_table_shape_once(model):
         loaded = model_from_dict(model_to_dict(model))
     assert check.call_count == len(shapes)
     assert_same_components(loaded, model)
+
+
+def test_a_fault_in_the_stacked_pass_propagates():
+    # the loader reads a file again one component at a time only after the
+    # exceptions a faulty file raises; any other is a bug and propagates
+    obj = model_to_dict(random_nonparametric_mixture(trial_rng(60, 8), 2, 2))
+    with mock.patch.object(modelio, "_check_tables", side_effect=RuntimeError("stubbed")):
+        with pytest.raises(RuntimeError, match="^stubbed$"):
+            model_from_dict(obj)
 
 
 #: (block dimension of variate 2, knots, values, message) for each table fault
@@ -237,6 +249,20 @@ def test_declared_fields_compare_as_json_lists(convert):
 def test_unknown_type_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"type": "mystery"})
+
+
+@pytest.mark.parametrize("given", ["./missing.json", "a//missing.json", "missing.json/", "", "d/"])
+def test_an_unreadable_file_is_named_as_pathlib_names_it(tmp_path, monkeypatch, given):
+    # a file is opened by the name given, and one that fails is opened again
+    # through Path, so the error names the path as pathlib normalizes it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(OSError) as expected:
+        Path(given).read_text()
+    with pytest.raises(type(expected.value)) as raised:
+        load_model(given)
+    assert str(raised.value) == str(expected.value)
+    assert "./" not in str(raised.value) and "//" not in str(raised.value)
 
 
 def test_only_models_are_serialized():
@@ -389,3 +415,140 @@ def test_loader_equals_building_each_component(obj):
             assert [k.tobytes() for k in a.knots] == [k.tobytes() for k in b.knots]
             assert a.values.tobytes() == b.values.tobytes()
             assert not any(x.flags.writeable for x in (*a.knots, a.values))
+
+
+#: faults a fuzzed latent-class, HMM or graph file may carry, each put into one array
+ARRAY_FAULTS = {
+    "latent_class": (
+        "nan", "infinity", "negative", "row-sum", "pi-zero", "pi-negative", "ragged",
+        "extra-row", "missing-row",
+    ),
+    "hmm": (
+        "nan", "infinity", "negative", "row-sum", "non-square", "extra-row", "missing-row",
+        "ragged",
+    ),
+    "graph_mixture": (
+        "nan", "infinity", "negative", "asymmetric", "pi-zero", "pi-negative", "ragged",
+    ),
+}
+
+
+@st.composite
+def array_documents(draw, family):
+    """A ``family`` file's object with 0 to 2 faults, as JSON holds it: ``NaN``
+    and ``Infinity`` literals load as floats."""
+    rng = trial_rng(draw(st.integers(0, 2**16)), 0)
+    model = {
+        "latent_class": lambda: random_latent_class(
+            rng, draw(st.integers(1, 3)), draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+        ),
+        "hmm": lambda: random_hmm(rng, draw(st.integers(1, 3)), draw(st.integers(2, 3))),
+        "graph_mixture": lambda: random_graph_mixture(rng),
+    }[family]()
+    obj = json.loads(json.dumps(model_to_dict(model)))
+    obj = {key: value for key, value in obj.items() if key in ("type", "pi", "A", "B", "P",
+                                                               "emissions")}  # no declared shape
+    matrices = {"latent_class": obj.get("emissions"), "hmm": [obj.get("A"), obj.get("B")],
+                "graph_mixture": [obj.get("P")]}[family]
+    for fault in draw(st.lists(st.sampled_from(ARRAY_FAULTS[family]), max_size=2)):
+        M = draw(st.sampled_from(matrices))
+        i, j = draw(st.integers(0, len(M) - 1)), draw(st.integers(0, len(M[0]) - 1))
+        if fault in ("nan", "infinity", "negative"):
+            target = draw(st.sampled_from([M[i], obj.get("pi", M[i])]))
+            k = draw(st.integers(0, len(target) - 1))
+            target[k] = {"nan": float("nan"), "negative": -0.1,
+                         "infinity": draw(st.sampled_from([float("inf"), -float("inf")]))}[fault]
+        elif fault == "row-sum":
+            M[i][j] += 1e-6
+        elif fault == "asymmetric":
+            M[0][1] += 1e-6
+        elif fault in ("pi-zero", "pi-negative"):
+            k = draw(st.integers(0, len(obj["pi"]) - 1))
+            obj["pi"][k] = 0.0 if fault == "pi-zero" else -obj["pi"][k]
+        elif fault == "ragged" and len(M[i]) > 1:
+            M[i].pop()
+        elif fault == "extra-row":
+            M.append(list(M[i]))
+        elif fault == "missing-row" and len(M) > 1:
+            M.pop(i)
+        elif fault == "non-square":
+            for row in obj["A"]:
+                row.append(0.0)
+    return json.loads(json.dumps(obj))
+
+
+def check_chain(obj) -> tuple:
+    """The arrays of a latent-class, HMM or graph file, decided one check at a
+    time, in the order of each constructor's chain, with its messages."""
+    def probability_vector(pi):
+        if pi.ndim != 1 or pi.size == 0:
+            raise InputError("pi must be a nonempty 1-D array")
+        if not np.all(np.isfinite(pi)):
+            raise InputError("pi contains non-finite entries")
+        if pi.min() <= POSITIVE_FLOOR:
+            raise InputError("pi entries must be strictly positive")
+        if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
+            raise InputError(f"pi must sum to 1 (got {pi.sum():.12g})")
+        return pi
+
+    def floats(key):
+        return modelio._floats(obj[key], key)
+
+    if obj["type"] == "latent_class":
+        mats = tuple(modelio._floats(M, "emissions") for M in obj["emissions"])
+        pi = probability_vector(floats("pi"))
+        for j, M in enumerate(mats):
+            check_stochastic(M, name=f"emissions[{j}]")
+        for j, M in enumerate(mats):
+            if M.shape[0] != pi.size:
+                raise InputError(f"emissions[{j}] has {M.shape[0]} rows, expected r={pi.size}")
+        _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
+        return pi, mats
+    if obj["type"] == "hmm":
+        A, B = floats("A"), floats("B")
+        check_stochastic(A, name="A")
+        check_stochastic(B, name="B")
+        if B.shape[0] != A.shape[0]:
+            raise InputError(f"B has {B.shape[0]} rows, expected r={A.shape[0]}")
+        _stationary(A)
+        return A, B
+    pi, P = floats("pi"), floats("P")
+    r = probability_vector(pi).size
+    if P.shape != (r, r):
+        raise InputError(f"P must be {r}x{r}, got {P.shape}")
+    if not np.isfinite(P).all():
+        raise InputError("connection matrix P must be finite")
+    if not np.abs(P - P.T).max() <= 1e-12:
+        raise InputError("connection matrix P must be symmetric")
+    if P.min() < 0.0 or P.max() > 1.0:
+        raise InputError("connection probabilities must lie in [0, 1]")
+    return pi, P
+
+
+@pytest.mark.parametrize("family", sorted(ARRAY_FAULTS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_single_pass_loads_decide_as_the_check_chain(family, data):
+    # each constructor's one stacked pass accepts what its check chain
+    # accepts, without a warning; a refusal names the chain's first fault
+    obj = data.draw(array_documents(family))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            arrays = check_chain(obj)
+        except LatentIdError as error:
+            with pytest.raises(type(error)) as raised:
+                model_from_dict(obj)
+            assert str(raised.value) == str(error)
+            return
+        loaded = model_from_dict(obj)
+    kind = {"latent_class": LatentClassModel, "hmm": HiddenMarkovModel,
+            "graph_mixture": GraphMixtureModel}[obj["type"]]
+    built = kind(*arrays)
+    fields = {"latent_class": ("pi",), "hmm": ("A", "B", "pi", "A_rev"),
+              "graph_mixture": ("pi", "P")}[obj["type"]]
+    got = [getattr(loaded, f) for f in fields] + list(getattr(loaded, "emissions", ()))
+    want = [getattr(built, f) for f in fields] + list(getattr(built, "emissions", ()))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert not any(a.flags.writeable for a in got)

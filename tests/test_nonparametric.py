@@ -488,17 +488,23 @@ class TestCutScanAgreement:
 
     def test_each_variate_is_tabulated_once(self, monkeypatch):
         # a mixture, built or loaded, makes one family per variate, and only
-        # _tabulate stacks components and pools their knots; cut selection,
-        # recovery, bivariate ranks and component CDFs read those families
-        # and build none
-        builds = []
-        build = nonparametric._tabulate
+        # _families_from_stacks makes component views and pools their knots;
+        # cut selection, recovery, bivariate ranks and component CDFs read
+        # those families and tabulate nothing
+        builds, tabulated = [], []
+        build, tabulate = nonparametric._families_from_stacks, nonparametric._tabulate
 
-        def counting_build(variates):
-            builds.extend(variates)
-            return build(variates)
+        def counting_build(*args):
+            families = build(*args)
+            builds.extend(families)
+            return families
 
-        monkeypatch.setattr(nonparametric, "_tabulate", counting_build)
+        def counting_tabulate(variates):
+            tabulated.append(variates)
+            return tabulate(variates)
+
+        monkeypatch.setattr(nonparametric, "_families_from_stacks", counting_build)
+        monkeypatch.setattr(nonparametric, "_tabulate", counting_tabulate)
         for r, p, block_dims in [(2, 3, None), (3, 4, [1, 2, 1, 1]), (4, 5, None)]:
             document = model_to_dict(
                 random_nonparametric_mixture(trial_rng(71, r), r, p, block_dims=block_dims)
@@ -511,12 +517,13 @@ class TestCutScanAgreement:
                 mix = build_mixture()
                 assert len(builds) == p
                 builds.clear()
+                tabulated.clear()
                 queries = [[0.5] if b == 1 else [(0.5,) * b] for b in mix.block_dims]
                 select_mixture_cuts(mix)
                 recover_mixture(mix, queries)
                 bivariate_rank(mix, 0, p - 1, np.linspace(0.1, 0.9, r), np.linspace(0.1, 0.9, r))
                 component_cdfs(mix, queries)
-                assert builds == []
+                assert builds == [] and tabulated == []
 
     def test_at_most_r_svds(self, monkeypatch):
         # rank grows at every step or the family is refused
