@@ -81,7 +81,7 @@ def _stationary(A: np.ndarray) -> np.ndarray:
         raise InputError(f"transition matrix must be square, got {A.shape}")
     lam, V = np.linalg.eig(A.T)
     dist = np.abs(lam - 1.0)
-    order = dist.argsort()
+    order = np.argsort(dist)
     if r > 1 and dist[order[1]] <= STATIONARY_GAP_TOL:
         raise NonUniqueStationaryError(
             "unit eigenvalue of the transition matrix is not simple"

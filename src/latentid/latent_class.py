@@ -50,7 +50,7 @@ class LatentClassModel:
 
     def __post_init__(self):
         pi = check_probability_vector(_read_only(self.pi))
-        mats = tuple([_read_only(M) for M in self.emissions])
+        mats = tuple(_read_only(M) for M in self.emissions)
         if len(mats) < 1:
             raise InputError("at least one variable is required")
         r = pi.size
@@ -64,8 +64,7 @@ class LatentClassModel:
                         f"emissions[{j}] has {M.shape[0]} rows, expected r={r}"
                     )
         _whole_numbers([M.shape[1] for M in mats], "kappas", 2)
-        object.__setattr__(self, "pi", pi)  # read-only copies, made above
-        object.__setattr__(self, "emissions", mats)
+        self._adopt(pi, mats)
 
     @classmethod
     def _checked(cls, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> "LatentClassModel":
@@ -78,7 +77,7 @@ class LatentClassModel:
     def _adopt(self, pi: np.ndarray, emissions: tuple[np.ndarray, ...]) -> None:
         """Freeze the model's own arrays in place and set them as its fields."""
         object.__setattr__(self, "pi", _read_only(pi, fresh=True))
-        object.__setattr__(self, "emissions", tuple([_read_only(M, fresh=True) for M in emissions]))
+        object.__setattr__(self, "emissions", tuple(_read_only(M, fresh=True) for M in emissions))
 
     @property
     def r(self) -> int:
@@ -90,7 +89,7 @@ class LatentClassModel:
 
     @property
     def kappas(self) -> tuple[int, ...]:
-        return tuple([M.shape[1] for M in self.emissions])
+        return tuple(M.shape[1] for M in self.emissions)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,14 @@ Schemas, one per model family, dispatched on the ``"type"`` key:
 A file is read as its model's public constructor reads its arrays, with
 every check: the constructor accepts a valid model in one stacked pass and
 names the first fault of any other.  A nonparametric file makes no
-component objects.  Its entries are grouped by table shape, which the knot
-lists' lengths give; each group's knots, per coordinate, and tables are
-converted in one call each and checked once by
-:func:`~latentid.nonparametric._check_tables`, the checks of
-:class:`~latentid.nonparametric.CdfComponent`.  The mixture takes those
-stacks as its own, padding them only where one block dimension has tables
-of several shapes, and makes the one set of component views.  A file that
-fails is read again one component at a time, in file order, so the error
-names its first fault, as checking each component on its own would.
+component objects here: its knot lists and tables go as parsed to
+:meth:`~latentid.nonparametric.NonparametricMixture._from_entries`, which
+converts each table shape's entries with one :func:`_floats` call per knot
+coordinate and one for the tables, checks them once with the checks of
+:class:`~latentid.nonparametric.CdfComponent`, and takes the stacks as its
+own.  A file that fails is read again one component at a time, in file
+order, so the error names its first fault, as checking each component on
+its own would.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import InputError
 from .hmm import HiddenMarkovModel
 from .latent_class import LatentClassModel
-from .nonparametric import CdfComponent, NonparametricMixture, _check_tables
+from .nonparametric import CdfComponent, NonparametricMixture
 from .random_graph import GraphMixtureModel
 
 Model = LatentClassModel | HiddenMarkovModel | GraphMixtureModel | NonparametricMixture
@@ -148,36 +147,17 @@ def _parse_component(entry) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return knots, _floats(_field(entry, "values", "a component"), "values")
 
 
-def _tables(rows) -> tuple[list[list[int]], list[tuple]]:
-    """The block dimensions of a file's ``[class][variate]`` grid of components,
-    and per shape of table, which the knot lists' lengths give, the entries
-    ``index`` (class i's of variate j is entry ``j * r + i``) as ``(index,
-    knots, values)``: their knots, per coordinate, and tables, each converted
-    by one :func:`_floats` call and checked by one :func:`_check_tables` call.
-    A fault, not always the file's first, raises :class:`InputError`, or
-    :class:`KeyError`, :class:`IndexError` or :class:`TypeError` where a field
-    is missing or of the wrong type."""
+def _entries(rows) -> tuple[list[list], list[list]]:
+    """The knot lists and tables, as parsed, of a file's ``[class][variate]``
+    grid of components.  A fault, not always the file's first, raises
+    :class:`InputError`, or :class:`KeyError` where a field is missing."""
     rows = [_list(row, "a components row") for row in _list(rows, "components")]
-    entries = [entry for variate in zip(*rows) for entry in variate]  # variate by variate
-    if len(entries) != sum(map(len, rows)) or {*map(type, entries)} != {dict}:
-        raise InputError("not a grid of objects")
-    knots = [entry["knots"] for entry in entries]
-    if {*map(type, knots)} != {list}:
+    if {type(entry) for row in rows for entry in row} != {dict}:
+        raise InputError("components must be objects")
+    knots = [[entry["knots"] for entry in row] for row in rows]
+    if {type(kn) for row in knots for kn in row} != {list}:
         raise InputError("knots must be lists")
-    # a shape: the knot count of a flat list, or of each list of a nested one
-    shapes = [tuple(map(len, kn)) if type(kn[0]) is list else len(kn) for kn in knots]
-    tables = []
-    for shape in dict.fromkeys(shapes):
-        index = [s for s, other in enumerate(shapes) if other == shape]
-        if type(shape) is int:
-            stacks = [_floats([knots[s] for s in index], "knots")]
-        else:
-            stacks = [_floats([knots[s][c] for s in index], "knots") for c in range(len(shape))]
-        values = _floats([entries[s]["values"] for s in index], "values")
-        _check_tables(stacks, values)
-        tables.append((index, stacks, values))
-    dims = [1 if type(shape) is int else len(shape) for shape in shapes]
-    return [dims[i :: len(rows)] for i in range(len(rows))], tables
+    return knots, [[entry["values"] for entry in row] for row in rows]
 
 
 def _plain(value):
@@ -203,7 +183,7 @@ def model_from_dict(obj: dict) -> Model:
 
     if kind == "latent_class":
         emissions = _list(_field(obj, "emissions", owner), "emissions")
-        emissions = tuple([_floats(M, "emissions") for M in emissions])
+        emissions = tuple(_floats(M, "emissions") for M in emissions)
         model = LatentClassModel(pi=floats("pi"), emissions=emissions)
     elif kind == "hmm":
         model = HiddenMarkovModel(A=floats("A"), B=floats("B"))
@@ -212,7 +192,7 @@ def model_from_dict(obj: dict) -> Model:
     elif kind == "nonparametric":
         rows = _field(obj, "components", owner)
         try:
-            dims, tables = _tables(rows)
+            model = NonparametricMixture._from_entries(floats("pi"), *_entries(rows), _floats)
         except (InputError, KeyError, IndexError, TypeError):
             # read again one component at a time, in file order, to name the first fault
             rows = tuple(
@@ -220,12 +200,10 @@ def model_from_dict(obj: dict) -> Model:
                 for row in _list(rows, "components")
             )
             model = NonparametricMixture(pi=floats("pi"), components=rows)
-        else:
-            model = NonparametricMixture._from_tables(floats("pi"), dims, tables)
     else:
         raise InputError(f"unknown model type {kind!r}")
     for key in ("r", "p", "kappa", "kappas", "block_dims"):
-        if key in obj and hasattr(type(model), key):  # a property, evaluated once
+        if key in obj and hasattr(model, key):
             actual = getattr(model, key)
             if _plain(actual) != _plain(obj[key]):
                 raise InputError(f"declared {key}={obj[key]} but the model has {actual}")
@@ -237,7 +215,7 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    try:  # Path(path).read_text() parses the path first: about 5 us more per file
+    try:  # Path(path).read_text() parses the path first; the name given opens without it
         with open(os.fspath(path)) as f:
             text = f.read()
     except OSError:  # raised again as Path raises it, naming the path as Path writes it

@@ -8,10 +8,9 @@ which turns the continuous mixture into an exactly solvable finite one.
 A mixture stacks and tabulates its components once, when it is built, with a
 map from each pooled knot cell to each component's own cell, so evaluating a
 variate on any grid takes one search per coordinate for all its components.
-A model file's tables, stacked and checked once per shape, become those
-stacks, padded only where one block dimension has several shapes, with one
-set of component views and no other component objects
-(``NonparametricMixture._from_tables``).
+A model file's tables are converted and checked once per table shape and
+become those stacks, with one set of component views and no other component
+objects (``NonparametricMixture._from_entries``).
 Cut selection keeps its state in stacked arrays, one group of variates per
 shape of candidate and cut grid: the axes of all variates with the same knot
 and query counts are sorted in one pass, the variates of one block dimension
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -145,21 +143,17 @@ class NonparametricMixture:
                     lambda members: _tabulate([[row[j] for row in comps] for j in members]))
 
     @classmethod
-    def _from_tables(cls, pi, dims: Sequence[Sequence[int]], tables) -> "NonparametricMixture":
+    def _from_entries(cls, pi, knots, values, floats) -> "NonparametricMixture":
         """The mixture the constructor builds, with its checks and refusals, from
-        stacks of one shape of table that :func:`_check_tables` passed: row k of
-        ``(index, knots, values)`` in ``tables`` is the component of class i and
-        variate j, of block dimension ``dims[i][j]``, where ``index[k] = j * r + i``."""
-        def tabulate(members):
-            mine = [table for table in tables if len(table[1]) == dims[0][members[0]]]
-            if len(mine) == 1:  # its rows are the families', variate by variate: kept
-                return _families_from_stacks(*mine[0][1:], len(members))
-            rows = sorted([row for index, knots, values in mine  # copied once, padded
-                           for row in zip(index, zip(*knots), values)], key=itemgetter(0))
-            return _padded_families([kn for _, kn, _ in rows], [v for *_, v in rows], len(members))
-
+        the ``[class][variate]`` grids of a model file's knot lists and tables,
+        as parsed; ``floats(value, name)`` converts a nested list of numbers.  A
+        fault, not always the first, raises :class:`InputError`,
+        :class:`IndexError` or :class:`TypeError`."""
+        knots = [[kn if type(kn[0]) is list else [kn] for kn in row] for row in knots]
         mixture = cls.__new__(cls)
-        mixture._build(pi, dims, tabulate)
+        mixture._build(pi, [list(map(len, row)) for row in knots], lambda members: (
+            _stacked_families([row[j] for j in members for row in knots],
+                              [row[j] for j in members for row in values], len(members), floats)))
         return mixture
 
     def _build(self, pi, dims: Sequence[Sequence[int]], tabulate) -> None:
@@ -180,9 +174,9 @@ class NonparametricMixture:
         for b in set(dims[0]):  # one tabulation per block dimension
             members = [j for j in range(p) if dims[0][j] == b]
             families.update(zip(members, tabulate(members)))
-        families = tuple([families[j] for j in range(p)])
+        families = tuple(families[j] for j in range(p))
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "components", tuple(zip(*[f.components for f in families])))
+        object.__setattr__(self, "components", tuple(zip(*(f.components for f in families))))
         object.__setattr__(self, "_families", families)
 
     @property
@@ -304,9 +298,8 @@ def _cell_masses(tables: np.ndarray) -> np.ndarray:
     on a component's own table they are the masses of its knot cells.
     """
     mass = tables
-    for axis in range(1, tables.ndim):  # np.diff, without its argument handling
-        lead = (slice(None),) * axis
-        mass = mass[(*lead, slice(1, None))] - mass[(*lead, slice(None, -1))]
+    for axis in range(1, tables.ndim):
+        mass = np.diff(mass, axis=axis)
     return mass.reshape(len(tables), -1)
 
 
@@ -463,15 +456,15 @@ def _families_from_stacks(
     pooled cell with a running sum along each row, kept in the smallest
     unsigned type that holds a knot count.
     """
-    knots = tuple([_read_only(k, fresh=True) for k in knots])
+    knots = tuple(_read_only(k, fresh=True) for k in knots)
     values = _read_only(values, fresh=True)
     comps = list(map(CdfComponent._checked, zip(*knots), values))
     for s, shape in enumerate(shapes):
         if shape != values.shape[1:]:  # a padded row
             comps[s] = CdfComponent._checked(tuple(k[s, :m] for k, m in zip(knots, shape)),
                                              values[(s, *map(slice, shape))])
-    if len(comps) == 1:  # a lone component of a file: its own pooled grid, with no map
-        return [_Family(tuple(comps), comps[0].knots, knots, values, None, 0)]
+    if len(comps) == 1:  # a lone component of a file
+        return _tabulate([comps])
     r = len(comps) // n
     grids, cells = [], []
     for kn in knots:
@@ -485,14 +478,36 @@ def _families_from_stacks(
         inner = np.zeros(kn.shape, dtype=bool)
         inner[:, 1:-1] = ~np.isnan(kn[:, 2:])  # past the first knot and before the last
         pos = np.array([g.searchsorted(kn_j) for g, kn_j in zip(grid, kn.reshape(n, r, -1))])
-        width = max(map(len, grid)) - 1
+        width = max(g.size for g in grid) - 1
         rows = np.arange(n * r)[:, None] * width
         count = np.bincount((rows + pos.reshape(n * r, -1))[inner], minlength=n * r * width)
         grids.append(grid)
         cells.append(_read_only(count.reshape(n * r, -1).cumsum(axis=1),
                                 np.min_scalar_type(kn.shape[1])))
-    return [_Family(tuple(comps[j * r : (j + 1) * r]), grid, knots, values, tuple(cells), j * r)
-            for j, grid in enumerate(zip(*grids))]
+    return [_Family(tuple(comps[j * r : (j + 1) * r]), tuple(g[j] for g in grids), knots, values,
+                    tuple(cells), j * r) for j in range(n)]
+
+
+def _stacked_families(knots: Sequence[list], values: Sequence, n: int, floats) -> list[_Family]:
+    """:func:`_families_from_stacks` of ``n`` variates of one block dimension
+    given as parsed, variate by variate: per component, one knot list per
+    coordinate and a table.  The components of each table shape, which the
+    knot lists' lengths give, are converted by one ``floats`` call per
+    coordinate and one for the tables and checked by one :func:`_check_tables`
+    call; their rows are copied into padded stacks only where the block
+    dimension has several shapes."""
+    shapes = [tuple(map(len, kn)) for kn in knots]
+    rows = [None] * len(knots)
+    for shape in dict.fromkeys(shapes):
+        index = [s for s, other in enumerate(shapes) if other == shape]
+        stacks = [floats([knots[s][c] for s in index], "knots") for c in range(len(shape))]
+        tables = floats([values[s] for s in index], "values")
+        _check_tables(stacks, tables)
+        if len(index) == len(knots):  # one shape: these are the families' own stacks
+            return _families_from_stacks(stacks, tables, n)
+        for s, *row in zip(index, zip(*stacks), tables):
+            rows[s] = row
+    return _padded_families(*zip(*rows), n)
 
 
 def select_cut_points(components: Sequence[CdfComponent]) -> tuple[CutPointSet, np.ndarray]:

@@ -180,7 +180,7 @@ def _stochastic_with_rows(mats: Sequence[np.ndarray], r: int) -> bool:
     """Whether every matrix passes :func:`check_stochastic` and has ``r`` rows:
     one range check of the matrices side by side, which a NaN or infinite entry
     also fails, then the row sums, taken as :func:`check_stochastic` takes them."""
-    if any(M.ndim != 2 or M.shape[0] != r or M.shape[1] == 0 for M in mats):
+    if r < 1 or any(M.ndim != 2 or M.shape[0] != r or M.shape[1] == 0 for M in mats):
         return False
     H = np.concatenate(mats, axis=1)
     if not (H.min() >= -NEG_ENTRY_TOL and H.max() <= 1.0 + ROW_SUM_TOL):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentid import modelio
+from latentid import modelio, nonparametric
 from latentid.errors import InputError, LatentIdError
 from latentid.hmm import HiddenMarkovModel, _stationary
 from latentid.latent_class import LatentClassModel
@@ -118,7 +118,8 @@ def test_loader_checks_each_table_shape_once(model):
         (tuple(k.shape for k in comp.knots), comp.values.shape)
         for row in model.components for comp in row
     }
-    with mock.patch.object(modelio, "_check_tables", wraps=modelio._check_tables) as check:
+    check_tables = nonparametric._check_tables
+    with mock.patch.object(nonparametric, "_check_tables", wraps=check_tables) as check:
         loaded = model_from_dict(model_to_dict(model))
     assert check.call_count == len(shapes)
     assert_same_components(loaded, model)
@@ -128,7 +129,7 @@ def test_a_fault_in_the_stacked_pass_propagates():
     # the loader reads a file again one component at a time only after the
     # exceptions a faulty file raises; any other is a bug and propagates
     obj = model_to_dict(random_nonparametric_mixture(trial_rng(60, 8), 2, 2))
-    with mock.patch.object(modelio, "_check_tables", side_effect=RuntimeError("stubbed")):
+    with mock.patch.object(nonparametric, "_check_tables", side_effect=RuntimeError("stubbed")):
         with pytest.raises(RuntimeError, match="^stubbed$"):
             model_from_dict(obj)
 
@@ -552,3 +553,10 @@ def test_single_pass_loads_decide_as_the_check_chain(family, data):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert [a.shape for a in got] == [a.shape for a in want]
     assert not any(a.flags.writeable for a in got)
+
+
+def test_zero_row_hmm_arrays_are_refused_by_the_check_chain():
+    # zero-row arrays from a Python caller fail the stacked pass on their row
+    # count, so the check chain names the fault
+    with pytest.raises(InputError, match="^A must have at least one row and column$"):
+        HiddenMarkovModel(A=np.zeros((0, 2)), B=np.zeros((0, 3)))
