@@ -107,7 +107,7 @@ def _floats(value, name: str) -> np.ndarray:
     """A number or nested list of numbers as a float array.  One pass over the
     element types, in C, accepts the ints and floats of a JSON file at once,
     and refuses a boolean, null or string among the numbers, which numpy would
-    convert."""
+    convert, and an integer past the float range."""
     try:
         floats = np.asarray(value, dtype=float)
         items = [value] if floats.ndim == 0 else value
@@ -117,6 +117,8 @@ def _floats(value, name: str) -> np.ndarray:
             return floats
     except (TypeError, ValueError):  # decided below, with the message
         pass
+    except OverflowError:
+        raise InputError(f"{name} holds an integer past the float range") from None
     try:
         arr = np.asarray(value)
         floats = arr.astype(float, copy=False)  # also integers past int64, held as objects

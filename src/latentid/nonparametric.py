@@ -8,9 +8,9 @@ which turns the continuous mixture into an exactly solvable finite one.
 A mixture stacks and tabulates its components once, when it is built, with a
 map from each pooled knot cell to each component's own cell, so evaluating a
 variate on any grid takes one search per coordinate for all its components.
-A model file's tables are converted and checked once per table shape and
-become those stacks, with one set of component views and no other component
-objects (``NonparametricMixture._from_entries``).
+A model file's tables, and a random mixture's, are checked once per table
+shape and become those stacks, with one set of component views and no other
+component objects (``NonparametricMixture._from_entries`` and ``_from_pieces``).
 Cut selection keeps its state in stacked arrays, one group of variates per
 shape of candidate and cut grid: the axes of all variates with the same knot
 and query counts are sorted in one pass, the variates of one block dimension
@@ -62,8 +62,8 @@ class CdfComponent:
 
     The checks live in :func:`_check_tables`, which takes a stack of tables
     of one shape; the constructor runs it on a stack of one.  The model file
-    loader runs it once per table shape, and re-checks a failing file one
-    component at a time to name its first fault.
+    loader and the mixture sampler run it once per table shape, and the loader
+    re-checks a failing file one component at a time to name its first fault.
     """
 
     def __init__(self, knots, values):
@@ -150,10 +150,45 @@ class NonparametricMixture:
         fault, not always the first, raises :class:`InputError`,
         :class:`IndexError` or :class:`TypeError`."""
         knots = [[kn if type(kn[0]) is list else [kn] for kn in row] for row in knots]
+
+        def tabulate(members):
+            kn = [row[j] for j in members for row in knots]
+            tables = [row[j] for j in members for row in values]
+            return _stacked_families([tuple(map(len, k)) for k in kn], lambda index: (
+                [floats([kn[s][c] for s in index], "knots") for c in range(len(kn[index[0]]))],
+                floats([tables[s] for s in index], "values")), len(members))
+
         mixture = cls.__new__(cls)
-        mixture._build(pi, [list(map(len, row)) for row in knots], lambda members: (
-            _stacked_families([row[j] for j in members for row in knots],
-                              [row[j] for j in members for row in values], len(members), floats)))
+        mixture._build(pi, [list(map(len, row)) for row in knots], tabulate)
+        return mixture
+
+    @classmethod
+    def _from_pieces(cls, pi, block_dims, knots, values, sizes) -> "NonparametricMixture":
+        """The mixture the constructor builds, with its checks and refusals, from
+        one-dimensional pieces laid out class by class, variate by variate: row k
+        of ``knots`` and ``values`` starts with piece k's ``sizes[k]`` knots and
+        CDF values, and a variate of block dimension b takes b pieces in turn,
+        its component their product as :meth:`CdfComponent.from_product` forms it."""
+        r, starts = len(pi), np.cumsum([0, *block_dims])
+
+        def tabulate(members):
+            b = block_dims[members[0]]
+            at = starts[members][:, None, None] + starts[-1] * np.arange(r)[:, None] + np.arange(b)
+            at = at.reshape(-1, b)  # the pieces of each component, variate by variate
+            shapes = list(map(tuple, sizes[at].tolist()))
+
+            def stack(index):
+                rows, shape = at[index], shapes[index[0]]
+                tables = values[rows[:, 0], : shape[0]]
+                for c in range(1, b):  # the left fold of from_product, broadcast
+                    tables = tables[..., None] * values[rows[:, c], : shape[c]].reshape(
+                        len(rows), *(1,) * c, shape[c])
+                return [knots[rows[:, c], :m] for c, m in enumerate(shape)], tables
+
+            return _stacked_families(shapes, stack, len(members))
+
+        mixture = cls.__new__(cls)
+        mixture._build(pi, [block_dims] * r, tabulate)
         return mixture
 
     def _build(self, pi, dims: Sequence[Sequence[int]], tabulate) -> None:
@@ -333,8 +368,10 @@ def _check_tables(knots: Sequence[np.ndarray], values: np.ndarray) -> None:
                 f"slice at the first knot of coordinate {c} must be 0 "
                 "(the table clamps to its endpoints)"
             )
-    lowest = _cell_masses(values).min()
-    if lowest < -NEG_ENTRY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # differences past the float range
+        masses = _cell_masses(values)
+    if not masses.min() >= -NEG_ENTRY_TOL:  # NaN too: an infinite difference less another
+        lowest = np.fmin.reduce(masses, axis=None)
         raise InputError(f"CDF table has a negative cell mass {lowest:.3g}")
     if np.abs(values.reshape(len(values), -1)[:, -1] - 1.0).max() > ROW_SUM_TOL:
         raise InputError("top corner of the CDF table must be 1")
@@ -488,22 +525,19 @@ def _families_from_stacks(
                     tuple(cells), j * r) for j in range(n)]
 
 
-def _stacked_families(knots: Sequence[list], values: Sequence, n: int, floats) -> list[_Family]:
+def _stacked_families(shapes: Sequence[tuple], stack, n: int) -> list[_Family]:
     """:func:`_families_from_stacks` of ``n`` variates of one block dimension
-    given as parsed, variate by variate: per component, one knot list per
-    coordinate and a table.  The components of each table shape, which the
-    knot lists' lengths give, are converted by one ``floats`` call per
-    coordinate and one for the tables and checked by one :func:`_check_tables`
-    call; their rows are copied into padded stacks only where the block
-    dimension has several shapes."""
-    shapes = [tuple(map(len, kn)) for kn in knots]
-    rows = [None] * len(knots)
+    whose components, variate by variate, have tables of ``shapes[s]``;
+    ``stack(index)`` gives the components at ``index``, all of one shape, as
+    new stacks of their knots, per coordinate, and tables.  Each table shape's
+    stacks are checked by one :func:`_check_tables` call, and their rows are
+    copied into padded stacks only where the block dimension has several shapes."""
+    rows = [None] * len(shapes)
     for shape in dict.fromkeys(shapes):
         index = [s for s, other in enumerate(shapes) if other == shape]
-        stacks = [floats([knots[s][c] for s in index], "knots") for c in range(len(shape))]
-        tables = floats([values[s] for s in index], "values")
+        stacks, tables = stack(index)
         _check_tables(stacks, tables)
-        if len(index) == len(knots):  # one shape: these are the families' own stacks
+        if len(index) == len(shapes):  # one shape: these are the families' own stacks
             return _families_from_stacks(stacks, tables, n)
         for s, *row in zip(index, zip(*stacks), tables):
             rows[s] = row

@@ -11,6 +11,10 @@ the private ``_checked`` constructors of :class:`LatentClassModel` and
 normalized in place instead of copying and re-checking them; the sampler
 refuses what the public constructor would, with its message, and the model
 is the one the public constructor builds from the same arrays.
+:func:`random_nonparametric_mixture` draws all its piecewise-linear marginals
+with one uniform call, the stream of drawing them one at a time, and builds
+the mixture from the stacked rows: the constructor's checks run once per
+table shape, and no component is built on its own.
 """
 
 from __future__ import annotations
@@ -152,18 +156,47 @@ def random_graph_mixture(rng, equal_mixing: bool = False) -> GraphMixtureModel:
     )
 
 
+def _draw_cdfs(rng, count: int, n_knots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` random piecewise-linear CDFs on [0, 1], as :func:`random_piecewise_cdf`
+    draws them one after another: row k of the knots and values starts with
+    piece k's ``sizes[k]`` entries.
+
+    The pieces' inner knots and steps come from one uniform call, row by row.
+    A repeated knot (measure zero) leaves its piece fewer knots and so fewer
+    steps: the generator is rewound past the pieces before it and its inner
+    knots, it draws its steps alone, and the pieces after it form a new batch.
+    """
+    (lo, hi), inner, width = _CDF_SUPPORT, n_knots - 2, 2 * n_knots - 3
+    low, high = np.repeat([[lo, hi], [0.2, 1.0]], [inner, n_knots - 1], axis=0).T
+    knots, values = np.full((count, n_knots), lo), np.zeros((count, n_knots))
+    knots[:, -1], sizes, done = hi, np.full(count, n_knots), 0
+    while done < count:
+        start = rng.bit_generator.state
+        U = rng.uniform(low, high, size=(count - done, width))
+        batch = knots[done:]
+        batch[:, 1:-1] = np.sort(U[:, :inner], axis=1)
+        repeated = np.flatnonzero((batch[:, 1:] == batch[:, :-1]).any(axis=1)).tolist()
+        good = repeated[0] if repeated else len(U)
+        values[done : done + good, 1:] = np.cumsum(U[:good, inner:], axis=1)
+        done += good
+        if repeated:
+            rng.bit_generator.state = start
+            rng.uniform(0.0, 1.0, size=good * width + inner)
+            kn = np.unique(knots[done])
+            knots[done, : kn.size], sizes[done] = kn, kn.size
+            values[done, 1 : kn.size] = np.cumsum(rng.uniform(0.2, 1.0, size=kn.size - 1))
+            done += 1
+    return knots, values / values[np.arange(count), sizes - 1][:, None], sizes
+
+
 def random_piecewise_cdf(rng, n_knots: int = 5) -> CdfComponent:
-    """Random strictly increasing piecewise-linear CDF on [0, 1]."""
+    """Random strictly increasing piecewise-linear CDF on [0, 1]: a knot at
+    each end, ``n_knots - 2`` uniform ones between, and a uniform step in
+    [0.2, 1) per knot interval, summed and scaled to end at 1."""
     n_knots = _whole_number(n_knots, "n_knots", 2)
     _check_entries(n_knots, "knot array")
-    rng = np.random.default_rng(rng)
-    lo, hi = _CDF_SUPPORT
-    inner = np.sort(rng.uniform(lo, hi, size=n_knots - 2))
-    knots = np.unique(np.concatenate([[lo], inner, [hi]]))
-    steps = rng.uniform(0.2, 1.0, size=knots.size - 1)
-    values = np.concatenate([[0.0], np.cumsum(steps)])
-    values /= values[-1]
-    return CdfComponent(knots, values)
+    (knots,), (values,), (size,) = _draw_cdfs(np.random.default_rng(rng), 1, n_knots)
+    return CdfComponent(knots[:size], values[:size])
 
 
 def random_nonparametric_mixture(
@@ -172,18 +205,21 @@ def random_nonparametric_mixture(
     """Random mixture of piecewise-linear product components.
 
     Per-variate families are generically linearly independent; blocks of
-    dimension b > 1 are products of independent random marginals.
+    dimension b > 1 are products of independent random marginals.  All the
+    marginals, class by class and variate by variate, come from one uniform
+    call (:func:`_draw_cdfs`), then the weights: the stream of drawing each
+    with :func:`random_piecewise_cdf`.  The mixture's checks run once per
+    table shape.  A block table past :data:`~latentid.tensor_core.ENTRY_CAP`
+    is refused before anything is drawn.
     """
     r, p = _whole_number(r, "r", 1), _whole_number(p, "p", 1)
     block_dims = [1] * p if block_dims is None else _whole_numbers(block_dims, "block_dims", 1)
     if len(block_dims) != p:
         raise InputError(f"block_dims must have {p} entries, got {len(block_dims)}")
     rng = np.random.default_rng(rng)
-    rows = []
-    for _ in range(r):
-        row = []
-        for b in block_dims:
-            parts = [random_piecewise_cdf(rng, n_knots) for _ in range(b)]
-            row.append(parts[0] if b == 1 else CdfComponent.from_product(parts))
-        rows.append(tuple(row))
-    return NonparametricMixture(pi=random_probability(rng, r), components=tuple(rows))
+    n_knots = _whole_number(n_knots, "n_knots", 2)
+    _check_entries(n_knots, "knot array")
+    check_power_entries([(n_knots, max(block_dims))], "CDF table")
+    knots, values, sizes = _draw_cdfs(rng, r * sum(block_dims), n_knots)
+    pi = random_probability(rng, r)
+    return NonparametricMixture._from_pieces(pi, block_dims, knots, values, sizes)

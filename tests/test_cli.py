@@ -825,6 +825,24 @@ class TestReportContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_numbers_past_the_float_range_exit_2(self, capsys, tmp_path, lc3_file, npm_file):
+        # a 401-digit integer does not convert to a float; finite entries of
+        # +-1e308 overflow to an infinite cell mass, which is refused with no
+        # RuntimeWarning (an error here, as for the console script in CI)
+        lc = json.loads(open(lc3_file).read())
+        lc["pi"][0] = 10**400
+        npm = json.loads(open(npm_file).read())
+        npm["components"][0][1] = {"knots": [0, 1, 2, 3], "values": [0, 1e308, -1e308, 1]}
+        for command, obj, line in [
+            ("certify-lc", lc, "error: pi holds an integer past the float range"),
+            ("nonparam-cuts", npm, "error: CDF table has a negative cell mass -inf"),
+        ]:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(obj))
+            assert run([command, "--model", str(path), "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines()[-1] == line
+
     def test_wrong_model_type_exits_2(self, capsys, hmm_file, lc3_file):
         expected = [
             ("certify-lc", hmm_file, "a latent_class"),

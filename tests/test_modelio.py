@@ -152,6 +152,15 @@ TABLE_FAULTS = {
         "CDF table has a negative cell mass -0.4",
     ),
     "top-corner": (1, [0, 0.5, 1], [0, 0.5, 0.9], "top corner of the CDF table must be 1"),
+    "cell-mass-overflow": (
+        1, [0, 1, 2, 3], [0, 1e308, -1e308, 1], "CDF table has a negative cell mass -inf",
+    ),
+    # differences of +inf less +inf are NaN, which once hid the -1e308 masses
+    "block-cell-mass-overflow": (
+        2, [[0, 1, 2, 3]] * 2,
+        [[0, 0, 0, 0], [0, -1e308, -1e308, 0], [0, 1e308, 1e308, 0.5], [0, 0.5, 0.5, 1]],
+        "CDF table has a negative cell mass -inf",
+    ),
 }
 
 
@@ -297,6 +306,12 @@ def test_only_models_are_serialized():
         (
             "nonparametric", ("components", 0, 0, "knots"), (0.0, 1.0),
             "knots must be a list, got tuple",
+        ),
+        ("latent_class", ("pi", 0), 10**400, "^pi holds an integer past the float range$"),
+        ("hmm", ("A", 1, 0), -(10**400), "^A holds an integer past the float range$"),
+        (
+            "nonparametric", ("components", 1, 2, "values", 1), 10**400,
+            "^values holds an integer past the float range$",
         ),
     ],
 )
